@@ -10,11 +10,11 @@ together with the Lyapunov-energy and coefficient-admissibility checks in
 
 from .objectives import Objective, f1, f2, make_objective, quadratic
 from .schedules import (AdmissibilityReport, Schedule, check_assumptions,
-                        coeffs_e24, coeffs_e25, coeffs_e26,
+                        coeffs_agm2, coeffs_e24, coeffs_e25, coeffs_e26,
                         inertial_coefficient, make_schedule, n_prime,
                         n_prime_e26_l_dependent)
 from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, StoppingRule,
-                         Trajectory, init_state, make_stepper, run)
+                         Trajectory, init_state, make_stepper, run, run_schedule)
 from .splitting import (HamiltonianSystem, SplitSystem, SubFlow,
                         forward_euler_hamiltonian, lie_trotter_compose,
                         rk4_step, stormer_verlet, strang_compose,
@@ -35,11 +35,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Objective", "f1", "f2", "make_objective", "quadratic",
-    "AdmissibilityReport", "Schedule", "check_assumptions", "coeffs_e24",
-    "coeffs_e25", "coeffs_e26", "inertial_coefficient", "make_schedule",
+    "AdmissibilityReport", "Schedule", "check_assumptions", "coeffs_agm2",
+    "coeffs_e24", "coeffs_e25", "coeffs_e26", "inertial_coefficient", "make_schedule",
     "n_prime", "n_prime_e26_l_dependent",
     "ALGORITHM_NAMES", "IterState", "RunResult", "StoppingRule", "Trajectory",
-    "init_state", "make_stepper", "run",
+    "init_state", "make_stepper", "run", "run_schedule",
     "HamiltonianSystem", "SplitSystem", "SubFlow", "forward_euler_hamiltonian",
     "lie_trotter_compose", "rk4_step", "stormer_verlet", "strang_compose",
     "symplectic_euler",

@@ -1,15 +1,30 @@
-"""Discrete inertial gradient algorithms as a uniform stepper family.
+"""Discrete inertial gradient algorithms as one coefficient-driven step.
 
-Every stepper is a pure function (state, objective, params) -> state over a
-shared IterState carrying the two most recent iterates and their cached
-gradients. All methods share the same bootstrap: x1 = x0 - s*grad(x0),
-y0 = x0, and the main recursion runs from n = 1. Iterations are counted
-from n = 0, so a trajectory that stops at index M holds M + 1 points.
+Every method except `nag` is the four-coefficient step `coefficient_step`
+driven by a per-name coefficient map n -> (alpha_n, lambda_n, omega_n,
+gamma_n), with a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1):
+
+    agm2          (a_n, 0, 0, 0)
+    lt_se1        (a_n, 0, s a_n, s)
+    lt_sv2        (a_n, 0, s a_n / 2, s / 2)
+    ardm          (a_n, 0, s (1 + a_n), 0)
+    lt_se3        (a_n, 0, s a_n theta_{n-1}, s theta_n)
+    igahd         (a_n, beta h, beta h / n, 0)
+    polyak_igahd  (a_n, beta h, beta h / n, 0), gradient step at x_n
+    pim           (1 - h gamma, 0, 0, 0), gradient step at x_n
+    lt_s_igahd    the coefficients of a Schedule
+
+`nag` keeps its velocity form. Every stepper is a pure function (state,
+objective) -> state over a shared IterState carrying the two most recent
+iterates and their cached gradients. All methods share the same bootstrap:
+x1 = x0 - s*grad(x0), y0 = x0, and the main recursion runs from n = 1.
+Iterations are counted from n = 0, so a trajectory that stops at index M
+holds M + 1 points.
 
 Gradient economy: the cache makes grad(x_n) and grad(x_{n-1}) free inside a
-step, so the inertial-plus-correction methods spend exactly one fresh
-gradient on y_n and one on x_{n+1} (which seeds the next step's cache);
-the methods whose final update reuses grad(x_n) spend only the latter.
+step, so the methods that step from y_n spend exactly one fresh gradient on
+y_n and one on x_{n+1} (which seeds the next step's cache); the methods
+whose gradient step is taken at x_n spend only the latter.
 """
 
 from __future__ import annotations
@@ -19,10 +34,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import objectives, schedules
 from .objectives import Objective
-from .schedules import Schedule
+from .schedules import Schedule, coeffs_agm2
 
 Array = np.ndarray
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -67,141 +85,27 @@ def init_state(obj: Objective, x0, s: float) -> IterState:
                      y_last=x0.copy())
 
 
-def step_agm2(state: IterState, obj: Objective, s: float, alpha: float = 3.0) -> IterState:
-    """y_n = x_n + alpha_n (x_n - x_{n-1}); x_{n+1} = y_n - s grad(y_n)."""
-    n = state.n
-    a_n = (n - alpha) / n
-    y = state.x_curr + a_n * (state.x_curr - state.x_prev)
-    x_next = y - s * obj.grad(y)
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y)
-
-
-def step_lt_s_igahd(state: IterState, obj: Objective, s: float,
-                    schedule: Schedule) -> IterState:
-    """The general four-coefficient step:
-
-    y_n     = x_n + alpha_n (x_n - x_{n-1}) - lambda_n [grad(x_n) - grad(x_{n-1})]
-              - omega_n grad(x_n)
-    x_{n+1} = y_n - s grad(y_n) + gamma_n grad(x_n)
-
-    Three gradient values per step, with grad(x_n) taken from the cache.
-    """
-    if s != schedule.s:
-        raise ValueError(f"stepsize {s} disagrees with the schedule's s = {schedule.s}")
-    n = state.n
-    a_n, lam, om, gam = schedule.coeffs_at(n)
-    y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
-         - lam * (state.grad_curr - state.grad_prev) - om * state.grad_curr)
-    x_next = y - s * obj.grad(y) + gam * state.grad_curr
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y)
-
-
-def step_lt_se1(state: IterState, obj: Objective, s: float, alpha: float = 3.0) -> IterState:
-    """y_n = x_n + alpha_n (x_n - x_{n-1}) - s alpha_n grad(x_n);
-    x_{n+1} = y_n - s grad(y_n) + s grad(x_n)."""
-    n = state.n
-    a_n = (n - alpha) / n
-    y = state.x_curr + a_n * (state.x_curr - state.x_prev) - s * a_n * state.grad_curr
-    x_next = y - s * obj.grad(y) + s * state.grad_curr
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y)
-
-
-def step_lt_sv2(state: IterState, obj: Objective, s: float, alpha: float = 3.0) -> IterState:
-    """As step_lt_se1 with both gradient corrections halved."""
-    n = state.n
-    a_n = (n - alpha) / n
-    y = state.x_curr + a_n * (state.x_curr - state.x_prev) - 0.5 * s * a_n * state.grad_curr
-    x_next = y - s * obj.grad(y) + 0.5 * s * state.grad_curr
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y)
-
-
-def step_ardm(state: IterState, obj: Objective, s: float, alpha: float = 3.0) -> IterState:
-    """y_n = x_n + alpha_n (x_n - x_{n-1}) - s (1 + alpha_n) grad(x_n);
-    x_{n+1} = y_n - s grad(y_n)."""
-    n = state.n
-    a_n = (n - alpha) / n
-    y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
-         - s * (1.0 + a_n) * state.grad_curr)
-    x_next = y - s * obj.grad(y)
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y)
-
-
 def default_theta(n: int) -> float:
     """1/n extended to the bootstrap index: theta(0) = theta(1) = 1."""
     return 1.0 / max(n, 1)
 
 
-def step_lt_se3(state: IterState, obj: Objective, s: float, alpha: float = 3.0,
-                theta: Callable[[int], float] = default_theta) -> IterState:
-    """Damped-correction variant: the outgoing correction is scaled by
-    theta_{n-1} and the incoming one by theta_n, so both vanish when
-    theta_n -> 0.
+def coefficient_step(state: IterState, obj: Objective, s: float,
+                     coeffs: Callable[[int], tuple], grad_at_x: bool = False) -> IterState:
+    """The four-coefficient step with (alpha_n, lambda_n, omega_n, gamma_n) =
+    coeffs(n):
 
-    y_n     = x_n + alpha_n (x_n - x_{n-1}) - s alpha_n theta_{n-1} grad(x_n)
-    x_{n+1} = y_n - s grad(y_n) + s theta_n grad(x_n)
+    y_n     = x_n + alpha_n (x_n - x_{n-1}) - lambda_n [grad(x_n) - grad(x_{n-1})]
+              - omega_n grad(x_n)
+    x_{n+1} = y_n - s grad(y_n) + gamma_n grad(x_n)
+
+    With grad_at_x the gradient step is taken at x_n instead.
     """
     n = state.n
-    a_n = (n - alpha) / n
+    a_n, lam, om, gam = coeffs(n)
     y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
-         - s * a_n * theta(n - 1) * state.grad_curr)
-    x_next = y - s * obj.grad(y) + s * theta(n) * state.grad_curr
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y)
-
-
-def step_pim(state: IterState, obj: Objective, s: float, gamma: float) -> IterState:
-    """Constant-friction momentum: y_n = x_n + (1 - h*gamma)(x_n - x_{n-1})
-    with h = sqrt(s); x_{n+1} = y_n - s grad(x_n). Note the gradient is
-    taken at x_n, not y_n, so each step costs one fresh gradient."""
-    h = float(np.sqrt(s))
-    y = state.x_curr + (1.0 - h * gamma) * (state.x_curr - state.x_prev)
-    x_next = y - s * state.grad_curr
-    return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y)
-
-
-def step_polyak_igahd(state: IterState, obj: Objective, s: float, alpha: float = 3.0,
-                      beta: float = 0.0) -> IterState:
-    """Gradient-correction variant whose final update also uses grad(x_n):
-
-    y_n     = x_n + alpha_n (x_n - x_{n-1}) - beta h [grad(x_n) - grad(x_{n-1})]
-              - (beta h / n) grad(x_n)
-    x_{n+1} = y_n - s grad(x_n)
-    """
-    h = float(np.sqrt(s))
-    n = state.n
-    a_n = (n - alpha) / n
-    y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
-         - beta * h * (state.grad_curr - state.grad_prev)
-         - (beta * h / n) * state.grad_curr)
-    x_next = y - s * state.grad_curr
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y)
-
-
-def step_igahd(state: IterState, obj: Objective, s: float, alpha: float = 3.0,
-               beta: float = 0.0, omega_grad_at: str = "curr") -> IterState:
-    """Hessian-correction method with the gradient step taken at y_n.
-
-    omega_grad_at selects the evaluation point of the vanishing correction
-    term (beta h / n): "curr" uses grad(x_n) (the default), "prev" the
-    classical grad(x_{n-1}) variant.
-    """
-    if omega_grad_at not in ("curr", "prev"):
-        raise ValueError(f"omega_grad_at must be 'curr' or 'prev', got {omega_grad_at!r}")
-    h = float(np.sqrt(s))
-    n = state.n
-    a_n = (n - alpha) / n
-    g_omega = state.grad_curr if omega_grad_at == "curr" else state.grad_prev
-    y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
-         - beta * h * (state.grad_curr - state.grad_prev)
-         - (beta * h / n) * g_omega)
-    x_next = y - s * obj.grad(y)
+         - lam * (state.grad_curr - state.grad_prev) - om * state.grad_curr)
+    x_next = y - s * (state.grad_curr if grad_at_x else obj.grad(y)) + gam * state.grad_curr
     return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
                      y_last=y)
 
@@ -313,7 +217,7 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
     xs = [state.x_prev, state.x_curr]
     fs = [obj.eval(state.x_prev), obj.eval(state.x_curr)]
     grads = [state.grad_prev, state.grad_curr]
-    ys = [state.x_prev.copy(), state.y_last]
+    ys = [state.x_prev.copy(), state.y_last] if record_y else None
 
     termination = "max_iter"
     while True:
@@ -334,7 +238,8 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
         xs.append(new_state.x_curr)
         fs.append(f_new)
         grads.append(new_state.grad_curr)
-        ys.append(new_state.y_last)
+        if record_y:
+            ys.append(new_state.y_last)
         state = new_state
 
     traj = Trajectory(obj=obj, xs=np.asarray(xs), fs=np.asarray(fs),
@@ -348,35 +253,72 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
 
 def make_stepper(name: str, s: float, alpha: float = 3.0,
                  schedule: Optional[Schedule] = None, beta: float = 1.0,
-                 gamma: float = 1.0, theta: Callable[[int], float] = default_theta,
-                 clock: str = "standard",
-                 omega_grad_at: str = "curr") -> Callable[[IterState, Objective], IterState]:
+                 gamma: float = 1.0,
+                 clock: str = "standard") -> Callable[[IterState, Objective], IterState]:
     """Bind a named algorithm to its parameters; the result has the
-    (state, obj) -> state shape that `run` expects."""
+    (state, obj) -> state shape that `run` expects. lt_s_igahd takes its
+    coefficients from `schedule`, whose s must equal `s` to 8 eps relative."""
     name = name.lower()
-    if name == "agm2":
-        return lambda st, ob: step_agm2(st, ob, s, alpha)
+    if name == "nag":
+        return lambda st, ob: step_nag_velocity(st, ob, s, alpha, clock)
+    h = float(np.sqrt(s))
+    # the coefficients at n of each method, given a = (n - alpha)/n
+    table = {
+        "agm2": lambda n, a: coeffs_agm2(n, alpha),
+        "lt_se1": lambda n, a: (a, 0.0, s * a, s),
+        "lt_sv2": lambda n, a: (a, 0.0, 0.5 * s * a, 0.5 * s),
+        "ardm": lambda n, a: (a, 0.0, s * (1.0 + a), 0.0),
+        "lt_se3": lambda n, a: (a, 0.0, s * a * default_theta(n - 1), s * default_theta(n)),
+        "igahd": lambda n, a: (a, beta * h, beta * h / n, 0.0),
+        "pim": lambda n, a: (1.0 - h * gamma, 0.0, 0.0, 0.0),
+    }
+    table["polyak_igahd"] = table["igahd"]
     if name == "lt_s_igahd":
         if schedule is None:
             raise ValueError("lt_s_igahd needs a schedule")
-        return lambda st, ob: step_lt_s_igahd(st, ob, s, schedule)
-    if name == "lt_se1":
-        return lambda st, ob: step_lt_se1(st, ob, s, alpha)
-    if name == "lt_sv2":
-        return lambda st, ob: step_lt_sv2(st, ob, s, alpha)
-    if name == "ardm":
-        return lambda st, ob: step_ardm(st, ob, s, alpha)
-    if name == "lt_se3":
-        return lambda st, ob: step_lt_se3(st, ob, s, alpha, theta)
-    if name == "pim":
-        return lambda st, ob: step_pim(st, ob, s, gamma)
-    if name == "polyak_igahd":
-        return lambda st, ob: step_polyak_igahd(st, ob, s, alpha, beta)
-    if name == "igahd":
-        return lambda st, ob: step_igahd(st, ob, s, alpha, beta, omega_grad_at)
-    if name == "nag":
-        return lambda st, ob: step_nag_velocity(st, ob, s, alpha, clock)
-    raise ValueError(f"unknown algorithm {name!r}")
+        if abs(s - schedule.s) > 8.0 * _EPS * abs(schedule.s):
+            raise ValueError(f"stepsize {s} disagrees with the schedule's s = {schedule.s}")
+        coeffs = schedule.coeffs_at
+    elif name in table:
+        method = table[name]
+
+        def coeffs(n):
+            return method(n, (n - alpha) / n)
+    else:
+        raise ValueError(f"unknown algorithm {name!r}")
+    grad_at_x = name in ("pim", "polyak_igahd")
+    return lambda st, ob: coefficient_step(st, ob, s, coeffs, grad_at_x)
+
+
+def check_stepsize(s: float, obj: Objective) -> None:
+    """Reject a stepsize outside the open interval (0, 1/L)."""
+    lip = obj.lipschitz_constant()
+    hi = np.inf if lip == 0.0 else 1.0 / lip
+    if not 0.0 < s < hi:
+        raise ValueError(f"stepsize s must lie strictly inside (0, {hi:g}) "
+                         f"for objective {obj.name!r}, got {s}")
+
+
+def default_stop(obj: Objective) -> str:
+    """known_min_f for a unique minimizer of known value, else consecutive_f."""
+    if obj.f_min is not None and obj.argmin_kind == "unique":
+        return "known_min_f"
+    return "consecutive_f"
+
+
+def run_schedule(objective: str, label: str, params: dict, s: float, alpha: float,
+                 x0, epsilon: float, max_iter: int):
+    """Run lt_s_igahd on a built-in objective under the named coefficient
+    schedule, stopping by the objective's default rule at `epsilon`.
+    Returns (objective, schedule, Trajectory, RunResult)."""
+    obj = objectives.make_objective(objective)
+    check_stepsize(s, obj)
+    sched = schedules.make_schedule(label, s=s, alpha=alpha,
+                                    lipschitz=obj.lipschitz_constant(), **params)
+    stepper = make_stepper("lt_s_igahd", s, alpha=alpha, schedule=sched)
+    traj, res = run(stepper, obj, x0, s, StoppingRule(default_stop(obj), epsilon),
+                    max_iter=max_iter)
+    return obj, sched, traj, res
 
 
 ALGORITHM_NAMES = ("agm2", "lt_s_igahd", "lt_se1", "lt_sv2", "ardm", "lt_se3",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algorithms import Trajectory
 from .objectives import Objective
-from .schedules import Schedule
+from .schedules import Schedule, a_coefficients
 
 Array = np.ndarray
 
@@ -43,31 +43,12 @@ class EnergySeries:
     n_start: int = 1
 
 
-def _lambda_at(schedule: Optional[Schedule], n) -> Array:
-    if schedule is None:
-        return np.zeros_like(np.asarray(n, dtype=float))
-    return np.asarray(schedule.coeffs_at(n)[1], dtype=float)
-
-
 def energy(trajectory: Trajectory, n: int, s: float, alpha: float,
            schedule: Optional[Schedule], x_star) -> float:
-    """E_n for a single index; needs x_{n-1}, x_n and grad f(x_{n-1}).
+    """E_n for a single index: `energy_series` over the window [n, n].
     Pass schedule=None for methods without a gradient-correction
     coefficient (lambda_n = 0)."""
-    if n < 1:
-        raise ValueError(f"energy is defined from n = 1, got {n}")
-    if n > trajectory.n_final:
-        raise ValueError(f"trajectory ends at n = {trajectory.n_final}, asked for {n}")
-    x_star = np.asarray(x_star, dtype=float)
-    t_n = (n - 1) / (alpha - 1.0)
-    t_next = n / (alpha - 1.0)
-    x_prev, x_curr = trajectory.xs[n - 1], trajectory.xs[n]
-    g_prev = (trajectory.grads[n - 1] if trajectory.grads is not None
-              else trajectory.obj.grad(x_prev))
-    lam = float(_lambda_at(schedule, n))
-    z = (x_prev - x_star) + t_n * (x_curr - x_prev) + lam * t_next * g_prev
-    fgap = trajectory.fs[n] - trajectory.obj.eval(x_star)
-    return float(t_n * t_n * fgap + np.dot(z, z) / (2.0 * s))
+    return float(energy_series(trajectory, s, alpha, schedule, x_star, n, n).e_seq[0])
 
 
 def energy_xm_variant(trajectory: Trajectory, n: int, s: float, alpha: float,
@@ -94,13 +75,16 @@ def energy_series(trajectory: Trajectory, s: float, alpha: float,
     ns = np.arange(n_lo, n_hi + 1)
     t_n = (ns - 1) / (alpha - 1.0)
     t_next = ns / (alpha - 1.0)
-    lam = _lambda_at(schedule, ns)
+    lam = (np.zeros(len(ns)) if schedule is None
+           else np.asarray(schedule.coeffs_at(ns)[1], dtype=float))
     x_prev = trajectory.xs[ns - 1]
     x_curr = trajectory.xs[ns]
     g_prev = trajectory.grads[ns - 1]
     z = ((x_prev - x_star) + t_n[:, None] * (x_curr - x_prev)
          + (lam * t_next)[:, None] * g_prev)
-    e = t_n ** 2 * (trajectory.fs[ns] - f_star) + np.sum(z * z, axis=1) / (2.0 * s)
+    # row-wise np.dot(z_n, z_n), so every window gives the same bits
+    zz = np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]
+    e = t_n ** 2 * (trajectory.fs[ns] - f_star) + zz / (2.0 * s)
     return EnergySeries(t_seq=t_n, e_seq=e, z_seq=z, x_star=x_star, n_start=n_lo)
 
 
@@ -205,11 +189,7 @@ def check_descent_lemma(obj: Objective, x, y, variant: str, s: Optional[float] =
             raise ValueError("eedl needs the third point z")
         z = np.asarray(z, dtype=float)
         gz = obj.grad(z)
-        a1 = s
-        a2 = -s
-        a3 = -gamma * (1.0 - lip * s)
-        a4 = 0.5 * s
-        a5 = -gamma * gamma / (2.0 * s)
+        a1, a2, a3, a4, a5 = a_coefficients(s, lip, gamma)
         lhs = obj.eval(y - s * gy + gamma * gz)
         rhs = (obj.eval(x) + float(np.dot(gy, y - x))
                - a1 * float(np.dot(gy, gy)) - a2 * float(np.dot(gy, gx))
@@ -264,14 +244,12 @@ def spurious_root_residual(obj: Objective, x, omega: float, s: float,
     """
     x = np.asarray(x, dtype=float)
     g = obj.grad(x)
-    if variant == "eq1":
-        if omega == 0.0:
-            raise ValueError("eq1 needs a nonzero omega")
-        r = g + (s / omega) * obj.grad(x - omega * g)
-    elif variant == "eq2":
-        r = g + 0.5 * obj.grad(x - 2.0 * s * g)
+    if variant == "eq2":
+        omega = 2.0 * s
     elif variant == "eq3":
-        r = g + obj.grad(x - s * g)
-    else:
+        omega = s
+    elif variant != "eq1":
         raise ValueError(f"unknown fixed-point variant {variant!r}")
-    return float(np.linalg.norm(r))
+    if omega == 0.0:
+        raise ValueError("eq1 needs a nonzero omega")
+    return float(np.linalg.norm(g + (s / omega) * obj.grad(x - omega * g)))

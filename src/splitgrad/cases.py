@@ -83,10 +83,3 @@ def all_cases() -> Tuple[TableCase, ...]:
                            a=a, b=b, epsilon=_EPS_REF, ref_error=err, ref_n2=n2,
                            ref_nprime=npr, ref_n=nn)
                  for (t, g, o, sch, mu, a, b, err, n2, npr, nn) in _ROWS)
-
-
-def cases_for_table(table: int) -> Tuple[TableCase, ...]:
-    got = tuple(c for c in all_cases() if c.table == table)
-    if not got:
-        raise ValueError(f"no recorded table {table}; have 1..4")
-    return got

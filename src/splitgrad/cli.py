@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algorithms, analysis, constructions, schedules, verify
+from . import algorithms, analysis, schedules, verify
 from .cases import TableCase, all_cases
-from .objectives import Objective, make_objective
+from .objectives import make_objective
 
 
 def _fmt(v) -> str:
@@ -63,7 +63,14 @@ def _parse_vec(text: str) -> np.ndarray:
 def _parse_params(text):
     if text is None:
         return {}
-    obj = json.loads(text) if not Path(text).is_file() else json.loads(Path(text).read_text())
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        try:
+            obj = json.loads(Path(text).read_text())
+        except OSError as e:
+            raise ValueError(f"expected a JSON object or a readable JSON file, got {text!r} "
+                             f"({e.strerror})") from None
     if not isinstance(obj, dict):
         raise ValueError("parameter payload must be a JSON object")
     return obj
@@ -87,25 +94,6 @@ def _emit_report(out_dir: Path, payload: dict) -> None:
     sys.stdout.write(txt)
 
 
-def _check_stepsize(s: float, obj: Objective) -> None:
-    lip = obj.lipschitz_constant()
-    hi = np.inf if lip == 0.0 else 1.0 / lip
-    if not 0.0 < s < hi:
-        raise ValueError(f"stepsize s must lie strictly inside (0, {hi:g}) "
-                         f"for objective {obj.name!r}, got {s}")
-
-
-def _default_stop(obj: Objective) -> str:
-    if obj.f_min is not None and obj.argmin_kind == "unique":
-        return "known_min_f"
-    return "consecutive_f"
-
-
-def _make_schedule(label, s, alpha, lipschitz, params):
-    return schedules.make_schedule(label, s=s, alpha=alpha, lipschitz=lipschitz,
-                                   **params)
-
-
 def _cfg(args, config: dict, key: str, default):
     v = getattr(args, key, None)
     if v is not None:
@@ -123,24 +111,21 @@ def cmd_run(args) -> int:
     algorithm = _cfg(args, config, "algorithm", "agm2")
     s = float(_cfg(args, config, "s", 0.1))
     alpha = float(_cfg(args, config, "alpha", 3.0))
-    x0 = _cfg(args, config, "x0", None)
-    x0 = _parse_vec(x0) if isinstance(x0, str) else \
-        (np.asarray(x0, dtype=float) if x0 is not None else np.array([1.0, -2.0]))
+    x0 = _cfg(args, config, "x0", "1,-2")
+    x0 = _parse_vec(x0) if isinstance(x0, str) else np.asarray(x0, dtype=float)
     epsilon = float(_cfg(args, config, "epsilon", 1e-10))
     max_iter = int(_cfg(args, config, "max_iter", 50000))
-    stop_kind = _cfg(args, config, "stop", _default_stop(obj))
+    stop_kind = _cfg(args, config, "stop", algorithms.default_stop(obj))
     out_dir = Path(_cfg(args, config, "out", "out"))
 
-    _check_stepsize(s, obj)
+    algorithms.check_stepsize(s, obj)
     sched_label = _cfg(args, config, "schedule", None)
     sched_params = _parse_params(args.schedule_params) if args.schedule_params \
         else config.get("schedule_params", {})
     sched = None
     if sched_label is not None:
-        sched = _make_schedule(sched_label, s, alpha, obj.lipschitz_constant(),
-                               sched_params)
-    if algorithm == "lt_s_igahd" and sched is None:
-        raise ValueError("lt_s_igahd needs --schedule")
+        sched = schedules.make_schedule(sched_label, s=s, alpha=alpha,
+                                        lipschitz=obj.lipschitz_constant(), **sched_params)
 
     stepper = algorithms.make_stepper(
         algorithm, s, alpha=alpha, schedule=sched,
@@ -200,15 +185,8 @@ def cmd_run(args) -> int:
 
 
 def _run_case(case: TableCase, s: float, alpha: float, max_iter: int):
-    obj = make_objective(case.objective)
-    _check_stepsize(s, obj)
-    sched = _make_schedule(case.schedule, s, alpha, obj.lipschitz_constant(),
-                           case.schedule_params())
-    stepper = algorithms.make_stepper("lt_s_igahd", s, alpha=alpha, schedule=sched)
-    stopping = algorithms.StoppingRule(_default_stop(obj), case.epsilon)
-    traj, res = algorithms.run(stepper, obj, [1.0, -2.0], s, stopping,
-                               max_iter=max_iter)
-    return obj, sched, traj, res
+    return algorithms.run_schedule(case.objective, case.schedule, case.schedule_params(),
+                                   s, alpha, [1.0, -2.0], case.epsilon, max_iter)
 
 
 def _n2_at(sched, lipschitz: float, n: int, alpha: float) -> float:
@@ -253,10 +231,8 @@ def cmd_table(args) -> int:
         cases = [c for c in cases if c.table == args.table]
         if not cases:
             raise ValueError(f"no recorded rows for table {args.table}")
-    s = args.s if args.s is not None else 0.1
-    alpha = args.alpha if args.alpha is not None else 3.0
-    max_iter = args.max_iter if args.max_iter is not None else 30000
-    out_dir = Path(args.out if args.out is not None else "out")
+    s, alpha, max_iter = args.s, args.alpha, args.max_iter
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     header = ["case", "table", "group", "objective", "schedule", "mu", "a", "b",
@@ -274,7 +250,6 @@ def cmd_table(args) -> int:
         lip = obj.lipschitz_constant()
         rep = schedules.check_assumptions(sched, lip, n_max=max(res.n_final + 2, 1000))
         n2_stop = _n2_at(sched, lip, res.n_final, alpha)
-        npr = schedules.n_prime(case.schedule, case.schedule_params(), s, alpha, lip)
         npr_alt = schedules.n_prime_reference_variant(case.schedule,
                                                       case.schedule_params(), s,
                                                       alpha, lip)
@@ -289,7 +264,7 @@ def cmd_table(args) -> int:
         n_matched_n += m_n
         row = [case.label, case.table, case.group, case.objective, case.schedule,
                case.mu, case.a, case.b, case.epsilon, s, res.termination,
-               res.n_final, res.error_final, below, rep.n1, rep.n2, n2_stop, npr,
+               res.n_final, res.error_final, below, rep.n1, rep.n2, n2_stop, rep.n_prime,
                npr_alt, rep.n_threshold, case.ref_error, case.ref_n2,
                case.ref_nprime, case.ref_n, m_err, m_n2, m_npr, m_n]
         if args.infer_s:
@@ -316,15 +291,9 @@ def _sweep_cell(payload: dict) -> dict:
     base["status"] = "ok"
     base["message"] = ""
     try:
-        obj = make_objective(payload["objective"])
-        _check_stepsize(payload["s"], obj)
-        sched = _make_schedule(payload["schedule"], payload["s"], payload["alpha"],
-                               obj.lipschitz_constant(), payload["params"])
-        stepper = algorithms.make_stepper("lt_s_igahd", payload["s"],
-                                          alpha=payload["alpha"], schedule=sched)
-        stopping = algorithms.StoppingRule(_default_stop(obj), payload["epsilon"])
-        traj, res = algorithms.run(stepper, obj, payload["x0"], payload["s"],
-                                   stopping, max_iter=payload["max_iter"])
+        obj, sched, _, res = algorithms.run_schedule(
+            payload["objective"], payload["schedule"], payload["params"], payload["s"],
+            payload["alpha"], payload["x0"], payload["epsilon"], payload["max_iter"])
         rep = schedules.check_assumptions(sched, obj.lipschitz_constant(),
                                           n_max=max(res.n_final + 2, 1000))
         base.update(termination=res.termination, n_final=res.n_final,
@@ -345,25 +314,20 @@ def cmd_sweep(args) -> int:
     for k in keys:
         if not isinstance(grid[k], (list, tuple)) or not grid[k]:
             raise ValueError(f"grid entry {k!r} must be a non-empty list")
-    s = args.s if args.s is not None else 0.1
-    alpha = args.alpha if args.alpha is not None else 3.0
-    x0 = _parse_vec(args.x0) if args.x0 is not None else np.array([1.0, -2.0])
+    x0 = _parse_vec(args.x0)
     payloads = [{
-        "objective": args.objective if args.objective is not None else "f2",
-        "schedule": args.schedule, "s": s, "alpha": alpha, "x0": x0,
-        "epsilon": args.epsilon if args.epsilon is not None else 1e-10,
-        "max_iter": args.max_iter if args.max_iter is not None else 30000,
-        "params": dict(zip(keys, combo)),
+        "objective": args.objective, "schedule": args.schedule, "s": args.s,
+        "alpha": args.alpha, "x0": x0, "epsilon": args.epsilon,
+        "max_iter": args.max_iter, "params": dict(zip(keys, combo)),
     } for combo in itertools.product(*(grid[k] for k in keys))]
 
-    workers = args.workers if args.workers is not None else 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sweep_cell, payloads))
     else:
         results = [_sweep_cell(p) for p in payloads]
 
-    out_dir = Path(args.out if args.out is not None else "out")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = keys + ["status", "termination", "n_final", "error", "n1", "n2",
                      "n_prime", "n_threshold", "message"]
@@ -372,8 +336,8 @@ def cmd_sweep(args) -> int:
     n_err = sum(r["status"] == "error" for r in results)
     _emit_report(out_dir, {
         "command": "sweep", "schedule": args.schedule,
-        "objective": payloads[0]["objective"], "s": s, "alpha": alpha,
-        "cells": len(results), "errors": n_err, "workers": workers,
+        "objective": args.objective, "s": args.s, "alpha": args.alpha,
+        "cells": len(results), "errors": n_err, "workers": args.workers,
         "files": "sweep.csv,report.txt,report.json",
     })
     return 0
@@ -393,32 +357,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ode_compare(args) -> int:
-    obj = make_objective(args.objective if args.objective is not None else "f1")
-    alpha = args.alpha if args.alpha is not None else 3.0
-    beta = args.beta if args.beta is not None else 0.1
-    t0 = args.t0 if args.t0 is not None else 1.0
-    t1 = args.t1 if args.t1 is not None else 10.0
-    dt0 = args.dt if args.dt is not None else 1e-2
-    x0 = _parse_vec(args.x0) if args.x0 is not None else np.array([1.0, -2.0])
+    obj = make_objective(args.objective)
+    alpha, beta, t0, t1, dt0 = args.alpha, args.beta, args.t0, args.t1, args.dt
     v0 = _parse_vec(args.v0) if args.v0 is not None else np.zeros(obj.dim)
-    xdot0 = constructions.xdot_from_v(obj, x0, v0, t0, alpha, beta)
+    gaps, orders, finest = verify.ode_route_gaps(obj, _parse_vec(args.x0), v0, alpha, beta,
+                                                 t0, t1, dt0)
 
-    gaps = []
-    finest = None
-    for dt in (dt0, dt0 / 2.0, dt0 / 4.0):
-        tr1 = constructions.integrate_first_order_vd(obj, x0, v0, alpha, beta,
-                                                     t0, t1, dt)
-        tr2 = constructions.integrate_second_order_hessian_vd(obj, x0, xdot0,
-                                                              alpha, beta, t0, t1, dt)
-        v_rec = np.array([constructions.v_from_x(obj, tr2.xs[k], tr2.vs[k],
-                                                 float(tr2.ts[k]), alpha, beta)
-                          for k in range(len(tr2.ts))])
-        gaps.append(max(float(np.max(np.abs(tr1.xs - tr2.xs))),
-                        float(np.max(np.abs(tr1.vs - v_rec)))))
-        finest = tr1
-    orders = [float(np.log2(gaps[i] / gaps[i + 1])) for i in range(2)]
-
-    out_dir = Path(args.out if args.out is not None else "out")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "ode_compare.csv", ["dt", "sup_gap", "order"],
                [[dt0, gaps[0], np.nan], [dt0 / 2.0, gaps[1], orders[0]],
@@ -474,26 +419,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("table", help="re-run the recorded benchmark rows")
     p_tab.add_argument("--cases", help="JSON file overriding the built-in rows")
     p_tab.add_argument("--table", type=int, choices=(1, 2, 3, 4))
-    p_tab.add_argument("--s", type=float)
-    p_tab.add_argument("--alpha", type=float)
-    p_tab.add_argument("--max-iter", type=int, dest="max_iter")
+    p_tab.add_argument("--s", type=float, default=0.1)
+    p_tab.add_argument("--alpha", type=float, default=3.0)
+    p_tab.add_argument("--max-iter", type=int, dest="max_iter", default=30000)
     p_tab.add_argument("--infer-s", action="store_true",
                        help="also scan stepsizes to best match the recorded N2")
-    p_tab.add_argument("--out")
+    p_tab.add_argument("--out", default="out")
     p_tab.set_defaults(func=cmd_table)
 
     p_sw = sub.add_parser("sweep", help="grid sweep over schedule parameters")
     p_sw.add_argument("--schedule", required=True)
     p_sw.add_argument("--grid", required=True,
                       help="JSON object mapping parameter names to value lists")
-    p_sw.add_argument("--objective")
-    p_sw.add_argument("--s", type=float)
-    p_sw.add_argument("--alpha", type=float)
-    p_sw.add_argument("--x0")
-    p_sw.add_argument("--epsilon", type=float)
-    p_sw.add_argument("--max-iter", type=int, dest="max_iter")
-    p_sw.add_argument("--workers", type=int)
-    p_sw.add_argument("--out")
+    p_sw.add_argument("--objective", default="f2")
+    p_sw.add_argument("--s", type=float, default=0.1)
+    p_sw.add_argument("--alpha", type=float, default=3.0)
+    p_sw.add_argument("--x0", default="1,-2")
+    p_sw.add_argument("--epsilon", type=float, default=1e-10)
+    p_sw.add_argument("--max-iter", type=int, dest="max_iter", default=30000)
+    p_sw.add_argument("--workers", type=int, default=1)
+    p_sw.add_argument("--out", default="out")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
@@ -503,15 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ode = sub.add_parser("ode-compare",
                            help="compare the two continuous-time formulations")
-    p_ode.add_argument("--objective")
-    p_ode.add_argument("--alpha", type=float)
-    p_ode.add_argument("--beta", type=float)
-    p_ode.add_argument("--t0", type=float)
-    p_ode.add_argument("--t1", type=float)
-    p_ode.add_argument("--dt", type=float)
-    p_ode.add_argument("--x0")
-    p_ode.add_argument("--v0")
-    p_ode.add_argument("--out")
+    p_ode.add_argument("--objective", default="f1")
+    p_ode.add_argument("--alpha", type=float, default=3.0)
+    p_ode.add_argument("--beta", type=float, default=0.1)
+    p_ode.add_argument("--t0", type=float, default=1.0)
+    p_ode.add_argument("--t1", type=float, default=10.0)
+    p_ode.add_argument("--dt", type=float, default=1e-2)
+    p_ode.add_argument("--x0", default="1,-2")
+    p_ode.add_argument("--v0", help="default: zero")
+    p_ode.add_argument("--out", default="out")
     p_ode.set_defaults(func=cmd_ode_compare)
     return parser
 

@@ -10,6 +10,7 @@ benchmarks.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -143,16 +144,19 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
     if b.shape != (dim,):
         raise ValueError(f"linear term has shape {b.shape}, expected ({dim},)")
 
-    eigs = np.linalg.eigvalsh(a)
+    eigs, vecs = np.linalg.eigh(a)
     tol = 1e-12 * max(1.0, float(eigs[-1]))
     if eigs[0] < -tol:
         raise ValueError(f"quadratic matrix has negative eigenvalue {eigs[0]}")
     lip = float(max(eigs[-1], 0.0))
 
-    x_star, *_ = np.linalg.lstsq(a, -b, rcond=None)
+    # minimum-norm minimizer through the pseudo-inverse of A at tolerance tol
+    kept = eigs > tol
+    coords = np.zeros(dim)
+    coords[kept] = (vecs.T @ -b)[kept] / eigs[kept]
+    x_star = vecs @ coords
     if not np.allclose(a @ x_star + b, 0.0, atol=1e-9 * (1.0 + float(np.linalg.norm(b)))):
         raise ValueError("quadratic is unbounded below: linear term outside the matrix range")
-    unique = bool(eigs[0] > tol)
 
     def value(x):
         return 0.5 * float(x @ (a @ x)) + float(b @ x)
@@ -170,7 +174,7 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
         gradient=gradient,
         lipschitz=lip,
         hessian_vec=hessian_vec,
-        argmin_kind="unique" if unique else "affine",
+        argmin_kind="unique" if kept.all() else "affine",
         argmin_point=x_star,
         f_min=0.5 * float(x_star @ (a @ x_star)) + float(b @ x_star),
     )
@@ -186,6 +190,10 @@ def make_objective(name: str, **params) -> Objective:
         factory = _BUILTIN[name]
     except KeyError:
         raise ValueError(f"unknown objective {name!r}; choose from {sorted(_BUILTIN)}") from None
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as e:
+        raise ValueError(f"objective {name!r}: {e}") from None
     return factory(**params)
 
 

@@ -2,7 +2,7 @@
 family, with admissibility checking.
 
 A schedule supplies (alpha_n, lambda_n, omega_n, gamma_n) at each n >= 1 for
-the general stepper in `algorithms.step_lt_s_igahd`. Three worked families
+the four-coefficient step `algorithms.coefficient_step`. Three worked families
 are built in (labels "e24", "e25", "e26"), each satisfying the exact
 coupling identity
 
@@ -49,6 +49,35 @@ def _validate_common(s: float, alpha: float, mu: float) -> None:
         raise ValueError(f"mu must be nonnegative, got {mu}")
 
 
+def coeffs_agm2(n, alpha: float = 3.0):
+    """The plain accelerated method: (alpha_n, 0, 0, 0). A Python number n
+    gives Python floats, anything else arrays."""
+    if not np.isscalar(n):
+        n = np.asarray(n, dtype=float)
+    a_n = (n - alpha) / n
+    zero = 0.0 if np.isscalar(n) else np.zeros_like(a_n)
+    return a_n, zero, zero, zero
+
+
+def _coeffs_shifted(n, s: float, alpha: float, a: float, b: float, mu: float,
+                    gamma_of: Callable):
+    """The e24/e26 body; the two families differ only in gamma_n = gamma_of(n)."""
+    _validate_common(s, alpha, mu)
+    if a < 0.0 or b < 0.0:
+        raise ValueError(f"shifts must be nonnegative, got a={a}, b={b}")
+    scalar_in = np.isscalar(n)
+    n = np.asarray(n, dtype=float)
+    if mu > 0.0 and np.any(n + b - 1.0 <= 0.0):
+        raise ValueError("mu > 0 with n + b - 1 <= 0 divides by zero; need b > 0 at n = 1")
+    gamma = gamma_of(n)
+    lam = s * (n - 1.0) / n
+    omega = gamma + s / n
+    if mu > 0.0:
+        lam = lam + mu * (n - 1.0) / (n * (n + b - 1.0))
+        omega = omega + mu * (1.0 / (n + b) - (n - 1.0) / (n * (n + b - 1.0)))
+    return _pack(scalar_in, (n - alpha) / n, lam, omega, gamma)
+
+
 def coeffs_e24(n, s: float, alpha: float = 3.0, a: float = 0.0, b: float = 0.0,
                mu: float = 0.0):
     """Family with gamma_n = s*sqrt((alpha-1)/(n+a)) > 0.
@@ -57,20 +86,8 @@ def coeffs_e24(n, s: float, alpha: float = 3.0, a: float = 0.0, b: float = 0.0,
     omega_n = gamma_n + s/n + mu*[1/(n+b) - (n-1)/(n(n+b-1))].
     Returns (alpha_n, lambda_n, omega_n, gamma_n); n may be an array.
     """
-    _validate_common(s, alpha, mu)
-    if a < 0.0 or b < 0.0:
-        raise ValueError(f"shifts must be nonnegative, got a={a}, b={b}")
-    scalar_in = np.isscalar(n)
-    n = np.asarray(n, dtype=float)
-    if mu > 0.0 and np.any(n + b - 1.0 <= 0.0):
-        raise ValueError("mu > 0 with n + b - 1 <= 0 divides by zero; need b > 0 at n = 1")
-    gamma = s * np.sqrt((alpha - 1.0) / (n + a))
-    lam = s * (n - 1.0) / n
-    omega = gamma + s / n
-    if mu > 0.0:
-        lam = lam + mu * (n - 1.0) / (n * (n + b - 1.0))
-        omega = omega + mu * (1.0 / (n + b) - (n - 1.0) / (n * (n + b - 1.0)))
-    return _pack(scalar_in, (n - alpha) / n, lam, omega, gamma)
+    return _coeffs_shifted(n, s, alpha, a, b, mu,
+                           lambda n: s * np.sqrt((alpha - 1.0) / (n + a)))
 
 
 def coeffs_e25(n, s: float, beta: float, b: float, mu: float = 0.0,
@@ -100,22 +117,9 @@ def coeffs_e25(n, s: float, beta: float, b: float, mu: float = 0.0,
 
 def coeffs_e26(n, s: float, a: float = 0.0, b: float = 0.0, mu: float = 0.0,
                alpha: float = 3.0):
-    """Family with negative gamma_n = -s/(n+a); lambda as in the e24 family,
-    omega_n = -s/(n+a) + s/n + mu*[1/(n+b) - (n-1)/(n(n+b-1))]."""
-    _validate_common(s, alpha, mu)
-    if a < 0.0 or b < 0.0:
-        raise ValueError(f"shifts must be nonnegative, got a={a}, b={b}")
-    scalar_in = np.isscalar(n)
-    n = np.asarray(n, dtype=float)
-    if mu > 0.0 and np.any(n + b - 1.0 <= 0.0):
-        raise ValueError("mu > 0 with n + b - 1 <= 0 divides by zero; need b > 0 at n = 1")
-    gamma = -s / (n + a)
-    lam = s * (n - 1.0) / n
-    omega = gamma + s / n
-    if mu > 0.0:
-        lam = lam + mu * (n - 1.0) / (n * (n + b - 1.0))
-        omega = omega + mu * (1.0 / (n + b) - (n - 1.0) / (n * (n + b - 1.0)))
-    return _pack(scalar_in, (n - alpha) / n, lam, omega, gamma)
+    """Family with negative gamma_n = -s/(n+a); lambda_n and omega_n as in
+    the e24 family."""
+    return _coeffs_shifted(n, s, alpha, a, b, mu, lambda n: -s / (n + a))
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,17 @@ class Schedule:
     params: dict = field(default_factory=dict)
 
 
+def _n_prime_e24(params: dict, s: float, alpha: float, lipschitz: float,
+                 curvature: float) -> float:
+    """The e24 threshold of `n_prime` with (s L)^2 + 1 replaced by `curvature`."""
+    a, b, mu = params["a"], params["b"], params.get("mu", 0.0)
+    base = ((alpha - 1.0) * curvature
+            + 2.0 * mu * lipschitz * np.sqrt(alpha - 1.0) + (mu / s) ** 2 - a)
+    if b - a > 0.25:
+        return float(base)
+    return float(max(base, (1.0 - 2.0 * b + np.sqrt(4.0 * (a - b) + 1.0)) / 2.0))
+
+
 def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) -> float:
     """Closed-form threshold N' beyond which the strict coupling inequality
     (assumption (i) of the energy-decrease conditions) is guaranteed for
@@ -148,12 +163,8 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
     """
     label = label.lower()
     if label == "e24":
-        a, b, mu = params["a"], params["b"], params.get("mu", 0.0)
-        base = ((alpha - 1.0) * (s * s * lipschitz * lipschitz + 1.0)
-                + 2.0 * mu * lipschitz * np.sqrt(alpha - 1.0) + (mu / s) ** 2 - a)
-        if b - a > 0.25:
-            return float(base)
-        return float(max(base, (1.0 - 2.0 * b + np.sqrt(4.0 * (a - b) + 1.0)) / 2.0))
+        return _n_prime_e24(params, s, alpha, lipschitz,
+                            s * s * lipschitz * lipschitz + 1.0)
     if label in ("e25", "igahd"):
         beta = params["beta"]
         b = params.get("b", 1.0)
@@ -186,12 +197,7 @@ def n_prime_reference_variant(label: str, params: dict, s: float, alpha: float,
     form. Emitted next to the primary threshold by the table command."""
     label = label.lower()
     if label == "e24":
-        a, b, mu = params["a"], params["b"], params.get("mu", 0.0)
-        base = ((alpha - 1.0) * (s * lipschitz) ** 2
-                + 2.0 * mu * lipschitz * np.sqrt(alpha - 1.0) + (mu / s) ** 2 - a)
-        if b - a > 0.25:
-            return float(base)
-        return float(max(base, (1.0 - 2.0 * b + np.sqrt(4.0 * (a - b) + 1.0)) / 2.0))
+        return _n_prime_e24(params, s, alpha, lipschitz, (s * lipschitz) ** 2)
     if label == "e26":
         return n_prime_e26_l_dependent(s, lipschitz, params["a"], params["b"],
                                        params.get("mu", 0.0))
@@ -208,17 +214,25 @@ def make_schedule(label: str, s: float, alpha: float = 3.0,
     closed-form n_prime for the families whose threshold depends on it.
     """
     label = label.lower()
-    if label == "e24":
+    if label in ("e24", "e26"):
         a = params.pop("a", 0.0)
         b = params.pop("b", 0.0)
         mu = params.pop("mu", 0.0)
         _reject_extra(label, params)
-        coeffs_e24(1, s, alpha, a, b, mu)  # validate eagerly
+        family = coeffs_e24 if label == "e24" else coeffs_e26
+
+        def family_at(n):
+            return family(n, s, alpha=alpha, a=a, b=b, mu=mu)
+
+        family_at(1)  # validate eagerly
         p = {"a": a, "b": b, "mu": mu}
-        npr = n_prime(label, p, s, alpha, lipschitz) if lipschitz is not None else None
-        return Schedule(label, alpha, s,
-                        lambda n: coeffs_e24(n, s, alpha, a, b, mu), npr, p)
+        # only the e24 threshold depends on L
+        npr = (None if label == "e24" and lipschitz is None
+               else n_prime(label, p, s, alpha, lipschitz))
+        return Schedule(label, alpha, s, family_at, npr, p)
     if label in ("e25", "igahd"):
+        if "beta" not in params:
+            raise ValueError(f"schedule {label!r} needs the parameter 'beta'")
         beta = params.pop("beta")
         b = params.pop("b", 1.0)
         mu = params.pop("mu", 0.0)
@@ -230,26 +244,9 @@ def make_schedule(label: str, s: float, alpha: float = 3.0,
         return Schedule(label, alpha, s,
                         lambda n: coeffs_e25(n, s, beta, b, mu, alpha),
                         n_prime(label, p, s, alpha, 0.0), p)
-    if label == "e26":
-        a = params.pop("a", 0.0)
-        b = params.pop("b", 0.0)
-        mu = params.pop("mu", 0.0)
-        _reject_extra(label, params)
-        coeffs_e26(1, s, a, b, mu, alpha)
-        p = {"a": a, "b": b, "mu": mu}
-        return Schedule(label, alpha, s,
-                        lambda n: coeffs_e26(n, s, a, b, mu, alpha),
-                        n_prime(label, p, s, alpha, 0.0), p)
     if label == "agm2":
         _reject_extra(label, params)
-
-        def zero_coeffs(n):
-            scalar_in = np.isscalar(n)
-            n = np.asarray(n, dtype=float)
-            z = np.zeros_like(n)
-            return _pack(scalar_in, (n - alpha) / n, z, z, z)
-
-        return Schedule(label, alpha, s, zero_coeffs, None, {})
+        return Schedule(label, alpha, s, lambda n: coeffs_agm2(n, alpha), None, {})
     if label == "custom":
         if coeffs is None:
             raise ValueError("custom schedule requires a `coeffs` callable")
@@ -386,12 +383,7 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
 
     lo = max(n1, np.ceil(npr)) if np.isfinite(npr) else float("inf")
     sel = (n > lo) & g_pos
-    if np.any(sel):
-        with np.errstate(over="ignore"):
-            vals = (alpha - 1.0) * (h[sel] + np.sqrt(h[sel] ** 2 + 4.0 * g[sel] * i[sel])) / (2.0 * g[sel])
-        n2_val = float(np.max(vals))
-    else:
-        n2_val = float("nan")
+    n2_val = float(np.max(n2(alpha, g[sel], h[sel], i[sel]))) if np.any(sel) else float("nan")
 
     n_threshold = float(np.max([n1, n2_val, npr]))
     return AdmissibilityReport(

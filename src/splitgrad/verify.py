@@ -9,7 +9,6 @@ caught by the other.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -36,11 +35,11 @@ def _both_objectives():
     return (("f1", f1()), ("f2", f2()))
 
 
-def _stepper_iterates(obj: Objective, name: str, s: float, n_steps: int, **kw):
+def _fixed_run(obj: Objective, name: str, s: float, n_steps: int, **kw):
     st = algorithms.make_stepper(name, s, **kw)
     traj, _ = algorithms.run(st, obj, [1.0, -2.0], s,
                              algorithms.StoppingRule("max_iter"), max_iter=n_steps)
-    return traj.xs
+    return traj
 
 
 def _max_rel_gap(xs_a, xs_b) -> float:
@@ -56,7 +55,7 @@ def suite_nesterov_split(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     h = float(np.sqrt(s))
     for tag, obj in _both_objectives():
         xs_split = constructions.nesterov_lie_trotter(obj, [1.0, -2.0], None, 3.0, h, 1000)
-        xs_step = _stepper_iterates(obj, "agm2", s, 1000, alpha=3.0)
+        xs_step = _fixed_run(obj, "agm2", s, 1000, alpha=3.0).xs
         gap = _max_rel_gap(xs_split, xs_step)
         out.append(CheckResult(f"nesterov-split/{tag}", gap <= 1e-12,
                                f"max relative gap {gap:.3e} over 1000 steps"))
@@ -75,19 +74,19 @@ def suite_constructions(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     for tag, obj in _both_objectives():
         pairs = (
             ("igahd", constructions.igahd_construction(obj, x0, None, 3.0, 1.0, h, n),
-             _stepper_iterates(obj, "igahd", s, n, alpha=3.0, beta=1.0)),
+             _fixed_run(obj, "igahd", s, n, alpha=3.0, beta=1.0).xs),
             ("lt_s_igahd", constructions.lt_s_igahd_construction(obj, x0, None, 3.0, e25, h, n),
-             _stepper_iterates(obj, "lt_s_igahd", s, n, schedule=e25)),
+             _fixed_run(obj, "lt_s_igahd", s, n, schedule=e25).xs),
             ("pim", constructions.pim_construction(obj, x0, None, 1.0, h, n),
-             _stepper_iterates(obj, "pim", s, n, gamma=1.0)),
+             _fixed_run(obj, "pim", s, n, gamma=1.0).xs),
             ("ardm", constructions.ardm_construction(obj, x0, None, 3.0, h, n),
-             _stepper_iterates(obj, "ardm", s, n, alpha=3.0)),
+             _fixed_run(obj, "ardm", s, n, alpha=3.0).xs),
             ("lt_se1", constructions.lt_se1_construction(obj, x0, None, 3.0, h, n),
-             _stepper_iterates(obj, "lt_se1", s, n, alpha=3.0)),
+             _fixed_run(obj, "lt_se1", s, n, alpha=3.0).xs),
             ("lt_sv2", constructions.lt_sv2_construction(obj, x0, None, 3.0, h, n),
-             _stepper_iterates(obj, "lt_sv2", s, n, alpha=3.0)),
+             _fixed_run(obj, "lt_sv2", s, n, alpha=3.0).xs),
             ("lt_se3", constructions.lt_se3_construction(obj, x0, None, 3.0, h, n),
-             _stepper_iterates(obj, "lt_se3", s, n, alpha=3.0)),
+             _fixed_run(obj, "lt_se3", s, n, alpha=3.0).xs),
         )
         for name, xs_c, xs_s in pairs:
             gap = _max_rel_gap(xs_c, xs_s)
@@ -96,31 +95,36 @@ def suite_constructions(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     return out
 
 
-def suite_ode(seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """First-order averaged system vs second-order Hessian-damped system
-    after the change of variables; the gap must shrink at the reference
-    integrator's order."""
-    obj = f1()
-    alpha, beta, t0, t1 = 3.0, 0.1, 1.0, 10.0
-    x0 = np.array([1.0, -2.0])
-    v0 = np.zeros(2)
+def ode_route_gaps(obj: Objective, x0, v0, alpha: float, beta: float, t0: float,
+                   t1: float, dt: float):
+    """Sup gaps between the first-order averaged system and the second-order
+    Hessian-damped system at dt, dt/2 and dt/4, the two observed orders
+    log2(gap_k / gap_{k+1}), and the first-order trajectory at dt/4."""
     xdot0 = constructions.xdot_from_v(obj, x0, v0, t0, alpha, beta)
     gaps = []
-    for dt in (1e-2, 5e-3, 2.5e-3):
-        tr1 = constructions.integrate_first_order_vd(obj, x0, v0, alpha, beta, t0, t1, dt)
+    for h in (dt, dt / 2.0, dt / 4.0):
+        tr1 = constructions.integrate_first_order_vd(obj, x0, v0, alpha, beta, t0, t1, h)
         tr2 = constructions.integrate_second_order_hessian_vd(obj, x0, xdot0, alpha, beta,
-                                                              t0, t1, dt)
+                                                              t0, t1, h)
         v_rec = np.array([constructions.v_from_x(obj, tr2.xs[k], tr2.vs[k],
                                                  float(tr2.ts[k]), alpha, beta)
                           for k in range(len(tr2.ts))])
         gaps.append(max(float(np.max(np.abs(tr1.xs - tr2.xs))),
                         float(np.max(np.abs(tr1.vs - v_rec)))))
-    out = [CheckResult("ode/gaps-shrink", gaps[0] > gaps[1] > gaps[2],
-                       f"sup gaps {gaps[0]:.3e} -> {gaps[1]:.3e} -> {gaps[2]:.3e}")]
     orders = [float(np.log2(gaps[i] / gaps[i + 1])) for i in range(2)]
-    out.append(CheckResult("ode/order", min(orders) >= 3.5,
-                           f"observed orders {orders[0]:.2f}, {orders[1]:.2f}"))
-    return out
+    return gaps, orders, tr1
+
+
+def suite_ode(seed: int = DEFAULT_SEED) -> List[CheckResult]:
+    """First-order averaged system vs second-order Hessian-damped system
+    after the change of variables; the gap must shrink at the reference
+    integrator's order."""
+    gaps, orders, _ = ode_route_gaps(f1(), np.array([1.0, -2.0]), np.zeros(2), 3.0, 0.1,
+                                     1.0, 10.0, 1e-2)
+    return [CheckResult("ode/gaps-shrink", gaps[0] > gaps[1] > gaps[2],
+                        f"sup gaps {gaps[0]:.3e} -> {gaps[1]:.3e} -> {gaps[2]:.3e}"),
+            CheckResult("ode/order", min(orders) >= 3.5,
+                        f"observed orders {orders[0]:.2f}, {orders[1]:.2f}")]
 
 
 def _energy_configs(s: float):
@@ -138,11 +142,8 @@ def suite_energy(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     x_star = np.zeros(2)
     out = []
     for label, params in _energy_configs(s):
-        sch = schedules.make_schedule(label, s=s, alpha=3.0, lipschitz=lip, **params)
-        st = algorithms.make_stepper("lt_s_igahd", s, schedule=sch)
-        traj, res = algorithms.run(st, obj, [1.0, -2.0], s,
-                                   algorithms.StoppingRule("known_min_f", 1e-10),
-                                   max_iter=20000)
+        _, sch, traj, res = algorithms.run_schedule("f2", label, params, s, 3.0,
+                                                    [1.0, -2.0], 1e-10, 20000)
         rep = schedules.check_assumptions(sch, lip, n_max=max(traj.n_final + 2, 1000))
         series = analysis.energy_series(traj, s, 3.0, sch, x_star=x_star)
         from_n = int(np.floor(rep.n_threshold)) + 1
@@ -168,10 +169,7 @@ def suite_rate(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     runs = (("agm2", None), ("lt_s_igahd", e25))
     out = []
     for name, sch in runs:
-        kw = {"schedule": sch} if sch is not None else {}
-        st = algorithms.make_stepper(name, s, alpha=alpha, **kw)
-        traj, _ = algorithms.run(st, obj, [1.0, -2.0], s,
-                                 algorithms.StoppingRule("max_iter"), max_iter=2200)
+        traj = _fixed_run(obj, name, s, 2200, alpha=alpha, schedule=sch)
         fgaps = traj.fgaps()
         slope, _ = analysis.fit_rate(fgaps, (50, 2000), f_scale=obj.f_min)
         out.append(CheckResult(f"rate/slope/{name}", slope <= -1.8,
@@ -322,26 +320,18 @@ def suite_tables(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """All recorded benchmark rows terminate at tolerance, and the
     readiness thresholds split into the expected heuristic families."""
     s = 0.1
-    objs = {"f1": f1(), "f2": f2()}
     out = []
     npr_by_group: Dict[str, list] = {}
     for case in all_cases():
-        obj = objs[case.objective]
-        sch = schedules.make_schedule(case.schedule, s=s, alpha=3.0,
-                                      **case.schedule_params())
-        st = algorithms.make_stepper("lt_s_igahd", s, schedule=sch)
-        kind = "consecutive_f" if case.objective == "f1" else "known_min_f"
-        traj, res = algorithms.run(st, obj, [1.0, -2.0], s,
-                                   algorithms.StoppingRule(kind, case.epsilon),
-                                   max_iter=30_000)
+        _, sch, _, res = algorithms.run_schedule(
+            case.objective, case.schedule, case.schedule_params(), s, 3.0, [1.0, -2.0],
+            case.epsilon, 30_000)
         ok = res.termination == "tolerance_met" and (res.error_final <= case.epsilon
                                                      or res.error_final < 1e-15)
         out.append(CheckResult(f"table/{case.label}", ok,
                                f"{res.termination} at n={res.n_final}, "
                                f"error {res.error_final:.3e}"))
-        npr = schedules.n_prime(case.schedule, case.schedule_params(), s, 3.0,
-                                objs[case.objective].lipschitz_constant())
-        npr_by_group.setdefault(case.group[0], []).append(npr)
+        npr_by_group.setdefault(case.group[0], []).append(sch.n_prime)
     slow = npr_by_group["B"]
     fast = [v for g, vals in npr_by_group.items() if g != "B" for v in vals]
     pattern_ok = min(slow) > 3.0 > max(fast) and min(slow) > max(fast)
@@ -413,9 +403,3 @@ def format_report(results: List[CheckResult], elapsed: float = float("nan")) -> 
         tail += f" in {elapsed:.2f}s"
     lines.append(tail)
     return "\n".join(lines)
-
-
-def run_and_format(name: str, seed: int = DEFAULT_SEED) -> str:
-    t0 = time.monotonic()
-    results = run_suite(name, seed)
-    return format_report(results, time.monotonic() - t0)

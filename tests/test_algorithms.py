@@ -1,7 +1,9 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from splitgrad import algorithms
 from splitgrad.algorithms import (
     ALGORITHM_NAMES,
     IterState,
@@ -17,6 +19,7 @@ from splitgrad.schedules import make_schedule
 
 S = 0.01
 X0 = [1.0, 0.0]
+EPS = float(np.finfo(float).eps)
 
 
 def _iterates(name, n_steps=5, **kw):
@@ -239,9 +242,16 @@ def test_make_stepper_errors():
     with pytest.raises(ValueError):
         make_stepper("lt_s_igahd", S)   # schedule required
     sch = make_schedule("e25", s=0.04, beta=0.1, b=2.0)
-    stepper = make_stepper("lt_s_igahd", S, schedule=sch)  # s mismatch
     with pytest.raises(ValueError):
-        run(stepper, f1(), X0, S, StoppingRule("max_iter"), max_iter=2)
+        make_stepper("lt_s_igahd", S, schedule=sch)  # s mismatch
+
+
+def test_make_stepper_stepsize_tolerance():
+    # the schedule's s is matched to 8 eps relative, as in the construction
+    sch = make_schedule("e25", s=S, beta=0.1, b=2.0)
+    make_stepper("lt_s_igahd", S * (1.0 + 2.0 * EPS), schedule=sch)
+    with pytest.raises(ValueError):
+        make_stepper("lt_s_igahd", S * (1.0 + 16.0 * EPS), schedule=sch)
 
 
 def test_algorithm_name_registry():
@@ -249,5 +259,71 @@ def test_algorithm_name_registry():
         "agm2", "lt_s_igahd", "lt_se1", "lt_sv2", "ardm", "lt_se3", "pim",
         "polyak_igahd", "igahd", "nag",
     }
+    sch = make_schedule("e25", s=S, beta=0.1, b=2.0)
     for name in ALGORITHM_NAMES:
-        assert callable(getattr(algorithms, "step_" + ("nag_velocity" if name == "nag" else name)))
+        assert callable(make_stepper(name, S, schedule=sch))
+
+
+# SHA-256 of xs, fs, grads and ys over 1000 steps at s = 0.01 and s = 0.1,
+# recorded from the hand-written steppers the coefficient table replaced
+GOLDEN = {
+    ("f1", "agm2"): "b30e2fdb7ed00a54eb61b76d88743e59d80b58c9c4c2585f8e120bd303c96402",
+    ("f1", "lt_s_igahd"): "644f04dcfcf33279e72da42ec36632093332d1da432307e8fc060c60d1cec7df",
+    ("f1", "lt_se1"): "cbeefe0df312bedfaabf5718ed3cfbb1df97a677daf224bc7b666ef69623fbdc",
+    ("f1", "lt_sv2"): "dd6f652b4647ece3e3fa15cd7320fcbc5e99801a2a3a24a29e7bf436d26b31f2",
+    ("f1", "ardm"): "8c507e8792b6d3dd18f222f4f288838275151b60996d817fa1f81ef5b17c7ed9",
+    ("f1", "lt_se3"): "b9f44292020201d2de8e217abfa610841643c469994cfca431b7a643a64f3bef",
+    ("f1", "pim"): "fefce7bf59fa6be2f910f995776c37adcf82b6ffc4bffb904ca7507a0e1d6b7e",
+    ("f1", "polyak_igahd"): "426954632a30f684ae7717e0ff6a7e3c6516812e2d52d9a1453b58e0a32dbe5d",
+    ("f1", "igahd"): "561d7541444f01d21079a37fde04b95229be75181d89ec1fcca45cf3b6aafc65",
+    ("f1", "nag"): "cb5408b1bb7150f25605ce394e217960ea54e332bb777b9497133deb1a8c5e3d",
+    ("f2", "agm2"): "2b7a89f98638adf201636a46d1f5c8e058312970ada9a9c0286a1445c47cdb63",
+    ("f2", "lt_s_igahd"): "8196ef228605899f1aae3a6012aebd4e9f276e7634a2e7479f5557fee16c80c9",
+    ("f2", "lt_se1"): "2f222b58b747e54133ff13dcde2a7121ed5f6d6ed5cde35c9f9f527da4ca464f",
+    ("f2", "lt_sv2"): "f60498b866996a8f5c883beb2545d3714cdfb4a5ee1643480b0ab6bc93d3d1ac",
+    ("f2", "ardm"): "0c513b84b342c2cb3c1d4a201532b59aba9ecc12a32f5cd730ed27ff6ac884e3",
+    ("f2", "lt_se3"): "7e72e5d0dc44602951ee445a19ea1f230fca3dfa0b2f9542e60d33f74fbdf88a",
+    ("f2", "pim"): "f1daef60f3e296d129c2d4473a9d40e8d0a12373b68e2fd81c11df34fce226c8",
+    ("f2", "polyak_igahd"): "d8151fcb61f5c09770df6d2ad75caaf065cb716aca7a25ec11cbf969e45e59bf",
+    ("f2", "igahd"): "a71edfbd8f0116161ba224cfde9436563bfb78d6b2f96d94ca1e6890090c64b4",
+    ("f2", "nag"): "73de1c6c0a004a3226a9bdb6a10b80181ae8eba24d2720034ab9e0506cfbeb83",
+}
+
+
+@pytest.mark.parametrize("objective,name", sorted(GOLDEN))
+def test_golden_iterates(objective, name):
+    obj = {"f1": f1, "f2": f2}[objective]()
+    digest = hashlib.sha256()
+    for s in (0.01, 0.1):
+        sch = make_schedule("e25", s=s, beta=0.2 * float(np.sqrt(s)), b=2.0, mu=0.1)
+        traj, _ = run(make_stepper(name, s, schedule=sch), obj, [1.0, -2.0], s,
+                      StoppingRule("max_iter"), max_iter=1000, record_y=True)
+        for arr in (traj.xs, traj.fs, traj.grads, traj.ys):
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == GOLDEN[(objective, name)]
+
+
+def _counting(obj):
+    counts = {"grad": 0, "eval": 0}
+
+    def value(x):
+        counts["eval"] += 1
+        return obj.value(x)
+
+    def gradient(x):
+        counts["grad"] += 1
+        return obj.gradient(x)
+
+    return dataclasses.replace(obj, value=value, gradient=gradient), counts
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_gradient_economy(name):
+    # two gradients per step from y_n, one from x_n; one value per iterate
+    obj, counts = _counting(f2())
+    sch = make_schedule("e25", s=S, beta=0.1, b=2.0)
+    traj, _ = run(make_stepper(name, S, schedule=sch), obj, [1.0, -2.0], S,
+                  StoppingRule("max_iter"), max_iter=101)
+    assert traj.n_final == 101
+    assert counts["grad"] == (102 if name in ("pim", "polyak_igahd") else 202)
+    assert counts["eval"] == 102

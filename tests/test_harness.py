@@ -160,3 +160,34 @@ def test_ode_compare_outputs(tmp_path):
     assert t_header == ["t", "x0", "x1", "v0", "v1", "fgap"]
     assert float(t_rows[0][0]) == 1.0
     assert float(t_rows[-1][0]) == pytest.approx(10.0)
+
+
+def test_sweep_long_inline_grid_is_parsed_as_json(tmp_path, capsys):
+    # longer than the filename limit, so it must never reach the file system
+    grid = json.dumps({"beta": [0.05] * 60, "b": 1.0})
+    assert len(grid) > 255
+    rc = cli.main(["sweep", "--schedule", "e25", "--s", "0.04", "--grid", grid,
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "grid entry 'b'" in capsys.readouterr().err
+
+
+def test_sweep_missing_grid_file(tmp_path, capsys):
+    rc = cli.main(["sweep", "--schedule", "e25", "--grid", str(tmp_path / "none.json"),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_run_schedule_missing_beta(tmp_path, capsys):
+    rc = cli.main(["run", "--algorithm", "lt_s_igahd", "--schedule", "e25",
+                   "--schedule-params", '{"b": 2.0}', "--s", "0.1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "beta" in capsys.readouterr().err
+
+
+def test_run_quadratic_without_matrix(tmp_path, capsys):
+    rc = cli.main(["run", "--objective", "quadratic", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "a_matrix" in capsys.readouterr().err
