@@ -16,15 +16,21 @@ gamma_n), with a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1):
 
 `nag` keeps its velocity form. Every stepper is a pure function (state,
 objective) -> state over a shared IterState carrying the two most recent
-iterates and their cached gradients. All methods share the same bootstrap:
-x1 = x0 - s*grad(x0), y0 = x0, and the main recursion runs from n = 1.
-Iterations are counted from n = 0, so a trajectory that stops at index M
-holds M + 1 points.
+iterates with their cached gradients and values. All methods share the
+same bootstrap: x1 = x0 - s*grad(x0), y0 = x0, and the main recursion runs
+from n = 1. Iterations are counted from n = 0, so a trajectory that stops
+at index M holds M + 1 points.
 
 Gradient economy: the cache makes grad(x_n) and grad(x_{n-1}) free inside a
-step, so the methods that step from y_n spend exactly one fresh gradient on
-y_n and one on x_{n+1} (which seeds the next step's cache); the methods
-whose gradient step is taken at x_n spend only the latter.
+step. Every step takes f(x_{n+1}) and grad(x_{n+1}) together from one
+`Objective.eval_grad` call (the value feeds the stopping rule, the gradient
+seeds the next step's cache), as the bootstrap does for x_0 and x_1; the
+methods that step from y_n spend one further gradient on y_n, and the
+methods whose gradient step is taken at x_n spend nothing more. So a run to
+index M makes M + 1 `eval_grad` calls, plus M - 1 gradients at the y_n. An
+objective with a fused `value_and_gradient` (the quadratic) shares the
+product A x between the value and the gradient at x_{n+1}; any other pays
+one value and one gradient for each `eval_grad`.
 """
 
 from __future__ import annotations
@@ -45,15 +51,18 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class IterState:
-    """Rolling two-point state of a run: x_{n-1}, x_n and their gradients,
-    plus the latest inertial point and, for velocity-form methods, the
-    auxiliary velocity."""
+    """Rolling two-point state of a run: x_{n-1}, x_n with their gradients
+    and values, plus the latest inertial point and, for velocity-form
+    methods, the auxiliary velocity. A stepper must fill f_curr: `run`
+    records it as the value of the new iterate."""
 
     n: int
     x_prev: Array
     x_curr: Array
     grad_prev: Array
     grad_curr: Array
+    f_prev: Optional[float] = None
+    f_curr: Optional[float] = None
     y_last: Optional[Array] = None
     v_aux: Optional[Array] = None
 
@@ -79,10 +88,10 @@ class StoppingRule:
 def init_state(obj: Objective, x0, s: float) -> IterState:
     """Bootstrap: one explicit gradient step produces x1."""
     x0 = np.asarray(x0, dtype=float)
-    g0 = obj.grad(x0)
+    f0, g0 = obj.eval_grad(x0)
     x1 = x0 - s * g0
-    return IterState(n=1, x_prev=x0, x_curr=x1, grad_prev=g0, grad_curr=obj.grad(x1),
-                     y_last=x0.copy())
+    f1, g1 = obj.eval_grad(x1)
+    return IterState(1, x0, x1, g0, g1, f0, f1, y_last=x0.copy())
 
 
 def default_theta(n: int) -> float:
@@ -106,8 +115,9 @@ def coefficient_step(state: IterState, obj: Objective, s: float,
     y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
          - lam * (state.grad_curr - state.grad_prev) - om * state.grad_curr)
     x_next = y - s * (state.grad_curr if grad_at_x else obj.grad(y)) + gam * state.grad_curr
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y)
+    f_next, g_next = obj.eval_grad(x_next)
+    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, g_next,
+                     state.f_curr, f_next, y_last=y)
 
 
 def _clock_time(n: int, h: float, alpha: float, clock: str) -> float:
@@ -145,8 +155,9 @@ def step_nag_velocity(state: IterState, obj: Objective, s: float, alpha: float =
     gy = obj.grad(y)
     x_next = y - s * gy
     v_next = v - (h * t_n / (alpha - 1.0)) * gy
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, obj.grad(x_next),
-                     y_last=y, v_aux=v_next)
+    f_next, g_next = obj.eval_grad(x_next)
+    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, g_next,
+                     state.f_curr, f_next, y_last=y, v_aux=v_next)
 
 
 @dataclass
@@ -215,7 +226,7 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
     f_star = obj.f_min
     state = init_state(obj, x0, s)
     xs = [state.x_prev, state.x_curr]
-    fs = [obj.eval(state.x_prev), obj.eval(state.x_curr)]
+    fs = [state.f_prev, state.f_curr]
     grads = [state.grad_prev, state.grad_curr]
     ys = [state.x_prev.copy(), state.y_last] if record_y else None
 
@@ -231,7 +242,7 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
         if state.n >= max_iter:
             break
         new_state = stepper(state, obj)
-        f_new = obj.eval(new_state.x_curr)
+        f_new = new_state.f_curr
         if not (np.all(np.isfinite(new_state.x_curr)) and np.isfinite(f_new)):
             termination = "diverged"
             break
@@ -251,16 +262,16 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
                            error_final=float(error_final))
 
 
-def make_stepper(name: str, s: float, alpha: float = 3.0,
-                 schedule: Optional[Schedule] = None, beta: float = 1.0,
-                 gamma: float = 1.0,
-                 clock: str = "standard") -> Callable[[IterState, Objective], IterState]:
-    """Bind a named algorithm to its parameters; the result has the
-    (state, obj) -> state shape that `run` expects. lt_s_igahd takes its
-    coefficients from `schedule`, whose s must equal `s` to 8 eps relative."""
+def coefficient_map(name: str, s: float, alpha: float = 3.0,
+                    schedule: Optional[Schedule] = None, beta: float = 1.0,
+                    gamma: float = 1.0) -> Callable[[int], tuple]:
+    """The map n -> (alpha_n, lambda_n, omega_n, gamma_n) of a named
+    four-coefficient method (every algorithm but `nag`). lt_s_igahd takes its
+    coefficients from `schedule`, whose s must equal `s` to 8 eps relative
+    and whose alpha must equal `alpha`."""
     name = name.lower()
     if name == "nag":
-        return lambda st, ob: step_nag_velocity(st, ob, s, alpha, clock)
+        raise ValueError("nag has no four-coefficient form; it steps in velocity form")
     h = float(np.sqrt(s))
     # the coefficients at n of each method, given a = (n - alpha)/n
     table = {
@@ -278,14 +289,26 @@ def make_stepper(name: str, s: float, alpha: float = 3.0,
             raise ValueError("lt_s_igahd needs a schedule")
         if abs(s - schedule.s) > 8.0 * _EPS * abs(schedule.s):
             raise ValueError(f"stepsize {s} disagrees with the schedule's s = {schedule.s}")
-        coeffs = schedule.coeffs_at
-    elif name in table:
-        method = table[name]
-
-        def coeffs(n):
-            return method(n, (n - alpha) / n)
-    else:
+        if alpha != schedule.alpha:
+            raise ValueError(f"alpha = {alpha} disagrees with the schedule's {schedule.alpha}")
+        return schedule.coeffs_at
+    if name not in table:
         raise ValueError(f"unknown algorithm {name!r}")
+    method = table[name]
+    return lambda n: method(n, (n - alpha) / n)
+
+
+def make_stepper(name: str, s: float, alpha: float = 3.0,
+                 schedule: Optional[Schedule] = None, beta: float = 1.0,
+                 gamma: float = 1.0,
+                 clock: str = "standard") -> Callable[[IterState, Objective], IterState]:
+    """Bind a named algorithm to its parameters; the result has the
+    (state, obj) -> state shape that `run` expects. `nag` steps in velocity
+    form on `clock`; every other name steps by its `coefficient_map`."""
+    name = name.lower()
+    if name == "nag":
+        return lambda st, ob: step_nag_velocity(st, ob, s, alpha, clock)
+    coeffs = coefficient_map(name, s, alpha, schedule, beta, gamma)
     grad_at_x = name in ("pim", "polyak_igahd")
     return lambda st, ob: coefficient_step(st, ob, s, coeffs, grad_at_x)
 

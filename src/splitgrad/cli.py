@@ -127,11 +127,10 @@ def cmd_run(args) -> int:
         sched = schedules.make_schedule(sched_label, s=s, alpha=alpha,
                                         lipschitz=obj.lipschitz_constant(), **sched_params)
 
-    stepper = algorithms.make_stepper(
-        algorithm, s, alpha=alpha, schedule=sched,
-        beta=float(_cfg(args, config, "beta", 1.0)),
-        gamma=float(_cfg(args, config, "gamma", 1.0)),
-        clock=_cfg(args, config, "clock", "standard"))
+    beta = float(_cfg(args, config, "beta", 1.0))
+    gamma = float(_cfg(args, config, "gamma", 1.0))
+    stepper = algorithms.make_stepper(algorithm, s, alpha=alpha, schedule=sched, beta=beta,
+                                      gamma=gamma, clock=_cfg(args, config, "clock", "standard"))
     stopping = algorithms.StoppingRule(stop_kind, epsilon)
     traj, res = algorithms.run(stepper, obj, x0, s, stopping, max_iter=max_iter)
 
@@ -145,7 +144,12 @@ def cmd_run(args) -> int:
     e_col = None
     if args.record_energy:
         x_star = obj.argmin_point if obj.argmin_kind == "unique" else None
-        series = analysis.energy_series(traj, s, alpha, sched, x_star=x_star)
+        # the energy takes lambda_n from the coefficients the stepper ran
+        # with; nag's velocity form has lambda_n = 0
+        coeffs = None if algorithm.lower() == "nag" else schedules.Schedule(
+            label=algorithm, alpha=alpha, s=s, coeffs_at=np.vectorize(
+                algorithms.coefficient_map(algorithm, s, alpha, sched, beta, gamma)))
+        series = analysis.energy_series(traj, s, alpha, coeffs, x_star=x_star)
         e_col = np.full(traj.n_final + 1, np.nan)
         e_col[series.n_start:series.n_start + len(series.e_seq)] = series.e_seq
         header.append("E")

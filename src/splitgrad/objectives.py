@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -27,9 +27,12 @@ class Objective:
     gradient-Lipschitz constant.
 
     `hessian_vec` maps (x, v) to the Hessian-vector product and may be
-    absent. `argmin_kind` is "unique" when `argmin_point` is the only
-    minimizer and "affine" when the minimizers form an affine set, in which
-    case `argmin_point` is one representative.
+    absent. `value_and_gradient` maps x to (value, gradient) in one call
+    that shares their common work; it may be absent, and when present it
+    must agree bitwise with (value(x), gradient(x)). `argmin_kind` is
+    "unique" when `argmin_point` is the only minimizer and "affine" when the
+    minimizers form an affine set, in which case `argmin_point` is one
+    representative.
     """
 
     name: str
@@ -41,6 +44,7 @@ class Objective:
     argmin_kind: str = "unique"
     argmin_point: Optional[Array] = None
     f_min: Optional[float] = None
+    value_and_gradient: Optional[Callable[[Array], Tuple[float, Array]]] = None
 
     def _as_point(self, x, label: str = "x") -> Array:
         x = np.asarray(x, dtype=float)
@@ -55,6 +59,14 @@ class Objective:
 
     def grad(self, x) -> Array:
         return np.asarray(self.gradient(self._as_point(x)), dtype=float)
+
+    def eval_grad(self, x) -> Tuple[float, Array]:
+        """(eval(x), grad(x)), from the fused `value_and_gradient` when the
+        objective supplies one."""
+        if self.value_and_gradient is None:
+            return self.eval(x), self.grad(x)
+        f, g = self.value_and_gradient(self._as_point(x))
+        return float(f), np.asarray(g, dtype=float)
 
     def hess_vec(self, x, v) -> Array:
         if self.hessian_vec is None:
@@ -164,6 +176,11 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
     def gradient(x):
         return a @ x + b
 
+    def value_and_gradient(x):
+        # value and gradient above, sharing the one product A x
+        ax = a @ x
+        return 0.5 * float(x @ ax) + float(b @ x), ax + b
+
     def hessian_vec(x, v):
         return a @ v
 
@@ -177,6 +194,7 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
         argmin_kind="unique" if kept.all() else "affine",
         argmin_point=x_star,
         f_min=0.5 * float(x_star @ (a @ x_star)) + float(b @ x_star),
+        value_and_gradient=value_and_gradient,
     )
 
 

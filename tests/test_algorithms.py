@@ -14,7 +14,7 @@ from splitgrad.algorithms import (
     run,
     step_nag_velocity,
 )
-from splitgrad.objectives import Objective, f1, f2
+from splitgrad.objectives import Objective, f1, f2, quadratic
 from splitgrad.schedules import make_schedule
 
 S = 0.01
@@ -246,6 +246,14 @@ def test_make_stepper_errors():
         make_stepper("lt_s_igahd", S, schedule=sch)  # s mismatch
 
 
+def test_make_stepper_rejects_alpha_mismatch():
+    # as lt_s_igahd_construction does, rather than run with the schedule's alpha
+    sch = make_schedule("e25", s=S, alpha=3.0, beta=0.1, b=2.0)
+    with pytest.raises(ValueError, match="alpha"):
+        make_stepper("lt_s_igahd", S, alpha=5.0, schedule=sch)
+    make_stepper("lt_s_igahd", S, alpha=3.0, schedule=sch)
+
+
 def test_make_stepper_stepsize_tolerance():
     # the schedule's s is matched to 8 eps relative, as in the construction
     sch = make_schedule("e25", s=S, beta=0.1, b=2.0)
@@ -304,7 +312,7 @@ def test_golden_iterates(objective, name):
 
 
 def _counting(obj):
-    counts = {"grad": 0, "eval": 0}
+    counts = {"grad": 0, "eval": 0, "eval_grad": 0}
 
     def value(x):
         counts["eval"] += 1
@@ -314,7 +322,31 @@ def _counting(obj):
         counts["grad"] += 1
         return obj.gradient(x)
 
-    return dataclasses.replace(obj, value=value, gradient=gradient), counts
+    def value_and_gradient(x):
+        counts["eval_grad"] += 1
+        return obj.value_and_gradient(x)
+
+    fused = None if obj.value_and_gradient is None else value_and_gradient
+    return dataclasses.replace(obj, value=value, gradient=gradient,
+                               value_and_gradient=fused), counts
+
+
+def _quad50():
+    """A seeded, well-conditioned dim-50 quadratic and its start."""
+    rng = np.random.default_rng(50)
+    m = rng.standard_normal((50, 50))
+    obj = quadratic(m @ m.T / 50.0 + 0.1 * np.eye(50), rng.standard_normal(50))
+    return obj, rng.standard_normal(50)
+
+
+def _quad50_run(name, obj):
+    """200 steps of `name` on `obj` (a variant of _quad50) at s = 1/(2L)."""
+    x0 = _quad50()[1]
+    s = 0.5 / obj.lipschitz_constant()
+    sch = make_schedule("e25", s=s, beta=0.2 * float(np.sqrt(s)), b=1.0, mu=0.1)
+    traj, _ = run(make_stepper(name, s, schedule=sch), obj, x0, s,
+                  StoppingRule("max_iter"), max_iter=200)
+    return traj
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
@@ -327,3 +359,70 @@ def test_gradient_economy(name):
     assert traj.n_final == 101
     assert counts["grad"] == (102 if name in ("pim", "polyak_igahd") else 202)
     assert counts["eval"] == 102
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_gradient_economy_fused(name):
+    # one fused call per iterate; a separate gradient only at each y_n
+    obj, counts = _counting(_quad50()[0])
+    sch = make_schedule("e25", s=S, beta=0.1, b=2.0)
+    traj, _ = run(make_stepper(name, S, schedule=sch), obj, np.ones(50), S,
+                  StoppingRule("max_iter"), max_iter=101)
+    assert traj.n_final == 101
+    assert counts["eval_grad"] == 102
+    assert counts["eval"] == 0
+    assert counts["grad"] == (0 if name in ("pim", "polyak_igahd") else 100)
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_fused_run_is_bitwise_unfused(name):
+    # the same run with value and gradient taken by separate calls
+    obj = _quad50()[0]
+    fused = _quad50_run(name, obj)
+    plain = _quad50_run(name, dataclasses.replace(obj, value_and_gradient=None))
+    for attr in ("xs", "fs", "grads"):
+        assert getattr(fused, attr).tobytes() == getattr(plain, attr).tobytes()
+
+
+def _blas_digest(obj):
+    """SHA-256 of the value and gradient at eight seeded points: it tells
+    whether this BLAS sums A x and x'Ax in the order that QUAD_GOLDEN saw."""
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for _ in range(8):
+        f, g = obj.eval_grad(rng.standard_normal(obj.dim))
+        digest.update(np.float64(f).tobytes() + g.tobytes())
+    return digest.hexdigest()
+
+
+QUAD_BLAS = "632d93419aedf531862289758a9c369bc94d2191935d412412a8508491d843c3"
+
+# SHA-256 of xs, fs and grads over 200 steps on _quad50, recorded from the
+# runner that took each value by a separate Objective.eval. The bytes hold
+# only under a BLAS that sums in the same order (OpenBLAS's SkylakeX
+# kernels), so elsewhere the test skips and test_fused_run_is_bitwise_unfused
+# carries the bitwise check.
+QUAD_GOLDEN = {
+    "agm2": "5d4fbb3688fe5ac4f168b786587aa99558ec642e4896a41564470b13d7ba8e4a",
+    "lt_s_igahd": "8e6ebc620ea30dd5d6ed3377ee1cfa3420b77c8c8bfeab78b71cd55081c49a41",
+    "lt_se1": "e17a2e606900366983a8b1288f62aaf4b3de4634e5f35abe5418b6393df1d69b",
+    "lt_sv2": "fc97e622380188e25a65c4b7d84be7107239ed8e3f7e37b1a45162d1eb71d872",
+    "ardm": "048d8ad262bc5791796e5dd7132048e1b89f3fddec710748dd5afe55b17a82f8",
+    "lt_se3": "9aebf782b003ba54de71eb8839eb36c8316541c910bb5be9bbcb6e6f2d2e12e5",
+    "pim": "03a94ea564bf71155fcb4e83db0f132e38014c18624164200e633bd8758eb9fb",
+    "polyak_igahd": "e16eda46b3faba4c7352c257504f271f5f78dcade058e29b782edb9659c67fbe",
+    "igahd": "3f9fb97ffbd860eee5a1c9208d20fb809330edd595d94d43822d6b1bed1bd7da",
+    "nag": "13374c3db9e3bfc153666b61b42be9fe3cf31ae3c9e74bbd95e879dbf7674b4e",
+}
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_golden_iterates_quadratic(name):
+    obj = _quad50()[0]
+    if _blas_digest(obj) != QUAD_BLAS:
+        pytest.skip("this BLAS sums in another order than the recorded digests")
+    traj = _quad50_run(name, obj)
+    digest = hashlib.sha256()
+    for arr in (traj.xs, traj.fs, traj.grads):
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == QUAD_GOLDEN[name]

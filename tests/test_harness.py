@@ -3,9 +3,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from splitgrad import cli
+from splitgrad.algorithms import StoppingRule, make_stepper, run
+from splitgrad.analysis import energy_series
+from splitgrad.objectives import f2
+from splitgrad.schedules import Schedule
 
 
 def _read_csv(path):
@@ -33,6 +38,27 @@ def test_run_trajectory_and_energy_column(tmp_path):
     # t_1 = 0, so E_1 is |x0 - x*|^2 / (2s) = 5 / 0.2
     assert float(rows[1][-1]) == 25.0
     assert float(rows[0][4]) == 3.6502815398728847 - 2.0   # f(x0) - f_min
+
+
+def test_run_energy_column_uses_the_method_lambda(tmp_path):
+    # igahd steps with lambda_n = beta sqrt(s); the E column must use it too
+    out = tmp_path / "o"
+    rc = cli.main(["run", "--algorithm", "igahd", "--beta", "1", "--s", "0.05",
+                   "--max-iter", "300", "--record-energy", "--out", str(out)])
+    assert rc == 0
+    _, rows = _read_csv(out / "trajectory.csv")
+    traj, _ = run(make_stepper("igahd", 0.05, beta=1.0), f2(), [1.0, -2.0], 0.05,
+                  StoppingRule("known_min_f", 1e-10), max_iter=300)
+    assert len(rows) == traj.n_final + 1
+
+    def lam(value):
+        return Schedule(label="lam", alpha=3.0, s=0.05,
+                        coeffs_at=lambda n: (None, np.full(np.shape(n), value), None, None))
+
+    want = energy_series(traj, 0.05, 3.0, lam(np.sqrt(0.05)), x_star=np.zeros(2)).e_seq
+    assert [float(r[-1]) for r in rows[1:]] == list(want)
+    without = energy_series(traj, 0.05, 3.0, lam(0.0), x_star=np.zeros(2)).e_seq
+    assert not np.array_equal(want, without)
 
 
 def test_run_rerun_is_byte_identical(tmp_path):
