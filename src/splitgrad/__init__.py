@@ -15,7 +15,7 @@ from .schedules import (AdmissibilityReport, Schedule, check_assumptions,
                         n_prime_e26_l_dependent)
 from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, StoppingRule,
                          Trajectory, coefficient_map, init_state, make_stepper, run,
-                         run_schedule)
+                         run_lanes, run_schedule)
 from .splitting import (HamiltonianSystem, SplitSystem, SubFlow,
                         forward_euler_hamiltonian, lie_trotter_compose,
                         rk4_step, stormer_verlet, strang_compose,
@@ -40,7 +40,7 @@ __all__ = [
     "coeffs_e24", "coeffs_e25", "coeffs_e26", "inertial_coefficient", "make_schedule",
     "n_prime", "n_prime_e26_l_dependent",
     "ALGORITHM_NAMES", "IterState", "RunResult", "StoppingRule", "Trajectory",
-    "coefficient_map", "init_state", "make_stepper", "run", "run_schedule",
+    "coefficient_map", "init_state", "make_stepper", "run", "run_lanes", "run_schedule",
     "HamiltonianSystem", "SplitSystem", "SubFlow", "forward_euler_hamiltonian",
     "lie_trotter_compose", "rk4_step", "stormer_verlet", "strang_compose",
     "symplectic_euler",

@@ -1,4 +1,4 @@
-"""Discrete inertial gradient algorithms as one coefficient-driven step.
+"""Discrete inertial gradient algorithms as one lane-batched engine.
 
 Every method except `nag` is the four-coefficient step `coefficient_step`
 driven by a per-name coefficient map n -> (alpha_n, lambda_n, omega_n,
@@ -14,12 +14,28 @@ gamma_n), with a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1):
     pim           (1 - h gamma, 0, 0, 0), gradient step at x_n
     lt_s_igahd    the coefficients of a Schedule
 
-`nag` keeps its velocity form. Every stepper is a pure function (state,
-objective) -> state over a shared IterState carrying the two most recent
-iterates with their cached gradients and values. All methods share the
-same bootstrap: x1 = x0 - s*grad(x0), y0 = x0, and the main recursion runs
-from n = 1. Iterations are counted from n = 0, so a trajectory that stops
-at index M holds M + 1 points.
+`nag` keeps its velocity form, `velocity_step`, driven the same way by the
+map n -> (w_n, c_n, r_n) of `nag_coefficients`. Every stepper is a function
+(state, objective) -> state over a shared IterState carrying the two most
+recent iterates with their cached gradients and values. All methods share
+the same bootstrap: x1 = x0 - s*grad(x0), y0 = x0, and the main recursion
+runs from n = 1. Iterations are counted from n = 0, so a trajectory that
+stops at index M holds M + 1 points.
+
+Lanes: `run_lanes` steps B trajectories together over (B, dim) arrays, one
+Python loop for all of them. Each lane has its own stepsize, start point and
+coefficient map (for lt_s_igahd, its own Schedule). The `Stepper` that
+`make_stepper` returns does not call the maps at every step: it tabulates
+every lane's coefficients over chunks of indices from the maps' vector form.
+Each lane has its own stop and divergence mask, and a lane that has stopped
+is frozen while the others run on. `run` is the one-lane case: the engine
+steps its start point of shape (dim,) with the lane axis dropped, and a
+one-lane Stepper hands the kernel its coefficients as floats, so one
+trajectory keeps the arithmetic of a loop written for one point. The
+objectives evaluate over the last axis, so each lane's iterates are bitwise
+those of its own `run` on f1 and f2; on a quadratic, B > 1 lanes share one
+matrix product, whose summation order may differ from the one-lane product
+in the last bits.
 
 Gradient economy: the cache makes grad(x_n) and grad(x_{n-1}) free inside a
 step. Every step takes f(x_{n+1}) and grad(x_{n+1}) together from one
@@ -36,7 +52,8 @@ one value and one gradient for each `eval_grad`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,12 +65,21 @@ Array = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
 
+# Indices a Stepper tabulates per call of its coefficient maps. A chunk
+# costs one call of each lane's map, and its table holds chunk x 4 x lanes
+# floats. At the 60 lanes of `table --infer-s`, 128 leaves the command's
+# peak memory where the scalar loop had it; 512 ran it about 5 % faster
+# but added some 0.7 MB to the peak.
+_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class IterState:
     """Rolling two-point state of a run: x_{n-1}, x_n with their gradients
     and values, plus the latest inertial point and, for velocity-form
-    methods, the auxiliary velocity. A stepper must fill f_curr: `run`
+    methods, the auxiliary velocity. The points are one point of shape
+    (dim,) or B lanes of shape (B, dim), and the values a float or B values;
+    `run` and `run_lanes` step lanes. A stepper must fill f_curr: the engine
     records it as the value of the new iterate."""
 
     n: int
@@ -85,8 +111,9 @@ class StoppingRule:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def init_state(obj: Objective, x0, s: float) -> IterState:
-    """Bootstrap: one explicit gradient step produces x1."""
+def init_state(obj: Objective, x0, s) -> IterState:
+    """Bootstrap: one explicit gradient step produces x1. x0 is one point or
+    a (B, dim) stack of lanes, with s one stepsize or a (B, 1) column."""
     x0 = np.asarray(x0, dtype=float)
     f0, g0 = obj.eval_grad(x0)
     x1 = x0 - s * g0
@@ -94,15 +121,17 @@ def init_state(obj: Objective, x0, s: float) -> IterState:
     return IterState(1, x0, x1, g0, g1, f0, f1, y_last=x0.copy())
 
 
-def default_theta(n: int) -> float:
-    """1/n extended to the bootstrap index: theta(0) = theta(1) = 1."""
-    return 1.0 / max(n, 1)
+def default_theta(n):
+    """1/n extended to the bootstrap index: theta(0) = theta(1) = 1; n may
+    be an array."""
+    return 1.0 / np.maximum(n, 1)
 
 
-def coefficient_step(state: IterState, obj: Objective, s: float,
-                     coeffs: Callable[[int], tuple], grad_at_x: bool = False) -> IterState:
+def coefficient_step(state: IterState, obj: Objective, s, coeffs,
+                     grad_at_x: bool = False) -> IterState:
     """The four-coefficient step with (alpha_n, lambda_n, omega_n, gamma_n) =
-    coeffs(n):
+    coeffs, their values at state.n (numbers, or (B, 1) columns for B lanes,
+    as s is):
 
     y_n     = x_n + alpha_n (x_n - x_{n-1}) - lambda_n [grad(x_n) - grad(x_{n-1})]
               - omega_n grad(x_n)
@@ -110,17 +139,16 @@ def coefficient_step(state: IterState, obj: Objective, s: float,
 
     With grad_at_x the gradient step is taken at x_n instead.
     """
-    n = state.n
-    a_n, lam, om, gam = coeffs(n)
+    a_n, lam, om, gam = coeffs
     y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
          - lam * (state.grad_curr - state.grad_prev) - om * state.grad_curr)
     x_next = y - s * (state.grad_curr if grad_at_x else obj.grad(y)) + gam * state.grad_curr
     f_next, g_next = obj.eval_grad(x_next)
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, g_next,
+    return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
                      state.f_curr, f_next, y_last=y)
 
 
-def _clock_time(n: int, h: float, alpha: float, clock: str) -> float:
+def _clock_time(n, h: float, alpha: float, clock: str):
     if clock == "standard":
         return n * h
     if clock == "shifted":
@@ -128,36 +156,99 @@ def _clock_time(n: int, h: float, alpha: float, clock: str) -> float:
     raise ValueError(f"unknown clock {clock!r}; use 'standard' or 'shifted'")
 
 
-def step_nag_velocity(state: IterState, obj: Objective, s: float, alpha: float = 3.0,
-                      clock: str = "standard") -> IterState:
-    """Velocity form of the accelerated method on the clock t_n = n*h
-    (or h*(n + alpha) with clock="shifted"):
+def nag_coefficients(n, s: float, alpha: float = 3.0, clock: str = "standard"):
+    """The velocity-form coefficients (w_n, c_n, r_n) at n (a number or an
+    array) on the clock t_n = n h, or h (n + alpha) with clock="shifted":
 
-    y_n     = x_n + (h(alpha-1)/t_n)(v_n - x_n)
+    w_n = h (alpha - 1) / t_n,  c_n = h t_n / (alpha - 1),
+    r_n = t_{n-1} / (h (alpha - 1)).
+    """
+    if alpha == 1.0:
+        raise ValueError("the velocity form divides by alpha - 1; alpha must not be 1")
+    h = float(np.sqrt(s))
+    t_n = _clock_time(n, h, alpha, clock)
+    vanish = np.asarray(t_n) == 0.0
+    if vanish.any():
+        raise ValueError(f"clock time vanishes at n = {np.asarray(n)[vanish].flat[0]:g}")
+    t_prev = _clock_time(n - 1, h, alpha, clock)
+    return h * (alpha - 1.0) / t_n, h * t_n / (alpha - 1.0), t_prev / (h * (alpha - 1.0))
+
+
+def velocity_step(state: IterState, obj: Objective, s, coeffs) -> IterState:
+    """Velocity form of the accelerated method with (w_n, c_n, r_n) =
+    coeffs, the values at state.n of `nag_coefficients`:
+
+    y_n     = x_n + w_n (v_n - x_n)
     x_{n+1} = y_n - s grad(y_n)
-    v_{n+1} = v_n - (h t_n/(alpha-1)) grad(y_n)
+    v_{n+1} = v_n - c_n grad(y_n)
 
     When v_aux is unset the velocity is recovered from the position pair,
-    v_n = x_{n-1} + (t_{n-1}/(h(alpha-1)))(x_n - x_{n-1}); on the standard
-    clock this gives v_1 = x_0.
+    v_n = x_{n-1} + r_n (x_n - x_{n-1}); on the standard clock this gives
+    v_1 = x_0.
     """
-    h = float(np.sqrt(s))
-    n = state.n
-    t_n = _clock_time(n, h, alpha, clock)
-    if t_n == 0.0:
-        raise ValueError(f"clock time vanishes at n = {n}")
+    w_n, c_n, r_n = coeffs
     v = state.v_aux
     if v is None:
-        t_prev = _clock_time(n - 1, h, alpha, clock)
-        v = state.x_prev + (t_prev / (h * (alpha - 1.0))) * (state.x_curr - state.x_prev)
-    w = (h * (alpha - 1.0) / t_n) * (v - state.x_curr)
-    y = state.x_curr + w
+        v = state.x_prev + r_n * (state.x_curr - state.x_prev)
+    y = state.x_curr + w_n * (v - state.x_curr)
     gy = obj.grad(y)
     x_next = y - s * gy
-    v_next = v - (h * t_n / (alpha - 1.0)) * gy
+    v_next = v - c_n * gy
     f_next, g_next = obj.eval_grad(x_next)
-    return IterState(n + 1, state.x_curr, x_next, state.grad_curr, g_next,
+    return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
                      state.f_curr, f_next, y_last=y, v_aux=v_next)
+
+
+def step_nag_velocity(state: IterState, obj: Objective, s: float, alpha: float = 3.0,
+                      clock: str = "standard") -> IterState:
+    """One `velocity_step` with its coefficients computed for state.n."""
+    return velocity_step(state, obj, s, nag_coefficients(state.n, s, alpha, clock))
+
+
+class Stepper:
+    """A method bound to its parameters for B lanes: stepper(state, obj)
+    advances every lane of `state` by one step of `kernel`. Lane i steps
+    with s[i] and with the coefficients of maps[i], a map from an array of
+    indices n to coefficient arrays; they are tabulated for _CHUNK indices
+    at a time rather than taken from the maps at every step. The kernel gets
+    them as (B, 1) columns, or for one lane as floats, which serve a
+    (dim,) state as well as a (1, dim) one."""
+
+    def __init__(self, kernel: Callable, maps: Sequence[Callable], s):
+        self._kernel = kernel
+        self._maps = tuple(maps)
+        s = np.asarray(s, dtype=float)
+        self._s = s.item() if s.size == 1 else s[:, None]
+        self._lo = 0
+        self._rows = []  # row j holds the coefficients at n = lo + j
+
+    def _tabulate(self, n: int) -> None:
+        self._rows = []  # let the old table go before the new one is built
+        ns = np.arange(n, n + _CHUNK, dtype=float)
+        table = None  # (_CHUNK, k, B)
+        for i, lane in enumerate(self._maps):
+            coeffs = lane(ns)
+            if table is None:
+                table = np.empty((_CHUNK, len(coeffs), len(self._maps)))
+            for j, c in enumerate(coeffs):
+                table[:, j, i] = c
+        self._rows = table[..., 0].tolist() if len(self._maps) == 1 else table[..., None]
+        self._lo = n
+
+    def check_s(self, s: Array) -> None:
+        """Raise unless `s`, one stepsize per lane, is what the lanes step
+        with: a one-lane stepper serves any number of lanes alike."""
+        own = np.ravel(self._s)
+        if own.size not in (1, s.size) or np.any(own != s):
+            raise ValueError(f"stepsizes {s.tolist()} disagree with the {own.tolist()} "
+                             f"the stepper was made with")
+
+    def __call__(self, state: IterState, obj: Objective) -> IterState:
+        row = state.n - self._lo
+        if not 0 <= row < len(self._rows):
+            self._tabulate(state.n)
+            row = 0
+        return self._kernel(state, obj, self._s, self._rows[row])
 
 
 @dataclass
@@ -201,14 +292,137 @@ class RunResult:
     error_final: float
 
 
-def _stop_error(rule: StoppingRule, fs, f_star: Optional[float]) -> float:
+def _stop_error(rule: StoppingRule, state: IterState, f_star: Optional[float]):
+    """Each lane's error under the stopping rule; for max_iter, the gap to
+    f_star when it is known."""
     if rule.kind == "consecutive_f":
-        return abs(fs[-1] - fs[-2])
-    if rule.kind == "known_min_f":
-        if f_star is None:
-            raise ValueError("known_min_f stopping needs an objective with known minimum")
-        return fs[-1] - f_star
-    return float("nan")
+        return abs(state.f_curr - state.f_prev)
+    if f_star is None:
+        return np.full(np.shape(state.f_curr), np.nan)
+    return state.f_curr - f_star
+
+
+# A lane mask is an array over lanes, or for one lane without its lane axis
+# a bool; these two skip the slower array reductions in the second case.
+def _any(mask) -> bool:
+    return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _all(mask) -> bool:
+    return np.count_nonzero(mask) == mask.size if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _hold(running: Array, new: IterState, old: IterState) -> IterState:
+    """`new` in the running lanes and `old` in the others, which stay frozen."""
+    col = running[:, None]
+    return IterState(new.n, np.where(col, new.x_prev, old.x_prev),
+                     np.where(col, new.x_curr, old.x_curr),
+                     np.where(col, new.grad_prev, old.grad_prev),
+                     np.where(col, new.grad_curr, old.grad_curr),
+                     np.where(running, new.f_prev, old.f_prev),
+                     np.where(running, new.f_curr, old.f_curr),
+                     np.where(col, new.y_last, old.y_last),
+                     new.v_aux if old.v_aux is None else np.where(col, new.v_aux, old.v_aux))
+
+
+def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_iter: int,
+           record: bool, record_y: bool):
+    """The engine behind `run_lanes` and `run`. x0 is B lanes of shape
+    (B, dim), or one lane without its lane axis, shape (dim,), which keeps
+    the objective calls and the arithmetic of a single point."""
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    f_star = obj.f_min
+    if stopping.kind == "known_min_f" and f_star is None:
+        raise ValueError("known_min_f stopping needs an objective with known minimum")
+    lanes = 1 if x0.ndim == 1 else x0.shape[0]
+    s = np.broadcast_to(np.asarray(s, dtype=float), (lanes,))
+    if isinstance(stepper, Stepper):
+        stepper.check_s(s)
+    state = init_state(obj, x0, s.item() if x0.ndim == 1 else s[:, None])
+    if record:
+        xs = [state.x_prev, state.x_curr]
+        fs = [state.f_prev, state.f_curr]
+        grads = [state.grad_prev, state.grad_curr]
+        ys = [state.x_prev.copy(), state.y_last] if record_y else None
+
+    running = np.ones(lanes, dtype=bool)
+    live = lanes
+    termination = ["max_iter"] * lanes
+    n_final = [0] * lanes
+
+    def end(mask, reason: str) -> int:
+        """Stop the lanes in `mask` at the current index; returns how many
+        lanes still run."""
+        nonlocal live
+        for i in np.flatnonzero(mask):
+            termination[i] = reason
+            n_final[i] = state.n
+            running[i] = False
+            live -= 1
+        return live
+
+    tolerance = stopping.kind != "max_iter"
+    while True:
+        if tolerance and (stopping.n_threshold is None or state.n > stopping.n_threshold):
+            met = _stop_error(stopping, state, f_star) <= stopping.epsilon
+            if _any(met):
+                met = met & running
+                if _any(met) and not end(met, "tolerance_met"):
+                    break
+        if state.n >= max_iter:
+            break
+        new = stepper(state, obj)
+        if live < lanes:
+            new = _hold(running, new, state)
+        if not (_all(np.isfinite(new.f_curr)) and _all(np.isfinite(new.x_curr))):
+            finite = np.isfinite(new.f_curr) & np.isfinite(new.x_curr).all(axis=-1)
+            if not end(~finite & running, "diverged"):
+                break
+            new = _hold(running, new, state)
+        if record:
+            xs.append(new.x_curr)
+            fs.append(new.f_curr)
+            grads.append(new.grad_curr)
+            if record_y:
+                ys.append(new.y_last)
+        state = new
+    for i in np.flatnonzero(running):
+        n_final[i] = state.n
+
+    errors = np.reshape(_stop_error(stopping, state, f_star), lanes)
+    results = [RunResult(termination[i], n_final[i], float(errors[i])) for i in range(lanes)]
+    if not record:
+        return None, results
+    stacks = [np.asarray(a) for a in (xs, fs, grads)] + [np.asarray(ys) if record_y else None]
+    if x0.ndim == 1:
+        stacks = [None if a is None else a[:, None] for a in stacks]
+    trajs = [Trajectory(obj, *(None if a is None else np.ascontiguousarray(a[:m + 1, i])
+                               for a in stacks))
+             for i, m in enumerate(n_final)]
+    return trajs, results
+
+
+def run_lanes(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0,
+              s, stopping: StoppingRule, max_iter: int = 50000, record: bool = False):
+    """Drive B lanes from the common bootstrap in one loop over (B, dim)
+    arrays: x0 stacks the B >= 1 start points and s holds each lane's
+    stepsize, or one number for every lane, as with a one-lane stepper from
+    `make_stepper`; they must be the stepsizes the stepper was made with.
+    The objective must be batched (evaluate over the last axis). A lane stops when the stopping rule fires for it, at max_iter, or
+    when its iterate goes non-finite (divergence: the lane keeps its last
+    finite state); a stopped lane is frozen while the others run on.
+
+    Returns (trajectories, results): one RunResult per lane, and one
+    Trajectory per lane when `record` is set, else None.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 2 or x0.shape[0] == 0:
+        raise ValueError(f"x0 must stack one start point per lane, got shape {x0.shape}")
+    if not obj.batched:
+        raise ValueError(f"objective {obj.name!r} takes one point at a time; "
+                         f"run_lanes needs a batched one")
+    return _drive(stepper, obj, x0, s, stopping, max_iter, record, False)
 
 
 def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0,
@@ -216,59 +430,27 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
         record_y: bool = False):
     """Drive a stepper from the common bootstrap until the stopping rule
     fires, max_iter is reached, or an iterate goes non-finite (divergence:
-    the trajectory keeps the last finite state).
+    the trajectory keeps the last finite state). s must be the stepsize the
+    stepper was made with. This is the one-lane case
+    of the `run_lanes` engine, on a start point of shape (dim,).
 
     Returns (Trajectory, RunResult).
     """
     x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
-    f_star = obj.f_min
-    state = init_state(obj, x0, s)
-    xs = [state.x_prev, state.x_curr]
-    fs = [state.f_prev, state.f_curr]
-    grads = [state.grad_prev, state.grad_curr]
-    ys = [state.x_prev.copy(), state.y_last] if record_y else None
-
-    termination = "max_iter"
-    while True:
-        if stopping.kind != "max_iter":
-            err = _stop_error(stopping, fs, f_star)
-            past_threshold = (stopping.n_threshold is None
-                              or state.n > stopping.n_threshold)
-            if past_threshold and err <= stopping.epsilon:
-                termination = "tolerance_met"
-                break
-        if state.n >= max_iter:
-            break
-        new_state = stepper(state, obj)
-        f_new = new_state.f_curr
-        if not (np.all(np.isfinite(new_state.x_curr)) and np.isfinite(f_new)):
-            termination = "diverged"
-            break
-        xs.append(new_state.x_curr)
-        fs.append(f_new)
-        grads.append(new_state.grad_curr)
-        if record_y:
-            ys.append(new_state.y_last)
-        state = new_state
-
-    traj = Trajectory(obj=obj, xs=np.asarray(xs), fs=np.asarray(fs),
-                      grads=np.asarray(grads),
-                      ys=np.asarray(ys) if record_y else None)
-    error_final = _stop_error(stopping, fs, f_star) if stopping.kind != "max_iter" \
-        else float(fs[-1] - f_star) if f_star is not None else float("nan")
-    return traj, RunResult(termination=termination, n_final=traj.n_final,
-                           error_final=float(error_final))
+    if x0.ndim != 1:
+        raise ValueError(f"x0 must be one point, got shape {x0.shape}; run_lanes takes a stack")
+    trajs, results = _drive(stepper, obj, x0, s, stopping, max_iter, True, record_y)
+    return trajs[0], results[0]
 
 
 def coefficient_map(name: str, s: float, alpha: float = 3.0,
                     schedule: Optional[Schedule] = None, beta: float = 1.0,
-                    gamma: float = 1.0) -> Callable[[int], tuple]:
+                    gamma: float = 1.0) -> Callable:
     """The map n -> (alpha_n, lambda_n, omega_n, gamma_n) of a named
-    four-coefficient method (every algorithm but `nag`). lt_s_igahd takes its
-    coefficients from `schedule`, whose s must equal `s` to 8 eps relative
-    and whose alpha must equal `alpha`."""
+    four-coefficient method (every algorithm but `nag`). A number n gives
+    floats, an array of n gives arrays, bitwise equal to the numbers n by n.
+    lt_s_igahd takes its coefficients from `schedule`, whose s must equal
+    `s` to 8 eps relative and whose alpha must equal `alpha`."""
     name = name.lower()
     if name == "nag":
         raise ValueError("nag has no four-coefficient form; it steps in velocity form")
@@ -295,22 +477,43 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
     if name not in table:
         raise ValueError(f"unknown algorithm {name!r}")
     method = table[name]
-    return lambda n: method(n, (n - alpha) / n)
+
+    def at(n):
+        one = np.ndim(n) == 0
+        n = np.asarray(n, dtype=float)
+        values = method(n, (n - alpha) / n)
+        if one:
+            return tuple(float(v) for v in values)
+        return tuple(np.broadcast_arrays(n, *values)[1:])
+
+    return at
 
 
-def make_stepper(name: str, s: float, alpha: float = 3.0,
-                 schedule: Optional[Schedule] = None, beta: float = 1.0,
-                 gamma: float = 1.0,
-                 clock: str = "standard") -> Callable[[IterState, Objective], IterState]:
+def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0,
+                 schedule: Union[Schedule, Sequence[Schedule], None] = None,
+                 beta: float = 1.0, gamma: float = 1.0,
+                 clock: str = "standard") -> Stepper:
     """Bind a named algorithm to its parameters; the result has the
-    (state, obj) -> state shape that `run` expects. `nag` steps in velocity
-    form on `clock`; every other name steps by its `coefficient_map`."""
+    (state, obj) -> state shape that `run` and `run_lanes` expect. `s` is
+    one stepsize or one per lane, and `schedule` (lt_s_igahd's) one Schedule
+    or one per lane. `nag` steps in velocity form on `clock`; every other
+    name steps by its `coefficient_map`."""
     name = name.lower()
+    s_lanes = np.atleast_1d(np.asarray(s, dtype=float))
+    if s_lanes.ndim != 1 or s_lanes.size == 0:
+        raise ValueError(f"s must be a stepsize or a sequence of them, got shape {np.shape(s)}")
+    scheds = (list(schedule) if isinstance(schedule, (list, tuple))
+              else [schedule] * s_lanes.size)
+    if len(scheds) != s_lanes.size:
+        raise ValueError(f"{len(scheds)} schedules for {s_lanes.size} stepsizes")
     if name == "nag":
-        return lambda st, ob: step_nag_velocity(st, ob, s, alpha, clock)
-    coeffs = coefficient_map(name, s, alpha, schedule, beta, gamma)
-    grad_at_x = name in ("pim", "polyak_igahd")
-    return lambda st, ob: coefficient_step(st, ob, s, coeffs, grad_at_x)
+        maps = [partial(nag_coefficients, s=s_k, alpha=alpha, clock=clock)
+                for s_k in s_lanes.tolist()]
+        return Stepper(velocity_step, maps, s_lanes)
+    maps = [coefficient_map(name, s_k, alpha, sch, beta, gamma)
+            for s_k, sch in zip(s_lanes.tolist(), scheds)]
+    kernel = partial(coefficient_step, grad_at_x=name in ("pim", "polyak_igahd"))
+    return Stepper(kernel, maps, s_lanes)
 
 
 def check_stepsize(s: float, obj: Objective) -> None:

@@ -147,8 +147,8 @@ def cmd_run(args) -> int:
         # the energy takes lambda_n from the coefficients the stepper ran
         # with; nag's velocity form has lambda_n = 0
         coeffs = None if algorithm.lower() == "nag" else schedules.Schedule(
-            label=algorithm, alpha=alpha, s=s, coeffs_at=np.vectorize(
-                algorithms.coefficient_map(algorithm, s, alpha, sched, beta, gamma)))
+            label=algorithm, alpha=alpha, s=s,
+            coeffs_at=algorithms.coefficient_map(algorithm, s, alpha, sched, beta, gamma))
         series = analysis.energy_series(traj, s, alpha, coeffs, x_star=x_star)
         e_col = np.full(traj.n_final + 1, np.nan)
         e_col[series.n_start:series.n_start + len(series.e_seq)] = series.e_seq
@@ -188,9 +188,12 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------- table
 
 
+_TABLE_X0 = (1.0, -2.0)  # start point of every recorded row
+
+
 def _run_case(case: TableCase, s: float, alpha: float, max_iter: int):
     return algorithms.run_schedule(case.objective, case.schedule, case.schedule_params(),
-                                   s, alpha, [1.0, -2.0], case.epsilon, max_iter)
+                                   s, alpha, _TABLE_X0, case.epsilon, max_iter)
 
 
 def _n2_at(sched, lipschitz: float, n: int, alpha: float) -> float:
@@ -205,17 +208,34 @@ def _match2(value: float, ref: float) -> bool:
 
 def _infer_s(case: TableCase, alpha: float, max_iter: int, n_grid: int = 60):
     """Grid scan over admissible stepsizes minimizing the gap between the
-    terminal-iteration N2 and the recorded one."""
+    terminal-iteration N2 and the recorded one. The stepsizes run as the
+    lanes of one batch; one whose schedule cannot be built is left out, and
+    one that diverges, or whose N2 is undefined at its stop, is skipped."""
     obj = make_objective(case.objective)
-    hi = 1.0 / obj.lipschitz_constant()
-    best = (np.inf, np.nan, np.nan)
+    lip = obj.lipschitz_constant()
+    hi = 1.0 / lip
+    ss, scheds = [], []
     for k in range(1, n_grid + 1):
         s = hi * k / (n_grid + 1)
         try:
-            obj_k, sched, traj, res = _run_case(case, s, alpha, max_iter)
-            if res.termination == "diverged":
-                continue
-            val = _n2_at(sched, obj_k.lipschitz_constant(), res.n_final, alpha)
+            algorithms.check_stepsize(s, obj)
+            scheds.append(schedules.make_schedule(case.schedule, s=s, alpha=alpha,
+                                                  lipschitz=lip, **case.schedule_params()))
+        except ValueError:
+            continue
+        ss.append(s)
+    best = (np.inf, np.nan, np.nan)
+    if not ss:
+        return best[1], best[2]
+    stepper = algorithms.make_stepper("lt_s_igahd", ss, alpha=alpha, schedule=scheds)
+    stopping = algorithms.StoppingRule(algorithms.default_stop(obj), case.epsilon)
+    _, results = algorithms.run_lanes(stepper, obj, np.tile(_TABLE_X0, (len(ss), 1)), ss,
+                                      stopping, max_iter=max_iter)
+    for s, sched, res in zip(ss, scheds, results):
+        if res.termination == "diverged":
+            continue
+        try:
+            val = _n2_at(sched, lip, res.n_final, alpha)
         except (ValueError, FloatingPointError):
             continue
         gap = abs(val - case.ref_n2)

@@ -6,6 +6,13 @@ x1 = -x2; "f2" is coercive with a unique minimizer at the origin. The
 quadratics widen the corpus for property tests, since the inequalities we
 verify are quantified over all smooth convex functions, not just the two
 benchmarks.
+
+The built-in objectives evaluate over the last axis: a stack of B points of
+shape (B, dim) gives B values and a (B, dim) stack of gradients. On f1 and
+f2 each row is bitwise the same point evaluated on its own; the quadratic
+takes one matrix product for the whole stack, whose sums may round
+otherwise than the one-point product. That is what lets
+`algorithms.run_lanes` step many trajectories in one loop.
 """
 
 from __future__ import annotations
@@ -33,6 +40,11 @@ class Objective:
     "unique" when `argmin_point` is the only minimizer and "affine" when the
     minimizers form an affine set, in which case `argmin_point` is one
     representative.
+
+    The methods take one point of shape (dim,). When `batched` is set,
+    `value`, `gradient` and `value_and_gradient` also take B points stacked
+    as (B, dim) and evaluate over the last axis, and so do `eval` (B
+    values), `grad` and `eval_grad`; `hess_vec` takes one point.
     """
 
     name: str
@@ -45,28 +57,36 @@ class Objective:
     argmin_point: Optional[Array] = None
     f_min: Optional[float] = None
     value_and_gradient: Optional[Callable[[Array], Tuple[float, Array]]] = None
+    batched: bool = False
 
-    def _as_point(self, x, label: str = "x") -> Array:
+    def _as_point(self, x, label: str = "x", stack: bool = True) -> Array:
+        """x as one point, or as a stack of points when `stack` is allowed
+        and the objective is batched."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        stack = stack and self.batched
+        if x.shape != (self.dim,) and not (stack and x.ndim == 2 and x.shape[1] == self.dim):
+            expected = f"({self.dim},) or (lanes, {self.dim})" if stack else f"({self.dim},)"
             raise ValueError(
-                f"{label} has shape {x.shape}, expected ({self.dim},) for objective {self.name!r}"
+                f"{label} has shape {x.shape}, expected {expected} for objective {self.name!r}"
             )
         return x
 
-    def eval(self, x) -> float:
-        return float(self.value(self._as_point(x)))
+    def eval(self, x):
+        x = self._as_point(x)
+        f = self.value(x)
+        return float(f) if x.ndim == 1 else np.asarray(f, dtype=float)
 
     def grad(self, x) -> Array:
         return np.asarray(self.gradient(self._as_point(x)), dtype=float)
 
-    def eval_grad(self, x) -> Tuple[float, Array]:
+    def eval_grad(self, x):
         """(eval(x), grad(x)), from the fused `value_and_gradient` when the
         objective supplies one."""
         if self.value_and_gradient is None:
             return self.eval(x), self.grad(x)
-        f, g = self.value_and_gradient(self._as_point(x))
-        return float(f), np.asarray(g, dtype=float)
+        x = self._as_point(x)
+        f, g = self.value_and_gradient(x)
+        return float(f) if x.ndim == 1 else np.asarray(f, dtype=float), np.asarray(g, dtype=float)
 
     def hess_vec(self, x, v) -> Array:
         if self.hessian_vec is None:
@@ -74,22 +94,44 @@ class Objective:
                 f"objective {self.name!r} does not provide a Hessian-vector product"
             )
         return np.asarray(
-            self.hessian_vec(self._as_point(x), self._as_point(v, "v")), dtype=float
+            self.hessian_vec(self._as_point(x, stack=False), self._as_point(v, "v", stack=False)),
+            dtype=float,
         )
 
     def lipschitz_constant(self) -> float:
         return self.lipschitz
 
 
+def _square(u):
+    """u ** 2 as a lone float takes it, through the C library's pow. On an
+    array the operator ** multiplies instead, which can differ in the last
+    bit, so an array is squared element by element with np.float_power."""
+    if isinstance(u, np.ndarray):
+        return np.float_power(u, 2.0)
+    return u ** 2
+
+
+def _row_dot(u, v):
+    """u @ v for one point; for a stack, the dot product of each row of u
+    with the same row of v, summed as the one-point u @ v sums."""
+    if u.ndim == 1:
+        return u @ v
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
 def f1() -> Objective:
     """f(x) = (x1 + x2)^2 with gradient Lipschitz constant 4."""
 
+    # x.T[i] is coordinate i of one point, a number (which keeps its
+    # arithmetic cheap), or of every point of a stack
     def value(x):
-        return (x[0] + x[1]) ** 2
+        xt = x.T
+        return _square(xt[0] + xt[1])
 
     def gradient(x):
-        g = 2.0 * (x[0] + x[1])
-        return np.array([g, g])
+        xt = x.T
+        g = 2.0 * (xt[0] + xt[1])
+        return np.array([g, g]).T
 
     def hessian_vec(x, v):
         # constant Hessian [[2, 2], [2, 2]]
@@ -106,6 +148,7 @@ def f1() -> Objective:
         argmin_kind="affine",
         argmin_point=np.zeros(2),
         f_min=0.0,
+        batched=True,
     )
 
 
@@ -117,7 +160,8 @@ def f2() -> Objective:
     """
 
     def value(x):
-        return float(np.sqrt(1.0 + x[0] ** 2) + np.sqrt(1.0 + x[1] ** 2))
+        xt = x.T
+        return np.sqrt(1.0 + _square(xt[0])) + np.sqrt(1.0 + _square(xt[1]))
 
     def gradient(x):
         return x / np.sqrt(1.0 + x * x)
@@ -136,6 +180,7 @@ def f2() -> Objective:
         argmin_kind="unique",
         argmin_point=np.zeros(2),
         f_min=2.0,
+        batched=True,
     )
 
 
@@ -170,16 +215,20 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
     if not np.allclose(a @ x_star + b, 0.0, atol=1e-9 * (1.0 + float(np.linalg.norm(b)))):
         raise ValueError("quadratic is unbounded below: linear term outside the matrix range")
 
+    # x @ a_t is A x for each point (row) of x; for one point it computes
+    # a @ x with the same BLAS call and bits
+    a_t = a.T
+
     def value(x):
-        return 0.5 * float(x @ (a @ x)) + float(b @ x)
+        return 0.5 * _row_dot(x, x @ a_t) + x @ b
 
     def gradient(x):
-        return a @ x + b
+        return x @ a_t + b
 
     def value_and_gradient(x):
         # value and gradient above, sharing the one product A x
-        ax = a @ x
-        return 0.5 * float(x @ ax) + float(b @ x), ax + b
+        ax = x @ a_t
+        return 0.5 * _row_dot(x, ax) + x @ b, ax + b
 
     def hessian_vec(x, v):
         return a @ v
@@ -195,6 +244,7 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
         argmin_point=x_star,
         f_min=0.5 * float(x_star @ (a @ x_star)) + float(b @ x_star),
         value_and_gradient=value_and_gradient,
+        batched=True,
     )
 
 

@@ -127,8 +127,11 @@ class Schedule:
     """Immutable coefficient schedule.
 
     `coeffs_at` maps n (scalar or array, n >= 1) to the 4-tuple
-    (alpha_n, lambda_n, omega_n, gamma_n). `n_prime` holds the closed-form
-    admissibility threshold when one exists for the label.
+    (alpha_n, lambda_n, omega_n, gamma_n). An array of n must give arrays,
+    or numbers that hold for every n, bitwise equal to the values n by n:
+    the steppers tabulate the coefficients from one call over a chunk of
+    indices. `n_prime` holds the closed-form admissibility threshold when
+    one exists for the label.
     """
 
     label: str
@@ -210,8 +213,9 @@ def make_schedule(label: str, s: float, alpha: float = 3.0,
 
     Labels: "e24"/"e26" (params a, b, mu), "e25" (beta, b, mu),
     "igahd" (beta), "agm2" (no params), "custom" (pass `coeffs`, a map from
-    n to the coefficient 4-tuple). `lipschitz` is only needed to fill the
-    closed-form n_prime for the families whose threshold depends on it.
+    n to the coefficient 4-tuple that accepts an array of n as `Schedule`
+    states). `lipschitz` is only needed to fill the closed-form n_prime for
+    the families whose threshold depends on it.
     """
     label = label.lower()
     if label in ("e24", "e26"):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface via cli.main()."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -150,6 +151,25 @@ def test_table_subset_and_rerun(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+# SHA-256 of the files `table --infer-s` writes for all 28 recorded rows,
+# recorded from the runner that took each scanned stepsize as its own run
+INFER_S_GOLDEN = {
+    "tables.csv": "f600a131e22ccb87ab32e66f4673a86d0e95507edff5aa7f67234cbf860fb694",
+    "report.json": "9d0323b40665e7b2467ce537f76caf83839e5c8f3474f047622a11a6666bb33f",
+    "report.txt": "ec523752ab1c51c37803a90c64dd7561eee178fec0fd476862754c9e4f7ef9f3",
+}
+
+
+def test_table_infer_s_golden(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert cli.main(["table", "--infer-s", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _read_csv(out / "tables.csv")
+    assert len(rows) == 28 and header[-2:] == ["s_best", "n2_at_stop_best"]
+    for name, want in INFER_S_GOLDEN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+
+
 def test_sweep_isolates_failing_cells(tmp_path):
     args = ["sweep", "--schedule", "e25", "--s", "0.04", "--max-iter", "2000",
             "--grid", '{"beta": [0.05, 0.8], "b": [1.0]}']
@@ -217,3 +237,10 @@ def test_run_quadratic_without_matrix(tmp_path, capsys):
     rc = cli.main(["run", "--objective", "quadratic", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "a_matrix" in capsys.readouterr().err
+
+
+def test_run_nag_alpha_one_exits_2(tmp_path, capsys):
+    # the velocity form divides by alpha - 1
+    rc = cli.main(["run", "--algorithm", "nag", "--alpha", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "alpha" in capsys.readouterr().err

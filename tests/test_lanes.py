@@ -1,0 +1,258 @@
+"""The lane engine: coefficient maps give the same bits over an array of
+indices as one index at a time, and every lane of `run_lanes` reproduces
+the scalar `run` of its own stepsize, schedule and start point."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitgrad.algorithms import (
+    ALGORITHM_NAMES,
+    StoppingRule,
+    coefficient_map,
+    make_stepper,
+    nag_coefficients,
+    run,
+    run_lanes,
+)
+from splitgrad.cases import all_cases
+from splitgrad.objectives import Objective, f1, f2, make_objective, quadratic
+from splitgrad.schedules import make_schedule
+
+N_ALL = np.arange(1, 10_001, dtype=float)
+# every index up to 60, then a log-spaced sample up to 10^4
+N_SAMPLE = np.unique(np.concatenate([np.arange(1, 61),
+                                     np.geomspace(61, 10_000, 60).astype(int)]))
+
+
+def _scan_stepsizes(objective, n_grid=60):
+    """The stepsizes `table --infer-s` scans for a row on `objective`."""
+    hi = 1.0 / make_objective(objective).lipschitz_constant()
+    return [hi * k / (n_grid + 1) for k in range(1, n_grid + 1)]
+
+
+def _assert_vector_is_scalar(coeffs_at, ns):
+    vector = np.stack([np.broadcast_to(np.asarray(v, dtype=float), N_ALL.shape)
+                       for v in coeffs_at(N_ALL)], axis=1)[np.asarray(ns, dtype=int) - 1]
+    scalar = np.array([coeffs_at(float(n)) for n in ns], dtype=float)
+    if scalar.tobytes() != vector.tobytes():
+        bad = np.flatnonzero((scalar.view(np.int64) != vector.view(np.int64)).any(axis=1))
+        raise AssertionError(f"vector and scalar coefficients differ at n = {ns[bad[0]]}")
+
+
+def _row_schedules():
+    """(label, params, objective) for each schedule label: the first
+    recorded row of each family, and e25/igahd/agm2 on the stepsizes of a
+    recorded row."""
+    rows = {}
+    for case in all_cases():
+        rows.setdefault(case.schedule, case)
+    out = [(c.schedule, lambda s, c=c: c.schedule_params(), c.objective)
+           for c in rows.values()]
+    out += [("e25", lambda s: {"beta": 0.5 * np.sqrt(s), "b": 2.0, "mu": 0.1}, "f1"),
+            ("igahd", lambda s: {"beta": 0.5 * np.sqrt(s)}, "f2"),
+            ("agm2", lambda s: {}, "f1")]
+    return out
+
+
+@pytest.mark.parametrize("label,params,objective", _row_schedules())
+def test_schedule_coeffs_at_vector_is_scalar(label, params, objective):
+    lip = make_objective(objective).lipschitz_constant()
+    for k, s in enumerate(_scan_stepsizes(objective)):
+        sched = make_schedule(label, s=s, lipschitz=lip, **params(s))
+        # the whole range at one stepsize, a sample of it at the others
+        _assert_vector_is_scalar(sched.coeffs_at, N_ALL if k == 29 else N_SAMPLE)
+
+
+@pytest.mark.parametrize("name", [n for n in ALGORITHM_NAMES if n != "lt_s_igahd"])
+def test_coefficient_map_vector_is_scalar(name):
+    # lt_se3 includes the theta_{n-1} term; nag's map is its velocity form
+    for s in (0.01, 0.1, 0.23):
+        if name == "nag":
+            for clock in ("standard", "shifted"):
+                _assert_vector_is_scalar(
+                    lambda n: nag_coefficients(n, s, 3.0, clock), N_ALL)
+        else:
+            _assert_vector_is_scalar(coefficient_map(name, s, beta=0.7, gamma=1.3), N_ALL)
+
+
+def _lane_schedule(name, label, s, beta, mu):
+    if name != "lt_s_igahd":
+        return None
+    params = {"e24": {"a": 1.0, "b": 2.0, "mu": mu}, "e26": {"a": 1.0, "b": 2.0, "mu": mu},
+              "e25": {"beta": beta * np.sqrt(s), "b": 2.0, "mu": mu},
+              "igahd": {"beta": beta * np.sqrt(s)}, "agm2": {}}[label]
+    return make_schedule(label, s=s, **params)
+
+
+def _assert_lanes_are_runs(name, obj, x0s, ss, scheds, rule, max_iter, rel=None):
+    kw = {"beta": 0.8, "gamma": 1.1}
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajs, results = run_lanes(make_stepper(name, ss, schedule=scheds, **kw), obj,
+                                   x0s, ss, rule, max_iter=max_iter, record=True)
+        singles = [run(make_stepper(name, s, schedule=sch, **kw), obj, x0, s, rule,
+                       max_iter=max_iter)
+                   for x0, s, sch in zip(x0s, ss, scheds)]
+    assert len(trajs) == len(results) == len(ss)
+    for traj, res, (want_traj, want) in zip(trajs, results, singles):
+        assert (res.termination, res.n_final) == (want.termination, want.n_final)
+        for attr in ("xs", "fs", "grads"):
+            got, ref = getattr(traj, attr), getattr(want_traj, attr)
+            assert got.shape == ref.shape
+            if rel is None:
+                assert got.tobytes() == ref.tobytes(), attr
+            else:
+                assert np.all(np.abs(got - ref) <= rel * np.maximum(1.0, np.abs(ref))), attr
+        if rel is None:
+            assert np.float64(res.error_final).tobytes() == np.float64(want.error_final).tobytes()
+        else:
+            assert res.error_final == pytest.approx(want.error_final, rel=1e-9, abs=1e-12,
+                                                    nan_ok=True)
+
+
+_RULES = st.sampled_from([StoppingRule("consecutive_f", 1e-10),
+                          StoppingRule("known_min_f", 1e-8),
+                          StoppingRule("consecutive_f", 1e-12, n_threshold=20),
+                          StoppingRule("max_iter")])
+_LANE = st.tuples(st.floats(0.02, 0.98),                               # s L
+                  st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),  # x0
+                  st.sampled_from(["e24", "e25", "e26", "igahd", "agm2"]),
+                  st.floats(0.1, 1.9),                                 # beta / sqrt(s)
+                  st.sampled_from([0.0, 0.05, 1.0]))                   # mu
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(objective=st.sampled_from(["f1", "f2"]), name=st.sampled_from(ALGORITHM_NAMES),
+       lanes=st.lists(_LANE, min_size=1, max_size=5), rule=_RULES,
+       extra=st.sampled_from([(), ("diverge",), ("stop_at_1",), ("diverge", "stop_at_1")]))
+def test_lanes_are_scalar_runs_on_f1_f2(objective, name, lanes, rule, extra):
+    obj = make_objective(objective)
+    lip = obj.lipschitz_constant()
+    ss = [sl / lip for sl, *_ in lanes]
+    x0s = [x0 for _, x0, *_ in lanes]
+    scheds = [_lane_schedule(name, label, s, beta, mu)
+              for s, (_, _, label, beta, mu) in zip(ss, lanes)]
+    if "diverge" in extra and objective == "f1":   # s = 10 runs off to infinity
+        ss.append(10.0)
+        x0s.append([1.0, -2.0])
+        scheds.append(_lane_schedule(name, "e24", 10.0, 1.0, 0.0))
+    if "stop_at_1" in extra and objective == "f1":   # on the minimizing line
+        ss.insert(0, 0.1)
+        x0s.insert(0, [1.5, -1.5])
+        scheds.insert(0, _lane_schedule(name, "e25", 0.1, 1.0, 0.1))
+    _assert_lanes_are_runs(name, obj, np.array(x0s), ss, scheds, rule, max_iter=150)
+
+
+def _pd_quadratic(seed, dim):
+    rng = np.random.default_rng([seed, dim])
+    m = rng.standard_normal((dim, dim))
+    a = m @ m.T / dim + 0.1 * np.eye(dim)
+    return quadratic(a, a @ rng.standard_normal(dim)), rng
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+       name=st.sampled_from(ALGORITHM_NAMES), n_lanes=st.integers(1, 5), rule=_RULES)
+def test_lanes_match_scalar_runs_on_quadratics(seed, dim, name, n_lanes, rule):
+    obj, rng = _pd_quadratic(seed, dim)
+    ss = list(rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz_constant())
+    x0s = rng.standard_normal((n_lanes, dim)) * 3.0
+    scheds = [_lane_schedule(name, "e25", s, 0.5, 0.1) for s in ss]
+    _assert_lanes_are_runs(name, obj, x0s, ss, scheds, rule, max_iter=150, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_stopped_and_diverged_lanes_freeze_beside_running_ones(name):
+    # lane 0 stops at n = 1, lane 2 diverges, lanes 1 and 3 run to the end
+    x0s = np.array([[1.5, -1.5], [1.0, -2.0], [1.0, -2.0], [0.5, 0.25]])
+    ss = [0.1, 0.1, 10.0, 0.05]
+    scheds = [_lane_schedule(name, "e25", s, 1.0, 0.1) for s in ss]
+    rule = StoppingRule("consecutive_f", 1e-10)
+    _assert_lanes_are_runs(name, f1(), x0s, ss, scheds, rule, max_iter=400)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, results = run_lanes(make_stepper(name, ss, schedule=scheds), f1(), x0s, ss, rule,
+                               max_iter=400)
+    assert results[0].termination == "tolerance_met" and results[0].n_final == 1
+    if name == "agm2":
+        assert results[2].termination == "diverged"
+
+
+def test_unrecorded_lanes_give_the_same_results():
+    ss = [0.05, 0.1, 0.2]
+    x0s = np.array([[1.0, -2.0], [0.3, 0.7], [-2.0, 1.0]])
+    rule = StoppingRule("known_min_f", 1e-9)
+    trajs, rec = run_lanes(make_stepper("agm2", ss), f2(), x0s, ss, rule, record=True)
+    none, plain = run_lanes(make_stepper("agm2", ss), f2(), x0s, ss, rule)
+    assert none is None and plain == rec
+    assert [t.n_final for t in trajs] == [r.n_final for r in rec]
+
+
+def test_lane_inputs_are_checked():
+    sch = make_schedule("e25", s=0.1, beta=0.1, b=2.0)
+    with pytest.raises(ValueError):
+        make_stepper("lt_s_igahd", [0.1, 0.2], schedule=[sch])   # one schedule, two lanes
+    with pytest.raises(ValueError):
+        make_stepper("lt_s_igahd", [0.1, 0.2], schedule=sch)     # lane 1 disagrees with s
+    with pytest.raises(ValueError):
+        run_lanes(make_stepper("agm2", 0.1), f1(), [1.0, -2.0], 0.1, StoppingRule())
+    with pytest.raises(ValueError):
+        run_lanes(make_stepper("agm2", [0.1, 0.1]), f1(), [[1.0, -2.0], [np.inf, 0.0]],
+                  0.1, StoppingRule())
+    with pytest.raises(ValueError):   # no lanes
+        run_lanes(make_stepper("agm2", 0.1), f1(), np.empty((0, 2)), 0.1, StoppingRule())
+    two = np.array([[1.0, -2.0], [0.5, 0.5]])
+    with pytest.raises(ValueError):   # lane 1 bootstraps with 0.1 but steps with 0.2
+        run_lanes(make_stepper("agm2", [0.1, 0.2]), f1(), two, 0.1, StoppingRule())
+    with pytest.raises(ValueError):   # three stepsizes for two lanes
+        run_lanes(make_stepper("agm2", [0.1, 0.2, 0.3]), f1(), two, [0.1, 0.2, 0.3],
+                  StoppingRule())
+    with pytest.raises(ValueError):
+        run(make_stepper("agm2", 0.2), f1(), [1.0, -2.0], 0.1, StoppingRule())
+    one_point = Objective(name="plain", dim=2, value=lambda x: float(x @ x),
+                          gradient=lambda x: 2.0 * x, lipschitz=2.0)
+    with pytest.raises(ValueError):   # written for one point, not for a stack
+        run_lanes(make_stepper("agm2", 0.1), one_point, two, 0.1, StoppingRule())
+
+
+def test_one_lane_stepper_serves_a_start_point_ensemble():
+    x0s = np.array([[1.0, -2.0], [0.5, 0.5], [-1.0, 3.0]])
+    rule = StoppingRule("known_min_f", 1e-9)
+    trajs, _ = run_lanes(make_stepper("igahd", 0.1), f2(), x0s, 0.1, rule, record=True)
+    for x0, traj in zip(x0s, trajs):
+        want, _ = run(make_stepper("igahd", 0.1), f2(), x0, 0.1, rule)
+        assert traj.xs.tobytes() == want.xs.tobytes()
+
+
+def test_run_takes_one_point():
+    with pytest.raises(ValueError):
+        run(make_stepper("agm2", 0.1), f1(), [[1.0, -2.0]], 0.1, StoppingRule())
+
+
+def test_stacks_evaluate_row_by_row():
+    # on a stack of points the built-in objectives give each point's value
+    # and gradient bit for bit; the Hessian product and objectives written
+    # for one point take one point only
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 3))
+    for obj in (f1(), f2(), quadratic(a @ a.T + np.eye(3), rng.standard_normal(3))):
+        xs = rng.standard_normal((5, obj.dim)) * 2.0
+        f, g = obj.eval_grad(xs)
+        assert f.shape == (5,) and g.shape == (5, obj.dim)
+        stacked = (f, g, obj.eval(xs), obj.grad(xs))
+        rows = tuple(np.array(r) for r in (
+            [obj.eval(x) for x in xs], [obj.grad(x) for x in xs], [obj.eval(x) for x in xs],
+            [obj.grad(x) for x in xs]))
+        for got, want in zip(stacked, rows):
+            if obj.name == "quadratic":   # a matrix product over a stack may sum otherwise
+                assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+            else:
+                assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            obj.hess_vec(xs, xs)
+    with pytest.raises(ValueError):
+        f2().grad(np.zeros((2, 2, 2)))
+    one_point = Objective(name="plain", dim=3, value=lambda x: float(x @ x),
+                          gradient=lambda x: 2.0 * x, lipschitz=2.0)
+    with pytest.raises(ValueError):
+        one_point.eval_grad(np.zeros((5, 3)))
