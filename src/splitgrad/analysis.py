@@ -16,12 +16,12 @@ here numerically rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .algorithms import Trajectory
-from .objectives import Objective
+from .objectives import Objective, _row_dot
 from .schedules import Schedule, a_coefficients
 
 Array = np.ndarray
@@ -83,8 +83,7 @@ def energy_series(trajectory: Trajectory, s: float, alpha: float,
     z = ((x_prev - x_star) + t_n[:, None] * (x_curr - x_prev)
          + (lam * t_next)[:, None] * g_prev)
     # row-wise np.dot(z_n, z_n), so every window gives the same bits
-    zz = np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]
-    e = t_n ** 2 * (trajectory.fs[ns] - f_star) + zz / (2.0 * s)
+    e = t_n ** 2 * (trajectory.fs[ns] - f_star) + _row_dot(z, z) / (2.0 * s)
     return EnergySeries(t_seq=t_n, e_seq=e, z_seq=z, x_star=x_star, n_start=n_lo)
 
 
@@ -149,8 +148,29 @@ def rate_bound_first_violation(fgap_series, e_ref: float, alpha: float,
     return int(ns[bad][0]) if np.any(bad) else None
 
 
-def check_descent_lemma(obj: Objective, x, y, variant: str, s: Optional[float] = None,
-                        gamma: float = 0.0, z=None) -> float:
+def _first_bad(bad: Array, what: Callable[[tuple], str]) -> None:
+    """Raise ValueError when any element of the boolean array `bad` is set,
+    with the message what(i) for the first such element i (an index tuple,
+    () when `bad` is a scalar), followed by the index for arrays."""
+    if np.any(bad):
+        i = tuple(int(k) for k in np.argwhere(bad)[0])
+        where = f" at index {i[0] if len(i) == 1 else i}" if i else ""
+        raise ValueError(what(i) + where)
+
+
+def _row_param(value, x: Array, label: str) -> Array:
+    """A scalar parameter, or one value per row of the stack x, shaped to
+    scale the rows of x."""
+    value = np.asarray(value, dtype=float)
+    if value.ndim == 0:
+        return value
+    if x.ndim != 2 or value.shape != (x.shape[0],):
+        raise ValueError(f"{label} has shape {value.shape}; per-row values need a "
+                         f"(B, dim) stack of points and shape (B,)")
+    return value[:, None]
+
+
+def check_descent_lemma(obj: Objective, x, y, variant: str, s=None, gamma=0.0, z=None):
     """Residual RHS - LHS of the chosen smoothness inequality; the math
     says it is nonnegative, so anything below a few ulps of the involved
     magnitudes is a defect.
@@ -161,45 +181,58 @@ def check_descent_lemma(obj: Objective, x, y, variant: str, s: Optional[float] =
     eedl: the three-point extension with the extra gamma grad f(z) move,
           expanded through the coefficient family A1..A5 below.
 
+    x, y (and z) are one point each, giving a float, or equal-shape (B, dim)
+    stacks of points, giving the B residuals row by row through the
+    objective's batched evaluation (the objective must be batched). With
+    stacks, s and gamma may also be arrays of shape (B,), one value per
+    row; 0 < s <= 1/L is required of every row.
+
     The eedl statement assumes gamma >= 0; negative gamma is accepted as a
     diagnostic probe and its residual returned without any claim attached.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if y.shape != x.shape:
+        raise ValueError(f"x has shape {x.shape} but y has shape {y.shape}")
     lip = obj.lipschitz_constant()
     if variant == "dl":
         gx = obj.grad(x)
-        rhs = (obj.eval(x) + float(np.dot(gx, y - x))
-               + 0.5 * lip * float(np.dot(y - x, y - x)))
-        return float(rhs - obj.eval(y))
-    if s is None:
-        raise ValueError(f"variant {variant!r} needs a stepsize")
-    if not (0.0 < s <= 1.0 / lip):
-        raise ValueError(f"stepsize must lie in (0, 1/L] = (0, {1.0 / lip}], got {s}")
-    gx = obj.grad(x)
-    gy = obj.grad(y)
-    if variant == "edl":
-        lhs = obj.eval(y - s * gy)
-        rhs = (obj.eval(x) + float(np.dot(gy, y - x))
-               - 0.5 * s * float(np.dot(gy, gy))
-               - 0.5 * s * float(np.dot(gx - gy, gx - gy)))
-        return float(rhs - lhs)
-    if variant == "eedl":
-        if z is None:
-            raise ValueError("eedl needs the third point z")
-        z = np.asarray(z, dtype=float)
-        gz = obj.grad(z)
-        a1, a2, a3, a4, a5 = a_coefficients(s, lip, gamma)
-        lhs = obj.eval(y - s * gy + gamma * gz)
-        rhs = (obj.eval(x) + float(np.dot(gy, y - x))
-               - a1 * float(np.dot(gy, gy)) - a2 * float(np.dot(gy, gx))
-               - a3 * float(np.dot(gy, gz)) - a4 * float(np.dot(gx, gx))
-               - a5 * float(np.dot(gz, gz)))
-        return float(rhs - lhs)
-    raise ValueError(f"unknown descent-lemma variant {variant!r}")
+        rhs = obj.eval(x) + _row_dot(gx, y - x) + 0.5 * lip * _row_dot(y - x, y - x)
+        r = rhs - obj.eval(y)
+    elif variant in ("edl", "eedl"):
+        if s is None:
+            raise ValueError(f"variant {variant!r} needs a stepsize")
+        s_row = _row_param(s, x, "s")
+        s = np.asarray(s, dtype=float)
+        _first_bad(~((0.0 < s) & (s <= 1.0 / lip)),
+                   lambda i: f"stepsize must lie in (0, 1/L] = (0, {1.0 / lip}], got {s[i]}")
+        gx = obj.grad(x)
+        gy = obj.grad(y)
+        if variant == "edl":
+            lhs = obj.eval(y - s_row * gy)
+            rhs = (obj.eval(x) + _row_dot(gy, y - x)
+                   - 0.5 * s * _row_dot(gy, gy)
+                   - 0.5 * s * _row_dot(gx - gy, gx - gy))
+        else:
+            if z is None:
+                raise ValueError("eedl needs the third point z")
+            z = np.asarray(z, dtype=float)
+            if z.shape != x.shape:
+                raise ValueError(f"x has shape {x.shape} but z has shape {z.shape}")
+            gz = obj.grad(z)
+            a1, a2, a3, a4, a5 = a_coefficients(s, lip, gamma)
+            lhs = obj.eval(y - s_row * gy + _row_param(gamma, x, "gamma") * gz)
+            rhs = (obj.eval(x) + _row_dot(gy, y - x)
+                   - a1 * _row_dot(gy, gy) - a2 * _row_dot(gy, gx)
+                   - a3 * _row_dot(gy, gz) - a4 * _row_dot(gx, gx)
+                   - a5 * _row_dot(gz, gz))
+        r = rhs - lhs
+    else:
+        raise ValueError(f"unknown descent-lemma variant {variant!r}")
+    return float(r) if x.ndim == 1 else r
 
 
-def check_quadratic_lemma(a: float, b: float, c: float, x: float, variant: str) -> bool:
+def check_quadratic_lemma(a, b, c, x, variant: str):
     """Sign lemmas for a quadratic q(x) = a x^2 + b x + c with a > 0.
 
     l17: discriminant <= 0, so q >= 0 everywhere.
@@ -208,26 +241,34 @@ def check_quadratic_lemma(a: float, b: float, c: float, x: float, variant: str) 
 
     Raises when the hypothesis does not hold; otherwise returns whether
     the evaluated quadratic is nonnegative up to evaluation roundoff.
+    a, b, c and x are numbers, giving a bool, or equal-shape arrays, giving
+    a boolean array whose elements equal the scalar calls' results; the
+    hypothesis must then hold at every element, and the error names the
+    first element where it fails.
     """
-    if a <= 0.0:
-        raise ValueError(f"leading coefficient must be positive, got {a}")
+    a, b, c, x = (np.asarray(v, dtype=float) for v in (a, b, c, x))
+    if not a.shape == b.shape == c.shape == x.shape:
+        raise ValueError(f"a, b, c and x must have one shape, got "
+                         f"{a.shape}, {b.shape}, {c.shape}, {x.shape}")
+    _first_bad(a <= 0.0, lambda i: f"leading coefficient must be positive, got {a[i]}")
     disc = b * b - 4.0 * a * c
     if variant == "l17":
-        if disc > 0.0:
-            raise ValueError(f"discriminant {disc} > 0 violates the hypothesis")
+        _first_bad(disc > 0.0,
+                   lambda i: f"discriminant {disc[i]} > 0 violates the hypothesis")
     elif variant == "l18":
-        if disc < 0.0:
-            raise ValueError(f"discriminant {disc} < 0 violates the hypothesis")
-        root = float(np.sqrt(disc))
+        _first_bad(disc < 0.0,
+                   lambda i: f"discriminant {disc[i]} < 0 violates the hypothesis")
+        root = np.sqrt(disc)
         lo = (-b - root) / (2.0 * a)
         hi = (-b + root) / (2.0 * a)
-        if lo < x < hi:
-            raise ValueError(f"x = {x} lies inside the root interval ({lo}, {hi})")
+        _first_bad((lo < x) & (x < hi), lambda i: f"x = {x[i]} lies inside the root "
+                                                  f"interval ({lo[i]}, {hi[i]})")
     else:
         raise ValueError(f"unknown quadratic-lemma variant {variant!r}")
     value = a * x * x + b * x + c
-    scale = abs(a) * x * x + abs(b) * abs(x) + abs(c)
-    return bool(value >= -8.0 * _EPS * scale)
+    scale = np.abs(a) * x * x + np.abs(b) * np.abs(x) + np.abs(c)
+    ok = value >= -8.0 * _EPS * scale
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def spurious_root_residual(obj: Objective, x, omega: float, s: float,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import sys
@@ -60,20 +61,38 @@ def _parse_vec(text: str) -> np.ndarray:
         raise ValueError(f"expected a comma-separated vector, got {text!r}")
 
 
+def _parse_json(text, what: str = "a JSON object"):
+    """Inline JSON, or else the JSON held in the file the text names."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    try:
+        return json.loads(Path(text).read_text())
+    except OSError as e:
+        raise ValueError(f"expected {what} or a readable JSON file, got {text!r} "
+                         f"({e.strerror})") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{text}: not valid JSON ({e})") from None
+
+
 def _parse_params(text):
     if text is None:
         return {}
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        try:
-            obj = json.loads(Path(text).read_text())
-        except OSError as e:
-            raise ValueError(f"expected a JSON object or a readable JSON file, got {text!r} "
-                             f"({e.strerror})") from None
+    return _as_params(_parse_json(text), "parameter payload")
+
+
+def _as_params(obj, label: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValueError("parameter payload must be a JSON object")
+        raise ValueError(f"{label} must be a JSON object")
     return obj
+
+
+def _max_iter(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {value}")
+    return n
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -107,21 +126,21 @@ def _cfg(args, config: dict, key: str, default):
 def cmd_run(args) -> int:
     config = _parse_params(args.config) if args.config else {}
     obj = make_objective(_cfg(args, config, "objective", "f2"),
-                         **config.get("objective_params", {}))
+                         **_as_params(config.get("objective_params", {}), "objective_params"))
     algorithm = _cfg(args, config, "algorithm", "agm2")
     s = float(_cfg(args, config, "s", 0.1))
     alpha = float(_cfg(args, config, "alpha", 3.0))
     x0 = _cfg(args, config, "x0", "1,-2")
     x0 = _parse_vec(x0) if isinstance(x0, str) else np.asarray(x0, dtype=float)
     epsilon = float(_cfg(args, config, "epsilon", 1e-10))
-    max_iter = int(_cfg(args, config, "max_iter", 50000))
+    max_iter = _max_iter(_cfg(args, config, "max_iter", 50000))
     stop_kind = _cfg(args, config, "stop", algorithms.default_stop(obj))
     out_dir = Path(_cfg(args, config, "out", "out"))
 
     algorithms.check_stepsize(s, obj)
     sched_label = _cfg(args, config, "schedule", None)
     sched_params = _parse_params(args.schedule_params) if args.schedule_params \
-        else config.get("schedule_params", {})
+        else _as_params(config.get("schedule_params", {}), "schedule_params")
     sched = None
     if sched_label is not None:
         sched = schedules.make_schedule(sched_label, s=s, alpha=alpha,
@@ -244,9 +263,29 @@ def _infer_s(case: TableCase, alpha: float, max_iter: int, n_grid: int = 60):
     return best[1], best[2]
 
 
-def _load_cases(path) -> list:
-    raw = json.loads(Path(path).read_text())
-    return [TableCase(**row) for row in raw]
+# JSON types accepted for each annotated TableCase field type
+_CASE_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _load_cases(text) -> list:
+    """Table rows from inline JSON or a JSON file: a list of objects with
+    exactly the fields of `TableCase`, each of its declared type."""
+    raw = _parse_json(text, "a JSON list of table rows")
+    if not isinstance(raw, list):
+        raise ValueError("table cases must be a JSON list of objects")
+    cases = []
+    for i, row in enumerate(raw):
+        try:
+            case = TableCase(**_as_params(row, f"table case {i}"))
+        except TypeError as e:
+            raise ValueError(f"table case {i}: {e}") from None
+        for field in dataclasses.fields(TableCase):
+            v = row[field.name]
+            if isinstance(v, bool) or not isinstance(v, _CASE_FIELD_TYPES[field.type]):
+                raise ValueError(f"table case {i}: {field.name} must be a {field.type}, "
+                                 f"got {v!r}")
+        cases.append(case)
+    return cases
 
 
 def cmd_table(args) -> int:
@@ -255,7 +294,7 @@ def cmd_table(args) -> int:
         cases = [c for c in cases if c.table == args.table]
         if not cases:
             raise ValueError(f"no recorded rows for table {args.table}")
-    s, alpha, max_iter = args.s, args.alpha, args.max_iter
+    s, alpha, max_iter = args.s, args.alpha, _max_iter(args.max_iter)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -339,6 +378,7 @@ def cmd_sweep(args) -> int:
         if not isinstance(grid[k], (list, tuple)) or not grid[k]:
             raise ValueError(f"grid entry {k!r} must be a non-empty list")
     x0 = _parse_vec(args.x0)
+    _max_iter(args.max_iter)
     payloads = [{
         "objective": args.objective, "schedule": args.schedule, "s": args.s,
         "alpha": args.alpha, "x0": x0, "epsilon": args.epsilon,
@@ -441,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_tab = sub.add_parser("table", help="re-run the recorded benchmark rows")
-    p_tab.add_argument("--cases", help="JSON file overriding the built-in rows")
+    p_tab.add_argument("--cases", help="JSON list (or file) overriding the built-in rows")
     p_tab.add_argument("--table", type=int, choices=(1, 2, 3, 4))
     p_tab.add_argument("--s", type=float, default=0.1)
     p_tab.add_argument("--alpha", type=float, default=3.0)

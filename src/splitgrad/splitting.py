@@ -128,8 +128,20 @@ class HamiltonianSystem:
         if self.dissipation < 0.0:
             raise ValueError(f"dissipation must be nonnegative, got {self.dissipation}")
 
-    def energy(self, x: Array, v: Array) -> float:
-        return float(self.kinetic(np.asarray(v)) + self.potential(np.asarray(x)))
+    def energy(self, x: Array, v: Array):
+        """H(x, v) for one state, a float, or for B states stacked as
+        (B, dim) arrays, an array of B values. Stacks need `kinetic` and
+        `potential` that evaluate over the last axis."""
+        x, v = np.asarray(x), np.asarray(v)
+        if x.ndim < 2:
+            return float(self.kinetic(v) + self.potential(x))
+        if v.shape != x.shape:
+            raise ValueError(f"x has shape {x.shape} but v has shape {v.shape}")
+        e = np.asarray(self.kinetic(v) + self.potential(x), dtype=float)
+        if e.shape != x.shape[:1]:
+            raise ValueError(f"energy of a {x.shape} stack has shape {e.shape}; kinetic and "
+                             "potential must evaluate over the last axis")
+        return e
 
     def _require_grads(self, op: str) -> None:
         if self.grad_kinetic is None or self.grad_potential is None:

@@ -244,9 +244,30 @@ def suite_threshold_scan(seed: int = DEFAULT_SEED) -> List[CheckResult]:
             for label in ("e24", "e25", "e26")]
 
 
+_SIGN_CHUNK = 5000   # quadratic-lemma samples drawn and checked per call
+
+
+def _sign_samples(rng, variant: str, n: int):
+    """n random (a, b, c, x) meeting the hypothesis of the sign lemma
+    `variant`: a nonpositive discriminant for l17; for l18 a positive one,
+    with x on or beyond a root."""
+    a = rng.uniform(0.1, 5.0, n)
+    b = rng.normal(scale=2.0, size=n)
+    if variant == "l17":
+        c = b * b / (4.0 * a) + rng.uniform(0.0, 5.0, n)
+        return a, b, c, rng.normal(scale=3.0, size=n)
+    c = b * b / (4.0 * a) - rng.uniform(1e-12, 5.0, n)
+    root = np.sqrt(b * b - 4.0 * a * c)
+    off = rng.uniform(0.0, 3.0, n)
+    x = np.where(rng.random(n) < 0.5, (-b + root) / (2.0 * a) + off,
+                 (-b - root) / (2.0 * a) - off)
+    return a, b, c, x
+
+
 def suite_lemmas(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Randomized nonnegativity sweeps for the smoothness inequalities and
-    the quadratic sign lemmas."""
+    the quadratic sign lemmas. Each quadratic's point triples go to the
+    descent lemmas as one stack, and the sign samples in chunks."""
     rng = np.random.default_rng(seed)
     n_desc = 0
     desc_viol = 0
@@ -257,42 +278,32 @@ def suite_lemmas(seed: int = DEFAULT_SEED) -> List[CheckResult]:
         obj = quadratic(m.T @ m + np.diag(rng.uniform(0.0, 1.0, dim)),
                         rng.normal(size=dim))
         lip = obj.lipschitz_constant()
-        for _ in range(70):
-            x, y, z = rng.normal(scale=2.0, size=(3, dim))
-            s = rng.uniform(0.05, 1.0) / lip
-            gam = rng.uniform(0.0, s)
-            scale = max(1.0, abs(obj.eval(x)), abs(obj.eval(y)), abs(obj.eval(z)),
-                        lip * float(x @ x + y @ y + z @ z))
-            for var, kw in (("dl", {}), ("edl", {"s": s}),
-                            ("eedl", {"s": s, "gamma": gam, "z": z})):
-                r = analysis.check_descent_lemma(obj, x, y, var, **kw)
-                n_desc += 1
-                worst = min(worst, r)
-                if r < -8.0 * _EPS * scale:
-                    desc_viol += 1
+        x, y, z = rng.normal(scale=2.0, size=(3, 70, dim))
+        s = rng.uniform(0.05, 1.0, 70) / lip
+        gam = rng.uniform(0.0, s)
+        scale = np.maximum.reduce([np.ones(70), np.abs(obj.eval(x)), np.abs(obj.eval(y)),
+                                   np.abs(obj.eval(z)),
+                                   lip * np.sum(x * x + y * y + z * z, axis=1)])
+        for var, kw in (("dl", {}), ("edl", {"s": s}),
+                        ("eedl", {"s": s, "gamma": gam, "z": z})):
+            r = analysis.check_descent_lemma(obj, x, y, var, **kw)
+            n_desc += len(r)
+            worst = min(worst, float(np.min(r)))
+            desc_viol += int(np.sum(r < -8.0 * _EPS * scale))
     out = [CheckResult("lemmas/descent-family", desc_viol == 0,
                        f"{n_desc} samples, {desc_viol} violations, "
                        f"worst residual {worst:.3e}")]
 
+    n_sign = 0
     sign_viol = 0
-    for _ in range(50_000):
-        a = rng.uniform(0.1, 5.0)
-        b = float(rng.normal(scale=2.0))
-        c = b * b / (4.0 * a) + rng.uniform(0.0, 5.0)
-        if not analysis.check_quadratic_lemma(a, b, c, float(rng.normal(scale=3.0)), "l17"):
-            sign_viol += 1
-    for _ in range(50_000):
-        a = rng.uniform(0.1, 5.0)
-        b = float(rng.normal(scale=2.0))
-        c = b * b / (4.0 * a) - rng.uniform(1e-12, 5.0)
-        root = float(np.sqrt(b * b - 4.0 * a * c))
-        off = rng.uniform(0.0, 3.0)
-        x = ((-b + root) / (2.0 * a) + off if rng.random() < 0.5
-             else (-b - root) / (2.0 * a) - off)
-        if not analysis.check_quadratic_lemma(a, b, c, x, "l18"):
-            sign_viol += 1
+    for variant in ("l17", "l18"):
+        for _ in range(50_000 // _SIGN_CHUNK):
+            ok = analysis.check_quadratic_lemma(*_sign_samples(rng, variant, _SIGN_CHUNK),
+                                                variant)
+            n_sign += len(ok)
+            sign_viol += int(np.sum(~ok))
     out.append(CheckResult("lemmas/sign-family", sign_viol == 0,
-                           f"100000 samples, {sign_viol} violations"))
+                           f"{n_sign} samples, {sign_viol} violations"))
     return out
 
 
@@ -342,20 +353,38 @@ def suite_tables(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     return out
 
 
+_BAND_BLOCK = 1000   # symplectic states stored between energy evaluations
+
+
+def symplectic_drift(hs: HamiltonianSystem, state, h: float, n_steps: int,
+                     variant: str = "se2") -> float:
+    """max |H(x_n, v_n) - H(x_0, v_0)| over n = 1..n_steps of the symplectic
+    Euler map. The states are kept in blocks and each block's energies
+    taken in one stacked `hs.energy` call, so `hs` must evaluate stacks."""
+    x, v = state
+    e0 = hs.energy(x, v)
+    xs = np.empty((min(n_steps, _BAND_BLOCK),) + np.shape(x))
+    vs = np.empty((len(xs),) + np.shape(v))
+    drift = 0.0
+    for start in range(0, n_steps, _BAND_BLOCK):
+        k = min(_BAND_BLOCK, n_steps - start)
+        for i in range(k):
+            x, v = symplectic_euler(hs, (x, v), h, variant)
+            xs[i], vs[i] = x, v
+        drift = max(drift, float(np.max(np.abs(hs.energy(xs[:k], vs[:k]) - e0))))
+    return drift
+
+
 def suite_symplectic(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Long-run oscillator energy: bounded band for the symplectic map,
     unbounded growth for explicit Euler."""
-    hs = HamiltonianSystem(kinetic=lambda v: 0.5 * float(np.dot(v, v)),
-                           potential=lambda x: 0.5 * float(np.dot(x, x)),
+    hs = HamiltonianSystem(kinetic=lambda v: 0.5 * np.sum(v * v, axis=-1),
+                           potential=lambda x: 0.5 * np.sum(x * x, axis=-1),
                            grad_kinetic=lambda v: v, grad_potential=lambda x: x)
     h, n_steps = 0.01, 100_000
     x, v = np.array([1.0]), np.array([0.0])
     e0 = hs.energy(x, v)
-    drift = 0.0
-    for _ in range(n_steps):
-        x, v = symplectic_euler(hs, (x, v), h, "se2")
-        drift = max(drift, abs(hs.energy(x, v) - e0))
-    x, v = np.array([1.0]), np.array([0.0])
+    drift = symplectic_drift(hs, (x, v), h, n_steps)
     for _ in range(n_steps):
         x, v = forward_euler_hamiltonian(hs, (x, v), h)
     growth = hs.energy(x, v) / e0

@@ -244,3 +244,54 @@ def test_run_nag_alpha_one_exits_2(tmp_path, capsys):
     rc = cli.main(["run", "--algorithm", "nag", "--alpha", "1", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def _exit_2_one_line(capsys, argv, needle):
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and needle in err
+
+
+def test_run_config_objective_params_must_be_an_object(tmp_path, capsys):
+    _exit_2_one_line(capsys, ["run", "--config", '{"objective_params": 5}',
+                              "--out", str(tmp_path / "o")], "objective_params")
+
+
+def test_run_rejects_nonpositive_max_iter(tmp_path, capsys):
+    _exit_2_one_line(capsys, ["run", "--max-iter", "-5", "--out", str(tmp_path / "o")],
+                     "max_iter")
+    assert not (tmp_path / "o").exists()
+
+
+def test_table_missing_cases_file(tmp_path, capsys):
+    _exit_2_one_line(capsys, ["table", "--cases", str(tmp_path / "none.json"),
+                              "--out", str(tmp_path / "o")], "none.json")
+
+
+@pytest.mark.parametrize("change,needle", [
+    ({"bogus": 1.0}, "bogus"),                  # unknown key
+    ({"ref_n": None}, "ref_n"),                 # missing key (removed below)
+    ({"mu": "small"}, "mu"),                    # wrong type
+])
+def test_table_cases_with_a_bad_row(tmp_path, capsys, change, needle):
+    row = {"table": 1, "group": "A1", "objective": "f1", "schedule": "e24", "mu": 0.01,
+           "a": 4.0, "b": 10.0, "epsilon": 1e-10, "ref_error": 1.22e-11, "ref_n2": 3.91,
+           "ref_nprime": -3.56, "ref_n": 3.91}
+    row.update(change)
+    row = {k: v for k, v in row.items() if v is not None}
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps([row]))
+    for cases in (str(path), json.dumps([row])):   # a file, or the JSON itself
+        _exit_2_one_line(capsys, ["table", "--cases", cases, "--out", str(tmp_path / "o")],
+                         needle)
+
+
+def test_table_cases_inline_json(tmp_path):
+    row = {"table": 3, "group": "D1", "objective": "f1", "schedule": "e26", "mu": 0.0,
+           "a": 0.25, "b": 3.5, "epsilon": 1e-10, "ref_error": 3.37e-11, "ref_n2": 3.18,
+           "ref_nprime": 0.83, "ref_n": 3.18}
+    out = tmp_path / "o"
+    assert cli.main(["table", "--cases", json.dumps([row]), "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "tables.csv")
+    assert [r[0] for r in rows] == ["t3-D1-mu0-a0.25-b3.5"]
