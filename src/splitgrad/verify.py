@@ -356,12 +356,16 @@ def suite_tables(seed: int = DEFAULT_SEED) -> List[CheckResult]:
 _BAND_BLOCK = 1000   # symplectic states stored between energy evaluations
 
 
-def symplectic_drift(hs: HamiltonianSystem, state, h: float, n_steps: int,
-                     variant: str = "se2") -> float:
-    """max |H(x_n, v_n) - H(x_0, v_0)| over n = 1..n_steps of the symplectic
-    Euler map. The states are kept in blocks and each block's energies
-    taken in one stacked `hs.energy` call, so `hs` must evaluate stacks."""
+def symplectic_drift(hs: HamiltonianSystem, state, h: float, n_steps: int) -> float:
+    """max |H(x_n, v_n) - H(x_0, v_0)| over n = 1..n_steps of the se2
+    symplectic Euler map. The states are kept in blocks and each block's
+    energies taken in one stacked `hs.energy` call, so `hs` must evaluate
+    stacks and the state must be 1-D (a block of scalar states would read
+    as one state)."""
     x, v = state
+    if np.ndim(x) != 1 or np.ndim(v) != 1:
+        raise ValueError("symplectic_drift needs 1-D x and v, got shapes "
+                         f"{np.shape(x)} and {np.shape(v)}")
     e0 = hs.energy(x, v)
     xs = np.empty((min(n_steps, _BAND_BLOCK),) + np.shape(x))
     vs = np.empty((len(xs),) + np.shape(v))
@@ -369,7 +373,7 @@ def symplectic_drift(hs: HamiltonianSystem, state, h: float, n_steps: int,
     for start in range(0, n_steps, _BAND_BLOCK):
         k = min(_BAND_BLOCK, n_steps - start)
         for i in range(k):
-            x, v = symplectic_euler(hs, (x, v), h, variant)
+            x, v = symplectic_euler(hs, (x, v), h, "se2")
             xs[i], vs[i] = x, v
         drift = max(drift, float(np.max(np.abs(hs.energy(xs[:k], vs[:k]) - e0))))
     return drift

@@ -162,6 +162,15 @@ def test_symplectic_drift_is_the_per_step_band(n_steps):
     assert verify.symplectic_drift(hs, (x, v), 0.05, n_steps) == want
 
 
+def test_symplectic_drift_rejects_scalar_state():
+    # a block of 0-d states would read as one state and sum their energies
+    hs = _stack_oscillator(1)
+    with pytest.raises(ValueError):
+        verify.symplectic_drift(hs, (1.0, 0.0), 0.05, 10)
+    with pytest.raises(ValueError):
+        verify.symplectic_drift(hs, (np.array(1.0), np.array(0.0)), 0.05, 10)
+
+
 def test_symplectic_suite_lines_are_unchanged():
     # recorded before the energy band was taken over stored states
     results = verify.suite_symplectic()
