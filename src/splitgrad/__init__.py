@@ -11,11 +11,10 @@ together with the Lyapunov-energy and coefficient-admissibility checks in
 from .objectives import Objective, f1, f2, make_objective, quadratic
 from .schedules import (AdmissibilityReport, Schedule, check_assumptions,
                         coeffs_agm2, coeffs_e24, coeffs_e25, coeffs_e26,
-                        inertial_coefficient, make_schedule, n_prime,
-                        n_prime_e26_l_dependent)
-from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, StoppingRule,
-                         Trajectory, coefficient_map, init_state, make_stepper, run,
-                         run_lanes, run_schedule)
+                        make_schedule, n_prime, n_prime_e26_l_dependent)
+from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, ScheduleRun,
+                         StoppingRule, Trajectory, coefficient_map, init_state,
+                         make_stepper, run, run_lanes, run_schedules)
 from .splitting import (HamiltonianSystem, SplitSystem, SubFlow,
                         forward_euler_hamiltonian, lie_trotter_compose,
                         rk4_step, stormer_verlet, strang_compose,
@@ -29,18 +28,19 @@ from .constructions import (ContinuousTrajectory, ardm_construction,
                             xdot_from_v)
 from .analysis import (EnergySeries, MonotoneReport, check_descent_lemma,
                        check_monotone, check_quadratic_lemma, energy,
-                       energy_series, energy_xm_variant, fit_rate,
-                       rate_bound_first_violation, spurious_root_residual)
+                       energy_series, fit_rate, rate_bound_first_violation,
+                       spurious_root_residual)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Objective", "f1", "f2", "make_objective", "quadratic",
     "AdmissibilityReport", "Schedule", "check_assumptions", "coeffs_agm2",
-    "coeffs_e24", "coeffs_e25", "coeffs_e26", "inertial_coefficient", "make_schedule",
+    "coeffs_e24", "coeffs_e25", "coeffs_e26", "make_schedule",
     "n_prime", "n_prime_e26_l_dependent",
-    "ALGORITHM_NAMES", "IterState", "RunResult", "StoppingRule", "Trajectory",
-    "coefficient_map", "init_state", "make_stepper", "run", "run_lanes", "run_schedule",
+    "ALGORITHM_NAMES", "IterState", "RunResult", "ScheduleRun", "StoppingRule",
+    "Trajectory", "coefficient_map", "init_state", "make_stepper", "run", "run_lanes",
+    "run_schedules",
     "HamiltonianSystem", "SplitSystem", "SubFlow", "forward_euler_hamiltonian",
     "lie_trotter_compose", "rk4_step", "stormer_verlet", "strang_compose",
     "symplectic_euler",
@@ -50,7 +50,7 @@ __all__ = [
     "lt_sv2_construction", "nesterov_lie_trotter", "pim_construction",
     "v_from_x", "xdot_from_v",
     "EnergySeries", "MonotoneReport", "check_descent_lemma", "check_monotone",
-    "check_quadratic_lemma", "energy", "energy_series", "energy_xm_variant",
-    "fit_rate", "rate_bound_first_violation", "spurious_root_residual",
+    "check_quadratic_lemma", "energy", "energy_series", "fit_rate",
+    "rate_bound_first_violation", "spurious_root_residual",
     "__version__",
 ]

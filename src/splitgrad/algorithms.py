@@ -199,12 +199,6 @@ def velocity_step(state: IterState, obj: Objective, s, coeffs) -> IterState:
                      state.f_curr, f_next, y_last=y, v_aux=v_next)
 
 
-def step_nag_velocity(state: IterState, obj: Objective, s: float, alpha: float = 3.0,
-                      clock: str = "standard") -> IterState:
-    """One `velocity_step` with its coefficients computed for state.n."""
-    return velocity_step(state, obj, s, nag_coefficients(state.n, s, alpha, clock))
-
-
 class Stepper:
     """A method bound to its parameters for B lanes: stepper(state, obj)
     advances every lane of `state` by one step of `kernel`. Lane i steps
@@ -532,19 +526,56 @@ def default_stop(obj: Objective) -> str:
     return "consecutive_f"
 
 
-def run_schedule(objective: str, label: str, params: dict, s: float, alpha: float,
-                 x0, epsilon: float, max_iter: int):
-    """Run lt_s_igahd on a built-in objective under the named coefficient
-    schedule, stopping by the objective's default rule at `epsilon`.
-    Returns (objective, schedule, Trajectory, RunResult)."""
+@dataclass(frozen=True)
+class ScheduleRun:
+    """One cell of `run_schedules`: the schedule it built with its RunResult
+    (and Trajectory, when recorded), or else the exception that rejected
+    the cell's stepsize or schedule."""
+
+    schedule: Optional[Schedule] = None
+    result: Optional[RunResult] = None
+    trajectory: Optional[Trajectory] = None
+    error: Optional[Exception] = None
+
+
+def run_schedules(objective: str, cells, alpha: float, x0, epsilon: float, max_iter: int,
+                  record: bool = False):
+    """Run lt_s_igahd on a built-in objective from x0 under the coefficient
+    schedule of each cell (label, params, s): a family label, its parameters
+    and the stepsize. Every run stops by the objective's default rule at
+    `epsilon`. The cells whose stepsize and schedule are accepted run as the
+    lanes of one `run_lanes` batch, so on f1 and f2 each has the bits of its
+    own one-cell call. A rejected cell keeps the exception as its `error`
+    while the others run; the inputs all cells share (the objective, x0,
+    epsilon) raise ValueError instead.
+
+    Returns (objective, runs): one ScheduleRun per cell, in order."""
     obj = objectives.make_objective(objective)
-    check_stepsize(s, obj)
-    sched = schedules.make_schedule(label, s=s, alpha=alpha,
-                                    lipschitz=obj.lipschitz_constant(), **params)
-    stepper = make_stepper("lt_s_igahd", s, alpha=alpha, schedule=sched)
-    traj, res = run(stepper, obj, x0, s, StoppingRule(default_stop(obj), epsilon),
-                    max_iter=max_iter)
-    return obj, sched, traj, res
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (obj.dim,) or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be a finite point of dimension {obj.dim} for "
+                         f"objective {obj.name!r}, got {x0.tolist()}")
+    stopping = StoppingRule(default_stop(obj), epsilon)
+    lip = obj.lipschitz_constant()
+    runs = []
+    for label, params, s in cells:
+        try:
+            check_stepsize(s, obj)
+            sched = schedules.make_schedule(label, s=s, alpha=alpha, lipschitz=lip, **params)
+        except Exception as e:  # the cell's own inputs: reported, not raised
+            runs.append(ScheduleRun(error=e))
+        else:
+            runs.append(ScheduleRun(sched))
+    built = [run.schedule for run in runs if run.error is None]
+    if not built:
+        return obj, runs
+    ss = [sched.s for sched in built]
+    trajs, results = run_lanes(make_stepper("lt_s_igahd", ss, alpha=alpha, schedule=built),
+                               obj, np.tile(x0, (len(built), 1)), ss, stopping, max_iter,
+                               record)
+    lanes = iter(zip(results, trajs or [None] * len(built)))
+    return obj, [run if run.error is not None else ScheduleRun(run.schedule, *next(lanes))
+                 for run in runs]
 
 
 ALGORITHM_NAMES = ("agm2", "lt_s_igahd", "lt_se1", "lt_sv2", "ardm", "lt_se3",

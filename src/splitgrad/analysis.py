@@ -51,14 +51,6 @@ def energy(trajectory: Trajectory, n: int, s: float, alpha: float,
     return float(energy_series(trajectory, s, alpha, schedule, x_star, n, n).e_seq[0])
 
 
-def energy_xm_variant(trajectory: Trajectory, n: int, s: float, alpha: float,
-                      schedule: Optional[Schedule]) -> float:
-    """Energy against the terminal iterate instead of the true minimizer;
-    the right reference when the argmin is non-unique but the run has
-    settled."""
-    return energy(trajectory, n, s, alpha, schedule, trajectory.xs[-1])
-
-
 def energy_series(trajectory: Trajectory, s: float, alpha: float,
                   schedule: Optional[Schedule], x_star=None,
                   n_lo: int = 1, n_hi: Optional[int] = None) -> EnergySeries:

@@ -1,7 +1,7 @@
 """Command-line harness.
 
 Subcommands: run (single trajectory), table (recorded benchmark rows),
-sweep (parameter grids, optionally parallel), verify (named check suites),
+sweep (parameter grids), verify (named check suites),
 ode-compare (continuous-time route comparison at three grids).
 
 Every report and CSV is written without timestamps and with floats at 17
@@ -18,7 +18,6 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -207,14 +206,6 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------- table
 
 
-_TABLE_X0 = (1.0, -2.0)  # start point of every recorded row
-
-
-def _run_case(case: TableCase, s: float, alpha: float, max_iter: int):
-    return algorithms.run_schedule(case.objective, case.schedule, case.schedule_params(),
-                                   s, alpha, _TABLE_X0, case.epsilon, max_iter)
-
-
 def _n2_at(sched, lipschitz: float, n: int, alpha: float) -> float:
     _, lam, om, gam = sched.coeffs_at(float(n))
     g, h, i = schedules.gn_hn_in(sched.s, lipschitz, gam, lam, om)
@@ -230,36 +221,23 @@ def _infer_s(case: TableCase, alpha: float, max_iter: int, n_grid: int = 60):
     terminal-iteration N2 and the recorded one. The stepsizes run as the
     lanes of one batch; one whose schedule cannot be built is left out, and
     one that diverges, or whose N2 is undefined at its stop, is skipped."""
-    obj = make_objective(case.objective)
-    lip = obj.lipschitz_constant()
+    lip = make_objective(case.objective).lipschitz_constant()
     hi = 1.0 / lip
-    ss, scheds = [], []
-    for k in range(1, n_grid + 1):
-        s = hi * k / (n_grid + 1)
-        try:
-            algorithms.check_stepsize(s, obj)
-            scheds.append(schedules.make_schedule(case.schedule, s=s, alpha=alpha,
-                                                  lipschitz=lip, **case.schedule_params()))
-        except ValueError:
-            continue
-        ss.append(s)
+    cells = [(case.schedule, case.schedule_params(), hi * k / (n_grid + 1))
+             for k in range(1, n_grid + 1)]
+    _, runs = algorithms.run_schedules(case.objective, cells, alpha, verify.TABLE_X0,
+                                       case.epsilon, max_iter)
     best = (np.inf, np.nan, np.nan)
-    if not ss:
-        return best[1], best[2]
-    stepper = algorithms.make_stepper("lt_s_igahd", ss, alpha=alpha, schedule=scheds)
-    stopping = algorithms.StoppingRule(algorithms.default_stop(obj), case.epsilon)
-    _, results = algorithms.run_lanes(stepper, obj, np.tile(_TABLE_X0, (len(ss), 1)), ss,
-                                      stopping, max_iter=max_iter)
-    for s, sched, res in zip(ss, scheds, results):
-        if res.termination == "diverged":
+    for run in runs:
+        if run.error is not None or run.result.termination == "diverged":
             continue
         try:
-            val = _n2_at(sched, lip, res.n_final, alpha)
+            val = _n2_at(run.schedule, lip, run.result.n_final, alpha)
         except (ValueError, FloatingPointError):
             continue
         gap = abs(val - case.ref_n2)
         if gap < best[0]:
-            best = (gap, s, val)
+            best = (gap, run.schedule.s, val)
     return best[1], best[2]
 
 
@@ -308,8 +286,8 @@ def cmd_table(args) -> int:
     rows = []
     n_met = 0
     n_matched_n = 0
-    for case in cases:
-        obj, sched, traj, res = _run_case(case, s, alpha, max_iter)
+    for case, (obj, run) in zip(cases, verify.run_cases(cases, s, alpha, max_iter)):
+        sched, res = run.schedule, run.result
         lip = obj.lipschitz_constant()
         rep = schedules.check_assumptions(sched, lip, n_max=max(res.n_final + 2, 1000))
         n2_stop = _n2_at(sched, lip, res.n_final, alpha)
@@ -347,28 +325,6 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_cell(payload: dict) -> dict:
-    """One grid cell, exception-isolated so a bad parameter combination
-    reports an error row instead of killing the sweep."""
-    base = dict(payload["params"])
-    base["status"] = "ok"
-    base["message"] = ""
-    try:
-        obj, sched, _, res = algorithms.run_schedule(
-            payload["objective"], payload["schedule"], payload["params"], payload["s"],
-            payload["alpha"], payload["x0"], payload["epsilon"], payload["max_iter"])
-        rep = schedules.check_assumptions(sched, obj.lipschitz_constant(),
-                                          n_max=max(res.n_final + 2, 1000))
-        base.update(termination=res.termination, n_final=res.n_final,
-                    error=res.error_final, n1=rep.n1, n2=rep.n2,
-                    n_prime=rep.n_prime, n_threshold=rep.n_threshold)
-    except Exception as e:
-        base.update(status="error", message=f"{type(e).__name__}: {e}",
-                    termination="", n_final=-1, error=np.nan, n1=np.nan,
-                    n2=np.nan, n_prime=np.nan, n_threshold=np.nan)
-    return base
-
-
 def cmd_sweep(args) -> int:
     grid = _parse_params(args.grid)
     if not grid:
@@ -377,31 +333,33 @@ def cmd_sweep(args) -> int:
     for k in keys:
         if not isinstance(grid[k], (list, tuple)) or not grid[k]:
             raise ValueError(f"grid entry {k!r} must be a non-empty list")
-    x0 = _parse_vec(args.x0)
-    _max_iter(args.max_iter)
-    payloads = [{
-        "objective": args.objective, "schedule": args.schedule, "s": args.s,
-        "alpha": args.alpha, "x0": x0, "epsilon": args.epsilon,
-        "max_iter": args.max_iter, "params": dict(zip(keys, combo)),
-    } for combo in itertools.product(*(grid[k] for k in keys))]
-
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_cell, payloads))
-    else:
-        results = [_sweep_cell(p) for p in payloads]
+    points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    # one lane batch; a cell whose stepsize or schedule is rejected is an error row
+    obj, runs = algorithms.run_schedules(
+        args.objective, [(args.schedule, params, args.s) for params in points], args.alpha,
+        _parse_vec(args.x0), args.epsilon, _max_iter(args.max_iter))
+    rows = []
+    for params, run in zip(points, runs):
+        if run.error is not None:
+            message = f"{type(run.error).__name__}: {run.error}"
+            tail = ["error", "", -1] + [np.nan] * 5 + [message]
+        else:
+            res = run.result
+            rep = schedules.check_assumptions(run.schedule, obj.lipschitz_constant(),
+                                              n_max=max(res.n_final + 2, 1000))
+            tail = ["ok", res.termination, res.n_final, res.error_final, rep.n1, rep.n2,
+                    rep.n_prime, rep.n_threshold, ""]
+        rows.append([params[k] for k in keys] + tail)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = keys + ["status", "termination", "n_final", "error", "n1", "n2",
                      "n_prime", "n_threshold", "message"]
-    rows = [[r[k] for k in header] for r in results]
     _write_csv(out_dir / "sweep.csv", header, rows)
-    n_err = sum(r["status"] == "error" for r in results)
     _emit_report(out_dir, {
         "command": "sweep", "schedule": args.schedule,
         "objective": args.objective, "s": args.s, "alpha": args.alpha,
-        "cells": len(results), "errors": n_err, "workers": args.workers,
+        "cells": len(runs), "errors": sum(run.error is not None for run in runs),
         "files": "sweep.csv,report.txt,report.json",
     })
     return 0
@@ -501,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--x0", default="1,-2")
     p_sw.add_argument("--epsilon", type=float, default=1e-10)
     p_sw.add_argument("--max-iter", type=int, dest="max_iter", default=30000)
-    p_sw.add_argument("--workers", type=int, default=1)
     p_sw.add_argument("--out", default="out")
     p_sw.set_defaults(func=cmd_sweep)
 

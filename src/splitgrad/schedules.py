@@ -28,12 +28,6 @@ Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
 
 
-def inertial_coefficient(n, alpha: float = 3.0):
-    """The vanishing-damping inertial weight (n - alpha)/n."""
-    n = np.asarray(n, dtype=float)
-    return (n - alpha) / n
-
-
 def _pack(scalar_in: bool, *vals):
     if scalar_in:
         return tuple(float(np.asarray(v)) for v in vals)

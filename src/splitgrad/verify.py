@@ -141,9 +141,11 @@ def suite_energy(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     s = 0.5 / lip
     x_star = np.zeros(2)
     out = []
-    for label, params in _energy_configs(s):
-        _, sch, traj, res = algorithms.run_schedule("f2", label, params, s, 3.0,
-                                                    [1.0, -2.0], 1e-10, 20000)
+    cells = [(label, params, s) for label, params in _energy_configs(s)]
+    _, runs = algorithms.run_schedules("f2", cells, 3.0, [1.0, -2.0], 1e-10, 20000,
+                                       record=True)
+    for (label, _, _), run in zip(cells, runs):
+        sch, traj, res = run.schedule, run.trajectory, run.result
         rep = schedules.check_assumptions(sch, lip, n_max=max(traj.n_final + 2, 1000))
         series = analysis.energy_series(traj, s, 3.0, sch, x_star=x_star)
         from_n = int(np.floor(rep.n_threshold)) + 1
@@ -327,16 +329,37 @@ def suite_fixed_points(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     return out
 
 
+TABLE_X0 = (1.0, -2.0)  # start point of every recorded row
+
+
+def run_cases(cases, s: float, alpha: float, max_iter: int):
+    """Run each recorded row from TABLE_X0 at stepsize s, the rows that
+    share an objective and epsilon as one `run_schedules` batch. Returns one
+    (objective, ScheduleRun) pair per case, in order; a case whose schedule
+    is rejected raises its error."""
+    groups: Dict[tuple, list] = {}
+    for i, case in enumerate(cases):
+        groups.setdefault((case.objective, case.epsilon), []).append(i)
+    out = [None] * len(cases)
+    for (objective, epsilon), rows in groups.items():
+        cells = [(cases[i].schedule, cases[i].schedule_params(), s) for i in rows]
+        obj, runs = algorithms.run_schedules(objective, cells, alpha, TABLE_X0, epsilon,
+                                             max_iter)
+        for i, run in zip(rows, runs):
+            if run.error is not None:
+                raise run.error
+            out[i] = (obj, run)
+    return out
+
+
 def suite_tables(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """All recorded benchmark rows terminate at tolerance, and the
     readiness thresholds split into the expected heuristic families."""
     s = 0.1
     out = []
     npr_by_group: Dict[str, list] = {}
-    for case in all_cases():
-        _, sch, _, res = algorithms.run_schedule(
-            case.objective, case.schedule, case.schedule_params(), s, 3.0, [1.0, -2.0],
-            case.epsilon, 30_000)
+    for case, (_, run) in zip(all_cases(), run_cases(all_cases(), s, 3.0, 30_000)):
+        sch, res = run.schedule, run.result
         ok = res.termination == "tolerance_met" and (res.error_final <= case.epsilon
                                                      or res.error_final < 1e-15)
         out.append(CheckResult(f"table/{case.label}", ok,

@@ -6,13 +6,12 @@ import pytest
 
 from splitgrad.algorithms import (
     ALGORITHM_NAMES,
-    IterState,
     StoppingRule,
     default_theta,
     init_state,
     make_stepper,
+    nag_coefficients,
     run,
-    step_nag_velocity,
 )
 from splitgrad.objectives import Objective, f1, f2, quadratic
 from splitgrad.schedules import make_schedule
@@ -152,12 +151,11 @@ def test_nag_shifted_clock_differs_but_converges():
 
 
 def test_nag_guards():
-    st = init_state(f1(), X0, S)
-    zero_clock = IterState(0, st.x_prev, st.x_curr, st.grad_prev, st.grad_curr)
-    with pytest.raises(ValueError):
-        step_nag_velocity(zero_clock, f1(), S)
-    with pytest.raises(ValueError):
-        step_nag_velocity(st, f1(), S, clock="bogus")
+    # the standard clock vanishes at n = 0; a clock must be named
+    with pytest.raises(ValueError, match="vanishes at n = 0"):
+        nag_coefficients(0, S)
+    with pytest.raises(ValueError, match="unknown clock"):
+        nag_coefficients(1, S, clock="bogus")
 
 
 def test_stopping_rule_validation():

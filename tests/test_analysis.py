@@ -9,7 +9,6 @@ from splitgrad.analysis import (
     check_quadratic_lemma,
     energy,
     energy_series,
-    energy_xm_variant,
     fit_rate,
     rate_bound_first_violation,
     spurious_root_residual,
@@ -77,13 +76,13 @@ def test_energy_terminal_surrogate():
     s = 0.025
     traj, _ = run(make_stepper("agm2", s), f2(), [1.0, -2.0], s,
                   StoppingRule("known_min_f", 1e-12), max_iter=20000)
-    for n in (5, 20, traj.n_final // 2):
-        surrogate = energy_xm_variant(traj, n, s, 3.0, None)
-        assert surrogate == energy(traj, n, s, 3.0, None, traj.xs[-1])
-        exact = energy(traj, n, s, 3.0, None, X_STAR)
-        assert abs(surrogate - exact) <= 1e-5 * (1.0 + exact)
     series = energy_series(traj, s, 3.0, None)   # x_star defaults to terminal
     assert np.array_equal(series.x_star, traj.xs[-1])
+    for n in (5, 20, traj.n_final // 2):
+        surrogate = energy(traj, n, s, 3.0, None, traj.xs[-1])
+        assert surrogate == series.e_seq[n - 1]
+        exact = energy(traj, n, s, 3.0, None, X_STAR)
+        assert abs(surrogate - exact) <= 1e-5 * (1.0 + exact)
 
 
 def _fake_series(e_values):

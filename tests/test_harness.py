@@ -190,6 +190,59 @@ def test_sweep_isolates_failing_cells(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+# SHA-256 of sweep.csv on a 100-cell e24 grid at s = 0.1, whose 20 cells with
+# mu < 0 are error rows; recorded from the runner that ran each cell on its own
+SWEEP_GRID = ('{"mu": [-1.0, 0.0, 0.01, 0.5, 1.0], "a": [0.5, 2.0, 4.0, 10.0], '
+              '"b": [0.25, 1.0, 5.0, 10.0, 50.0]}')
+SWEEP_GOLDEN = {
+    "f1": "736de378d120778c1826d519c98387584df36f68e20fcd1247e11f81fbf0fb22",
+    "f2": "732318102196edbfb81cf1296ebfca25cfdfcfbdddf5daf403f3f806f5999282",
+}
+
+
+@pytest.mark.parametrize("objective", ["f1", "f2"])
+def test_sweep_golden(tmp_path, objective):
+    out = tmp_path / objective
+    assert cli.main(["sweep", "--objective", objective, "--schedule", "e24", "--s", "0.1",
+                     "--grid", SWEEP_GRID, "--out", str(out)]) == 0
+    rep = _report(out)
+    assert rep["cells"] == 100 and rep["errors"] == 20 and "workers" not in rep
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == SWEEP_GOLDEN[objective]
+
+
+def test_sweep_cell_errors_keep_their_messages(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--schedule", "e25", "--s", "0.04", "--out", str(out), "--grid",
+                     '{"beta": [0.05, 0.8], "b": [1.0, "x"], "mu": [-1, 0]}']) == 0
+    header, rows = _read_csv(out / "sweep.csv")
+    messages = {tuple(r[:3]): r[header.index("message")] for r in rows}
+    assert messages[("1", "0.050000000000000003", "0")] == ""
+    assert messages[("1", "0.050000000000000003", "-1")] == \
+        "ValueError: mu must be nonnegative, got -1"
+    assert messages[("1", "0.80000000000000004", "0")] == \
+        "ValueError: beta must lie in (0, 2*sqrt(s)) = (0, 0.4), got 0.8"
+    assert messages[("x", "0.050000000000000003", "0")] == \
+        "TypeError: '<=' not supported between instances of 'str' and 'float'"
+    assert cli.main(["sweep", "--schedule", "e24", "--s", "5", "--grid", '{"mu": [0.0]}',
+                     "--out", str(out)]) == 0
+    _, (row,) = _read_csv(out / "sweep.csv")
+    assert row[1] == "error" and row[-1] == ("ValueError: stepsize s must lie strictly inside "
+                                             "(0, 0.707107) for objective 'f2', got 5.0")
+
+
+@pytest.mark.parametrize("extra,needle", [
+    (["--objective", "bogus"], "unknown objective 'bogus'"),
+    (["--x0", "1,2,3"], "dimension 2"),
+    (["--x0", "inf,0"], "finite"),
+    (["--epsilon", "0"], "epsilon must be positive"),
+])
+def test_sweep_whole_command_input_exits_2(tmp_path, capsys, extra, needle):
+    _exit_2_one_line(capsys, ["sweep", "--schedule", "e24", "--grid", '{"mu": [0.0, -1.0]}',
+                              "--out", str(tmp_path / "o")] + extra, needle)
+    assert not (tmp_path / "o").exists()
+
+
 def test_ode_compare_outputs(tmp_path):
     out = tmp_path / "o"
     rc = cli.main(["ode-compare", "--dt", "0.05", "--out", str(out)])

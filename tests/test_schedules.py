@@ -10,7 +10,6 @@ from splitgrad.schedules import (
     coeffs_e26,
     g_neg_factored,
     gn_hn_in,
-    inertial_coefficient,
     make_schedule,
     n2,
     n_prime,
@@ -19,14 +18,6 @@ from splitgrad.schedules import (
 )
 
 EPS = np.finfo(float).eps
-
-
-def test_inertial_coefficient():
-    assert inertial_coefficient(1) == -2.0
-    assert inertial_coefficient(3) == 0.0
-    assert inertial_coefficient(10) == 0.7
-    np.testing.assert_array_equal(inertial_coefficient(np.array([2.0, 4.0])),
-                                  [-0.5, 0.25])
 
 
 def test_e24_frozen_values():
