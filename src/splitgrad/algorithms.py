@@ -65,6 +65,9 @@ Array = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
 
+# The four-coefficient methods whose gradient step is taken at x_n, not y_n.
+GRAD_STEP_AT_X = ("pim", "polyak_igahd")
+
 # Indices a Stepper tabulates per call of its coefficient maps. A chunk
 # costs one call of each lane's map, and its table holds chunk x 4 x lanes
 # floats. At the 60 lanes of `table --infer-s`, 128 leaves the command's
@@ -506,7 +509,7 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
         return Stepper(velocity_step, maps, s_lanes)
     maps = [coefficient_map(name, s_k, alpha, sch, beta, gamma)
             for s_k, sch in zip(s_lanes.tolist(), scheds)]
-    kernel = partial(coefficient_step, grad_at_x=name in ("pim", "polyak_igahd"))
+    kernel = partial(coefficient_step, grad_at_x=name in GRAD_STEP_AT_X)
     return Stepper(kernel, maps, s_lanes)
 
 

@@ -193,7 +193,7 @@ def cmd_run(args) -> int:
     }
     if sched is not None:
         rep = schedules.check_assumptions(sched, obj.lipschitz_constant(),
-                                          n_max=max(res.n_final + 2, 1000))
+                                          n_max=schedules.scan_end(res.n_final, alpha))
         payload.update({"n1": rep.n1, "n2": rep.n2, "n_prime": rep.n_prime,
                         "n_threshold": rep.n_threshold,
                         "assumption_i_holds_from": rep.assumption_i_holds_from,
@@ -289,7 +289,8 @@ def cmd_table(args) -> int:
     for case, (obj, run) in zip(cases, verify.run_cases(cases, s, alpha, max_iter)):
         sched, res = run.schedule, run.result
         lip = obj.lipschitz_constant()
-        rep = schedules.check_assumptions(sched, lip, n_max=max(res.n_final + 2, 1000))
+        rep = schedules.check_assumptions(sched, lip,
+                                          n_max=schedules.scan_end(res.n_final, alpha))
         n2_stop = _n2_at(sched, lip, res.n_final, alpha)
         npr_alt = schedules.n_prime_reference_variant(case.schedule,
                                                       case.schedule_params(), s,
@@ -346,7 +347,8 @@ def cmd_sweep(args) -> int:
         else:
             res = run.result
             rep = schedules.check_assumptions(run.schedule, obj.lipschitz_constant(),
-                                              n_max=max(res.n_final + 2, 1000))
+                                              n_max=schedules.scan_end(res.n_final,
+                                                                       args.alpha))
             tail = ["ok", res.termination, res.n_final, res.error_final, rep.n1, rep.n2,
                     rep.n_prime, rep.n_threshold, ""]
         rows.append([params[k] for k in keys] + tail)

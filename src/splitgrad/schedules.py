@@ -335,6 +335,22 @@ def _holds_from(mask: Array) -> int:
     return int(idx[0] + 1) if idx.size else int(mask.size + 1)
 
 
+# Largest alpha whose admissibility scan `scan_end` sets up: the scan holds
+# some twenty float arrays of n_max entries.
+SCAN_ALPHA_MAX = 100_000
+
+
+def scan_end(n_final: int, alpha: float) -> int:
+    """n_max for the admissibility scan reported beside a run that stopped
+    at n_final: two indices past the stop, and at least 1000 and alpha, as
+    `check_assumptions` needs. An alpha above SCAN_ALPHA_MAX raises
+    ValueError rather than set up a scan that long."""
+    if alpha > SCAN_ALPHA_MAX:
+        raise ValueError(f"alpha = {alpha} needs an admissibility scan past "
+                         f"n = {SCAN_ALPHA_MAX}; use alpha <= {SCAN_ALPHA_MAX}")
+    return max(n_final + 2, 1000, int(np.ceil(alpha)))
+
+
 def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> AdmissibilityReport:
     """Scan n = 1..n_max and report the energy-decrease admissibility data.
 

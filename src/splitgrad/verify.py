@@ -10,6 +10,7 @@ caught by the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -35,11 +36,34 @@ def _both_objectives():
     return (("f1", f1()), ("f2", f2()))
 
 
-def _fixed_run(obj: Objective, name: str, s: float, n_steps: int, **kw):
-    st = algorithms.make_stepper(name, s, **kw)
-    traj, _ = algorithms.run(st, obj, [1.0, -2.0], s,
-                             algorithms.StoppingRule("max_iter"), max_iter=n_steps)
-    return traj
+_X0 = (1.0, -2.0)   # start point of every fixed-length run
+
+
+def _fixed_runs(obj: Objective, s: float, n_steps: int, methods) -> List[algorithms.Trajectory]:
+    """Trajectories over n_steps steps at stepsize s from _X0, one for each
+    (name, keywords) in `methods`, a four-coefficient method with its
+    `coefficient_map` keywords, in order. The methods that share a kernel
+    (all that step at y_n, or all that step at x_n) run as the lanes of one
+    `run_lanes` batch, which on f1 and f2 gives each lane the bits of its
+    own `run`; a method alone in its kernel runs through `run`."""
+    stop = algorithms.StoppingRule("max_iter")
+    out = [None] * len(methods)
+    for at_x in (False, True):
+        lanes = [i for i, (name, _) in enumerate(methods)
+                 if (name in algorithms.GRAD_STEP_AT_X) == at_x]
+        if not lanes:
+            continue
+        maps = [algorithms.coefficient_map(methods[i][0], s, **methods[i][1]) for i in lanes]
+        stepper = algorithms.Stepper(partial(algorithms.coefficient_step, grad_at_x=at_x),
+                                     maps, s)
+        if len(lanes) == 1:
+            trajs = [algorithms.run(stepper, obj, _X0, s, stop, max_iter=n_steps)[0]]
+        else:
+            trajs, _ = algorithms.run_lanes(stepper, obj, np.tile(_X0, (len(lanes), 1)), s,
+                                            stop, max_iter=n_steps, record=True)
+        for i, traj in zip(lanes, trajs):
+            out[i] = traj
+    return out
 
 
 def _max_rel_gap(xs_a, xs_b) -> float:
@@ -54,8 +78,8 @@ def suite_nesterov_split(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     s = 0.025
     h = float(np.sqrt(s))
     for tag, obj in _both_objectives():
-        xs_split = constructions.nesterov_lie_trotter(obj, [1.0, -2.0], None, 3.0, h, 1000)
-        xs_step = _fixed_run(obj, "agm2", s, 1000, alpha=3.0).xs
+        xs_split = constructions.nesterov_lie_trotter(obj, list(_X0), None, 3.0, h, 1000)
+        xs_step = _fixed_runs(obj, s, 1000, [("agm2", {"alpha": 3.0})])[0].xs
         gap = _max_rel_gap(xs_split, xs_step)
         out.append(CheckResult(f"nesterov-split/{tag}", gap <= 1e-12,
                                f"max relative gap {gap:.3e} over 1000 steps"))
@@ -69,27 +93,24 @@ def suite_constructions(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     h = 0.1
     s = h * h
     n = 1000
-    x0 = [1.0, -2.0]
+    x0 = list(_X0)
     e25 = schedules.make_schedule("e25", s=s, beta=0.1, b=2.0, mu=0.1)
+    methods = [("igahd", {"alpha": 3.0, "beta": 1.0}), ("lt_s_igahd", {"schedule": e25}),
+               ("pim", {"gamma": 1.0}), ("ardm", {"alpha": 3.0}), ("lt_se1", {"alpha": 3.0}),
+               ("lt_sv2", {"alpha": 3.0}), ("lt_se3", {"alpha": 3.0})]
     for tag, obj in _both_objectives():
-        pairs = (
-            ("igahd", constructions.igahd_construction(obj, x0, None, 3.0, 1.0, h, n),
-             _fixed_run(obj, "igahd", s, n, alpha=3.0, beta=1.0).xs),
-            ("lt_s_igahd", constructions.lt_s_igahd_construction(obj, x0, None, 3.0, e25, h, n),
-             _fixed_run(obj, "lt_s_igahd", s, n, schedule=e25).xs),
-            ("pim", constructions.pim_construction(obj, x0, None, 1.0, h, n),
-             _fixed_run(obj, "pim", s, n, gamma=1.0).xs),
-            ("ardm", constructions.ardm_construction(obj, x0, None, 3.0, h, n),
-             _fixed_run(obj, "ardm", s, n, alpha=3.0).xs),
-            ("lt_se1", constructions.lt_se1_construction(obj, x0, None, 3.0, h, n),
-             _fixed_run(obj, "lt_se1", s, n, alpha=3.0).xs),
-            ("lt_sv2", constructions.lt_sv2_construction(obj, x0, None, 3.0, h, n),
-             _fixed_run(obj, "lt_sv2", s, n, alpha=3.0).xs),
-            ("lt_se3", constructions.lt_se3_construction(obj, x0, None, 3.0, h, n),
-             _fixed_run(obj, "lt_se3", s, n, alpha=3.0).xs),
+        routes = (
+            constructions.igahd_construction(obj, x0, None, 3.0, 1.0, h, n),
+            constructions.lt_s_igahd_construction(obj, x0, None, 3.0, e25, h, n),
+            constructions.pim_construction(obj, x0, None, 1.0, h, n),
+            constructions.ardm_construction(obj, x0, None, 3.0, h, n),
+            constructions.lt_se1_construction(obj, x0, None, 3.0, h, n),
+            constructions.lt_sv2_construction(obj, x0, None, 3.0, h, n),
+            constructions.lt_se3_construction(obj, x0, None, 3.0, h, n),
         )
-        for name, xs_c, xs_s in pairs:
-            gap = _max_rel_gap(xs_c, xs_s)
+        direct = _fixed_runs(obj, s, n, methods)
+        for (name, _), xs_c, traj in zip(methods, routes, direct):
+            gap = _max_rel_gap(xs_c, traj.xs)
             out.append(CheckResult(f"construction/{name}/{tag}", gap <= 1e-12,
                                    f"max relative gap {gap:.3e} over {n} steps"))
     return out
@@ -106,9 +127,7 @@ def ode_route_gaps(obj: Objective, x0, v0, alpha: float, beta: float, t0: float,
         tr1 = constructions.integrate_first_order_vd(obj, x0, v0, alpha, beta, t0, t1, h)
         tr2 = constructions.integrate_second_order_hessian_vd(obj, x0, xdot0, alpha, beta,
                                                               t0, t1, h)
-        v_rec = np.array([constructions.v_from_x(obj, tr2.xs[k], tr2.vs[k],
-                                                 float(tr2.ts[k]), alpha, beta)
-                          for k in range(len(tr2.ts))])
+        v_rec = constructions.v_from_x(obj, tr2.xs, tr2.vs, tr2.ts[:, None], alpha, beta)
         gaps.append(max(float(np.max(np.abs(tr1.xs - tr2.xs))),
                         float(np.max(np.abs(tr1.vs - v_rec)))))
     orders = [float(np.log2(gaps[i] / gaps[i + 1])) for i in range(2)]
@@ -146,7 +165,8 @@ def suite_energy(seed: int = DEFAULT_SEED) -> List[CheckResult]:
                                        record=True)
     for (label, _, _), run in zip(cells, runs):
         sch, traj, res = run.schedule, run.trajectory, run.result
-        rep = schedules.check_assumptions(sch, lip, n_max=max(traj.n_final + 2, 1000))
+        rep = schedules.check_assumptions(sch, lip,
+                                          n_max=schedules.scan_end(traj.n_final, 3.0))
         series = analysis.energy_series(traj, s, 3.0, sch, x_star=x_star)
         from_n = int(np.floor(rep.n_threshold)) + 1
         tol = 1e-12 * float(np.max(series.e_seq))
@@ -169,9 +189,10 @@ def suite_rate(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     e25 = schedules.make_schedule("e25", s=s, beta=0.1 * 2.0 * float(np.sqrt(s)),
                                   b=1.0, mu=0.1)
     runs = (("agm2", None), ("lt_s_igahd", e25))
+    trajs = _fixed_runs(obj, s, 2200, [(name, {"alpha": alpha, "schedule": sch})
+                                       for name, sch in runs])
     out = []
-    for name, sch in runs:
-        traj = _fixed_run(obj, name, s, 2200, alpha=alpha, schedule=sch)
+    for (name, sch), traj in zip(runs, trajs):
         fgaps = traj.fgaps()
         slope, _ = analysis.fit_rate(fgaps, (50, 2000), f_scale=obj.f_min)
         out.append(CheckResult(f"rate/slope/{name}", slope <= -1.8,
@@ -383,15 +404,15 @@ def symplectic_drift(hs: HamiltonianSystem, state, h: float, n_steps: int) -> fl
     """max |H(x_n, v_n) - H(x_0, v_0)| over n = 1..n_steps of the se2
     symplectic Euler map. The states are kept in blocks and each block's
     energies taken in one stacked `hs.energy` call, so `hs` must evaluate
-    stacks and the state must be 1-D (a block of scalar states would read
-    as one state)."""
+    stacks. A state is 1-D or 0-d (a number); a 0-d state is stored as a
+    one-element row, so that a block is still a stack of states."""
     x, v = state
-    if np.ndim(x) != 1 or np.ndim(v) != 1:
-        raise ValueError("symplectic_drift needs 1-D x and v, got shapes "
+    if np.ndim(x) > 1 or np.ndim(v) > 1:
+        raise ValueError("symplectic_drift needs 0-d or 1-D x and v, got shapes "
                          f"{np.shape(x)} and {np.shape(v)}")
     e0 = hs.energy(x, v)
-    xs = np.empty((min(n_steps, _BAND_BLOCK),) + np.shape(x))
-    vs = np.empty((len(xs),) + np.shape(v))
+    xs = np.empty((min(n_steps, _BAND_BLOCK),) + (np.shape(x) or (1,)))
+    vs = np.empty((len(xs),) + (np.shape(v) or (1,)))
     drift = 0.0
     for start in range(0, n_steps, _BAND_BLOCK):
         k = min(_BAND_BLOCK, n_steps - start)
@@ -404,12 +425,14 @@ def symplectic_drift(hs: HamiltonianSystem, state, h: float, n_steps: int) -> fl
 
 def suite_symplectic(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Long-run oscillator energy: bounded band for the symplectic map,
-    unbounded growth for explicit Euler."""
+    unbounded growth for explicit Euler. The oscillator is one-dimensional,
+    so both maps step a state of two floats; a float operation rounds as
+    the same operation on a one-element array does."""
     hs = HamiltonianSystem(kinetic=lambda v: 0.5 * np.sum(v * v, axis=-1),
                            potential=lambda x: 0.5 * np.sum(x * x, axis=-1),
                            grad_kinetic=lambda v: v, grad_potential=lambda x: x)
     h, n_steps = 0.01, 100_000
-    x, v = np.array([1.0]), np.array([0.0])
+    x, v = 1.0, 0.0
     e0 = hs.energy(x, v)
     drift = symplectic_drift(hs, (x, v), h, n_steps)
     for _ in range(n_steps):

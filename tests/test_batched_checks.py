@@ -162,13 +162,18 @@ def test_symplectic_drift_is_the_per_step_band(n_steps):
     assert verify.symplectic_drift(hs, (x, v), 0.05, n_steps) == want
 
 
-def test_symplectic_drift_rejects_scalar_state():
-    # a block of 0-d states would read as one state and sum their energies
-    hs = _stack_oscillator(1)
+@pytest.mark.parametrize("n_steps", [1, 7, 1000, 2345])
+def test_symplectic_drift_of_a_scalar_state_is_that_of_one_element(n_steps):
+    # a 0-d state is stored as a one-element row, so a block is still a stack
+    hs = HamiltonianSystem(kinetic=lambda v: 0.5 * np.sum(v * v, axis=-1),
+                           potential=lambda x: 1.5 * np.sum(x * x, axis=-1),
+                           grad_kinetic=lambda v: v, grad_potential=lambda x: 3.0 * x)
+    want = verify.symplectic_drift(hs, (np.array([1.0]), np.array([-0.5])), 0.05, n_steps)
+    assert verify.symplectic_drift(hs, (1.0, -0.5), 0.05, n_steps) == want
+    assert verify.symplectic_drift(hs, (np.array(1.0), np.array(-0.5)), 0.05,
+                                   n_steps) == want
     with pytest.raises(ValueError):
-        verify.symplectic_drift(hs, (1.0, 0.0), 0.05, 10)
-    with pytest.raises(ValueError):
-        verify.symplectic_drift(hs, (np.array(1.0), np.array(0.0)), 0.05, 10)
+        verify.symplectic_drift(hs, (np.ones((1, 1)), np.zeros((1, 1))), 0.05, 10)
 
 
 def test_symplectic_suite_lines_are_unchanged():
@@ -184,6 +189,40 @@ def test_symplectic_suite_lines_are_unchanged():
                            grad_kinetic=lambda v: v, grad_potential=lambda x: x)
     drift = verify.symplectic_drift(hs, (np.array([1.0]), np.array([0.0])), 0.01, 100_000)
     assert repr(drift) == "0.0025125628140267864"
+
+
+_GAP = "max relative gap {} over 1000 steps"
+
+# recorded before the direct steppers ran as lane batches and the ode
+# route recovered v in one call
+SUITE_LINES = {
+    "constructions": [
+        (f"construction/{name}/{tag}", True, _GAP.format(gap))
+        for tag, gaps in (("f1", ["1.924e-15", "3.257e-15", "2.961e-15", "1.924e-15",
+                                  "4.145e-15", "4.589e-15", "3.405e-15"]),
+                          ("f2", ["8.882e-16", "1.275e-15", "2.165e-15", "1.665e-15",
+                                  "3.386e-15", "2.608e-15", "1.596e-15"]))
+        for name, gap in zip(["igahd", "lt_s_igahd", "pim", "ardm", "lt_se1", "lt_sv2",
+                              "lt_se3"], gaps)],
+    "rate": [
+        ("rate/slope/agm2", True, "log-log slope -10.058 over n in [50, 2000]"),
+        ("rate/tail-bound/agm2", True,
+         "fgap(n) <= 9.789e+01*(alpha-1)^2/(n-1)^2 from n=3: holds"),
+        ("rate/slope/lt_s_igahd", True, "log-log slope -10.527 over n in [50, 2000]"),
+        ("rate/tail-bound/lt_s_igahd", True,
+         "fgap(n) <= 9.907e+01*(alpha-1)^2/(n-1)^2 from n=5: holds"),
+    ],
+    "ode": [
+        ("ode/gaps-shrink", True, "sup gaps 2.626e-09 -> 1.623e-10 -> 1.009e-11"),
+        ("ode/order", True, "observed orders 4.02, 4.01"),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_LINES))
+def test_suite_lines_are_unchanged(suite):
+    results = verify.SUITES[suite]()
+    assert [(r.name, r.passed, r.detail) for r in results] == SUITE_LINES[suite]
 
 
 @pytest.mark.parametrize("seed", range(10))

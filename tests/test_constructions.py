@@ -195,6 +195,9 @@ def test_continuous_routes_agree_after_change_of_variables():
     v_rec = np.array([con.v_from_x(obj, tr2.xs[k], tr2.vs[k], float(tr2.ts[k]),
                                    alpha, beta)
                       for k in range(len(tr2.ts))])
+    # the ode suite maps the whole trajectory in one call, with the same bits
+    stacked = con.v_from_x(obj, tr2.xs, tr2.vs, tr2.ts[:, None], alpha, beta)
+    assert stacked.shape == v_rec.shape and stacked.tobytes() == v_rec.tobytes()
     assert float(np.max(np.abs(tr1.xs - tr2.xs))) <= 1e-8
     assert float(np.max(np.abs(tr1.vs - v_rec))) <= 1e-8
     assert tr1.ts[0] == t0 and tr1.ts[-1] == pytest.approx(t1)

@@ -243,6 +243,30 @@ def test_sweep_whole_command_input_exits_2(tmp_path, capsys, extra, needle):
     assert not (tmp_path / "o").exists()
 
 
+def _sweep_row(out):
+    header, (row,) = _read_csv(out / "sweep.csv")
+    return dict(zip(header, row))
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["sweep", "--schedule", "e24", "--grid", '{"mu": [0.0]}'], _sweep_row),
+    (["run", "--algorithm", "lt_s_igahd", "--schedule", "e24", "--schedule-params",
+      '{"mu": 0.0}'], lambda out: json.loads((out / "report.json").read_text())),
+], ids=["sweep", "run"])
+def test_alpha_above_1000_gets_its_admissibility_scan(tmp_path, argv, read):
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):   # a_n = (n - alpha)/n drives the run to diverge
+        assert cli.main(argv + ["--alpha", "2000", "--out", str(out)]) == 0
+    assert float(read(out)["n1"]) == 1999.0
+
+
+def test_alpha_past_the_longest_scan_exits_2(tmp_path, capsys):
+    with np.errstate(over="ignore"):
+        _exit_2_one_line(capsys, ["sweep", "--schedule", "e24", "--grid", '{"mu": [0.0]}',
+                                  "--alpha", "1e6", "--out", str(tmp_path / "o")],
+                         "admissibility scan past n = 100000")
+
+
 def test_ode_compare_outputs(tmp_path):
     out = tmp_path / "o"
     rc = cli.main(["ode-compare", "--dt", "0.05", "--out", str(out)])

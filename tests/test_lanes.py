@@ -19,6 +19,7 @@ from splitgrad.algorithms import (
 from splitgrad.cases import all_cases
 from splitgrad.objectives import Objective, f1, f2, make_objective, quadratic
 from splitgrad.schedules import make_schedule
+from splitgrad.verify import _fixed_runs
 
 N_ALL = np.arange(1, 10_001, dtype=float)
 # every index up to 60, then a log-spaced sample up to 10^4
@@ -256,3 +257,20 @@ def test_stacks_evaluate_row_by_row():
                           gradient=lambda x: 2.0 * x, lipschitz=2.0)
     with pytest.raises(ValueError):
         one_point.eval_grad(np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("objective", [f1, f2])
+@pytest.mark.parametrize("max_iter", [1, 2, 1000])
+def test_mixed_method_lane_batch_is_each_methods_run(objective, max_iter):
+    # the direct steppers of the construction suite, one method per lane
+    obj, s = objective(), 0.01
+    e25 = make_schedule("e25", s=s, beta=0.1, b=2.0, mu=0.1)
+    methods = [("igahd", {"beta": 1.0}), ("lt_s_igahd", {"schedule": e25}), ("ardm", {}),
+               ("lt_se1", {}), ("lt_sv2", {}), ("lt_se3", {})]
+    batched = _fixed_runs(obj, s, max_iter, methods)
+    for (name, kw), traj in zip(methods, batched):
+        want, _ = run(make_stepper(name, s, **kw), obj, [1.0, -2.0], s,
+                      StoppingRule("max_iter"), max_iter=max_iter)
+        for field in ("xs", "fs", "grads"):
+            got, ref = getattr(traj, field), getattr(want, field)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (name, field)
