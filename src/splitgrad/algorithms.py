@@ -27,10 +27,12 @@ Python loop for all of them. Each lane has its own stepsize, start point and
 coefficient map (for lt_s_igahd, its own Schedule). The `Stepper` that
 `make_stepper` returns does not call the maps at every step: it tabulates
 every lane's coefficients over chunks of indices from the maps' vector form.
-Each lane has its own stop and divergence mask, and a lane that has stopped
-is frozen while the others run on. `run` is the one-lane case: the engine
-steps its start point of shape (dim,) with the lane axis dropped, and a
-one-lane Stepper hands the kernel its coefficients as floats, so one
+Each lane stops on its own, and a lane that stops leaves the batch: the
+engine records its result at once and drops it from the (B, dim) state, so
+the loop steps, evaluates and tabulates only the lanes still running (the
+state's `lanes` tells the Stepper which). `run` is the one-lane case: the
+engine steps its start point of shape (dim,) with the lane axis dropped,
+and a one-lane Stepper hands the kernel its coefficients as floats, so one
 trajectory keeps the arithmetic of a loop written for one point. The
 objectives evaluate over the last axis, so each lane's iterates are bitwise
 those of its own `run` on f1 and f2; on a quadratic, B > 1 lanes share one
@@ -82,8 +84,11 @@ class IterState:
     and values, plus the latest inertial point and, for velocity-form
     methods, the auxiliary velocity. The points are one point of shape
     (dim,) or B lanes of shape (B, dim), and the values a float or B values;
-    `run` and `run_lanes` step lanes. A stepper must fill f_curr: the engine
-    records it as the value of the new iterate."""
+    `run` and `run_lanes` step lanes. `lanes` names the lanes of the run
+    that the state holds, as indices into the lanes it started with, once
+    some have left the batch; it is None while the state holds them all. A
+    stepper must fill f_curr and pass `lanes` on: the engine records f_curr
+    as the value of the new iterate."""
 
     n: int
     x_prev: Array
@@ -94,6 +99,7 @@ class IterState:
     f_curr: Optional[float] = None
     y_last: Optional[Array] = None
     v_aux: Optional[Array] = None
+    lanes: Optional[Array] = None
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,19 @@ class StoppingRule:
 
 def init_state(obj: Objective, x0, s) -> IterState:
     """Bootstrap: one explicit gradient step produces x1. x0 is one point or
-    a (B, dim) stack of lanes, with s one stepsize or a (B, 1) column."""
+    a (B, dim) stack of lanes, with s one stepsize or a (B, 1) column. x0,
+    f(x0) and grad f(x0) must be finite; x1 and its value need not be."""
     x0 = np.asarray(x0, dtype=float)
-    f0, g0 = obj.eval_grad(x0)
-    x1 = x0 - s * g0
-    f1, g1 = obj.eval_grad(x1)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, g0 = obj.eval_grad(x0)
+        bad = ~(np.isfinite(f0) & np.isfinite(g0).all(axis=-1))
+        if _any(bad):
+            at = np.reshape(x0, (-1, x0.shape[-1]))[np.flatnonzero(bad)[0]]
+            raise ValueError(f"f or its gradient is not finite at x0 = {at.tolist()}")
+        x1 = x0 - s * g0
+        f1, g1 = obj.eval_grad(x1)
     return IterState(1, x0, x1, g0, g1, f0, f1, y_last=x0.copy())
 
 
@@ -148,7 +162,7 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
     x_next = y - s * (state.grad_curr if grad_at_x else obj.grad(y)) + gam * state.grad_curr
     f_next, g_next = obj.eval_grad(x_next)
     return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
-                     state.f_curr, f_next, y_last=y)
+                     state.f_curr, f_next, y_last=y, lanes=state.lanes)
 
 
 def _clock_time(n, h: float, alpha: float, clock: str):
@@ -199,7 +213,7 @@ def velocity_step(state: IterState, obj: Objective, s, coeffs) -> IterState:
     v_next = v - c_n * gy
     f_next, g_next = obj.eval_grad(x_next)
     return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
-                     state.f_curr, f_next, y_last=y, v_aux=v_next)
+                     state.f_curr, f_next, y_last=y, v_aux=v_next, lanes=state.lanes)
 
 
 class Stepper:
@@ -209,7 +223,10 @@ class Stepper:
     indices n to coefficient arrays; they are tabulated for _CHUNK indices
     at a time rather than taken from the maps at every step. The kernel gets
     them as (B, 1) columns, or for one lane as floats, which serve a
-    (dim,) state as well as a (1, dim) one."""
+    (dim,) state as well as a (1, dim) one. A one-map stepper serves any
+    number of lanes alike. Once lanes have left the batch, the stepper
+    steps only the lanes that state.lanes names: it reads their columns of
+    the current table and tabulates only their maps for the next chunk."""
 
     def __init__(self, kernel: Callable, maps: Sequence[Callable], s):
         self._kernel = kernel
@@ -218,19 +235,27 @@ class Stepper:
         self._s = s.item() if s.size == 1 else s[:, None]
         self._lo = 0
         self._rows = []  # row j holds the coefficients at n = lo + j
+        self._full = True  # whether the table holds every lane's column
+        self._kept = (None, self._s)  # (state.lanes, their stepsizes)
 
-    def _tabulate(self, n: int) -> None:
+    def _tabulate(self, n: int, lanes) -> None:
+        """Fill the table from index n for `lanes`, or for every lane when
+        None; the columns of the other lanes are left zero."""
         self._rows = []  # let the old table go before the new one is built
         ns = np.arange(n, n + _CHUNK, dtype=float)
         table = None  # (_CHUNK, k, B)
-        for i, lane in enumerate(self._maps):
-            coeffs = lane(ns)
+        for i in range(len(self._maps)) if lanes is None else lanes:
+            coeffs = self._maps[i](ns)
             if table is None:
-                table = np.empty((_CHUNK, len(coeffs), len(self._maps)))
+                # zeros, not empty: once lanes have left only some columns
+                # are written, and with empty the peak RSS of one
+                # `table --infer-s` read about 0.07 MB higher (Linux, glibc)
+                table = np.zeros((_CHUNK, len(coeffs), len(self._maps)))
             for j, c in enumerate(coeffs):
                 table[:, j, i] = c
         self._rows = table[..., 0].tolist() if len(self._maps) == 1 else table[..., None]
         self._lo = n
+        self._full = lanes is None
 
     def check_s(self, s: Array) -> None:
         """Raise unless `s`, one stepsize per lane, is what the lanes step
@@ -241,11 +266,18 @@ class Stepper:
                              f"the stepper was made with")
 
     def __call__(self, state: IterState, obj: Objective) -> IterState:
+        lanes = state.lanes if len(self._maps) > 1 else None
         row = state.n - self._lo
-        if not 0 <= row < len(self._rows):
-            self._tabulate(state.n)
+        # a table of some lanes serves the lanes of the same run, which only
+        # shrink; a state holding every lane (a new run) needs a full one
+        if not (0 <= row < len(self._rows) and (self._full or lanes is not None)):
+            self._tabulate(state.n, lanes)
             row = 0
-        return self._kernel(state, obj, self._s, self._rows[row])
+        if lanes is None:
+            return self._kernel(state, obj, self._s, self._rows[row])
+        if self._kept[0] is not lanes:
+            self._kept = (lanes, self._s if np.ndim(self._s) == 0 else self._s[lanes])
+        return self._kernel(state, obj, self._kept[1], self._rows[row].take(lanes, axis=1))
 
 
 @dataclass
@@ -309,94 +341,96 @@ def _all(mask) -> bool:
     return np.count_nonzero(mask) == mask.size if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _hold(running: Array, new: IterState, old: IterState) -> IterState:
-    """`new` in the running lanes and `old` in the others, which stay frozen."""
-    col = running[:, None]
-    return IterState(new.n, np.where(col, new.x_prev, old.x_prev),
-                     np.where(col, new.x_curr, old.x_curr),
-                     np.where(col, new.grad_prev, old.grad_prev),
-                     np.where(col, new.grad_curr, old.grad_curr),
-                     np.where(running, new.f_prev, old.f_prev),
-                     np.where(running, new.f_curr, old.f_curr),
-                     np.where(col, new.y_last, old.y_last),
-                     new.v_aux if old.v_aux is None else np.where(col, new.v_aux, old.v_aux))
+def _take(state: IterState, keep: Array, lanes: Array) -> IterState:
+    """The lanes `keep` of a (B, dim) state, which are the run's lanes
+    `lanes`."""
+    y, v = state.y_last, state.v_aux
+    return IterState(state.n, state.x_prev[keep], state.x_curr[keep], state.grad_prev[keep],
+                     state.grad_curr[keep], state.f_prev[keep], state.f_curr[keep],
+                     None if y is None else y[keep], None if v is None else v[keep], lanes)
+
+
+def _join(parts) -> Array:
+    """One contiguous array of a lane's recorded pieces. A single piece is
+    copied only when it is a strided view, so a one-lane run keeps its
+    stacked rows as they are."""
+    return np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
 
 
 def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_iter: int,
            record: bool, record_y: bool):
     """The engine behind `run_lanes` and `run`. x0 is B lanes of shape
     (B, dim), or one lane without its lane axis, shape (dim,), which keeps
-    the objective calls and the arithmetic of a single point."""
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+    the objective calls and the arithmetic of a single point. A lane that
+    stops gets its RunResult then and leaves the batch, so the loop steps
+    only the lanes still running; a recorded run hands the rows of the
+    segment since the last stop to each lane as one piece of its
+    trajectory."""
     f_star = obj.f_min
     if stopping.kind == "known_min_f" and f_star is None:
         raise ValueError("known_min_f stopping needs an objective with known minimum")
-    lanes = 1 if x0.ndim == 1 else x0.shape[0]
+    one = x0.ndim == 1
+    lanes = 1 if one else x0.shape[0]
     s = np.broadcast_to(np.asarray(s, dtype=float), (lanes,))
     if isinstance(stepper, Stepper):
         stepper.check_s(s)
-    state = init_state(obj, x0, s.item() if x0.ndim == 1 else s[:, None])
-    if record:
-        xs = [state.x_prev, state.x_curr]
-        fs = [state.f_prev, state.f_curr]
-        grads = [state.grad_prev, state.grad_curr]
-        ys = [state.x_prev.copy(), state.y_last] if record_y else None
+    state = init_state(obj, x0, s.item() if one else s[:, None])
+    # what a lane whose x1 is not finite keeps: x0, with no value before it
+    prev = IterState(0, state.x_prev, state.x_prev, state.grad_prev, state.grad_prev,
+                     np.full(np.shape(state.f_prev), np.nan), state.f_prev, state.x_prev)
+    idx = np.arange(lanes)  # the run's index of each lane still in the batch
+    results = [None] * lanes
+    # the rows recorded since the last stop, starting with x0's
+    xs, fs, grads, ys = [prev.x_curr], [prev.f_curr], [prev.grad_curr], [prev.y_last]
+    segment = (xs, fs, grads, ys) if record_y else (xs, fs, grads)
+    pieces = [[[] for _ in range(lanes)] for _ in segment]
 
-    running = np.ones(lanes, dtype=bool)
-    live = lanes
-    termination = ["max_iter"] * lanes
-    n_final = [0] * lanes
-
-    def end(mask, reason: str) -> int:
-        """Stop the lanes in `mask` at the current index; returns how many
-        lanes still run."""
-        nonlocal live
-        for i in np.flatnonzero(mask):
-            termination[i] = reason
-            n_final[i] = state.n
-            running[i] = False
-            live -= 1
-        return live
+    def leave(mask, reason: str, kept: IterState) -> int:
+        """Stop the lanes in `mask` with the state `kept`, which holds the
+        same lanes as the batch, and drop them from the batch; returns how
+        many lanes still run."""
+        nonlocal state, idx
+        errors = np.reshape(_stop_error(stopping, kept, f_star), idx.size)
+        for j in np.flatnonzero(mask):
+            results[idx[j]] = RunResult(reason, kept.n, float(errors[j]))
+        if record:
+            for rows, lane_pieces in zip(segment, pieces):
+                stack = np.asarray(rows)
+                if one:
+                    stack = stack[:, None]
+                for j, i in enumerate(idx.tolist()):
+                    lane_pieces[i].append(stack[:, j])
+                rows.clear()
+        keep = np.flatnonzero(np.logical_not(mask))
+        if keep.size:
+            idx = idx[keep]
+            state = _take(state, keep, idx)
+        return keep.size
 
     tolerance = stopping.kind != "max_iter"
     while True:
+        if not (_all(np.isfinite(state.f_curr)) and _all(np.isfinite(state.x_curr))):
+            finite = np.isfinite(state.f_curr) & np.isfinite(state.x_curr).all(axis=-1)
+            if not leave(~finite, "diverged", prev):
+                break
+        if record:
+            xs.append(state.x_curr)
+            fs.append(state.f_curr)
+            grads.append(state.grad_curr)
+            if record_y:
+                ys.append(state.y_last)
         if tolerance and (stopping.n_threshold is None or state.n > stopping.n_threshold):
             met = _stop_error(stopping, state, f_star) <= stopping.epsilon
-            if _any(met):
-                met = met & running
-                if _any(met) and not end(met, "tolerance_met"):
-                    break
-        if state.n >= max_iter:
-            break
-        new = stepper(state, obj)
-        if live < lanes:
-            new = _hold(running, new, state)
-        if not (_all(np.isfinite(new.f_curr)) and _all(np.isfinite(new.x_curr))):
-            finite = np.isfinite(new.f_curr) & np.isfinite(new.x_curr).all(axis=-1)
-            if not end(~finite & running, "diverged"):
+            if _any(met) and not leave(met, "tolerance_met", state):
                 break
-            new = _hold(running, new, state)
-        if record:
-            xs.append(new.x_curr)
-            fs.append(new.f_curr)
-            grads.append(new.grad_curr)
-            if record_y:
-                ys.append(new.y_last)
-        state = new
-    for i in np.flatnonzero(running):
-        n_final[i] = state.n
+        if state.n >= max_iter:
+            leave(np.ones(idx.size, dtype=bool), "max_iter", state)
+            break
+        prev, state = state, stepper(state, obj)
 
-    errors = np.reshape(_stop_error(stopping, state, f_star), lanes)
-    results = [RunResult(termination[i], n_final[i], float(errors[i])) for i in range(lanes)]
     if not record:
         return None, results
-    stacks = [np.asarray(a) for a in (xs, fs, grads)] + [np.asarray(ys) if record_y else None]
-    if x0.ndim == 1:
-        stacks = [None if a is None else a[:, None] for a in stacks]
-    trajs = [Trajectory(obj, *(None if a is None else np.ascontiguousarray(a[:m + 1, i])
-                               for a in stacks))
-             for i, m in enumerate(n_final)]
+    trajs = [Trajectory(obj, *(_join(p[i]) for p in pieces)) for i in range(lanes)]
     return trajs, results
 
 
@@ -406,9 +440,12 @@ def run_lanes(stepper: Callable[[IterState, Objective], IterState], obj: Objecti
     arrays: x0 stacks the B >= 1 start points and s holds each lane's
     stepsize, or one number for every lane, as with a one-lane stepper from
     `make_stepper`; they must be the stepsizes the stepper was made with.
-    The objective must be batched (evaluate over the last axis). A lane stops when the stopping rule fires for it, at max_iter, or
-    when its iterate goes non-finite (divergence: the lane keeps its last
-    finite state); a stopped lane is frozen while the others run on.
+    The objective must be batched (evaluate over the last axis). A lane
+    stops when the stopping rule fires for it, at max_iter, or when its
+    iterate goes non-finite (divergence: the lane keeps its last finite
+    state, x0 when x1 is not finite); a stopped lane leaves the batch, and
+    the others run on without it. A stepper that is not a `Stepper` must
+    step any number of lanes alike.
 
     Returns (trajectories, results): one RunResult per lane, and one
     Trajectory per lane when `record` is set, else None.
@@ -428,8 +465,9 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
     """Drive a stepper from the common bootstrap until the stopping rule
     fires, max_iter is reached, or an iterate goes non-finite (divergence:
     the trajectory keeps the last finite state). s must be the stepsize the
-    stepper was made with. This is the one-lane case
-    of the `run_lanes` engine, on a start point of shape (dim,).
+    stepper was made with, and f and its gradient must be finite at x0.
+    This is the one-lane case of the `run_lanes` engine, on a start point of
+    shape (dim,).
 
     Returns (Trajectory, RunResult).
     """

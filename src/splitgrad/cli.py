@@ -291,11 +291,14 @@ def cmd_table(args) -> int:
         lip = obj.lipschitz_constant()
         rep = schedules.check_assumptions(sched, lip,
                                           n_max=schedules.scan_end(res.n_final, alpha))
-        n2_stop = _n2_at(sched, lip, res.n_final, alpha)
+        try:
+            n2_stop = _n2_at(sched, lip, res.n_final, alpha)
+        except (ValueError, FloatingPointError):   # N2 undefined at this row's stop
+            n2_stop = float("nan")
         npr_alt = schedules.n_prime_reference_variant(case.schedule,
                                                       case.schedule_params(), s,
                                                       alpha, lip)
-        n_rec = max(rep.n1, n2_stop, npr_alt)
+        n_rec = max(v for v in (rep.n1, n2_stop, npr_alt) if not np.isnan(v))
         below = res.error_final < 1e-15
         m_err = (f"{res.error_final:.1e}" == f"{case.ref_error:.1e}"
                  if case.ref_error > 0.0 else below)

@@ -364,6 +364,25 @@ def test_table_cases_with_a_bad_row(tmp_path, capsys, change, needle):
                          needle)
 
 
+def test_run_with_f_not_finite_at_x0_exits_2(tmp_path, capsys):
+    _exit_2_one_line(capsys, ["run", "--objective", "f1", "--x0=1e200,-2",
+                              "--out", str(tmp_path / "o")], "not finite at x0")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra,n_rows", [(["--alpha", "2000", "--table", "1"], 8),
+                                          (["--max-iter", "1"], 28)],
+                         ids=["alpha-2000", "max-iter-1"])
+def test_table_writes_rows_whose_n2_is_undefined(tmp_path, extra, n_rows):
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):   # at alpha = 2000 the runs diverge
+        assert cli.main(["table", "--out", str(out)] + extra) == 0
+    header, rows = _read_csv(out / "tables.csv")
+    assert len(rows) == n_rows and _report(out)["rows"] == n_rows
+    undefined = [r for r in rows if r[header.index("n2_at_stop")] == "nan"]
+    assert undefined and all(r[header.index("match_n2")] == "false" for r in undefined)
+
+
 def test_table_cases_inline_json(tmp_path):
     row = {"table": 3, "group": "D1", "objective": "f1", "schedule": "e26", "mu": 0.0,
            "a": 0.25, "b": 3.5, "epsilon": 1e-10, "ref_error": 3.37e-11, "ref_n2": 3.18,

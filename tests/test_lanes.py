@@ -2,15 +2,20 @@
 indices as one index at a time, and every lane of `run_lanes` reproduces
 the scalar `run` of its own stepsize, schedule and start point."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitgrad.algorithms import (
+    _CHUNK,
     ALGORITHM_NAMES,
+    Stepper,
     StoppingRule,
     coefficient_map,
+    coefficient_step,
     make_stepper,
     nag_coefficients,
     run,
@@ -274,3 +279,142 @@ def test_mixed_method_lane_batch_is_each_methods_run(objective, max_iter):
         for field in ("xs", "fs", "grads"):
             got, ref = getattr(traj, field), getattr(want, field)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (name, field)
+
+
+def _assert_batch_is_runs(stepper_for, obj, x0s, ss, rule, max_iter=5000):
+    """Run the lanes as one batch, recorded and not, and each lane on its
+    own, with the stepper that stepper_for(ss) or stepper_for(s) makes: each
+    lane's RunResult, and with recording its xs, fs and grads, must be those
+    of its own `run` byte for byte. Returns the lanes' RunResults."""
+    x0s = np.asarray(x0s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajs, recorded = run_lanes(stepper_for(ss), obj, x0s, ss, rule, max_iter, record=True)
+        _, plain = run_lanes(stepper_for(ss), obj, x0s, ss, rule, max_iter)
+        singles = [run(stepper_for(s), obj, x0, s, rule, max_iter) for x0, s in zip(x0s, ss)]
+    assert len(trajs) == len(recorded) == len(plain) == len(ss)
+    for traj, rec, res, (want_traj, want) in zip(trajs, recorded, plain, singles):
+        for got in (rec, res):
+            assert (got.termination, got.n_final) == (want.termination, want.n_final)
+            assert (np.float64(got.error_final).tobytes()
+                    == np.float64(want.error_final).tobytes())
+        for field in ("xs", "fs", "grads"):
+            got, ref = getattr(traj, field), getattr(want_traj, field)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field
+    return plain
+
+
+_TIGHT = StoppingRule("consecutive_f", 1e-12)
+
+
+@pytest.mark.parametrize("objective", [f1, f2])
+@pytest.mark.parametrize("name", ["agm2", "nag", "lt_se3", "lt_s_igahd"])
+def test_lanes_that_leave_at_many_indices_are_their_runs(objective, name):
+    obj = objective()
+    ss = _scan_stepsizes(obj.name, 30)
+
+    def stepper_for(s):
+        scheds = [make_schedule("e25", s=sk, beta=0.5 * np.sqrt(sk), b=2.0, mu=0.1)
+                  for sk in np.atleast_1d(s)] if name == "lt_s_igahd" else None
+        return make_stepper(name, s, schedule=scheds)
+
+    results = _assert_batch_is_runs(stepper_for, obj, np.tile([1.0, -2.0], (len(ss), 1)), ss,
+                                    _TIGHT)
+    stops = [r.n_final for r in results]
+    # lanes leave one by one, some of them in a later chunk of the tables
+    assert len(set(stops)) > len(ss) // 2 and max(stops) > _CHUNK
+
+
+@pytest.mark.parametrize("objective", [f1, f2])
+@pytest.mark.parametrize("rule,ss", [(StoppingRule("max_iter"), [0.05, 0.1, 0.15, 0.2]),
+                                     (_TIGHT, [0.1] * 4)], ids=["max_iter", "tolerance"])
+def test_lanes_that_all_stop_at_one_step_are_their_runs(objective, rule, ss):
+    # four lanes meet max_iter together, or four like lanes meet the tolerance
+    results = _assert_batch_is_runs(lambda s: make_stepper("agm2", s), objective(),
+                                    np.tile([1.0, -2.0], (4, 1)), ss, rule, max_iter=150)
+    assert len({(r.termination, r.n_final) for r in results}) == 1
+
+
+@pytest.mark.parametrize("objective,s_off", [(f1, 6.25), (f2, 16.0)])
+def test_last_running_lane_diverging_is_its_run(objective, s_off):
+    # pim's momentum 1 - sqrt(s) is below -1 at s_off, so that lane grows
+    # until it overflows, after the other two have met the tolerance
+    ss = [0.1, s_off, 0.2]
+    results = _assert_batch_is_runs(lambda s: make_stepper("pim", s), objective(),
+                                    np.tile([1.0, -2.0], (3, 1)), ss, _TIGHT)
+    assert [r.termination for r in results] == ["tolerance_met", "diverged", "tolerance_met"]
+    assert results[1].n_final > max(results[0].n_final, results[2].n_final)
+
+
+@pytest.mark.parametrize("objective", [f1, f2])
+def test_one_map_stepper_serves_lanes_that_leave_at_different_steps(objective):
+    x0s = [[1.0, -2.0], [0.5, 0.25], [-3.0, 1.0], [2.0, 2.0], [0.1, -0.1]]
+    results = _assert_batch_is_runs(lambda s: make_stepper("igahd", 0.1), objective(), x0s,
+                                    [0.1] * len(x0s), _TIGHT)
+    assert len({r.n_final for r in results}) >= 3
+
+
+def _box_bowl():
+    """x @ x on the square |x_i| <= 1 and +inf outside it, batched."""
+    def value(x):
+        return np.where(np.abs(x).max(axis=-1) <= 1.0, (x * x).sum(axis=-1), np.inf)
+
+    return Objective(name="box_bowl", dim=2, value=value, gradient=lambda x: 2.0 * x,
+                     lipschitz=2.0, f_min=0.0, batched=True)
+
+
+@pytest.mark.parametrize("kind", ["known_min_f", "consecutive_f"])
+def test_lane_whose_x1_is_not_finite_leaves_at_n_0(kind):
+    # lane 0 steps out of the box at once: f(x1) = inf
+    obj, rule = _box_bowl(), StoppingRule(kind, 1e-12)
+    x0s, ss = [[0.9, 0.9], [0.5, -0.25]], [1.5, 0.1]
+    results = _assert_batch_is_runs(lambda s: make_stepper("agm2", s), obj, x0s, ss, rule)
+    assert results[0].termination == "diverged" and results[0].n_final == 0
+    assert results[1].termination == "tolerance_met"
+    traj, res = run(make_stepper("agm2", 1.5), obj, x0s[0], 1.5, rule)
+    assert traj.xs.tolist() == [x0s[0]] and traj.fs.tolist() == [1.62]
+    if kind == "known_min_f":
+        assert res.error_final == 1.62
+    else:   # no value before x0, so no difference to take
+        assert np.isnan(res.error_final)
+
+
+def test_f_not_finite_at_x0_is_rejected():
+    with pytest.raises(ValueError, match=r"x0 = \[1e\+200, -2.0\]"):
+        run(make_stepper("agm2", 0.1), f1(), [1e200, -2.0], 0.1, StoppingRule())
+    with pytest.raises(ValueError, match=r"x0 = \[2.0, 2.0\]"):   # outside the box
+        run_lanes(make_stepper("agm2", 0.1), _box_bowl(), [[0.5, 0.5], [2.0, 2.0]], 0.1,
+                  StoppingRule())
+
+
+def _counting(obj):
+    """obj with every row that eval_grad evaluates counted in rows[0]."""
+    rows = [0]
+
+    def value_and_gradient(x):
+        rows[0] += 1 if x.ndim == 1 else x.shape[0]
+        return obj.value(x), obj.gradient(x)
+
+    return dataclasses.replace(obj, value_and_gradient=value_and_gradient), rows
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_stopped_lanes_cost_nothing(record):
+    obj, rows = _counting(f2())
+    ss = _scan_stepsizes("f2", 30)
+    starts = [[] for _ in ss]   # the first index of each chunk a lane's map tabulates
+
+    def counted(i, coeffs_at):
+        def at(n):
+            starts[i].append(int(n[0]))
+            return coeffs_at(n)
+        return at
+
+    stepper = Stepper(coefficient_step,
+                      [counted(i, coefficient_map("agm2", s)) for i, s in enumerate(ss)], ss)
+    _, results = run_lanes(stepper, obj, np.tile([1.0, -2.0], (len(ss), 1)), ss, _TIGHT,
+                           record=record)
+    assert rows[0] == sum(r.n_final + 1 for r in results)
+    # a lane steps from n = 1 to its last index; so do the chunks it is tabulated for
+    for got, res in zip(starts, results):
+        assert got == list(range(1, res.n_final, _CHUNK))
+    assert max(r.n_final for r in results) > 2 * _CHUNK
