@@ -65,8 +65,6 @@ from .schedules import Schedule, coeffs_agm2
 
 Array = np.ndarray
 
-_EPS = float(np.finfo(float).eps)
-
 # The four-coefficient methods whose gradient step is taken at x_n, not y_n.
 GRAD_STEP_AT_X = ("pim", "polyak_igahd")
 
@@ -408,25 +406,27 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
         return keep.size
 
     tolerance = stopping.kind != "max_iter"
-    while True:
-        if not (_all(np.isfinite(state.f_curr)) and _all(np.isfinite(state.x_curr))):
-            finite = np.isfinite(state.f_curr) & np.isfinite(state.x_curr).all(axis=-1)
-            if not leave(~finite, "diverged", prev):
+    # a diverging lane overflows on its way out; its non-finite state is the signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if not (_all(np.isfinite(state.f_curr)) and _all(np.isfinite(state.x_curr))):
+                finite = np.isfinite(state.f_curr) & np.isfinite(state.x_curr).all(axis=-1)
+                if not leave(~finite, "diverged", prev):
+                    break
+            if record:
+                xs.append(state.x_curr)
+                fs.append(state.f_curr)
+                grads.append(state.grad_curr)
+                if record_y:
+                    ys.append(state.y_last)
+            if tolerance and (stopping.n_threshold is None or state.n > stopping.n_threshold):
+                met = _stop_error(stopping, state, f_star) <= stopping.epsilon
+                if _any(met) and not leave(met, "tolerance_met", state):
+                    break
+            if state.n >= max_iter:
+                leave(np.ones(idx.size, dtype=bool), "max_iter", state)
                 break
-        if record:
-            xs.append(state.x_curr)
-            fs.append(state.f_curr)
-            grads.append(state.grad_curr)
-            if record_y:
-                ys.append(state.y_last)
-        if tolerance and (stopping.n_threshold is None or state.n > stopping.n_threshold):
-            met = _stop_error(stopping, state, f_star) <= stopping.epsilon
-            if _any(met) and not leave(met, "tolerance_met", state):
-                break
-        if state.n >= max_iter:
-            leave(np.ones(idx.size, dtype=bool), "max_iter", state)
-            break
-        prev, state = state, stepper(state, obj)
+            prev, state = state, stepper(state, obj)
 
     if not record:
         return None, results
@@ -504,10 +504,7 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
     if name == "lt_s_igahd":
         if schedule is None:
             raise ValueError("lt_s_igahd needs a schedule")
-        if abs(s - schedule.s) > 8.0 * _EPS * abs(schedule.s):
-            raise ValueError(f"stepsize {s} disagrees with the schedule's s = {schedule.s}")
-        if alpha != schedule.alpha:
-            raise ValueError(f"alpha = {alpha} disagrees with the schedule's {schedule.alpha}")
+        schedule.check_matches(s, alpha)
         return schedule.coeffs_at
     if name not in table:
         raise ValueError(f"unknown algorithm {name!r}")

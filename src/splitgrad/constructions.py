@@ -8,10 +8,13 @@ Pointwise agreement with the direct steppers in `algorithms` is the central
 anti-drift property of the test suite: the two code paths share no update
 formulas, only the common bootstrap x1 = x0 - h^2 grad f(x0).
 
-Conventions: the discretization clock is t_n = n*h; composite step n maps
-(x_n, v_n) to (x_{n+1}, v_{n+1}) for n = 1, 2, .... Every construction
-accepts v0, the auxiliary velocity entering the first composite step; pass
-None to select the value that reproduces the discrete method.
+Conventions: the discretization clock is t_n = n*h. Every construction
+runs through one driver, which takes the bootstrap x1, starts from v0, the
+auxiliary velocity entering the first composite step, and applies composite
+step n, which maps (x_n, v_n) to (x_{n+1}, v_{n+1}), for n = 1, ...,
+n_steps - 1. v0 = None selects the method's default, the value that
+reproduces the discrete method. A construction adds only its parameter
+checks, that default and its composite step.
 """
 
 from __future__ import annotations
@@ -24,31 +27,45 @@ import numpy as np
 from .algorithms import default_theta
 from .objectives import Objective
 from .schedules import Schedule
-from .splitting import (HamiltonianSystem, SplitSystem, SubFlow,
+from .splitting import (Field, HamiltonianSystem, Phase, SplitSystem, SubFlow,
                         lie_trotter_compose, rk4_step, symplectic_euler,
                         stormer_verlet)
 
 Array = np.ndarray
 
 
-def _check_run(alpha: float, h: float, n_steps: int) -> None:
+def _check_alpha(alpha: float) -> None:
     if alpha <= 1.0:
         raise ValueError(f"inertia exponent must exceed 1, got {alpha}")
+
+
+def _iterate(obj: Objective, x0, v0, h: float, n_steps: int,
+             default_v: Callable[[Array, Array], Array],
+             step: Callable[[int, Array, Array], Phase]) -> Array:
+    """The driver of the module docstring: step(n, x_n, v_n) is composite
+    step n, default_v(x0, x1) the start velocity when v0 is None. Returns
+    x_0, ..., x_{n_steps} stacked."""
     if h <= 0.0:
         raise ValueError(f"stepsize must be positive, got {h}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-
-
-def _bootstrap(obj: Objective, x0, h: float):
     x0 = np.asarray(x0, dtype=float)
-    x1 = x0 - (h * h) * obj.grad(x0)
-    return x0, x1
+    x = x0 - (h * h) * obj.grad(x0)
+    if n_steps == 0:
+        return np.asarray([x0])
+    v = np.asarray(v0, dtype=float) if v0 is not None else default_v(x0, x)
+    xs = [x0, x]
+    for n in range(1, n_steps):
+        x, v = step(n, x, v)
+        xs.append(x)
+    return np.asarray(xs)
 
 
-def _unit_mass_system(obj: Objective, potential_scale: float = 1.0) -> HamiltonianSystem:
-    """T(v) = ||v||^2/2 with U = scale * f; the kinetic gradient is the
-    identity, so the symplectic maps reduce to drift/kick form."""
+def _unit_mass_system(obj: Objective, potential_scale: float = 1.0,
+                      dissipation: float = 0.0) -> HamiltonianSystem:
+    """T(v) = ||v||^2/2 with U = scale * f, damped by `dissipation`; the
+    kinetic gradient is the identity, so the symplectic maps reduce to
+    drift/kick form."""
     if potential_scale == 1.0:
         pot, gpot = obj.eval, obj.grad
     else:
@@ -59,7 +76,7 @@ def _unit_mass_system(obj: Objective, potential_scale: float = 1.0) -> Hamiltoni
             return c * obj.grad(x)
     return HamiltonianSystem(kinetic=lambda v: 0.5 * float(np.dot(v, v)),
                              potential=pot, grad_kinetic=lambda v: v,
-                             grad_potential=gpot)
+                             grad_potential=gpot, dissipation=dissipation)
 
 
 def nesterov_lie_trotter(obj: Objective, x0, v0, alpha: float, h: float,
@@ -75,12 +92,8 @@ def nesterov_lie_trotter(obj: Objective, x0, v0, alpha: float, h: float,
     stepper at stepsize s = h^2. beta = 0 drops the gradient-flow leg, which
     is the two-field ablation.
     """
-    _check_run(alpha, h, n_steps)
+    _check_alpha(alpha)
     b = h if beta is None else beta
-    x0, x1 = _bootstrap(obj, x0, h)
-    if n_steps == 0:
-        return np.asarray([x0])
-    v = np.asarray(v0, dtype=float) if v0 is not None else x0.copy()
 
     def drift(t, x, vv):
         return ((alpha - 1.0) / t) * (vv - x), np.zeros_like(vv)
@@ -97,12 +110,8 @@ def nesterov_lie_trotter(obj: Objective, x0, v0, alpha: float, h: float,
 
     split = SplitSystem([SubFlow.euler(drift), SubFlow.euler(kick),
                          SubFlow.euler(grad_flow)], full_field=full)
-    xs = [x0, x1]
-    x = x1
-    for n in range(1, n_steps):
-        x, v = lie_trotter_compose(split, (x, v), n * h, h)
-        xs.append(x)
-    return np.asarray(xs)
+    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: x0.copy(),
+                    lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
 
 
 def igahd_construction(obj: Objective, x0, v0, alpha: float, beta: float,
@@ -115,26 +124,20 @@ def igahd_construction(obj: Objective, x0, v0, alpha: float, beta: float,
     (grad f(x) - grad f(x - h v)) / h, which keeps the whole step first
     order in gradient calls. Matches the stepper variant whose vanishing
     correction uses grad f(x_n)."""
-    _check_run(alpha, h, n_steps)
-    x0, x1 = _bootstrap(obj, x0, h)
-    if n_steps == 0:
-        return np.asarray([x0])
-    v = np.asarray(v0, dtype=float) if v0 is not None else (x1 - x0) / h
+    _check_alpha(alpha)
     hs = _unit_mass_system(obj)
-    xs = [x0, x1]
-    x = x1
-    g = obj.grad(x1)
-    for n in range(1, n_steps):
+
+    def step(n, x, v):
+        g = obj.grad(x)
         t_n = n * h
         a_n = (n - alpha) / n
         hess_v = (g - obj.grad(x - h * v)) / h
         y = x + h * a_n * v - beta * h * h * hess_v - (beta * h * h / t_n) * g
         v_half = (a_n * v - beta * h * hess_v - (beta * h / t_n) * g
                   + h * g - h * obj.grad(y))
-        x, v = symplectic_euler(hs, (x, v_half), h, "se2")
-        xs.append(x)
-        g = obj.grad(x)
-    return np.asarray(xs)
+        return symplectic_euler(hs, (x, v_half), h, "se2")
+
+    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
 
 
 def lt_s_igahd_construction(obj: Objective, x0, v0, alpha: float,
@@ -143,30 +146,20 @@ def lt_s_igahd_construction(obj: Objective, x0, v0, alpha: float,
     Euler leg carries the per-step coefficients (lambda_n, omega_n, gamma_n)
     sampled from the schedule at t_n, and the potential leg is the same
     kick-then-drift map. Output equals the four-coefficient stepper."""
-    _check_run(alpha, h, n_steps)
-    s = h * h
-    if abs(s - schedule.s) > 8.0 * np.finfo(float).eps * abs(schedule.s):
-        raise ValueError(f"h^2 = {s} disagrees with the schedule's s = {schedule.s}")
-    if alpha != schedule.alpha:
-        raise ValueError(f"alpha = {alpha} disagrees with the schedule's {schedule.alpha}")
-    x0, x1 = _bootstrap(obj, x0, h)
-    if n_steps == 0:
-        return np.asarray([x0])
-    v = np.asarray(v0, dtype=float) if v0 is not None else (x1 - x0) / h
+    _check_alpha(alpha)
+    schedule.check_matches(h * h, alpha)
     hs = _unit_mass_system(obj)
-    xs = [x0, x1]
-    x = x1
-    g = obj.grad(x1)
-    for n in range(1, n_steps):
+
+    def step(n, x, v):
+        g = obj.grad(x)
         a_n, lam, om, gam = schedule.coeffs_at(n)
         hess_v = (g - obj.grad(x - h * v)) / h
         y = x + h * a_n * v - h * lam * hess_v - om * g
         v_half = (a_n * v - lam * hess_v - (om / h) * g + (gam / h) * g
                   + h * g - h * obj.grad(y))
-        x, v = symplectic_euler(hs, (x, v_half), h, "se2")
-        xs.append(x)
-        g = obj.grad(x)
-    return np.asarray(xs)
+        return symplectic_euler(hs, (x, v_half), h, "se2")
+
+    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
 
 
 def ardm_construction(obj: Objective, x0, v0, alpha: float, h: float,
@@ -174,23 +167,17 @@ def ardm_construction(obj: Objective, x0, v0, alpha: float, h: float,
     """Split of the relaxed dynamical system whose damping acts through an
     extra gradient term: Euler on the non-potential part, kick-then-drift
     on the potential part."""
-    _check_run(alpha, h, n_steps)
-    x0, x1 = _bootstrap(obj, x0, h)
-    if n_steps == 0:
-        return np.asarray([x0])
-    v = np.asarray(v0, dtype=float) if v0 is not None else (x1 - x0) / h
+    _check_alpha(alpha)
     hs = _unit_mass_system(obj)
-    xs = [x0, x1]
-    x = x1
-    g = obj.grad(x1)
-    for n in range(1, n_steps):
+
+    def step(n, x, v):
+        g = obj.grad(x)
         a_n = (n - alpha) / n
         y = x + h * a_n * v - h * h * (1.0 + a_n) * g
         v_half = a_n * v - h * (1.0 + a_n) * g + h * g - h * obj.grad(y)
-        x, v = symplectic_euler(hs, (x, v_half), h, "se2")
-        xs.append(x)
-        g = obj.grad(x)
-    return np.asarray(xs)
+        return symplectic_euler(hs, (x, v_half), h, "se2")
+
+    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
 
 
 def pim_construction(obj: Objective, x0, v0, gamma: float, h: float,
@@ -201,31 +188,15 @@ def pim_construction(obj: Objective, x0, v0, gamma: float, h: float,
     leaves the bare symplectic map."""
     if gamma < 0.0:
         raise ValueError(f"friction must be nonnegative, got {gamma}")
-    if h <= 0.0:
-        raise ValueError(f"stepsize must be positive, got {h}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    x0, x1 = _bootstrap(obj, x0, h)
-    if n_steps == 0:
-        return np.asarray([x0])
-    v = np.asarray(v0, dtype=float) if v0 is not None else (x1 - x0) / h
     # The damped system owns the full field; the symplectic leg integrates
     # only its conservative part, the friction leg the rest.
-    hs = HamiltonianSystem(kinetic=lambda vv: 0.5 * float(np.dot(vv, vv)),
-                           potential=obj.eval, grad_kinetic=lambda vv: vv,
-                           grad_potential=obj.grad, dissipation=gamma)
-    friction = SubFlow.euler(lambda t, x, vv: (np.zeros_like(x), -gamma * vv),
-                             autonomous=True)
+    hs = _unit_mass_system(obj, dissipation=gamma)
+    friction = SubFlow.euler(lambda t, x, vv: (np.zeros_like(x), -gamma * vv))
     conservative = SubFlow(field=lambda t, x, vv: (vv, -obj.grad(x)),
-                           advance=lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2"),
-                           autonomous=True)
+                           advance=lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2"))
     split = SplitSystem([friction, conservative], full_field=hs.field)
-    xs = [x0, x1]
-    x = x1
-    for n in range(1, n_steps):
-        x, v = lie_trotter_compose(split, (x, v), n * h, h)
-        xs.append(x)
-    return np.asarray(xs)
+    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: (x1 - x0) / h,
+                    lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
 
 
 def lt_se1_construction(obj: Objective, x0, v0, alpha: float, h: float,
@@ -234,22 +205,17 @@ def lt_se1_construction(obj: Objective, x0, v0, alpha: float, h: float,
     part. The auxiliary velocity carries a gradient perturbation,
     v_n = (x_n - x_{n-1})/h - h grad f(x_n), maintained exactly by the
     composite step."""
-    _check_run(alpha, h, n_steps)
-    x0, x1 = _bootstrap(obj, x0, h)
-    if n_steps == 0:
-        return np.asarray([x0])
-    g = obj.grad(x1)
-    v = np.asarray(v0, dtype=float) if v0 is not None else (x1 - x0) / h - h * g
+    _check_alpha(alpha)
     hs = _unit_mass_system(obj)
-    xs = [x0, x1]
-    x = x1
-    for n in range(1, n_steps):
+
+    def step(n, x, v):
+        g = obj.grad(x)
         a_n = (n - alpha) / n
         v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * g
-        x, v = symplectic_euler(hs, (x, v_half), h, "se1")
-        xs.append(x)
-        g = obj.grad(x)
-    return np.asarray(xs)
+        return symplectic_euler(hs, (x, v_half), h, "se1")
+
+    return _iterate(obj, x0, v0, h, n_steps,
+                    lambda x0, x1: (x1 - x0) / h - h * obj.grad(x1), step)
 
 
 def lt_sv2_construction(obj: Objective, x0, v0, alpha: float, h: float,
@@ -257,22 +223,17 @@ def lt_sv2_construction(obj: Objective, x0, v0, alpha: float, h: float,
     """As lt_se1_construction with the potential part advanced by the
     kick-drift-kick second-order map instead; the velocity perturbation is
     halved accordingly, v_n = (x_n - x_{n-1})/h - (h/2) grad f(x_n)."""
-    _check_run(alpha, h, n_steps)
-    x0, x1 = _bootstrap(obj, x0, h)
-    if n_steps == 0:
-        return np.asarray([x0])
-    g = obj.grad(x1)
-    v = np.asarray(v0, dtype=float) if v0 is not None else (x1 - x0) / h - 0.5 * h * g
+    _check_alpha(alpha)
     hs = _unit_mass_system(obj)
-    xs = [x0, x1]
-    x = x1
-    for n in range(1, n_steps):
+
+    def step(n, x, v):
+        g = obj.grad(x)
         a_n = (n - alpha) / n
         v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * g
-        x, v = stormer_verlet(hs, (x, v_half), h, "sv2")
-        xs.append(x)
-        g = obj.grad(x)
-    return np.asarray(xs)
+        return stormer_verlet(hs, (x, v_half), h, "sv2")
+
+    return _iterate(obj, x0, v0, h, n_steps,
+                    lambda x0, x1: (x1 - x0) / h - 0.5 * h * obj.grad(x1), step)
 
 
 def lt_se3_construction(obj: Objective, x0, v0, alpha: float, h: float,
@@ -282,23 +243,17 @@ def lt_se3_construction(obj: Objective, x0, v0, alpha: float, h: float,
     the symplectic leg at step n is theta_n * f, so the gradient
     perturbation in the velocity decays with theta. theta identically 1
     recovers lt_se1_construction."""
-    _check_run(alpha, h, n_steps)
-    x0, x1 = _bootstrap(obj, x0, h)
-    if n_steps == 0:
-        return np.asarray([x0])
-    g = obj.grad(x1)
-    v = (np.asarray(v0, dtype=float) if v0 is not None
-         else (x1 - x0) / h - h * theta(0) * g)
-    xs = [x0, x1]
-    x = x1
-    for n in range(1, n_steps):
+    _check_alpha(alpha)
+
+    def step(n, x, v):
+        g = obj.grad(x)
         a_n = (n - alpha) / n
         th = theta(n)
         v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * th * g
-        x, v = symplectic_euler(_unit_mass_system(obj, th), (x, v_half), h, "se1")
-        xs.append(x)
-        g = obj.grad(x)
-    return np.asarray(xs)
+        return symplectic_euler(_unit_mass_system(obj, th), (x, v_half), h, "se1")
+
+    return _iterate(obj, x0, v0, h, n_steps,
+                    lambda x0, x1: (x1 - x0) / h - h * theta(0) * obj.grad(x1), step)
 
 
 @dataclass(frozen=True)
@@ -312,7 +267,10 @@ class ContinuousTrajectory:
     vs: Array
 
 
-def _time_grid(t0: float, t1: float, dt: float):
+def _rk4_trajectory(field: Field, x0, v0, t0: float, t1: float,
+                    dt: float) -> ContinuousTrajectory:
+    """rk4_step on field from (x0, v0) at t0 to t1, at dt rounded so that
+    the grid hits t1 exactly."""
     if t0 <= 0.0:
         raise ValueError(f"initial time must be positive, got {t0}")
     if t1 <= t0:
@@ -320,7 +278,16 @@ def _time_grid(t0: float, t1: float, dt: float):
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = max(1, int(round((t1 - t0) / dt)))
-    return n, (t1 - t0) / n
+    dt_eff = (t1 - t0) / n
+    x = np.asarray(x0, dtype=float)
+    v = np.asarray(v0, dtype=float)
+    ts = t0 + dt_eff * np.arange(n + 1)
+    xs, vs = [x], [v]
+    for k in range(n):
+        x, v = rk4_step(field, float(ts[k]), x, v, dt_eff)
+        xs.append(x)
+        vs.append(v)
+    return ContinuousTrajectory(ts=ts, xs=np.asarray(xs), vs=np.asarray(vs))
 
 
 def integrate_first_order_vd(obj: Objective, x0, v0, alpha: float, beta: float,
@@ -332,23 +299,13 @@ def integrate_first_order_vd(obj: Objective, x0, v0, alpha: float, beta: float,
 
     with the classical 4-stage one-step method at fixed dt (dt is rounded
     so the grid hits t1 exactly)."""
-    if alpha <= 1.0:
-        raise ValueError(f"inertia exponent must exceed 1, got {alpha}")
-    n, dt_eff = _time_grid(t0, t1, dt)
-    x = np.asarray(x0, dtype=float)
-    v = np.asarray(v0, dtype=float)
+    _check_alpha(alpha)
 
     def field(t, xx, vv):
         g = obj.grad(xx)
         return ((alpha - 1.0) / t) * (vv - xx) - beta * g, -(t / (alpha - 1.0)) * g
 
-    ts = t0 + dt_eff * np.arange(n + 1)
-    xs, vs = [x], [v]
-    for k in range(n):
-        x, v = rk4_step(field, float(ts[k]), x, v, dt_eff)
-        xs.append(x)
-        vs.append(v)
-    return ContinuousTrajectory(ts=ts, xs=np.asarray(xs), vs=np.asarray(vs))
+    return _rk4_trajectory(field, x0, v0, t0, t1, dt)
 
 
 def integrate_second_order_hessian_vd(obj: Objective, x0, xdot0, alpha: float,
@@ -360,23 +317,13 @@ def integrate_second_order_hessian_vd(obj: Objective, x0, xdot0, alpha: float,
 
     as a first-order system in (x, x'). Needs an objective with an exact
     Hessian-vector product. The returned vs field holds x'."""
-    if alpha <= 1.0:
-        raise ValueError(f"inertia exponent must exceed 1, got {alpha}")
-    n, dt_eff = _time_grid(t0, t1, dt)
-    x = np.asarray(x0, dtype=float)
-    w = np.asarray(xdot0, dtype=float)
+    _check_alpha(alpha)
 
     def field(t, xx, ww):
         return ww, (-(alpha / t) * ww - beta * obj.hess_vec(xx, ww)
                     - (1.0 + beta / t) * obj.grad(xx))
 
-    ts = t0 + dt_eff * np.arange(n + 1)
-    xs, ws = [x], [w]
-    for k in range(n):
-        x, w = rk4_step(field, float(ts[k]), x, w, dt_eff)
-        xs.append(x)
-        ws.append(w)
-    return ContinuousTrajectory(ts=ts, xs=np.asarray(xs), vs=np.asarray(ws))
+    return _rk4_trajectory(field, x0, xdot0, t0, t1, dt)
 
 
 def v_from_x(obj: Objective, x, xdot, t: float, alpha: float, beta: float) -> Array:

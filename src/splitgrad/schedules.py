@@ -135,6 +135,14 @@ class Schedule:
     n_prime: Optional[float] = None
     params: dict = field(default_factory=dict)
 
+    def check_matches(self, s: float, alpha: float) -> None:
+        """Raise ValueError unless s is this schedule's stepsize, to 8 eps
+        relative, and alpha its inertia exponent."""
+        if abs(s - self.s) > 8.0 * _EPS * abs(self.s):
+            raise ValueError(f"stepsize {s} disagrees with the schedule's s = {self.s}")
+        if alpha != self.alpha:
+            raise ValueError(f"alpha = {alpha} disagrees with the schedule's {self.alpha}")
+
 
 def _n_prime_e24(params: dict, s: float, alpha: float, lipschitz: float,
                  curvature: float) -> float:

@@ -33,15 +33,14 @@ def euler_advance(field: Field) -> Advance:
 class SubFlow:
     """One summand of a split field together with the map used to advance
     it. `advance` may be the exact flow (when available in closed form) or
-    any one-step integrator; `autonomous` is informational."""
+    any one-step integrator."""
 
     field: Field
     advance: Advance
-    autonomous: bool = False
 
     @classmethod
-    def euler(cls, field: Field, autonomous: bool = False) -> "SubFlow":
-        return cls(field=field, advance=euler_advance(field), autonomous=autonomous)
+    def euler(cls, field: Field) -> "SubFlow":
+        return cls(field=field, advance=euler_advance(field))
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,8 @@ class HamiltonianSystem:
 
     kinetic: Callable[[Array], float]
     potential: Callable[[Array], float]
-    grad_kinetic: Optional[Callable[[Array], Array]] = None
-    grad_potential: Optional[Callable[[Array], Array]] = None
+    grad_kinetic: Callable[[Array], Array]
+    grad_potential: Callable[[Array], Array]
     dissipation: float = 0.0
 
     def __post_init__(self):
@@ -143,15 +142,8 @@ class HamiltonianSystem:
                              "potential must evaluate over the last axis")
         return e
 
-    def _require_grads(self, op: str) -> None:
-        if self.grad_kinetic is None or self.grad_potential is None:
-            raise NotImplementedError(
-                f"{op} needs explicit grad_kinetic and grad_potential "
-                "(only separable systems with both gradients are supported)")
-
     def field(self, t: float, x: Array, v: Array) -> Phase:
         """The damped Hamiltonian vector field; t is unused (autonomous)."""
-        self._require_grads("field evaluation")
         gT = self.grad_kinetic(v)
         return gT, -self.grad_potential(x) - self.dissipation * gT
 
@@ -166,7 +158,6 @@ def symplectic_euler(hs: HamiltonianSystem, state: Phase, h: float,
     Dissipation is not part of these maps; damped systems are handled by
     splitting the friction into its own sub-flow.
     """
-    hs._require_grads("symplectic_euler")
     x, v = state
     if variant == "se1":
         x_new = x + h * hs.grad_kinetic(v)
@@ -186,7 +177,6 @@ def stormer_verlet(hs: HamiltonianSystem, state: Phase, h: float,
     sv1 (drift-kick-drift): half drift in x, full kick in v, half drift.
     sv2 (kick-drift-kick): half kick in v, full drift in x, half kick.
     """
-    hs._require_grads("stormer_verlet")
     x, v = state
     if variant == "sv1":
         x_half = x + 0.5 * h * hs.grad_kinetic(v)

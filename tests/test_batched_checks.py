@@ -142,7 +142,8 @@ def test_energy_of_a_stack_is_the_per_row_energies(seed, dim, rows):
 
 def test_energy_stack_contracts():
     one_point = HamiltonianSystem(kinetic=lambda v: 0.5 * float(np.dot(v, v)),
-                                  potential=lambda x: 0.5 * float(np.dot(x, x)))
+                                  potential=lambda x: 0.5 * float(np.dot(x, x)),
+                                  grad_kinetic=lambda v: v, grad_potential=lambda x: x)
     with pytest.raises(ValueError):     # written for one point, not for a stack
         one_point.energy(np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):

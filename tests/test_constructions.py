@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitgrad import constructions as con
 from splitgrad.algorithms import StoppingRule, make_stepper, run
-from splitgrad.objectives import f1, f2
+from splitgrad.objectives import f1, f2, quadratic
 from splitgrad.schedules import make_schedule
 
 H = 0.1
@@ -181,6 +183,65 @@ def test_output_shape_and_bootstrap_row():
     assert np.array_equal(xs[0], [1.0, 0.0])
     # bootstrap x1 = x0 - h^2 grad f(x0)
     assert np.array_equal(xs[1], np.array([1.0, 0.0]) - S * obj.grad([1.0, 0.0]))
+
+
+def _routes(h):
+    """Each construction at stepsize h from its default velocity, keyed by
+    the direct stepper it reproduces at s = h^2, with that stepper's
+    keywords."""
+    sch = make_schedule("e25", s=h * h, beta=0.1, b=2.0, mu=0.1)
+    return {
+        "agm2": (lambda obj, x0, n: con.nesterov_lie_trotter(obj, x0, None, 3.0, h, n), {}),
+        "igahd": (lambda obj, x0, n: con.igahd_construction(obj, x0, None, 3.0, 1.0, h, n),
+                  {"beta": 1.0}),
+        "lt_s_igahd": (lambda obj, x0, n: con.lt_s_igahd_construction(obj, x0, None, 3.0, sch,
+                                                                      h, n),
+                       {"schedule": sch}),
+        "ardm": (lambda obj, x0, n: con.ardm_construction(obj, x0, None, 3.0, h, n), {}),
+        "pim": (lambda obj, x0, n: con.pim_construction(obj, x0, None, 1.0, h, n),
+                {"gamma": 1.0}),
+        "lt_se1": (lambda obj, x0, n: con.lt_se1_construction(obj, x0, None, 3.0, h, n), {}),
+        "lt_sv2": (lambda obj, x0, n: con.lt_sv2_construction(obj, x0, None, 3.0, h, n), {}),
+        "lt_se3": (lambda obj, x0, n: con.lt_se3_construction(obj, x0, None, 3.0, h, n), {}),
+    }
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(_routes(H)))
+def test_short_runs_keep_shape_and_bootstrap_row(name, n_steps):
+    obj = f1()
+    construct, _ = _routes(H)[name]
+    xs = construct(obj, X0, n_steps)
+    assert xs.shape == (n_steps + 1, 2)
+    assert np.array_equal(xs[0], X0)
+    if n_steps:
+        # bootstrap x1 = x0 - h^2 grad f(x0)
+        assert np.array_equal(xs[1], np.asarray(X0) - S * obj.grad(np.asarray(X0)))
+
+
+def _psd_quadratic(rng, dim):
+    """A random positive-semidefinite quadratic with L in [1, 10]: some
+    eigenvalues may be 0, and the linear term lies in the matrix range. L
+    at least 1 keeps h <= 1, where the friction map of pim is stable."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    eigs = rng.uniform(0.0, 1.0, dim) * (rng.random(dim) < 0.8)
+    eigs[0] = 1.0
+    a = (q * (10.0 ** rng.uniform(0.0, 1.0) * eigs)) @ q.T
+    a = 0.5 * (a + a.T)
+    return quadratic(a, a @ rng.standard_normal(dim))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), u=st.floats(0.05, 0.95))
+def test_every_construction_equals_its_stepper_on_random_quadratics(seed, dim, u):
+    rng = np.random.default_rng([seed, dim])
+    obj = _psd_quadratic(rng, dim)
+    h = float(np.sqrt(u / obj.lipschitz_constant()))
+    x0 = rng.normal(scale=2.0, size=dim)
+    for name, (construct, kw) in _routes(h).items():
+        traj, _ = run(make_stepper(name, h * h, **kw), obj, x0, h * h,
+                      StoppingRule("max_iter"), max_iter=N)
+        assert _rel_gap(construct(obj, x0, N), traj.xs) <= 1e-12, name
 
 
 def test_continuous_routes_agree_after_change_of_variables():

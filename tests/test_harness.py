@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -381,6 +382,17 @@ def test_table_writes_rows_whose_n2_is_undefined(tmp_path, extra, n_rows):
     assert len(rows) == n_rows and _report(out)["rows"] == n_rows
     undefined = [r for r in rows if r[header.index("n2_at_stop")] == "nan"]
     assert undefined and all(r[header.index("match_n2")] == "false" for r in undefined)
+
+
+def test_diverging_runs_print_no_warnings(tmp_path):
+    # a diverging run overflows on its way out; the engine reports it as
+    # diverged, and numpy's overflow warnings stay quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["table", "--alpha", "2000", "--table", "1",
+                         "--out", str(tmp_path / "t")]) == 0
+        assert cli.main(["run", "--alpha", "2000", "--out", str(tmp_path / "r")]) == 0
+    assert _report(tmp_path / "r")["termination"] == "diverged"
 
 
 def test_table_cases_inline_json(tmp_path):

@@ -86,8 +86,8 @@ def test_symplectic_euler_is_first_order():
 
 
 def _drift_kick_split(full=None):
-    drift = SubFlow.euler(lambda t, x, v: (v, np.zeros_like(v)), autonomous=True)
-    kick = SubFlow.euler(lambda t, x, v: (np.zeros_like(x), -x), autonomous=True)
+    drift = SubFlow.euler(lambda t, x, v: (v, np.zeros_like(v)))
+    kick = SubFlow.euler(lambda t, x, v: (np.zeros_like(x), -x))
     return SplitSystem([drift, kick], full_field=full)
 
 
@@ -130,8 +130,8 @@ def test_lie_trotter_is_first_order_on_noncommuting_pair():
 def test_lie_trotter_on_commuting_fields_is_plain_euler():
     # decoupled decays commute; the composite is Euler on the sum, order 1
     split = SplitSystem([
-        SubFlow.euler(lambda t, x, v: (-x, np.zeros_like(v)), autonomous=True),
-        SubFlow.euler(lambda t, x, v: (np.zeros_like(x), -2.0 * v), autonomous=True),
+        SubFlow.euler(lambda t, x, v: (-x, np.zeros_like(v))),
+        SubFlow.euler(lambda t, x, v: (np.zeros_like(x), -2.0 * v)),
     ])
     state = (np.array([1.0]), np.array([1.0]))
 
@@ -145,7 +145,7 @@ def test_lie_trotter_on_commuting_fields_is_plain_euler():
 
 
 def test_strang_single_flow_takes_one_full_step():
-    flow = SubFlow.euler(lambda t, x, v: (-x, np.zeros_like(v)), autonomous=True)
+    flow = SubFlow.euler(lambda t, x, v: (-x, np.zeros_like(v)))
     split = SplitSystem([flow])
     state = (np.array([2.0]), np.array([0.0]))
     xs, vs = strang_compose(split, state, 0.0, H)
@@ -186,13 +186,6 @@ def test_hamiltonian_system_contracts():
     dx, dv = damped.field(0.0, np.array([1.0]), np.array([2.0]))
     assert float(dx[0]) == 2.0
     assert float(dv[0]) == -1.0 - 0.5 * 2.0
-    bare = HamiltonianSystem(kinetic=lambda v: 0.0, potential=lambda x: 0.0)
-    with pytest.raises(NotImplementedError):
-        bare.field(0.0, np.array([1.0]), np.array([1.0]))
-    with pytest.raises(NotImplementedError):
-        symplectic_euler(bare, START, H)
-    with pytest.raises(NotImplementedError):
-        stormer_verlet(bare, START, H)
 
 
 def test_unknown_variants_rejected():
