@@ -15,12 +15,13 @@ gamma_n), with a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1):
     lt_s_igahd    the coefficients of a Schedule
 
 `nag` keeps its velocity form, `velocity_step`, driven the same way by the
-map n -> (w_n, c_n, r_n) of `nag_coefficients`. Every stepper is a function
-(state, objective) -> state over a shared IterState carrying the two most
-recent iterates with their cached gradients and values. All methods share
-the same bootstrap: x1 = x0 - s*grad(x0), y0 = x0, and the main recursion
-runs from n = 1. Iterations are counted from n = 0, so a trajectory that
-stops at index M holds M + 1 points.
+map n -> (w_n, c_n, r_n) of `nag_coefficients` on the clock t_n = n h.
+Every stepper is a function (state, objective) -> state over a shared
+IterState carrying the two most recent iterates with their cached
+gradients and values. All methods share the same bootstrap:
+x1 = x0 - s*grad(x0), y0 = x0, and the main recursion runs from n = 1.
+Iterations are counted from n = 0, so a trajectory that stops at index M
+holds M + 1 points.
 
 Lanes: `run_lanes` steps B trajectories together over (B, dim) arrays, one
 Python loop for all of them. Each lane has its own stepsize, start point and
@@ -114,8 +115,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in ("consecutive_f", "known_min_f", "max_iter"):
             raise ValueError(f"unknown stopping kind {self.kind!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def init_state(obj: Objective, x0, s) -> IterState:
@@ -163,17 +164,9 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
                      state.f_curr, f_next, y_last=y, lanes=state.lanes)
 
 
-def _clock_time(n, h: float, alpha: float, clock: str):
-    if clock == "standard":
-        return n * h
-    if clock == "shifted":
-        return h * (n + alpha)
-    raise ValueError(f"unknown clock {clock!r}; use 'standard' or 'shifted'")
-
-
-def nag_coefficients(n, s: float, alpha: float = 3.0, clock: str = "standard"):
+def nag_coefficients(n, s: float, alpha: float = 3.0):
     """The velocity-form coefficients (w_n, c_n, r_n) at n (a number or an
-    array) on the clock t_n = n h, or h (n + alpha) with clock="shifted":
+    array) on the clock t_n = n h:
 
     w_n = h (alpha - 1) / t_n,  c_n = h t_n / (alpha - 1),
     r_n = t_{n-1} / (h (alpha - 1)).
@@ -181,11 +174,11 @@ def nag_coefficients(n, s: float, alpha: float = 3.0, clock: str = "standard"):
     if alpha == 1.0:
         raise ValueError("the velocity form divides by alpha - 1; alpha must not be 1")
     h = float(np.sqrt(s))
-    t_n = _clock_time(n, h, alpha, clock)
+    t_n = n * h
     vanish = np.asarray(t_n) == 0.0
     if vanish.any():
         raise ValueError(f"clock time vanishes at n = {np.asarray(n)[vanish].flat[0]:g}")
-    t_prev = _clock_time(n - 1, h, alpha, clock)
+    t_prev = (n - 1) * h
     return h * (alpha - 1.0) / t_n, h * t_n / (alpha - 1.0), t_prev / (h * (alpha - 1.0))
 
 
@@ -198,8 +191,7 @@ def velocity_step(state: IterState, obj: Objective, s, coeffs) -> IterState:
     v_{n+1} = v_n - c_n grad(y_n)
 
     When v_aux is unset the velocity is recovered from the position pair,
-    v_n = x_{n-1} + r_n (x_n - x_{n-1}); on the standard clock this gives
-    v_1 = x_0.
+    v_n = x_{n-1} + r_n (x_n - x_{n-1}), which gives v_1 = x_0.
     """
     w_n, c_n, r_n = coeffs
     v = state.v_aux
@@ -523,13 +515,12 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
 
 def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0,
                  schedule: Union[Schedule, Sequence[Schedule], None] = None,
-                 beta: float = 1.0, gamma: float = 1.0,
-                 clock: str = "standard") -> Stepper:
+                 beta: float = 1.0, gamma: float = 1.0) -> Stepper:
     """Bind a named algorithm to its parameters; the result has the
     (state, obj) -> state shape that `run` and `run_lanes` expect. `s` is
     one stepsize or one per lane, and `schedule` (lt_s_igahd's) one Schedule
-    or one per lane. `nag` steps in velocity form on `clock`; every other
-    name steps by its `coefficient_map`."""
+    or one per lane. `nag` steps in velocity form by `nag_coefficients`;
+    every other name steps by its `coefficient_map`."""
     name = name.lower()
     s_lanes = np.atleast_1d(np.asarray(s, dtype=float))
     if s_lanes.ndim != 1 or s_lanes.size == 0:
@@ -539,7 +530,7 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
     if len(scheds) != s_lanes.size:
         raise ValueError(f"{len(scheds)} schedules for {s_lanes.size} stepsizes")
     if name == "nag":
-        maps = [partial(nag_coefficients, s=s_k, alpha=alpha, clock=clock)
+        maps = [partial(nag_coefficients, s=s_k, alpha=alpha)
                 for s_k in s_lanes.tolist()]
         return Stepper(velocity_step, maps, s_lanes)
     maps = [coefficient_map(name, s_k, alpha, sch, beta, gamma)
@@ -594,12 +585,11 @@ def run_schedules(objective: str, cells, alpha: float, x0, epsilon: float, max_i
         raise ValueError(f"x0 must be a finite point of dimension {obj.dim} for "
                          f"objective {obj.name!r}, got {x0.tolist()}")
     stopping = StoppingRule(default_stop(obj), epsilon)
-    lip = obj.lipschitz_constant()
     runs = []
     for label, params, s in cells:
         try:
             check_stepsize(s, obj)
-            sched = schedules.make_schedule(label, s=s, alpha=alpha, lipschitz=lip, **params)
+            sched = schedules.make_schedule(label, s=s, alpha=alpha, **params)
         except Exception as e:  # the cell's own inputs: reported, not raised
             runs.append(ScheduleRun(error=e))
         else:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algorithms import Trajectory
 from .objectives import Objective, _row_dot
-from .schedules import Schedule, a_coefficients
+from .schedules import a_coefficients
 
 Array = np.ndarray
 
@@ -44,18 +44,18 @@ class EnergySeries:
 
 
 def energy(trajectory: Trajectory, n: int, s: float, alpha: float,
-           schedule: Optional[Schedule], x_star) -> float:
-    """E_n for a single index: `energy_series` over the window [n, n].
-    Pass schedule=None for methods without a gradient-correction
-    coefficient (lambda_n = 0)."""
-    return float(energy_series(trajectory, s, alpha, schedule, x_star, n, n).e_seq[0])
+           coeffs: Optional[Callable], x_star) -> float:
+    """E_n for a single index: `energy_series` over the window [n, n]."""
+    return float(energy_series(trajectory, s, alpha, coeffs, x_star, n, n).e_seq[0])
 
 
 def energy_series(trajectory: Trajectory, s: float, alpha: float,
-                  schedule: Optional[Schedule], x_star=None,
+                  coeffs: Optional[Callable], x_star=None,
                   n_lo: int = 1, n_hi: Optional[int] = None) -> EnergySeries:
-    """Vectorized E_n over n = n_lo..n_hi. x_star=None selects the
-    terminal-iterate surrogate."""
+    """Vectorized E_n over n = n_lo..n_hi. lambda_n comes from `coeffs`, the
+    map n -> (alpha_n, lambda_n, omega_n, gamma_n) the run stepped by, taken
+    over an array of n; None stands for lambda_n = 0. x_star=None selects
+    the terminal-iterate surrogate."""
     if n_hi is None:
         n_hi = trajectory.n_final
     if not (1 <= n_lo <= n_hi <= trajectory.n_final):
@@ -67,8 +67,7 @@ def energy_series(trajectory: Trajectory, s: float, alpha: float,
     ns = np.arange(n_lo, n_hi + 1)
     t_n = (ns - 1) / (alpha - 1.0)
     t_next = ns / (alpha - 1.0)
-    lam = (np.zeros(len(ns)) if schedule is None
-           else np.asarray(schedule.coeffs_at(ns)[1], dtype=float))
+    lam = np.zeros(len(ns)) if coeffs is None else np.asarray(coeffs(ns)[1], dtype=float)
     x_prev = trajectory.xs[ns - 1]
     x_curr = trajectory.xs[ns]
     g_prev = trajectory.grads[ns - 1]

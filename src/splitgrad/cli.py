@@ -53,11 +53,14 @@ def _jsonable(v):
     return v
 
 
-def _parse_vec(text: str) -> np.ndarray:
+def _parse_vec(option: str, text: str) -> np.ndarray:
     try:
-        return np.array([float(p) for p in text.split(",")], dtype=float)
+        vec = np.array([float(p) for p in text.split(",")], dtype=float)
     except ValueError:
-        raise ValueError(f"expected a comma-separated vector, got {text!r}")
+        raise ValueError(f"{option}: expected a comma-separated vector, got {text!r}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{option} must hold finite numbers, got {text!r}")
+    return vec
 
 
 def _parse_json(text, what: str = "a JSON object"):
@@ -85,6 +88,16 @@ def _as_params(obj, label: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{label} must be a JSON object")
     return obj
+
+
+def _finite(option: str, value) -> float:
+    """`value` as a float when it is a finite number; ValueError naming
+    `option` otherwise."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # an exact comparison, so that an int beyond the float range fails it too
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{option} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _max_iter(value) -> int:
@@ -122,16 +135,25 @@ def _cfg(args, config: dict, key: str, default):
 # ---------------------------------------------------------------- run
 
 
+# The options of `run` that only some methods take, with those methods.
+_METHOD_OPTIONS = {"beta": ("igahd", "polyak_igahd"), "gamma": ("pim",),
+                   "schedule": ("lt_s_igahd",), "schedule_params": ("lt_s_igahd",)}
+
+
 def cmd_run(args) -> int:
     config = _parse_params(args.config) if args.config else {}
     obj = make_objective(_cfg(args, config, "objective", "f2"),
                          **_as_params(config.get("objective_params", {}), "objective_params"))
     algorithm = _cfg(args, config, "algorithm", "agm2")
-    s = float(_cfg(args, config, "s", 0.1))
-    alpha = float(_cfg(args, config, "alpha", 3.0))
+    for key, methods in _METHOD_OPTIONS.items():
+        if _cfg(args, config, key, None) is not None and algorithm.lower() not in methods:
+            raise ValueError(f"--{key.replace('_', '-')} applies only to "
+                             f"{' and '.join(methods)}, not to {algorithm}")
+    s = _finite("--s", _cfg(args, config, "s", 0.1))
+    alpha = _finite("--alpha", _cfg(args, config, "alpha", 3.0))
     x0 = _cfg(args, config, "x0", "1,-2")
-    x0 = _parse_vec(x0) if isinstance(x0, str) else np.asarray(x0, dtype=float)
-    epsilon = float(_cfg(args, config, "epsilon", 1e-10))
+    x0 = _parse_vec("--x0", x0) if isinstance(x0, str) else np.asarray(x0, dtype=float)
+    epsilon = _finite("--epsilon", _cfg(args, config, "epsilon", 1e-10))
     max_iter = _max_iter(_cfg(args, config, "max_iter", 50000))
     stop_kind = _cfg(args, config, "stop", algorithms.default_stop(obj))
     out_dir = Path(_cfg(args, config, "out", "out"))
@@ -140,15 +162,16 @@ def cmd_run(args) -> int:
     sched_label = _cfg(args, config, "schedule", None)
     sched_params = _parse_params(args.schedule_params) if args.schedule_params \
         else _as_params(config.get("schedule_params", {}), "schedule_params")
+    for key, value in sched_params.items():
+        _finite(f"--schedule-params {key}", value)
     sched = None
     if sched_label is not None:
-        sched = schedules.make_schedule(sched_label, s=s, alpha=alpha,
-                                        lipschitz=obj.lipschitz_constant(), **sched_params)
+        sched = schedules.make_schedule(sched_label, s=s, alpha=alpha, **sched_params)
 
-    beta = float(_cfg(args, config, "beta", 1.0))
-    gamma = float(_cfg(args, config, "gamma", 1.0))
+    beta = _finite("--beta", _cfg(args, config, "beta", 1.0))
+    gamma = _finite("--gamma", _cfg(args, config, "gamma", 1.0))
     stepper = algorithms.make_stepper(algorithm, s, alpha=alpha, schedule=sched, beta=beta,
-                                      gamma=gamma, clock=_cfg(args, config, "clock", "standard"))
+                                      gamma=gamma)
     stopping = algorithms.StoppingRule(stop_kind, epsilon)
     traj, res = algorithms.run(stepper, obj, x0, s, stopping, max_iter=max_iter)
 
@@ -164,9 +187,8 @@ def cmd_run(args) -> int:
         x_star = obj.argmin_point if obj.argmin_kind == "unique" else None
         # the energy takes lambda_n from the coefficients the stepper ran
         # with; nag's velocity form has lambda_n = 0
-        coeffs = None if algorithm.lower() == "nag" else schedules.Schedule(
-            label=algorithm, alpha=alpha, s=s,
-            coeffs_at=algorithms.coefficient_map(algorithm, s, alpha, sched, beta, gamma))
+        coeffs = (None if algorithm.lower() == "nag"
+                  else algorithms.coefficient_map(algorithm, s, alpha, sched, beta, gamma))
         series = analysis.energy_series(traj, s, alpha, coeffs, x_star=x_star)
         e_col = np.full(traj.n_final + 1, np.nan)
         e_col[series.n_start:series.n_start + len(series.e_seq)] = series.e_seq
@@ -272,7 +294,8 @@ def cmd_table(args) -> int:
         cases = [c for c in cases if c.table == args.table]
         if not cases:
             raise ValueError(f"no recorded rows for table {args.table}")
-    s, alpha, max_iter = args.s, args.alpha, _max_iter(args.max_iter)
+    s, alpha = _finite("--s", args.s), _finite("--alpha", args.alpha)
+    max_iter = _max_iter(args.max_iter)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -341,7 +364,7 @@ def cmd_sweep(args) -> int:
     # one lane batch; a cell whose stepsize or schedule is rejected is an error row
     obj, runs = algorithms.run_schedules(
         args.objective, [(args.schedule, params, args.s) for params in points], args.alpha,
-        _parse_vec(args.x0), args.epsilon, _max_iter(args.max_iter))
+        _parse_vec("--x0", args.x0), args.epsilon, _max_iter(args.max_iter))
     rows = []
     for params, run in zip(points, runs):
         if run.error is not None:
@@ -385,10 +408,11 @@ def cmd_verify(args) -> int:
 
 def cmd_ode_compare(args) -> int:
     obj = make_objective(args.objective)
-    alpha, beta, t0, t1, dt0 = args.alpha, args.beta, args.t0, args.t1, args.dt
-    v0 = _parse_vec(args.v0) if args.v0 is not None else np.zeros(obj.dim)
-    gaps, orders, finest = verify.ode_route_gaps(obj, _parse_vec(args.x0), v0, alpha, beta,
-                                                 t0, t1, dt0)
+    alpha, beta, t0, t1, dt0 = (_finite(f"--{key}", getattr(args, key))
+                                for key in ("alpha", "beta", "t0", "t1", "dt"))
+    x0 = _parse_vec("--x0", args.x0)
+    v0 = _parse_vec("--v0", args.v0) if args.v0 is not None else np.zeros(obj.dim)
+    gaps, orders, finest = verify.ode_route_gaps(obj, x0, v0, alpha, beta, t0, t1, dt0)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -436,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stop", choices=("consecutive_f", "known_min_f", "max_iter"))
     p_run.add_argument("--beta", type=float, help="damping weight for igahd variants")
     p_run.add_argument("--gamma", type=float, help="friction for the proximal inertial map")
-    p_run.add_argument("--clock", choices=("standard", "shifted"))
     p_run.add_argument("--record-energy", action="store_true",
                        help="add the Lyapunov energy column to the CSV")
     p_run.add_argument("--config", help="JSON file with any of the above keys")

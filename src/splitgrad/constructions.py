@@ -9,22 +9,21 @@ anti-drift property of the test suite: the two code paths share no update
 formulas, only the common bootstrap x1 = x0 - h^2 grad f(x0).
 
 Conventions: the discretization clock is t_n = n*h. Every construction
-runs through one driver, which takes the bootstrap x1, starts from v0, the
-auxiliary velocity entering the first composite step, and applies composite
-step n, which maps (x_n, v_n) to (x_{n+1}, v_{n+1}), for n = 1, ...,
-n_steps - 1. v0 = None selects the method's default, the value that
-reproduces the discrete method. A construction adds only its parameter
-checks, that default and its composite step.
+runs through one driver, which takes the bootstrap x1, starts from v_1, the
+auxiliary velocity that the method computes from x0 and x1 so as to
+reproduce the discrete method, and applies composite step n, which maps
+(x_n, v_n) to (x_{n+1}, v_{n+1}), for n = 1, ..., n_steps - 1. A
+construction adds only its parameter checks, its start velocity and its
+composite step, and imports no formula from `algorithms`, not even theta_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .algorithms import default_theta
 from .objectives import Objective
 from .schedules import Schedule
 from .splitting import (Field, HamiltonianSystem, Phase, SplitSystem, SubFlow,
@@ -39,12 +38,12 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"inertia exponent must exceed 1, got {alpha}")
 
 
-def _iterate(obj: Objective, x0, v0, h: float, n_steps: int,
-             default_v: Callable[[Array, Array], Array],
+def _iterate(obj: Objective, x0, h: float, n_steps: int,
+             start_v: Callable[[Array, Array], Array],
              step: Callable[[int, Array, Array], Phase]) -> Array:
     """The driver of the module docstring: step(n, x_n, v_n) is composite
-    step n, default_v(x0, x1) the start velocity when v0 is None. Returns
-    x_0, ..., x_{n_steps} stacked."""
+    step n, start_v(x0, x1) the start velocity. Returns x_0, ...,
+    x_{n_steps} stacked."""
     if h <= 0.0:
         raise ValueError(f"stepsize must be positive, got {h}")
     if n_steps < 0:
@@ -53,7 +52,7 @@ def _iterate(obj: Objective, x0, v0, h: float, n_steps: int,
     x = x0 - (h * h) * obj.grad(x0)
     if n_steps == 0:
         return np.asarray([x0])
-    v = np.asarray(v0, dtype=float) if v0 is not None else default_v(x0, x)
+    v = start_v(x0, x)
     xs = [x0, x]
     for n in range(1, n_steps):
         x, v = step(n, x, v)
@@ -79,21 +78,18 @@ def _unit_mass_system(obj: Objective, potential_scale: float = 1.0,
                              grad_potential=gpot, dissipation=dissipation)
 
 
-def nesterov_lie_trotter(obj: Objective, x0, v0, alpha: float, h: float,
-                         n_steps: int, beta: Optional[float] = None) -> Array:
+def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
     """Sequential splitting of the first-order averaged system
 
-        x' = ((alpha-1)/t)(v - x) - beta grad f(x),
+        x' = ((alpha-1)/t)(v - x) - h grad f(x),
         v' = -(t/(alpha-1)) grad f(x)
 
     into three sub-fields (x-drift, v-kick, gradient flow), each advanced by
-    one explicit Euler step at the shared time t_n = n*h. With beta = h (the
-    default) the returned x-iterates coincide with the accelerated-gradient
-    stepper at stepsize s = h^2. beta = 0 drops the gradient-flow leg, which
-    is the two-field ablation.
+    one explicit Euler step at the shared time t_n = n*h. The returned
+    x-iterates coincide with the accelerated-gradient stepper at stepsize
+    s = h^2.
     """
     _check_alpha(alpha)
-    b = h if beta is None else beta
 
     def drift(t, x, vv):
         return ((alpha - 1.0) / t) * (vv - x), np.zeros_like(vv)
@@ -102,19 +98,19 @@ def nesterov_lie_trotter(obj: Objective, x0, v0, alpha: float, h: float,
         return np.zeros_like(x), -(t / (alpha - 1.0)) * obj.grad(x)
 
     def grad_flow(t, x, vv):
-        return -b * obj.grad(x), np.zeros_like(vv)
+        return -h * obj.grad(x), np.zeros_like(vv)
 
     def full(t, x, vv):
-        return (((alpha - 1.0) / t) * (vv - x) - b * obj.grad(x),
+        return (((alpha - 1.0) / t) * (vv - x) - h * obj.grad(x),
                 -(t / (alpha - 1.0)) * obj.grad(x))
 
     split = SplitSystem([SubFlow.euler(drift), SubFlow.euler(kick),
                          SubFlow.euler(grad_flow)], full_field=full)
-    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: x0.copy(),
+    return _iterate(obj, x0, h, n_steps, lambda x0, x1: x0.copy(),
                     lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
 
 
-def igahd_construction(obj: Objective, x0, v0, alpha: float, beta: float,
+def igahd_construction(obj: Objective, x0, alpha: float, beta: float,
                        h: float, n_steps: int) -> Array:
     """Two-way split of the Hessian-damped inertial system: the
     non-potential part (inertial averaging plus the Hessian-drive terms)
@@ -137,10 +133,10 @@ def igahd_construction(obj: Objective, x0, v0, alpha: float, beta: float,
                   + h * g - h * obj.grad(y))
         return symplectic_euler(hs, (x, v_half), h, "se2")
 
-    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
+    return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
 
 
-def lt_s_igahd_construction(obj: Objective, x0, v0, alpha: float,
+def lt_s_igahd_construction(obj: Objective, x0, alpha: float,
                             schedule: Schedule, h: float, n_steps: int) -> Array:
     """The general scheduled form of igahd_construction: the non-potential
     Euler leg carries the per-step coefficients (lambda_n, omega_n, gamma_n)
@@ -159,11 +155,10 @@ def lt_s_igahd_construction(obj: Objective, x0, v0, alpha: float,
                   + h * g - h * obj.grad(y))
         return symplectic_euler(hs, (x, v_half), h, "se2")
 
-    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
+    return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
 
 
-def ardm_construction(obj: Objective, x0, v0, alpha: float, h: float,
-                      n_steps: int) -> Array:
+def ardm_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
     """Split of the relaxed dynamical system whose damping acts through an
     extra gradient term: Euler on the non-potential part, kick-then-drift
     on the potential part."""
@@ -177,11 +172,10 @@ def ardm_construction(obj: Objective, x0, v0, alpha: float, h: float,
         v_half = a_n * v - h * (1.0 + a_n) * g + h * g - h * obj.grad(y)
         return symplectic_euler(hs, (x, v_half), h, "se2")
 
-    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
+    return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
 
 
-def pim_construction(obj: Objective, x0, v0, gamma: float, h: float,
-                     n_steps: int) -> Array:
+def pim_construction(obj: Objective, x0, gamma: float, h: float, n_steps: int) -> Array:
     """Momentum as a dissipative/conservative split of the damped
     Hamiltonian flow: Euler on the friction field (0, -gamma v), then
     kick-then-drift symplectic Euler on the conservative field. gamma = 0
@@ -195,12 +189,11 @@ def pim_construction(obj: Objective, x0, v0, gamma: float, h: float,
     conservative = SubFlow(field=lambda t, x, vv: (vv, -obj.grad(x)),
                            advance=lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2"))
     split = SplitSystem([friction, conservative], full_field=hs.field)
-    return _iterate(obj, x0, v0, h, n_steps, lambda x0, x1: (x1 - x0) / h,
+    return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h,
                     lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
 
 
-def lt_se1_construction(obj: Objective, x0, v0, alpha: float, h: float,
-                        n_steps: int) -> Array:
+def lt_se1_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
     """Split with the drift-then-kick symplectic Euler map on the potential
     part. The auxiliary velocity carries a gradient perturbation,
     v_n = (x_n - x_{n-1})/h - h grad f(x_n), maintained exactly by the
@@ -214,12 +207,11 @@ def lt_se1_construction(obj: Objective, x0, v0, alpha: float, h: float,
         v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * g
         return symplectic_euler(hs, (x, v_half), h, "se1")
 
-    return _iterate(obj, x0, v0, h, n_steps,
+    return _iterate(obj, x0, h, n_steps,
                     lambda x0, x1: (x1 - x0) / h - h * obj.grad(x1), step)
 
 
-def lt_sv2_construction(obj: Objective, x0, v0, alpha: float, h: float,
-                        n_steps: int) -> Array:
+def lt_sv2_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
     """As lt_se1_construction with the potential part advanced by the
     kick-drift-kick second-order map instead; the velocity perturbation is
     halved accordingly, v_n = (x_n - x_{n-1})/h - (h/2) grad f(x_n)."""
@@ -232,17 +224,16 @@ def lt_sv2_construction(obj: Objective, x0, v0, alpha: float, h: float,
         v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * g
         return stormer_verlet(hs, (x, v_half), h, "sv2")
 
-    return _iterate(obj, x0, v0, h, n_steps,
+    return _iterate(obj, x0, h, n_steps,
                     lambda x0, x1: (x1 - x0) / h - 0.5 * h * obj.grad(x1), step)
 
 
-def lt_se3_construction(obj: Objective, x0, v0, alpha: float, h: float,
-                        n_steps: int,
-                        theta: Callable[[int], float] = default_theta) -> Array:
+def lt_se3_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int,
+                        theta: Callable[[int], float] = lambda n: 1.0 / max(n, 1)) -> Array:
     """Time-rescaled variant of lt_se1_construction: the potential entering
-    the symplectic leg at step n is theta_n * f, so the gradient
-    perturbation in the velocity decays with theta. theta identically 1
-    recovers lt_se1_construction."""
+    the symplectic leg at step n is theta_n * f, by default with
+    theta_n = 1/max(n, 1), so the gradient perturbation in the velocity
+    decays with theta. theta identically 1 recovers lt_se1_construction."""
     _check_alpha(alpha)
 
     def step(n, x, v):
@@ -252,7 +243,7 @@ def lt_se3_construction(obj: Objective, x0, v0, alpha: float, h: float,
         v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * th * g
         return symplectic_euler(_unit_mass_system(obj, th), (x, v_half), h, "se1")
 
-    return _iterate(obj, x0, v0, h, n_steps,
+    return _iterate(obj, x0, h, n_steps,
                     lambda x0, x1: (x1 - x0) / h - h * theta(0) * obj.grad(x1), step)
 
 

@@ -9,7 +9,7 @@ coupling identity
     gamma_n = (lambda_n + omega_n) - ((n+1)/n) * lambda_{n+1}
 
 by construction, plus the single-parameter "igahd" family (the e25 family
-at mu = 0) and the bare "agm2" schedule (all coefficients zero).
+at mu = 0). A "custom" schedule takes any coefficient map.
 
 Index convention: the families are stated through a lambda_{n+1} recurrence
 for n >= 1; lambda_n is the same closed form shifted by one, which pins
@@ -19,7 +19,7 @@ lambda_1 = 0 for e24/e26 and lambda_1 = beta*sqrt(s) + mu/b for e25.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -124,15 +124,13 @@ class Schedule:
     (alpha_n, lambda_n, omega_n, gamma_n). An array of n must give arrays,
     or numbers that hold for every n, bitwise equal to the values n by n:
     the steppers tabulate the coefficients from one call over a chunk of
-    indices. `n_prime` holds the closed-form admissibility threshold when
-    one exists for the label.
+    indices.
     """
 
     label: str
     alpha: float
     s: float
     coeffs_at: Callable
-    n_prime: Optional[float] = None
     params: dict = field(default_factory=dict)
 
     def check_matches(self, s: float, alpha: float) -> None:
@@ -209,15 +207,13 @@ def n_prime_reference_variant(label: str, params: dict, s: float, alpha: float,
     return n_prime(label, params, s, alpha, lipschitz)
 
 
-def make_schedule(label: str, s: float, alpha: float = 3.0,
-                  lipschitz: Optional[float] = None, coeffs=None, **params) -> Schedule:
+def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
+                  **params) -> Schedule:
     """Build a Schedule by label.
 
     Labels: "e24"/"e26" (params a, b, mu), "e25" (beta, b, mu),
-    "igahd" (beta), "agm2" (no params), "custom" (pass `coeffs`, a map from
-    n to the coefficient 4-tuple that accepts an array of n as `Schedule`
-    states). `lipschitz` is only needed to fill the closed-form n_prime for
-    the families whose threshold depends on it.
+    "igahd" (beta), "custom" (pass `coeffs`, a map from n to the
+    coefficient 4-tuple that accepts an array of n as `Schedule` states).
     """
     label = label.lower()
     if label in ("e24", "e26"):
@@ -231,11 +227,7 @@ def make_schedule(label: str, s: float, alpha: float = 3.0,
             return family(n, s, alpha=alpha, a=a, b=b, mu=mu)
 
         family_at(1)  # validate eagerly
-        p = {"a": a, "b": b, "mu": mu}
-        # only the e24 threshold depends on L
-        npr = (None if label == "e24" and lipschitz is None
-               else n_prime(label, p, s, alpha, lipschitz))
-        return Schedule(label, alpha, s, family_at, npr, p)
+        return Schedule(label, alpha, s, family_at, {"a": a, "b": b, "mu": mu})
     if label in ("e25", "igahd"):
         if "beta" not in params:
             raise ValueError(f"schedule {label!r} needs the parameter 'beta'")
@@ -246,18 +238,13 @@ def make_schedule(label: str, s: float, alpha: float = 3.0,
             raise ValueError("the igahd schedule is the e25 family at mu = 0")
         _reject_extra(label, params)
         coeffs_e25(1, s, beta, b, mu, alpha)
-        p = {"beta": beta, "b": b, "mu": mu}
-        return Schedule(label, alpha, s,
-                        lambda n: coeffs_e25(n, s, beta, b, mu, alpha),
-                        n_prime(label, p, s, alpha, 0.0), p)
-    if label == "agm2":
-        _reject_extra(label, params)
-        return Schedule(label, alpha, s, lambda n: coeffs_agm2(n, alpha), None, {})
+        return Schedule(label, alpha, s, lambda n: coeffs_e25(n, s, beta, b, mu, alpha),
+                        {"beta": beta, "b": b, "mu": mu})
     if label == "custom":
         if coeffs is None:
             raise ValueError("custom schedule requires a `coeffs` callable")
         _reject_extra(label, params)
-        return Schedule(label, alpha, s, coeffs, None, {})
+        return Schedule(label, alpha, s, coeffs)
     raise ValueError(f"unknown schedule label {label!r}")
 
 
@@ -364,8 +351,8 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
 
     Checks the exact coupling identity (assumption (ii), tolerance
     16*eps*scale), the strict coupling inequality (assumption (i)), and the
-    sign of G_n; computes N1 = alpha - 1, the closed-form N' where one
-    exists (falling back to the scan, +inf if the inequality never
+    sign of G_n; computes N1 = alpha - 1, the closed-form N' of `n_prime`
+    where the label has one (else the scan, +inf if the inequality never
     settles), and N2 as the supremum of the per-n formula over scanned
     n > max(N1, ceil(N')) with G_n > 0. Violations are reported, never
     raised.
@@ -396,12 +383,7 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
     try:
         npr = n_prime(schedule.label, schedule.params, s, alpha, lipschitz)
     except ValueError:
-        if schedule.n_prime is not None:
-            npr = float(schedule.n_prime)
-        elif i_from <= n_max:
-            npr = float(i_from - 1)
-        else:
-            npr = float("inf")
+        npr = float(i_from - 1) if i_from <= n_max else float("inf")
 
     lo = max(n1, np.ceil(npr)) if np.isfinite(npr) else float("inf")
     sel = (n > lo) & g_pos

@@ -2,8 +2,8 @@
 
 Phase-space states are plain (x, v) pairs of arrays. Vector fields have the
 signature field(t, x, v) -> (dx, dv); autonomous fields simply ignore t.
-Composite steps follow the non-autonomous convention that every sub-flow
-inside one step is evaluated at the same discretization time t_n.
+A Lie-Trotter step evaluates every sub-flow at t_n; a Strang step advances
+each sub-flow from the start of its stretch of [t_n, t_n + h].
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def lie_trotter_compose(split: SplitSystem, state: Phase, t_n: float, h: float) 
 
 def strang_compose(split: SplitSystem, state: Phase, t_n: float, h: float) -> Phase:
     """Palindromic (Strang) composite step: half-steps of the leading
-    sub-flows around a full step of the last one, then the half-steps
-    replayed in reverse. Swapping the two fields of a pair yields the
-    symmetric variant."""
+    sub-flows from t_n around a full step of the last one from t_n, then
+    the half-steps replayed in reverse from t_n + h/2. Swapping the two
+    fields of a pair yields the symmetric variant."""
     if h <= 0.0:
         raise ValueError(f"stepsize must be positive, got {h}")
     flows = split.sub_flows
@@ -108,7 +108,7 @@ def strang_compose(split: SplitSystem, state: Phase, t_n: float, h: float) -> Ph
         x, v = sf.advance(t_n, x, v, 0.5 * h)
     x, v = flows[-1].advance(t_n, x, v, h)
     for sf in reversed(flows[:-1]):
-        x, v = sf.advance(t_n, x, v, 0.5 * h)
+        x, v = sf.advance(t_n + 0.5 * h, x, v, 0.5 * h)
     return x, v
 
 

@@ -78,7 +78,7 @@ def suite_nesterov_split(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     s = 0.025
     h = float(np.sqrt(s))
     for tag, obj in _both_objectives():
-        xs_split = constructions.nesterov_lie_trotter(obj, list(_X0), None, 3.0, h, 1000)
+        xs_split = constructions.nesterov_lie_trotter(obj, list(_X0), 3.0, h, 1000)
         xs_step = _fixed_runs(obj, s, 1000, [("agm2", {"alpha": 3.0})])[0].xs
         gap = _max_rel_gap(xs_split, xs_step)
         out.append(CheckResult(f"nesterov-split/{tag}", gap <= 1e-12,
@@ -100,13 +100,13 @@ def suite_constructions(seed: int = DEFAULT_SEED) -> List[CheckResult]:
                ("lt_sv2", {"alpha": 3.0}), ("lt_se3", {"alpha": 3.0})]
     for tag, obj in _both_objectives():
         routes = (
-            constructions.igahd_construction(obj, x0, None, 3.0, 1.0, h, n),
-            constructions.lt_s_igahd_construction(obj, x0, None, 3.0, e25, h, n),
-            constructions.pim_construction(obj, x0, None, 1.0, h, n),
-            constructions.ardm_construction(obj, x0, None, 3.0, h, n),
-            constructions.lt_se1_construction(obj, x0, None, 3.0, h, n),
-            constructions.lt_sv2_construction(obj, x0, None, 3.0, h, n),
-            constructions.lt_se3_construction(obj, x0, None, 3.0, h, n),
+            constructions.igahd_construction(obj, x0, 3.0, 1.0, h, n),
+            constructions.lt_s_igahd_construction(obj, x0, 3.0, e25, h, n),
+            constructions.pim_construction(obj, x0, 1.0, h, n),
+            constructions.ardm_construction(obj, x0, 3.0, h, n),
+            constructions.lt_se1_construction(obj, x0, 3.0, h, n),
+            constructions.lt_sv2_construction(obj, x0, 3.0, h, n),
+            constructions.lt_se3_construction(obj, x0, 3.0, h, n),
         )
         direct = _fixed_runs(obj, s, n, methods)
         for (name, _), xs_c, traj in zip(methods, routes, direct):
@@ -167,7 +167,7 @@ def suite_energy(seed: int = DEFAULT_SEED) -> List[CheckResult]:
         sch, traj, res = run.schedule, run.trajectory, run.result
         rep = schedules.check_assumptions(sch, lip,
                                           n_max=schedules.scan_end(traj.n_final, 3.0))
-        series = analysis.energy_series(traj, s, 3.0, sch, x_star=x_star)
+        series = analysis.energy_series(traj, s, 3.0, sch.coeffs_at, x_star=x_star)
         from_n = int(np.floor(rep.n_threshold)) + 1
         tol = 1e-12 * float(np.max(series.e_seq))
         mono = analysis.check_monotone(series, from_n, tol)
@@ -203,7 +203,7 @@ def suite_rate(seed: int = DEFAULT_SEED) -> List[CheckResult]:
         else:
             rep = schedules.check_assumptions(sch, lip, n_max=2200)
             n_from = int(np.floor(rep.n_threshold)) + 1
-        e_ref = analysis.energy(traj, n_from, s, alpha, sch, x_star)
+        e_ref = analysis.energy(traj, n_from, s, alpha, sch and sch.coeffs_at, x_star)
         viol = analysis.rate_bound_first_violation(fgaps, e_ref, alpha, n_from)
         out.append(CheckResult(
             f"rate/tail-bound/{name}", viol is None,
@@ -236,7 +236,7 @@ def suite_assumption_exact(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     counts: Dict[str, int] = {"e24": 0, "e25": 0, "e26": 0}
     fails: Dict[str, int] = {"e24": 0, "e25": 0, "e26": 0}
     for label, params, s, lip in _random_family_draws(rng, 20):
-        sch = schedules.make_schedule(label, s=s, alpha=3.0, lipschitz=lip, **params)
+        sch = schedules.make_schedule(label, s=s, alpha=3.0, **params)
         rep = schedules.check_assumptions(sch, lip, n_max=10_000)
         counts[label] += 1
         if not rep.assumption_ii_exact:
@@ -254,7 +254,7 @@ def suite_threshold_scan(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     counts: Dict[str, int] = {"e24": 0, "e25": 0, "e26": 0}
     fails: Dict[str, list] = {"e24": [], "e25": [], "e26": []}
     for label, params, s, lip in _random_family_draws(rng, 20):
-        sch = schedules.make_schedule(label, s=s, alpha=3.0, lipschitz=lip, **params)
+        sch = schedules.make_schedule(label, s=s, alpha=3.0, **params)
         npr = schedules.n_prime(label, params, s, 3.0, lip)
         scan_to = min(int(10 * np.ceil(max(npr, 0.0)) + 100), 100_000)
         rep = schedules.check_assumptions(sch, lip, n_max=scan_to)
@@ -379,14 +379,15 @@ def suite_tables(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     s = 0.1
     out = []
     npr_by_group: Dict[str, list] = {}
-    for case, (_, run) in zip(all_cases(), run_cases(all_cases(), s, 3.0, 30_000)):
+    for case, (obj, run) in zip(all_cases(), run_cases(all_cases(), s, 3.0, 30_000)):
         sch, res = run.schedule, run.result
         ok = res.termination == "tolerance_met" and (res.error_final <= case.epsilon
                                                      or res.error_final < 1e-15)
         out.append(CheckResult(f"table/{case.label}", ok,
                                f"{res.termination} at n={res.n_final}, "
                                f"error {res.error_final:.3e}"))
-        npr_by_group.setdefault(case.group[0], []).append(sch.n_prime)
+        npr_by_group.setdefault(case.group[0], []).append(
+            schedules.n_prime(sch.label, sch.params, s, 3.0, obj.lipschitz_constant()))
     slow = npr_by_group["B"]
     fast = [v for g, vals in npr_by_group.items() if g != "B" for v in vals]
     pattern_ok = min(slow) > 3.0 > max(fast) and min(slow) > max(fast)

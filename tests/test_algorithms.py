@@ -139,30 +139,18 @@ def test_nag_standard_clock_matches_agm2():
         assert np.max(np.abs(t_nag.xs - t_agm.xs)) <= 1e-12
 
 
-def test_nag_shifted_clock_differs_but_converges():
-    obj = f2()
-    st = make_stepper("nag", S, clock="shifted")
-    traj, res = run(st, obj, [1.0, -2.0], S, StoppingRule("known_min_f", 1e-8),
-                    max_iter=20000)
-    assert res.termination == "tolerance_met"
-    st_std = make_stepper("nag", S)
-    traj_std, _ = run(st_std, obj, [1.0, -2.0], S, StoppingRule("max_iter"), max_iter=20)
-    assert np.max(np.abs(traj.xs[:21] - traj_std.xs)) > 1e-6
-
-
 def test_nag_guards():
-    # the standard clock vanishes at n = 0; a clock must be named
+    # the clock t_n = n h vanishes at n = 0
     with pytest.raises(ValueError, match="vanishes at n = 0"):
         nag_coefficients(0, S)
-    with pytest.raises(ValueError, match="unknown clock"):
-        nag_coefficients(1, S, clock="bogus")
 
 
 def test_stopping_rule_validation():
     with pytest.raises(ValueError):
         StoppingRule("until_tired")
-    with pytest.raises(ValueError):
-        StoppingRule("consecutive_f", epsilon=0.0)
+    for epsilon in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            StoppingRule("consecutive_f", epsilon=epsilon)
     StoppingRule("max_iter")
 
 

@@ -40,8 +40,8 @@ def test_energy_frozen_values_scheduled():
     sch = make_schedule("e25", s=s, beta=0.1 * 2.0 * np.sqrt(s), b=1.0, mu=0.1)
     traj, _ = run(make_stepper("lt_s_igahd", s, schedule=sch), f2(), [1.0, -2.0],
                   s, StoppingRule("known_min_f", 1e-10), max_iter=20000)
-    assert energy(traj, 1, s, 3.0, sch, X_STAR) == 7.687040432114152
-    assert energy(traj, 2, s, 3.0, sch, X_STAR) == 6.780592007391671
+    assert energy(traj, 1, s, 3.0, sch.coeffs_at, X_STAR) == 7.687040432114152
+    assert energy(traj, 2, s, 3.0, sch.coeffs_at, X_STAR) == 6.780592007391671
 
 
 def test_energy_index_bounds():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,35 +31,19 @@ def _rel_gap(a, b):
 
 def test_nesterov_split_equals_direct_stepper():
     for obj in (f1(), f2()):
-        xs = con.nesterov_lie_trotter(obj, X0, None, 3.0, H, N)
+        xs = con.nesterov_lie_trotter(obj, X0, 3.0, H, N)
         assert _rel_gap(xs, _stepper_xs(obj, "agm2", N)) <= 1e-12
-
-
-def test_nesterov_split_beta_zero_ablation():
-    obj = f2()
-    full = con.nesterov_lie_trotter(obj, X0, None, 3.0, H, 50)
-    ablated = con.nesterov_lie_trotter(obj, X0, None, 3.0, H, 50, beta=0.0)
-    assert np.all(np.isfinite(ablated))
-    assert np.max(np.abs(full - ablated)) > 1e-4
-
-
-def test_nesterov_split_custom_v0_changes_path():
-    obj = f2()
-    a = con.nesterov_lie_trotter(obj, X0, None, 3.0, H, 20)
-    b = con.nesterov_lie_trotter(obj, X0, [0.0, 0.0], 3.0, H, 20)
-    assert np.array_equal(a[:2], b[:2])      # shared bootstrap
-    assert np.max(np.abs(a[2:] - b[2:])) > 1e-6
 
 
 def test_igahd_construction_equals_stepper():
     for obj in (f1(), f2()):
-        xs = con.igahd_construction(obj, X0, None, 3.0, 1.0, H, N)
+        xs = con.igahd_construction(obj, X0, 3.0, 1.0, H, N)
         assert _rel_gap(xs, _stepper_xs(obj, "igahd", N, beta=1.0)) <= 1e-12
 
 
 def test_igahd_construction_beta_zero_drops_hessian_terms():
     obj = f2()
-    xs = con.igahd_construction(obj, X0, None, 3.0, 0.0, H, N)
+    xs = con.igahd_construction(obj, X0, 3.0, 0.0, H, N)
     assert _rel_gap(xs, _stepper_xs(obj, "igahd", N, beta=0.0)) <= 1e-12
     # beta = 0 removes every correction term, leaving the plain method
     assert _rel_gap(xs, _stepper_xs(obj, "agm2", N)) <= 1e-12
@@ -65,39 +52,39 @@ def test_igahd_construction_beta_zero_drops_hessian_terms():
 def test_lt_s_igahd_construction_equals_stepper():
     sch = make_schedule("e25", s=S, beta=0.1, b=2.0, mu=0.1)
     for obj in (f1(), f2()):
-        xs = con.lt_s_igahd_construction(obj, X0, None, 3.0, sch, H, N)
+        xs = con.lt_s_igahd_construction(obj, X0, 3.0, sch, H, N)
         assert _rel_gap(xs, _stepper_xs(obj, "lt_s_igahd", N, schedule=sch)) <= 1e-12
 
 
 def test_lt_s_igahd_construction_validates_consistency():
     sch = make_schedule("e25", s=0.04, beta=0.1, b=2.0)
     with pytest.raises(ValueError):
-        con.lt_s_igahd_construction(f1(), X0, None, 3.0, sch, H, 10)  # h^2 != s
+        con.lt_s_igahd_construction(f1(), X0, 3.0, sch, H, 10)  # h^2 != s
     sch4 = make_schedule("e24", s=S, alpha=4.0, a=1.0, b=1.0)
     with pytest.raises(ValueError):
-        con.lt_s_igahd_construction(f1(), X0, None, 3.0, sch4, H, 10)  # alpha clash
+        con.lt_s_igahd_construction(f1(), X0, 3.0, sch4, H, 10)  # alpha clash
 
 
 def test_ardm_construction_equals_stepper_and_hand_value():
     for obj in (f1(), f2()):
-        xs = con.ardm_construction(obj, X0, None, 3.0, H, N)
+        xs = con.ardm_construction(obj, X0, 3.0, H, N)
         assert _rel_gap(xs, _stepper_xs(obj, "ardm", N)) <= 1e-12
     # hand-computed second iterate on f1 from (1, 0) at s = 0.01:
     # y_1 = x_1 - 2(x_1 - x_0) + s grad(x_1) = (1.0392, 0.0392),
     # x_2 = y_1 - s grad(y_1) = (1.017632, 0.017632)
-    xs = con.ardm_construction(f1(), [1.0, 0.0], None, 3.0, 0.1, 2)
+    xs = con.ardm_construction(f1(), [1.0, 0.0], 3.0, 0.1, 2)
     assert np.max(np.abs(xs[2] - [1.017632, 0.017632])) <= 1e-15
 
 
 def test_pim_construction_equals_stepper():
     for obj in (f1(), f2()):
-        xs = con.pim_construction(obj, X0, None, 1.0, H, N)
+        xs = con.pim_construction(obj, X0, 1.0, H, N)
         assert _rel_gap(xs, _stepper_xs(obj, "pim", N, gamma=1.0)) <= 1e-12
 
 
 def test_pim_friction_dissipates_hamiltonian():
     obj = f2()
-    xs = con.pim_construction(obj, X0, None, 1.0, H, 500)
+    xs = con.pim_construction(obj, X0, 1.0, H, 500)
     vs = np.diff(xs, axis=0) / H
     ham = np.array([0.5 * float(v @ v) + obj.eval(x) for x, v in zip(xs[1:], vs)])
     assert np.max(np.diff(ham)) <= 1e-12          # monotone decrease
@@ -106,7 +93,7 @@ def test_pim_friction_dissipates_hamiltonian():
 
 def test_pim_gamma_zero_keeps_bounded_band():
     obj = f2()
-    xs = con.pim_construction(obj, X0, None, 0.0, H, 500)
+    xs = con.pim_construction(obj, X0, 0.0, H, 500)
     vs = np.diff(xs, axis=0) / H
     ham = np.array([0.5 * float(v @ v) + obj.eval(x) for x, v in zip(xs[1:], vs)])
     assert np.max(np.abs(ham - ham[0])) <= 0.1    # no drift, just wiggle
@@ -115,31 +102,31 @@ def test_pim_gamma_zero_keeps_bounded_band():
 
 def test_pim_rejects_negative_friction():
     with pytest.raises(ValueError):
-        con.pim_construction(f1(), X0, None, -0.5, H, 10)
+        con.pim_construction(f1(), X0, -0.5, H, 10)
 
 
 def test_lt_se1_construction_equals_stepper():
     for obj in (f1(), f2()):
-        xs = con.lt_se1_construction(obj, X0, None, 3.0, H, N)
+        xs = con.lt_se1_construction(obj, X0, 3.0, H, N)
         assert _rel_gap(xs, _stepper_xs(obj, "lt_se1", N)) <= 1e-12
 
 
 def test_lt_sv2_construction_equals_stepper():
     for obj in (f1(), f2()):
-        xs = con.lt_sv2_construction(obj, X0, None, 3.0, H, N)
+        xs = con.lt_sv2_construction(obj, X0, 3.0, H, N)
         assert _rel_gap(xs, _stepper_xs(obj, "lt_sv2", N)) <= 1e-12
 
 
 def test_lt_se3_construction_equals_stepper():
     for obj in (f1(), f2()):
-        xs = con.lt_se3_construction(obj, X0, None, 3.0, H, N)
+        xs = con.lt_se3_construction(obj, X0, 3.0, H, N)
         assert _rel_gap(xs, _stepper_xs(obj, "lt_se3", N)) <= 1e-12
 
 
 def test_lt_se3_constant_theta_reduces_to_lt_se1():
     obj = f2()
-    xs3 = con.lt_se3_construction(obj, X0, None, 3.0, H, N, theta=lambda n: 1.0)
-    xs1 = con.lt_se1_construction(obj, X0, None, 3.0, H, N)
+    xs3 = con.lt_se3_construction(obj, X0, 3.0, H, N, theta=lambda n: 1.0)
+    xs1 = con.lt_se1_construction(obj, X0, 3.0, H, N)
     assert np.array_equal(xs3, xs1)
 
 
@@ -153,56 +140,58 @@ def test_stationary_start_stays_fixed():
     sch = make_schedule("e25", s=S, beta=0.1, b=2.0, mu=0.1)
     for obj, x_star in cases:
         for xs in (
-            con.nesterov_lie_trotter(obj, x_star, None, 3.0, H, 25),
-            con.igahd_construction(obj, x_star, None, 3.0, 1.0, H, 25),
-            con.lt_s_igahd_construction(obj, x_star, None, 3.0, sch, H, 25),
-            con.ardm_construction(obj, x_star, None, 3.0, H, 25),
-            con.pim_construction(obj, x_star, None, 1.0, H, 25),
-            con.lt_se1_construction(obj, x_star, None, 3.0, H, 25),
-            con.lt_sv2_construction(obj, x_star, None, 3.0, H, 25),
-            con.lt_se3_construction(obj, x_star, None, 3.0, H, 25),
+            con.nesterov_lie_trotter(obj, x_star, 3.0, H, 25),
+            con.igahd_construction(obj, x_star, 3.0, 1.0, H, 25),
+            con.lt_s_igahd_construction(obj, x_star, 3.0, sch, H, 25),
+            con.ardm_construction(obj, x_star, 3.0, H, 25),
+            con.pim_construction(obj, x_star, 1.0, H, 25),
+            con.lt_se1_construction(obj, x_star, 3.0, H, 25),
+            con.lt_sv2_construction(obj, x_star, 3.0, H, 25),
+            con.lt_se3_construction(obj, x_star, 3.0, H, 25),
         ):
             assert np.array_equal(xs, np.tile(np.asarray(x_star), (26, 1)))
 
 
 def test_construction_guards():
     with pytest.raises(ValueError):
-        con.nesterov_lie_trotter(f1(), X0, None, 1.0, H, 10)   # alpha <= 1
+        con.nesterov_lie_trotter(f1(), X0, 1.0, H, 10)   # alpha <= 1
     with pytest.raises(ValueError):
-        con.ardm_construction(f1(), X0, None, 3.0, -0.1, 10)   # bad h
+        con.ardm_construction(f1(), X0, 3.0, -0.1, 10)   # bad h
     with pytest.raises(ValueError):
-        con.lt_se1_construction(f1(), X0, None, 3.0, H, -1)    # bad count
-    xs = con.igahd_construction(f1(), X0, None, 3.0, 1.0, H, 0)
-    assert xs.shape == (1, 2)
+        con.lt_se1_construction(f1(), X0, 3.0, H, -1)    # bad count
 
 
-def test_output_shape_and_bootstrap_row():
-    obj = f1()
-    xs = con.ardm_construction(obj, [1.0, 0.0], None, 3.0, H, 7)
-    assert xs.shape == (8, 2)
-    assert np.array_equal(xs[0], [1.0, 0.0])
-    # bootstrap x1 = x0 - h^2 grad f(x0)
-    assert np.array_equal(xs[1], np.array([1.0, 0.0]) - S * obj.grad([1.0, 0.0]))
+def test_route_imports_nothing_from_the_direct_steppers():
+    # the agreement checks certify two routes only while they share no
+    # formula, theta_n included
+    tree = ast.parse(Path(con.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [p for a in node.names for p in a.name.split(".")]
+        else:
+            continue
+        assert "algorithms" not in parts, ast.unparse(node)
 
 
 def _routes(h):
-    """Each construction at stepsize h from its default velocity, keyed by
+    """Each construction at stepsize h from its start velocity, keyed by
     the direct stepper it reproduces at s = h^2, with that stepper's
     keywords."""
     sch = make_schedule("e25", s=h * h, beta=0.1, b=2.0, mu=0.1)
     return {
-        "agm2": (lambda obj, x0, n: con.nesterov_lie_trotter(obj, x0, None, 3.0, h, n), {}),
-        "igahd": (lambda obj, x0, n: con.igahd_construction(obj, x0, None, 3.0, 1.0, h, n),
+        "agm2": (lambda obj, x0, n: con.nesterov_lie_trotter(obj, x0, 3.0, h, n), {}),
+        "igahd": (lambda obj, x0, n: con.igahd_construction(obj, x0, 3.0, 1.0, h, n),
                   {"beta": 1.0}),
-        "lt_s_igahd": (lambda obj, x0, n: con.lt_s_igahd_construction(obj, x0, None, 3.0, sch,
-                                                                      h, n),
+        "lt_s_igahd": (lambda obj, x0, n: con.lt_s_igahd_construction(obj, x0, 3.0, sch, h, n),
                        {"schedule": sch}),
-        "ardm": (lambda obj, x0, n: con.ardm_construction(obj, x0, None, 3.0, h, n), {}),
-        "pim": (lambda obj, x0, n: con.pim_construction(obj, x0, None, 1.0, h, n),
+        "ardm": (lambda obj, x0, n: con.ardm_construction(obj, x0, 3.0, h, n), {}),
+        "pim": (lambda obj, x0, n: con.pim_construction(obj, x0, 1.0, h, n),
                 {"gamma": 1.0}),
-        "lt_se1": (lambda obj, x0, n: con.lt_se1_construction(obj, x0, None, 3.0, h, n), {}),
-        "lt_sv2": (lambda obj, x0, n: con.lt_sv2_construction(obj, x0, None, 3.0, h, n), {}),
-        "lt_se3": (lambda obj, x0, n: con.lt_se3_construction(obj, x0, None, 3.0, h, n), {}),
+        "lt_se1": (lambda obj, x0, n: con.lt_se1_construction(obj, x0, 3.0, h, n), {}),
+        "lt_sv2": (lambda obj, x0, n: con.lt_sv2_construction(obj, x0, 3.0, h, n), {}),
+        "lt_se3": (lambda obj, x0, n: con.lt_se3_construction(obj, x0, 3.0, h, n), {}),
     }
 
 

@@ -12,7 +12,6 @@ from splitgrad import cli
 from splitgrad.algorithms import StoppingRule, make_stepper, run
 from splitgrad.analysis import energy_series
 from splitgrad.objectives import f2
-from splitgrad.schedules import Schedule
 
 
 def _read_csv(path):
@@ -54,8 +53,7 @@ def test_run_energy_column_uses_the_method_lambda(tmp_path):
     assert len(rows) == traj.n_final + 1
 
     def lam(value):
-        return Schedule(label="lam", alpha=3.0, s=0.05,
-                        coeffs_at=lambda n: (None, np.full(np.shape(n), value), None, None))
+        return lambda n: (None, np.full(np.shape(n), value), None, None)
 
     want = energy_series(traj, 0.05, 3.0, lam(np.sqrt(0.05)), x_star=np.zeros(2)).e_seq
     assert [float(r[-1]) for r in rows[1:]] == list(want)
@@ -376,8 +374,7 @@ def test_run_with_f_not_finite_at_x0_exits_2(tmp_path, capsys):
                          ids=["alpha-2000", "max-iter-1"])
 def test_table_writes_rows_whose_n2_is_undefined(tmp_path, extra, n_rows):
     out = tmp_path / "o"
-    with np.errstate(over="ignore"):   # at alpha = 2000 the runs diverge
-        assert cli.main(["table", "--out", str(out)] + extra) == 0
+    assert cli.main(["table", "--out", str(out)] + extra) == 0
     header, rows = _read_csv(out / "tables.csv")
     assert len(rows) == n_rows and _report(out)["rows"] == n_rows
     undefined = [r for r in rows if r[header.index("n2_at_stop")] == "nan"]
@@ -403,3 +400,44 @@ def test_table_cases_inline_json(tmp_path):
     assert cli.main(["table", "--cases", json.dumps([row]), "--out", str(out)]) == 0
     _, rows = _read_csv(out / "tables.csv")
     assert [r[0] for r in rows] == ["t3-D1-mu0-a0.25-b3.5"]
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["--algorithm", "agm2", "--schedule", "e25", "--schedule-params",
+      '{"beta": 0.1, "b": 2.0, "mu": 0.1}'], "--schedule applies only to lt_s_igahd"),
+    (["--algorithm", "agm2", "--schedule-params", '{"beta": 0.1}'], "--schedule-params"),
+    (["--algorithm", "lt_se1", "--beta", "0.5"], "--beta applies only to igahd"),
+    (["--config", '{"beta": 0.5}'], "not to agm2"),
+    (["--algorithm", "igahd", "--gamma", "0.5"], "--gamma applies only to pim"),
+    (["--config", '{"algorithm": "nag", "gamma": 0.5}'], "--gamma"),
+], ids=["schedule", "schedule-params", "beta", "beta-config", "gamma", "gamma-config"])
+def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, needle):
+    _exit_2_one_line(capsys, ["run", "--out", str(tmp_path / "o")] + argv, needle)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["run", "--epsilon", "nan"], "--epsilon"),
+    (["run", "--alpha", "nan"], "--alpha"),
+    (["run", "--s", "inf"], "--s"),
+    (["run", "--algorithm", "pim", "--gamma", "nan"], "--gamma"),
+    (["run", "--algorithm", "igahd", "--beta=-inf"], "--beta"),
+    (["run", "--config", '{"epsilon": "1e-10"}'], "--epsilon"),
+    (["run", "--config", '{"s": 1%s}' % ("0" * 400)], "--s"),
+    (["run", "--x0", "nan,0"], "--x0"),
+    (["run", "--algorithm", "lt_s_igahd", "--schedule", "e25", "--schedule-params",
+      '{"beta": "x", "b": 1, "mu": 0.1}'], "--schedule-params beta"),
+    (["run", "--algorithm", "lt_s_igahd", "--schedule", "e24", "--schedule-params",
+      '{"mu": NaN}'], "--schedule-params mu"),
+    (["table", "--alpha", "nan"], "--alpha"),
+    (["table", "--s", "inf"], "--s"),
+    (["ode-compare", "--beta", "nan"], "--beta"),
+    (["ode-compare", "--dt", "nan"], "--dt"),
+    (["ode-compare", "--t1", "inf"], "--t1"),
+    (["ode-compare", "--v0", "0,inf"], "--v0"),
+], ids=["run-epsilon", "run-alpha", "run-s", "run-gamma", "run-beta", "run-config-string",
+        "run-config-huge-int", "run-x0", "run-schedule-string", "run-schedule-nan", "table-alpha", "table-s",
+        "ode-beta", "ode-dt", "ode-t1", "ode-v0"])
+def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):
+    _exit_2_one_line(capsys, argv + ["--out", str(tmp_path / "o")], needle)
+    assert not (tmp_path / "o").exists()

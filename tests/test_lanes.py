@@ -49,7 +49,7 @@ def _assert_vector_is_scalar(coeffs_at, ns):
 
 def _row_schedules():
     """(label, params, objective) for each schedule label: the first
-    recorded row of each family, and e25/igahd/agm2 on the stepsizes of a
+    recorded row of each family, and e25/igahd on the stepsizes of a
     recorded row."""
     rows = {}
     for case in all_cases():
@@ -57,16 +57,14 @@ def _row_schedules():
     out = [(c.schedule, lambda s, c=c: c.schedule_params(), c.objective)
            for c in rows.values()]
     out += [("e25", lambda s: {"beta": 0.5 * np.sqrt(s), "b": 2.0, "mu": 0.1}, "f1"),
-            ("igahd", lambda s: {"beta": 0.5 * np.sqrt(s)}, "f2"),
-            ("agm2", lambda s: {}, "f1")]
+            ("igahd", lambda s: {"beta": 0.5 * np.sqrt(s)}, "f2")]
     return out
 
 
 @pytest.mark.parametrize("label,params,objective", _row_schedules())
 def test_schedule_coeffs_at_vector_is_scalar(label, params, objective):
-    lip = make_objective(objective).lipschitz_constant()
     for k, s in enumerate(_scan_stepsizes(objective)):
-        sched = make_schedule(label, s=s, lipschitz=lip, **params(s))
+        sched = make_schedule(label, s=s, **params(s))
         # the whole range at one stepsize, a sample of it at the others
         _assert_vector_is_scalar(sched.coeffs_at, N_ALL if k == 29 else N_SAMPLE)
 
@@ -76,9 +74,7 @@ def test_coefficient_map_vector_is_scalar(name):
     # lt_se3 includes the theta_{n-1} term; nag's map is its velocity form
     for s in (0.01, 0.1, 0.23):
         if name == "nag":
-            for clock in ("standard", "shifted"):
-                _assert_vector_is_scalar(
-                    lambda n: nag_coefficients(n, s, 3.0, clock), N_ALL)
+            _assert_vector_is_scalar(lambda n: nag_coefficients(n, s, 3.0), N_ALL)
         else:
             _assert_vector_is_scalar(coefficient_map(name, s, beta=0.7, gamma=1.3), N_ALL)
 
@@ -88,7 +84,7 @@ def _lane_schedule(name, label, s, beta, mu):
         return None
     params = {"e24": {"a": 1.0, "b": 2.0, "mu": mu}, "e26": {"a": 1.0, "b": 2.0, "mu": mu},
               "e25": {"beta": beta * np.sqrt(s), "b": 2.0, "mu": mu},
-              "igahd": {"beta": beta * np.sqrt(s)}, "agm2": {}}[label]
+              "igahd": {"beta": beta * np.sqrt(s)}}[label]
     return make_schedule(label, s=s, **params)
 
 
@@ -123,7 +119,7 @@ _RULES = st.sampled_from([StoppingRule("consecutive_f", 1e-10),
                           StoppingRule("max_iter")])
 _LANE = st.tuples(st.floats(0.02, 0.98),                               # s L
                   st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),  # x0
-                  st.sampled_from(["e24", "e25", "e26", "igahd", "agm2"]),
+                  st.sampled_from(["e24", "e25", "e26", "igahd"]),
                   st.floats(0.1, 1.9),                                 # beta / sqrt(s)
                   st.sampled_from([0.0, 0.05, 1.0]))                   # mu
 

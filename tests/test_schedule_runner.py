@@ -34,7 +34,7 @@ def _summary(cell_run):
         return f"{type(cell_run.error).__name__}: {cell_run.error}"
     res = cell_run.result
     return (res.termination, res.n_final, float(res.error_final).hex(),
-            repr(cell_run.schedule.n_prime))
+            cell_run.schedule.s, cell_run.schedule.params)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -54,11 +54,11 @@ def test_one_cell_call_is_the_scalar_run(objective):
     s, params = 0.1, {"a": 4.0, "b": 10.0, "mu": 1e-2}
     obj, (cell_run,) = run_schedules(objective, [("e24", params, s)], 3.0, X0, 1e-10, 30000,
                                      record=True)
-    sched = make_schedule("e24", s=s, lipschitz=obj.lipschitz_constant(), **params)
+    sched = make_schedule("e24", s=s, **params)
     traj, res = run(make_stepper("lt_s_igahd", s, schedule=sched), obj, X0, s,
                     StoppingRule(default_stop(obj), 1e-10), max_iter=30000)
     assert cell_run.result == res
-    assert cell_run.schedule.n_prime == sched.n_prime
+    assert cell_run.schedule.params == sched.params
     for name in ("xs", "fs", "grads"):
         assert getattr(cell_run.trajectory, name).tobytes() == getattr(traj, name).tobytes()
 

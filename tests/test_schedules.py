@@ -165,10 +165,9 @@ def test_n_prime_reference_variant_frozen_values():
 
 
 def test_make_schedule_labels_and_errors():
-    sch = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=1e-2, lipschitz=4.0)
+    sch = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=1e-2)
     assert sch.label == "e24"
-    assert sch.n_prime == -1.5568629150101523
-    assert make_schedule("agm2", s=0.1).coeffs_at(4) == (0.25, 0.0, 0.0, 0.0)
+    assert n_prime(sch.label, sch.params, 0.1, 3.0, 4.0) == -1.5568629150101523
     ig = make_schedule("igahd", s=0.04, beta=0.1)
     assert ig.coeffs_at(3)[3] == 0.0
     with pytest.raises(ValueError):
@@ -177,14 +176,15 @@ def test_make_schedule_labels_and_errors():
         make_schedule("e24", s=0.1, a=1.0, b=1.0, mu=0.0, nu=2.0)
     with pytest.raises(ValueError):
         make_schedule("custom", s=0.1)
-    with pytest.raises(ValueError):
-        make_schedule("e99", s=0.1)
+    for label in ("e99", "agm2"):   # agm2 is a method, not a schedule
+        with pytest.raises(ValueError, match="unknown schedule label"):
+            make_schedule(label, s=0.1)
 
 
 def test_check_assumptions_report():
     lip = np.sqrt(2.0)
     s = 0.5 / lip
-    sch = make_schedule("e24", s=s, a=4.0, b=10.0, mu=1e-2, lipschitz=lip)
+    sch = make_schedule("e24", s=s, a=4.0, b=10.0, mu=1e-2)
     rep = check_assumptions(sch, lip, n_max=1000)
     assert rep.n1 == 2.0
     assert rep.assumption_ii_exact

@@ -120,6 +120,28 @@ def test_strang_is_second_order_with_exact_subflows():
     assert 3.6 < ratio < 4.4
 
 
+def test_strang_is_second_order_on_a_time_dependent_split():
+    # x' = v, v' = -(3/t) v on [1, 2], split into its exact damping and drift
+    # flows: the closing damping half-step must start at t_n + h/2
+    damping = SubFlow(field=lambda t, x, v: (np.zeros_like(x), -(3.0 / t) * v),
+                      advance=lambda t, x, v, tau: (x, v * (t / (t + tau)) ** 3))
+    drift = SubFlow(field=lambda t, x, v: (v, np.zeros_like(v)),
+                    advance=lambda t, x, v, tau: (x + tau * v, v))
+    split = SplitSystem([damping, drift])
+
+    def err(n):
+        h = 1.0 / n
+        x, v = np.array([0.0]), np.array([1.0])
+        for k in range(n):
+            x, v = strang_compose(split, (x, v), 1.0 + k * h, h)
+        # the exact solution from (0, 1) at t = 1: v = t^-3, x = (1 - t^-2)/2
+        return abs(float(x[0]) - 0.375) + abs(float(v[0]) - 0.125)
+
+    errs = np.array([err(n) for n in (10, 20, 40, 80)])
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all(orders >= 1.8), orders
+
+
 def test_lie_trotter_is_first_order_on_noncommuting_pair():
     split = _drift_kick_split()
     step = lambda st, h: lie_trotter_compose(split, st, 0.0, h)
