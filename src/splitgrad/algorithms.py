@@ -50,6 +50,18 @@ index M makes M + 1 `eval_grad` calls, plus M - 1 gradients at the y_n. An
 objective with a fused `value_and_gradient` (the quadratic) shares the
 product A x between the value and the gradient at x_{n+1}; any other pays
 one value and one gradient for each `eval_grad`.
+
+An objective that declares `affine_gradient` (the quadratic) also gives
+grad(y_n) as a combination of the cached grad(x_n) and grad(x_{n-1})
+whenever lambda_n = omega_n = 0, with no new evaluation. On it each step
+costs, counting `eval_grad` as one product A x:
+
+    agm2, nag                one product
+    pim, polyak_igahd        one product (the step is at x_n)
+    lt_se1, lt_sv2, lt_se3   two, but one at n = alpha (a_n = 0 there)
+    ardm, igahd              two (omega_n or lambda_n is not 0)
+    lt_s_igahd               two, but one at any n where the schedule's
+                             lambda_n and omega_n are both 0
 """
 
 from __future__ import annotations
@@ -153,12 +165,20 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
               - omega_n grad(x_n)
     x_{n+1} = y_n - s grad(y_n) + gamma_n grad(x_n)
 
-    With grad_at_x the gradient step is taken at x_n instead.
+    With grad_at_x the gradient step is taken at x_n instead. When the
+    objective declares an affine gradient and lambda_n and omega_n are zero
+    (in every lane), y_n - x_n = alpha_n (x_n - x_{n-1}), so grad(y_n) is
+    taken as grad(x_n) + alpha_n [grad(x_n) - grad(x_{n-1})] from the
+    cached gradients, with no new evaluation.
     """
     a_n, lam, om, gam = coeffs
     y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
          - lam * (state.grad_curr - state.grad_prev) - om * state.grad_curr)
-    x_next = y - s * (state.grad_curr if grad_at_x else obj.grad(y)) + gam * state.grad_curr
+    if obj.affine_gradient and not grad_at_x and not np.any(lam) and not np.any(om):
+        g = state.grad_curr
+        x_next = y - s * (g + a_n * (g - state.grad_prev)) + gam * g
+    else:
+        x_next = y - s * (state.grad_curr if grad_at_x else obj.grad(y)) + gam * state.grad_curr
     f_next, g_next = obj.eval_grad(x_next)
     return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
                      state.f_curr, f_next, y_last=y, lanes=state.lanes)
@@ -192,13 +212,25 @@ def velocity_step(state: IterState, obj: Objective, s, coeffs) -> IterState:
 
     When v_aux is unset the velocity is recovered from the position pair,
     v_n = x_{n-1} + r_n (x_n - x_{n-1}), which gives v_1 = x_0.
+
+    The recursion keeps that relation in exact arithmetic: c_n w_n = s, so
+    v_{n+1} = v_n - (y_n - x_{n+1}) / w_n, and v_n = x_n + (y_n - x_n) / w_n
+    gives v_{n+1} = x_n + (x_{n+1} - x_n) / w_n, where 1/w_n = r_{n+1}.
+    Hence y_n - x_n = w_n (r_n - 1)(x_n - x_{n-1}), and when the objective
+    declares an affine gradient, grad(y_n) is taken from the cached
+    gradients as grad(x_n) + w_n (r_n - 1)[grad(x_n) - grad(x_{n-1})],
+    with no new evaluation.
     """
     w_n, c_n, r_n = coeffs
     v = state.v_aux
     if v is None:
         v = state.x_prev + r_n * (state.x_curr - state.x_prev)
     y = state.x_curr + w_n * (v - state.x_curr)
-    gy = obj.grad(y)
+    if obj.affine_gradient:
+        g = state.grad_curr
+        gy = g + w_n * (r_n - 1.0) * (g - state.grad_prev)
+    else:
+        gy = obj.grad(y)
     x_next = y - s * gy
     v_next = v - c_n * gy
     f_next, g_next = obj.eval_grad(x_next)
@@ -520,8 +552,10 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
     (state, obj) -> state shape that `run` and `run_lanes` expect. `s` is
     one stepsize or one per lane, and `schedule` (lt_s_igahd's) one Schedule
     or one per lane. `nag` steps in velocity form by `nag_coefficients`;
-    every other name steps by its `coefficient_map`."""
+    every other name steps by its `coefficient_map`. alpha must exceed 1
+    for every method but pim (`check_alpha`)."""
     name = name.lower()
+    check_alpha(name, alpha)
     s_lanes = np.atleast_1d(np.asarray(s, dtype=float))
     if s_lanes.ndim != 1 or s_lanes.size == 0:
         raise ValueError(f"s must be a stepsize or a sequence of them, got shape {np.shape(s)}")
@@ -537,6 +571,13 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
             for s_k, sch in zip(s_lanes.tolist(), scheds)]
     kernel = partial(coefficient_step, grad_at_x=name in GRAD_STEP_AT_X)
     return Stepper(kernel, maps, s_lanes)
+
+
+def check_alpha(name: str, alpha: float, label: str = "alpha") -> None:
+    """Reject alpha <= 1 for every method whose coefficients use alpha (all
+    but pim), as the constructions do; `label` names alpha in the message."""
+    if name != "pim" and not alpha > 1.0:
+        raise ValueError(f"{label} must exceed 1 for {name}, got {alpha}")
 
 
 def check_stepsize(s: float, obj: Objective) -> None:

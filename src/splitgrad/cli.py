@@ -53,13 +53,14 @@ def _jsonable(v):
     return v
 
 
-def _parse_vec(option: str, text: str) -> np.ndarray:
+def _parse_vec(option: str, value) -> np.ndarray:
+    parts = value.split(",") if isinstance(value, str) else value   # or a config's list
     try:
-        vec = np.array([float(p) for p in text.split(",")], dtype=float)
-    except ValueError:
-        raise ValueError(f"{option}: expected a comma-separated vector, got {text!r}")
+        vec = np.array([float(p) for p in parts], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{option}: expected a vector, got {value!r}") from None
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{option} must hold finite numbers, got {text!r}")
+        raise ValueError(f"{option} must hold finite numbers, got {value!r}")
     return vec
 
 
@@ -145,14 +146,17 @@ def cmd_run(args) -> int:
     obj = make_objective(_cfg(args, config, "objective", "f2"),
                          **_as_params(config.get("objective_params", {}), "objective_params"))
     algorithm = _cfg(args, config, "algorithm", "agm2")
+    if algorithm not in algorithms.ALGORITHM_NAMES:
+        raise ValueError(f"--algorithm must be one of {algorithms.ALGORITHM_NAMES}, "
+                         f"got {algorithm!r}")
     for key, methods in _METHOD_OPTIONS.items():
-        if _cfg(args, config, key, None) is not None and algorithm.lower() not in methods:
+        if _cfg(args, config, key, None) is not None and algorithm not in methods:
             raise ValueError(f"--{key.replace('_', '-')} applies only to "
                              f"{' and '.join(methods)}, not to {algorithm}")
     s = _finite("--s", _cfg(args, config, "s", 0.1))
     alpha = _finite("--alpha", _cfg(args, config, "alpha", 3.0))
-    x0 = _cfg(args, config, "x0", "1,-2")
-    x0 = _parse_vec("--x0", x0) if isinstance(x0, str) else np.asarray(x0, dtype=float)
+    algorithms.check_alpha(algorithm, alpha, "--alpha")
+    x0 = _parse_vec("--x0", _cfg(args, config, "x0", "1,-2"))
     epsilon = _finite("--epsilon", _cfg(args, config, "epsilon", 1e-10))
     max_iter = _max_iter(_cfg(args, config, "max_iter", 50000))
     stop_kind = _cfg(args, config, "stop", algorithms.default_stop(obj))
@@ -187,7 +191,7 @@ def cmd_run(args) -> int:
         x_star = obj.argmin_point if obj.argmin_kind == "unique" else None
         # the energy takes lambda_n from the coefficients the stepper ran
         # with; nag's velocity form has lambda_n = 0
-        coeffs = (None if algorithm.lower() == "nag"
+        coeffs = (None if algorithm == "nag"
                   else algorithms.coefficient_map(algorithm, s, alpha, sched, beta, gamma))
         series = analysis.energy_series(traj, s, alpha, coeffs, x_star=x_star)
         e_col = np.full(traj.n_final + 1, np.nan)

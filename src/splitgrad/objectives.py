@@ -41,6 +41,14 @@ class Objective:
     minimizers form an affine set, in which case `argmin_point` is one
     representative.
 
+    `affine_gradient` declares that the gradient is affine, g(x) = A x + b,
+    which lets `algorithms` take a gradient at a combination of cached
+    points as the same combination of their cached gradients instead of a
+    new evaluation. Declare it only for an affine gradient. Iterates then
+    agree with the direct recursion to rounding, not bitwise. Only
+    `quadratic` declares it; f1 has an affine gradient too but is
+    deliberately undeclared, so that its iterates keep their bits.
+
     The methods take one point of shape (dim,). When `batched` is set,
     `value`, `gradient` and `value_and_gradient` also take B points stacked
     as (B, dim) and evaluate over the last axis, and so do `eval` (B
@@ -58,6 +66,7 @@ class Objective:
     f_min: Optional[float] = None
     value_and_gradient: Optional[Callable[[Array], Tuple[float, Array]]] = None
     batched: bool = False
+    affine_gradient: bool = False
 
     def _as_point(self, x, label: str = "x", stack: bool = True) -> Array:
         """x as one point, or as a stack of points when `stack` is allowed
@@ -245,6 +254,7 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
         f_min=0.5 * float(x_star @ (a @ x_star)) + float(b @ x_star),
         value_and_gradient=value_and_gradient,
         batched=True,
+        affine_gradient=True,
     )
 
 

@@ -347,9 +347,16 @@ def test_gradient_economy(name):
     assert counts["eval"] == 102
 
 
+# gradients at y_n over the 100 steps of test_gradient_economy_fused: none
+# for a step at x_n, none where lambda_n = omega_n = 0 on an affine gradient
+# (always for agm2 and nag, at n = alpha = 3 where a_n = 0 for three more)
+FUSED_GRADS = {"pim": 0, "polyak_igahd": 0, "agm2": 0, "nag": 0,
+               "lt_se1": 99, "lt_sv2": 99, "lt_se3": 99}
+
+
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_gradient_economy_fused(name):
-    # one fused call per iterate; a separate gradient only at each y_n
+    # one fused call per iterate; a separate gradient only at some y_n
     obj, counts = _counting(_quad50()[0])
     sch = make_schedule("e25", s=S, beta=0.1, b=2.0)
     traj, _ = run(make_stepper(name, S, schedule=sch), obj, np.ones(50), S,
@@ -357,7 +364,17 @@ def test_gradient_economy_fused(name):
     assert traj.n_final == 101
     assert counts["eval_grad"] == 102
     assert counts["eval"] == 0
-    assert counts["grad"] == (0 if name in ("pim", "polyak_igahd") else 100)
+    assert counts["grad"] == FUSED_GRADS.get(name, 100)
+
+
+@pytest.mark.parametrize("name", ["agm2", "nag"])
+def test_affine_gradient_shortcut_matches_the_direct_recursion(name):
+    obj, x0 = _quad50()
+    s = 0.5 / obj.lipschitz_constant()
+    got, want = [run(make_stepper(name, s), o, x0, s, StoppingRule("max_iter"),
+                     max_iter=2000)[0].xs
+                 for o in (obj, dataclasses.replace(obj, affine_gradient=False))]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
@@ -404,7 +421,8 @@ QUAD_GOLDEN = {
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_golden_iterates_quadratic(name):
-    obj = _quad50()[0]
+    # undeclared, so that the digests pin the direct recursion
+    obj = dataclasses.replace(_quad50()[0], affine_gradient=False)
     if _blas_digest(obj) != QUAD_BLAS:
         pytest.skip("this BLAS sums in another order than the recorded digests")
     traj = _quad50_run(name, obj)

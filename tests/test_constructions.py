@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitgrad import constructions as con
-from splitgrad.algorithms import StoppingRule, make_stepper, run
+from splitgrad.algorithms import StoppingRule, make_stepper, run, run_lanes
 from splitgrad.objectives import f1, f2, quadratic
 from splitgrad.schedules import make_schedule
 
@@ -231,6 +232,22 @@ def test_every_construction_equals_its_stepper_on_random_quadratics(seed, dim, u
         traj, _ = run(make_stepper(name, h * h, **kw), obj, x0, h * h,
                       StoppingRule("max_iter"), max_iter=N)
         assert _rel_gap(construct(obj, x0, N), traj.xs) <= 1e-12, name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+       name=st.sampled_from(["agm2", "nag"]), n_lanes=st.integers(1, 5))
+def test_affine_gradient_lanes_match_the_direct_recursion(seed, dim, name, n_lanes):
+    # the undeclared copy of the quadratic takes grad(y_n) by a new product
+    rng = np.random.default_rng([seed, dim])
+    obj = _psd_quadratic(rng, dim)
+    ss = list(rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz_constant())
+    x0s = rng.standard_normal((n_lanes, dim)) * 3.0
+    trajs = [run_lanes(make_stepper(name, ss), o, x0s, ss, StoppingRule("max_iter"),
+                       max_iter=150, record=True)[0]
+             for o in (obj, dataclasses.replace(obj, affine_gradient=False))]
+    for got, ref in zip(*trajs):
+        assert _rel_gap(got.xs, ref.xs) <= 1e-12
 
 
 def test_continuous_routes_agree_after_change_of_variables():

@@ -316,10 +316,12 @@ def test_run_quadratic_without_matrix(tmp_path, capsys):
 
 
 def test_run_nag_alpha_one_exits_2(tmp_path, capsys):
-    # the velocity form divides by alpha - 1
-    rc = cli.main(["run", "--algorithm", "nag", "--alpha", "1", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "alpha" in capsys.readouterr().err
+    # every method whose coefficients use alpha needs alpha > 1, as the
+    # constructions do; the velocity form of nag divides by alpha - 1
+    for name in ("nag", "agm2", "lt_se1"):
+        _exit_2_one_line(capsys, ["run", "--algorithm", name, "--alpha", "1",
+                                  "--out", str(tmp_path / "o")], "--alpha")
+    assert not (tmp_path / "o").exists()
 
 
 def _exit_2_one_line(capsys, argv, needle):
@@ -425,6 +427,10 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
     (["run", "--config", '{"epsilon": "1e-10"}'], "--epsilon"),
     (["run", "--config", '{"s": 1%s}' % ("0" * 400)], "--s"),
     (["run", "--x0", "nan,0"], "--x0"),
+    (["run", "--config", '{"algorithm": 5}'], "--algorithm"),
+    (["run", "--config", '{"x0": [1, "a"]}'], "--x0"),
+    (["run", "--config", '{"x0": [1, null]}'], "--x0"),
+    (["run", "--config", '{"x0": 5}'], "--x0"),
     (["run", "--algorithm", "lt_s_igahd", "--schedule", "e25", "--schedule-params",
       '{"beta": "x", "b": 1, "mu": 0.1}'], "--schedule-params beta"),
     (["run", "--algorithm", "lt_s_igahd", "--schedule", "e24", "--schedule-params",
@@ -436,7 +442,9 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
     (["ode-compare", "--t1", "inf"], "--t1"),
     (["ode-compare", "--v0", "0,inf"], "--v0"),
 ], ids=["run-epsilon", "run-alpha", "run-s", "run-gamma", "run-beta", "run-config-string",
-        "run-config-huge-int", "run-x0", "run-schedule-string", "run-schedule-nan", "table-alpha", "table-s",
+        "run-config-huge-int", "run-x0", "run-config-algorithm", "run-config-x0-string",
+        "run-config-x0-null", "run-config-x0-number", "run-schedule-string",
+        "run-schedule-nan", "table-alpha", "table-s",
         "ode-beta", "ode-dt", "ode-t1", "ode-v0"])
 def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):
     _exit_2_one_line(capsys, argv + ["--out", str(tmp_path / "o")], needle)
