@@ -10,8 +10,8 @@ together with the Lyapunov-energy and coefficient-admissibility checks in
 
 from .objectives import Objective, f1, f2, make_objective, quadratic
 from .schedules import (AdmissibilityReport, Schedule, check_assumptions,
-                        coeffs_agm2, coeffs_e24, coeffs_e25, coeffs_e26,
-                        make_schedule, n_prime, n_prime_e26_l_dependent)
+                        coeffs_e24, coeffs_e25, coeffs_e26, make_schedule,
+                        n_prime)
 from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, ScheduleRun,
                          StoppingRule, Trajectory, coefficient_map, init_state,
                          make_stepper, run, run_lanes, run_schedules)
@@ -35,9 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Objective", "f1", "f2", "make_objective", "quadratic",
-    "AdmissibilityReport", "Schedule", "check_assumptions", "coeffs_agm2",
-    "coeffs_e24", "coeffs_e25", "coeffs_e26", "make_schedule",
-    "n_prime", "n_prime_e26_l_dependent",
+    "AdmissibilityReport", "Schedule", "check_assumptions", "coeffs_e24",
+    "coeffs_e25", "coeffs_e26", "make_schedule", "n_prime",
     "ALGORITHM_NAMES", "IterState", "RunResult", "ScheduleRun", "StoppingRule",
     "Trajectory", "coefficient_map", "init_state", "make_stepper", "run", "run_lanes",
     "run_schedules",

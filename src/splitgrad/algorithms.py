@@ -74,7 +74,7 @@ import numpy as np
 
 from . import objectives, schedules
 from .objectives import Objective
-from .schedules import Schedule, coeffs_agm2
+from .schedules import Schedule
 
 Array = np.ndarray
 
@@ -516,7 +516,7 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
     h = float(np.sqrt(s))
     # the coefficients at n of each method, given a = (n - alpha)/n
     table = {
-        "agm2": lambda n, a: coeffs_agm2(n, alpha),
+        "agm2": lambda n, a: (a, 0.0, 0.0, 0.0),
         "lt_se1": lambda n, a: (a, 0.0, s * a, s),
         "lt_sv2": lambda n, a: (a, 0.0, 0.5 * s * a, 0.5 * s),
         "ardm": lambda n, a: (a, 0.0, s * (1.0 + a), 0.0),

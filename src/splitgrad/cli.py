@@ -53,7 +53,9 @@ def _jsonable(v):
     return v
 
 
-def _parse_vec(option: str, value) -> np.ndarray:
+def _parse_vec(option: str, value, dim: int) -> np.ndarray:
+    """A point of dimension `dim`, from comma-separated text or a config's
+    list; ValueError naming `option` otherwise."""
     parts = value.split(",") if isinstance(value, str) else value   # or a config's list
     try:
         vec = np.array([float(p) for p in parts], dtype=float)
@@ -61,6 +63,8 @@ def _parse_vec(option: str, value) -> np.ndarray:
         raise ValueError(f"{option}: expected a vector, got {value!r}") from None
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"{option} must hold finite numbers, got {value!r}")
+    if vec.shape != (dim,):
+        raise ValueError(f"{option} must be a point of dimension {dim}, got {value!r}")
     return vec
 
 
@@ -156,7 +160,7 @@ def cmd_run(args) -> int:
     s = _finite("--s", _cfg(args, config, "s", 0.1))
     alpha = _finite("--alpha", _cfg(args, config, "alpha", 3.0))
     algorithms.check_alpha(algorithm, alpha, "--alpha")
-    x0 = _parse_vec("--x0", _cfg(args, config, "x0", "1,-2"))
+    x0 = _parse_vec("--x0", _cfg(args, config, "x0", "1,-2"), obj.dim)
     epsilon = _finite("--epsilon", _cfg(args, config, "epsilon", 1e-10))
     max_iter = _max_iter(_cfg(args, config, "max_iter", 50000))
     stop_kind = _cfg(args, config, "stop", algorithms.default_stop(obj))
@@ -365,10 +369,11 @@ def cmd_sweep(args) -> int:
         if not isinstance(grid[k], (list, tuple)) or not grid[k]:
             raise ValueError(f"grid entry {k!r} must be a non-empty list")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    x0 = _parse_vec("--x0", args.x0, make_objective(args.objective).dim)
     # one lane batch; a cell whose stepsize or schedule is rejected is an error row
     obj, runs = algorithms.run_schedules(
         args.objective, [(args.schedule, params, args.s) for params in points], args.alpha,
-        _parse_vec("--x0", args.x0), args.epsilon, _max_iter(args.max_iter))
+        x0, args.epsilon, _max_iter(args.max_iter))
     rows = []
     for params, run in zip(points, runs):
         if run.error is not None:
@@ -414,8 +419,8 @@ def cmd_ode_compare(args) -> int:
     obj = make_objective(args.objective)
     alpha, beta, t0, t1, dt0 = (_finite(f"--{key}", getattr(args, key))
                                 for key in ("alpha", "beta", "t0", "t1", "dt"))
-    x0 = _parse_vec("--x0", args.x0)
-    v0 = _parse_vec("--v0", args.v0) if args.v0 is not None else np.zeros(obj.dim)
+    x0 = _parse_vec("--x0", args.x0, obj.dim)
+    v0 = _parse_vec("--v0", args.v0, obj.dim) if args.v0 is not None else np.zeros(obj.dim)
     gaps, orders, finest = verify.ode_route_gaps(obj, x0, v0, alpha, beta, t0, t1, dt0)
 
     out_dir = Path(args.out)
@@ -454,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one algorithm and export the trajectory")
     p_run.add_argument("--objective", help="f1, f2, or quadratic (params via --config)")
     p_run.add_argument("--algorithm", choices=algorithms.ALGORITHM_NAMES)
-    p_run.add_argument("--schedule", help="coefficient family label (e24, e25, e26, igahd)")
+    p_run.add_argument("--schedule", help="coefficient family label (e24, e25, e26)")
     p_run.add_argument("--schedule-params", help="JSON object or file with family parameters")
     p_run.add_argument("--s", type=float, help="stepsize, strictly inside (0, 1/L)")
     p_run.add_argument("--alpha", type=float)

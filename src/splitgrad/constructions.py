@@ -34,7 +34,7 @@ Array = np.ndarray
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError(f"inertia exponent must exceed 1, got {alpha}")
 
 
@@ -44,7 +44,7 @@ def _iterate(obj: Objective, x0, h: float, n_steps: int,
     """The driver of the module docstring: step(n, x_n, v_n) is composite
     step n, start_v(x0, x1) the start velocity. Returns x_0, ...,
     x_{n_steps} stacked."""
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"stepsize must be positive, got {h}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
@@ -60,11 +60,9 @@ def _iterate(obj: Objective, x0, h: float, n_steps: int,
     return np.asarray(xs)
 
 
-def _unit_mass_system(obj: Objective, potential_scale: float = 1.0,
-                      dissipation: float = 0.0) -> HamiltonianSystem:
-    """T(v) = ||v||^2/2 with U = scale * f, damped by `dissipation`; the
-    kinetic gradient is the identity, so the symplectic maps reduce to
-    drift/kick form."""
+def _unit_mass_system(obj: Objective, potential_scale: float = 1.0) -> HamiltonianSystem:
+    """T(v) = ||v||^2/2 with U = scale * f; the kinetic gradient is the
+    identity, so the symplectic maps reduce to drift/kick form."""
     if potential_scale == 1.0:
         pot, gpot = obj.eval, obj.grad
     else:
@@ -75,7 +73,7 @@ def _unit_mass_system(obj: Objective, potential_scale: float = 1.0,
             return c * obj.grad(x)
     return HamiltonianSystem(kinetic=lambda v: 0.5 * float(np.dot(v, v)),
                              potential=pot, grad_kinetic=lambda v: v,
-                             grad_potential=gpot, dissipation=dissipation)
+                             grad_potential=gpot)
 
 
 def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
@@ -100,12 +98,8 @@ def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: in
     def grad_flow(t, x, vv):
         return -h * obj.grad(x), np.zeros_like(vv)
 
-    def full(t, x, vv):
-        return (((alpha - 1.0) / t) * (vv - x) - h * obj.grad(x),
-                -(t / (alpha - 1.0)) * obj.grad(x))
-
     split = SplitSystem([SubFlow.euler(drift), SubFlow.euler(kick),
-                         SubFlow.euler(grad_flow)], full_field=full)
+                         SubFlow.euler(grad_flow)])
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: x0.copy(),
                     lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
 
@@ -180,15 +174,13 @@ def pim_construction(obj: Objective, x0, gamma: float, h: float, n_steps: int) -
     Hamiltonian flow: Euler on the friction field (0, -gamma v), then
     kick-then-drift symplectic Euler on the conservative field. gamma = 0
     leaves the bare symplectic map."""
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ValueError(f"friction must be nonnegative, got {gamma}")
-    # The damped system owns the full field; the symplectic leg integrates
-    # only its conservative part, the friction leg the rest.
-    hs = _unit_mass_system(obj, dissipation=gamma)
+    hs = _unit_mass_system(obj)
     friction = SubFlow.euler(lambda t, x, vv: (np.zeros_like(x), -gamma * vv))
     conservative = SubFlow(field=lambda t, x, vv: (vv, -obj.grad(x)),
                            advance=lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2"))
-    split = SplitSystem([friction, conservative], full_field=hs.field)
+    split = SplitSystem([friction, conservative])
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h,
                     lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
 
@@ -262,11 +254,11 @@ def _rk4_trajectory(field: Field, x0, v0, t0: float, t1: float,
                     dt: float) -> ContinuousTrajectory:
     """rk4_step on field from (x0, v0) at t0 to t1, at dt rounded so that
     the grid hits t1 exactly."""
-    if t0 <= 0.0:
+    if not t0 > 0.0:
         raise ValueError(f"initial time must be positive, got {t0}")
-    if t1 <= t0:
+    if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = max(1, int(round((t1 - t0) / dt)))
     dt_eff = (t1 - t0) / n

@@ -8,8 +8,8 @@ coupling identity
 
     gamma_n = (lambda_n + omega_n) - ((n+1)/n) * lambda_{n+1}
 
-by construction, plus the single-parameter "igahd" family (the e25 family
-at mu = 0). A "custom" schedule takes any coefficient map.
+by construction (the e25 family at mu = 0 is the Hessian-correction
+scheme). A "custom" schedule takes any coefficient map.
 
 Index convention: the families are stated through a lambda_{n+1} recurrence
 for n >= 1; lambda_n is the same closed form shifted by one, which pins
@@ -19,6 +19,7 @@ lambda_1 = 0 for e24/e26 and lambda_1 = beta*sqrt(s) + mu/b for e25.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -41,16 +42,6 @@ def _validate_common(s: float, alpha: float, mu: float) -> None:
         raise ValueError(f"damping parameter must satisfy alpha >= 3, got {alpha}")
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-
-
-def coeffs_agm2(n, alpha: float = 3.0):
-    """The plain accelerated method: (alpha_n, 0, 0, 0). A Python number n
-    gives Python floats, anything else arrays."""
-    if not np.isscalar(n):
-        n = np.asarray(n, dtype=float)
-    a_n = (n - alpha) / n
-    zero = 0.0 if np.isscalar(n) else np.zeros_like(a_n)
-    return a_n, zero, zero, zero
 
 
 def _coeffs_shifted(n, s: float, alpha: float, a: float, b: float, mu: float,
@@ -162,13 +153,13 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
          maxed with (1 - 2b + sqrt(4(a-b)+1))/2 when b - a <= 1/4.
     e25: quadratic-root formula in beta, b, mu.
     e26: sqrt(3 + (mu/s)^2) - min(a, b)  (the L-free variant; see
-         n_prime_e26_l_dependent for the alternative).
+         n_prime_reference_variant for the alternative).
     """
     label = label.lower()
     if label == "e24":
         return _n_prime_e24(params, s, alpha, lipschitz,
                             s * s * lipschitz * lipschitz + 1.0)
-    if label in ("e25", "igahd"):
+    if label == "e25":
         beta = params["beta"]
         b = params.get("b", 1.0)
         mu = params.get("mu", 0.0)
@@ -185,72 +176,59 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
     raise ValueError(f"no closed-form threshold for schedule label {label!r}")
 
 
-def n_prime_e26_l_dependent(s: float, lipschitz: float, a: float, b: float,
-                            mu: float = 0.0) -> float:
-    """Curvature-aware variant of the e26 threshold,
-    sqrt((sL)^2 + 1 + (mu/s)^2) - min(a, b)."""
-    return float(np.sqrt((s * lipschitz) ** 2 + 1.0 + (mu / s) ** 2) - min(a, b))
-
-
 def n_prime_reference_variant(label: str, params: dict, s: float, alpha: float,
                               lipschitz: float) -> float:
     """Alternate closed forms that reproduce the recorded reference tables
     at s = 0.1 (the recording omitted s, so the match is diagnostic):
     e24 without the additive (alpha-1) offset, e26 in its curvature-aware
-    form. Emitted next to the primary threshold by the table command."""
+    form sqrt((sL)^2 + 1 + (mu/s)^2) - min(a, b). Emitted next to the
+    primary threshold by the table command."""
     label = label.lower()
     if label == "e24":
         return _n_prime_e24(params, s, alpha, lipschitz, (s * lipschitz) ** 2)
     if label == "e26":
-        return n_prime_e26_l_dependent(s, lipschitz, params["a"], params["b"],
-                                       params.get("mu", 0.0))
+        mu = params.get("mu", 0.0)
+        return float(np.sqrt((s * lipschitz) ** 2 + 1.0 + (mu / s) ** 2)
+                     - min(params["a"], params["b"]))
     return n_prime(label, params, s, alpha, lipschitz)
+
+
+# label -> (coefficient function, its parameters with their defaults); a
+# default of None marks a parameter the label needs.
+_FAMILIES = {
+    "e24": (coeffs_e24, {"a": 0.0, "b": 0.0, "mu": 0.0}),
+    "e25": (coeffs_e25, {"beta": None, "b": 1.0, "mu": 0.0}),
+    "e26": (coeffs_e26, {"a": 0.0, "b": 0.0, "mu": 0.0}),
+}
 
 
 def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
                   **params) -> Schedule:
-    """Build a Schedule by label.
-
-    Labels: "e24"/"e26" (params a, b, mu), "e25" (beta, b, mu),
-    "igahd" (beta), "custom" (pass `coeffs`, a map from n to the
-    coefficient 4-tuple that accepts an array of n as `Schedule` states).
-    """
+    """Build a Schedule by label: a family of `_FAMILIES`, "e24"/"e26"
+    (params a, b, mu) or "e25" (beta, b, mu), or "custom" (pass `coeffs`,
+    a map from n to the coefficient 4-tuple that accepts an array of n as
+    `Schedule` states)."""
     label = label.lower()
-    if label in ("e24", "e26"):
-        a = params.pop("a", 0.0)
-        b = params.pop("b", 0.0)
-        mu = params.pop("mu", 0.0)
-        _reject_extra(label, params)
-        family = coeffs_e24 if label == "e24" else coeffs_e26
-
-        def family_at(n):
-            return family(n, s, alpha=alpha, a=a, b=b, mu=mu)
-
-        family_at(1)  # validate eagerly
-        return Schedule(label, alpha, s, family_at, {"a": a, "b": b, "mu": mu})
-    if label in ("e25", "igahd"):
-        if "beta" not in params:
-            raise ValueError(f"schedule {label!r} needs the parameter 'beta'")
-        beta = params.pop("beta")
-        b = params.pop("b", 1.0)
-        mu = params.pop("mu", 0.0)
-        if label == "igahd" and mu != 0.0:
-            raise ValueError("the igahd schedule is the e25 family at mu = 0")
-        _reject_extra(label, params)
-        coeffs_e25(1, s, beta, b, mu, alpha)
-        return Schedule(label, alpha, s, lambda n: coeffs_e25(n, s, beta, b, mu, alpha),
-                        {"beta": beta, "b": b, "mu": mu})
     if label == "custom":
         if coeffs is None:
             raise ValueError("custom schedule requires a `coeffs` callable")
-        _reject_extra(label, params)
+        family, defaults = None, {}
+    elif label in _FAMILIES:
+        family, defaults = _FAMILIES[label]
+    else:
+        raise ValueError(f"unknown schedule label {label!r}")
+    for key, default in defaults.items():
+        if default is None and key not in params:
+            raise ValueError(f"schedule {label!r} needs the parameter {key!r}")
+    extra = sorted(params.keys() - defaults.keys())
+    if extra:
+        raise ValueError(f"unexpected parameters for schedule {label!r}: {extra}")
+    if family is None:
         return Schedule(label, alpha, s, coeffs)
-    raise ValueError(f"unknown schedule label {label!r}")
-
-
-def _reject_extra(label: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unexpected parameters for schedule {label!r}: {sorted(params)}")
+    params = {**defaults, **params}
+    coeffs_at = partial(family, s=s, alpha=alpha, **params)
+    coeffs_at(1)  # validate eagerly
+    return Schedule(label, alpha, s, coeffs_at, params)
 
 
 def a_coefficients(s: float, lipschitz: float, gamma):
@@ -308,9 +286,9 @@ class AdmissibilityReport:
 
     n1/n2/n_prime are the three threshold components and n_threshold their
     max (nan when no finite n2 exists on the scanned range).
-    assumption_i_holds_from / g_positive_from are the smallest scanned n
-    from which the respective condition holds onward; the sentinel
-    n_max + 1 means it never settles.
+    assumption_i_holds_from is the smallest scanned n from which the
+    strict coupling inequality holds onward; the sentinel n_max + 1 means
+    it never settles.
     """
 
     n1: float
@@ -319,7 +297,6 @@ class AdmissibilityReport:
     n_threshold: float
     assumption_i_holds_from: int
     assumption_ii_exact: bool
-    g_positive_from: int
 
 
 def _holds_from(mask: Array) -> int:
@@ -375,9 +352,7 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
     holds_i = lhs < rhs
     g, h, i = gn_hn_in(s, lipschitz, gam, lam, om)
     g_pos = g > 0.0
-
     i_from = _holds_from(holds_i)
-    g_from = _holds_from(g_pos)
 
     n1 = alpha - 1.0
     try:
@@ -397,5 +372,4 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
         n_threshold=n_threshold,
         assumption_i_holds_from=i_from,
         assumption_ii_exact=ii_exact,
-        g_positive_from=g_from,
     )

@@ -162,6 +162,33 @@ def test_construction_guards():
         con.lt_se1_construction(f1(), X0, 3.0, H, -1)    # bad count
 
 
+# each construction and integrator with p as its alpha (pim's: gamma) and
+# h as its stepsize (the integrators': dt)
+_PARAM_ROUTES = {
+    "nesterov_lie_trotter": lambda p, h: con.nesterov_lie_trotter(f2(), X0, p, h, 3),
+    "igahd": lambda p, h: con.igahd_construction(f2(), X0, p, 1.0, h, 3),
+    "lt_s_igahd": lambda p, h: con.lt_s_igahd_construction(
+        f2(), X0, p, make_schedule("e25", s=S, beta=0.1), h, 3),
+    "ardm": lambda p, h: con.ardm_construction(f2(), X0, p, h, 3),
+    "pim": lambda p, h: con.pim_construction(f2(), X0, p, h, 3),
+    "lt_se1": lambda p, h: con.lt_se1_construction(f2(), X0, p, h, 3),
+    "lt_sv2": lambda p, h: con.lt_sv2_construction(f2(), X0, p, h, 3),
+    "lt_se3": lambda p, h: con.lt_se3_construction(f2(), X0, p, h, 3),
+    "first_order_vd": lambda p, h: con.integrate_first_order_vd(
+        f2(), X0, [0.0, 0.0], p, 0.1, 1.0, 2.0, h),
+    "second_order_hessian_vd": lambda p, h: con.integrate_second_order_hessian_vd(
+        f2(), X0, [0.0, 0.0], p, 0.1, 1.0, 2.0, h),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARAM_ROUTES))
+def test_nan_parameters_are_rejected(name):
+    with pytest.raises(ValueError, match="must exceed 1|must be nonnegative"):
+        _PARAM_ROUTES[name](float("nan"), H)
+    with pytest.raises(ValueError, match="must be positive"):
+        _PARAM_ROUTES[name](3.0, float("nan"))
+
+
 def test_route_imports_nothing_from_the_direct_steppers():
     # the agreement checks certify two routes only while they share no
     # formula, theta_n included

@@ -441,11 +441,18 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
     (["ode-compare", "--dt", "nan"], "--dt"),
     (["ode-compare", "--t1", "inf"], "--t1"),
     (["ode-compare", "--v0", "0,inf"], "--v0"),
+    (["run", "--x0", "1,2,3"], "--x0 must be a point of dimension 2"),
+    (["run", "--config", '{"x0": []}'], "--x0 must be a point of dimension 2"),
+    (["ode-compare", "--x0", "1,2,3"], "--x0 must be a point of dimension 2"),
+    (["ode-compare", "--v0", "1"], "--v0 must be a point of dimension 2"),
+    (["sweep", "--schedule", "e24", "--grid", '{"mu": [0.0]}', "--x0", "1"],
+     "--x0 must be a point of dimension 2"),
 ], ids=["run-epsilon", "run-alpha", "run-s", "run-gamma", "run-beta", "run-config-string",
         "run-config-huge-int", "run-x0", "run-config-algorithm", "run-config-x0-string",
         "run-config-x0-null", "run-config-x0-number", "run-schedule-string",
         "run-schedule-nan", "table-alpha", "table-s",
-        "ode-beta", "ode-dt", "ode-t1", "ode-v0"])
+        "ode-beta", "ode-dt", "ode-t1", "ode-v0", "run-x0-length", "run-config-x0-empty",
+        "ode-x0-length", "ode-v0-length", "sweep-x0-length"])
 def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):
     _exit_2_one_line(capsys, argv + ["--out", str(tmp_path / "o")], needle)
     assert not (tmp_path / "o").exists()

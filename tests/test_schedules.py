@@ -13,7 +13,6 @@ from splitgrad.schedules import (
     make_schedule,
     n2,
     n_prime,
-    n_prime_e26_l_dependent,
     n_prime_reference_variant,
 )
 
@@ -146,8 +145,6 @@ def test_n_prime_frozen_values():
         == 0.3333333333333333
     assert n_prime("e26", dict(a=1.25, b=5.5, mu=1e-3), 0.1, 3.0, 4.0) \
         == 0.48207967484177816
-    assert n_prime_e26_l_dependent(0.1, 4.0, 1.25, 5.5, 1e-3) \
-        == -0.1729206157390255
 
 
 def test_n_prime_reference_variant_frozen_values():
@@ -168,17 +165,27 @@ def test_make_schedule_labels_and_errors():
     sch = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=1e-2)
     assert sch.label == "e24"
     assert n_prime(sch.label, sch.params, 0.1, 3.0, 4.0) == -1.5568629150101523
-    ig = make_schedule("igahd", s=0.04, beta=0.1)
-    assert ig.coeffs_at(3)[3] == 0.0
-    with pytest.raises(ValueError):
-        make_schedule("igahd", s=0.04, beta=0.1, mu=0.5)
-    with pytest.raises(ValueError):
-        make_schedule("e24", s=0.1, a=1.0, b=1.0, mu=0.0, nu=2.0)
+    assert make_schedule("e25", s=0.04, beta=0.1).coeffs_at(3)[3] == 0.0
     with pytest.raises(ValueError):
         make_schedule("custom", s=0.1)
-    for label in ("e99", "agm2"):   # agm2 is a method, not a schedule
+    # agm2 is a method, and igahd the e25 family at mu = 0, not schedules
+    for label in ("e99", "agm2", "igahd"):
         with pytest.raises(ValueError, match="unknown schedule label"):
             make_schedule(label, s=0.1)
+
+
+@pytest.mark.parametrize("label,required,defaults", [
+    ("e24", {}, {"a": 0.0, "b": 0.0, "mu": 0.0}),
+    ("e25", {"beta": 0.1}, {"b": 1.0, "mu": 0.0}),
+    ("e26", {}, {"a": 0.0, "b": 0.0, "mu": 0.0}),
+], ids=["e24", "e25", "e26"])
+def test_make_schedule_parameters(label, required, defaults):
+    assert make_schedule(label, s=0.04, **required).params == {**required, **defaults}
+    with pytest.raises(ValueError, match=rf"for schedule '{label}': \['nu'\]"):
+        make_schedule(label, s=0.04, nu=2.0, **required)
+    for key in required:   # a missing parameter is named before an unknown one
+        with pytest.raises(ValueError, match=f"schedule '{label}' needs the parameter '{key}'"):
+            make_schedule(label, s=0.04, nu=2.0)
 
 
 def test_check_assumptions_report():
@@ -189,7 +196,6 @@ def test_check_assumptions_report():
     assert rep.n1 == 2.0
     assert rep.assumption_ii_exact
     assert rep.assumption_i_holds_from == 1
-    assert rep.g_positive_from == 1
     assert rep.n_threshold == max(rep.n1, rep.n2, rep.n_prime)
     assert np.isfinite(rep.n2)
 
