@@ -40,6 +40,14 @@ those of its own `run` on f1 and f2; on a quadratic, B > 1 lanes share one
 matrix product, whose summation order may differ from the one-lane product
 in the last bits.
 
+Recording: a recorded run writes each field (x_n, f_n, grad_n and, with
+`record_y`, y_n) into one float64 buffer of `_CHUNK` rows that doubles when
+full, never past the max(max_iter, 1) + 1 rows the loop can record; growing
+copies only the filled rows. A one-lane trajectory's arrays are views of the
+filled rows, so they may view a buffer at most twice their length (or of
+`_CHUNK` rows) whose extra rows are never written and hold no memory; the
+lanes of a batch get copies of their own.
+
 Gradient economy: the cache makes grad(x_n) and grad(x_{n-1}) free inside a
 step. Every step takes f(x_{n+1}) and grad(x_{n+1}) together from one
 `Objective.eval_grad` call (the value feeds the stopping rule, the gradient
@@ -305,7 +313,10 @@ class Stepper:
 @dataclass
 class Trajectory:
     """Recorded run: iterates x_0..x_M with values, gradients and optional
-    inertial points. Velocities are derived on demand."""
+    inertial points. Velocities are derived on demand. The arrays of a
+    one-lane run are views of the engine's row buffers: each may view a
+    buffer at most twice its length (or of `_CHUNK` rows), whose extra rows
+    are never written."""
 
     obj: Objective
     xs: Array            # (M+1, dim)
@@ -374,8 +385,8 @@ def _take(state: IterState, keep: Array, lanes: Array) -> IterState:
 
 def _join(parts) -> Array:
     """One contiguous array of a lane's recorded pieces. A single piece is
-    copied only when it is a strided view, so a one-lane run keeps its
-    stacked rows as they are."""
+    copied only when it is a strided view, so a one-lane run keeps the
+    views of its row buffers."""
     return np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -402,33 +413,50 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
                      np.full(np.shape(state.f_prev), np.nan), state.f_prev, state.x_prev)
     idx = np.arange(lanes)  # the run's index of each lane still in the batch
     results = [None] * lanes
-    # the rows recorded since the last stop, starting with x0's
-    xs, fs, grads, ys = [prev.x_curr], [prev.f_curr], [prev.grad_curr], [prev.y_last]
-    segment = (xs, fs, grads, ys) if record_y else (xs, fs, grads)
-    pieces = [[[] for _ in range(lanes)] for _ in segment]
+    pieces = [[[] for _ in range(lanes)] for _ in range(4 if record_y else 3)]
+    # the rows recorded since the last stop, starting with x0's, fill one
+    # buffer per field. A full buffer doubles, never past the `most` rows the
+    # loop can record, copying its filled rows one field at a time so that
+    # each old buffer goes before the next field grows; the rows never
+    # written are never touched, so they hold no memory.
+    most = max(max_iter, 1) + 1
+    bufs, filled = [], 0
+
+    def push(st: IterState) -> None:
+        nonlocal filled
+        rows = (st.x_curr, st.f_curr, st.grad_curr, st.y_last)[:len(pieces)]
+        if not bufs:
+            bufs.extend(np.empty((min(_CHUNK, most),) + np.shape(r)) for r in rows)
+        elif filled == len(bufs[0]):
+            for k, old in enumerate(bufs):
+                bufs[k] = np.empty((min(2 * filled, most),) + old.shape[1:])
+                bufs[k][:filled] = old[:filled]
+        for buf, r in zip(bufs, rows):
+            buf[filled] = r
+        filled += 1
 
     def leave(mask, reason: str, kept: IterState) -> int:
         """Stop the lanes in `mask` with the state `kept`, which holds the
         same lanes as the batch, and drop them from the batch; returns how
         many lanes still run."""
-        nonlocal state, idx
+        nonlocal state, idx, filled
         errors = np.reshape(_stop_error(stopping, kept, f_star), idx.size)
         for j in np.flatnonzero(mask):
             results[idx[j]] = RunResult(reason, kept.n, float(errors[j]))
-        if record:
-            for rows, lane_pieces in zip(segment, pieces):
-                stack = np.asarray(rows)
-                if one:
-                    stack = stack[:, None]
-                for j, i in enumerate(idx.tolist()):
-                    lane_pieces[i].append(stack[:, j])
-                rows.clear()
+        for buf, lane_pieces in zip(bufs, pieces):
+            stack = buf[:filled, None] if one else buf[:filled]
+            for j, i in enumerate(idx.tolist()):
+                lane_pieces[i].append(stack[:, j])
+        bufs.clear()
+        filled = 0
         keep = np.flatnonzero(np.logical_not(mask))
         if keep.size:
             idx = idx[keep]
             state = _take(state, keep, idx)
         return keep.size
 
+    if record:
+        push(prev)  # x0's row
     tolerance = stopping.kind != "max_iter"
     # a diverging lane overflows on its way out; its non-finite state is the signal
     with np.errstate(over="ignore", invalid="ignore"):
@@ -438,11 +466,7 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
                 if not leave(~finite, "diverged", prev):
                     break
             if record:
-                xs.append(state.x_curr)
-                fs.append(state.f_curr)
-                grads.append(state.grad_curr)
-                if record_y:
-                    ys.append(state.y_last)
+                push(state)
             if tolerance and (stopping.n_threshold is None or state.n > stopping.n_threshold):
                 met = _stop_error(stopping, state, f_star) <= stopping.epsilon
                 if _any(met) and not leave(met, "tolerance_met", state):

@@ -168,6 +168,9 @@ def cmd_run(args) -> int:
 
     algorithms.check_stepsize(s, obj)
     sched_label = _cfg(args, config, "schedule", None)
+    if sched_label is not None and sched_label not in schedules.FAMILY_LABELS:
+        raise ValueError(f"--schedule must be one of {schedules.FAMILY_LABELS}, "
+                         f"got {sched_label!r}")
     sched_params = _parse_params(args.schedule_params) if args.schedule_params \
         else _as_params(config.get("schedule_params", {}), "schedule_params")
     for key, value in sched_params.items():
@@ -459,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one algorithm and export the trajectory")
     p_run.add_argument("--objective", help="f1, f2, or quadratic (params via --config)")
     p_run.add_argument("--algorithm", choices=algorithms.ALGORITHM_NAMES)
-    p_run.add_argument("--schedule", help="coefficient family label (e24, e25, e26)")
+    p_run.add_argument("--schedule", choices=schedules.FAMILY_LABELS,
+                       help="coefficient family label")
     p_run.add_argument("--schedule-params", help="JSON object or file with family parameters")
     p_run.add_argument("--s", type=float, help="stepsize, strictly inside (0, 1/L)")
     p_run.add_argument("--alpha", type=float)
@@ -487,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=cmd_table)
 
     p_sw = sub.add_parser("sweep", help="grid sweep over schedule parameters")
-    p_sw.add_argument("--schedule", required=True)
+    p_sw.add_argument("--schedule", required=True, choices=schedules.FAMILY_LABELS)
     p_sw.add_argument("--grid", required=True,
                       help="JSON object mapping parameter names to value lists")
     p_sw.add_argument("--objective", default="f2")

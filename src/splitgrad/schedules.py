@@ -107,6 +107,27 @@ def coeffs_e26(n, s: float, a: float = 0.0, b: float = 0.0, mu: float = 0.0,
     return _coeffs_shifted(n, s, alpha, a, b, mu, lambda n: -s / (n + a))
 
 
+# label -> (coefficient function, its parameters with their defaults); a
+# default of None marks a parameter the label needs.
+_FAMILIES = {
+    "e24": (coeffs_e24, {"a": 0.0, "b": 0.0, "mu": 0.0}),
+    "e25": (coeffs_e25, {"beta": None, "b": 1.0, "mu": 0.0}),
+    "e26": (coeffs_e26, {"a": 0.0, "b": 0.0, "mu": 0.0}),
+}
+# The labels a command line can build; "custom" needs a coefficient map.
+FAMILY_LABELS = tuple(_FAMILIES)
+
+
+def _family_params(label: str, params: dict) -> dict:
+    """`params` over the defaults of the family `label`; ValueError naming
+    a parameter the family needs that `params` lacks."""
+    defaults = _FAMILIES[label][1]
+    for key, default in defaults.items():
+        if default is None and key not in params:
+            raise ValueError(f"schedule {label!r} needs the parameter {key!r}")
+    return {**defaults, **params}
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Immutable coefficient schedule.
@@ -135,8 +156,9 @@ class Schedule:
 
 def _n_prime_e24(params: dict, s: float, alpha: float, lipschitz: float,
                  curvature: float) -> float:
-    """The e24 threshold of `n_prime` with (s L)^2 + 1 replaced by `curvature`."""
-    a, b, mu = params["a"], params["b"], params.get("mu", 0.0)
+    """The e24 threshold of `n_prime` with (s L)^2 + 1 replaced by `curvature`;
+    `params` holds every parameter of the family."""
+    a, b, mu = params["a"], params["b"], params["mu"]
     base = ((alpha - 1.0) * curvature
             + 2.0 * mu * lipschitz * np.sqrt(alpha - 1.0) + (mu / s) ** 2 - a)
     if b - a > 0.25:
@@ -156,13 +178,15 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
          n_prime_reference_variant for the alternative).
     """
     label = label.lower()
+    if label not in _FAMILIES:
+        raise ValueError(f"no closed-form threshold for schedule label {label!r}")
+    params = _family_params(label, params)
     if label == "e24":
         return _n_prime_e24(params, s, alpha, lipschitz,
                             s * s * lipschitz * lipschitz + 1.0)
+    b, mu = params["b"], params["mu"]
     if label == "e25":
         beta = params["beta"]
-        b = params.get("b", 1.0)
-        mu = params.get("mu", 0.0)
         root_s = float(np.sqrt(s))
         if not 0.0 < beta < 2.0 * root_s:
             raise ValueError(f"beta must lie in (0, 2*sqrt(s)), got {beta}")
@@ -170,10 +194,7 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
                 + 4.0 * (2.0 * root_s - beta) * (beta * b + mu / root_s))
         num = beta * (b + 1.0) + mu / root_s - 2.0 * root_s * b + np.sqrt(disc)
         return float(num / (2.0 * (2.0 * root_s - beta)))
-    if label == "e26":
-        a, b, mu = params["a"], params["b"], params.get("mu", 0.0)
-        return float(np.sqrt(3.0 + (mu / s) ** 2) - min(a, b))
-    raise ValueError(f"no closed-form threshold for schedule label {label!r}")
+    return float(np.sqrt(3.0 + (mu / s) ** 2) - min(params["a"], b))
 
 
 def n_prime_reference_variant(label: str, params: dict, s: float, alpha: float,
@@ -185,21 +206,13 @@ def n_prime_reference_variant(label: str, params: dict, s: float, alpha: float,
     primary threshold by the table command."""
     label = label.lower()
     if label == "e24":
-        return _n_prime_e24(params, s, alpha, lipschitz, (s * lipschitz) ** 2)
+        return _n_prime_e24(_family_params(label, params), s, alpha, lipschitz,
+                            (s * lipschitz) ** 2)
     if label == "e26":
-        mu = params.get("mu", 0.0)
-        return float(np.sqrt((s * lipschitz) ** 2 + 1.0 + (mu / s) ** 2)
-                     - min(params["a"], params["b"]))
+        p = _family_params(label, params)
+        return float(np.sqrt((s * lipschitz) ** 2 + 1.0 + (p["mu"] / s) ** 2)
+                     - min(p["a"], p["b"]))
     return n_prime(label, params, s, alpha, lipschitz)
-
-
-# label -> (coefficient function, its parameters with their defaults); a
-# default of None marks a parameter the label needs.
-_FAMILIES = {
-    "e24": (coeffs_e24, {"a": 0.0, "b": 0.0, "mu": 0.0}),
-    "e25": (coeffs_e25, {"beta": None, "b": 1.0, "mu": 0.0}),
-    "e26": (coeffs_e26, {"a": 0.0, "b": 0.0, "mu": 0.0}),
-}
 
 
 def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
@@ -212,23 +225,19 @@ def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
     if label == "custom":
         if coeffs is None:
             raise ValueError("custom schedule requires a `coeffs` callable")
-        family, defaults = None, {}
-    elif label in _FAMILIES:
-        family, defaults = _FAMILIES[label]
-    else:
+        if params:
+            raise ValueError(f"unexpected parameters for schedule 'custom': {sorted(params)}")
+        return Schedule(label, alpha, s, coeffs)
+    if label not in _FAMILIES:
         raise ValueError(f"unknown schedule label {label!r}")
-    for key, default in defaults.items():
-        if default is None and key not in params:
-            raise ValueError(f"schedule {label!r} needs the parameter {key!r}")
+    family, defaults = _FAMILIES[label]
+    full = _family_params(label, params)
     extra = sorted(params.keys() - defaults.keys())
     if extra:
         raise ValueError(f"unexpected parameters for schedule {label!r}: {extra}")
-    if family is None:
-        return Schedule(label, alpha, s, coeffs)
-    params = {**defaults, **params}
-    coeffs_at = partial(family, s=s, alpha=alpha, **params)
+    coeffs_at = partial(family, s=s, alpha=alpha, **full)
     coeffs_at(1)  # validate eagerly
-    return Schedule(label, alpha, s, coeffs_at, params)
+    return Schedule(label, alpha, s, coeffs_at, full)
 
 
 def a_coefficients(s: float, lipschitz: float, gamma):

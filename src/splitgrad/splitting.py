@@ -9,7 +9,7 @@ each sub-flow from the start of its stretch of [t_n, t_n + h].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -49,36 +49,11 @@ class SplitSystem:
     application order for the sequential composition."""
 
     sub_flows: Tuple[SubFlow, ...]
-    full_field: Optional[Field] = None
 
-    def __init__(self, sub_flows: Sequence[SubFlow], full_field: Optional[Field] = None):
+    def __init__(self, sub_flows: Sequence[SubFlow]):
         object.__setattr__(self, "sub_flows", tuple(sub_flows))
-        object.__setattr__(self, "full_field", full_field)
         if not self.sub_flows:
             raise ValueError("a split system needs at least one sub-flow")
-
-    def field_sum(self, t: float, x: Array, v: Array) -> Phase:
-        dx = np.zeros_like(np.asarray(x, dtype=float))
-        dv = np.zeros_like(np.asarray(v, dtype=float))
-        for sf in self.sub_flows:
-            fx, fv = sf.field(t, x, v)
-            dx = dx + fx
-            dv = dv + fv
-        return dx, dv
-
-    def field_defect(self, t: float, x: Array, v: Array) -> float:
-        """Largest componentwise gap between the summed sub-fields and the
-        full field, relative to the field magnitude. Decompositions built
-        here are exact, so anything beyond a few ulps means a wrong split."""
-        if self.full_field is None:
-            raise ValueError("no full field attached to compare against")
-        sx, sv = self.field_sum(t, x, v)
-        fx, fv = self.full_field(t, x, v)
-        gap = max(np.max(np.abs(sx - fx), initial=0.0),
-                  np.max(np.abs(sv - fv), initial=0.0))
-        scale = max(np.max(np.abs(fx), initial=0.0),
-                    np.max(np.abs(fv), initial=0.0), 1.0)
-        return float(gap / scale)
 
 
 def lie_trotter_compose(split: SplitSystem, state: Phase, t_n: float, h: float) -> Phase:
@@ -114,18 +89,13 @@ def strang_compose(split: SplitSystem, state: Phase, t_n: float, h: float) -> Ph
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Separable H(x, v) = T(v) + U(x), optionally damped: the evolution
-    is x' = grad T(v), v' = -grad U(x) - dissipation * grad T(v)."""
+    """Separable H(x, v) = T(v) + U(x): the evolution is x' = grad T(v),
+    v' = -grad U(x)."""
 
     kinetic: Callable[[Array], float]
     potential: Callable[[Array], float]
     grad_kinetic: Callable[[Array], Array]
     grad_potential: Callable[[Array], Array]
-    dissipation: float = 0.0
-
-    def __post_init__(self):
-        if self.dissipation < 0.0:
-            raise ValueError(f"dissipation must be nonnegative, got {self.dissipation}")
 
     def energy(self, x: Array, v: Array):
         """H(x, v) for one state, a float, or for B states stacked as
@@ -143,9 +113,8 @@ class HamiltonianSystem:
         return e
 
     def field(self, t: float, x: Array, v: Array) -> Phase:
-        """The damped Hamiltonian vector field; t is unused (autonomous)."""
-        gT = self.grad_kinetic(v)
-        return gT, -self.grad_potential(x) - self.dissipation * gT
+        """The Hamiltonian vector field; t is unused (autonomous)."""
+        return self.grad_kinetic(v), -self.grad_potential(x)
 
 
 def symplectic_euler(hs: HamiltonianSystem, state: Phase, h: float,
@@ -155,8 +124,8 @@ def symplectic_euler(hs: HamiltonianSystem, state: Phase, h: float,
     se1: x+ = x + h grad T(v);   v+ = v - h grad U(x+)
     se2: v+ = v - h grad U(x);   x+ = x + h grad T(v+)
 
-    Dissipation is not part of these maps; damped systems are handled by
-    splitting the friction into its own sub-flow.
+    Damped systems are handled by splitting the friction into its own
+    sub-flow.
     """
     x, v = state
     if variant == "se1":
@@ -192,9 +161,9 @@ def stormer_verlet(hs: HamiltonianSystem, state: Phase, h: float,
 
 
 def forward_euler_hamiltonian(hs: HamiltonianSystem, state: Phase, h: float) -> Phase:
-    """Non-symplectic comparator: explicit Euler on the (possibly damped)
-    Hamiltonian field. On the undamped oscillator its energy error grows
-    without bound, unlike the symplectic maps."""
+    """Non-symplectic comparator: explicit Euler on the Hamiltonian field.
+    On the oscillator its energy error grows without bound, unlike the
+    symplectic maps."""
     x, v = state
     dx, dv = hs.field(0.0, x, v)
     return x + h * dx, v + h * dv

@@ -331,6 +331,29 @@ def _exit_2_one_line(capsys, argv, needle):
     assert err.startswith("error:") and err.count("\n") == 1 and needle in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--algorithm", "lt_s_igahd", "--schedule", "custom"],
+    ["run", "--algorithm", "lt_s_igahd", "--schedule", "e99"],
+    ["sweep", "--schedule", "custom", "--grid", '{"mu": [0.0]}'],
+    ["sweep", "--schedule", "e99", "--grid", '{"mu": [0.0]}'],
+], ids=["run-custom", "run-unknown", "sweep-custom", "sweep-unknown"])
+def test_schedule_flag_outside_the_families_exits_2(tmp_path, capsys, argv):
+    # a command line cannot pass the coefficient map a custom schedule needs
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert "argument --schedule: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("label", ["custom", "e99"])
+def test_config_schedule_outside_the_families_exits_2(tmp_path, capsys, label):
+    config = json.dumps({"algorithm": "lt_s_igahd", "schedule": label})
+    _exit_2_one_line(capsys, ["run", "--config", config, "--out", str(tmp_path / "o")],
+                     f"--schedule must be one of ('e24', 'e25', 'e26'), got '{label}'")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_config_objective_params_must_be_an_object(tmp_path, capsys):
     _exit_2_one_line(capsys, ["run", "--config", '{"objective_params": 5}',
                               "--out", str(tmp_path / "o")], "objective_params")

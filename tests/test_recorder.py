@@ -1,0 +1,134 @@
+"""The recorder of `algorithms._drive`: a recorded run writes its rows into
+one growing buffer per field, and what it hands back is bitwise what a
+plain loop over the same stepper computes, at every length, for one lane
+and for lanes that leave a batch at different steps."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import splitgrad
+from splitgrad.algorithms import (
+    _CHUNK,
+    IterState,
+    StoppingRule,
+    init_state,
+    make_stepper,
+    run,
+    run_lanes,
+)
+from splitgrad.objectives import f1, f2, quadratic
+from splitgrad.schedules import make_schedule
+
+FIELDS = ("xs", "fs", "grads", "ys")
+
+
+def _loop(stepper, obj, x0, s, max_iter):
+    """x_n, f_n, grad_n and y_n for n = 0..max(max_iter, 1), stepped by
+    hand from the bootstrap; y_0 is x0, as the engine records it."""
+    state = init_state(obj, x0, s)
+    rows = [(state.x_prev, state.f_prev, state.grad_prev, state.x_prev)]
+    while True:
+        rows.append((state.x_curr, state.f_curr, state.grad_curr, state.y_last))
+        if state.n >= max_iter:
+            break
+        state = stepper(state, obj)
+    return dict(zip(FIELDS, (np.array(col) for col in zip(*rows))))
+
+
+def test_one_lane_run_is_the_hand_loop_at_every_length():
+    # 0 to 300 steps crosses the buffer's first doublings at _CHUNK and 2 _CHUNK rows
+    s = 0.1
+    sched = make_schedule("e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1)
+    want = _loop(make_stepper("lt_s_igahd", s, schedule=sched), f2(), [1.0, -2.0], s, 300)
+    assert 300 > 2 * _CHUNK
+    for max_iter in range(301):
+        traj, res = run(make_stepper("lt_s_igahd", s, schedule=sched), f2(), [1.0, -2.0], s,
+                        StoppingRule("max_iter"), max_iter=max_iter, record_y=True)
+        rows = max(max_iter, 1) + 1
+        assert res.n_final == rows - 1
+        for field in FIELDS:
+            got, ref = getattr(traj, field), want[field][:rows]
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (max_iter, field)
+            # a view of the buffer, which a run that reaches max_iter fills exactly
+            assert got.base is not None and got.base.shape == got.shape, (max_iter, field)
+
+
+@pytest.mark.parametrize("objective", [f1, f2])
+def test_lanes_leaving_at_staggered_indices_are_their_runs(objective):
+    # known_min_f stops the lanes one after another, some after the
+    # buffer's first doublings; pim at s = 16 grows until it overflows
+    obj = objective()
+    ss = [0.002, 0.01, 0.02, 0.05, 0.1, 0.2, 16.0 if objective is f2 else 6.25]
+    x0s = np.tile([1.0, -2.0], (len(ss), 1))
+    rule = StoppingRule("known_min_f", 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajs, results = run_lanes(make_stepper("pim", ss), obj, x0s, ss, rule, 3000,
+                                   record=True)
+        singles = [run(make_stepper("pim", s), obj, x0, s, rule, 3000)
+                   for x0, s in zip(x0s, ss)]
+    stops = [r.n_final for r in results]
+    assert len(set(stops)) == len(ss) and max(stops) > 2 * _CHUNK
+    assert results[-1].termination == "diverged"
+    for traj, res, (want_traj, want) in zip(trajs, results, singles):
+        assert res == want
+        for field in ("xs", "fs", "grads"):
+            got, ref = getattr(traj, field), getattr(want_traj, field)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field
+
+
+def test_lane_diverging_right_after_another_stops_keeps_its_rows():
+    # lane 0 stands still and meets the tolerance at n = 2; lane 1 is
+    # scaled by 1e100 per step, finite at n = 2 and overflowing at n = 3,
+    # so it leaves with no row recorded since lane 0 left
+    obj = quadratic(np.eye(2))
+    scale = np.array([1.0, 1e100])
+
+    def stepper(state, obj):
+        x = state.x_curr * scale[[0, 1] if state.lanes is None else state.lanes][:, None]
+        f, g = obj.eval_grad(x)
+        return IterState(state.n + 1, state.x_curr, x, state.grad_curr, g, state.f_curr, f,
+                         lanes=state.lanes)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajs, results = run_lanes(stepper, obj, [[1.0, 2.0], [1.0, 2.0]], 0.1,
+                                   StoppingRule("consecutive_f", 1e-10), 10, record=True)
+    assert [(r.termination, r.n_final) for r in results] == [("tolerance_met", 2),
+                                                             ("diverged", 2)]
+    x1 = np.array([0.9, 1.8])   # x0 - 0.1 x0
+    assert np.array_equal(trajs[0].xs, [[1.0, 2.0], x1, x1])
+    assert np.array_equal(trajs[1].xs, [[1.0, 2.0], x1, 1e100 * x1])
+
+
+_RSS_PROBE = """
+import os
+import numpy as np
+from splitgrad.algorithms import StoppingRule, make_stepper, run
+from splitgrad.objectives import quadratic
+obj = quadratic(np.diag(np.geomspace(1e-3, 1.0, 300)), np.ones(300))
+stepper = make_stepper("agm2", 0.5)
+with open("/proc/self/statm") as fh:
+    before = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+traj, _ = run(stepper, obj, np.zeros(300), 0.5, StoppingRule("max_iter"), max_iter=5000)
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+print((peak - before) / (traj.xs.nbytes + traj.grads.nbytes))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_recorded_run_holds_its_trajectory_about_once():
+    # a recorded 5000-step run on a dim-300 quadratic may raise the peak
+    # resident set by at most 1.5 times its xs and grads (about 2 when the
+    # rows were stacked at the stop). The probe runs in a fresh process and
+    # reads the peak as VmHWM: ru_maxrss would start from the peak of the
+    # process that spawned it, here the test run.
+    src = str(Path(splitgrad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert float(out) <= 1.5

@@ -161,6 +161,23 @@ def test_n_prime_reference_variant_frozen_values():
                                      0.04, 3.0, 0.0) == 0.3333333333333333
 
 
+@pytest.mark.parametrize("label,partial", [
+    ("e24", {}), ("e24", {"b": 10.0, "mu": 1e-2}), ("e25", {"beta": 0.1}),
+    ("e25", {"beta": 0.1, "mu": 0.2}), ("e26", {}), ("e26", {"b": 5.5}),
+], ids=["e24-none", "e24-b-mu", "e25-beta", "e25-beta-mu", "e26-none", "e26-b"])
+def test_n_prime_fills_missing_parameters_from_the_family(label, partial):
+    full = make_schedule(label, s=0.04, **partial).params
+    assert full.keys() > partial.keys()
+    for threshold in (n_prime, n_prime_reference_variant):
+        assert threshold(label, partial, 0.04, 3.0, 4.0) == threshold(label, full, 0.04, 3.0, 4.0)
+
+
+def test_n_prime_names_a_missing_beta():
+    for threshold in (n_prime, n_prime_reference_variant):
+        with pytest.raises(ValueError, match="schedule 'e25' needs the parameter 'beta'"):
+            threshold("e25", {"b": 2.0}, 0.04, 3.0, 4.0)
+
+
 def test_make_schedule_labels_and_errors():
     sch = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=1e-2)
     assert sch.label == "e24"

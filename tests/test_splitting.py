@@ -15,12 +15,11 @@ from splitgrad.splitting import (
 )
 
 
-def _oscillator(dissipation=0.0):
+def _oscillator():
     return HamiltonianSystem(kinetic=lambda v: 0.5 * float(np.dot(v, v)),
                              potential=lambda x: 0.5 * float(np.dot(x, x)),
                              grad_kinetic=lambda v: v,
-                             grad_potential=lambda x: x,
-                             dissipation=dissipation)
+                             grad_potential=lambda x: x)
 
 
 START = (np.array([1.0]), np.array([0.0]))
@@ -85,10 +84,10 @@ def test_symplectic_euler_is_first_order():
     assert 1.8 < ratio < 2.2
 
 
-def _drift_kick_split(full=None):
+def _drift_kick_split():
     drift = SubFlow.euler(lambda t, x, v: (v, np.zeros_like(v)))
     kick = SubFlow.euler(lambda t, x, v: (np.zeros_like(x), -x))
-    return SplitSystem([drift, kick], full_field=full)
+    return SplitSystem([drift, kick])
 
 
 def test_lie_trotter_equals_se1_on_drift_kick():
@@ -175,18 +174,6 @@ def test_strang_single_flow_takes_one_full_step():
     assert np.array_equal(xs, xe) and np.array_equal(vs, ve)
 
 
-def test_field_defect():
-    full = lambda t, x, v: (v, -x)
-    split = _drift_kick_split(full=full)
-    x = np.array([0.3, 1.7])
-    v = np.array([-0.2, 0.5])
-    assert split.field_defect(0.0, x, v) == 0.0
-    wrong = _drift_kick_split(full=lambda t, x, v: (v, -1.5 * x))
-    assert wrong.field_defect(0.0, x, v) > 0.1
-    with pytest.raises(ValueError):
-        _drift_kick_split().field_defect(0.0, x, v)
-
-
 def test_split_system_requires_subflows():
     with pytest.raises(ValueError):
         SplitSystem([])
@@ -202,12 +189,9 @@ def test_compose_rejects_nonpositive_step():
 
 
 def test_hamiltonian_system_contracts():
-    with pytest.raises(ValueError):
-        _oscillator(dissipation=-1.0)
-    damped = _oscillator(dissipation=0.5)
-    dx, dv = damped.field(0.0, np.array([1.0]), np.array([2.0]))
+    dx, dv = _oscillator().field(0.0, np.array([1.0]), np.array([2.0]))
     assert float(dx[0]) == 2.0
-    assert float(dv[0]) == -1.0 - 0.5 * 2.0
+    assert float(dv[0]) == -1.0
 
 
 def test_unknown_variants_rejected():
@@ -218,23 +202,12 @@ def test_unknown_variants_rejected():
         stormer_verlet(hs, START, H, "leapfrog")
 
 
-def test_symplectic_maps_ignore_dissipation_by_contract():
-    # the damped field is split elsewhere; the conservative maps must not
-    # silently absorb the friction term
+def test_forward_euler_steps_the_field_and_grows_energy():
     plain = _oscillator()
-    damped = _oscillator(dissipation=3.0)
-    a = symplectic_euler(plain, START, H, "se2")
-    b = symplectic_euler(damped, START, H, "se2")
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
-def test_forward_euler_uses_damped_field_and_grows_energy():
-    damped = _oscillator(dissipation=0.5)
-    x, v = forward_euler_hamiltonian(damped, (np.array([1.0]), np.array([2.0])), H)
+    x, v = forward_euler_hamiltonian(plain, (np.array([1.0]), np.array([2.0])), H)
     assert float(x[0]) == 1.0 + H * 2.0
-    assert float(v[0]) == 2.0 + H * (-1.0 - 0.5 * 2.0)
+    assert float(v[0]) == 2.0 + H * -1.0
 
-    plain = _oscillator()
     x, v = START
     for _ in range(100):
         x, v = forward_euler_hamiltonian(plain, (x, v), H)
