@@ -89,12 +89,18 @@ Array = np.ndarray
 # The four-coefficient methods whose gradient step is taken at x_n, not y_n.
 GRAD_STEP_AT_X = ("pim", "polyak_igahd")
 
-# Indices a Stepper tabulates per call of its coefficient maps. A chunk
-# costs one call of each lane's map, and its table holds chunk x 4 x lanes
-# floats. At the 60 lanes of `table --infer-s`, 128 leaves the command's
-# peak memory where the scalar loop had it; 512 ran it about 5 % faster
-# but added some 0.7 MB to the peak.
+# Indices a Stepper tabulates per call of its coefficient maps: a
+# tabulation from index n covers min(_CHUNK, _FIRST_CHUNK + n - 1) of them,
+# so a run's chunks, from n = 1, double from _FIRST_CHUNK to _CHUNK. A
+# chunk costs one call of each running lane's map, and its table holds
+# chunk x 4 x running lanes floats. `table --infer-s` scans the stepsizes of
+# all the rows on one objective as one batch of 840 lanes, which run about
+# 34 steps on average. Against 60-lane batches with chunks of 128, its
+# peak resident set (Linux, glibc) rose by about 4 MB when the first chunk
+# was 128 too, and by about 1.2 MB with a first chunk of 16; 8 saved some
+# 0.2 MB more but was no faster.
 _CHUNK = 128
+_FIRST_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -250,13 +256,13 @@ class Stepper:
     """A method bound to its parameters for B lanes: stepper(state, obj)
     advances every lane of `state` by one step of `kernel`. Lane i steps
     with s[i] and with the coefficients of maps[i], a map from an array of
-    indices n to coefficient arrays; they are tabulated for _CHUNK indices
-    at a time rather than taken from the maps at every step. The kernel gets
-    them as (B, 1) columns, or for one lane as floats, which serve a
-    (dim,) state as well as a (1, dim) one. A one-map stepper serves any
-    number of lanes alike. Once lanes have left the batch, the stepper
+    indices n to coefficient arrays; they are tabulated over chunks of
+    indices (see `_CHUNK`) rather than taken from the maps at every step.
+    The kernel gets them as (B, 1) columns, or for one lane as floats, which
+    serve a (dim,) state as well as a (1, dim) one. A one-map stepper serves
+    any number of lanes alike. Once lanes have left the batch, the stepper
     steps only the lanes that state.lanes names: it reads their columns of
-    the current table and tabulates only their maps for the next chunk."""
+    the current table, and the next table holds columns for them alone."""
 
     def __init__(self, kernel: Callable, maps: Sequence[Callable], s):
         self._kernel = kernel
@@ -265,27 +271,28 @@ class Stepper:
         self._s = s.item() if s.size == 1 else s[:, None]
         self._lo = 0
         self._rows = []  # row j holds the coefficients at n = lo + j
-        self._full = True  # whether the table holds every lane's column
-        self._kept = (None, self._s)  # (state.lanes, their stepsizes)
+        self._cols = None  # the lanes the table holds a column for; None: every lane
+        # (state.lanes, their stepsizes, their columns in the table or None
+        # when the table holds exactly them)
+        self._kept = (None, self._s, None)
 
     def _tabulate(self, n: int, lanes) -> None:
-        """Fill the table from index n for `lanes`, or for every lane when
-        None; the columns of the other lanes are left zero."""
+        """Fill the table from index n with a column for each of `lanes`, or
+        for every lane when None."""
         self._rows = []  # let the old table go before the new one is built
-        ns = np.arange(n, n + _CHUNK, dtype=float)
-        table = None  # (_CHUNK, k, B)
-        for i in range(len(self._maps)) if lanes is None else lanes:
+        ns = np.arange(n, n + min(_CHUNK, _FIRST_CHUNK + max(n - 1, 0)), dtype=float)
+        cols = range(len(self._maps)) if lanes is None else lanes
+        table = None  # (chunk, k, columns)
+        for j, i in enumerate(cols):
             coeffs = self._maps[i](ns)
             if table is None:
-                # zeros, not empty: once lanes have left only some columns
-                # are written, and with empty the peak RSS of one
-                # `table --infer-s` read about 0.07 MB higher (Linux, glibc)
-                table = np.zeros((_CHUNK, len(coeffs), len(self._maps)))
-            for j, c in enumerate(coeffs):
-                table[:, j, i] = c
+                table = np.empty((ns.size, len(coeffs), len(cols)))
+            for k, c in enumerate(coeffs):
+                table[:, k, j] = c
         self._rows = table[..., 0].tolist() if len(self._maps) == 1 else table[..., None]
         self._lo = n
-        self._full = lanes is None
+        self._cols = lanes
+        self._kept = (None, self._s, None)
 
     def check_s(self, s: Array) -> None:
         """Raise unless `s`, one stepsize per lane, is what the lanes step
@@ -300,14 +307,19 @@ class Stepper:
         row = state.n - self._lo
         # a table of some lanes serves the lanes of the same run, which only
         # shrink; a state holding every lane (a new run) needs a full one
-        if not (0 <= row < len(self._rows) and (self._full or lanes is not None)):
+        if not (0 <= row < len(self._rows) and (self._cols is None or lanes is not None)):
             self._tabulate(state.n, lanes)
             row = 0
         if lanes is None:
             return self._kernel(state, obj, self._s, self._rows[row])
         if self._kept[0] is not lanes:
-            self._kept = (lanes, self._s if np.ndim(self._s) == 0 else self._s[lanes])
-        return self._kernel(state, obj, self._kept[1], self._rows[row].take(lanes, axis=1))
+            at = (None if lanes is self._cols
+                  else lanes if self._cols is None else np.searchsorted(self._cols, lanes))
+            self._kept = (lanes, self._s if np.ndim(self._s) == 0 else self._s[lanes], at)
+        coeffs = self._rows[row]
+        if self._kept[2] is not None:
+            coeffs = coeffs.take(self._kept[2], axis=1)
+        return self._kernel(state, obj, self._kept[1], coeffs)
 
 
 @dataclass
@@ -413,7 +425,8 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
                      np.full(np.shape(state.f_prev), np.nan), state.f_prev, state.x_prev)
     idx = np.arange(lanes)  # the run's index of each lane still in the batch
     results = [None] * lanes
-    pieces = [[[] for _ in range(lanes)] for _ in range(4 if record_y else 3)]
+    # each lane's recorded pieces, one list per field; an unrecorded run keeps none
+    pieces = [[[] for _ in range(lanes)] for _ in range(4 if record_y else 3)] if record else []
     # the rows recorded since the last stop, starting with x0's, fill one
     # buffer per field. A full buffer doubles, never past the `most` rows the
     # loop can record, copying its filled rows one field at a time so that

@@ -249,29 +249,37 @@ def _match2(value: float, ref: float) -> bool:
     return f"{value:.2f}" == f"{ref:.2f}"
 
 
-def _infer_s(case: TableCase, alpha: float, max_iter: int, n_grid: int = 60):
-    """Grid scan over admissible stepsizes minimizing the gap between the
-    terminal-iteration N2 and the recorded one. The stepsizes run as the
-    lanes of one batch; one whose schedule cannot be built is left out, and
-    one that diverges, or whose N2 is undefined at its stop, is skipped."""
-    lip = make_objective(case.objective).lipschitz_constant()
-    hi = 1.0 / lip
-    cells = [(case.schedule, case.schedule_params(), hi * k / (n_grid + 1))
-             for k in range(1, n_grid + 1)]
-    _, runs = algorithms.run_schedules(case.objective, cells, alpha, verify.TABLE_X0,
-                                       case.epsilon, max_iter)
-    best = (np.inf, np.nan, np.nan)
-    for run in runs:
-        if run.error is not None or run.result.termination == "diverged":
-            continue
-        try:
-            val = _n2_at(run.schedule, lip, run.result.n_final, alpha)
-        except (ValueError, FloatingPointError):
-            continue
-        gap = abs(val - case.ref_n2)
-        if gap < best[0]:
-            best = (gap, run.schedule.s, val)
-    return best[1], best[2]
+def _scan_cells(case: TableCase, n_grid: int = 60):
+    """The cells of a row's stepsize scan: n_grid stepsizes evenly inside
+    (0, 1/L) under the row's schedule."""
+    hi = 1.0 / make_objective(case.objective).lipschitz_constant()
+    params = case.schedule_params()
+    return [(case.schedule, params, hi * k / (n_grid + 1)) for k in range(1, n_grid + 1)]
+
+
+def _infer_s(cases, alpha: float, max_iter: int):
+    """Each row's scanned stepsize whose terminal-iteration N2 is nearest
+    the recorded one, with that N2: (s_best, n2_at_stop_best) per case. The
+    scans of all the rows that share an objective and epsilon run as the
+    lanes of one batch (`verify.run_case_cells`). A stepsize whose schedule
+    cannot be built is left out, and one that diverges, or whose N2 is
+    undefined at its stop, is skipped."""
+    def best(case, obj, runs):
+        lip = obj.lipschitz_constant()
+        out = (np.inf, np.nan, np.nan)
+        for run in runs:
+            if run.error is not None or run.result.termination == "diverged":
+                continue
+            try:
+                val = _n2_at(run.schedule, lip, run.result.n_final, alpha)
+            except (ValueError, FloatingPointError):
+                continue
+            gap = abs(val - case.ref_n2)
+            if gap < out[0]:
+                out = (gap, run.schedule.s, val)
+        return out[1:]
+
+    return verify.run_case_cells(cases, _scan_cells, alpha, max_iter, best)
 
 
 # JSON types accepted for each annotated TableCase field type
@@ -320,7 +328,9 @@ def cmd_table(args) -> int:
     rows = []
     n_met = 0
     n_matched_n = 0
-    for case, (obj, run) in zip(cases, verify.run_cases(cases, s, alpha, max_iter)):
+    runs = verify.run_cases(cases, s, alpha, max_iter)
+    scans = _infer_s(cases, alpha, max_iter) if args.infer_s else [()] * len(cases)
+    for case, (obj, run), scan in zip(cases, runs, scans):
         sched, res = run.schedule, run.result
         lip = obj.lipschitz_constant()
         rep = schedules.check_assumptions(sched, lip,
@@ -346,9 +356,7 @@ def cmd_table(args) -> int:
                res.n_final, res.error_final, below, rep.n1, rep.n2, n2_stop, rep.n_prime,
                npr_alt, rep.n_threshold, case.ref_error, case.ref_n2,
                case.ref_nprime, case.ref_n, m_err, m_n2, m_npr, m_n]
-        if args.infer_s:
-            row += list(_infer_s(case, alpha, max_iter))
-        rows.append(row)
+        rows.append(row + list(scan))
     _write_csv(out_dir / "tables.csv", header, rows)
     _emit_report(out_dir, {
         "command": "table", "rows": len(rows), "s": s, "alpha": alpha,

@@ -353,24 +353,46 @@ def suite_fixed_points(seed: int = DEFAULT_SEED) -> List[CheckResult]:
 TABLE_X0 = (1.0, -2.0)  # start point of every recorded row
 
 
-def run_cases(cases, s: float, alpha: float, max_iter: int):
-    """Run each recorded row from TABLE_X0 at stepsize s, the rows that
-    share an objective and epsilon as one `run_schedules` batch. Returns one
-    (objective, ScheduleRun) pair per case, in order; a case whose schedule
-    is rejected raises its error."""
+def run_case_cells(cases, cells: Callable, alpha: float, max_iter: int, reduce: Callable):
+    """Run the cells (label, params, s) that `cells(case)` gives for each
+    recorded row from TABLE_X0, the cells of all the rows that share an
+    objective and epsilon as one `run_schedules` batch, and reduce each row
+    to reduce(case, objective, its ScheduleRuns) before the next batch runs.
+    Returns one reduction per case, in order."""
     groups: Dict[tuple, list] = {}
     for i, case in enumerate(cases):
         groups.setdefault((case.objective, case.epsilon), []).append(i)
+
+    def run_group(objective: str, epsilon: float, rows: list) -> list:
+        # a batch's cells and runs go when it returns, before the next batch runs
+        row_cells = [cells(cases[i]) for i in rows]
+        obj, runs = algorithms.run_schedules(objective, [c for cs in row_cells for c in cs],
+                                             alpha, TABLE_X0, epsilon, max_iter)
+        runs = iter(runs)
+        return [reduce(cases[i], obj, [next(runs) for _ in cs])
+                for i, cs in zip(rows, row_cells)]
+
     out = [None] * len(cases)
     for (objective, epsilon), rows in groups.items():
-        cells = [(cases[i].schedule, cases[i].schedule_params(), s) for i in rows]
-        obj, runs = algorithms.run_schedules(objective, cells, alpha, TABLE_X0, epsilon,
-                                             max_iter)
-        for i, run in zip(rows, runs):
-            if run.error is not None:
-                raise run.error
-            out[i] = (obj, run)
+        for i, reduced in zip(rows, run_group(objective, epsilon, rows)):
+            out[i] = reduced
     return out
+
+
+def _one_run(case, obj: Objective, runs):
+    (run,) = runs
+    if run.error is not None:
+        raise run.error
+    return obj, run
+
+
+def run_cases(cases, s: float, alpha: float, max_iter: int):
+    """Run each recorded row from TABLE_X0 at stepsize s, the rows that
+    share an objective and epsilon as one batch (`run_case_cells`). Returns
+    one (objective, ScheduleRun) pair per case, in order; a case whose
+    schedule is rejected raises its error."""
+    return run_case_cells(cases, lambda case: [(case.schedule, case.schedule_params(), s)],
+                          alpha, max_iter, _one_run)
 
 
 def suite_tables(seed: int = DEFAULT_SEED) -> List[CheckResult]:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface via cli.main()."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -8,9 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from splitgrad import cli
+from splitgrad import algorithms, cli
 from splitgrad.algorithms import StoppingRule, make_stepper, run
 from splitgrad.analysis import energy_series
+from splitgrad.cases import all_cases
 from splitgrad.objectives import f2
 
 
@@ -167,6 +169,35 @@ def test_table_infer_s_golden(tmp_path, capsys):
     assert len(rows) == 28 and header[-2:] == ["s_best", "n2_at_stop_best"]
     for name, want in INFER_S_GOLDEN.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+
+
+def test_table_infer_s_scans_each_row_as_its_own_call(tmp_path, monkeypatch):
+    # two rows on f1 at epsilon 1e-10 and one at 1e-6, and two rows on f2
+    cases = list(all_cases())
+    rows = [cases[0], cases[5], dataclasses.replace(cases[1], epsilon=1e-6),
+            cases[8], cases[13]]
+    batches = []
+    run_schedules = algorithms.run_schedules
+
+    def counted(objective, cells, *args, **kwargs):
+        batches.append((objective, len(cells)))
+        return run_schedules(objective, cells, *args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "run_schedules", counted)
+
+    def scans(picked, out):
+        argv = ["table", "--infer-s", "--cases",
+                json.dumps([dataclasses.asdict(c) for c in picked]), "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, got = _read_csv(out / "tables.csv")
+        return [r[-2:] for r in got]
+
+    together = scans(rows, tmp_path / "all")
+    # the rows themselves, then one scan batch per (objective, epsilon)
+    assert batches == [("f1", 2), ("f1", 1), ("f2", 2), ("f1", 120), ("f1", 60), ("f2", 120)]
+    alone = [scans([case], tmp_path / f"row{k}")[0] for k, case in enumerate(rows)]
+    assert together == alone
+    assert all(s != "nan" for s, _ in together)
 
 
 def test_sweep_isolates_failing_cells(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from splitgrad.algorithms import (
     _CHUNK,
+    _FIRST_CHUNK,
     ALGORITHM_NAMES,
     Stepper,
     StoppingRule,
@@ -404,12 +405,27 @@ def test_stopped_lanes_cost_nothing(record):
             return coeffs_at(n)
         return at
 
-    stepper = Stepper(coefficient_step,
+    tables = []   # (first index, columns) of each table the stepper builds
+
+    class Watched(Stepper):
+        def _tabulate(self, n, lanes):
+            super()._tabulate(n, lanes)
+            tables.append((n, self._rows.shape[2]))
+
+    stepper = Watched(coefficient_step,
                       [counted(i, coefficient_map("agm2", s)) for i, s in enumerate(ss)], ss)
     _, results = run_lanes(stepper, obj, np.tile([1.0, -2.0], (len(ss), 1)), ss, _TIGHT,
                            record=record)
     assert rows[0] == sum(r.n_final + 1 for r in results)
+    # the chunks from n = 1 double in length from _FIRST_CHUNK up to _CHUNK
+    chunk_starts, length = [1], _FIRST_CHUNK
+    while chunk_starts[-1] < max(r.n_final for r in results):
+        chunk_starts.append(chunk_starts[-1] + length)
+        length = min(2 * length, _CHUNK)
     # a lane steps from n = 1 to its last index; so do the chunks it is tabulated for
     for got, res in zip(starts, results):
-        assert got == list(range(1, res.n_final, _CHUNK))
-    assert max(r.n_final for r in results) > 2 * _CHUNK
+        assert got == [n for n in chunk_starts if n < res.n_final]
+    # and each table holds a column for every lane still running, and for no other
+    assert tables == [(n, sum(r.n_final > n for r in results))
+                      for n in chunk_starts[:-1]]
+    assert len({cols for _, cols in tables}) > 2 and len(tables) > 6
