@@ -27,7 +27,8 @@ Lanes: `run_lanes` steps B trajectories together over (B, dim) arrays, one
 Python loop for all of them. Each lane has its own stepsize, start point and
 coefficient map (for lt_s_igahd, its own Schedule). The `Stepper` that
 `make_stepper` returns does not call the maps at every step: it tabulates
-every lane's coefficients over chunks of indices from the maps' vector form.
+every lane's coefficients over chunks of indices from the maps' vector form,
+with one call of each schedule family for all the lanes of that family.
 Each lane stops on its own, and a lane that stops leaves the batch: the
 engine records its result at once and drops it from the (B, dim) state, so
 the loop steps, evaluates and tabulates only the lanes still running (the
@@ -92,7 +93,9 @@ GRAD_STEP_AT_X = ("pim", "polyak_igahd")
 # Indices a Stepper tabulates per call of its coefficient maps: a
 # tabulation from index n covers min(_CHUNK, _FIRST_CHUNK + n - 1) of them,
 # so a run's chunks, from n = 1, double from _FIRST_CHUNK to _CHUNK. A
-# chunk costs one call of each running lane's map, and its table holds
+# chunk costs one `schedules.coeffs_of` call: one broadcast call of each
+# schedule family among the running lanes, over a (lanes, chunk) grid, and
+# one call of every other running lane's map. Its table holds
 # chunk x 4 x running lanes floats. `table --infer-s` scans the stepsizes of
 # all the rows on one objective as one batch of 840 lanes, which run about
 # 34 steps on average. Against 60-lane batches with chunks of 128, its
@@ -257,7 +260,8 @@ class Stepper:
     advances every lane of `state` by one step of `kernel`. Lane i steps
     with s[i] and with the coefficients of maps[i], a map from an array of
     indices n to coefficient arrays; they are tabulated over chunks of
-    indices (see `_CHUNK`) rather than taken from the maps at every step.
+    indices by `schedules.coeffs_of` (see `_CHUNK`) rather than taken from
+    the maps at every step.
     The kernel gets them as (B, 1) columns, or for one lane as floats, which
     serve a (dim,) state as well as a (1, dim) one. A one-map stepper serves
     any number of lanes alike. Once lanes have left the batch, the stepper
@@ -281,14 +285,8 @@ class Stepper:
         for every lane when None."""
         self._rows = []  # let the old table go before the new one is built
         ns = np.arange(n, n + min(_CHUNK, _FIRST_CHUNK + max(n - 1, 0)), dtype=float)
-        cols = range(len(self._maps)) if lanes is None else lanes
-        table = None  # (chunk, k, columns)
-        for j, i in enumerate(cols):
-            coeffs = self._maps[i](ns)
-            if table is None:
-                table = np.empty((ns.size, len(coeffs), len(cols)))
-            for k, c in enumerate(coeffs):
-                table[:, k, j] = c
+        maps = self._maps if lanes is None else [self._maps[i] for i in lanes.tolist()]
+        table = schedules.coeffs_of(maps, ns)  # (chunk, k, columns)
         self._rows = table[..., 0].tolist() if len(self._maps) == 1 else table[..., None]
         self._lo = n
         self._cols = lanes

@@ -239,10 +239,20 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------- table
 
 
-def _n2_at(sched, lipschitz: float, n: int, alpha: float) -> float:
-    _, lam, om, gam = sched.coeffs_at(float(n))
-    g, h, i = schedules.gn_hn_in(sched.s, lipschitz, gam, lam, om)
-    return schedules.n2(alpha, g, h, i)
+def _n2_at_stops(runs, lipschitz, alpha: float) -> np.ndarray:
+    """N2 at the stop index of each of `runs` (ScheduleRuns on objectives of
+    Lipschitz constant `lipschitz`, a number or one per run), from one
+    `schedules.coeffs_of` call; nan for a run whose G_n <= 0 there, where
+    N2 is undefined."""
+    n = np.array([[run.result.n_final] for run in runs], dtype=float)
+    _, lam, om, gam = schedules.coeffs_of([run.schedule.coeffs_at for run in runs], n)[0]
+    s = np.array([run.schedule.s for run in runs])
+    g, h, i = schedules.gn_hn_in(s, lipschitz, gam, lam, om)
+    out = np.full(len(runs), np.nan)
+    ok = g > 0.0
+    if ok.any():
+        out[ok] = schedules.n2(alpha, g[ok], h[ok], i[ok])
+    return out
 
 
 def _match2(value: float, ref: float) -> bool:
@@ -265,19 +275,14 @@ def _infer_s(cases, alpha: float, max_iter: int):
     cannot be built is left out, and one that diverges, or whose N2 is
     undefined at its stop, is skipped."""
     def best(case, obj, runs):
-        lip = obj.lipschitz_constant()
-        out = (np.inf, np.nan, np.nan)
-        for run in runs:
-            if run.error is not None or run.result.termination == "diverged":
-                continue
-            try:
-                val = _n2_at(run.schedule, lip, run.result.n_final, alpha)
-            except (ValueError, FloatingPointError):
-                continue
-            gap = abs(val - case.ref_n2)
-            if gap < out[0]:
-                out = (gap, run.schedule.s, val)
-        return out[1:]
+        runs = [run for run in runs
+                if run.error is None and run.result.termination != "diverged"]
+        if not runs:
+            return np.nan, np.nan
+        vals = _n2_at_stops(runs, obj.lipschitz_constant(), alpha)
+        gaps = np.abs(vals - case.ref_n2)
+        k = int(np.argmin(np.where(np.isnan(gaps), np.inf, gaps)))
+        return (runs[k].schedule.s, float(vals[k])) if gaps[k] < np.inf else (np.nan, np.nan)
 
     return verify.run_case_cells(cases, _scan_cells, alpha, max_iter, best)
 
@@ -330,15 +335,13 @@ def cmd_table(args) -> int:
     n_matched_n = 0
     runs = verify.run_cases(cases, s, alpha, max_iter)
     scans = _infer_s(cases, alpha, max_iter) if args.infer_s else [()] * len(cases)
-    for case, (obj, run), scan in zip(cases, runs, scans):
+    n2_stops = _n2_at_stops([run for _, run in runs],
+                            np.array([obj.lipschitz_constant() for obj, _ in runs]), alpha)
+    for case, (obj, run), scan, n2_stop in zip(cases, runs, scans, n2_stops.tolist()):
         sched, res = run.schedule, run.result
         lip = obj.lipschitz_constant()
         rep = schedules.check_assumptions(sched, lip,
                                           n_max=schedules.scan_end(res.n_final, alpha))
-        try:
-            n2_stop = _n2_at(sched, lip, res.n_final, alpha)
-        except (ValueError, FloatingPointError):   # N2 undefined at this row's stop
-            n2_stop = float("nan")
         npr_alt = schedules.n_prime_reference_variant(case.schedule,
                                                       case.schedule_params(), s,
                                                       alpha, lip)

@@ -38,14 +38,18 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"inertia exponent must exceed 1, got {alpha}")
 
 
+def _check_step(h: float) -> None:
+    if not h > 0.0:
+        raise ValueError(f"stepsize must be positive, got {h}")
+
+
 def _iterate(obj: Objective, x0, h: float, n_steps: int,
              start_v: Callable[[Array, Array], Array],
              step: Callable[[int, Array, Array], Phase]) -> Array:
     """The driver of the module docstring: step(n, x_n, v_n) is composite
     step n, start_v(x0, x1) the start velocity. Returns x_0, ...,
     x_{n_steps} stacked."""
-    if not h > 0.0:
-        raise ValueError(f"stepsize must be positive, got {h}")
+    _check_step(h)
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     x0 = np.asarray(x0, dtype=float)
@@ -137,6 +141,7 @@ def lt_s_igahd_construction(obj: Objective, x0, alpha: float,
     sampled from the schedule at t_n, and the potential leg is the same
     kick-then-drift map. Output equals the four-coefficient stepper."""
     _check_alpha(alpha)
+    _check_step(h)
     schedule.check_matches(h * h, alpha)
     hs = _unit_mass_system(obj)
 

@@ -25,8 +25,6 @@ import numpy as np
 
 Array = np.ndarray
 
-_EPS = float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class Objective:
@@ -274,14 +272,3 @@ def make_objective(name: str, **params) -> Objective:
         raise ValueError(f"objective {name!r}: {e}") from None
     return factory(**params)
 
-
-def numerical_gradient(obj: Objective, x) -> Array:
-    """Central-difference gradient with step cbrt(eps)*(1 + ||x||)."""
-    x = np.asarray(x, dtype=float)
-    delta = _EPS ** (1.0 / 3.0) * (1.0 + float(np.linalg.norm(x)))
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = delta
-        g[i] = (obj.eval(x + e) - obj.eval(x - e)) / (2.0 * delta)
-    return g

@@ -19,8 +19,8 @@ lambda_1 = 0 for e24/e26 and lambda_1 = beta*sqrt(s) + mu/b for e25.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -29,90 +29,52 @@ Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
 
 
-def _pack(scalar_in: bool, *vals):
-    if scalar_in:
-        return tuple(float(np.asarray(v)) for v in vals)
-    return tuple(np.asarray(v, dtype=float) for v in vals)
+def _with_mu(mu, lam, omega, lam_term, omega_term):
+    """(lam, omega) plus their mu terms lam_term() and omega_term() where
+    mu > 0; mu is a number or a column of lanes, and np.where drops the
+    terms of the lanes at mu = 0, which may divide by zero."""
+    on = np.greater(mu, 0.0)
+    if not on.any():
+        return lam, omega
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(on, lam + lam_term(), lam), np.where(on, omega + omega_term(), omega)
 
 
-def _validate_common(s: float, alpha: float, mu: float) -> None:
-    if s <= 0.0:
-        raise ValueError(f"stepsize must be positive, got s={s}")
-    if alpha < 3.0:
-        raise ValueError(f"damping parameter must satisfy alpha >= 3, got {alpha}")
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
+# The family bodies: the coefficients (alpha_n, lambda_n, omega_n, gamma_n)
+# at n from parameters that are numbers or (lanes, 1) columns, unchecked
+# (`make_schedule` checks them). Each is elementwise in n and the
+# parameters, so a lane of a broadcast call has the bits of its own call.
+
+def _shifted(n, s, alpha, b, mu, gamma):
+    """The e24/e26 body; the two families differ only in gamma_n."""
+    lam, omega = _with_mu(mu, s * (n - 1.0) / n, gamma + s / n,
+                          lambda: mu * (n - 1.0) / (n * (n + b - 1.0)),
+                          lambda: mu * (1.0 / (n + b) - (n - 1.0) / (n * (n + b - 1.0))))
+    return (n - alpha) / n, lam, omega, gamma
 
 
-def _coeffs_shifted(n, s: float, alpha: float, a: float, b: float, mu: float,
-                    gamma_of: Callable):
-    """The e24/e26 body; the two families differ only in gamma_n = gamma_of(n)."""
-    _validate_common(s, alpha, mu)
-    if a < 0.0 or b < 0.0:
-        raise ValueError(f"shifts must be nonnegative, got a={a}, b={b}")
-    scalar_in = np.isscalar(n)
-    n = np.asarray(n, dtype=float)
-    if mu > 0.0 and np.any(n + b - 1.0 <= 0.0):
-        raise ValueError("mu > 0 with n + b - 1 <= 0 divides by zero; need b > 0 at n = 1")
-    gamma = gamma_of(n)
-    lam = s * (n - 1.0) / n
-    omega = gamma + s / n
-    if mu > 0.0:
-        lam = lam + mu * (n - 1.0) / (n * (n + b - 1.0))
-        omega = omega + mu * (1.0 / (n + b) - (n - 1.0) / (n * (n + b - 1.0)))
-    return _pack(scalar_in, (n - alpha) / n, lam, omega, gamma)
+def _e24(n, s, alpha, a, b, mu):
+    return _shifted(n, s, alpha, b, mu, s * np.sqrt((alpha - 1.0) / (n + a)))
 
 
-def coeffs_e24(n, s: float, alpha: float = 3.0, a: float = 0.0, b: float = 0.0,
-               mu: float = 0.0):
-    """Family with gamma_n = s*sqrt((alpha-1)/(n+a)) > 0.
-
-    lambda_{n+1} = s*n/(n+1) + mu*n/((n+1)(n+b)) and
-    omega_n = gamma_n + s/n + mu*[1/(n+b) - (n-1)/(n(n+b-1))].
-    Returns (alpha_n, lambda_n, omega_n, gamma_n); n may be an array.
-    """
-    return _coeffs_shifted(n, s, alpha, a, b, mu,
-                           lambda n: s * np.sqrt((alpha - 1.0) / (n + a)))
+def _e25(n, s, alpha, beta, b, mu):
+    root_s = np.sqrt(s)
+    lam, omega = _with_mu(mu, beta * root_s, beta * root_s / n,
+                          lambda: mu / (n + b - 1.0),
+                          lambda: mu * ((n + 1.0) / (n * (n + b)) - 1.0 / (n + b - 1.0)))
+    return (n - alpha) / n, lam, omega, 0.0
 
 
-def coeffs_e25(n, s: float, beta: float, b: float, mu: float = 0.0,
-               alpha: float = 3.0):
-    """Family with gamma_n = 0; requires 0 < beta < 2*sqrt(s) and b > 0.
-
-    lambda_{n+1} = beta*sqrt(s) + mu/(n+b) and
-    omega_n = beta*sqrt(s)/n + mu*[(n+1)/(n(n+b)) - 1/(n+b-1)].
-    At mu = 0 this is exactly the Hessian-correction scheme with a constant
-    lambda_n = beta*sqrt(s).
-    """
-    _validate_common(s, alpha, mu)
-    root_s = float(np.sqrt(s))
-    if not 0.0 < beta < 2.0 * root_s:
-        raise ValueError(f"beta must lie in (0, 2*sqrt(s)) = (0, {2.0 * root_s}), got {beta}")
-    if b <= 0.0:
-        raise ValueError(f"b must be positive, got {b}")
-    scalar_in = np.isscalar(n)
-    n = np.asarray(n, dtype=float)
-    lam = np.full_like(n, beta * root_s)
-    omega = beta * root_s / n
-    if mu > 0.0:
-        lam = lam + mu / (n + b - 1.0)
-        omega = omega + mu * ((n + 1.0) / (n * (n + b)) - 1.0 / (n + b - 1.0))
-    return _pack(scalar_in, (n - alpha) / n, lam, omega, np.zeros_like(n))
+def _e26(n, s, alpha, a, b, mu):
+    return _shifted(n, s, alpha, b, mu, -s / (n + a))
 
 
-def coeffs_e26(n, s: float, a: float = 0.0, b: float = 0.0, mu: float = 0.0,
-               alpha: float = 3.0):
-    """Family with negative gamma_n = -s/(n+a); lambda_n and omega_n as in
-    the e24 family."""
-    return _coeffs_shifted(n, s, alpha, a, b, mu, lambda n: -s / (n + a))
-
-
-# label -> (coefficient function, its parameters with their defaults); a
-# default of None marks a parameter the label needs.
+# label -> (family body, its parameters after n, s and alpha with their
+# defaults); a default of None marks a parameter the label needs.
 _FAMILIES = {
-    "e24": (coeffs_e24, {"a": 0.0, "b": 0.0, "mu": 0.0}),
-    "e25": (coeffs_e25, {"beta": None, "b": 1.0, "mu": 0.0}),
-    "e26": (coeffs_e26, {"a": 0.0, "b": 0.0, "mu": 0.0}),
+    "e24": (_e24, {"a": 0.0, "b": 0.0, "mu": 0.0}),
+    "e25": (_e25, {"beta": None, "b": 1.0, "mu": 0.0}),
+    "e26": (_e26, {"a": 0.0, "b": 0.0, "mu": 0.0}),
 }
 # The labels a command line can build; "custom" needs a coefficient map.
 FAMILY_LABELS = tuple(_FAMILIES)
@@ -128,6 +90,122 @@ def _family_params(label: str, params: dict) -> dict:
     return {**defaults, **params}
 
 
+def _check_family(label: str, s, alpha, params: dict) -> None:
+    """ValueError unless (s, alpha, params) is a schedule of the family
+    `label`. A NaN fails every test (x != x holds for NaN alone); the
+    comparisons come first, so a parameter that is not a number raises the
+    TypeError of its comparison."""
+    if s <= 0.0 or s != s:
+        raise ValueError(f"stepsize must be positive, got s={s}")
+    if alpha < 3.0 or alpha != alpha:
+        raise ValueError(f"damping parameter must satisfy alpha >= 3, got {alpha}")
+    b, mu = params["b"], params["mu"]
+    if mu < 0.0 or mu != mu:
+        raise ValueError(f"mu must be nonnegative, got {mu}")
+    if label == "e25":
+        root_s = float(np.sqrt(s))
+        beta = params["beta"]
+        if not 0.0 < beta < 2.0 * root_s:
+            raise ValueError(f"beta must lie in (0, 2*sqrt(s)) = (0, {2.0 * root_s}), "
+                             f"got {beta}")
+        if b <= 0.0 or b != b:
+            raise ValueError(f"b must be positive, got {b}")
+        return
+    a = params["a"]
+    if a < 0.0 or b < 0.0 or a != a or b != b:
+        raise ValueError(f"shifts must be nonnegative, got a={a}, b={b}")
+    if mu > 0.0 and b == 0.0:
+        raise ValueError("mu > 0 with n + b - 1 <= 0 divides by zero; need b > 0 at n = 1")
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class FamilyMap:
+    """The coefficient map of a family schedule, which `make_schedule`
+    stores as its `coeffs_at`: the family's label with s, alpha and the
+    Schedule's own `params` dict. `coeffs_of` calls the family once for
+    all the maps of a family in a batch."""
+
+    label: str
+    s: float
+    alpha: float
+    params: dict
+
+    def __call__(self, n):
+        """Floats for a number n, else arrays of n's shape."""
+        body, names = _FAMILIES[self.label]
+        values = body(np.asarray(n, dtype=float), self.s, self.alpha,
+                      *itemgetter(*names)(self.params))
+        if np.isscalar(n):
+            return tuple(float(v) for v in values)
+        return tuple(v if np.shape(v) == np.shape(n) else np.full(np.shape(n), v)
+                     for v in values)
+
+
+def coeffs_of(maps: Sequence[Callable], n) -> Array:
+    """The coefficients of every map in `maps` at n, as an array of shape
+    (m, k, lanes) for maps of k coefficients: n is a row of m indices that
+    every lane shares, or a (lanes, 1) column of each lane's own index
+    (m = 1). The `FamilyMap`s of one family take one broadcast call of the
+    family over their parameter columns; any other map (a custom one, a
+    method's `coefficient_map`, a wrapped `coeffs_at`) is called lane by
+    lane. Each lane gets the bits of its own map's call."""
+    n = np.asarray(n, dtype=float)
+    per_lane = n.ndim == 2
+    width = 1 if per_lane else n.size
+    out = None
+
+    def put(lanes: list, values) -> None:
+        nonlocal out
+        if out is None:
+            out = np.empty((width, len(values), len(maps)))
+        for k, v in enumerate(values):
+            out[:, k, lanes] = np.broadcast_to(v, (len(lanes), width)).T
+
+    groups: Dict[str, list] = {}
+    for i, m in enumerate(maps):
+        if type(m) is FamilyMap:
+            groups.setdefault(m.label, []).append(i)
+        else:
+            put([i], m(n[i] if per_lane else n))
+    for label, lanes in groups.items():
+        body, names = _FAMILIES[label]
+        get = itemgetter(*names)
+        cols = np.array([(maps[i].s, maps[i].alpha, *get(maps[i].params)) for i in lanes],
+                        dtype=float).T[:, :, None]
+        put(lanes, body(n[lanes] if per_lane else n, *cols))
+    return out
+
+
+def coeffs_e24(n, s: float, alpha: float = 3.0, a: float = 0.0, b: float = 0.0,
+               mu: float = 0.0):
+    """Family with gamma_n = s*sqrt((alpha-1)/(n+a)) > 0.
+
+    lambda_{n+1} = s*n/(n+1) + mu*n/((n+1)(n+b)) and
+    omega_n = gamma_n + s/n + mu*[1/(n+b) - (n-1)/(n(n+b-1))].
+    Returns (alpha_n, lambda_n, omega_n, gamma_n); n may be an array.
+    """
+    return make_schedule("e24", s, alpha, a=a, b=b, mu=mu).coeffs_at(n)
+
+
+def coeffs_e25(n, s: float, beta: float, b: float, mu: float = 0.0,
+               alpha: float = 3.0):
+    """Family with gamma_n = 0; requires 0 < beta < 2*sqrt(s) and b > 0.
+
+    lambda_{n+1} = beta*sqrt(s) + mu/(n+b) and
+    omega_n = beta*sqrt(s)/n + mu*[(n+1)/(n(n+b)) - 1/(n+b-1)].
+    At mu = 0 this is exactly the Hessian-correction scheme with a constant
+    lambda_n = beta*sqrt(s).
+    """
+    return make_schedule("e25", s, alpha, beta=beta, b=b, mu=mu).coeffs_at(n)
+
+
+def coeffs_e26(n, s: float, a: float = 0.0, b: float = 0.0, mu: float = 0.0,
+               alpha: float = 3.0):
+    """Family with negative gamma_n = -s/(n+a); lambda_n and omega_n as in
+    the e24 family."""
+    return make_schedule("e26", s, alpha, a=a, b=b, mu=mu).coeffs_at(n)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Immutable coefficient schedule.
@@ -136,7 +214,10 @@ class Schedule:
     (alpha_n, lambda_n, omega_n, gamma_n). An array of n must give arrays,
     or numbers that hold for every n, bitwise equal to the values n by n:
     the steppers tabulate the coefficients from one call over a chunk of
-    indices.
+    indices. A family schedule's `coeffs_at` is the `FamilyMap` of its
+    label, s, alpha and `params`, which `coeffs_of` evaluates together with
+    the other maps of its family; a schedule whose `coeffs_at` is replaced
+    (`dataclasses.replace`) steps by the new map.
     """
 
     label: str
@@ -148,7 +229,7 @@ class Schedule:
     def check_matches(self, s: float, alpha: float) -> None:
         """Raise ValueError unless s is this schedule's stepsize, to 8 eps
         relative, and alpha its inertia exponent."""
-        if abs(s - self.s) > 8.0 * _EPS * abs(self.s):
+        if not abs(s - self.s) <= 8.0 * _EPS * abs(self.s):
             raise ValueError(f"stepsize {s} disagrees with the schedule's s = {self.s}")
         if alpha != self.alpha:
             raise ValueError(f"alpha = {alpha} disagrees with the schedule's {self.alpha}")
@@ -230,14 +311,12 @@ def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
         return Schedule(label, alpha, s, coeffs)
     if label not in _FAMILIES:
         raise ValueError(f"unknown schedule label {label!r}")
-    family, defaults = _FAMILIES[label]
     full = _family_params(label, params)
-    extra = sorted(params.keys() - defaults.keys())
+    extra = sorted(params.keys() - _FAMILIES[label][1].keys())
     if extra:
         raise ValueError(f"unexpected parameters for schedule {label!r}: {extra}")
-    coeffs_at = partial(family, s=s, alpha=alpha, **full)
-    coeffs_at(1)  # validate eagerly
-    return Schedule(label, alpha, s, coeffs_at, full)
+    _check_family(label, s, alpha, full)
+    return Schedule(label, alpha, s, FamilyMap(label, s, alpha, full), full)
 
 
 def a_coefficients(s: float, lipschitz: float, gamma):
@@ -345,11 +424,13 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
     """
     if n_max < schedule.alpha:
         raise ValueError(f"n_max must be at least alpha = {schedule.alpha}, got {n_max}")
-    n = np.arange(1, n_max + 1, dtype=float)
+    # one call over n = 1..n_max+1 gives lambda_{n+1} as well
+    n = np.arange(1, n_max + 2, dtype=float)
     s = schedule.s
     alpha = schedule.alpha
-    _, lam, om, gam = schedule.coeffs_at(n)
-    lam_next = schedule.coeffs_at(n + 1.0)[1]
+    _, lam, om, gam = (np.broadcast_to(c, n.shape) for c in schedule.coeffs_at(n))
+    lam_next = lam[1:]
+    n, lam, om, gam = n[:-1], lam[:-1], om[:-1], gam[:-1]
     ratio = (n + 1.0) / n
 
     residual = gam - (lam + om) + ratio * lam_next

@@ -261,6 +261,19 @@ def test_sweep_cell_errors_keep_their_messages(tmp_path):
                                              "(0, 0.707107) for objective 'f2', got 5.0")
 
 
+def test_sweep_nan_parameter_is_an_error_row(tmp_path):
+    # a NaN shift fails the schedule's checks; it does not run as a number
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--schedule", "e26", "--grid", '{"b": [NaN, 1.0]}',
+                     "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "sweep.csv")
+    status = [(r[0], r[header.index("status")], r[header.index("message")]) for r in rows]
+    assert status == [("nan", "error", "ValueError: shifts must be nonnegative, got a=0.0, "
+                                       "b=nan"),
+                      ("1", "ok", "")]
+    assert _report(out)["errors"] == 1
+
+
 @pytest.mark.parametrize("extra,needle", [
     (["--objective", "bogus"], "unknown objective 'bogus'"),
     (["--x0", "1,2,3"], "dimension 2"),
@@ -417,6 +430,17 @@ def test_table_cases_with_a_bad_row(tmp_path, capsys, change, needle):
     for cases in (str(path), json.dumps([row])):   # a file, or the JSON itself
         _exit_2_one_line(capsys, ["table", "--cases", cases, "--out", str(tmp_path / "o")],
                          needle)
+
+
+@pytest.mark.parametrize("key,needle", [("mu", "mu must be nonnegative, got nan"),
+                                        ("a", "got a=nan"), ("b", "b=nan")])
+def test_table_cases_with_a_nan_parameter_exit_2(tmp_path, capsys, key, needle):
+    row = {"table": 1, "group": "A1", "objective": "f1", "schedule": "e24", "mu": 0.01,
+           "a": 4.0, "b": 10.0, "epsilon": 1e-10, "ref_error": 1.22e-11, "ref_n2": 3.91,
+           "ref_nprime": -3.56, "ref_n": 3.91, key: float("nan")}
+    # json writes the NaN as the bare token NaN, which the loader reads back
+    _exit_2_one_line(capsys, ["table", "--cases", json.dumps([row]),
+                              "--out", str(tmp_path / "o")], needle)
 
 
 def test_run_with_f_not_finite_at_x0_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitgrad import schedules
 from splitgrad.algorithms import (
     _CHUNK,
     _FIRST_CHUNK,
@@ -24,7 +25,7 @@ from splitgrad.algorithms import (
 )
 from splitgrad.cases import all_cases
 from splitgrad.objectives import Objective, f1, f2, make_objective, quadratic
-from splitgrad.schedules import make_schedule
+from splitgrad.schedules import FAMILY_LABELS, coeffs_of, make_schedule
 from splitgrad.verify import _fixed_runs
 
 N_ALL = np.arange(1, 10_001, dtype=float)
@@ -393,6 +394,17 @@ def _counting(obj):
     return dataclasses.replace(obj, value_and_gradient=value_and_gradient), rows
 
 
+def _chunk_starts(last: int) -> list:
+    """The first index of each chunk a Stepper tabulates for a run whose
+    last lane stops at `last`: the chunks from n = 1 double in length from
+    _FIRST_CHUNK up to _CHUNK."""
+    starts, length = [1], _FIRST_CHUNK
+    while starts[-1] < last:
+        starts.append(starts[-1] + length)
+        length = min(2 * length, _CHUNK)
+    return starts
+
+
 @pytest.mark.parametrize("record", [False, True])
 def test_stopped_lanes_cost_nothing(record):
     obj, rows = _counting(f2())
@@ -417,11 +429,7 @@ def test_stopped_lanes_cost_nothing(record):
     _, results = run_lanes(stepper, obj, np.tile([1.0, -2.0], (len(ss), 1)), ss, _TIGHT,
                            record=record)
     assert rows[0] == sum(r.n_final + 1 for r in results)
-    # the chunks from n = 1 double in length from _FIRST_CHUNK up to _CHUNK
-    chunk_starts, length = [1], _FIRST_CHUNK
-    while chunk_starts[-1] < max(r.n_final for r in results):
-        chunk_starts.append(chunk_starts[-1] + length)
-        length = min(2 * length, _CHUNK)
+    chunk_starts = _chunk_starts(max(r.n_final for r in results))
     # a lane steps from n = 1 to its last index; so do the chunks it is tabulated for
     for got, res in zip(starts, results):
         assert got == [n for n in chunk_starts if n < res.n_final]
@@ -429,3 +437,103 @@ def test_stopped_lanes_cost_nothing(record):
     assert tables == [(n, sum(r.n_final > n for r in results))
                       for n in chunk_starts[:-1]]
     assert len({cols for _, cols in tables}) > 2 and len(tables) > 6
+
+
+def _family_schedules(s: float) -> list:
+    """A schedule of each family at stepsize s, at mu = 0 and at mu > 0."""
+    return [make_schedule("e24", s=s), make_schedule("e24", s=s, a=4.0, b=10.0, mu=1e-2),
+            make_schedule("e25", s=s, beta=0.5 * np.sqrt(s)),
+            make_schedule("e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1),
+            make_schedule("e26", s=s, b=1.0), make_schedule("e26", s=s, a=1.25, b=5.5, mu=1e-3)]
+
+
+def test_stopped_family_lanes_cost_one_call_per_family_and_chunk(monkeypatch):
+    calls = []   # (label, first index, lanes) of each call of a family body
+    for label, (body, names) in list(schedules._FAMILIES.items()):
+        def counted(n, s, *params, label=label, body=body):
+            calls.append((label, int(n[0]), np.size(s)))
+            return body(n, s, *params)
+        monkeypatch.setitem(schedules._FAMILIES, label, (counted, names))
+    scheds = [sch for s in _scan_stepsizes("f2", 10) for sch in _family_schedules(s)]
+    custom_starts = []   # a map of no family is called lane by lane
+
+    def custom(n):
+        custom_starts.append(int(n[0]))
+        return coefficient_map("igahd", scheds[0].s, beta=0.5)(n)
+
+    maps = [sch.coeffs_at for sch in scheds] + [custom]
+    ss = [sch.s for sch in scheds] + [scheds[0].s]
+    tables = []   # (first index, columns) of each table the stepper builds
+
+    class Watched(Stepper):
+        def _tabulate(self, n, lanes):
+            super()._tabulate(n, lanes)
+            tables.append((n, self._rows.shape[2]))
+
+    _, results = run_lanes(Watched(coefficient_step, maps, ss), f2(),
+                           np.tile([1.0, -2.0], (len(ss), 1)), ss, _TIGHT)
+    chunk_starts = _chunk_starts(max(r.n_final for r in results))[:-1]
+    labels = [sch.label for sch in scheds]
+    # each chunk calls each family once, over the running lanes of that family
+    want = [(label, n, sum(r.n_final > n for r, lab in zip(results, labels) if lab == label))
+            for n in chunk_starts for label in ("e24", "e25", "e26")]
+    assert sorted(calls) == sorted(c for c in want if c[2])
+    assert custom_starts == [n for n in chunk_starts if n < results[-1].n_final]
+    assert tables == [(n, sum(r.n_final > n for r in results)) for n in chunk_starts]
+    assert len({cols for _, cols in tables}) == len(tables) > 3
+    # and the grouped tables step every lane as its own run does
+    for sch, res in zip(scheds, results):
+        _, own = run(make_stepper("lt_s_igahd", sch.s, schedule=sch), f2(), [1.0, -2.0],
+                     sch.s, _TIGHT)
+        assert own == res
+
+
+@st.composite
+def _family_map(draw):
+    """A family schedule of random parameters, mu = 0 or mu > 0."""
+    label = draw(st.sampled_from(FAMILY_LABELS))
+    s = draw(st.floats(1e-3, 0.24))
+    mu = draw(st.sampled_from([0.0, draw(st.floats(1e-6, 5.0))]))
+    b = draw(st.floats(1e-3, 20.0) if mu > 0.0 or label == "e25" else st.floats(0.0, 20.0))
+    if label == "e25":
+        beta = draw(st.floats(0.01, 0.99)) * 2.0 * np.sqrt(s)
+        return make_schedule(label, s=s, alpha=draw(st.floats(3.0, 10.0)), beta=beta, b=b,
+                             mu=mu)
+    return make_schedule(label, s=s, alpha=draw(st.floats(3.0, 10.0)),
+                         a=draw(st.floats(0.0, 20.0)), b=b, mu=mu)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scheds=st.lists(_family_map(), min_size=1, max_size=12),
+       custom_at=st.integers(0, 12), start=st.integers(1, 5000), width=st.integers(1, 40),
+       data=st.data())
+def test_coeffs_of_is_each_schedules_own_coeffs_at(scheds, custom_at, start, width, data):
+    custom = make_schedule("custom", s=0.1, coeffs=coefficient_map("lt_se3", 0.1))
+    scheds.insert(min(custom_at, len(scheds)), custom)
+    maps = [sch.coeffs_at for sch in scheds]
+    # a row of indices that every lane shares
+    ns = np.arange(start, start + width, dtype=float)
+    table = coeffs_of(maps, ns)
+    for i, sch in enumerate(scheds):
+        own = np.stack(np.broadcast_arrays(*sch.coeffs_at(ns)), axis=1)
+        assert table[:, :, i].tobytes() == own.tobytes()
+    # a column of each lane's own index
+    col = np.array([[data.draw(st.integers(1, 10_000))] for _ in scheds], dtype=float)
+    table = coeffs_of(maps, col)
+    for i, sch in enumerate(scheds):
+        own = np.array(sch.coeffs_at(float(col[i, 0])))
+        assert table[0, :, i].tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["family-map", "function"])
+def test_schedule_with_a_replaced_map_steps_by_it(wrap):
+    sched = make_schedule("e24", s=0.1, b=1.0)
+    other = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=0.5)
+    new = dataclasses.replace(sched, coeffs_at=(lambda n: other.coeffs_at(n)) if wrap
+                              else other.coeffs_at)
+    x0 = np.tile([1.0, -2.0], (2, 1))
+    trajs, _ = run_lanes(make_stepper("lt_s_igahd", [0.1, 0.1], schedule=[new, sched]), f2(),
+                         x0, [0.1, 0.1], _TIGHT, record=True)
+    want, _ = run(make_stepper("lt_s_igahd", 0.1, schedule=other), f2(), x0[0], 0.1, _TIGHT)
+    assert trajs[0].xs.tobytes() == want.xs.tobytes()
+    assert trajs[1].xs.shape != want.xs.shape or trajs[1].xs.tobytes() != want.xs.tobytes()

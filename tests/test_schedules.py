@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from splitgrad import schedules
+from splitgrad.algorithms import make_stepper
 from splitgrad.schedules import (
     a_coefficients,
     check_assumptions,
@@ -240,3 +241,32 @@ def test_schedule_stepsize_guard():
 def test_n_prime_unknown_label():
     with pytest.raises(ValueError):
         n_prime("agm2", {}, 0.1, 3.0, 1.0)
+
+
+@pytest.mark.parametrize("label,key,message", [
+    ("e24", "s", "stepsize must be positive"), ("e24", "alpha", "alpha >= 3"),
+    ("e24", "mu", "mu must be nonnegative"), ("e24", "a", "shifts must be nonnegative"),
+    ("e26", "b", "shifts must be nonnegative"), ("e25", "beta", "beta must lie in"),
+    ("e25", "b", "b must be positive"),
+])
+def test_make_schedule_rejects_nan_parameters(label, key, message):
+    # a NaN fails each check; a NaN mu would otherwise run as mu = 0
+    args = {"s": 0.04, "beta": 0.1} if label == "e25" else {"s": 0.04}
+    with pytest.raises(ValueError, match=rf"{message}.*nan"):
+        make_schedule(label, **{**args, key: float("nan")})
+
+
+def test_check_matches_rejects_a_nan_stepsize():
+    sch = make_schedule("e25", s=0.04, beta=0.1)
+    with pytest.raises(ValueError, match="stepsize nan disagrees"):
+        sch.check_matches(float("nan"), 3.0)
+    with pytest.raises(ValueError, match="stepsize nan disagrees"):
+        make_stepper("lt_s_igahd", float("nan"), schedule=sch)
+    sch.check_matches(0.04 * (1.0 + EPS), 3.0)   # within 8 eps
+
+
+def test_check_assumptions_takes_a_custom_map_of_numbers():
+    # a map may give numbers that hold for every n; the scan broadcasts them
+    sch = make_schedule("custom", s=0.1, coeffs=lambda n: (0.5, 0.0, 0.0, 0.0))
+    rep = check_assumptions(sch, 1.0, n_max=50)
+    assert rep.assumption_ii_exact and rep.n1 == 2.0
