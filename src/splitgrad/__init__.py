@@ -10,8 +10,7 @@ together with the Lyapunov-energy and coefficient-admissibility checks in
 
 from .objectives import Objective, f1, f2, make_objective, quadratic
 from .schedules import (AdmissibilityReport, Schedule, check_assumptions,
-                        coeffs_e24, coeffs_e25, coeffs_e26, make_schedule,
-                        n_prime)
+                        make_schedule, n_prime)
 from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, ScheduleRun,
                          StoppingRule, Trajectory, coefficient_map, init_state,
                          make_stepper, run, run_lanes, run_schedules)
@@ -35,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Objective", "f1", "f2", "make_objective", "quadratic",
-    "AdmissibilityReport", "Schedule", "check_assumptions", "coeffs_e24",
-    "coeffs_e25", "coeffs_e26", "make_schedule", "n_prime",
+    "AdmissibilityReport", "Schedule", "check_assumptions", "make_schedule",
+    "n_prime",
     "ALGORITHM_NAMES", "IterState", "RunResult", "ScheduleRun", "StoppingRule",
     "Trajectory", "coefficient_map", "init_state", "make_stepper", "run", "run_lanes",
     "run_schedules",

@@ -2,7 +2,10 @@
 
 Every method except `nag` is the four-coefficient step `coefficient_step`
 driven by a per-name coefficient map n -> (alpha_n, lambda_n, omega_n,
-gamma_n), with a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1):
+gamma_n), with a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1).
+Each method but lt_s_igahd is a row of the table `_METHODS`, a coefficient
+body of n, s, alpha and the method's parameter; its map binds the body to
+their values as a `schedules.CoefficientMap`, as a schedule family's does:
 
     agm2          (a_n, 0, 0, 0)
     lt_se1        (a_n, 0, s a_n, s)
@@ -14,8 +17,8 @@ gamma_n), with a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1):
     pim           (1 - h gamma, 0, 0, 0), gradient step at x_n
     lt_s_igahd    the coefficients of a Schedule
 
-`nag` keeps its velocity form, `velocity_step`, driven the same way by the
-map n -> (w_n, c_n, r_n) of `nag_coefficients` on the clock t_n = n h.
+`nag` keeps its velocity form, `velocity_step`, driven the same way by its
+row's map n -> (w_n, c_n, r_n), `nag_coefficients` on the clock t_n = n h.
 Every stepper is a function (state, objective) -> state over a shared
 IterState carrying the two most recent iterates with their cached
 gradients and values. All methods share the same bootstrap:
@@ -28,7 +31,8 @@ Python loop for all of them. Each lane has its own stepsize, start point and
 coefficient map (for lt_s_igahd, its own Schedule). The `Stepper` that
 `make_stepper` returns does not call the maps at every step: it tabulates
 every lane's coefficients over chunks of indices from the maps' vector form,
-with one call of each schedule family for all the lanes of that family.
+with one call of each coefficient body (a method's or a schedule family's)
+for all the lanes of that body.
 Each lane stops on its own, and a lane that stops leaves the batch: the
 engine records its result at once and drops it from the (B, dim) state, so
 the loop steps, evaluates and tabulates only the lanes still running (the
@@ -94,8 +98,9 @@ GRAD_STEP_AT_X = ("pim", "polyak_igahd")
 # tabulation from index n covers min(_CHUNK, _FIRST_CHUNK + n - 1) of them,
 # so a run's chunks, from n = 1, double from _FIRST_CHUNK to _CHUNK. A
 # chunk costs one `schedules.coeffs_of` call: one broadcast call of each
-# schedule family among the running lanes, over a (lanes, chunk) grid, and
-# one call of every other running lane's map. Its table holds
+# coefficient body (a method's or a schedule family's) among the running
+# lanes, over a (lanes, chunk) grid, and one call of every other running
+# lane's map (a custom or a wrapped one). Its table holds
 # chunk x 4 x running lanes floats. `table --infer-s` scans the stepsizes of
 # all the rows on one objective as one batch of 840 lanes, which run about
 # 34 steps on average. Against 60-lane batches with chunks of 128, its
@@ -201,22 +206,43 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
                      state.f_curr, f_next, y_last=y, lanes=state.lanes)
 
 
-def nag_coefficients(n, s: float, alpha: float = 3.0):
+def nag_coefficients(n, s, alpha=3.0):
     """The velocity-form coefficients (w_n, c_n, r_n) at n (a number or an
-    array) on the clock t_n = n h:
+    array) on the clock t_n = n h, with s and alpha numbers or (lanes, 1)
+    columns:
 
     w_n = h (alpha - 1) / t_n,  c_n = h t_n / (alpha - 1),
     r_n = t_{n-1} / (h (alpha - 1)).
     """
-    if alpha == 1.0:
+    if np.any(np.equal(alpha, 1.0)):
         raise ValueError("the velocity form divides by alpha - 1; alpha must not be 1")
-    h = float(np.sqrt(s))
+    h = np.sqrt(s)
     t_n = n * h
-    vanish = np.asarray(t_n) == 0.0
+    vanish = np.equal(t_n, 0.0)
     if vanish.any():
-        raise ValueError(f"clock time vanishes at n = {np.asarray(n)[vanish].flat[0]:g}")
+        raise ValueError(f"clock time vanishes at n = "
+                         f"{np.broadcast_to(n, vanish.shape)[vanish].flat[0]:g}")
     t_prev = (n - 1) * h
     return h * (alpha - 1.0) / t_n, h * t_n / (alpha - 1.0), t_prev / (h * (alpha - 1.0))
+
+
+# name -> (coefficient body, the `make_stepper` keywords it takes after n, s
+# and alpha). A body gives the coefficients of the module docstring at n from
+# numbers or (lanes, 1) columns, and a method's map is the
+# `schedules.CoefficientMap` of its row; lt_s_igahd steps by its Schedule's.
+_METHODS = {
+    "agm2": (lambda n, s, alpha: ((n - alpha) / n, 0.0, 0.0, 0.0), ()),
+    "lt_se1": (lambda n, s, alpha: (a := (n - alpha) / n, 0.0, s * a, s), ()),
+    "lt_sv2": (lambda n, s, alpha: (a := (n - alpha) / n, 0.0, 0.5 * s * a, 0.5 * s), ()),
+    "ardm": (lambda n, s, alpha: (a := (n - alpha) / n, 0.0, s * (1.0 + a), 0.0), ()),
+    "lt_se3": (lambda n, s, alpha: (a := (n - alpha) / n, 0.0, s * a * default_theta(n - 1),
+                                    s * default_theta(n)), ()),
+    "igahd": (lambda n, s, alpha, beta: ((n - alpha) / n, beta * np.sqrt(s),
+                                         beta * np.sqrt(s) / n, 0.0), ("beta",)),
+    "pim": (lambda n, s, alpha, gamma: (1.0 - np.sqrt(s) * gamma, 0.0, 0.0, 0.0), ("gamma",)),
+    "nag": (nag_coefficients, ()),
+}
+_METHODS["polyak_igahd"] = _METHODS["igahd"]
 
 
 def velocity_step(state: IterState, obj: Objective, s, coeffs) -> IterState:
@@ -548,36 +574,23 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
     name = name.lower()
     if name == "nag":
         raise ValueError("nag has no four-coefficient form; it steps in velocity form")
-    h = float(np.sqrt(s))
-    # the coefficients at n of each method, given a = (n - alpha)/n
-    table = {
-        "agm2": lambda n, a: (a, 0.0, 0.0, 0.0),
-        "lt_se1": lambda n, a: (a, 0.0, s * a, s),
-        "lt_sv2": lambda n, a: (a, 0.0, 0.5 * s * a, 0.5 * s),
-        "ardm": lambda n, a: (a, 0.0, s * (1.0 + a), 0.0),
-        "lt_se3": lambda n, a: (a, 0.0, s * a * default_theta(n - 1), s * default_theta(n)),
-        "igahd": lambda n, a: (a, beta * h, beta * h / n, 0.0),
-        "pim": lambda n, a: (1.0 - h * gamma, 0.0, 0.0, 0.0),
-    }
-    table["polyak_igahd"] = table["igahd"]
+    return _map(name, s, alpha, schedule, beta, gamma)
+
+
+def _map(name: str, s: float, alpha: float, schedule: Optional[Schedule], beta: float,
+         gamma: float) -> Callable:
+    """The map a method steps by: its Schedule's for lt_s_igahd, else the
+    `CoefficientMap` of its row of `_METHODS`."""
     if name == "lt_s_igahd":
         if schedule is None:
             raise ValueError("lt_s_igahd needs a schedule")
         schedule.check_matches(s, alpha)
         return schedule.coeffs_at
-    if name not in table:
+    if name not in _METHODS:
         raise ValueError(f"unknown algorithm {name!r}")
-    method = table[name]
-
-    def at(n):
-        one = np.ndim(n) == 0
-        n = np.asarray(n, dtype=float)
-        values = method(n, (n - alpha) / n)
-        if one:
-            return tuple(float(v) for v in values)
-        return tuple(np.broadcast_arrays(n, *values)[1:])
-
-    return at
+    body, keywords = _METHODS[name]
+    given = {"beta": beta, "gamma": gamma}
+    return schedules.CoefficientMap(body, (s, alpha, *[given[k] for k in keywords]))
 
 
 def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0,
@@ -598,13 +611,10 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
               else [schedule] * s_lanes.size)
     if len(scheds) != s_lanes.size:
         raise ValueError(f"{len(scheds)} schedules for {s_lanes.size} stepsizes")
-    if name == "nag":
-        maps = [partial(nag_coefficients, s=s_k, alpha=alpha)
-                for s_k in s_lanes.tolist()]
-        return Stepper(velocity_step, maps, s_lanes)
-    maps = [coefficient_map(name, s_k, alpha, sch, beta, gamma)
+    maps = [_map(name, s_k, alpha, sch, beta, gamma)
             for s_k, sch in zip(s_lanes.tolist(), scheds)]
-    kernel = partial(coefficient_step, grad_at_x=name in GRAD_STEP_AT_X)
+    kernel = (velocity_step if name == "nag"
+              else partial(coefficient_step, grad_at_x=name in GRAD_STEP_AT_X))
     return Stepper(kernel, maps, s_lanes)
 
 

@@ -106,10 +106,11 @@ def _finite(option: str, value) -> float:
 
 
 def _max_iter(value) -> int:
-    n = int(value)
-    if n < 1:
-        raise ValueError(f"max_iter must be a positive integer, got {value}")
-    return n
+    """`value` when it is an integer of at least 1, not a bool; ValueError
+    naming max_iter otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {value!r}")
+    return value
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -316,8 +317,8 @@ def cmd_table(args) -> int:
     cases = _load_cases(args.cases) if args.cases else list(all_cases())
     if args.table is not None:
         cases = [c for c in cases if c.table == args.table]
-        if not cases:
-            raise ValueError(f"no recorded rows for table {args.table}")
+    if not cases:
+        raise ValueError("no table rows to run")
     s, alpha = _finite("--s", args.s), _finite("--alpha", args.alpha)
     max_iter = _max_iter(args.max_iter)
     out_dir = Path(args.out)

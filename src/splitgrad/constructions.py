@@ -255,16 +255,21 @@ class ContinuousTrajectory:
     vs: Array
 
 
-def _rk4_trajectory(field: Field, x0, v0, t0: float, t1: float,
-                    dt: float) -> ContinuousTrajectory:
-    """rk4_step on field from (x0, v0) at t0 to t1, at dt rounded so that
-    the grid hits t1 exactly."""
+def check_interval(t0: float, t1: float, dt: float) -> None:
+    """ValueError unless 0 < t0 < t1 and dt > 0."""
     if not t0 > 0.0:
         raise ValueError(f"initial time must be positive, got {t0}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+
+
+def _rk4_trajectory(field: Field, x0, v0, t0: float, t1: float,
+                    dt: float) -> ContinuousTrajectory:
+    """rk4_step on field from (x0, v0) at t0 to t1, at dt rounded so that
+    the grid hits t1 exactly."""
+    check_interval(t0, t1, dt)
     n = max(1, int(round((t1 - t0) / dt)))
     dt_eff = (t1 - t0) / n
     x = np.asarray(x0, dtype=float)

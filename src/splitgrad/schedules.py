@@ -54,10 +54,22 @@ def _shifted(n, s, alpha, b, mu, gamma):
 
 
 def _e24(n, s, alpha, a, b, mu):
+    """Family with gamma_n = s*sqrt((alpha-1)/(n+a)) > 0:
+
+    lambda_{n+1} = s*n/(n+1) + mu*n/((n+1)(n+b)) and
+    omega_n = gamma_n + s/n + mu*[1/(n+b) - (n-1)/(n(n+b-1))].
+    """
     return _shifted(n, s, alpha, b, mu, s * np.sqrt((alpha - 1.0) / (n + a)))
 
 
 def _e25(n, s, alpha, beta, b, mu):
+    """Family with gamma_n = 0, for 0 < beta < 2*sqrt(s) and b > 0:
+
+    lambda_{n+1} = beta*sqrt(s) + mu/(n+b) and
+    omega_n = beta*sqrt(s)/n + mu*[(n+1)/(n(n+b)) - 1/(n+b-1)].
+    At mu = 0 this is exactly the Hessian-correction scheme with a constant
+    lambda_n = beta*sqrt(s).
+    """
     root_s = np.sqrt(s)
     lam, omega = _with_mu(mu, beta * root_s, beta * root_s / n,
                           lambda: mu / (n + b - 1.0),
@@ -66,6 +78,8 @@ def _e25(n, s, alpha, beta, b, mu):
 
 
 def _e26(n, s, alpha, a, b, mu):
+    """Family with negative gamma_n = -s/(n+a); lambda_n and omega_n as in
+    the e24 family."""
     return _shifted(n, s, alpha, b, mu, -s / (n + a))
 
 
@@ -119,22 +133,19 @@ def _check_family(label: str, s, alpha, params: dict) -> None:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class FamilyMap:
-    """The coefficient map of a family schedule, which `make_schedule`
-    stores as its `coeffs_at`: the family's label with s, alpha and the
-    Schedule's own `params` dict. `coeffs_of` calls the family once for
-    all the maps of a family in a batch."""
+class CoefficientMap:
+    """A built-in coefficient map, n -> body(n, *args): `body` is a row of a
+    coefficient table (a schedule family of `_FAMILIES`, or a method of
+    `algorithms._METHODS`) and `args` its stepsize s, alpha and the row's
+    parameters, in the row's order. `coeffs_of` calls each body once for
+    all the maps of that body in a batch."""
 
-    label: str
-    s: float
-    alpha: float
-    params: dict
+    body: Callable
+    args: tuple
 
     def __call__(self, n):
         """Floats for a number n, else arrays of n's shape."""
-        body, names = _FAMILIES[self.label]
-        values = body(np.asarray(n, dtype=float), self.s, self.alpha,
-                      *itemgetter(*names)(self.params))
+        values = self.body(np.asarray(n, dtype=float), *self.args)
         if np.isscalar(n):
             return tuple(float(v) for v in values)
         return tuple(v if np.shape(v) == np.shape(n) else np.full(np.shape(n), v)
@@ -145,10 +156,10 @@ def coeffs_of(maps: Sequence[Callable], n) -> Array:
     """The coefficients of every map in `maps` at n, as an array of shape
     (m, k, lanes) for maps of k coefficients: n is a row of m indices that
     every lane shares, or a (lanes, 1) column of each lane's own index
-    (m = 1). The `FamilyMap`s of one family take one broadcast call of the
-    family over their parameter columns; any other map (a custom one, a
-    method's `coefficient_map`, a wrapped `coeffs_at`) is called lane by
-    lane. Each lane gets the bits of its own map's call."""
+    (m = 1). The `CoefficientMap`s of one body take one broadcast call of
+    the body over their argument columns; any other map (a custom one, a
+    wrapped `coeffs_at`) is called lane by lane. Each lane gets the bits of
+    its own map's call."""
     n = np.asarray(n, dtype=float)
     per_lane = n.ndim == 2
     width = 1 if per_lane else n.size
@@ -161,49 +172,16 @@ def coeffs_of(maps: Sequence[Callable], n) -> Array:
         for k, v in enumerate(values):
             out[:, k, lanes] = np.broadcast_to(v, (len(lanes), width)).T
 
-    groups: Dict[str, list] = {}
+    groups: Dict[Callable, list] = {}
     for i, m in enumerate(maps):
-        if type(m) is FamilyMap:
-            groups.setdefault(m.label, []).append(i)
+        if type(m) is CoefficientMap:
+            groups.setdefault(m.body, []).append(i)
         else:
             put([i], m(n[i] if per_lane else n))
-    for label, lanes in groups.items():
-        body, names = _FAMILIES[label]
-        get = itemgetter(*names)
-        cols = np.array([(maps[i].s, maps[i].alpha, *get(maps[i].params)) for i in lanes],
-                        dtype=float).T[:, :, None]
+    for body, lanes in groups.items():
+        cols = np.array([maps[i].args for i in lanes], dtype=float).T[:, :, None]
         put(lanes, body(n[lanes] if per_lane else n, *cols))
     return out
-
-
-def coeffs_e24(n, s: float, alpha: float = 3.0, a: float = 0.0, b: float = 0.0,
-               mu: float = 0.0):
-    """Family with gamma_n = s*sqrt((alpha-1)/(n+a)) > 0.
-
-    lambda_{n+1} = s*n/(n+1) + mu*n/((n+1)(n+b)) and
-    omega_n = gamma_n + s/n + mu*[1/(n+b) - (n-1)/(n(n+b-1))].
-    Returns (alpha_n, lambda_n, omega_n, gamma_n); n may be an array.
-    """
-    return make_schedule("e24", s, alpha, a=a, b=b, mu=mu).coeffs_at(n)
-
-
-def coeffs_e25(n, s: float, beta: float, b: float, mu: float = 0.0,
-               alpha: float = 3.0):
-    """Family with gamma_n = 0; requires 0 < beta < 2*sqrt(s) and b > 0.
-
-    lambda_{n+1} = beta*sqrt(s) + mu/(n+b) and
-    omega_n = beta*sqrt(s)/n + mu*[(n+1)/(n(n+b)) - 1/(n+b-1)].
-    At mu = 0 this is exactly the Hessian-correction scheme with a constant
-    lambda_n = beta*sqrt(s).
-    """
-    return make_schedule("e25", s, alpha, beta=beta, b=b, mu=mu).coeffs_at(n)
-
-
-def coeffs_e26(n, s: float, a: float = 0.0, b: float = 0.0, mu: float = 0.0,
-               alpha: float = 3.0):
-    """Family with negative gamma_n = -s/(n+a); lambda_n and omega_n as in
-    the e24 family."""
-    return make_schedule("e26", s, alpha, a=a, b=b, mu=mu).coeffs_at(n)
 
 
 @dataclass(frozen=True)
@@ -214,10 +192,10 @@ class Schedule:
     (alpha_n, lambda_n, omega_n, gamma_n). An array of n must give arrays,
     or numbers that hold for every n, bitwise equal to the values n by n:
     the steppers tabulate the coefficients from one call over a chunk of
-    indices. A family schedule's `coeffs_at` is the `FamilyMap` of its
-    label, s, alpha and `params`, which `coeffs_of` evaluates together with
-    the other maps of its family; a schedule whose `coeffs_at` is replaced
-    (`dataclasses.replace`) steps by the new map.
+    indices. A family schedule's `coeffs_at` is the `CoefficientMap` of its
+    family's body with s, alpha and `params`, which `coeffs_of` evaluates
+    together with the other maps of its family; a schedule whose
+    `coeffs_at` is replaced (`dataclasses.replace`) steps by the new map.
     """
 
     label: str
@@ -316,7 +294,9 @@ def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
     if extra:
         raise ValueError(f"unexpected parameters for schedule {label!r}: {extra}")
     _check_family(label, s, alpha, full)
-    return Schedule(label, alpha, s, FamilyMap(label, s, alpha, full), full)
+    body, defaults = _FAMILIES[label]
+    return Schedule(label, alpha, s,
+                    CoefficientMap(body, (s, alpha, *itemgetter(*defaults)(full))), full)
 
 
 def a_coefficients(s: float, lipschitz: float, gamma):
@@ -337,7 +317,9 @@ def gn_hn_in(s: float, lipschitz: float, gamma_n, lambda_n, omega_n):
     condition; G_n > 0 is equivalent to the strict coupling inequality."""
     _, a2, a3, a4, a5 = a_coefficients(s, lipschitz, gamma_n)
     w = np.asarray(lambda_n, dtype=float) + np.asarray(omega_n, dtype=float)
-    g = -((a2 + a3) ** 2) + 2.0 * s * (a4 + a5) - w * w - 2.0 * w * (a2 + a3)
+    p = a2 + a3
+    # p * p, not p ** 2: a number's ** 2 calls pow, which may differ from an array's
+    g = -(p * p) + 2.0 * s * (a4 + a5) - w * w - 2.0 * w * p
     h = -2.0 * a2 * a2 - 2.0 * a2 * a3 - 2.0 * w * a2 + 2.0 * s * a4
     i = np.full_like(np.asarray(g, dtype=float), a2 * a2)
     return g, h, i

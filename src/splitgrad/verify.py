@@ -121,6 +121,7 @@ def ode_route_gaps(obj: Objective, x0, v0, alpha: float, beta: float, t0: float,
     """Sup gaps between the first-order averaged system and the second-order
     Hessian-damped system at dt, dt/2 and dt/4, the two observed orders
     log2(gap_k / gap_{k+1}), and the first-order trajectory at dt/4."""
+    constructions.check_interval(t0, t1, dt)   # before xdot_from_v divides by t0
     xdot0 = constructions.xdot_from_v(obj, x0, v0, t0, alpha, beta)
     gaps = []
     for h in (dt, dt / 2.0, dt / 4.0):

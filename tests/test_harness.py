@@ -443,6 +443,13 @@ def test_table_cases_with_a_nan_parameter_exit_2(tmp_path, capsys, key, needle):
                               "--out", str(tmp_path / "o")], needle)
 
 
+@pytest.mark.parametrize("extra", [[], ["--infer-s"]], ids=["table", "infer-s"])
+def test_table_with_no_rows_exits_2(tmp_path, capsys, extra):
+    _exit_2_one_line(capsys, ["table", "--cases", "[]", *extra, "--out", str(tmp_path / "o")],
+                     "no table rows to run")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_with_f_not_finite_at_x0_exits_2(tmp_path, capsys):
     _exit_2_one_line(capsys, ["run", "--objective", "f1", "--x0=1e200,-2",
                               "--out", str(tmp_path / "o")], "not finite at x0")
@@ -519,6 +526,10 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
     (["ode-compare", "--dt", "nan"], "--dt"),
     (["ode-compare", "--t1", "inf"], "--t1"),
     (["ode-compare", "--v0", "0,inf"], "--v0"),
+    (["ode-compare", "--t0", "0"], "initial time must be positive"),
+    (["run", "--config", '{"max_iter": 1.5}'], "max_iter"),
+    (["run", "--config", '{"max_iter": true}'], "max_iter"),
+    (["run", "--config", '{"max_iter": "abc"}'], "max_iter"),
     (["run", "--x0", "1,2,3"], "--x0 must be a point of dimension 2"),
     (["run", "--config", '{"x0": []}'], "--x0 must be a point of dimension 2"),
     (["ode-compare", "--x0", "1,2,3"], "--x0 must be a point of dimension 2"),
@@ -529,7 +540,9 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
         "run-config-huge-int", "run-x0", "run-config-algorithm", "run-config-x0-string",
         "run-config-x0-null", "run-config-x0-number", "run-schedule-string",
         "run-schedule-nan", "table-alpha", "table-s",
-        "ode-beta", "ode-dt", "ode-t1", "ode-v0", "run-x0-length", "run-config-x0-empty",
+        "ode-beta", "ode-dt", "ode-t1", "ode-v0", "ode-t0-zero", "run-config-max-iter-float",
+        "run-config-max-iter-bool", "run-config-max-iter-string", "run-x0-length",
+        "run-config-x0-empty",
         "ode-x0-length", "ode-v0-length", "sweep-x0-length"])
 def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):
     _exit_2_one_line(capsys, argv + ["--out", str(tmp_path / "o")], needle)

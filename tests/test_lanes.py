@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitgrad import schedules
+from splitgrad import algorithms, schedules
 from splitgrad.algorithms import (
     _CHUNK,
     _FIRST_CHUNK,
@@ -26,7 +26,7 @@ from splitgrad.algorithms import (
 from splitgrad.cases import all_cases
 from splitgrad.objectives import Objective, f1, f2, make_objective, quadratic
 from splitgrad.schedules import FAMILY_LABELS, coeffs_of, make_schedule
-from splitgrad.verify import _fixed_runs
+from splitgrad.verify import _X0, _fixed_runs
 
 N_ALL = np.arange(1, 10_001, dtype=float)
 # every index up to 60, then a log-spaced sample up to 10^4
@@ -503,26 +503,72 @@ def _family_map(draw):
                          a=draw(st.floats(0.0, 20.0)), b=b, mu=mu)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(scheds=st.lists(_family_map(), min_size=1, max_size=12),
-       custom_at=st.integers(0, 12), start=st.integers(1, 5000), width=st.integers(1, 40),
-       data=st.data())
-def test_coeffs_of_is_each_schedules_own_coeffs_at(scheds, custom_at, start, width, data):
-    custom = make_schedule("custom", s=0.1, coeffs=coefficient_map("lt_se3", 0.1))
-    scheds.insert(min(custom_at, len(scheds)), custom)
-    maps = [sch.coeffs_at for sch in scheds]
+@st.composite
+def _method_map(draw, names):
+    """The map of one of the methods `names` of random s, alpha, beta and
+    gamma."""
+    return algorithms._map(draw(st.sampled_from(names)), draw(st.floats(1e-3, 0.24)),
+                           draw(st.floats(1.5, 10.0)), None, draw(st.floats(0.1, 2.0)),
+                           draw(st.floats(0.1, 3.0)))
+
+
+def _assert_coeffs_of_is_each_maps_own(maps, ns, col):
     # a row of indices that every lane shares
-    ns = np.arange(start, start + width, dtype=float)
     table = coeffs_of(maps, ns)
-    for i, sch in enumerate(scheds):
-        own = np.stack(np.broadcast_arrays(*sch.coeffs_at(ns)), axis=1)
+    for i, m in enumerate(maps):
+        own = np.stack(np.broadcast_arrays(*m(ns)), axis=1)
         assert table[:, :, i].tobytes() == own.tobytes()
     # a column of each lane's own index
-    col = np.array([[data.draw(st.integers(1, 10_000))] for _ in scheds], dtype=float)
-    table = coeffs_of(maps, col)
-    for i, sch in enumerate(scheds):
-        own = np.array(sch.coeffs_at(float(col[i, 0])))
+    table = coeffs_of(maps, col[:len(maps)])
+    for i, m in enumerate(maps):
+        own = np.array(m(float(col[i, 0])))
         assert table[0, :, i].tobytes() == own.tobytes()
+
+
+_FOUR = sorted(set(algorithms._METHODS) - {"nag"})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(maps=st.lists(st.one_of(_family_map().map(lambda sch: sch.coeffs_at),
+                               _method_map(_FOUR)), min_size=1, max_size=12),
+       nags=st.lists(_method_map(["nag"]), max_size=4),
+       custom_at=st.integers(0, 12), start=st.integers(1, 5000), width=st.integers(1, 40),
+       data=st.data())
+def test_coeffs_of_is_each_schedules_own_coeffs_at(maps, nags, custom_at, start, width, data):
+    # a map that is not a CoefficientMap is called lane by lane
+    custom = make_schedule("custom", s=0.1, coeffs=lambda n: coefficient_map("lt_se3", 0.1)(n))
+    maps.insert(min(custom_at, len(maps)), custom.coeffs_at)
+    ns = np.arange(start, start + width, dtype=float)
+    col = np.array([[data.draw(st.integers(1, 10_000))] for _ in range(len(maps) + len(nags))],
+                   dtype=float)
+    _assert_coeffs_of_is_each_maps_own(maps, ns, col)
+    # nag's velocity form has three coefficients, so its maps make a table of their own
+    if nags:
+        _assert_coeffs_of_is_each_maps_own(nags, ns, col[len(maps):])
+
+
+def test_fixed_runs_call_each_method_body_once_per_chunk(monkeypatch):
+    calls = []   # (method, first index, lanes) of each call of a method body
+    for name, (body, keywords) in list(algorithms._METHODS.items()):
+        def counted(n, s, *params, name=name, body=body):
+            calls.append((name, int(n[0]), np.size(s)))
+            return body(n, s, *params)
+        monkeypatch.setitem(algorithms._METHODS, name, (counted, keywords))
+    # the methods stepping at y_n run as one batch, and pim with polyak_igahd as another
+    methods = [("agm2", {}), ("lt_se1", {}), ("lt_sv2", {}), ("ardm", {}), ("lt_se3", {}),
+               ("igahd", {"beta": 0.5}), ("igahd", {"beta": 0.9}), ("pim", {"gamma": 1.2}),
+               ("polyak_igahd", {"beta": 0.5}), ("polyak_igahd", {"beta": 0.9})]
+    n_steps = 300
+    trajs = _fixed_runs(f2(), 0.1, n_steps, methods)
+    starts = [n for n in _chunk_starts(n_steps) if n < n_steps]
+    lanes = {"agm2": 1, "lt_se1": 1, "lt_sv2": 1, "ardm": 1, "lt_se3": 1, "igahd": 2,
+             "pim": 1, "polyak_igahd": 2}   # each method's lanes
+    assert sorted(calls) == sorted((name, n, k) for name, k in lanes.items() for n in starts)
+    # and each lane steps as its own run does
+    for (name, kw), traj in zip(methods, trajs):
+        want, _ = run(make_stepper(name, 0.1, **kw), f2(), _X0, 0.1,
+                      StoppingRule("max_iter"), max_iter=n_steps)
+        assert traj.xs.tobytes() == want.xs.tobytes()
 
 
 @pytest.mark.parametrize("wrap", [False, True], ids=["family-map", "function"])

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitgrad import schedules
 from splitgrad.algorithms import make_stepper
 from splitgrad.schedules import (
     a_coefficients,
     check_assumptions,
-    coeffs_e24,
-    coeffs_e25,
-    coeffs_e26,
     g_neg_factored,
     gn_hn_in,
     make_schedule,
@@ -20,15 +19,28 @@ from splitgrad.schedules import (
 EPS = np.finfo(float).eps
 
 
+def _e24(s, alpha=3.0, **params):
+    return make_schedule("e24", s=s, alpha=alpha, **params).coeffs_at
+
+
+def _e25(s, **params):
+    return make_schedule("e25", s=s, **params).coeffs_at
+
+
+def _e26(s, **params):
+    return make_schedule("e26", s=s, **params).coeffs_at
+
+
 def test_e24_frozen_values():
     # s=0.1, a=0, b=1, mu=0: gamma_1 = s*sqrt((alpha-1)/(1+a))
-    a1, lam, om, gam = coeffs_e24(1, 0.1, 3.0, 0.0, 1.0, 0.0)
+    a1, lam, om, gam = _e24(0.1, b=1.0)(1)
     assert gam == 0.14142135623730953
     assert lam == 0.0
     assert om == 0.24142135623730954
     assert a1 == -2.0
 
-    got = [coeffs_e24(n, 0.1, 3.0, 4.0, 10.0, 1e-2) for n in (1, 2, 5, 10)]
+    at = _e24(0.1, a=4.0, b=10.0, mu=1e-2)
+    got = [at(n) for n in (1, 2, 5, 10)]
     want = [
         (0.0632455532033676, 0.0, 0.1641546441124585),
         (0.057735026918962574, 0.05045454545454546, 0.10811381479775047),
@@ -42,7 +54,8 @@ def test_e24_frozen_values():
 
 
 def test_e25_frozen_values():
-    got = [coeffs_e25(n, 0.01, 0.1, 2.0, 0.1) for n in (1, 2, 3)]
+    at = _e25(0.01, beta=0.1, b=2.0, mu=0.1)
+    got = [at(n) for n in (1, 2, 3)]
     want = [(0.060000000000000005, 0.026666666666666665),
             (0.043333333333333335, 0.00916666666666667),
             (0.035, 0.005)]
@@ -54,15 +67,16 @@ def test_e25_frozen_values():
 
 def test_e25_rejects_out_of_range_beta():
     with pytest.raises(ValueError):
-        coeffs_e25(1, 0.01, 0.2, 2.0, 0.0)   # beta = 2*sqrt(s) exactly
+        _e25(0.01, beta=0.2, b=2.0)   # beta = 2*sqrt(s) exactly
     with pytest.raises(ValueError):
-        coeffs_e25(1, 0.01, -0.05, 2.0, 0.0)
+        _e25(0.01, beta=-0.05, b=2.0)
     with pytest.raises(ValueError):
-        coeffs_e25(1, 0.01, 0.1, 0.0, 0.0)   # b must be positive
+        _e25(0.01, beta=0.1, b=0.0)   # b must be positive
 
 
 def test_e26_frozen_values():
-    got = [coeffs_e26(n, 0.1, 1.25, 5.5, 1e-3) for n in (1, 2, 7)]
+    at = _e26(0.1, a=1.25, b=5.5, mu=1e-3)
+    got = [at(n) for n in (1, 2, 7)]
     want = [(-0.044444444444444446, 0.0, 0.05570940170940172),
             (-0.03076923076923077, 0.05007692307692308, 0.01928717948717949),
             (-0.012121212121212121, 0.08578881987577641, 0.0021699680030114825)]
@@ -75,18 +89,19 @@ def test_e26_frozen_values():
 def test_positive_mu_needs_positive_shifted_index():
     # mu > 0 with n + b - 1 <= 0 has no finite coefficient
     with pytest.raises(ValueError):
-        coeffs_e24(1, 0.1, 3.0, 1.0, 0.0, 0.5)
+        _e24(0.1, a=1.0, b=0.0, mu=0.5)
     with pytest.raises(ValueError):
-        coeffs_e26(1, 0.1, 1.0, 0.0, 0.5)
+        _e26(0.1, a=1.0, b=0.0, mu=0.5)
     # mu = 0 is fine at the same indices
-    coeffs_e24(1, 0.1, 3.0, 1.0, 0.0, 0.0)
-    coeffs_e26(1, 0.1, 1.0, 0.0, 0.0)
+    _e24(0.1, a=1.0, b=0.0)(1)
+    _e26(0.1, a=1.0, b=0.0)(1)
 
 
 def test_vectorized_matches_scalar():
     ns = np.arange(1, 30, dtype=float)
-    lam_v = coeffs_e24(ns, 0.1, 3.0, 4.0, 10.0, 1e-2)[1]
-    lam_s = np.array([coeffs_e24(int(n), 0.1, 3.0, 4.0, 10.0, 1e-2)[1] for n in ns])
+    at = _e24(0.1, a=4.0, b=10.0, mu=1e-2)
+    lam_v = at(ns)[1]
+    lam_s = np.array([at(int(n))[1] for n in ns])
     np.testing.assert_array_equal(lam_v, lam_s)
 
 
@@ -130,6 +145,18 @@ def test_factored_g_matches_direct():
         gf = g_neg_factored(s, lip, gam, lam, om)
         scale = max(1.0, abs(g), abs(gf))
         assert abs(g + gf) <= 8.0 * EPS * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=st.floats(1e-3, 1.0), lip=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_gn_hn_in_of_numbers_is_its_array_form_bitwise(s, lip, seed):
+    # a number's square may differ from an array's in the last bit for about
+    # one input in a thousand, so each example checks 500 of them
+    gam, lam, om = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 500))
+    arrays = np.stack(gn_hn_in(s, lip, gam, lam, om), axis=1)
+    numbers = np.array([gn_hn_in(s, lip, *c) for c in zip(gam.tolist(), lam.tolist(),
+                                                           om.tolist())])
+    assert numbers.tobytes() == arrays.tobytes()
 
 
 def test_n2_requires_positive_g():
@@ -233,9 +260,9 @@ def test_check_assumptions_flags_inadmissible():
 
 def test_schedule_stepsize_guard():
     with pytest.raises(ValueError):
-        coeffs_e24(1, -0.1, 3.0, 1.0, 1.0, 0.0)
+        _e24(-0.1, a=1.0, b=1.0)
     with pytest.raises(ValueError):
-        coeffs_e26(1, 0.1, 1.0, 1.0, -0.5)    # negative mu
+        _e26(0.1, a=1.0, b=1.0, mu=-0.5)    # negative mu
 
 
 def test_n_prime_unknown_label():
