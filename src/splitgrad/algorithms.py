@@ -46,12 +46,15 @@ matrix product, whose summation order may differ from the one-lane product
 in the last bits.
 
 Recording: a recorded run writes each field (x_n, f_n, grad_n and, with
-`record_y`, y_n) into one float64 buffer of `_CHUNK` rows that doubles when
-full, never past the max(max_iter, 1) + 1 rows the loop can record; growing
-copies only the filled rows. A one-lane trajectory's arrays are views of the
-filled rows, so they may view a buffer at most twice their length (or of
-`_CHUNK` rows) whose extra rows are never written and hold no memory; the
-lanes of a batch get copies of their own.
+`record_y`, y_n) into one float64 buffer. A run whose only stop is max_iter
+takes the rows it will write at once: max(max_iter, 1) + 1 from x_0, and
+the rows still to come for the lanes left after one diverges; a max_iter
+that no buffer can hold raises ValueError before the first step. Under a
+tolerance stop the buffer starts at `_CHUNK` rows and doubles when full,
+never past the rows still to come; growing copies only the filled rows. A
+one-lane trajectory's arrays are views of the filled rows, and the buffer's
+extra rows are never written and hold no memory; the lanes of a batch get
+copies of their own.
 
 Gradient economy: the cache makes grad(x_n) and grad(x_{n-1}) free inside a
 step. Every step takes f(x_{n+1}) and grad(x_{n+1}) together from one
@@ -350,9 +353,9 @@ class Stepper:
 class Trajectory:
     """Recorded run: iterates x_0..x_M with values, gradients and optional
     inertial points. Velocities are derived on demand. The arrays of a
-    one-lane run are views of the engine's row buffers: each may view a
-    buffer at most twice its length (or of `_CHUNK` rows), whose extra rows
-    are never written."""
+    one-lane run are views of the engine's row buffers: a run that reaches
+    max_iter views a buffer of exactly its length, and any other may view a
+    longer one, whose extra rows are never written."""
 
     obj: Objective
     xs: Array            # (M+1, dim)
@@ -452,21 +455,31 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
     # each lane's recorded pieces, one list per field; an unrecorded run keeps none
     pieces = [[[] for _ in range(lanes)] for _ in range(4 if record_y else 3)] if record else []
     # the rows recorded since the last stop, starting with x0's, fill one
-    # buffer per field. A full buffer doubles, never past the `most` rows the
-    # loop can record, copying its filled rows one field at a time so that
-    # each old buffer goes before the next field grows; the rows never
-    # written are never touched, so they hold no memory.
+    # buffer per field. A segment that starts at index n has room for the
+    # `most - n` rows the loop can still record, and a max_iter run, which
+    # stops only there or by diverging, takes them all at once. Under a
+    # tolerance the length is unknown: the buffer starts at `_CHUNK` rows and
+    # doubles when full, never past that room, copying its filled rows one
+    # field at a time so that each old buffer goes before the next field
+    # grows. The rows never written are never touched, so they hold no memory.
+    tolerance = stopping.kind != "max_iter"
     most = max(max_iter, 1) + 1
-    bufs, filled = [], 0
+    bufs, filled, room = [], 0, 0
 
     def push(st: IterState) -> None:
-        nonlocal filled
+        nonlocal filled, room
         rows = (st.x_curr, st.f_curr, st.grad_curr, st.y_last)[:len(pieces)]
         if not bufs:
-            bufs.extend(np.empty((min(_CHUNK, most),) + np.shape(r)) for r in rows)
+            room = most - st.n
+            first = min(_CHUNK, room) if tolerance else room
+            try:
+                bufs.extend(np.empty((first,) + np.shape(r)) for r in rows)
+            except (MemoryError, ValueError):   # numpy: too many bytes to address
+                raise ValueError(f"max_iter = {max_iter} asks for a record of {first} rows, "
+                                 f"which cannot be allocated") from None
         elif filled == len(bufs[0]):
             for k, old in enumerate(bufs):
-                bufs[k] = np.empty((min(2 * filled, most),) + old.shape[1:])
+                bufs[k] = np.empty((min(2 * filled, room),) + old.shape[1:])
                 bufs[k][:filled] = old[:filled]
         for buf, r in zip(bufs, rows):
             buf[filled] = r
@@ -494,7 +507,6 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
 
     if record:
         push(prev)  # x0's row
-    tolerance = stopping.kind != "max_iter"
     # a diverging lane overflows on its way out; its non-finite state is the signal
     with np.errstate(over="ignore", invalid="ignore"):
         while True:

@@ -159,7 +159,8 @@ def coeffs_of(maps: Sequence[Callable], n) -> Array:
     (m = 1). The `CoefficientMap`s of one body take one broadcast call of
     the body over their argument columns; any other map (a custom one, a
     wrapped `coeffs_at`) is called lane by lane. Each lane gets the bits of
-    its own map's call."""
+    its own map's call. Maps of different coefficient counts (nag's three
+    and a four-coefficient map) raise ValueError."""
     n = np.asarray(n, dtype=float)
     per_lane = n.ndim == 2
     width = 1 if per_lane else n.size
@@ -169,6 +170,9 @@ def coeffs_of(maps: Sequence[Callable], n) -> Array:
         nonlocal out
         if out is None:
             out = np.empty((width, len(values), len(maps)))
+        elif len(values) != out.shape[1]:
+            raise ValueError(f"maps of {out.shape[1]} and of {len(values)} coefficients "
+                             f"cannot share one table")
         for k, v in enumerate(values):
             out[:, k, lanes] = np.broadcast_to(v, (len(lanes), width)).T
 
@@ -323,14 +327,6 @@ def gn_hn_in(s: float, lipschitz: float, gamma_n, lambda_n, omega_n):
     h = -2.0 * a2 * a2 - 2.0 * a2 * a3 - 2.0 * w * a2 + 2.0 * s * a4
     i = np.full_like(np.asarray(g, dtype=float), a2 * a2)
     return g, h, i
-
-
-def g_neg_factored(s: float, lipschitz: float, gamma_n, lambda_n, omega_n):
-    """-G_n in factored form, (gamma_n^2 - s^2) + [(s + gamma_n(1 - Ls)) -
-    (lambda_n + omega_n)]^2; a second route used to cross-check gn_hn_in."""
-    gamma_n = np.asarray(gamma_n, dtype=float)
-    w = np.asarray(lambda_n, dtype=float) + np.asarray(omega_n, dtype=float)
-    return (gamma_n ** 2 - s * s) + ((s + gamma_n * (1.0 - lipschitz * s)) - w) ** 2
 
 
 def n2(alpha: float, g_n, h_n, i_n):

@@ -530,6 +530,9 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
     (["run", "--config", '{"max_iter": 1.5}'], "max_iter"),
     (["run", "--config", '{"max_iter": true}'], "max_iter"),
     (["run", "--config", '{"max_iter": "abc"}'], "max_iter"),
+    # a max_iter run records max_iter + 1 rows, which no memory can hold
+    (["run", "--stop", "max_iter", "--max-iter", str(10**15)], "max_iter = 10"),
+    (["run", "--stop", "max_iter", "--max-iter", str(10**18)], "max_iter = 10"),
     (["run", "--x0", "1,2,3"], "--x0 must be a point of dimension 2"),
     (["run", "--config", '{"x0": []}'], "--x0 must be a point of dimension 2"),
     (["ode-compare", "--x0", "1,2,3"], "--x0 must be a point of dimension 2"),
@@ -541,7 +544,8 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
         "run-config-x0-null", "run-config-x0-number", "run-schedule-string",
         "run-schedule-nan", "table-alpha", "table-s",
         "ode-beta", "ode-dt", "ode-t1", "ode-v0", "ode-t0-zero", "run-config-max-iter-float",
-        "run-config-max-iter-bool", "run-config-max-iter-string", "run-x0-length",
+        "run-config-max-iter-bool", "run-config-max-iter-string",
+        "run-max-iter-unallocatable", "run-max-iter-beyond-addressing", "run-x0-length",
         "run-config-x0-empty",
         "ode-x0-length", "ode-v0-length", "sweep-x0-length"])
 def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):

@@ -547,6 +547,23 @@ def test_coeffs_of_is_each_schedules_own_coeffs_at(maps, nags, custom_at, start,
         _assert_coeffs_of_is_each_maps_own(nags, ns, col[len(maps):])
 
 
+@pytest.mark.parametrize("nag_first", [False, True], ids=["four-first", "nag-first"])
+@pytest.mark.parametrize("wrapped", ["four", "nag"])
+def test_coeffs_of_rejects_maps_of_different_counts(wrapped, nag_first):
+    # a map that is not a CoefficientMap is evaluated before the grouped
+    # ones, so the wrapped map's count is the one the table takes first
+    four = algorithms._map("lt_se3", 0.1, 3.0, None, 1.0, 1.0)
+    nag = algorithms._map("nag", 0.1, 3.0, None, 1.0, 1.0)
+    if wrapped == "four":
+        four, counts = (lambda n, m=four: m(n)), "4 and of 3"
+    else:
+        nag, counts = (lambda n, m=nag: m(n)), "3 and of 4"
+    maps = [nag, four] if nag_first else [four, nag]
+    for n in (np.arange(1.0, 9.0), np.array([[3.0], [5.0]])):
+        with pytest.raises(ValueError, match=f"maps of {counts} coefficients"):
+            coeffs_of(maps, n)
+
+
 def test_fixed_runs_call_each_method_body_once_per_chunk(monkeypatch):
     calls = []   # (method, first index, lanes) of each call of a method body
     for name, (body, keywords) in list(algorithms._METHODS.items()):

@@ -1,5 +1,6 @@
 """The recorder of `algorithms._drive`: a recorded run writes its rows into
-one growing buffer per field, and what it hands back is bitwise what a
+one buffer per field, of its exact length when max_iter is its only stop and
+growing under a tolerance stop, and what it hands back is bitwise what a
 plain loop over the same stepper computes, at every length, for one lane
 and for lanes that leave a batch at different steps."""
 
@@ -40,8 +41,15 @@ def _loop(stepper, obj, x0, s, max_iter):
     return dict(zip(FIELDS, (np.array(col) for col in zip(*rows))))
 
 
+def _assert_views_from_row_0(got, rows):
+    """`got` views a buffer of `rows` rows from its first row."""
+    assert got.base is not None and len(got.base) == rows
+    assert got.__array_interface__["data"][0] == got.base.__array_interface__["data"][0]
+
+
 def test_one_lane_run_is_the_hand_loop_at_every_length():
-    # 0 to 300 steps crosses the buffer's first doublings at _CHUNK and 2 _CHUNK rows
+    # 0 to 300 steps, each a max_iter run that takes its rows at once; the
+    # tolerance-stopped runs below cross the buffer's doublings
     s = 0.1
     sched = make_schedule("e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1)
     want = _loop(make_stepper("lt_s_igahd", s, schedule=sched), f2(), [1.0, -2.0], s, 300)
@@ -55,7 +63,61 @@ def test_one_lane_run_is_the_hand_loop_at_every_length():
             got, ref = getattr(traj, field), want[field][:rows]
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (max_iter, field)
             # a view of the buffer, which a run that reaches max_iter fills exactly
-            assert got.base is not None and got.base.shape == got.shape, (max_iter, field)
+            _assert_views_from_row_0(got, rows)
+
+
+def test_tolerance_stopped_run_is_the_hand_loop_across_the_doublings():
+    # stops from 39 to about 900 steps: under a tolerance the buffer starts
+    # at _CHUNK rows and doubles when full
+    s = 0.01
+    sched = make_schedule("e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1)
+    stepper = make_stepper("lt_s_igahd", s, schedule=sched)
+    got = [run(stepper, f2(), [1.0, -2.0], s, StoppingRule("known_min_f", eps), record_y=True)
+           for eps in np.geomspace(1e-1, 1e-12, 24)]
+    stops = [res.n_final for _, res in got]
+    assert all(res.termination == "tolerance_met" for _, res in got)
+    assert min(stops) < _CHUNK and max(stops) > 4 * _CHUNK
+    want = _loop(stepper, f2(), [1.0, -2.0], s, max(stops))
+    for traj, res in got:
+        rows = res.n_final + 1
+        for field in FIELDS:
+            arr, ref = getattr(traj, field), want[field][:rows]
+            assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes(), (rows, field)
+            assert rows <= len(arr.base) <= max(_CHUNK, 2 * rows), (rows, field)
+
+
+def test_diverging_max_iter_run_took_its_rows_at_the_start():
+    # pim at s = 16 overflows at n = 84 of a 10^5-step run: its rows view
+    # the 10^5 + 1 row buffer the run took before its first step
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj, res = run(make_stepper("pim", 16.0), f1(), [1.0, -2.0], 16.0,
+                        StoppingRule("max_iter"), max_iter=10**5)
+    assert res.termination == "diverged" and res.n_final < _CHUNK
+    assert traj.xs.shape == (res.n_final + 1, 2)
+    for field in ("xs", "fs", "grads"):
+        _assert_views_from_row_0(getattr(traj, field), 10**5 + 1)
+
+
+@pytest.mark.parametrize("objective", [f1, f2])
+def test_max_iter_lanes_with_one_diverging_mid_run_are_their_runs(objective):
+    # pim at s = 16 overflows mid-run (n = 84 on f1, 321 on f2); the other
+    # lanes then record into a segment sized for the rows still to come
+    obj = objective()
+    ss = [0.01, 0.1, 16.0, 0.2, 0.05]
+    x0s = np.array([[1.0, -2.0], [0.5, 3.0], [1.0, -2.0], [-1.0, 1.0], [2.0, 2.0]])
+    rule = StoppingRule("max_iter")
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajs, results = run_lanes(make_stepper("pim", ss), obj, x0s, ss, rule, 600,
+                                   record=True)
+        singles = [run(make_stepper("pim", s), obj, x0, s, rule, 600)
+                   for x0, s in zip(x0s, ss)]
+    assert [r.termination for r in results] == ["max_iter"] * 2 + ["diverged"] + ["max_iter"] * 2
+    assert 1 < results[2].n_final < 600
+    for traj, res, (want_traj, want) in zip(trajs, results, singles):
+        assert res == want
+        for field in ("xs", "fs", "grads"):
+            got, ref = getattr(traj, field), getattr(want_traj, field)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field
 
 
 @pytest.mark.parametrize("objective", [f1, f2])
@@ -120,15 +182,28 @@ print((peak - before) / (traj.xs.nbytes + traj.grads.nbytes))
 """
 
 
+@pytest.fixture(scope="module")
+def probe_ratio() -> float:
+    """The probe's peak over its trajectory, from one fresh process."""
+    src = str(Path(splitgrad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return float(out)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
-def test_recorded_run_holds_its_trajectory_about_once():
+def test_recorded_run_holds_its_trajectory_about_once(probe_ratio):
     # a recorded 5000-step run on a dim-300 quadratic may raise the peak
     # resident set by at most 1.5 times its xs and grads (about 2 when the
     # rows were stacked at the stop). The probe runs in a fresh process and
     # reads the peak as VmHWM: ru_maxrss would start from the peak of the
     # process that spawned it, here the test run.
-    src = str(Path(splitgrad.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert float(out) <= 1.5
+    assert probe_ratio <= 1.5
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_max_iter_run_holds_its_trajectory_once(probe_ratio):
+    # the probe's run stops only at max_iter, so it writes its rows into
+    # buffers of their exact length, with no copy as they grow
+    assert probe_ratio <= 1.1

@@ -8,7 +8,6 @@ from splitgrad.algorithms import make_stepper
 from splitgrad.schedules import (
     a_coefficients,
     check_assumptions,
-    g_neg_factored,
     gn_hn_in,
     make_schedule,
     n2,
@@ -133,6 +132,16 @@ def test_a_coefficients_and_g_h_i():
     assert n2(3.0, g, h, i) == 3.23606797749979
 
 
+def _g_neg_factored(s: float, lipschitz: float, gamma_n, lambda_n, omega_n):
+    """-G_n in factored form, (gamma_n^2 - s^2) + [(s + gamma_n(1 - Ls)) -
+    (lambda_n + omega_n)]^2; a second route to check gn_hn_in. It squares
+    as products, as gn_hn_in does, so a number and an array agree bitwise."""
+    gamma_n = np.asarray(gamma_n, dtype=float)
+    w = np.asarray(lambda_n, dtype=float) + np.asarray(omega_n, dtype=float)
+    d = (s + gamma_n * (1.0 - lipschitz * s)) - w
+    return (gamma_n * gamma_n - s * s) + d * d
+
+
 def test_factored_g_matches_direct():
     rng = np.random.RandomState(991)
     for _ in range(200):
@@ -142,7 +151,7 @@ def test_factored_g_matches_direct():
         lam = rng.uniform(0.0, 1.0)
         om = rng.uniform(0.0, 1.0)
         g = gn_hn_in(s, lip, gam, lam, om)[0]
-        gf = g_neg_factored(s, lip, gam, lam, om)
+        gf = _g_neg_factored(s, lip, gam, lam, om)
         scale = max(1.0, abs(g), abs(gf))
         assert abs(g + gf) <= 8.0 * EPS * scale
 
