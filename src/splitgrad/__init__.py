@@ -14,10 +14,9 @@ from .schedules import (AdmissibilityReport, Schedule, check_assumptions,
 from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, ScheduleRun,
                          StoppingRule, Trajectory, coefficient_map, init_state,
                          make_stepper, run, run_lanes, run_schedules)
-from .splitting import (HamiltonianSystem, SplitSystem, SubFlow,
-                        forward_euler_hamiltonian, lie_trotter_compose,
-                        rk4_step, stormer_verlet, strang_compose,
-                        symplectic_euler)
+from .splitting import (HamiltonianSystem, euler_advance, forward_euler_hamiltonian,
+                        lie_trotter_compose, rk4_step, stormer_verlet,
+                        strang_compose, symplectic_euler)
 from .constructions import (ContinuousTrajectory, ardm_construction,
                             igahd_construction, integrate_first_order_vd,
                             integrate_second_order_hessian_vd,
@@ -39,7 +38,7 @@ __all__ = [
     "ALGORITHM_NAMES", "IterState", "RunResult", "ScheduleRun", "StoppingRule",
     "Trajectory", "coefficient_map", "init_state", "make_stepper", "run", "run_lanes",
     "run_schedules",
-    "HamiltonianSystem", "SplitSystem", "SubFlow", "forward_euler_hamiltonian",
+    "HamiltonianSystem", "euler_advance", "forward_euler_hamiltonian",
     "lie_trotter_compose", "rk4_step", "stormer_verlet", "strang_compose",
     "symplectic_euler",
     "ContinuousTrajectory", "ardm_construction", "igahd_construction",

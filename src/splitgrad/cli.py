@@ -148,6 +148,11 @@ _METHOD_OPTIONS = {"beta": ("igahd", "polyak_igahd"), "gamma": ("pim",),
 
 def cmd_run(args) -> int:
     config = _parse_params(args.config) if args.config else {}
+    # a config holds run options, and objective_params, which only it can give
+    known = (set(vars(args)) - {"command", "func", "config"}) | {"objective_params"}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"--config keys that are not run options: {', '.join(unknown)}")
     obj = make_objective(_cfg(args, config, "objective", "f2"),
                          **_as_params(config.get("objective_params", {}), "objective_params"))
     algorithm = _cfg(args, config, "algorithm", "agm2")
@@ -165,7 +170,13 @@ def cmd_run(args) -> int:
     epsilon = _finite("--epsilon", _cfg(args, config, "epsilon", 1e-10))
     max_iter = _max_iter(_cfg(args, config, "max_iter", 50000))
     stop_kind = _cfg(args, config, "stop", algorithms.default_stop(obj))
-    out_dir = Path(_cfg(args, config, "out", "out"))
+    out = _cfg(args, config, "out", "out")
+    if not isinstance(out, str):
+        raise ValueError(f"--out must be a path, got {out!r}")
+    out_dir = Path(out)
+    record_energy = _cfg(args, config, "record_energy", False)
+    if not isinstance(record_energy, bool):
+        raise ValueError(f"--record-energy must be true or false, got {record_energy!r}")
 
     algorithms.check_stepsize(s, obj)
     sched_label = _cfg(args, config, "schedule", None)
@@ -195,7 +206,7 @@ def cmd_run(args) -> int:
     header = (["n"] + [f"x{i}" for i in range(dim)] + ["f", "fgap", "gradnorm"]
               + [f"v{i}" for i in range(dim)])
     e_col = None
-    if args.record_energy:
+    if record_energy:
         x_star = obj.argmin_point if obj.argmin_kind == "unique" else None
         # the energy takes lambda_n from the coefficients the stepper ran
         # with; nag's velocity form has lambda_n = 0
@@ -485,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stop", choices=("consecutive_f", "known_min_f", "max_iter"))
     p_run.add_argument("--beta", type=float, help="damping weight for igahd variants")
     p_run.add_argument("--gamma", type=float, help="friction for the proximal inertial map")
-    p_run.add_argument("--record-energy", action="store_true",
+    p_run.add_argument("--record-energy", action="store_true", default=None,
                        help="add the Lyapunov energy column to the CSV")
     p_run.add_argument("--config", help="JSON file with any of the above keys")
     p_run.add_argument("--out")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .objectives import Objective
 from .schedules import Schedule
-from .splitting import (Field, HamiltonianSystem, Phase, SplitSystem, SubFlow,
+from .splitting import (Field, HamiltonianSystem, Phase, euler_advance,
                         lie_trotter_compose, rk4_step, symplectic_euler,
                         stormer_verlet)
 
@@ -102,8 +102,7 @@ def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: in
     def grad_flow(t, x, vv):
         return -h * obj.grad(x), np.zeros_like(vv)
 
-    split = SplitSystem([SubFlow.euler(drift), SubFlow.euler(kick),
-                         SubFlow.euler(grad_flow)])
+    split = (euler_advance(drift), euler_advance(kick), euler_advance(grad_flow))
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: x0.copy(),
                     lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
 
@@ -113,25 +112,13 @@ def igahd_construction(obj: Objective, x0, alpha: float, beta: float,
     """Two-way split of the Hessian-damped inertial system: the
     non-potential part (inertial averaging plus the Hessian-drive terms)
     advanced by explicit Euler, then the kinetic-plus-potential part by the
-    kick-then-drift symplectic Euler map. The Hessian-velocity product is
-    replaced by the consecutive-gradient quotient
-    (grad f(x) - grad f(x - h v)) / h, which keeps the whole step first
-    order in gradient calls. Matches the stepper variant whose vanishing
-    correction uses grad f(x_n)."""
+    kick-then-drift symplectic Euler map. It calls the general form,
+    lt_s_igahd_construction's body, at the fixed coefficients
+    (lambda_n, omega_n, gamma_n) = (beta h, beta h / n, 0), which match
+    the stepper variant whose vanishing correction uses grad f(x_n)."""
     _check_alpha(alpha)
-    hs = _unit_mass_system(obj)
-
-    def step(n, x, v):
-        g = obj.grad(x)
-        t_n = n * h
-        a_n = (n - alpha) / n
-        hess_v = (g - obj.grad(x - h * v)) / h
-        y = x + h * a_n * v - beta * h * h * hess_v - (beta * h * h / t_n) * g
-        v_half = (a_n * v - beta * h * hess_v - (beta * h / t_n) * g
-                  + h * g - h * obj.grad(y))
-        return symplectic_euler(hs, (x, v_half), h, "se2")
-
-    return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
+    return _hessian_damped(obj, x0, h, n_steps,
+                           lambda n: ((n - alpha) / n, beta * h, beta * h / n, 0.0))
 
 
 def lt_s_igahd_construction(obj: Objective, x0, alpha: float,
@@ -143,11 +130,21 @@ def lt_s_igahd_construction(obj: Objective, x0, alpha: float,
     _check_alpha(alpha)
     _check_step(h)
     schedule.check_matches(h * h, alpha)
+    return _hessian_damped(obj, x0, h, n_steps, schedule.coeffs_at)
+
+
+def _hessian_damped(obj: Objective, x0, h: float, n_steps: int,
+                    coeffs: Callable[[int], tuple]) -> Array:
+    """The body of both constructions above; coeffs(n) gives
+    (a_n, lambda_n, omega_n, gamma_n). The Hessian-velocity product is
+    replaced by the consecutive-gradient quotient
+    (grad f(x) - grad f(x - h v)) / h, which keeps the whole step first
+    order in gradient calls."""
     hs = _unit_mass_system(obj)
 
     def step(n, x, v):
         g = obj.grad(x)
-        a_n, lam, om, gam = schedule.coeffs_at(n)
+        a_n, lam, om, gam = coeffs(n)
         hess_v = (g - obj.grad(x - h * v)) / h
         y = x + h * a_n * v - h * lam * hess_v - om * g
         v_half = (a_n * v - lam * hess_v - (om / h) * g + (gam / h) * g
@@ -182,10 +179,8 @@ def pim_construction(obj: Objective, x0, gamma: float, h: float, n_steps: int) -
     if not gamma >= 0.0:
         raise ValueError(f"friction must be nonnegative, got {gamma}")
     hs = _unit_mass_system(obj)
-    friction = SubFlow.euler(lambda t, x, vv: (np.zeros_like(x), -gamma * vv))
-    conservative = SubFlow(field=lambda t, x, vv: (vv, -obj.grad(x)),
-                           advance=lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2"))
-    split = SplitSystem([friction, conservative])
+    split = (euler_advance(lambda t, x, vv: (np.zeros_like(x), -gamma * vv)),
+             lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2"))
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h,
                     lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
 
@@ -194,18 +189,9 @@ def lt_se1_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int
     """Split with the drift-then-kick symplectic Euler map on the potential
     part. The auxiliary velocity carries a gradient perturbation,
     v_n = (x_n - x_{n-1})/h - h grad f(x_n), maintained exactly by the
-    composite step."""
-    _check_alpha(alpha)
-    hs = _unit_mass_system(obj)
-
-    def step(n, x, v):
-        g = obj.grad(x)
-        a_n = (n - alpha) / n
-        v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * g
-        return symplectic_euler(hs, (x, v_half), h, "se1")
-
-    return _iterate(obj, x0, h, n_steps,
-                    lambda x0, x1: (x1 - x0) / h - h * obj.grad(x1), step)
+    composite step. It calls the general form, lt_se3_construction's body,
+    at theta identically 1."""
+    return _rescaled_se1(obj, x0, alpha, h, n_steps, lambda n: 1.0)
 
 
 def lt_sv2_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
@@ -230,7 +216,13 @@ def lt_se3_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int
     """Time-rescaled variant of lt_se1_construction: the potential entering
     the symplectic leg at step n is theta_n * f, by default with
     theta_n = 1/max(n, 1), so the gradient perturbation in the velocity
-    decays with theta. theta identically 1 recovers lt_se1_construction."""
+    decays with theta. theta identically 1 is lt_se1_construction."""
+    return _rescaled_se1(obj, x0, alpha, h, n_steps, theta)
+
+
+def _rescaled_se1(obj: Objective, x0, alpha: float, h: float, n_steps: int,
+                  theta: Callable[[int], float]) -> Array:
+    """The body of lt_se1_construction and lt_se3_construction."""
     _check_alpha(alpha)
 
     def step(n, x, v):

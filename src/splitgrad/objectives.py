@@ -194,19 +194,23 @@ def f2() -> Objective:
 def quadratic(a_matrix, b_vector=None) -> Objective:
     """f(x) = x'Ax/2 + b'x for symmetric positive-semidefinite A.
 
-    The Lipschitz constant is the largest eigenvalue of A. Rejects matrices
-    with a negative eigenvalue and linear terms outside the range of A
-    (those make f unbounded below).
+    The Lipschitz constant is the largest eigenvalue of A. Rejects a NaN or
+    infinite entry of A or b before anything else, then matrices with a
+    negative eigenvalue and linear terms outside the range of A (those make
+    f unbounded below).
     """
     a = np.asarray(a_matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"quadratic matrix must be square, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + float(np.abs(a).max()))):
-        raise ValueError("quadratic matrix must be symmetric")
     dim = a.shape[0]
     b = np.zeros(dim) if b_vector is None else np.asarray(b_vector, dtype=float)
     if b.shape != (dim,):
         raise ValueError(f"linear term has shape {b.shape}, expected ({dim},)")
+    for label, arr in (("quadratic matrix", a), ("linear term", b)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{label} entries must be finite")
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + float(np.abs(a).max()))):
+        raise ValueError("quadratic matrix must be symmetric")
 
     eigs, vecs = np.linalg.eigh(a)
     tol = 1e-12 * max(1.0, float(eigs[-1]))
@@ -264,7 +268,7 @@ def make_objective(name: str, **params) -> Objective:
     (the latter takes a_matrix and optional b_vector)."""
     try:
         factory = _BUILTIN[name]
-    except KeyError:
+    except (KeyError, TypeError):   # TypeError: a name that cannot be a key
         raise ValueError(f"unknown objective {name!r}; choose from {sorted(_BUILTIN)}") from None
     try:
         inspect.signature(factory).bind(**params)

@@ -2,8 +2,12 @@
 
 Phase-space states are plain (x, v) pairs of arrays. Vector fields have the
 signature field(t, x, v) -> (dx, dv); autonomous fields simply ignore t.
-A Lie-Trotter step evaluates every sub-flow at t_n; a Strang step advances
-each sub-flow from the start of its stretch of [t_n, t_n + h].
+An advance map (t, x, v, h) -> (x, v) moves one summand of a split field
+over a step h from time t: its exact flow when that has a closed form, or
+any one-step integrator, such as `euler_advance(field)`. A split is a
+non-empty sequence of advance maps, in application order. A Lie-Trotter
+step evaluates every map at t_n; a Strang step advances each map from the
+start of its stretch of [t_n, t_n + h].
 """
 
 from __future__ import annotations
@@ -29,61 +33,38 @@ def euler_advance(field: Field) -> Advance:
     return advance
 
 
-@dataclass(frozen=True)
-class SubFlow:
-    """One summand of a split field together with the map used to advance
-    it. `advance` may be the exact flow (when available in closed form) or
-    any one-step integrator."""
-
-    field: Field
-    advance: Advance
-
-    @classmethod
-    def euler(cls, field: Field) -> "SubFlow":
-        return cls(field=field, advance=euler_advance(field))
-
-
-@dataclass(frozen=True)
-class SplitSystem:
-    """An ordered decomposition F = F1 + ... + Fm. The list order is the
-    application order for the sequential composition."""
-
-    sub_flows: Tuple[SubFlow, ...]
-
-    def __init__(self, sub_flows: Sequence[SubFlow]):
-        object.__setattr__(self, "sub_flows", tuple(sub_flows))
-        if not self.sub_flows:
-            raise ValueError("a split system needs at least one sub-flow")
-
-
-def lie_trotter_compose(split: SplitSystem, state: Phase, t_n: float, h: float) -> Phase:
-    """Sequential (Lie-Trotter) composite step: apply each sub-flow's
-    integrator for a full step h, in list order, all evaluated at t_n.
-    Reversing the list gives the adjoint composition."""
+def _check_split(split: Sequence[Advance], h: float) -> None:
+    if not split:
+        raise ValueError("a split needs at least one advance map")
     if h <= 0.0:
         raise ValueError(f"stepsize must be positive, got {h}")
+
+
+def lie_trotter_compose(split: Sequence[Advance], state: Phase, t_n: float,
+                        h: float) -> Phase:
+    """Sequential (Lie-Trotter) composite step: apply each advance map for
+    a full step h, in sequence order, all evaluated at t_n. Reversing the
+    sequence gives the adjoint composition."""
+    _check_split(split, h)
     x, v = state
-    for sf in split.sub_flows:
-        x, v = sf.advance(t_n, x, v, h)
+    for advance in split:
+        x, v = advance(t_n, x, v, h)
     return x, v
 
 
-def strang_compose(split: SplitSystem, state: Phase, t_n: float, h: float) -> Phase:
+def strang_compose(split: Sequence[Advance], state: Phase, t_n: float, h: float) -> Phase:
     """Palindromic (Strang) composite step: half-steps of the leading
-    sub-flows from t_n around a full step of the last one from t_n, then
+    advance maps from t_n around a full step of the last one from t_n, then
     the half-steps replayed in reverse from t_n + h/2. Swapping the two
-    fields of a pair yields the symmetric variant."""
-    if h <= 0.0:
-        raise ValueError(f"stepsize must be positive, got {h}")
-    flows = split.sub_flows
+    maps of a pair yields the symmetric variant."""
+    _check_split(split, h)
+    *leading, last = split
     x, v = state
-    if len(flows) == 1:
-        return flows[0].advance(t_n, x, v, h)
-    for sf in flows[:-1]:
-        x, v = sf.advance(t_n, x, v, 0.5 * h)
-    x, v = flows[-1].advance(t_n, x, v, h)
-    for sf in reversed(flows[:-1]):
-        x, v = sf.advance(t_n + 0.5 * h, x, v, 0.5 * h)
+    for advance in leading:
+        x, v = advance(t_n, x, v, 0.5 * h)
+    x, v = last(t_n, x, v, h)
+    for advance in reversed(leading):
+        x, v = advance(t_n + 0.5 * h, x, v, 0.5 * h)
     return x, v
 
 

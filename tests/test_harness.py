@@ -539,6 +539,20 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
     (["ode-compare", "--v0", "1"], "--v0 must be a point of dimension 2"),
     (["sweep", "--schedule", "e24", "--grid", '{"mu": [0.0]}', "--x0", "1"],
      "--x0 must be a point of dimension 2"),
+    # a config key that no run option reads would be ignored
+    (["run", "--config", '{"stepsize": 0.5, "algoritm": "nag"}'],
+     "--config keys that are not run options: algoritm, stepsize"),
+    (["run", "--config", '{"record_energy": "yes"}'], "--record-energy must be true or false"),
+    (["run", "--config", '{"objective": ["f1"]}'], "unknown objective ['f1']"),
+    (["run", "--config", '{"objective": "quadratic", "objective_params": '
+                         '{"a_matrix": [[1, NaN], [NaN, 1]]}}'],
+     "quadratic matrix entries must be finite"),
+    (["run", "--config", '{"objective": "quadratic", "objective_params": '
+                         '{"a_matrix": [[1, Infinity], [Infinity, 1]]}}'],
+     "quadratic matrix entries must be finite"),
+    (["run", "--config", '{"objective": "quadratic", "objective_params": '
+                         '{"a_matrix": [[1, 0], [0, 1]], "b_vector": [NaN, 0]}}'],
+     "linear term entries must be finite"),
 ], ids=["run-epsilon", "run-alpha", "run-s", "run-gamma", "run-beta", "run-config-string",
         "run-config-huge-int", "run-x0", "run-config-algorithm", "run-config-x0-string",
         "run-config-x0-null", "run-config-x0-number", "run-schedule-string",
@@ -547,7 +561,26 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
         "run-config-max-iter-bool", "run-config-max-iter-string",
         "run-max-iter-unallocatable", "run-max-iter-beyond-addressing", "run-x0-length",
         "run-config-x0-empty",
-        "ode-x0-length", "ode-v0-length", "sweep-x0-length"])
+        "ode-x0-length", "ode-v0-length", "sweep-x0-length", "run-config-unknown-keys",
+        "run-config-record-energy-string", "run-config-objective-list",
+        "run-config-quadratic-nan", "run-config-quadratic-inf",
+        "run-config-quadratic-linear-nan"])
 def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):
-    _exit_2_one_line(capsys, argv + ["--out", str(tmp_path / "o")], needle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _exit_2_one_line(capsys, argv + ["--out", str(tmp_path / "o")], needle)
     assert not (tmp_path / "o").exists()
+
+
+def test_run_config_out_that_is_not_a_path_exits_2(tmp_path, capsys, monkeypatch):
+    # --out on the command line would take precedence, so none is given
+    monkeypatch.chdir(tmp_path)
+    _exit_2_one_line(capsys, ["run", "--config", '{"out": 5}'], "--out must be a path, got 5")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_config_record_energy_is_the_flag(tmp_path):
+    flag, config = tmp_path / "flag", tmp_path / "config"
+    assert cli.main(["run", "--record-energy", "--out", str(flag)]) == 0
+    assert cli.main(["run", "--config", '{"record_energy": true}', "--out", str(config)]) == 0
+    assert (flag / "trajectory.csv").read_bytes() == (config / "trajectory.csv").read_bytes()

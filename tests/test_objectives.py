@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,20 @@ def test_quadratic_rejects_bad_input():
         quadratic([[-1.0, 0.0], [0.0, 1.0]])           # negative eigenvalue
     with pytest.raises(ValueError):
         quadratic([[1.0, 1.0], [1.0, 1.0]], [1.0, -1.0])  # unbounded below
+
+
+@pytest.mark.parametrize("a,b,needle", [
+    ([[1.0, np.nan], [np.nan, 1.0]], None, "quadratic matrix"),
+    ([[1.0, 2.0], [0.0, np.nan]], None, "quadratic matrix"),   # also not symmetric
+    ([[1.0, np.inf], [np.inf, 1.0]], None, "quadratic matrix"),
+    ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0], "linear term"),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, -np.inf], "linear term"),
+], ids=["a-nan", "a-nan-asymmetric", "a-inf", "b-nan", "b-inf"])
+def test_quadratic_rejects_non_finite_entries_first(a, b, needle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{needle} entries must be finite$"):
+            quadratic(a, b)
 
 
 def test_dimension_check():

@@ -3,8 +3,6 @@ import pytest
 
 from splitgrad.splitting import (
     HamiltonianSystem,
-    SplitSystem,
-    SubFlow,
     euler_advance,
     forward_euler_hamiltonian,
     lie_trotter_compose,
@@ -85,9 +83,9 @@ def test_symplectic_euler_is_first_order():
 
 
 def _drift_kick_split():
-    drift = SubFlow.euler(lambda t, x, v: (v, np.zeros_like(v)))
-    kick = SubFlow.euler(lambda t, x, v: (np.zeros_like(x), -x))
-    return SplitSystem([drift, kick])
+    drift = euler_advance(lambda t, x, v: (v, np.zeros_like(v)))
+    kick = euler_advance(lambda t, x, v: (np.zeros_like(x), -x))
+    return (drift, kick)
 
 
 def test_lie_trotter_equals_se1_on_drift_kick():
@@ -122,11 +120,9 @@ def test_strang_is_second_order_with_exact_subflows():
 def test_strang_is_second_order_on_a_time_dependent_split():
     # x' = v, v' = -(3/t) v on [1, 2], split into its exact damping and drift
     # flows: the closing damping half-step must start at t_n + h/2
-    damping = SubFlow(field=lambda t, x, v: (np.zeros_like(x), -(3.0 / t) * v),
-                      advance=lambda t, x, v, tau: (x, v * (t / (t + tau)) ** 3))
-    drift = SubFlow(field=lambda t, x, v: (v, np.zeros_like(v)),
-                    advance=lambda t, x, v, tau: (x + tau * v, v))
-    split = SplitSystem([damping, drift])
+    damping = lambda t, x, v, tau: (x, v * (t / (t + tau)) ** 3)
+    drift = lambda t, x, v, tau: (x + tau * v, v)
+    split = (damping, drift)
 
     def err(n):
         h = 1.0 / n
@@ -150,10 +146,10 @@ def test_lie_trotter_is_first_order_on_noncommuting_pair():
 
 def test_lie_trotter_on_commuting_fields_is_plain_euler():
     # decoupled decays commute; the composite is Euler on the sum, order 1
-    split = SplitSystem([
-        SubFlow.euler(lambda t, x, v: (-x, np.zeros_like(v))),
-        SubFlow.euler(lambda t, x, v: (np.zeros_like(x), -2.0 * v)),
-    ])
+    split = (
+        euler_advance(lambda t, x, v: (-x, np.zeros_like(v))),
+        euler_advance(lambda t, x, v: (np.zeros_like(x), -2.0 * v)),
+    )
     state = (np.array([1.0]), np.array([1.0]))
 
     def err(h):
@@ -166,17 +162,18 @@ def test_lie_trotter_on_commuting_fields_is_plain_euler():
 
 
 def test_strang_single_flow_takes_one_full_step():
-    flow = SubFlow.euler(lambda t, x, v: (-x, np.zeros_like(v)))
-    split = SplitSystem([flow])
+    flow = euler_advance(lambda t, x, v: (-x, np.zeros_like(v)))
     state = (np.array([2.0]), np.array([0.0]))
-    xs, vs = strang_compose(split, state, 0.0, H)
-    xe, ve = flow.advance(0.0, state[0], state[1], H)
+    xs, vs = strang_compose((flow,), state, 0.0, H)
+    xe, ve = flow(0.0, state[0], state[1], H)
     assert np.array_equal(xs, xe) and np.array_equal(vs, ve)
 
 
-def test_split_system_requires_subflows():
-    with pytest.raises(ValueError):
-        SplitSystem([])
+def test_compose_rejects_an_empty_split():
+    for compose in (lie_trotter_compose, strang_compose):
+        for split in ((), []):
+            with pytest.raises(ValueError, match="at least one advance map"):
+                compose(split, START, 0.0, H)
 
 
 def test_compose_rejects_nonpositive_step():
