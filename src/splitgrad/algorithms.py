@@ -592,7 +592,12 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
 def _map(name: str, s: float, alpha: float, schedule: Optional[Schedule], beta: float,
          gamma: float) -> Callable:
     """The map a method steps by: its Schedule's for lt_s_igahd, else the
-    `CoefficientMap` of its row of `_METHODS`."""
+    `CoefficientMap` of its row of `_METHODS`. beta must be finite and
+    gamma finite and nonnegative, whichever method is named."""
+    if not -np.inf < beta < np.inf:
+        raise ValueError(f"beta must be finite, got {beta}")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"friction gamma must be nonnegative and finite, got {gamma}")
     if name == "lt_s_igahd":
         if schedule is None:
             raise ValueError("lt_s_igahd needs a schedule")

@@ -12,9 +12,13 @@ Conventions: the discretization clock is t_n = n*h. Every construction
 runs through one driver, which takes the bootstrap x1, starts from v_1, the
 auxiliary velocity that the method computes from x0 and x1 so as to
 reproduce the discrete method, and applies composite step n, which maps
-(x_n, v_n) to (x_{n+1}, v_{n+1}), for n = 1, ..., n_steps - 1. A
-construction adds only its parameter checks, its start velocity and its
-composite step, and imports no formula from `algorithms`, not even theta_n.
+(x_n, v_n) to (x_{n+1}, v_{n+1}), for n = 1, ..., n_steps - 1. The eight
+constructions share four composite steps: the three-field Lie-Trotter split
+(nesterov_lie_trotter), the friction split (pim), the Hessian-damped step
+`_hessian_damped` (igahd, lt_s_igahd, ardm) and the rescaled step
+`_rescaled_se1` (lt_se1, lt_sv2, lt_se3). A public construction adds only
+its parameter checks and the coefficients of its step, calls no other
+public one, and imports no formula from `algorithms`, not even theta_n.
 """
 
 from __future__ import annotations
@@ -112,11 +116,13 @@ def igahd_construction(obj: Objective, x0, alpha: float, beta: float,
     """Two-way split of the Hessian-damped inertial system: the
     non-potential part (inertial averaging plus the Hessian-drive terms)
     advanced by explicit Euler, then the kinetic-plus-potential part by the
-    kick-then-drift symplectic Euler map. It calls the general form,
-    lt_s_igahd_construction's body, at the fixed coefficients
-    (lambda_n, omega_n, gamma_n) = (beta h, beta h / n, 0), which match
-    the stepper variant whose vanishing correction uses grad f(x_n)."""
+    kick-then-drift symplectic Euler map. It runs `_hessian_damped` at the
+    fixed coefficients (lambda_n, omega_n, gamma_n) = (beta h, beta h / n, 0),
+    which match the stepper variant whose vanishing correction uses
+    grad f(x_n). beta must be finite."""
     _check_alpha(alpha)
+    if not -np.inf < beta < np.inf:
+        raise ValueError(f"beta must be finite, got {beta}")
     return _hessian_damped(obj, x0, h, n_steps,
                            lambda n: ((n - alpha) / n, beta * h, beta * h / n, 0.0))
 
@@ -133,39 +139,36 @@ def lt_s_igahd_construction(obj: Objective, x0, alpha: float,
     return _hessian_damped(obj, x0, h, n_steps, schedule.coeffs_at)
 
 
+def ardm_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
+    """Split of the relaxed dynamical system whose damping acts through an
+    extra gradient term: Euler on the non-potential part, kick-then-drift
+    on the potential part. It runs `_hessian_damped` with no Hessian drive,
+    at (lambda_n, omega_n, gamma_n) = (0, h^2 (1 + a_n), 0)."""
+    _check_alpha(alpha)
+
+    def coeffs(n):
+        a_n = (n - alpha) / n
+        return a_n, 0.0, h * h * (1.0 + a_n), 0.0
+
+    return _hessian_damped(obj, x0, h, n_steps, coeffs)
+
+
 def _hessian_damped(obj: Objective, x0, h: float, n_steps: int,
                     coeffs: Callable[[int], tuple]) -> Array:
-    """The body of both constructions above; coeffs(n) gives
+    """The body of the three constructions above; coeffs(n) gives
     (a_n, lambda_n, omega_n, gamma_n). The Hessian-velocity product is
     replaced by the consecutive-gradient quotient
     (grad f(x) - grad f(x - h v)) / h, which keeps the whole step first
-    order in gradient calls."""
+    order in gradient calls; a step with lambda_n = 0 skips it."""
     hs = _unit_mass_system(obj)
 
     def step(n, x, v):
         g = obj.grad(x)
         a_n, lam, om, gam = coeffs(n)
-        hess_v = (g - obj.grad(x - h * v)) / h
+        hess_v = (g - obj.grad(x - h * v)) / h if lam else 0.0
         y = x + h * a_n * v - h * lam * hess_v - om * g
         v_half = (a_n * v - lam * hess_v - (om / h) * g + (gam / h) * g
                   + h * g - h * obj.grad(y))
-        return symplectic_euler(hs, (x, v_half), h, "se2")
-
-    return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
-
-
-def ardm_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
-    """Split of the relaxed dynamical system whose damping acts through an
-    extra gradient term: Euler on the non-potential part, kick-then-drift
-    on the potential part."""
-    _check_alpha(alpha)
-    hs = _unit_mass_system(obj)
-
-    def step(n, x, v):
-        g = obj.grad(x)
-        a_n = (n - alpha) / n
-        y = x + h * a_n * v - h * h * (1.0 + a_n) * g
-        v_half = a_n * v - h * (1.0 + a_n) * g + h * g - h * obj.grad(y)
         return symplectic_euler(hs, (x, v_half), h, "se2")
 
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
@@ -175,9 +178,9 @@ def pim_construction(obj: Objective, x0, gamma: float, h: float, n_steps: int) -
     """Momentum as a dissipative/conservative split of the damped
     Hamiltonian flow: Euler on the friction field (0, -gamma v), then
     kick-then-drift symplectic Euler on the conservative field. gamma = 0
-    leaves the bare symplectic map."""
-    if not gamma >= 0.0:
-        raise ValueError(f"friction must be nonnegative, got {gamma}")
+    leaves the bare symplectic map; gamma must be finite."""
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"friction gamma must be nonnegative and finite, got {gamma}")
     hs = _unit_mass_system(obj)
     split = (euler_advance(lambda t, x, vv: (np.zeros_like(x), -gamma * vv)),
              lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2"))
@@ -189,40 +192,33 @@ def lt_se1_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int
     """Split with the drift-then-kick symplectic Euler map on the potential
     part. The auxiliary velocity carries a gradient perturbation,
     v_n = (x_n - x_{n-1})/h - h grad f(x_n), maintained exactly by the
-    composite step. It calls the general form, lt_se3_construction's body,
-    at theta identically 1."""
-    return _rescaled_se1(obj, x0, alpha, h, n_steps, lambda n: 1.0)
+    composite step. It runs `_rescaled_se1` at theta identically 1."""
+    return _rescaled_se1(obj, x0, alpha, h, n_steps, lambda n: 1.0,
+                         symplectic_euler, "se1", 1.0)
 
 
 def lt_sv2_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
     """As lt_se1_construction with the potential part advanced by the
     kick-drift-kick second-order map instead; the velocity perturbation is
     halved accordingly, v_n = (x_n - x_{n-1})/h - (h/2) grad f(x_n)."""
-    _check_alpha(alpha)
-    hs = _unit_mass_system(obj)
-
-    def step(n, x, v):
-        g = obj.grad(x)
-        a_n = (n - alpha) / n
-        v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * g
-        return stormer_verlet(hs, (x, v_half), h, "sv2")
-
-    return _iterate(obj, x0, h, n_steps,
-                    lambda x0, x1: (x1 - x0) / h - 0.5 * h * obj.grad(x1), step)
+    return _rescaled_se1(obj, x0, alpha, h, n_steps, lambda n: 1.0,
+                         stormer_verlet, "sv2", 0.5)
 
 
-def lt_se3_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int,
-                        theta: Callable[[int], float] = lambda n: 1.0 / max(n, 1)) -> Array:
+def lt_se3_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
     """Time-rescaled variant of lt_se1_construction: the potential entering
-    the symplectic leg at step n is theta_n * f, by default with
-    theta_n = 1/max(n, 1), so the gradient perturbation in the velocity
-    decays with theta. theta identically 1 is lt_se1_construction."""
-    return _rescaled_se1(obj, x0, alpha, h, n_steps, theta)
+    the symplectic leg at step n is theta_n * f with theta_n = 1/max(n, 1),
+    so the gradient perturbation in the velocity decays with theta."""
+    return _rescaled_se1(obj, x0, alpha, h, n_steps, lambda n: 1.0 / max(n, 1),
+                         symplectic_euler, "se1", 1.0)
 
 
 def _rescaled_se1(obj: Objective, x0, alpha: float, h: float, n_steps: int,
-                  theta: Callable[[int], float]) -> Array:
-    """The body of lt_se1_construction and lt_se3_construction."""
+                  theta: Callable[[int], float], leg: Callable, variant: str,
+                  c: float) -> Array:
+    """The body of the three constructions above: the symplectic leg
+    leg(..., variant) at step n runs on the potential theta_n * f, and
+    the start velocity is v_1 = (x_1 - x_0)/h - c h grad f(x_1)."""
     _check_alpha(alpha)
 
     def step(n, x, v):
@@ -230,10 +226,10 @@ def _rescaled_se1(obj: Objective, x0, alpha: float, h: float, n_steps: int,
         a_n = (n - alpha) / n
         th = theta(n)
         v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * th * g
-        return symplectic_euler(_unit_mass_system(obj, th), (x, v_half), h, "se1")
+        return leg(_unit_mass_system(obj, th), (x, v_half), h, variant)
 
     return _iterate(obj, x0, h, n_steps,
-                    lambda x0, x1: (x1 - x0) / h - h * theta(0) * obj.grad(x1), step)
+                    lambda x0, x1: (x1 - x0) / h - c * h * obj.grad(x1), step)
 
 
 @dataclass(frozen=True)

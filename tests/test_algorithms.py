@@ -7,6 +7,7 @@ import pytest
 from splitgrad.algorithms import (
     ALGORITHM_NAMES,
     StoppingRule,
+    coefficient_map,
     default_theta,
     init_state,
     make_stepper,
@@ -238,6 +239,22 @@ def test_make_stepper_rejects_alpha_mismatch():
     with pytest.raises(ValueError, match="alpha"):
         make_stepper("lt_s_igahd", S, alpha=5.0, schedule=sch)
     make_stepper("lt_s_igahd", S, alpha=3.0, schedule=sch)
+
+
+@pytest.mark.parametrize("name,kw,needle", [
+    ("igahd", {"beta": float("nan")}, "beta must be finite"),
+    ("polyak_igahd", {"beta": float("inf")}, "beta must be finite"),
+    ("igahd", {"beta": -float("inf")}, "beta must be finite"),
+    ("pim", {"gamma": -5.0}, "gamma must be nonnegative"),
+    ("pim", {"gamma": float("inf")}, "gamma must be nonnegative and finite"),
+    ("pim", {"gamma": float("nan")}, "gamma must be nonnegative and finite"),
+])
+def test_make_stepper_and_coefficient_map_reject_bad_beta_or_gamma(name, kw, needle):
+    # the rule of igahd_construction and pim_construction, in both entry points
+    with pytest.raises(ValueError, match=needle):
+        make_stepper(name, S, **kw)
+    with pytest.raises(ValueError, match=needle):
+        coefficient_map(name, S, **kw)
 
 
 def test_make_stepper_stepsize_tolerance():

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +103,16 @@ def test_pim_gamma_zero_keeps_bounded_band():
 
 
 def test_pim_rejects_negative_friction():
-    with pytest.raises(ValueError):
-        con.pim_construction(f1(), X0, -0.5, H, 10)
+    # and an infinite one, as make_stepper does
+    for gamma in (-0.5, float("inf")):
+        with pytest.raises(ValueError, match="gamma must be nonnegative and finite"):
+            con.pim_construction(f1(), X0, gamma, H, 10)
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+def test_igahd_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        con.igahd_construction(f1(), X0, 3.0, beta, H, 10)
 
 
 def test_lt_se1_construction_equals_stepper():
@@ -122,13 +131,6 @@ def test_lt_se3_construction_equals_stepper():
     for obj in (f1(), f2()):
         xs = con.lt_se3_construction(obj, X0, 3.0, H, N)
         assert _rel_gap(xs, _stepper_xs(obj, "lt_se3", N)) <= 1e-12
-
-
-def test_lt_se3_constant_theta_reduces_to_lt_se1():
-    obj = f2()
-    xs3 = con.lt_se3_construction(obj, X0, 3.0, H, N, theta=lambda n: 1.0)
-    xs1 = con.lt_se1_construction(obj, X0, 3.0, H, N)
-    assert np.array_equal(xs3, xs1)
 
 
 def test_stationary_start_stays_fixed():
@@ -203,11 +205,11 @@ def test_route_imports_nothing_from_the_direct_steppers():
         assert "algorithms" not in parts, ast.unparse(node)
 
 
-def _routes(h):
+def _routes(h, sched_beta=0.1):
     """Each construction at stepsize h from its start velocity, keyed by
     the direct stepper it reproduces at s = h^2, with that stepper's
-    keywords."""
-    sch = make_schedule("e25", s=h * h, beta=0.1, b=2.0, mu=0.1)
+    keywords. lt_s_igahd runs on an e25 schedule with beta = sched_beta."""
+    sch = make_schedule("e25", s=h * h, beta=sched_beta, b=2.0, mu=0.1)
     return {
         "agm2": (lambda obj, x0, n: con.nesterov_lie_trotter(obj, x0, 3.0, h, n), {}),
         "igahd": (lambda obj, x0, n: con.igahd_construction(obj, x0, 3.0, 1.0, h, n),
@@ -234,6 +236,111 @@ def test_short_runs_keep_shape_and_bootstrap_row(name, n_steps):
     if n_steps:
         # bootstrap x1 = x0 - h^2 grad f(x0)
         assert np.array_equal(xs[1], np.asarray(X0) - S * obj.grad(np.asarray(X0)))
+
+
+# SHA-256 of each construction's x-iterates over 1000 steps from X0, keyed
+# by (route, objective, h); lt_s_igahd's schedule has beta = h, which e25
+# admits at both stepsizes
+ROUTE_DIGESTS = {
+    ("agm2", "f1", 0.1):
+        "d7f22964e02675d72c8789ab6eec9eef7efdc5ce9b3e1f2506a0af5130cba4cc",
+    ("agm2", "f2", 0.1):
+        "bca72a707d6e6a506cb1a7f5830501783c15140180564cc4af439848cb5404c1",
+    ("igahd", "f1", 0.1):
+        "e4a9c35105b866a1b99c2b87fa9fc9903fdc352794740df1db3c42797a5b3063",
+    ("igahd", "f2", 0.1):
+        "fd56806125be89c31ac6e2fc31088384c54e00d26b0981245162e3c19af35152",
+    ("lt_s_igahd", "f1", 0.1):
+        "0b99b28273b9c6b9c775a8b948bc330464b4dc00137aaed0bbde0647962587fb",
+    ("lt_s_igahd", "f2", 0.1):
+        "5f04d1edca93eca5cd82be129c9fec5427646197a3a3f11deacbbc731b127bf4",
+    ("ardm", "f1", 0.1):
+        "6623afc68300a212876f737e41d1821a423d7fb49d124d6363b5c6db833d4a0b",
+    ("ardm", "f2", 0.1):
+        "398b8066f1c6d1def64be2838227dae22338468d3f1ac8d61aadf165527db40b",
+    ("pim", "f1", 0.1):
+        "653b9ffd6db9a4ef9bf5176191cbfbf8dc1e2746fa989af7c6e2544f6e5633ec",
+    ("pim", "f2", 0.1):
+        "fc9561b88e66afccc7dbac9dacdc0693a3eb5f486c53120c7aad0a76bf94e910",
+    ("lt_se1", "f1", 0.1):
+        "a724c5aa943692061ad31e51a6ae51bc38d367b943dafa9d89e63305499446be",
+    ("lt_se1", "f2", 0.1):
+        "5b5cb27944163a4cb19bb4766f55d3e1b7ace271a4673842344e3d10ffd1b05b",
+    ("lt_sv2", "f1", 0.1):
+        "578e65df484f204eb1245396932f2ac82731bbc160935885c7486ef6c2bb6557",
+    ("lt_sv2", "f2", 0.1):
+        "d402741104ef140b939a0eb6577eb5c02e667198791d531829cae133ece18eee",
+    ("lt_se3", "f1", 0.1):
+        "b9c4810f16459a976a35f7c2c4e132bd6016727f7724e1a783d6c3d1e7d7d411",
+    ("lt_se3", "f2", 0.1):
+        "c5e6a3a7c042f51da8c11f02ef13b5e9430e03ead871de680ca0b1ef24a216a9",
+    ("agm2", "f1", 0.05):
+        "a366605a2463de5f204820e196b123b15838eecca1ba807f87642508cd772d69",
+    ("agm2", "f2", 0.05):
+        "04c8f3c6cf1b4fbc6a74f24e5c5972194474c2f020778ab113ce9f63974c4d5e",
+    ("igahd", "f1", 0.05):
+        "833e7969fa7c40a8d58015eae51b50adbcd018ae3b8d0e4974d2a98d2c46f884",
+    ("igahd", "f2", 0.05):
+        "aee21beb0e7336261ba80e5ab10af8852ea51038223955bb4fbf5b5c8be019a6",
+    ("lt_s_igahd", "f1", 0.05):
+        "bbe4db5ac3a49395e809455eaba19a66fa09e527ce305cfb13c186eb567f5919",
+    ("lt_s_igahd", "f2", 0.05):
+        "2e061bca3f3d1411c9e0633766abfc9b0d14d335c6ca4d716f512a7a212c6273",
+    ("ardm", "f1", 0.05):
+        "287179fffaabfe95901afb4a3ce7bb112d976a924d87011340a0902670c9618b",
+    ("ardm", "f2", 0.05):
+        "08f6d042b046f8a5a2021942ae6e1680f13b7702a8774dd92e541787e2e08b58",
+    ("pim", "f1", 0.05):
+        "5226de6a34eb43d9a57de689aec3eac566d632f2b356f83217118f6956905103",
+    ("pim", "f2", 0.05):
+        "2f04eba9d595cca6abfb1c63170abb4602bb776d52b263704437fb160e762f92",
+    ("lt_se1", "f1", 0.05):
+        "f433e47130e9443445036eab5d4a3c193345b006cddf42ea9993b336932f2a4a",
+    ("lt_se1", "f2", 0.05):
+        "b17b14e8484a8e396048a8d723363ed1e53db555522bf5a5b6271c828b2abcee",
+    ("lt_sv2", "f1", 0.05):
+        "66b32891f53772524d9670fbfe528261d9ebf77b746d72e7eb3206b153415f47",
+    ("lt_sv2", "f2", 0.05):
+        "ff9cb8ad0f6b7ce90d9a662883e8a13102fa39ee7171be042320433d192c54fe",
+    ("lt_se3", "f1", 0.05):
+        "2f171baa9e924829ba86cff8f954f20f171c805cac03c3ceb93f105e0cbf40ae",
+    ("lt_se3", "f2", 0.05):
+        "6e8b5d5cd6091ca12016dfe8faab9ca6e0741b50becbb1b4fddffd5d5121d7a7",
+}
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("name", sorted(_routes(H)))
+def test_construction_digests(name, h):
+    construct, _ = _routes(h, sched_beta=h)[name]
+    for objective, obj in (("f1", f1()), ("f2", f2())):
+        xs = construct(obj, X0, 1000)
+        assert hashlib.sha256(xs.tobytes()).hexdigest() == ROUTE_DIGESTS[(name, objective, h)]
+
+
+def _counting(obj):
+    """obj with its gradient calls counted in calls[0]."""
+    calls = [0]
+
+    def gradient(x):
+        calls[0] += 1
+        return obj.gradient(x)
+
+    return dataclasses.replace(obj, gradient=gradient), calls
+
+
+@pytest.mark.parametrize("construct,want", [
+    # the bootstrap, then grad f(x_n), grad f(y_n) and the kick's grad f(x_n)
+    (lambda obj: con.ardm_construction(obj, X0, 3.0, H, 100), 1 + 99 * 3),
+    # plus grad f(x_n - h v_n) for the Hessian drive, skipped where
+    # lambda_n = 0: on e24 at n = 1 only
+    (lambda obj: con.lt_s_igahd_construction(obj, X0, 3.0, make_schedule("e24", s=S), H, 100),
+     1 + 99 * 4 - 1),
+], ids=["ardm", "lt_s_igahd-e24"])
+def test_gradient_calls_over_100_steps(construct, want):
+    obj, calls = _counting(f2())
+    construct(obj)
+    assert calls[0] == want
 
 
 def _psd_quadratic(rng, dim):
