@@ -94,9 +94,6 @@ from .schedules import Schedule
 
 Array = np.ndarray
 
-# The four-coefficient methods whose gradient step is taken at x_n, not y_n.
-GRAD_STEP_AT_X = ("pim", "polyak_igahd")
-
 # Indices a Stepper tabulates per call of its coefficient maps: a
 # tabulation from index n covers min(_CHUNK, _FIRST_CHUNK + n - 1) of them,
 # so a run's chunks, from n = 1, double from _FIRST_CHUNK to _CHUNK. A
@@ -207,6 +204,10 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
     f_next, g_next = obj.eval_grad(x_next)
     return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
                      state.f_curr, f_next, y_last=y, lanes=state.lanes)
+
+
+# The four-coefficient step with its gradient step at x_n: pim's and polyak_igahd's.
+_COEFFICIENT_STEP_AT_X = partial(coefficient_step, grad_at_x=True)
 
 
 def nag_coefficients(n, s, alpha=3.0):
@@ -592,10 +593,10 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
 def _map(name: str, s: float, alpha: float, schedule: Optional[Schedule], beta: float,
          gamma: float) -> Callable:
     """The map a method steps by: its Schedule's for lt_s_igahd, else the
-    `CoefficientMap` of its row of `_METHODS`. beta must be finite and
-    gamma finite and nonnegative, whichever method is named."""
-    if not -np.inf < beta < np.inf:
-        raise ValueError(f"beta must be finite, got {beta}")
+    `CoefficientMap` of its row of `_METHODS`. beta and gamma must be
+    finite and nonnegative, whichever method is named."""
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"friction gamma must be nonnegative and finite, got {gamma}")
     if name == "lt_s_igahd":
@@ -630,9 +631,18 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
         raise ValueError(f"{len(scheds)} schedules for {s_lanes.size} stepsizes")
     maps = [_map(name, s_k, alpha, sch, beta, gamma)
             for s_k, sch in zip(s_lanes.tolist(), scheds)]
-    kernel = (velocity_step if name == "nag"
-              else partial(coefficient_step, grad_at_x=name in GRAD_STEP_AT_X))
-    return Stepper(kernel, maps, s_lanes)
+    return Stepper(kernel_of(name), maps, s_lanes)
+
+
+def kernel_of(name: str) -> Callable:
+    """The step a named method advances by: `velocity_step` for nag, the
+    four-coefficient step with its gradient step at x_n for pim and
+    polyak_igahd, and `coefficient_step` for every other method. Methods
+    with the same kernel can run as the lanes of one `Stepper`."""
+    name = name.lower()
+    if name == "nag":
+        return velocity_step
+    return _COEFFICIENT_STEP_AT_X if name in ("pim", "polyak_igahd") else coefficient_step
 
 
 def check_alpha(name: str, alpha: float, label: str = "alpha") -> None:

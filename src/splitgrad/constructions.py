@@ -119,10 +119,10 @@ def igahd_construction(obj: Objective, x0, alpha: float, beta: float,
     kick-then-drift symplectic Euler map. It runs `_hessian_damped` at the
     fixed coefficients (lambda_n, omega_n, gamma_n) = (beta h, beta h / n, 0),
     which match the stepper variant whose vanishing correction uses
-    grad f(x_n). beta must be finite."""
+    grad f(x_n). beta must be finite and nonnegative."""
     _check_alpha(alpha)
-    if not -np.inf < beta < np.inf:
-        raise ValueError(f"beta must be finite, got {beta}")
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     return _hessian_damped(obj, x0, h, n_steps,
                            lambda n: ((n - alpha) / n, beta * h, beta * h / n, 0.0))
 

@@ -5,12 +5,17 @@ row does. The suites are deliberately end-to-end: they run the actual
 steppers, constructions, and analysis ops against each other rather than
 re-deriving any formula locally, so a silent regression in one route is
 caught by the other.
+
+The `nesterov-split` and `constructions` suites read one route table,
+`ROUTES`: one row per constructed method, naming the method, its
+construction and its parameters, which both routes take. Each later
+per-method fact (its continuous limit, its expected order) becomes one
+more field of a row, not one more list kept in step with the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -36,30 +41,28 @@ def _both_objectives():
     return (("f1", f1()), ("f2", f2()))
 
 
-_X0 = (1.0, -2.0)   # start point of every fixed-length run
+X0 = (1.0, -2.0)   # start point of every fixed-length run and every recorded row
 
 
 def _fixed_runs(obj: Objective, s: float, n_steps: int, methods) -> List[algorithms.Trajectory]:
-    """Trajectories over n_steps steps at stepsize s from _X0, one for each
+    """Trajectories over n_steps steps at stepsize s from X0, one for each
     (name, keywords) in `methods`, a four-coefficient method with its
     `coefficient_map` keywords, in order. The methods that share a kernel
-    (all that step at y_n, or all that step at x_n) run as the lanes of one
-    `run_lanes` batch, which on f1 and f2 gives each lane the bits of its
-    own `run`; a method alone in its kernel runs through `run`."""
+    (`algorithms.kernel_of`) run as the lanes of one `run_lanes` batch,
+    which on f1 and f2 gives each lane the bits of its own `run`; a method
+    alone in its kernel runs through `run`."""
     stop = algorithms.StoppingRule("max_iter")
+    groups: Dict[Callable, list] = {}
+    for i, (name, _) in enumerate(methods):
+        groups.setdefault(algorithms.kernel_of(name), []).append(i)
     out = [None] * len(methods)
-    for at_x in (False, True):
-        lanes = [i for i, (name, _) in enumerate(methods)
-                 if (name in algorithms.GRAD_STEP_AT_X) == at_x]
-        if not lanes:
-            continue
+    for kernel, lanes in groups.items():
         maps = [algorithms.coefficient_map(methods[i][0], s, **methods[i][1]) for i in lanes]
-        stepper = algorithms.Stepper(partial(algorithms.coefficient_step, grad_at_x=at_x),
-                                     maps, s)
+        stepper = algorithms.Stepper(kernel, maps, s)
         if len(lanes) == 1:
-            trajs = [algorithms.run(stepper, obj, _X0, s, stop, max_iter=n_steps)[0]]
+            trajs = [algorithms.run(stepper, obj, X0, s, stop, max_iter=n_steps)[0]]
         else:
-            trajs, _ = algorithms.run_lanes(stepper, obj, np.tile(_X0, (len(lanes), 1)), s,
+            trajs, _ = algorithms.run_lanes(stepper, obj, np.tile(X0, (len(lanes), 1)), s,
                                             stop, max_iter=n_steps, record=True)
         for i, traj in zip(lanes, trajs):
             out[i] = traj
@@ -72,55 +75,76 @@ def _max_rel_gap(xs_a, xs_b) -> float:
     return float(np.max(d / m))
 
 
+@dataclass(frozen=True)
+class Route:
+    """A constructed method, as `algorithms` steps it, and the name of its
+    function in `constructions`, looked up when the route runs. keywords(s)
+    gives its parameters at stepsize s under the names both routes take:
+    those of `coefficient_map` and of the construction."""
+
+    method: str
+    construction: str
+    keywords: Callable[[float], dict]
+
+
+# the table of the nesterov-split suite (agm2) and the constructions suite (the rest)
+ROUTES = (
+    Route("agm2", "nesterov_lie_trotter", lambda s: {"alpha": 3.0}),
+    Route("igahd", "igahd_construction", lambda s: {"alpha": 3.0, "beta": 1.0}),
+    Route("lt_s_igahd", "lt_s_igahd_construction",
+          lambda s: {"alpha": 3.0, "schedule": schedules.make_schedule("e25", s=s, beta=0.1,
+                                                                      b=2.0, mu=0.1)}),
+    Route("pim", "pim_construction", lambda s: {"gamma": 1.0}),
+    Route("ardm", "ardm_construction", lambda s: {"alpha": 3.0}),
+    Route("lt_se1", "lt_se1_construction", lambda s: {"alpha": 3.0}),
+    Route("lt_sv2", "lt_sv2_construction", lambda s: {"alpha": 3.0}),
+    Route("lt_se3", "lt_se3_construction", lambda s: {"alpha": 3.0}),
+)
+
+
+def _route_gaps(routes, s: float, n_steps: int):
+    """(objective tag, route, gap) for each test objective and each route,
+    in order: the max relative gap over n_steps steps from X0 between the
+    route's construction at h = sqrt(s) and its direct stepper at s. The
+    direct steppers of one objective run as one `_fixed_runs` call."""
+    h = float(np.sqrt(s))
+    rows = [(route, route.keywords(s)) for route in routes]
+    out = []
+    for tag, obj in _both_objectives():
+        direct = _fixed_runs(obj, s, n_steps, [(route.method, kw) for route, kw in rows])
+        for (route, kw), traj in zip(rows, direct):
+            xs = getattr(constructions, route.construction)(obj, list(X0), h=h,
+                                                            n_steps=n_steps, **kw)
+            out.append((tag, route, _max_rel_gap(xs, traj.xs)))
+    return out
+
+
 def suite_nesterov_split(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Three-field sequential split vs the direct accelerated stepper."""
-    out = []
-    s = 0.025
-    h = float(np.sqrt(s))
-    for tag, obj in _both_objectives():
-        xs_split = constructions.nesterov_lie_trotter(obj, list(_X0), 3.0, h, 1000)
-        xs_step = _fixed_runs(obj, s, 1000, [("agm2", {"alpha": 3.0})])[0].xs
-        gap = _max_rel_gap(xs_split, xs_step)
-        out.append(CheckResult(f"nesterov-split/{tag}", gap <= 1e-12,
-                               f"max relative gap {gap:.3e} over 1000 steps"))
-    return out
+    return [CheckResult(f"nesterov-split/{tag}", gap <= 1e-12,
+                        f"max relative gap {gap:.3e} over 1000 steps")
+            for tag, _, gap in _route_gaps([r for r in ROUTES if r.method == "agm2"],
+                                           0.025, 1000)]
 
 
 def suite_constructions(seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """Each splitting construction against its direct stepper, both test
-    objectives, 1000 steps."""
-    out = []
-    h = 0.1
-    s = h * h
-    n = 1000
-    x0 = list(_X0)
-    e25 = schedules.make_schedule("e25", s=s, beta=0.1, b=2.0, mu=0.1)
-    methods = [("igahd", {"alpha": 3.0, "beta": 1.0}), ("lt_s_igahd", {"schedule": e25}),
-               ("pim", {"gamma": 1.0}), ("ardm", {"alpha": 3.0}), ("lt_se1", {"alpha": 3.0}),
-               ("lt_sv2", {"alpha": 3.0}), ("lt_se3", {"alpha": 3.0})]
-    for tag, obj in _both_objectives():
-        routes = (
-            constructions.igahd_construction(obj, x0, 3.0, 1.0, h, n),
-            constructions.lt_s_igahd_construction(obj, x0, 3.0, e25, h, n),
-            constructions.pim_construction(obj, x0, 1.0, h, n),
-            constructions.ardm_construction(obj, x0, 3.0, h, n),
-            constructions.lt_se1_construction(obj, x0, 3.0, h, n),
-            constructions.lt_sv2_construction(obj, x0, 3.0, h, n),
-            constructions.lt_se3_construction(obj, x0, 3.0, h, n),
-        )
-        direct = _fixed_runs(obj, s, n, methods)
-        for (name, _), xs_c, traj in zip(methods, routes, direct):
-            gap = _max_rel_gap(xs_c, traj.xs)
-            out.append(CheckResult(f"construction/{name}/{tag}", gap <= 1e-12,
-                                   f"max relative gap {gap:.3e} over {n} steps"))
-    return out
+    """Each other splitting construction against its direct stepper, both
+    test objectives, 1000 steps at h = 0.1."""
+    h, n = 0.1, 1000
+    return [CheckResult(f"construction/{route.method}/{tag}", gap <= 1e-12,
+                        f"max relative gap {gap:.3e} over {n} steps")
+            for tag, route, gap in _route_gaps([r for r in ROUTES if r.method != "agm2"],
+                                               h * h, n)]
 
 
 def ode_route_gaps(obj: Objective, x0, v0, alpha: float, beta: float, t0: float,
                    t1: float, dt: float):
     """Sup gaps between the first-order averaged system and the second-order
     Hessian-damped system at dt, dt/2 and dt/4, the two observed orders
-    log2(gap_k / gap_{k+1}), and the first-order trajectory at dt/4."""
+    log2(gap_k / gap_{k+1}), and the first-order trajectory at dt/4. beta
+    must be finite and nonnegative: a negative one anti-damps both flows."""
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     constructions.check_interval(t0, t1, dt)   # before xdot_from_v divides by t0
     xdot0 = constructions.xdot_from_v(obj, x0, v0, t0, alpha, beta)
     gaps = []
@@ -139,7 +163,7 @@ def suite_ode(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """First-order averaged system vs second-order Hessian-damped system
     after the change of variables; the gap must shrink at the reference
     integrator's order."""
-    gaps, orders, _ = ode_route_gaps(f1(), np.array([1.0, -2.0]), np.zeros(2), 3.0, 0.1,
+    gaps, orders, _ = ode_route_gaps(f1(), np.array(X0), np.zeros(2), 3.0, 0.1,
                                      1.0, 10.0, 1e-2)
     return [CheckResult("ode/gaps-shrink", gaps[0] > gaps[1] > gaps[2],
                         f"sup gaps {gaps[0]:.3e} -> {gaps[1]:.3e} -> {gaps[2]:.3e}"),
@@ -162,7 +186,7 @@ def suite_energy(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     x_star = np.zeros(2)
     out = []
     cells = [(label, params, s) for label, params in _energy_configs(s)]
-    _, runs = algorithms.run_schedules("f2", cells, 3.0, [1.0, -2.0], 1e-10, 20000,
+    _, runs = algorithms.run_schedules("f2", cells, 3.0, X0, 1e-10, 20000,
                                        record=True)
     for (label, _, _), run in zip(cells, runs):
         sch, traj, res = run.schedule, run.trajectory, run.result
@@ -187,8 +211,7 @@ def suite_rate(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     s = 0.025
     alpha = 3.0
     x_star = np.zeros(2)
-    e25 = schedules.make_schedule("e25", s=s, beta=0.1 * 2.0 * float(np.sqrt(s)),
-                                  b=1.0, mu=0.1)
+    e25 = schedules.make_schedule("e25", s=s, **dict(_energy_configs(s))["e25"])
     runs = (("agm2", None), ("lt_s_igahd", e25))
     trajs = _fixed_runs(obj, s, 2200, [(name, {"alpha": alpha, "schedule": sch})
                                        for name, sch in runs])
@@ -351,12 +374,9 @@ def suite_fixed_points(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     return out
 
 
-TABLE_X0 = (1.0, -2.0)  # start point of every recorded row
-
-
 def run_case_cells(cases, cells: Callable, alpha: float, max_iter: int, reduce: Callable):
     """Run the cells (label, params, s) that `cells(case)` gives for each
-    recorded row from TABLE_X0, the cells of all the rows that share an
+    recorded row from X0, the cells of all the rows that share an
     objective and epsilon as one `run_schedules` batch, and reduce each row
     to reduce(case, objective, its ScheduleRuns) before the next batch runs.
     Returns one reduction per case, in order."""
@@ -368,7 +388,7 @@ def run_case_cells(cases, cells: Callable, alpha: float, max_iter: int, reduce: 
         # a batch's cells and runs go when it returns, before the next batch runs
         row_cells = [cells(cases[i]) for i in rows]
         obj, runs = algorithms.run_schedules(objective, [c for cs in row_cells for c in cs],
-                                             alpha, TABLE_X0, epsilon, max_iter)
+                                             alpha, X0, epsilon, max_iter)
         runs = iter(runs)
         return [reduce(cases[i], obj, [next(runs) for _ in cs])
                 for i, cs in zip(rows, row_cells)]
@@ -388,7 +408,7 @@ def _one_run(case, obj: Objective, runs):
 
 
 def run_cases(cases, s: float, alpha: float, max_iter: int):
-    """Run each recorded row from TABLE_X0 at stepsize s, the rows that
+    """Run each recorded row from X0 at stepsize s, the rows that
     share an objective and epsilon as one batch (`run_case_cells`). Returns
     one (objective, ScheduleRun) pair per case, in order; a case whose
     schedule is rejected raises its error."""

@@ -248,6 +248,7 @@ def test_make_stepper_rejects_alpha_mismatch():
     ("pim", {"gamma": -5.0}, "gamma must be nonnegative"),
     ("pim", {"gamma": float("inf")}, "gamma must be nonnegative and finite"),
     ("pim", {"gamma": float("nan")}, "gamma must be nonnegative and finite"),
+    ("igahd", {"beta": -50.0}, "beta must be finite and nonnegative"),
 ])
 def test_make_stepper_and_coefficient_map_reject_bad_beta_or_gamma(name, kw, needle):
     # the rule of igahd_construction and pim_construction, in both entry points

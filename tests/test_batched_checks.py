@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitgrad import verify
+from splitgrad import constructions, verify
 from splitgrad.analysis import check_descent_lemma, check_quadratic_lemma
 from splitgrad.objectives import quadratic
 from splitgrad.splitting import HamiltonianSystem, symplectic_euler
@@ -217,6 +217,11 @@ SUITE_LINES = {
         ("ode/gaps-shrink", True, "sup gaps 2.626e-09 -> 1.623e-10 -> 1.009e-11"),
         ("ode/order", True, "observed orders 4.02, 4.01"),
     ],
+    # recorded before both suites read verify.ROUTES
+    "nesterov-split": [
+        ("nesterov-split/f1", True, _GAP.format("1.628e-15")),
+        ("nesterov-split/f2", True, _GAP.format("6.661e-16")),
+    ],
 }
 
 
@@ -224,6 +229,26 @@ SUITE_LINES = {
 def test_suite_lines_are_unchanged(suite):
     results = verify.SUITES[suite]()
     assert [(r.name, r.passed, r.detail) for r in results] == SUITE_LINES[suite]
+
+
+def test_route_table_names_each_construction_once():
+    want = ["nesterov_lie_trotter"] + [name for name in dir(constructions)
+                                       if name.endswith("_construction")]
+    assert len(want) == 8
+    assert sorted(route.construction for route in verify.ROUTES) == sorted(want)
+
+
+def test_route_suites_look_each_construction_up_when_they_run(monkeypatch):
+    # a row that bound its construction at import would bypass the wrapper
+    calls = {route.construction: 0 for route in verify.ROUTES}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(constructions, name), **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(constructions, name, counted)
+    results = verify.suite_nesterov_split() + verify.suite_constructions()
+    assert all(r.passed for r in results)
+    assert calls == {name: 2 for name in calls}   # once per test objective
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -109,8 +109,9 @@ def test_pim_rejects_negative_friction():
             con.pim_construction(f1(), X0, gamma, H, 10)
 
 
-@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -1.0])
 def test_igahd_rejects_non_finite_beta(beta):
+    # and a negative one, which anti-damps the Hessian-driven terms
     with pytest.raises(ValueError, match="beta must be finite"):
         con.igahd_construction(f1(), X0, 3.0, beta, H, 10)
 

@@ -557,6 +557,10 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
     (["run", "--algorithm", "pim", "--gamma", "-5"], "gamma must be nonnegative and finite"),
     (["run", "--config", '{"algorithm": "pim", "gamma": -1}'],
      "gamma must be nonnegative and finite"),
+    # a negative beta anti-damps: igahd ran away, ode-compare fitted orders to blown-up gaps
+    (["run", "--algorithm", "igahd", "--beta", "-50", "--s", "0.1"],
+     "beta must be finite and nonnegative"),
+    (["ode-compare", "--beta", "-5"], "beta must be finite and nonnegative"),
 ], ids=["run-epsilon", "run-alpha", "run-s", "run-gamma", "run-beta", "run-config-string",
         "run-config-huge-int", "run-x0", "run-config-algorithm", "run-config-x0-string",
         "run-config-x0-null", "run-config-x0-number", "run-schedule-string",
@@ -568,7 +572,8 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
         "ode-x0-length", "ode-v0-length", "sweep-x0-length", "run-config-unknown-keys",
         "run-config-record-energy-string", "run-config-objective-list",
         "run-config-quadratic-nan", "run-config-quadratic-inf",
-        "run-config-quadratic-linear-nan", "run-gamma-negative", "run-config-gamma-negative"])
+        "run-config-quadratic-linear-nan", "run-gamma-negative", "run-config-gamma-negative",
+        "run-beta-negative", "ode-beta-negative"])
 def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

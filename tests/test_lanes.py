@@ -26,7 +26,7 @@ from splitgrad.algorithms import (
 from splitgrad.cases import all_cases
 from splitgrad.objectives import Objective, f1, f2, make_objective, quadratic
 from splitgrad.schedules import FAMILY_LABELS, coeffs_of, make_schedule
-from splitgrad.verify import _X0, _fixed_runs
+from splitgrad.verify import X0, _fixed_runs
 
 N_ALL = np.arange(1, 10_001, dtype=float)
 # every index up to 60, then a log-spaced sample up to 10^4
@@ -264,18 +264,21 @@ def test_stacks_evaluate_row_by_row():
 @pytest.mark.parametrize("objective", [f1, f2])
 @pytest.mark.parametrize("max_iter", [1, 2, 1000])
 def test_mixed_method_lane_batch_is_each_methods_run(objective, max_iter):
-    # the direct steppers of the construction suite, one method per lane
     obj, s = objective(), 0.01
     e25 = make_schedule("e25", s=s, beta=0.1, b=2.0, mu=0.1)
-    methods = [("igahd", {"beta": 1.0}), ("lt_s_igahd", {"schedule": e25}), ("ardm", {}),
-               ("lt_se1", {}), ("lt_sv2", {}), ("lt_se3", {})]
-    batched = _fixed_runs(obj, s, max_iter, methods)
-    for (name, kw), traj in zip(methods, batched):
-        want, _ = run(make_stepper(name, s, **kw), obj, [1.0, -2.0], s,
-                      StoppingRule("max_iter"), max_iter=max_iter)
-        for field in ("xs", "fs", "grads"):
-            got, ref = getattr(traj, field), getattr(want, field)
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (name, field)
+    step_at_y = [("igahd", {"beta": 1.0}), ("lt_s_igahd", {"schedule": e25}), ("ardm", {}),
+                 ("lt_se1", {}), ("lt_sv2", {}), ("lt_se3", {})]
+    # one kernel's batch; the construction suite's steppers, where pim is
+    # alone in its kernel; and agm2 with pim, each alone in its kernel
+    for methods in (step_at_y, step_at_y + [("pim", {"gamma": 1.0})],
+                    [("agm2", {}), ("pim", {"gamma": 1.0})]):
+        batched = _fixed_runs(obj, s, max_iter, methods)
+        for (name, kw), traj in zip(methods, batched):
+            want, _ = run(make_stepper(name, s, **kw), obj, X0, s,
+                          StoppingRule("max_iter"), max_iter=max_iter)
+            for field in ("xs", "fs", "grads"):
+                got, ref = getattr(traj, field), getattr(want, field)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (name, field)
 
 
 def _assert_batch_is_runs(stepper_for, obj, x0s, ss, rule, max_iter=5000):
@@ -583,7 +586,7 @@ def test_fixed_runs_call_each_method_body_once_per_chunk(monkeypatch):
     assert sorted(calls) == sorted((name, n, k) for name, k in lanes.items() for n in starts)
     # and each lane steps as its own run does
     for (name, kw), traj in zip(methods, trajs):
-        want, _ = run(make_stepper(name, 0.1, **kw), f2(), _X0, 0.1,
+        want, _ = run(make_stepper(name, 0.1, **kw), f2(), X0, 0.1,
                       StoppingRule("max_iter"), max_iter=n_steps)
         assert traj.xs.tobytes() == want.xs.tobytes()
 
