@@ -42,6 +42,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"inertia exponent must exceed 1, got {alpha}")
 
 
+def check_beta(beta: float) -> None:
+    """ValueError unless beta is finite and nonnegative: a negative beta
+    anti-damps the Hessian-damped flow and its discretizations."""
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+
+
 def _check_step(h: float) -> None:
     if not h > 0.0:
         raise ValueError(f"stepsize must be positive, got {h}")
@@ -121,8 +128,7 @@ def igahd_construction(obj: Objective, x0, alpha: float, beta: float,
     which match the stepper variant whose vanishing correction uses
     grad f(x_n). beta must be finite and nonnegative."""
     _check_alpha(alpha)
-    if not 0.0 <= beta < np.inf:
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    check_beta(beta)
     return _hessian_damped(obj, x0, h, n_steps,
                            lambda n: ((n - alpha) / n, beta * h, beta * h / n, 0.0))
 
@@ -279,8 +285,9 @@ def integrate_first_order_vd(obj: Objective, x0, v0, alpha: float, beta: float,
         v' = -(t/(alpha-1)) grad f(x)
 
     with the classical 4-stage one-step method at fixed dt (dt is rounded
-    so the grid hits t1 exactly)."""
+    so the grid hits t1 exactly). beta must be finite and nonnegative."""
     _check_alpha(alpha)
+    check_beta(beta)
 
     def field(t, xx, vv):
         g = obj.grad(xx)
@@ -297,8 +304,10 @@ def integrate_second_order_hessian_vd(obj: Objective, x0, xdot0, alpha: float,
         x'' + (alpha/t) x' + beta hess f(x) x' = -(1 + beta/t) grad f(x)
 
     as a first-order system in (x, x'). Needs an objective with an exact
-    Hessian-vector product. The returned vs field holds x'."""
+    Hessian-vector product. The returned vs field holds x'. beta must be
+    finite and nonnegative."""
     _check_alpha(alpha)
+    check_beta(beta)
 
     def field(t, xx, ww):
         return ww, (-(alpha / t) * ww - beta * obj.hess_vec(xx, ww)

@@ -194,14 +194,26 @@ def f2() -> Objective:
 def quadratic(a_matrix, b_vector=None) -> Objective:
     """f(x) = x'Ax/2 + b'x for symmetric positive-semidefinite A.
 
-    The Lipschitz constant is the largest eigenvalue of A. Rejects a NaN or
-    infinite entry of A or b before anything else, then matrices with a
-    negative eigenvalue and linear terms outside the range of A (those make
-    f unbounded below).
+    Rejects, in this order, an A that is not square or is empty and a b of
+    the wrong length, a NaN or infinite entry of A or b, an A that is not
+    symmetric or has a negative eigenvalue, and a b outside the range of A
+    (that makes f unbounded below).
+
+    A build takes the eigenvalues of A from `np.linalg.eigvalsh`, which
+    gives the Lipschitz constant (the largest eigenvalue; it may differ
+    from `eigh`'s in its last bits), the tolerance and `argmin_kind`. For a
+    definite A the minimizer is one `np.linalg.solve`. Only a singular A,
+    or a solve that raises or misses the range check, pays for the
+    eigenvectors of `np.linalg.eigh`, whose pseudo-inverse gives the
+    minimum-norm minimizer. On the dim-1000 matrix of the quad1000
+    benchmark `eigvalsh` takes about 0.11 s and the solve 0.03 s, against
+    0.23 s for `eigh` (2 CPUs, one BLAS thread).
     """
     a = np.asarray(a_matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"quadratic matrix must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("quadratic matrix must be at least 1 x 1")
     dim = a.shape[0]
     b = np.zeros(dim) if b_vector is None else np.asarray(b_vector, dtype=float)
     if b.shape != (dim,):
@@ -212,19 +224,33 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + float(np.abs(a).max()))):
         raise ValueError("quadratic matrix must be symmetric")
 
-    eigs, vecs = np.linalg.eigh(a)
+    eigs = np.linalg.eigvalsh(a)
     tol = 1e-12 * max(1.0, float(eigs[-1]))
     if eigs[0] < -tol:
         raise ValueError(f"quadratic matrix has negative eigenvalue {eigs[0]}")
     lip = float(max(eigs[-1], 0.0))
 
-    # minimum-norm minimizer through the pseudo-inverse of A at tolerance tol
+    def stationary(x):
+        return np.allclose(a @ x + b, 0.0, atol=1e-9 * (1.0 + float(np.linalg.norm(b))))
+
     kept = eigs > tol
-    coords = np.zeros(dim)
-    coords[kept] = (vecs.T @ -b)[kept] / eigs[kept]
-    x_star = vecs @ coords
-    if not np.allclose(a @ x_star + b, 0.0, atol=1e-9 * (1.0 + float(np.linalg.norm(b)))):
-        raise ValueError("quadratic is unbounded below: linear term outside the matrix range")
+    x_star = None
+    if kept.all():
+        try:
+            x_star = np.linalg.solve(a, -b)
+        except np.linalg.LinAlgError:   # singular to working precision
+            pass
+    # a solve that misses the range check (an ill-conditioned A) leaves the
+    # verdict to the pseudo-inverse, so no A that it accepts is refused
+    if x_star is None or not stationary(x_star):
+        # minimum-norm minimizer through the pseudo-inverse of A at tolerance tol
+        eigs, vecs = np.linalg.eigh(a)
+        kept = eigs > tol
+        coords = np.zeros(dim)
+        coords[kept] = (vecs.T @ -b)[kept] / eigs[kept]
+        x_star = vecs @ coords
+        if not stationary(x_star):
+            raise ValueError("quadratic is unbounded below: linear term outside the matrix range")
 
     # x @ a_t is A x for each point (row) of x; for one point it computes
     # a @ x with the same BLAS call and bits

@@ -143,8 +143,7 @@ def ode_route_gaps(obj: Objective, x0, v0, alpha: float, beta: float, t0: float,
     Hessian-damped system at dt, dt/2 and dt/4, the two observed orders
     log2(gap_k / gap_{k+1}), and the first-order trajectory at dt/4. beta
     must be finite and nonnegative: a negative one anti-damps both flows."""
-    if not 0.0 <= beta < np.inf:
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    constructions.check_beta(beta)
     constructions.check_interval(t0, t1, dt)   # before xdot_from_v divides by t0
     xdot0 = constructions.xdot_from_v(obj, x0, v0, t0, alpha, beta)
     gaps = []

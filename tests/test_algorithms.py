@@ -343,10 +343,16 @@ def _quad50():
     return obj, rng.standard_normal(50)
 
 
+# L of _quad50 as the digests below were recorded: eigh's largest
+# eigenvalue, which eigvalsh's may differ from in the last bits
+QUAD50_L = 3.6011020553867454
+
+
 def _quad50_run(name, obj):
-    """200 steps of `name` on `obj` (a variant of _quad50) at s = 1/(2L)."""
+    """200 steps of `name` on `obj` (a variant of _quad50) at s = 1/(2L),
+    with L pinned to QUAD50_L."""
     x0 = _quad50()[1]
-    s = 0.5 / obj.lipschitz_constant()
+    s = 0.5 / QUAD50_L
     sch = make_schedule("e25", s=s, beta=0.2 * float(np.sqrt(s)), b=1.0, mu=0.1)
     traj, _ = run(make_stepper(name, s, schedule=sch), obj, x0, s,
                   StoppingRule("max_iter"), max_iter=200)
@@ -443,6 +449,7 @@ def test_golden_iterates_quadratic(name):
     obj = dataclasses.replace(_quad50()[0], affine_gradient=False)
     if _blas_digest(obj) != QUAD_BLAS:
         pytest.skip("this BLAS sums in another order than the recorded digests")
+    assert abs(obj.lipschitz_constant() - QUAD50_L) <= 4 * np.finfo(float).eps * QUAD50_L
     traj = _quad50_run(name, obj)
     digest = hashlib.sha256()
     for arr in (traj.xs, traj.fs, traj.grads):

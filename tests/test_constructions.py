@@ -116,6 +116,15 @@ def test_igahd_rejects_non_finite_beta(beta):
         con.igahd_construction(f1(), X0, 3.0, beta, H, 10)
 
 
+@pytest.mark.parametrize("beta", [-5.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("integrate", [con.integrate_first_order_vd,
+                                       con.integrate_second_order_hessian_vd])
+def test_ode_integrators_reject_negative_or_non_finite_beta(integrate, beta):
+    # at beta = -5 the first-order flow from (1, -2) reaches |x| ~ 1e75 by t = 10
+    with pytest.raises(ValueError, match=r"^beta must be finite and nonnegative, got "):
+        integrate(f1(), X0, np.zeros(2), 3.0, beta, 1.0, 10.0, 0.01)
+
+
 def test_lt_se1_construction_equals_stepper():
     for obj in (f1(), f2()):
         xs = con.lt_se1_construction(obj, X0, 3.0, H, N)

@@ -91,6 +91,8 @@ def test_quadratic_rejects_bad_input():
         quadratic([[-1.0, 0.0], [0.0, 1.0]])           # negative eigenvalue
     with pytest.raises(ValueError):
         quadratic([[1.0, 1.0], [1.0, 1.0]], [1.0, -1.0])  # unbounded below
+    with pytest.raises(ValueError, match=r"^quadratic matrix must be at least 1 x 1$"):
+        quadratic(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("a,b,needle", [
@@ -105,6 +107,78 @@ def test_quadratic_rejects_non_finite_entries_first(a, b, needle):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{needle} entries must be finite$"):
             quadratic(a, b)
+
+
+def _psd_problem(rng, dim):
+    """A and b drawn as tests/test_constructions.py's _psd_quadratic draws
+    them: some eigenvalues may be 0, and b lies in the range of A."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    eigs = rng.uniform(0.0, 1.0, dim) * (rng.random(dim) < 0.8)
+    eigs[0] = 1.0
+    a = (q * (10.0 ** rng.uniform(0.0, 1.0) * eigs)) @ q.T
+    a = 0.5 * (a + a.T)
+    return a, a @ rng.standard_normal(dim)
+
+
+def _eigh_reference(a, b):
+    """(L, argmin_kind, minimum-norm minimizer) from the full
+    eigendecomposition and its pseudo-inverse at tolerance 1e-12 max(1, L)."""
+    eigs, vecs = np.linalg.eigh(a)
+    kept = eigs > 1e-12 * max(1.0, eigs[-1])
+    coords = np.zeros(len(b))
+    coords[kept] = (vecs.T @ -b)[kept] / eigs[kept]
+    return eigs[-1], "unique" if kept.all() else "affine", vecs @ coords
+
+
+def test_quadratic_matches_the_eigendecomposition():
+    problems = [_psd_problem(np.random.default_rng([seed, dim]), dim)
+                for dim in range(1, 9) for seed in range(6)]
+    rng = np.random.default_rng(200)
+    m = rng.standard_normal((200, 200))
+    problems.append((m @ m.T / 200.0 + 0.1 * np.eye(200), rng.standard_normal(200)))
+    kinds = set()
+    for a, b in problems:
+        obj = quadratic(a, b)
+        lip, kind, x_star = _eigh_reference(a, b)
+        # the two LAPACK routes round apart by up to a few eps times the
+        # dimension: 8.9 eps on the dim-200 matrix, whose eigvalsh value is
+        # the farther of the two from its Rayleigh quotient in long double
+        rel = max(8, len(b)) * np.finfo(float).eps
+        assert abs(obj.lipschitz_constant() - lip) <= rel * lip
+        assert obj.argmin_kind == kind
+        assert np.linalg.norm(obj.argmin_point - x_star) <= 1e-9 * (1.0 + np.linalg.norm(x_star))
+        kinds.add(kind)
+    assert kinds == {"unique", "affine"}
+
+
+def test_quadratic_takes_eigenvectors_only_for_a_singular_matrix(monkeypatch):
+    class EighCalled(Exception):
+        pass
+
+    def eigh(a):
+        raise EighCalled
+
+    rng = np.random.default_rng(50)
+    m = rng.standard_normal((50, 50))
+    definite = m @ m.T / 50.0 + 0.1 * np.eye(50)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert quadratic(definite, rng.standard_normal(50)).argmin_kind == "unique"
+    with pytest.raises(EighCalled):
+        quadratic([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])
+
+
+def _singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("solve", [_singular_solve, lambda a, b: np.zeros_like(b)],
+                         ids=["solve-raises", "solve-misses-range-check"])
+def test_quadratic_falls_back_to_the_pseudo_inverse(monkeypatch, solve):
+    a, b = np.diag([1.0, 4.0]), np.array([1.0, 2.0])
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    obj = quadratic(a, b)
+    assert obj.argmin_kind == "unique"
+    assert np.array_equal(obj.argmin_point, _eigh_reference(a, b)[2])
 
 
 def test_dimension_check():
