@@ -1,13 +1,13 @@
 """Discrete inertial gradient algorithms as one lane-batched engine.
 
-Every method except `nag` is the four-coefficient step `coefficient_step`
-driven by a per-name coefficient map n -> (alpha_n, lambda_n, omega_n,
-gamma_n), with a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1).
-Each method but lt_s_igahd is a row of the table `_METHODS`, a coefficient
-body of n, s, alpha and the method's parameter; its map binds the body to
-their values as a `schedules.CoefficientMap`, as a schedule family's does:
+Every method is the four-coefficient step `coefficient_step` driven by a
+per-name coefficient map n -> (alpha_n, lambda_n, omega_n, gamma_n), with
+a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1). Each method but
+lt_s_igahd is a row of the table `_METHODS`, a coefficient body of n, s,
+alpha and the method's parameter; its map binds the body to their values
+as a `schedules.CoefficientMap`, as a schedule family's does:
 
-    agm2          (a_n, 0, 0, 0)
+    agm2, nag     (a_n, 0, 0, 0)
     lt_se1        (a_n, 0, s a_n, s)
     lt_sv2        (a_n, 0, s a_n / 2, s / 2)
     ardm          (a_n, 0, s (1 + a_n), 0)
@@ -17,8 +17,9 @@ their values as a `schedules.CoefficientMap`, as a schedule family's does:
     pim           (1 - h gamma, 0, 0, 0), gradient step at x_n
     lt_s_igahd    the coefficients of a Schedule
 
-`nag` keeps its velocity form, `velocity_step`, driven the same way by its
-row's map n -> (w_n, c_n, r_n), `nag_coefficients` on the clock t_n = n h.
+`nag` is agm2 under its classical name and steps agm2's bits. Its velocity
+form, a third route to the same recursion, is the construction
+`constructions.nesterov_velocity_form`, which `verify` holds to agm2.
 Every stepper is a function (state, objective) -> state over a shared
 IterState carrying the two most recent iterates with their cached
 gradients and values. All methods share the same bootstrap:
@@ -114,14 +115,13 @@ _FIRST_CHUNK = 16
 @dataclass(frozen=True)
 class IterState:
     """Rolling two-point state of a run: x_{n-1}, x_n with their gradients
-    and values, plus the latest inertial point and, for velocity-form
-    methods, the auxiliary velocity. The points are one point of shape
-    (dim,) or B lanes of shape (B, dim), and the values a float or B values;
-    `run` and `run_lanes` step lanes. `lanes` names the lanes of the run
-    that the state holds, as indices into the lanes it started with, once
-    some have left the batch; it is None while the state holds them all. A
-    stepper must fill f_curr and pass `lanes` on: the engine records f_curr
-    as the value of the new iterate."""
+    and values, plus the latest inertial point. The points are one point of
+    shape (dim,) or B lanes of shape (B, dim), and the values a float or B
+    values; `run` and `run_lanes` step lanes. `lanes` names the lanes of
+    the run that the state holds, as indices into the lanes it started
+    with, once some have left the batch; it is None while the state holds
+    them all. A stepper must fill f_curr and pass `lanes` on: the engine
+    records f_curr as the value of the new iterate."""
 
     n: int
     x_prev: Array
@@ -131,7 +131,6 @@ class IterState:
     f_prev: Optional[float] = None
     f_curr: Optional[float] = None
     y_last: Optional[Array] = None
-    v_aux: Optional[Array] = None
     lanes: Optional[Array] = None
 
 
@@ -210,26 +209,6 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
 _COEFFICIENT_STEP_AT_X = partial(coefficient_step, grad_at_x=True)
 
 
-def nag_coefficients(n, s, alpha=3.0):
-    """The velocity-form coefficients (w_n, c_n, r_n) at n (a number or an
-    array) on the clock t_n = n h, with s and alpha numbers or (lanes, 1)
-    columns:
-
-    w_n = h (alpha - 1) / t_n,  c_n = h t_n / (alpha - 1),
-    r_n = t_{n-1} / (h (alpha - 1)).
-    """
-    if np.any(np.equal(alpha, 1.0)):
-        raise ValueError("the velocity form divides by alpha - 1; alpha must not be 1")
-    h = np.sqrt(s)
-    t_n = n * h
-    vanish = np.equal(t_n, 0.0)
-    if vanish.any():
-        raise ValueError(f"clock time vanishes at n = "
-                         f"{np.broadcast_to(n, vanish.shape)[vanish].flat[0]:g}")
-    t_prev = (n - 1) * h
-    return h * (alpha - 1.0) / t_n, h * t_n / (alpha - 1.0), t_prev / (h * (alpha - 1.0))
-
-
 # name -> (coefficient body, the `make_stepper` keywords it takes after n, s
 # and alpha). A body gives the coefficients of the module docstring at n from
 # numbers or (lanes, 1) columns, and a method's map is the
@@ -244,45 +223,9 @@ _METHODS = {
     "igahd": (lambda n, s, alpha, beta: ((n - alpha) / n, beta * np.sqrt(s),
                                          beta * np.sqrt(s) / n, 0.0), ("beta",)),
     "pim": (lambda n, s, alpha, gamma: (1.0 - np.sqrt(s) * gamma, 0.0, 0.0, 0.0), ("gamma",)),
-    "nag": (nag_coefficients, ()),
 }
 _METHODS["polyak_igahd"] = _METHODS["igahd"]
-
-
-def velocity_step(state: IterState, obj: Objective, s, coeffs) -> IterState:
-    """Velocity form of the accelerated method with (w_n, c_n, r_n) =
-    coeffs, the values at state.n of `nag_coefficients`:
-
-    y_n     = x_n + w_n (v_n - x_n)
-    x_{n+1} = y_n - s grad(y_n)
-    v_{n+1} = v_n - c_n grad(y_n)
-
-    When v_aux is unset the velocity is recovered from the position pair,
-    v_n = x_{n-1} + r_n (x_n - x_{n-1}), which gives v_1 = x_0.
-
-    The recursion keeps that relation in exact arithmetic: c_n w_n = s, so
-    v_{n+1} = v_n - (y_n - x_{n+1}) / w_n, and v_n = x_n + (y_n - x_n) / w_n
-    gives v_{n+1} = x_n + (x_{n+1} - x_n) / w_n, where 1/w_n = r_{n+1}.
-    Hence y_n - x_n = w_n (r_n - 1)(x_n - x_{n-1}), and when the objective
-    declares an affine gradient, grad(y_n) is taken from the cached
-    gradients as grad(x_n) + w_n (r_n - 1)[grad(x_n) - grad(x_{n-1})],
-    with no new evaluation.
-    """
-    w_n, c_n, r_n = coeffs
-    v = state.v_aux
-    if v is None:
-        v = state.x_prev + r_n * (state.x_curr - state.x_prev)
-    y = state.x_curr + w_n * (v - state.x_curr)
-    if obj.affine_gradient:
-        g = state.grad_curr
-        gy = g + w_n * (r_n - 1.0) * (g - state.grad_prev)
-    else:
-        gy = obj.grad(y)
-    x_next = y - s * gy
-    v_next = v - c_n * gy
-    f_next, g_next = obj.eval_grad(x_next)
-    return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
-                     state.f_curr, f_next, y_last=y, v_aux=v_next, lanes=state.lanes)
+_METHODS["nag"] = _METHODS["agm2"]
 
 
 class Stepper:
@@ -417,10 +360,10 @@ def _all(mask) -> bool:
 def _take(state: IterState, keep: Array, lanes: Array) -> IterState:
     """The lanes `keep` of a (B, dim) state, which are the run's lanes
     `lanes`."""
-    y, v = state.y_last, state.v_aux
+    y = state.y_last
     return IterState(state.n, state.x_prev[keep], state.x_curr[keep], state.grad_prev[keep],
                      state.grad_curr[keep], state.f_prev[keep], state.f_curr[keep],
-                     None if y is None else y[keep], None if v is None else v[keep], lanes)
+                     None if y is None else y[keep], lanes)
 
 
 def _join(parts) -> Array:
@@ -580,14 +523,11 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
                     schedule: Optional[Schedule] = None, beta: float = 1.0,
                     gamma: float = 1.0) -> Callable:
     """The map n -> (alpha_n, lambda_n, omega_n, gamma_n) of a named
-    four-coefficient method (every algorithm but `nag`). A number n gives
-    floats, an array of n gives arrays, bitwise equal to the numbers n by n.
-    lt_s_igahd takes its coefficients from `schedule`, whose s must equal
-    `s` to 8 eps relative and whose alpha must equal `alpha`."""
-    name = name.lower()
-    if name == "nag":
-        raise ValueError("nag has no four-coefficient form; it steps in velocity form")
-    return _map(name, s, alpha, schedule, beta, gamma)
+    method. A number n gives floats, an array of n gives arrays, bitwise
+    equal to the numbers n by n. lt_s_igahd takes its coefficients from
+    `schedule`, whose s must equal `s` to 8 eps relative and whose alpha
+    must equal `alpha`."""
+    return _map(name.lower(), s, alpha, schedule, beta, gamma)
 
 
 def _map(name: str, s: float, alpha: float, schedule: Optional[Schedule], beta: float,
@@ -617,9 +557,8 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
     """Bind a named algorithm to its parameters; the result has the
     (state, obj) -> state shape that `run` and `run_lanes` expect. `s` is
     one stepsize or one per lane, and `schedule` (lt_s_igahd's) one Schedule
-    or one per lane. `nag` steps in velocity form by `nag_coefficients`;
-    every other name steps by its `coefficient_map`. alpha must exceed 1
-    for every method but pim (`check_alpha`)."""
+    or one per lane. Each name steps by its `coefficient_map`. alpha must
+    exceed 1 for every method but pim (`check_alpha`)."""
     name = name.lower()
     check_alpha(name, alpha)
     s_lanes = np.atleast_1d(np.asarray(s, dtype=float))
@@ -635,14 +574,11 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
 
 
 def kernel_of(name: str) -> Callable:
-    """The step a named method advances by: `velocity_step` for nag, the
-    four-coefficient step with its gradient step at x_n for pim and
-    polyak_igahd, and `coefficient_step` for every other method. Methods
-    with the same kernel can run as the lanes of one `Stepper`."""
-    name = name.lower()
-    if name == "nag":
-        return velocity_step
-    return _COEFFICIENT_STEP_AT_X if name in ("pim", "polyak_igahd") else coefficient_step
+    """The step a named method advances by: the four-coefficient step with
+    its gradient step at x_n for pim and polyak_igahd, and
+    `coefficient_step` for every other method. Methods with the same kernel
+    can run as the lanes of one `Stepper`."""
+    return _COEFFICIENT_STEP_AT_X if name.lower() in ("pim", "polyak_igahd") else coefficient_step
 
 
 def check_alpha(name: str, alpha: float, label: str = "alpha") -> None:

@@ -208,10 +208,8 @@ def cmd_run(args) -> int:
     e_col = None
     if record_energy:
         x_star = obj.argmin_point if obj.argmin_kind == "unique" else None
-        # the energy takes lambda_n from the coefficients the stepper ran
-        # with; nag's velocity form has lambda_n = 0
-        coeffs = (None if algorithm == "nag"
-                  else algorithms.coefficient_map(algorithm, s, alpha, sched, beta, gamma))
+        # the energy takes lambda_n from the coefficients the stepper ran with
+        coeffs = algorithms.coefficient_map(algorithm, s, alpha, sched, beta, gamma)
         series = analysis.energy_series(traj, s, alpha, coeffs, x_star=x_star)
         e_col = np.full(traj.n_final + 1, np.nan)
         e_col[series.n_start:series.n_start + len(series.e_seq)] = series.e_seq

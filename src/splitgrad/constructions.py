@@ -12,13 +12,16 @@ Conventions: the discretization clock is t_n = n*h. Every construction
 runs through one driver, which takes the bootstrap x1, starts from v_1, the
 auxiliary velocity that the method computes from x0 and x1 so as to
 reproduce the discrete method, and applies composite step n, which maps
-(x_n, v_n) to (x_{n+1}, v_{n+1}), for n = 1, ..., n_steps - 1. The eight
-constructions share four composite steps: the three-field Lie-Trotter split
-(nesterov_lie_trotter), the friction split (pim), the Hessian-damped step
-`_hessian_damped` (igahd, lt_s_igahd, ardm) and the rescaled step
-`_rescaled_se1` (lt_se1, lt_sv2, lt_se3). A public construction adds only
-its parameter checks and the coefficients of its step, calls no other
-public one, and imports no formula from `algorithms`, not even theta_n.
+(x_n, v_n) to (x_{n+1}, v_{n+1}), for n = 1, ..., n_steps - 1. The nine
+constructions share five composite steps: the three-field Lie-Trotter split
+(nesterov_lie_trotter), the velocity form (nesterov_velocity_form, the one
+construction that is no split: the classical form of the accelerated
+method, a third route to agm2's iterates), the friction split (pim), the
+Hessian-damped step `_hessian_damped` (igahd, lt_s_igahd, ardm) and the
+rescaled step `_rescaled_se1` (lt_se1, lt_sv2, lt_se3). A public
+construction adds only its parameter checks and the coefficients of its
+step, calls no other public one, and imports no formula from `algorithms`,
+not even theta_n.
 """
 
 from __future__ import annotations
@@ -116,6 +119,32 @@ def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: in
     split = (euler_advance(drift), euler_advance(kick), euler_advance(grad_flow))
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: x0.copy(),
                     lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
+
+
+def nesterov_velocity_form(obj: Objective, x0, alpha: float, h: float,
+                           n_steps: int) -> Array:
+    """The accelerated method in its velocity form, the discretization of
+    the ODE x'' + (alpha/t) x' + grad f(x) = 0 of Su, Boyd and Candes
+    (arXiv 1503.01243), on the clock t_n = n*h from v_1 = x_0:
+
+        y_n     = x_n + w_n (v_n - x_n),    w_n = h (alpha-1) / t_n,
+        x_{n+1} = y_n - h^2 grad f(y_n),
+        v_{n+1} = v_n - c_n grad f(y_n),    c_n = h t_n / (alpha-1).
+
+    As c_n w_n = h^2, v_{n+1} = x_n + (x_{n+1} - x_n) / w_n, so
+    y_n - x_n = ((n - alpha)/n)(x_n - x_{n-1}): the x-iterates are the
+    accelerated-gradient stepper's at s = h^2, reached by a route that
+    shares no step with it or with nesterov_lie_trotter.
+    """
+    _check_alpha(alpha)
+
+    def step(n, x, v):
+        t_n = n * h
+        y = x + (h * (alpha - 1.0) / t_n) * (v - x)
+        g = obj.grad(y)
+        return y - (h * h) * g, v - (h * t_n / (alpha - 1.0)) * g
+
+    return _iterate(obj, x0, h, n_steps, lambda x0, x1: x0.copy(), step)
 
 
 def igahd_construction(obj: Objective, x0, alpha: float, beta: float,
@@ -262,13 +291,21 @@ def check_interval(t0: float, t1: float, dt: float) -> None:
 def _rk4_trajectory(field: Field, x0, v0, t0: float, t1: float,
                     dt: float) -> ContinuousTrajectory:
     """rk4_step on field from (x0, v0) at t0 to t1, at dt rounded so that
-    the grid hits t1 exactly."""
+    the grid hits t1 exactly. A step count that is not finite, or a grid
+    that cannot be allocated, raises ValueError."""
     check_interval(t0, t1, dt)
-    n = max(1, int(round((t1 - t0) / dt)))
+    steps = (t1 - t0) / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"dt = {dt} leaves no finite step count on [{t0}, {t1}]")
+    n = max(1, int(round(steps)))
     dt_eff = (t1 - t0) / n
     x = np.asarray(x0, dtype=float)
     v = np.asarray(v0, dtype=float)
-    ts = t0 + dt_eff * np.arange(n + 1)
+    try:
+        ts = t0 + dt_eff * np.arange(n + 1)
+    except (MemoryError, ValueError):   # numpy: too many bytes to address
+        raise ValueError(f"dt = {dt} on [{t0}, {t1}] asks for a grid of {n + 1} points, "
+                         f"which cannot be allocated") from None
     xs, vs = [x], [v]
     for k in range(n):
         x, v = rk4_step(field, float(ts[k]), x, v, dt_eff)

@@ -197,7 +197,9 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
     Rejects, in this order, an A that is not square or is empty and a b of
     the wrong length, a NaN or infinite entry of A or b, an A that is not
     symmetric or has a negative eigenvalue, and a b outside the range of A
-    (that makes f unbounded below).
+    (that makes f unbounded below): the minimizer x* must satisfy
+    max_i |(A x* + b)_i| <= 1e-9 (1 + |b| + L |x*|), so a definite A of any
+    condition builds.
 
     A build takes the eigenvalues of A from `np.linalg.eigvalsh`, which
     gives the Lipschitz constant (the largest eigenvalue; it may differ
@@ -231,7 +233,10 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
     lip = float(max(eigs[-1], 0.0))
 
     def stationary(x):
-        return np.allclose(a @ x + b, 0.0, atol=1e-9 * (1.0 + float(np.linalg.norm(b))))
+        # relative to the problem's own scale, |b| + L |x|; the largest
+        # entry of the residual, so that any x within 1e-9 (1 + |b|) passes
+        scale = 1.0 + float(np.linalg.norm(b)) + lip * float(np.linalg.norm(x))
+        return float(np.max(np.abs(a @ x + b))) <= 1e-9 * scale
 
     kept = eigs > tol
     x_star = None

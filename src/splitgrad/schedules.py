@@ -159,8 +159,7 @@ def coeffs_of(maps: Sequence[Callable], n) -> Array:
     (m = 1). The `CoefficientMap`s of one body take one broadcast call of
     the body over their argument columns; any other map (a custom one, a
     wrapped `coeffs_at`) is called lane by lane. Each lane gets the bits of
-    its own map's call. Maps of different coefficient counts (nag's three
-    and a four-coefficient map) raise ValueError."""
+    its own map's call."""
     n = np.asarray(n, dtype=float)
     per_lane = n.ndim == 2
     width = 1 if per_lane else n.size
@@ -170,9 +169,6 @@ def coeffs_of(maps: Sequence[Callable], n) -> Array:
         nonlocal out
         if out is None:
             out = np.empty((width, len(values), len(maps)))
-        elif len(values) != out.shape[1]:
-            raise ValueError(f"maps of {out.shape[1]} and of {len(values)} coefficients "
-                             f"cannot share one table")
         for k, v in enumerate(values):
             out[:, k, lanes] = np.broadcast_to(v, (len(lanes), width)).T
 

@@ -7,8 +7,9 @@ re-deriving any formula locally, so a silent regression in one route is
 caught by the other.
 
 The `nesterov-split` and `constructions` suites read one route table,
-`ROUTES`: one row per constructed method, naming the method, its
-construction and its parameters, which both routes take. Each later
+`ROUTES`: one row per construction, naming the method it reproduces, the
+construction and its parameters, which both routes take. agm2 has two
+rows, its Lie-Trotter split and its velocity form. Each later
 per-method fact (its continuous limit, its expected order) becomes one
 more field of a row, not one more list kept in step with the others.
 """
@@ -46,8 +47,8 @@ X0 = (1.0, -2.0)   # start point of every fixed-length run and every recorded ro
 
 def _fixed_runs(obj: Objective, s: float, n_steps: int, methods) -> List[algorithms.Trajectory]:
     """Trajectories over n_steps steps at stepsize s from X0, one for each
-    (name, keywords) in `methods`, a four-coefficient method with its
-    `coefficient_map` keywords, in order. The methods that share a kernel
+    (name, keywords) in `methods`, a method with its `coefficient_map`
+    keywords, in order. The methods that share a kernel
     (`algorithms.kernel_of`) run as the lanes of one `run_lanes` batch,
     which on f1 and f2 gives each lane the bits of its own `run`; a method
     alone in its kernel runs through `run`."""
@@ -90,6 +91,7 @@ class Route:
 # the table of the nesterov-split suite (agm2) and the constructions suite (the rest)
 ROUTES = (
     Route("agm2", "nesterov_lie_trotter", lambda s: {"alpha": 3.0}),
+    Route("agm2", "nesterov_velocity_form", lambda s: {"alpha": 3.0}),
     Route("igahd", "igahd_construction", lambda s: {"alpha": 3.0, "beta": 1.0}),
     Route("lt_s_igahd", "lt_s_igahd_construction",
           lambda s: {"alpha": 3.0, "schedule": schedules.make_schedule("e25", s=s, beta=0.1,
@@ -120,11 +122,16 @@ def _route_gaps(routes, s: float, n_steps: int):
 
 
 def suite_nesterov_split(seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """Three-field sequential split vs the direct accelerated stepper."""
-    return [CheckResult(f"nesterov-split/{tag}", gap <= 1e-12,
-                        f"max relative gap {gap:.3e} over 1000 steps")
-            for tag, _, gap in _route_gaps([r for r in ROUTES if r.method == "agm2"],
-                                           0.025, 1000)]
+    """Three-field sequential split and velocity form vs the direct
+    accelerated stepper: one check per objective, which both must pass."""
+    gaps: Dict[str, list] = {}
+    for tag, route, gap in _route_gaps([r for r in ROUTES if r.method == "agm2"], 0.025, 1000):
+        gaps.setdefault(tag, []).append((route.construction, gap))
+    return [CheckResult(f"nesterov-split/{tag}", all(gap <= 1e-12 for _, gap in rows),
+                        "max relative gaps "
+                        + ", ".join(f"{gap:.3e} ({name})" for name, gap in rows)
+                        + " over 1000 steps")
+            for tag, rows in gaps.items()]
 
 
 def suite_constructions(seed: int = DEFAULT_SEED) -> List[CheckResult]:
@@ -204,7 +211,14 @@ def suite_energy(seed: int = DEFAULT_SEED) -> List[CheckResult]:
 
 
 def suite_rate(seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """Fitted decay exponent and the explicit Lyapunov tail bound."""
+    """Fitted decay exponent and the explicit Lyapunov tail bound.
+
+    On f2 both runs reach f* exactly in floats, so the slope window
+    [50, 2000] sees far fewer indices than it spans: `fit_rate` drops the
+    gaps at or below 100 eps f*, which leaves 672 of its 1951 indices for
+    agm2, all in [50, 755] (1316 of agm2's 2201 gaps are exactly zero,
+    from n = 802), and 560 for lt_s_igahd, all in [50, 636] (1459 zeros,
+    from n = 684)."""
     obj = f2()
     lip = obj.lipschitz_constant()
     s = 0.025

@@ -217,10 +217,12 @@ SUITE_LINES = {
         ("ode/gaps-shrink", True, "sup gaps 2.626e-09 -> 1.623e-10 -> 1.009e-11"),
         ("ode/order", True, "observed orders 4.02, 4.01"),
     ],
-    # recorded before both suites read verify.ROUTES
+    # the Lie-Trotter gaps were recorded before both suites read verify.ROUTES
     "nesterov-split": [
-        ("nesterov-split/f1", True, _GAP.format("1.628e-15")),
-        ("nesterov-split/f2", True, _GAP.format("6.661e-16")),
+        ("nesterov-split/f1", True, "max relative gaps 1.628e-15 (nesterov_lie_trotter), "
+                                    "1.628e-15 (nesterov_velocity_form) over 1000 steps"),
+        ("nesterov-split/f2", True, "max relative gaps 6.661e-16 (nesterov_lie_trotter), "
+                                    "4.660e-16 (nesterov_velocity_form) over 1000 steps"),
     ],
 }
 
@@ -232,9 +234,9 @@ def test_suite_lines_are_unchanged(suite):
 
 
 def test_route_table_names_each_construction_once():
-    want = ["nesterov_lie_trotter"] + [name for name in dir(constructions)
-                                       if name.endswith("_construction")]
-    assert len(want) == 8
+    want = ["nesterov_lie_trotter", "nesterov_velocity_form"] + [
+        name for name in dir(constructions) if name.endswith("_construction")]
+    assert len(want) == 9
     assert sorted(route.construction for route in verify.ROUTES) == sorted(want)
 
 
@@ -249,6 +251,20 @@ def test_route_suites_look_each_construction_up_when_they_run(monkeypatch):
     results = verify.suite_nesterov_split() + verify.suite_constructions()
     assert all(r.passed for r in results)
     assert calls == {name: 2 for name in calls}   # once per test objective
+
+
+def test_nesterov_split_fails_when_either_construction_misses_agm2(monkeypatch):
+    # a velocity form 1e-11 off agm2 fails both checks, and the detail
+    # still reports the Lie-Trotter gap beside it
+    exact = constructions.nesterov_velocity_form
+    monkeypatch.setattr(constructions, "nesterov_velocity_form",
+                        lambda *args, **kwargs: exact(*args, **kwargs) * (1.0 + 1e-11))
+    results = verify.suite_nesterov_split()
+    assert [(r.name, r.passed) for r in results] == [("nesterov-split/f1", False),
+                                                     ("nesterov-split/f2", False)]
+    assert results[0].detail.startswith("max relative gaps 1.628e-15 (nesterov_lie_trotter), ")
+    gap = float(results[0].detail.split(", ")[1].split(" ")[0])
+    assert 1e-12 < gap < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(10))

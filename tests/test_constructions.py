@@ -32,9 +32,11 @@ def _rel_gap(a, b):
 
 
 def test_nesterov_split_equals_direct_stepper():
-    for obj in (f1(), f2()):
-        xs = con.nesterov_lie_trotter(obj, X0, 3.0, H, N)
-        assert _rel_gap(xs, _stepper_xs(obj, "agm2", N)) <= 1e-12
+    # the three-field split, and nag's classical velocity form
+    for construct in (con.nesterov_lie_trotter, con.nesterov_velocity_form):
+        for obj in (f1(), f2()):
+            xs = construct(obj, X0, 3.0, H, N)
+            assert _rel_gap(xs, _stepper_xs(obj, "agm2", N)) <= 1e-12
 
 
 def test_igahd_construction_equals_stepper():
@@ -154,6 +156,7 @@ def test_stationary_start_stays_fixed():
     for obj, x_star in cases:
         for xs in (
             con.nesterov_lie_trotter(obj, x_star, 3.0, H, 25),
+            con.nesterov_velocity_form(obj, x_star, 3.0, H, 25),
             con.igahd_construction(obj, x_star, 3.0, 1.0, H, 25),
             con.lt_s_igahd_construction(obj, x_star, 3.0, sch, H, 25),
             con.ardm_construction(obj, x_star, 3.0, H, 25),
@@ -168,6 +171,12 @@ def test_stationary_start_stays_fixed():
 def test_construction_guards():
     with pytest.raises(ValueError):
         con.nesterov_lie_trotter(f1(), X0, 1.0, H, 10)   # alpha <= 1
+    # the velocity form's w_n and c_n divide by alpha - 1, and w_n by the
+    # clock t_n = n h, which vanishes unless h > 0
+    with pytest.raises(ValueError, match="must exceed 1"):
+        con.nesterov_velocity_form(f1(), X0, 1.0, H, 10)
+    with pytest.raises(ValueError, match="stepsize must be positive"):
+        con.nesterov_velocity_form(f1(), X0, 3.0, 0.0, 10)
     with pytest.raises(ValueError):
         con.ardm_construction(f1(), X0, 3.0, -0.1, 10)   # bad h
     with pytest.raises(ValueError):
@@ -178,6 +187,7 @@ def test_construction_guards():
 # h as its stepsize (the integrators': dt)
 _PARAM_ROUTES = {
     "nesterov_lie_trotter": lambda p, h: con.nesterov_lie_trotter(f2(), X0, p, h, 3),
+    "nesterov_velocity_form": lambda p, h: con.nesterov_velocity_form(f2(), X0, p, h, 3),
     "igahd": lambda p, h: con.igahd_construction(f2(), X0, p, 1.0, h, 3),
     "lt_s_igahd": lambda p, h: con.lt_s_igahd_construction(
         f2(), X0, p, make_schedule("e25", s=S, beta=0.1), h, 3),
@@ -217,11 +227,14 @@ def test_route_imports_nothing_from_the_direct_steppers():
 
 def _routes(h, sched_beta=0.1):
     """Each construction at stepsize h from its start velocity, keyed by
-    the direct stepper it reproduces at s = h^2, with that stepper's
-    keywords. lt_s_igahd runs on an e25 schedule with beta = sched_beta."""
+    the direct stepper it reproduces at s = h^2 (agm2's velocity form by
+    agm2_velocity), with that stepper's keywords. lt_s_igahd runs on an e25
+    schedule with beta = sched_beta."""
     sch = make_schedule("e25", s=h * h, beta=sched_beta, b=2.0, mu=0.1)
     return {
         "agm2": (lambda obj, x0, n: con.nesterov_lie_trotter(obj, x0, 3.0, h, n), {}),
+        "agm2_velocity": (lambda obj, x0, n: con.nesterov_velocity_form(obj, x0, 3.0, h, n),
+                          {}),
         "igahd": (lambda obj, x0, n: con.igahd_construction(obj, x0, 3.0, 1.0, h, n),
                   {"beta": 1.0}),
         "lt_s_igahd": (lambda obj, x0, n: con.lt_s_igahd_construction(obj, x0, 3.0, sch, h, n),
@@ -256,6 +269,10 @@ ROUTE_DIGESTS = {
         "d7f22964e02675d72c8789ab6eec9eef7efdc5ce9b3e1f2506a0af5130cba4cc",
     ("agm2", "f2", 0.1):
         "bca72a707d6e6a506cb1a7f5830501783c15140180564cc4af439848cb5404c1",
+    ("agm2_velocity", "f1", 0.1):
+        "a4ed90a68b366464d522ef33a7c9acbe6c8d7106166436efa18947e293b7df32",
+    ("agm2_velocity", "f2", 0.1):
+        "669bec2154e41115a4f42f3f85d9b709ba82760a1fd76e0d4520abb0c76c4275",
     ("igahd", "f1", 0.1):
         "e4a9c35105b866a1b99c2b87fa9fc9903fdc352794740df1db3c42797a5b3063",
     ("igahd", "f2", 0.1):
@@ -288,6 +305,10 @@ ROUTE_DIGESTS = {
         "a366605a2463de5f204820e196b123b15838eecca1ba807f87642508cd772d69",
     ("agm2", "f2", 0.05):
         "04c8f3c6cf1b4fbc6a74f24e5c5972194474c2f020778ab113ce9f63974c4d5e",
+    ("agm2_velocity", "f1", 0.05):
+        "9fc6feb4248a6f6e0cc1fd7051f0c7b3df28541c87efff75573234e7ea400501",
+    ("agm2_velocity", "f2", 0.05):
+        "7363b07ac2f668ce5e2a00c1f1968b04d4801f589ce04ffde4d9546f15ae8152",
     ("igahd", "f1", 0.05):
         "833e7969fa7c40a8d58015eae51b50adbcd018ae3b8d0e4974d2a98d2c46f884",
     ("igahd", "f2", 0.05):
@@ -373,21 +394,21 @@ def test_every_construction_equals_its_stepper_on_random_quadratics(seed, dim, u
     h = float(np.sqrt(u / obj.lipschitz_constant()))
     x0 = rng.normal(scale=2.0, size=dim)
     for name, (construct, kw) in _routes(h).items():
-        traj, _ = run(make_stepper(name, h * h, **kw), obj, x0, h * h,
+        method = name.removesuffix("_velocity")
+        traj, _ = run(make_stepper(method, h * h, **kw), obj, x0, h * h,
                       StoppingRule("max_iter"), max_iter=N)
         assert _rel_gap(construct(obj, x0, N), traj.xs) <= 1e-12, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
-       name=st.sampled_from(["agm2", "nag"]), n_lanes=st.integers(1, 5))
-def test_affine_gradient_lanes_match_the_direct_recursion(seed, dim, name, n_lanes):
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), n_lanes=st.integers(1, 5))
+def test_affine_gradient_lanes_match_the_direct_recursion(seed, dim, n_lanes):
     # the undeclared copy of the quadratic takes grad(y_n) by a new product
     rng = np.random.default_rng([seed, dim])
     obj = _psd_quadratic(rng, dim)
     ss = list(rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz_constant())
     x0s = rng.standard_normal((n_lanes, dim)) * 3.0
-    trajs = [run_lanes(make_stepper(name, ss), o, x0s, ss, StoppingRule("max_iter"),
+    trajs = [run_lanes(make_stepper("agm2", ss), o, x0s, ss, StoppingRule("max_iter"),
                        max_iter=150, record=True)[0]
              for o in (obj, dataclasses.replace(obj, affine_gradient=False))]
     for got, ref in zip(*trajs):

@@ -361,7 +361,7 @@ def test_run_quadratic_without_matrix(tmp_path, capsys):
 
 def test_run_nag_alpha_one_exits_2(tmp_path, capsys):
     # every method whose coefficients use alpha needs alpha > 1, as the
-    # constructions do; the velocity form of nag divides by alpha - 1
+    # constructions do; nag steps as agm2
     for name in ("nag", "agm2", "lt_se1"):
         _exit_2_one_line(capsys, ["run", "--algorithm", name, "--alpha", "1",
                                   "--out", str(tmp_path / "o")], "--alpha")
@@ -561,6 +561,10 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
     (["run", "--algorithm", "igahd", "--beta", "-50", "--s", "0.1"],
      "beta must be finite and nonnegative"),
     (["ode-compare", "--beta", "-5"], "beta must be finite and nonnegative"),
+    # a grid with no finite step count, and one no memory can hold: both
+    # fail at once, before any step
+    (["ode-compare", "--dt", "1e-320"], "no finite step count"),
+    (["ode-compare", "--t1", "1e18", "--dt", "1"], "cannot be allocated"),
 ], ids=["run-epsilon", "run-alpha", "run-s", "run-gamma", "run-beta", "run-config-string",
         "run-config-huge-int", "run-x0", "run-config-algorithm", "run-config-x0-string",
         "run-config-x0-null", "run-config-x0-number", "run-schedule-string",
@@ -573,7 +577,8 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
         "run-config-record-energy-string", "run-config-objective-list",
         "run-config-quadratic-nan", "run-config-quadratic-inf",
         "run-config-quadratic-linear-nan", "run-gamma-negative", "run-config-gamma-negative",
-        "run-beta-negative", "ode-beta-negative"])
+        "run-beta-negative", "ode-beta-negative", "ode-dt-no-finite-count",
+        "ode-grid-unallocatable"])
 def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -19,7 +19,6 @@ from splitgrad.algorithms import (
     coefficient_map,
     coefficient_step,
     make_stepper,
-    nag_coefficients,
     run,
     run_lanes,
 )
@@ -73,12 +72,9 @@ def test_schedule_coeffs_at_vector_is_scalar(label, params, objective):
 
 @pytest.mark.parametrize("name", [n for n in ALGORITHM_NAMES if n != "lt_s_igahd"])
 def test_coefficient_map_vector_is_scalar(name):
-    # lt_se3 includes the theta_{n-1} term; nag's map is its velocity form
+    # lt_se3 includes the theta_{n-1} term
     for s in (0.01, 0.1, 0.23):
-        if name == "nag":
-            _assert_vector_is_scalar(lambda n: nag_coefficients(n, s, 3.0), N_ALL)
-        else:
-            _assert_vector_is_scalar(coefficient_map(name, s, beta=0.7, gamma=1.3), N_ALL)
+        _assert_vector_is_scalar(coefficient_map(name, s, beta=0.7, gamma=1.3), N_ALL)
 
 
 def _lane_schedule(name, label, s, beta, mu):
@@ -515,56 +511,28 @@ def _method_map(draw, names):
                            draw(st.floats(0.1, 3.0)))
 
 
-def _assert_coeffs_of_is_each_maps_own(maps, ns, col):
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(maps=st.lists(st.one_of(_family_map().map(lambda sch: sch.coeffs_at),
+                               _method_map(sorted(algorithms._METHODS))),
+                     min_size=1, max_size=12),
+       custom_at=st.integers(0, 12), start=st.integers(1, 5000), width=st.integers(1, 40),
+       data=st.data())
+def test_coeffs_of_is_each_schedules_own_coeffs_at(maps, custom_at, start, width, data):
+    # a map that is not a CoefficientMap is called lane by lane
+    custom = make_schedule("custom", s=0.1, coeffs=lambda n: coefficient_map("lt_se3", 0.1)(n))
+    maps.insert(min(custom_at, len(maps)), custom.coeffs_at)
+    ns = np.arange(start, start + width, dtype=float)
     # a row of indices that every lane shares
     table = coeffs_of(maps, ns)
     for i, m in enumerate(maps):
         own = np.stack(np.broadcast_arrays(*m(ns)), axis=1)
         assert table[:, :, i].tobytes() == own.tobytes()
     # a column of each lane's own index
-    table = coeffs_of(maps, col[:len(maps)])
+    col = np.array([[data.draw(st.integers(1, 10_000))] for _ in maps], dtype=float)
+    table = coeffs_of(maps, col)
     for i, m in enumerate(maps):
         own = np.array(m(float(col[i, 0])))
         assert table[0, :, i].tobytes() == own.tobytes()
-
-
-_FOUR = sorted(set(algorithms._METHODS) - {"nag"})
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(maps=st.lists(st.one_of(_family_map().map(lambda sch: sch.coeffs_at),
-                               _method_map(_FOUR)), min_size=1, max_size=12),
-       nags=st.lists(_method_map(["nag"]), max_size=4),
-       custom_at=st.integers(0, 12), start=st.integers(1, 5000), width=st.integers(1, 40),
-       data=st.data())
-def test_coeffs_of_is_each_schedules_own_coeffs_at(maps, nags, custom_at, start, width, data):
-    # a map that is not a CoefficientMap is called lane by lane
-    custom = make_schedule("custom", s=0.1, coeffs=lambda n: coefficient_map("lt_se3", 0.1)(n))
-    maps.insert(min(custom_at, len(maps)), custom.coeffs_at)
-    ns = np.arange(start, start + width, dtype=float)
-    col = np.array([[data.draw(st.integers(1, 10_000))] for _ in range(len(maps) + len(nags))],
-                   dtype=float)
-    _assert_coeffs_of_is_each_maps_own(maps, ns, col)
-    # nag's velocity form has three coefficients, so its maps make a table of their own
-    if nags:
-        _assert_coeffs_of_is_each_maps_own(nags, ns, col[len(maps):])
-
-
-@pytest.mark.parametrize("nag_first", [False, True], ids=["four-first", "nag-first"])
-@pytest.mark.parametrize("wrapped", ["four", "nag"])
-def test_coeffs_of_rejects_maps_of_different_counts(wrapped, nag_first):
-    # a map that is not a CoefficientMap is evaluated before the grouped
-    # ones, so the wrapped map's count is the one the table takes first
-    four = algorithms._map("lt_se3", 0.1, 3.0, None, 1.0, 1.0)
-    nag = algorithms._map("nag", 0.1, 3.0, None, 1.0, 1.0)
-    if wrapped == "four":
-        four, counts = (lambda n, m=four: m(n)), "4 and of 3"
-    else:
-        nag, counts = (lambda n, m=nag: m(n)), "3 and of 4"
-    maps = [nag, four] if nag_first else [four, nag]
-    for n in (np.arange(1.0, 9.0), np.array([[3.0], [5.0]])):
-        with pytest.raises(ValueError, match=f"maps of {counts} coefficients"):
-            coeffs_of(maps, n)
 
 
 def test_fixed_runs_call_each_method_body_once_per_chunk(monkeypatch):

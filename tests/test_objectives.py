@@ -89,8 +89,9 @@ def test_quadratic_rejects_bad_input():
         quadratic([[1.0, 2.0], [0.0, 1.0]])            # not symmetric
     with pytest.raises(ValueError):
         quadratic([[-1.0, 0.0], [0.0, 1.0]])           # negative eigenvalue
-    with pytest.raises(ValueError):
-        quadratic([[1.0, 1.0], [1.0, 1.0]], [1.0, -1.0])  # unbounded below
+    for b in ([1.0, -1.0], [1e-6, -1e-6]):   # unbounded below, however small b is
+        with pytest.raises(ValueError, match="unbounded below"):
+            quadratic([[1.0, 1.0], [1.0, 1.0]], b)
     with pytest.raises(ValueError, match=r"^quadratic matrix must be at least 1 x 1$"):
         quadratic(np.zeros((0, 0)))
 
@@ -149,6 +150,22 @@ def test_quadratic_matches_the_eigendecomposition():
         assert np.linalg.norm(obj.argmin_point - x_star) <= 1e-9 * (1.0 + np.linalg.norm(x_star))
         kinds.add(kind)
     assert kinds == {"unique", "affine"}
+
+
+def test_quadratic_builds_an_ill_conditioned_definite_matrix():
+    # condition 1e10: the range check is relative to |b| + L |x*|, so the
+    # solve's residual, about 8e-8 here, does not read as unbounded below
+    rng = np.random.default_rng(10)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    a = (q * np.geomspace(1e-10, 1.0, 20)) @ q.T
+    a = 0.5 * (a + a.T)
+    b = rng.standard_normal(20)
+    obj = quadratic(a, b)
+    x_star = obj.argmin_point
+    assert obj.argmin_kind == "unique"
+    scale = 1.0 + np.linalg.norm(b) + obj.lipschitz_constant() * np.linalg.norm(x_star)
+    assert np.linalg.norm(a @ x_star + b) <= 1e-9 * scale
+    assert np.linalg.norm(x_star - _eigh_reference(a, b)[2]) <= 1e-4 * np.linalg.norm(x_star)
 
 
 def test_quadratic_takes_eigenvectors_only_for_a_singular_matrix(monkeypatch):
