@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from splitgrad import constructions as con
 from splitgrad.algorithms import (
     ALGORITHM_NAMES,
     StoppingRule,
@@ -128,6 +129,29 @@ def test_lt_s_igahd_iterates():
 
 def test_theta_default():
     assert [default_theta(n) for n in (0, 1, 2, 3)] == [1.0, 1.0, 0.5, 1.0 / 3.0]
+
+
+def test_nag_standard_clock_matches_agm2():
+    # nag's velocity form on the clock t_n = n h reaches agm2's iterates
+    # at s = h^2 by a route that shares no step with the stepper
+    h = 0.1
+    for obj in (f1(), f2()):
+        t_agm, _ = run(make_stepper("agm2", h * h), obj, [1.0, -2.0], h * h,
+                       StoppingRule("max_iter"), max_iter=50)
+        t_nag, _ = run(make_stepper("nag", h * h), obj, [1.0, -2.0], h * h,
+                       StoppingRule("max_iter"), max_iter=50)
+        xs = con.nesterov_velocity_form(obj, [1.0, -2.0], 3.0, h, 50)
+        assert np.max(np.abs(t_nag.xs - t_agm.xs)) <= 1e-12
+        assert np.max(np.abs(xs - t_agm.xs)) <= 1e-12
+
+
+def test_nag_guards():
+    # the velocity form's w_n and c_n divide by alpha - 1, and w_n by the
+    # clock t_n = n h, which vanishes unless h > 0
+    with pytest.raises(ValueError, match="must exceed 1"):
+        con.nesterov_velocity_form(f1(), X0, 1.0, 0.1, 10)
+    with pytest.raises(ValueError, match="stepsize must be positive"):
+        con.nesterov_velocity_form(f1(), X0, 3.0, 0.0, 10)
 
 
 def test_stopping_rule_validation():
