@@ -198,8 +198,9 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
     the wrong length, a NaN or infinite entry of A or b, an A that is not
     symmetric or has a negative eigenvalue, and a b outside the range of A
     (that makes f unbounded below): the minimizer x* must satisfy
-    max_i |(A x* + b)_i| <= 1e-9 (1 + |b| + L |x*|), so a definite A of any
-    condition builds.
+    max_i |(A x* + b)_i| <= 1e-9 (1 + |b|), or, for a definite A, whose
+    range is all of R^d, 1e-9 (1 + |b| + L |x*|), so that a definite A of
+    any condition builds.
 
     A build takes the eigenvalues of A from `np.linalg.eigvalsh`, which
     gives the Lipschitz constant (the largest eigenvalue; it may differ
@@ -232,29 +233,31 @@ def quadratic(a_matrix, b_vector=None) -> Objective:
         raise ValueError(f"quadratic matrix has negative eigenvalue {eigs[0]}")
     lip = float(max(eigs[-1], 0.0))
 
-    def stationary(x):
-        # relative to the problem's own scale, |b| + L |x|; the largest
-        # entry of the residual, so that any x within 1e-9 (1 + |b|) passes
-        scale = 1.0 + float(np.linalg.norm(b)) + lip * float(np.linalg.norm(x))
+    def stationary(x, definite):
+        # only a definite A adds its own scale L |x|: on a singular one a small
+        # kept eigenvalue makes |x| large, and L |x| would pass a b with a
+        # component on the null space, along which f is unbounded below
+        scale = 1.0 + float(np.linalg.norm(b)) + definite * lip * float(np.linalg.norm(x))
         return float(np.max(np.abs(a @ x + b))) <= 1e-9 * scale
 
     kept = eigs > tol
+    definite = bool(kept.all())
     x_star = None
-    if kept.all():
+    if definite:
         try:
             x_star = np.linalg.solve(a, -b)
         except np.linalg.LinAlgError:   # singular to working precision
             pass
     # a solve that misses the range check (an ill-conditioned A) leaves the
     # verdict to the pseudo-inverse, so no A that it accepts is refused
-    if x_star is None or not stationary(x_star):
+    if x_star is None or not stationary(x_star, definite):
         # minimum-norm minimizer through the pseudo-inverse of A at tolerance tol
         eigs, vecs = np.linalg.eigh(a)
         kept = eigs > tol
         coords = np.zeros(dim)
         coords[kept] = (vecs.T @ -b)[kept] / eigs[kept]
         x_star = vecs @ coords
-        if not stationary(x_star):
+        if not stationary(x_star, definite and kept.all()):
             raise ValueError("quadratic is unbounded below: linear term outside the matrix range")
 
     # x @ a_t is A x for each point (row) of x; for one point it computes

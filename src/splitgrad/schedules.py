@@ -159,7 +159,8 @@ def coeffs_of(maps: Sequence[Callable], n) -> Array:
     (m = 1). The `CoefficientMap`s of one body take one broadcast call of
     the body over their argument columns; any other map (a custom one, a
     wrapped `coeffs_at`) is called lane by lane. Each lane gets the bits of
-    its own map's call."""
+    its own map's call. A map that does not give four coefficients raises
+    ValueError."""
     n = np.asarray(n, dtype=float)
     per_lane = n.ndim == 2
     width = 1 if per_lane else n.size
@@ -167,8 +168,10 @@ def coeffs_of(maps: Sequence[Callable], n) -> Array:
 
     def put(lanes: list, values) -> None:
         nonlocal out
+        if len(values) != 4:   # a custom map is the caller's own
+            raise ValueError(f"a coefficient map must give 4 coefficients, got {len(values)}")
         if out is None:
-            out = np.empty((width, len(values), len(maps)))
+            out = np.empty((width, 4, len(maps)))
         for k, v in enumerate(values):
             out[:, k, lanes] = np.broadcast_to(v, (len(lanes), width)).T
 

@@ -108,16 +108,19 @@ def _route_gaps(routes, s: float, n_steps: int):
     """(objective tag, route, gap) for each test objective and each route,
     in order: the max relative gap over n_steps steps from X0 between the
     route's construction at h = sqrt(s) and its direct stepper at s. The
-    direct steppers of one objective run as one `_fixed_runs` call."""
+    direct steppers of one objective run as one `_fixed_runs` call, each
+    distinct (method, keywords) once, so agm2's two rows share one run."""
     h = float(np.sqrt(s))
     rows = [(route, route.keywords(s)) for route in routes]
+    runs = [(route.method, kw) for route, kw in rows]
+    methods = [run for i, run in enumerate(runs) if run not in runs[:i]]
     out = []
     for tag, obj in _both_objectives():
-        direct = _fixed_runs(obj, s, n_steps, [(route.method, kw) for route, kw in rows])
-        for (route, kw), traj in zip(rows, direct):
+        direct = _fixed_runs(obj, s, n_steps, methods)
+        for (route, kw), run in zip(rows, runs):
             xs = getattr(constructions, route.construction)(obj, list(X0), h=h,
                                                             n_steps=n_steps, **kw)
-            out.append((tag, route, _max_rel_gap(xs, traj.xs)))
+            out.append((tag, route, _max_rel_gap(xs, direct[methods.index(run)].xs)))
     return out
 
 

@@ -253,6 +253,19 @@ def test_route_suites_look_each_construction_up_when_they_run(monkeypatch):
     assert calls == {name: 2 for name in calls}   # once per test objective
 
 
+def test_route_suites_run_each_direct_method_once(monkeypatch):
+    # agm2's two rows compare their constructions with one direct run
+    batches = []
+    fixed_runs = verify._fixed_runs
+    def counted(obj, s, n_steps, methods):
+        batches.append([name for name, _ in methods])
+        return fixed_runs(obj, s, n_steps, methods)
+    monkeypatch.setattr(verify, "_fixed_runs", counted)
+    assert all(r.passed for r in verify.suite_nesterov_split() + verify.suite_constructions())
+    others = [route.method for route in verify.ROUTES if route.method != "agm2"]
+    assert batches == [["agm2"]] * 2 + [others] * 2
+
+
 def test_nesterov_split_fails_when_either_construction_misses_agm2(monkeypatch):
     # a velocity form 1e-11 off agm2 fails both checks, and the detail
     # still reports the Lie-Trotter gap beside it

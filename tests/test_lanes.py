@@ -535,6 +535,21 @@ def test_coeffs_of_is_each_schedules_own_coeffs_at(maps, custom_at, start, width
         assert table[0, :, i].tobytes() == own.tobytes()
 
 
+@pytest.mark.parametrize("three_first", [True, False], ids=["three-first", "four-first"])
+@pytest.mark.parametrize("beside", ["builtin", "wrapped"])
+def test_coeffs_of_rejects_a_map_of_three_coefficients(beside, three_first):
+    # a custom map giving three coefficients, batched beside a built-in
+    # (grouped) four-coefficient map or a wrapped (lane-by-lane) one
+    three = make_schedule("custom", s=0.1, coeffs=lambda n: (n * 0 + 0.5, 0.0, 0.0)).coeffs_at
+    four = coefficient_map("lt_se3", 0.1)
+    if beside == "wrapped":
+        four = (lambda n, m=four: m(n))
+    maps = [three, four] if three_first else [four, three]
+    for n in (np.arange(1.0, 9.0), np.array([[3.0], [5.0]])):
+        with pytest.raises(ValueError, match="^a coefficient map must give 4 coefficients, got 3$"):
+            coeffs_of(maps, n)
+
+
 def test_fixed_runs_call_each_method_body_once_per_chunk(monkeypatch):
     calls = []   # (method, first index, lanes) of each call of a method body
     for name, (body, keywords) in list(algorithms._METHODS.items()):

@@ -92,6 +92,10 @@ def test_quadratic_rejects_bad_input():
     for b in ([1.0, -1.0], [1e-6, -1e-6]):   # unbounded below, however small b is
         with pytest.raises(ValueError, match="unbounded below"):
             quadratic([[1.0, 1.0], [1.0, 1.0]], b)
+    # a small kept eigenvalue makes |x*| = 1e8, which must not widen the
+    # range check: b's 1e-3 on the null space leaves f unbounded below
+    with pytest.raises(ValueError, match="unbounded below"):
+        quadratic(np.diag([1.0, 1e-8, 0.0]), [0.0, 1.0, 1e-3])
     with pytest.raises(ValueError, match=r"^quadratic matrix must be at least 1 x 1$"):
         quadratic(np.zeros((0, 0)))
 
