@@ -11,9 +11,9 @@ together with the Lyapunov-energy and coefficient-admissibility checks in
 from .objectives import Objective, f1, f2, make_objective, quadratic
 from .schedules import (AdmissibilityReport, Schedule, check_assumptions,
                         make_schedule, n_prime)
-from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, ScheduleRun,
-                         StoppingRule, Trajectory, coefficient_map, init_state,
-                         make_stepper, run, run_lanes, run_schedules)
+from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, StoppingRule,
+                         Trajectory, coefficient_map, init_state, make_stepper, run,
+                         run_lanes, run_methods)
 from .splitting import (HamiltonianSystem, euler_advance, forward_euler_hamiltonian,
                         lie_trotter_compose, rk4_step, stormer_verlet,
                         strang_compose, symplectic_euler)
@@ -35,9 +35,8 @@ __all__ = [
     "Objective", "f1", "f2", "make_objective", "quadratic",
     "AdmissibilityReport", "Schedule", "check_assumptions", "make_schedule",
     "n_prime",
-    "ALGORITHM_NAMES", "IterState", "RunResult", "ScheduleRun", "StoppingRule",
-    "Trajectory", "coefficient_map", "init_state", "make_stepper", "run", "run_lanes",
-    "run_schedules",
+    "ALGORITHM_NAMES", "IterState", "RunResult", "StoppingRule", "Trajectory",
+    "coefficient_map", "init_state", "make_stepper", "run", "run_lanes", "run_methods",
     "HamiltonianSystem", "euler_advance", "forward_euler_hamiltonian",
     "lie_trotter_compose", "rk4_step", "stormer_verlet", "strang_compose",
     "symplectic_euler",

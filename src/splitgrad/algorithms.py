@@ -46,6 +46,11 @@ those of its own `run` on f1 and f2; on a quadratic, B > 1 lanes share one
 matrix product, whose summation order may differ from the one-lane product
 in the last bits.
 
+`run_methods` is the runner that the command line and `verify` share: it
+runs cells (method, s, keywords) from one start point, the cells whose
+methods share a kernel as one `run_lanes` batch, and hands each cell its
+own result back in order.
+
 Recording: a recorded run writes each field (x_n, f_n, grad_n and, with
 `record_y`, y_n) into one float64 buffer. A run whose only stop is max_iter
 takes the rows it will write at once: max(max_iter, 1) + 1 from x_0, and
@@ -89,7 +94,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import objectives, schedules
+from . import schedules
 from .objectives import Objective
 from .schedules import Schedule
 
@@ -526,15 +531,18 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
     method. A number n gives floats, an array of n gives arrays, bitwise
     equal to the numbers n by n. lt_s_igahd takes its coefficients from
     `schedule`, whose s must equal `s` to 8 eps relative and whose alpha
-    must equal `alpha`."""
+    must equal `alpha`. alpha must exceed 1 for every method but pim
+    (`check_alpha`)."""
     return _map(name.lower(), s, alpha, schedule, beta, gamma)
 
 
 def _map(name: str, s: float, alpha: float, schedule: Optional[Schedule], beta: float,
          gamma: float) -> Callable:
     """The map a method steps by: its Schedule's for lt_s_igahd, else the
-    `CoefficientMap` of its row of `_METHODS`. beta and gamma must be
-    finite and nonnegative, whichever method is named."""
+    `CoefficientMap` of its row of `_METHODS`. alpha must exceed 1 for every
+    method but pim, and beta and gamma must be finite and nonnegative,
+    whichever method is named."""
+    check_alpha(name, alpha)
     if not 0.0 <= beta < np.inf:
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     if not 0.0 <= gamma < np.inf:
@@ -557,10 +565,9 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
     """Bind a named algorithm to its parameters; the result has the
     (state, obj) -> state shape that `run` and `run_lanes` expect. `s` is
     one stepsize or one per lane, and `schedule` (lt_s_igahd's) one Schedule
-    or one per lane. Each name steps by its `coefficient_map`. alpha must
-    exceed 1 for every method but pim (`check_alpha`)."""
+    or one per lane. Each name steps by its `coefficient_map`, which takes
+    the same parameters."""
     name = name.lower()
-    check_alpha(name, alpha)
     s_lanes = np.atleast_1d(np.asarray(s, dtype=float))
     if s_lanes.ndim != 1 or s_lanes.size == 0:
         raise ValueError(f"s must be a stepsize or a sequence of them, got shape {np.shape(s)}")
@@ -604,55 +611,38 @@ def default_stop(obj: Objective) -> str:
     return "consecutive_f"
 
 
-@dataclass(frozen=True)
-class ScheduleRun:
-    """One cell of `run_schedules`: the schedule it built with its RunResult
-    (and Trajectory, when recorded), or else the exception that rejected
-    the cell's stepsize or schedule."""
+def run_methods(obj: Objective, cells, x0, stopping: StoppingRule, max_iter: int = 50000,
+                record: bool = False):
+    """Run each cell (name, s, keywords), a method at stepsize s with its
+    `coefficient_map` keywords, from the one start point x0 on `obj`, a
+    batched objective. The cells whose methods share a kernel (`kernel_of`)
+    run as the lanes of one `run_lanes` batch, so on f1 and f2 each cell
+    has the bits of its own `run`. x0 must be a finite point of obj.dim,
+    and a cell whose keywords `coefficient_map` rejects raises before any
+    lane runs.
 
-    schedule: Optional[Schedule] = None
-    result: Optional[RunResult] = None
-    trajectory: Optional[Trajectory] = None
-    error: Optional[Exception] = None
-
-
-def run_schedules(objective: str, cells, alpha: float, x0, epsilon: float, max_iter: int,
-                  record: bool = False):
-    """Run lt_s_igahd on a built-in objective from x0 under the coefficient
-    schedule of each cell (label, params, s): a family label, its parameters
-    and the stepsize. Every run stops by the objective's default rule at
-    `epsilon`. The cells whose stepsize and schedule are accepted run as the
-    lanes of one `run_lanes` batch, so on f1 and f2 each has the bits of its
-    own one-cell call. A rejected cell keeps the exception as its `error`
-    while the others run; the inputs all cells share (the objective, x0,
-    epsilon) raise ValueError instead.
-
-    Returns (objective, runs): one ScheduleRun per cell, in order."""
-    obj = objectives.make_objective(objective)
+    Returns (trajectories, results) as `run_lanes` does: one RunResult per
+    cell, in order, and one Trajectory per cell when `record` is set, else
+    None."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dim,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite point of dimension {obj.dim} for "
                          f"objective {obj.name!r}, got {x0.tolist()}")
-    stopping = StoppingRule(default_stop(obj), epsilon)
-    runs = []
-    for label, params, s in cells:
-        try:
-            check_stepsize(s, obj)
-            sched = schedules.make_schedule(label, s=s, alpha=alpha, **params)
-        except Exception as e:  # the cell's own inputs: reported, not raised
-            runs.append(ScheduleRun(error=e))
-        else:
-            runs.append(ScheduleRun(sched))
-    built = [run.schedule for run in runs if run.error is None]
-    if not built:
-        return obj, runs
-    ss = [sched.s for sched in built]
-    trajs, results = run_lanes(make_stepper("lt_s_igahd", ss, alpha=alpha, schedule=built),
-                               obj, np.tile(x0, (len(built), 1)), ss, stopping, max_iter,
-                               record)
-    lanes = iter(zip(results, trajs or [None] * len(built)))
-    return obj, [run if run.error is not None else ScheduleRun(run.schedule, *next(lanes))
-                 for run in runs]
+    cells = list(cells)
+    maps = [coefficient_map(name, s, **keywords) for name, s, keywords in cells]
+    groups = {}
+    for i, (name, _, _) in enumerate(cells):
+        groups.setdefault(kernel_of(name), []).append(i)
+    trajs, results = [None] * len(cells), [None] * len(cells)
+    for kernel, lanes in groups.items():
+        ss = [cells[i][1] for i in lanes]
+        got, res = run_lanes(Stepper(kernel, [maps[i] for i in lanes], ss), obj,
+                             np.tile(x0, (len(lanes), 1)), ss, stopping, max_iter, record)
+        for j, i in enumerate(lanes):
+            results[i] = res[j]
+            if record:
+                trajs[i] = got[j]
+    return (trajs if record else None), results
 
 
 ALGORITHM_NAMES = ("agm2", "lt_s_igahd", "lt_se1", "lt_sv2", "ardm", "lt_se3",

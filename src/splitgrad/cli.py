@@ -250,13 +250,13 @@ def cmd_run(args) -> int:
 
 
 def _n2_at_stops(runs, lipschitz, alpha: float) -> np.ndarray:
-    """N2 at the stop index of each of `runs` (ScheduleRuns on objectives of
-    Lipschitz constant `lipschitz`, a number or one per run), from one
-    `schedules.coeffs_of` call; nan for a run whose G_n <= 0 there, where
-    N2 is undefined."""
-    n = np.array([[run.result.n_final] for run in runs], dtype=float)
-    _, lam, om, gam = schedules.coeffs_of([run.schedule.coeffs_at for run in runs], n)[0]
-    s = np.array([run.schedule.s for run in runs])
+    """N2 at the stop index of each of `runs` ((Schedule, RunResult) pairs
+    on objectives of Lipschitz constant `lipschitz`, a number or one per
+    run), from one `schedules.coeffs_of` call; nan for a run whose G_n <= 0
+    there, where N2 is undefined."""
+    n = np.array([[res.n_final] for _, res in runs], dtype=float)
+    _, lam, om, gam = schedules.coeffs_of([sched.coeffs_at for sched, _ in runs], n)[0]
+    s = np.array([sched.s for sched, _ in runs])
     g, h, i = schedules.gn_hn_in(s, lipschitz, gam, lam, om)
     out = np.full(len(runs), np.nan)
     ok = g > 0.0
@@ -281,18 +281,16 @@ def _infer_s(cases, alpha: float, max_iter: int):
     """Each row's scanned stepsize whose terminal-iteration N2 is nearest
     the recorded one, with that N2: (s_best, n2_at_stop_best) per case. The
     scans of all the rows that share an objective and epsilon run as the
-    lanes of one batch (`verify.run_case_cells`). A stepsize whose schedule
-    cannot be built is left out, and one that diverges, or whose N2 is
-    undefined at its stop, is skipped."""
+    lanes of one batch (`verify.run_case_cells`). A stepsize that diverges,
+    or whose N2 is undefined at its stop, is skipped."""
     def best(case, obj, runs):
-        runs = [run for run in runs
-                if run.error is None and run.result.termination != "diverged"]
+        runs = [(sched, res) for sched, res in runs if res.termination != "diverged"]
         if not runs:
             return np.nan, np.nan
         vals = _n2_at_stops(runs, obj.lipschitz_constant(), alpha)
         gaps = np.abs(vals - case.ref_n2)
         k = int(np.argmin(np.where(np.isnan(gaps), np.inf, gaps)))
-        return (runs[k].schedule.s, float(vals[k])) if gaps[k] < np.inf else (np.nan, np.nan)
+        return (runs[k][0].s, float(vals[k])) if gaps[k] < np.inf else (np.nan, np.nan)
 
     return verify.run_case_cells(cases, _scan_cells, alpha, max_iter, best)
 
@@ -347,8 +345,7 @@ def cmd_table(args) -> int:
     scans = _infer_s(cases, alpha, max_iter) if args.infer_s else [()] * len(cases)
     n2_stops = _n2_at_stops([run for _, run in runs],
                             np.array([obj.lipschitz_constant() for obj, _ in runs]), alpha)
-    for case, (obj, run), scan, n2_stop in zip(cases, runs, scans, n2_stops.tolist()):
-        sched, res = run.schedule, run.result
+    for case, (obj, (sched, res)), scan, n2_stop in zip(cases, runs, scans, n2_stops.tolist()):
         lip = obj.lipschitz_constant()
         rep = schedules.check_assumptions(sched, lip,
                                           n_max=schedules.scan_end(res.n_final, alpha))
@@ -393,21 +390,33 @@ def cmd_sweep(args) -> int:
         if not isinstance(grid[k], (list, tuple)) or not grid[k]:
             raise ValueError(f"grid entry {k!r} must be a non-empty list")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-    x0 = _parse_vec("--x0", args.x0, make_objective(args.objective).dim)
-    # one lane batch; a cell whose stepsize or schedule is rejected is an error row
-    obj, runs = algorithms.run_schedules(
-        args.objective, [(args.schedule, params, args.s) for params in points], args.alpha,
-        x0, args.epsilon, _max_iter(args.max_iter))
+    obj = make_objective(args.objective)
+    x0 = _parse_vec("--x0", args.x0, obj.dim)
+    s, alpha = _finite("--s", args.s), _finite("--alpha", args.alpha)
+    max_iter = _max_iter(args.max_iter)
+    stopping = algorithms.StoppingRule(algorithms.default_stop(obj), args.epsilon)
+    # each cell's schedule, or the exception that rejected its stepsize or
+    # schedule, which becomes an error row; the schedules run as one batch
+    built = []
+    for params in points:
+        try:
+            algorithms.check_stepsize(s, obj)
+            built.append(schedules.make_schedule(args.schedule, s=s, alpha=alpha, **params))
+        except Exception as e:  # the cell's own inputs: reported, not raised
+            built.append(e)
+    scheds = [sch for sch in built if isinstance(sch, schedules.Schedule)]
+    _, results = algorithms.run_methods(
+        obj, [("lt_s_igahd", sch.s, {"alpha": alpha, "schedule": sch}) for sch in scheds], x0,
+        stopping, max_iter)
+    results = iter(results)
     rows = []
-    for params, run in zip(points, runs):
-        if run.error is not None:
-            message = f"{type(run.error).__name__}: {run.error}"
-            tail = ["error", "", -1] + [np.nan] * 5 + [message]
+    for params, sched in zip(points, built):
+        if isinstance(sched, Exception):
+            tail = ["error", "", -1] + [np.nan] * 5 + [f"{type(sched).__name__}: {sched}"]
         else:
-            res = run.result
-            rep = schedules.check_assumptions(run.schedule, obj.lipschitz_constant(),
-                                              n_max=schedules.scan_end(res.n_final,
-                                                                       args.alpha))
+            res = next(results)
+            rep = schedules.check_assumptions(sched, obj.lipschitz_constant(),
+                                              n_max=schedules.scan_end(res.n_final, alpha))
             tail = ["ok", res.termination, res.n_final, res.error_final, rep.n1, rep.n2,
                     rep.n_prime, rep.n_threshold, ""]
         rows.append([params[k] for k in keys] + tail)
@@ -419,8 +428,8 @@ def cmd_sweep(args) -> int:
     _write_csv(out_dir / "sweep.csv", header, rows)
     _emit_report(out_dir, {
         "command": "sweep", "schedule": args.schedule,
-        "objective": args.objective, "s": args.s, "alpha": args.alpha,
-        "cells": len(runs), "errors": sum(run.error is not None for run in runs),
+        "objective": args.objective, "s": s, "alpha": alpha,
+        "cells": len(built), "errors": len(built) - len(scheds),
         "files": "sweep.csv,report.txt,report.json",
     })
     return 0

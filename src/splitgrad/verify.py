@@ -12,6 +12,11 @@ construction and its parameters, which both routes take. agm2 has two
 rows, its Lie-Trotter split and its velocity form. Each later
 per-method fact (its continuous limit, its expected order) becomes one
 more field of a row, not one more list kept in step with the others.
+
+Every direct run goes through `algorithms.run_methods`, the runner the
+command line uses too: the suites, and the recorded rows through
+`run_case_cells`, hand it cells (method, s, keywords) from X0, and it
+batches the cells whose methods share a kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import algorithms, analysis, constructions, schedules
 from .cases import all_cases
-from .objectives import Objective, f1, f2, quadratic
+from .objectives import Objective, f1, f2, make_objective, quadratic
 from .splitting import HamiltonianSystem, forward_euler_hamiltonian, symplectic_euler
 
 DEFAULT_SEED = 20260818
@@ -43,31 +48,6 @@ def _both_objectives():
 
 
 X0 = (1.0, -2.0)   # start point of every fixed-length run and every recorded row
-
-
-def _fixed_runs(obj: Objective, s: float, n_steps: int, methods) -> List[algorithms.Trajectory]:
-    """Trajectories over n_steps steps at stepsize s from X0, one for each
-    (name, keywords) in `methods`, a method with its `coefficient_map`
-    keywords, in order. The methods that share a kernel
-    (`algorithms.kernel_of`) run as the lanes of one `run_lanes` batch,
-    which on f1 and f2 gives each lane the bits of its own `run`; a method
-    alone in its kernel runs through `run`."""
-    stop = algorithms.StoppingRule("max_iter")
-    groups: Dict[Callable, list] = {}
-    for i, (name, _) in enumerate(methods):
-        groups.setdefault(algorithms.kernel_of(name), []).append(i)
-    out = [None] * len(methods)
-    for kernel, lanes in groups.items():
-        maps = [algorithms.coefficient_map(methods[i][0], s, **methods[i][1]) for i in lanes]
-        stepper = algorithms.Stepper(kernel, maps, s)
-        if len(lanes) == 1:
-            trajs = [algorithms.run(stepper, obj, X0, s, stop, max_iter=n_steps)[0]]
-        else:
-            trajs, _ = algorithms.run_lanes(stepper, obj, np.tile(X0, (len(lanes), 1)), s,
-                                            stop, max_iter=n_steps, record=True)
-        for i, traj in zip(lanes, trajs):
-            out[i] = traj
-    return out
 
 
 def _max_rel_gap(xs_a, xs_b) -> float:
@@ -108,15 +88,17 @@ def _route_gaps(routes, s: float, n_steps: int):
     """(objective tag, route, gap) for each test objective and each route,
     in order: the max relative gap over n_steps steps from X0 between the
     route's construction at h = sqrt(s) and its direct stepper at s. The
-    direct steppers of one objective run as one `_fixed_runs` call, each
+    direct steppers of one objective run as one `run_methods` call, each
     distinct (method, keywords) once, so agm2's two rows share one run."""
     h = float(np.sqrt(s))
     rows = [(route, route.keywords(s)) for route in routes]
     runs = [(route.method, kw) for route, kw in rows]
     methods = [run for i, run in enumerate(runs) if run not in runs[:i]]
+    stop = algorithms.StoppingRule("max_iter")
     out = []
     for tag, obj in _both_objectives():
-        direct = _fixed_runs(obj, s, n_steps, methods)
+        direct, _ = algorithms.run_methods(obj, [(name, s, kw) for name, kw in methods], X0,
+                                           stop, n_steps, record=True)
         for (route, kw), run in zip(rows, runs):
             xs = getattr(constructions, route.construction)(obj, list(X0), h=h,
                                                             n_steps=n_steps, **kw)
@@ -194,11 +176,12 @@ def suite_energy(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     s = 0.5 / lip
     x_star = np.zeros(2)
     out = []
-    cells = [(label, params, s) for label, params in _energy_configs(s)]
-    _, runs = algorithms.run_schedules("f2", cells, 3.0, X0, 1e-10, 20000,
-                                       record=True)
-    for (label, _, _), run in zip(cells, runs):
-        sch, traj, res = run.schedule, run.trajectory, run.result
+    scheds = [schedules.make_schedule(label, s=s, alpha=3.0, **params)
+              for label, params in _energy_configs(s)]
+    trajs, results = algorithms.run_methods(
+        obj, [("lt_s_igahd", s, {"alpha": 3.0, "schedule": sch}) for sch in scheds], X0,
+        algorithms.StoppingRule(algorithms.default_stop(obj), 1e-10), 20000, record=True)
+    for sch, traj, res in zip(scheds, trajs, results):
         rep = schedules.check_assumptions(sch, lip,
                                           n_max=schedules.scan_end(traj.n_final, 3.0))
         series = analysis.energy_series(traj, s, 3.0, sch.coeffs_at, x_star=x_star)
@@ -206,7 +189,7 @@ def suite_energy(seed: int = DEFAULT_SEED) -> List[CheckResult]:
         tol = 1e-12 * float(np.max(series.e_seq))
         mono = analysis.check_monotone(series, from_n, tol)
         out.append(CheckResult(
-            f"energy/{label}", res.termination == "tolerance_met" and mono.ok,
+            f"energy/{sch.label}", res.termination == "tolerance_met" and mono.ok,
             f"N={rep.n_threshold:.3f} checked n in [{from_n}, {traj.n_final - 1}] "
             f"violations={'none' if mono.ok else mono.first_violation} "
             f"max increase={mono.max_increase:.3e}"))
@@ -229,8 +212,9 @@ def suite_rate(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     x_star = np.zeros(2)
     e25 = schedules.make_schedule("e25", s=s, **dict(_energy_configs(s))["e25"])
     runs = (("agm2", None), ("lt_s_igahd", e25))
-    trajs = _fixed_runs(obj, s, 2200, [(name, {"alpha": alpha, "schedule": sch})
-                                       for name, sch in runs])
+    trajs, _ = algorithms.run_methods(obj, [(name, s, {"alpha": alpha, "schedule": sch})
+                                            for name, sch in runs],
+                                      X0, algorithms.StoppingRule("max_iter"), 2200, record=True)
     out = []
     for (name, sch), traj in zip(runs, trajs):
         fgaps = traj.fgaps()
@@ -391,21 +375,30 @@ def suite_fixed_points(seed: int = DEFAULT_SEED) -> List[CheckResult]:
 
 
 def run_case_cells(cases, cells: Callable, alpha: float, max_iter: int, reduce: Callable):
-    """Run the cells (label, params, s) that `cells(case)` gives for each
-    recorded row from X0, the cells of all the rows that share an
-    objective and epsilon as one `run_schedules` batch, and reduce each row
-    to reduce(case, objective, its ScheduleRuns) before the next batch runs.
+    """Run lt_s_igahd from X0 under the cells (label, params, s), a schedule
+    family with its parameters and a stepsize, that `cells(case)` gives for
+    each recorded row: the cells of all the rows that share an objective
+    and epsilon as one `run_methods` batch, stopped by the objective's
+    default rule at epsilon. Each row is reduced to reduce(case, objective,
+    its (Schedule, RunResult) pairs) before the next batch runs. A stepsize
+    outside (0, 1/L) or a schedule that cannot be built raises ValueError.
     Returns one reduction per case, in order."""
     groups: Dict[tuple, list] = {}
     for i, case in enumerate(cases):
         groups.setdefault((case.objective, case.epsilon), []).append(i)
 
     def run_group(objective: str, epsilon: float, rows: list) -> list:
-        # a batch's cells and runs go when it returns, before the next batch runs
+        # a batch's schedules and results go when it returns, before the next batch runs
+        obj = make_objective(objective)
         row_cells = [cells(cases[i]) for i in rows]
-        obj, runs = algorithms.run_schedules(objective, [c for cs in row_cells for c in cs],
-                                             alpha, X0, epsilon, max_iter)
-        runs = iter(runs)
+        scheds = []
+        for label, params, s in (cell for cs in row_cells for cell in cs):
+            algorithms.check_stepsize(s, obj)
+            scheds.append(schedules.make_schedule(label, s=s, alpha=alpha, **params))
+        _, results = algorithms.run_methods(
+            obj, [("lt_s_igahd", sch.s, {"alpha": alpha, "schedule": sch}) for sch in scheds],
+            X0, algorithms.StoppingRule(algorithms.default_stop(obj), epsilon), max_iter)
+        runs = iter(zip(scheds, results))
         return [reduce(cases[i], obj, [next(runs) for _ in cs])
                 for i, cs in zip(rows, row_cells)]
 
@@ -416,20 +409,12 @@ def run_case_cells(cases, cells: Callable, alpha: float, max_iter: int, reduce: 
     return out
 
 
-def _one_run(case, obj: Objective, runs):
-    (run,) = runs
-    if run.error is not None:
-        raise run.error
-    return obj, run
-
-
 def run_cases(cases, s: float, alpha: float, max_iter: int):
     """Run each recorded row from X0 at stepsize s, the rows that
     share an objective and epsilon as one batch (`run_case_cells`). Returns
-    one (objective, ScheduleRun) pair per case, in order; a case whose
-    schedule is rejected raises its error."""
+    one (objective, (Schedule, RunResult)) pair per case, in order."""
     return run_case_cells(cases, lambda case: [(case.schedule, case.schedule_params(), s)],
-                          alpha, max_iter, _one_run)
+                          alpha, max_iter, lambda case, obj, runs: (obj, runs[0]))
 
 
 def suite_tables(seed: int = DEFAULT_SEED) -> List[CheckResult]:
@@ -438,8 +423,7 @@ def suite_tables(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     s = 0.1
     out = []
     npr_by_group: Dict[str, list] = {}
-    for case, (obj, run) in zip(all_cases(), run_cases(all_cases(), s, 3.0, 30_000)):
-        sch, res = run.schedule, run.result
+    for case, (obj, (sch, res)) in zip(all_cases(), run_cases(all_cases(), s, 3.0, 30_000)):
         ok = res.termination == "tolerance_met" and (res.error_final <= case.epsilon
                                                      or res.error_final < 1e-15)
         out.append(CheckResult(f"table/{case.label}", ok,

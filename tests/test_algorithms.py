@@ -13,6 +13,7 @@ from splitgrad.algorithms import (
     init_state,
     make_stepper,
     run,
+    run_methods,
 )
 from splitgrad.objectives import Objective, f1, f2, quadratic
 from splitgrad.schedules import make_schedule
@@ -264,6 +265,27 @@ def test_make_stepper_and_coefficient_map_reject_bad_beta_or_gamma(name, kw, nee
         make_stepper(name, S, **kw)
     with pytest.raises(ValueError, match=needle):
         coefficient_map(name, S, **kw)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, -3.0, float("nan")])
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_every_entry_point_refuses_alpha_at_most_one(name, alpha):
+    # one rule with one message in coefficient_map, make_stepper and
+    # run_methods; pim's coefficients do not read alpha, so it takes any
+    kw = {}
+    if name == "lt_s_igahd":
+        kw["schedule"] = make_schedule("custom", s=S, alpha=alpha,
+                                       coeffs=coefficient_map("agm2", S))
+    calls = (lambda: coefficient_map(name, S, alpha=alpha, **kw),
+             lambda: make_stepper(name, S, alpha=alpha, **kw),
+             lambda: run_methods(f1(), [(name, S, dict(kw, alpha=alpha))], X0,
+                                 StoppingRule("max_iter"), 5))
+    for call in calls:
+        if name == "pim":
+            call()
+        else:
+            with pytest.raises(ValueError, match=f"^alpha must exceed 1 for {name}, got {alpha}$"):
+                call()
 
 
 def test_make_stepper_stepsize_tolerance():

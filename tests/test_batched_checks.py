@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitgrad import constructions, verify
+from splitgrad import algorithms, constructions, verify
 from splitgrad.analysis import check_descent_lemma, check_quadratic_lemma
 from splitgrad.objectives import quadratic
 from splitgrad.splitting import HamiltonianSystem, symplectic_euler
@@ -256,11 +256,11 @@ def test_route_suites_look_each_construction_up_when_they_run(monkeypatch):
 def test_route_suites_run_each_direct_method_once(monkeypatch):
     # agm2's two rows compare their constructions with one direct run
     batches = []
-    fixed_runs = verify._fixed_runs
-    def counted(obj, s, n_steps, methods):
-        batches.append([name for name, _ in methods])
-        return fixed_runs(obj, s, n_steps, methods)
-    monkeypatch.setattr(verify, "_fixed_runs", counted)
+    run_methods = algorithms.run_methods
+    def counted(obj, cells, *args, **kwargs):
+        batches.append([name for name, _, _ in cells])
+        return run_methods(obj, cells, *args, **kwargs)
+    monkeypatch.setattr(algorithms, "run_methods", counted)
     assert all(r.passed for r in verify.suite_nesterov_split() + verify.suite_constructions())
     others = [route.method for route in verify.ROUTES if route.method != "agm2"]
     assert batches == [["agm2"]] * 2 + [others] * 2

@@ -177,13 +177,13 @@ def test_table_infer_s_scans_each_row_as_its_own_call(tmp_path, monkeypatch):
     rows = [cases[0], cases[5], dataclasses.replace(cases[1], epsilon=1e-6),
             cases[8], cases[13]]
     batches = []
-    run_schedules = algorithms.run_schedules
+    run_methods = algorithms.run_methods
 
-    def counted(objective, cells, *args, **kwargs):
-        batches.append((objective, len(cells)))
-        return run_schedules(objective, cells, *args, **kwargs)
+    def counted(obj, cells, *args, **kwargs):
+        batches.append((obj.name, len(cells)))
+        return run_methods(obj, cells, *args, **kwargs)
 
-    monkeypatch.setattr(algorithms, "run_schedules", counted)
+    monkeypatch.setattr(algorithms, "run_methods", counted)
 
     def scans(picked, out):
         argv = ["table", "--infer-s", "--cases",

@@ -21,11 +21,12 @@ from splitgrad.algorithms import (
     make_stepper,
     run,
     run_lanes,
+    run_methods,
 )
 from splitgrad.cases import all_cases
 from splitgrad.objectives import Objective, f1, f2, make_objective, quadratic
 from splitgrad.schedules import FAMILY_LABELS, coeffs_of, make_schedule
-from splitgrad.verify import X0, _fixed_runs
+from splitgrad.verify import X0
 
 N_ALL = np.arange(1, 10_001, dtype=float)
 # every index up to 60, then a log-spaced sample up to 10^4
@@ -268,13 +269,52 @@ def test_mixed_method_lane_batch_is_each_methods_run(objective, max_iter):
     # alone in its kernel; and agm2 with pim, each alone in its kernel
     for methods in (step_at_y, step_at_y + [("pim", {"gamma": 1.0})],
                     [("agm2", {}), ("pim", {"gamma": 1.0})]):
-        batched = _fixed_runs(obj, s, max_iter, methods)
-        for (name, kw), traj in zip(methods, batched):
-            want, _ = run(make_stepper(name, s, **kw), obj, X0, s,
-                          StoppingRule("max_iter"), max_iter=max_iter)
+        batched, results = run_methods(obj, [(name, s, kw) for name, kw in methods], X0,
+                                       StoppingRule("max_iter"), max_iter, record=True)
+        for (name, kw), traj, res in zip(methods, batched, results):
+            want, want_res = run(make_stepper(name, s, **kw), obj, X0, s,
+                                 StoppingRule("max_iter"), max_iter=max_iter)
+            assert res == want_res, name
             for field in ("xs", "fs", "grads"):
                 got, ref = getattr(traj, field), getattr(want, field)
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (name, field)
+
+
+def _worst_case_quadratic(d: int = 101):
+    """Nesterov's worst-case function (1/4)(x'Ax/2 - x_1), A = tridiag(-1, 2, -1)."""
+    a = 2.0 * np.eye(d) - np.eye(d, k=1) - np.eye(d, k=-1)
+    return quadratic(a / 4.0, -np.eye(d)[0] / 4.0)
+
+
+@pytest.mark.parametrize("objective", ["worst-case", "f1", "f2"])
+def test_run_methods_mixes_kernels_at_a_stepsize_per_cell(objective):
+    # both kernels in one call, each cell at its own s: within 1e-12 of its
+    # own run on the worst-case quadratic from 0, and its bits on f1 and f2
+    if objective == "worst-case":
+        obj = _worst_case_quadratic()
+        x0 = np.zeros(obj.dim)
+    else:
+        obj, x0 = make_objective(objective), np.array(X0)
+    hi = 1.0 / obj.lipschitz_constant()
+    ss = [hi * k for k in (0.5, 0.45, 0.4, 0.35, 0.3)]
+    e25 = dict(beta=0.1 * 2.0 * float(np.sqrt(ss[3])), b=1.0, mu=0.1)
+    cells = [("agm2", ss[0], {}), ("pim", ss[1], {"gamma": 1.0})]
+    cells += [("lt_s_igahd", s, {"schedule": make_schedule(label, s=s, **params)})
+              for s, (label, params) in zip(ss[2:], [("e24", dict(a=4.0, b=10.0, mu=1e-2)),
+                                                     ("e25", e25),
+                                                     ("e26", dict(a=1.25, b=5.5, mu=1e-3))])]
+    rule = StoppingRule("max_iter")
+    trajs, results = run_methods(obj, cells, x0, rule, 400, record=True)
+    for (name, s, kw), traj, res in zip(cells, trajs, results):
+        want, want_res = run(make_stepper(name, s, **kw), obj, x0, s, rule, 400)
+        assert (res.termination, res.n_final) == (want_res.termination, want_res.n_final)
+        for field in ("xs", "fs", "grads"):
+            got, ref = getattr(traj, field), getattr(want, field)
+            assert got.shape == ref.shape, (name, field)
+            if objective == "worst-case":
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (name, field)
+            else:
+                assert got.tobytes() == ref.tobytes(), (name, field)
 
 
 def _assert_batch_is_runs(stepper_for, obj, x0s, ss, rule, max_iter=5000):
@@ -550,7 +590,7 @@ def test_coeffs_of_rejects_a_map_of_three_coefficients(beside, three_first):
             coeffs_of(maps, n)
 
 
-def test_fixed_runs_call_each_method_body_once_per_chunk(monkeypatch):
+def test_run_methods_call_each_method_body_once_per_chunk(monkeypatch):
     calls = []   # (method, first index, lanes) of each call of a method body
     for name, (body, keywords) in list(algorithms._METHODS.items()):
         def counted(n, s, *params, name=name, body=body):
@@ -562,7 +602,8 @@ def test_fixed_runs_call_each_method_body_once_per_chunk(monkeypatch):
                ("igahd", {"beta": 0.5}), ("igahd", {"beta": 0.9}), ("pim", {"gamma": 1.2}),
                ("polyak_igahd", {"beta": 0.5}), ("polyak_igahd", {"beta": 0.9})]
     n_steps = 300
-    trajs = _fixed_runs(f2(), 0.1, n_steps, methods)
+    trajs, _ = run_methods(f2(), [(name, 0.1, kw) for name, kw in methods], X0,
+                           StoppingRule("max_iter"), n_steps, record=True)
     starts = [n for n in _chunk_starts(n_steps) if n < n_steps]
     lanes = {"agm2": 1, "lt_se1": 1, "lt_sv2": 1, "ardm": 1, "lt_se3": 1, "igahd": 2,
              "pim": 1, "polyak_igahd": 2}   # each method's lanes
