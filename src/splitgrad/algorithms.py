@@ -51,7 +51,7 @@ runs cells (method, s, keywords) from one start point, the cells whose
 methods share a kernel as one `run_lanes` batch, and hands each cell its
 own result back in order.
 
-Recording: a recorded run writes each field (x_n, f_n, grad_n and, with
+Recording: a recorded run writes each field (x_n, f_n and, with
 `record_y`, y_n) into one float64 buffer. A run whose only stop is max_iter
 takes the rows it will write at once: max(max_iter, 1) + 1 from x_0, and
 the rows still to come for the lanes left after one diverges; a max_iter
@@ -60,7 +60,8 @@ tolerance stop the buffer starts at `_CHUNK` rows and doubles when full,
 never past the rows still to come; growing copies only the filled rows. A
 one-lane trajectory's arrays are views of the filled rows, and the buffer's
 extra rows are never written and hold no memory; the lanes of a batch get
-copies of their own.
+copies of their own. No gradient is recorded: `Trajectory.grads` derives
+them from x_n when first read.
 
 Gradient economy: the cache makes grad(x_n) and grad(x_{n-1}) free inside a
 step. Every step takes f(x_{n+1}) and grad(x_{n+1}) together from one
@@ -68,7 +69,8 @@ step. Every step takes f(x_{n+1}) and grad(x_{n+1}) together from one
 seeds the next step's cache), as the bootstrap does for x_0 and x_1; the
 methods that step from y_n spend one further gradient on y_n, and the
 methods whose gradient step is taken at x_n spend nothing more. So a run to
-index M makes M + 1 `eval_grad` calls, plus M - 1 gradients at the y_n. An
+index M makes M + 1 `eval_grad` calls, plus M - 1 gradients at the y_n; a
+trajectory whose `grads` are read spends M + 1 gradients more, once. An
 objective with a fused `value_and_gradient` (the quadratic) shares the
 product A x between the value and the gradient at x_{n+1}; any other pays
 one value and one gradient for each `eval_grad`.
@@ -89,7 +91,7 @@ costs, counting `eval_grad` as one product A x:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -300,17 +302,30 @@ class Stepper:
 
 @dataclass
 class Trajectory:
-    """Recorded run: iterates x_0..x_M with values, gradients and optional
-    inertial points. Velocities are derived on demand. The arrays of a
-    one-lane run are views of the engine's row buffers: a run that reaches
-    max_iter views a buffer of exactly its length, and any other may view a
-    longer one, whose extra rows are never written."""
+    """Recorded run: iterates x_0..x_M with their values and optional
+    inertial points. Gradients and velocities are derived on demand. The
+    arrays of a one-lane run are views of the engine's row buffers: a run
+    that reaches max_iter views a buffer of exactly its length, and any
+    other may view a longer one, whose extra rows are never written."""
 
     obj: Objective
     xs: Array            # (M+1, dim)
     fs: Array            # (M+1,)
-    grads: Array         # (M+1, dim)
     ys: Optional[Array] = None
+
+    @cached_property
+    def grads(self) -> Array:
+        """(M+1, dim): grad f(x_n) at every iterate, derived on first read."""
+        return self.grads_at(range(len(self.xs)))
+
+    def grads_at(self, ns) -> Array:
+        """grad f(x_n) for each index n of `ns`: rows of `grads` once read,
+        else taken one point at a time, which for a one-lane run is bitwise
+        the gradient the engine cached at x_n."""
+        if "grads" in self.__dict__:
+            return self.grads[ns]
+        rows = [self.obj.grad(self.xs[n]) for n in ns]
+        return np.array(rows).reshape(len(rows), self.xs.shape[1])
 
     @property
     def n_final(self) -> int:
@@ -402,7 +417,7 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
     idx = np.arange(lanes)  # the run's index of each lane still in the batch
     results = [None] * lanes
     # each lane's recorded pieces, one list per field; an unrecorded run keeps none
-    pieces = [[[] for _ in range(lanes)] for _ in range(4 if record_y else 3)] if record else []
+    pieces = [[[] for _ in range(lanes)] for _ in range(3 if record_y else 2)] if record else []
     # the rows recorded since the last stop, starting with x0's, fill one
     # buffer per field. A segment that starts at index n has room for the
     # `most - n` rows the loop can still record, and a max_iter run, which
@@ -417,7 +432,7 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
 
     def push(st: IterState) -> None:
         nonlocal filled, room
-        rows = (st.x_curr, st.f_curr, st.grad_curr, st.y_last)[:len(pieces)]
+        rows = (st.x_curr, st.f_curr, st.y_last)[:len(pieces)]
         if not bufs:
             room = most - st.n
             first = min(_CHUNK, room) if tolerance else room

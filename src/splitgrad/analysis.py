@@ -70,7 +70,7 @@ def energy_series(trajectory: Trajectory, s: float, alpha: float,
     lam = np.zeros(len(ns)) if coeffs is None else np.asarray(coeffs(ns)[1], dtype=float)
     x_prev = trajectory.xs[ns - 1]
     x_curr = trajectory.xs[ns]
-    g_prev = trajectory.grads[ns - 1]
+    g_prev = trajectory.grads_at(ns - 1)   # the window's gradients only
     z = ((x_prev - x_star) + t_n[:, None] * (x_curr - x_prev)
          + (lam * t_next)[:, None] * g_prev)
     # row-wise np.dot(z_n, z_n), so every window gives the same bits

@@ -420,6 +420,29 @@ def test_gradient_economy_fused(name):
     assert counts["grad"] == FUSED_GRADS.get(name, 100)
 
 
+@pytest.mark.parametrize("name", ["agm2", "lt_se1", "pim"])
+def test_recorded_run_derives_its_gradients_once_when_read(name):
+    # a recorded run keeps x_n and f_n: one fused call per iterate and the
+    # gradients its steps take at y_n. Reading traj.grads then evaluates one
+    # gradient per iterate, once, bitwise the gradients the engine cached.
+    obj, counts = _counting(_quad50()[0])
+    stepper = make_stepper(name, S)
+    traj, res = run(stepper, obj, np.ones(50), S, StoppingRule("max_iter"), max_iter=101)
+    assert counts["eval_grad"] == res.n_final + 1 == 102
+    assert counts["grad"] == FUSED_GRADS[name]
+    grads = traj.grads
+    assert counts["grad"] == FUSED_GRADS[name] + res.n_final + 1
+    assert traj.grads is grads and counts["grad"] == FUSED_GRADS[name] + res.n_final + 1
+    state = init_state(obj, np.ones(50), S)
+    want = [state.grad_prev]
+    while True:
+        want.append(state.grad_curr)
+        if state.n >= 101:
+            break
+        state = stepper(state, obj)
+    assert grads.shape == (102, 50) and grads.tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("name", ["agm2", "nag"])
 def test_affine_gradient_shortcut_matches_the_direct_recursion(name):
     obj, x0 = _quad50()

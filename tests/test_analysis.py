@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,17 @@ from splitgrad.objectives import f1, f2
 from splitgrad.schedules import make_schedule
 
 X_STAR = np.zeros(2)
+
+
+def _counting(obj):
+    """obj with every gradient its `gradient` evaluates counted in grads[0]."""
+    grads = [0]
+
+    def gradient(x):
+        grads[0] += 1 if x.ndim == 1 else x.shape[0]
+        return obj.gradient(x)
+
+    return dataclasses.replace(obj, gradient=gradient), grads
 
 
 def _agm2_run(s=0.025, n=200):
@@ -83,6 +96,22 @@ def test_energy_terminal_surrogate():
         assert surrogate == series.e_seq[n - 1]
         exact = energy(traj, n, s, 3.0, None, X_STAR)
         assert abs(surrogate - exact) <= 1e-5 * (1.0 + exact)
+
+
+def test_energy_at_one_index_evaluates_one_gradient():
+    # the energy takes g_{n-1} for its window only, and the same bits as
+    # from the gradients of the whole run
+    s = 0.025
+    sch = make_schedule("e25", s=s, beta=0.2 * np.sqrt(s), b=1.0, mu=0.1)
+    obj, grads = _counting(f2())
+    traj, _ = run(make_stepper("lt_s_igahd", s, schedule=sch), obj, [1.0, -2.0], s,
+                  StoppingRule("max_iter"), max_iter=2200)
+    grads[0] = 0
+    e = energy(traj, 500, s, 3.0, sch.coeffs_at, X_STAR)
+    assert grads[0] == 1
+    assert traj.grads.shape == (2201, 2) and grads[0] == 1 + 2201
+    assert energy(traj, 500, s, 3.0, sch.coeffs_at, X_STAR) == e
+    assert grads[0] == 1 + 2201
 
 
 def _fake_series(e_values):

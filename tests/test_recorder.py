@@ -1,8 +1,9 @@
 """The recorder of `algorithms._drive`: a recorded run writes its rows into
-one buffer per field, of its exact length when max_iter is its only stop and
-growing under a tolerance stop, and what it hands back is bitwise what a
-plain loop over the same stepper computes, at every length, for one lane
-and for lanes that leave a batch at different steps."""
+one buffer per recorded field (xs, fs and ys), of its exact length when
+max_iter is its only stop and growing under a tolerance stop, and what it
+hands back, with the gradients derived from xs, is bitwise what a plain loop
+over the same stepper computes, at every length, for one lane and for lanes
+that leave a batch at different steps."""
 
 import os
 import subprocess
@@ -26,6 +27,7 @@ from splitgrad.objectives import f1, f2, quadratic
 from splitgrad.schedules import make_schedule
 
 FIELDS = ("xs", "fs", "grads", "ys")
+RECORDED = ("xs", "fs", "ys")   # the fields with row buffers; grads are derived
 
 
 def _loop(stepper, obj, x0, s, max_iter):
@@ -62,8 +64,9 @@ def test_one_lane_run_is_the_hand_loop_at_every_length():
         for field in FIELDS:
             got, ref = getattr(traj, field), want[field][:rows]
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (max_iter, field)
+        for field in RECORDED:
             # a view of the buffer, which a run that reaches max_iter fills exactly
-            _assert_views_from_row_0(got, rows)
+            _assert_views_from_row_0(getattr(traj, field), rows)
 
 
 def test_tolerance_stopped_run_is_the_hand_loop_across_the_doublings():
@@ -83,6 +86,8 @@ def test_tolerance_stopped_run_is_the_hand_loop_across_the_doublings():
         for field in FIELDS:
             arr, ref = getattr(traj, field), want[field][:rows]
             assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes(), (rows, field)
+        for field in RECORDED:
+            arr = getattr(traj, field)
             assert rows <= len(arr.base) <= max(_CHUNK, 2 * rows), (rows, field)
 
 
@@ -91,10 +96,10 @@ def test_diverging_max_iter_run_took_its_rows_at_the_start():
     # the 10^5 + 1 row buffer the run took before its first step
     with np.errstate(over="ignore", invalid="ignore"):
         traj, res = run(make_stepper("pim", 16.0), f1(), [1.0, -2.0], 16.0,
-                        StoppingRule("max_iter"), max_iter=10**5)
+                        StoppingRule("max_iter"), max_iter=10**5, record_y=True)
     assert res.termination == "diverged" and res.n_final < _CHUNK
     assert traj.xs.shape == (res.n_final + 1, 2)
-    for field in ("xs", "fs", "grads"):
+    for field in RECORDED:
         _assert_views_from_row_0(getattr(traj, field), 10**5 + 1)
 
 
@@ -178,7 +183,7 @@ with open("/proc/self/statm") as fh:
 traj, _ = run(stepper, obj, np.zeros(300), 0.5, StoppingRule("max_iter"), max_iter=5000)
 with open("/proc/self/status") as fh:
     peak = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
-print((peak - before) / (traj.xs.nbytes + traj.grads.nbytes))
+print((peak - before) / (traj.xs.nbytes + traj.fs.nbytes))
 """
 
 
@@ -195,9 +200,10 @@ def probe_ratio() -> float:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
 def test_recorded_run_holds_its_trajectory_about_once(probe_ratio):
     # a recorded 5000-step run on a dim-300 quadratic may raise the peak
-    # resident set by at most 1.5 times its xs and grads (about 2 when the
-    # rows were stacked at the stop). The probe runs in a fresh process and
-    # reads the peak as VmHWM: ru_maxrss would start from the peak of the
+    # resident set by at most 1.5 times the xs and fs it records (about 2
+    # when the rows were stacked at the stop). The probe runs in a fresh
+    # process and reads the peak as VmHWM, without touching traj.grads,
+    # which would derive them: ru_maxrss would start from the peak of the
     # process that spawned it, here the test run.
     assert probe_ratio <= 1.5
 
