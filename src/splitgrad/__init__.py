@@ -22,8 +22,8 @@ from .constructions import (ContinuousTrajectory, ardm_construction,
                             integrate_second_order_hessian_vd,
                             lt_s_igahd_construction, lt_se1_construction,
                             lt_se3_construction, lt_sv2_construction,
-                            nesterov_lie_trotter, pim_construction, v_from_x,
-                            xdot_from_v)
+                            nesterov_lie_trotter, nesterov_velocity_form,
+                            pim_construction, v_from_x, xdot_from_v)
 from .analysis import (EnergySeries, MonotoneReport, check_descent_lemma,
                        check_monotone, check_quadratic_lemma, energy,
                        energy_series, fit_rate, rate_bound_first_violation,
@@ -43,8 +43,8 @@ __all__ = [
     "ContinuousTrajectory", "ardm_construction", "igahd_construction",
     "integrate_first_order_vd", "integrate_second_order_hessian_vd",
     "lt_s_igahd_construction", "lt_se1_construction", "lt_se3_construction",
-    "lt_sv2_construction", "nesterov_lie_trotter", "pim_construction",
-    "v_from_x", "xdot_from_v",
+    "lt_sv2_construction", "nesterov_lie_trotter", "nesterov_velocity_form",
+    "pim_construction", "v_from_x", "xdot_from_v",
     "EnergySeries", "MonotoneReport", "check_descent_lemma", "check_monotone",
     "check_quadratic_lemma", "energy", "energy_series", "fit_rate",
     "rate_bound_first_violation", "spurious_root_residual",

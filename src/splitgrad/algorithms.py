@@ -46,10 +46,13 @@ those of its own `run` on f1 and f2; on a quadratic, B > 1 lanes share one
 matrix product, whose summation order may differ from the one-lane product
 in the last bits.
 
-`run_methods` is the runner that the command line and `verify` share: it
-runs cells (method, s, keywords) from one start point, the cells whose
-methods share a kernel as one `run_lanes` batch, and hands each cell its
-own result back in order.
+`run_methods` is the one runner of every command (`run`, `table`,
+`sweep`) and of `verify`: it runs cells (method, s, keywords) from one
+start point, the cells whose methods share a kernel as one batch, and hands
+each cell its own result back in order. A kernel's lone cell steps its
+(dim,) start point, the one-lane path of `run`, so a lone cell has its
+`run`'s bits on every objective. `make_stepper` and `run` are the
+one-stepper API: a method bound by hand, driven from one point.
 
 Recording: a recorded run writes each field (x_n, f_n and, with
 `record_y`, y_n) into one float64 buffer. A run whose only stop is max_iter
@@ -395,13 +398,13 @@ def _join(parts) -> Array:
 
 def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_iter: int,
            record: bool, record_y: bool):
-    """The engine behind `run_lanes` and `run`. x0 is B lanes of shape
-    (B, dim), or one lane without its lane axis, shape (dim,), which keeps
-    the objective calls and the arithmetic of a single point. A lane that
-    stops gets its RunResult then and leaves the batch, so the loop steps
-    only the lanes still running; a recorded run hands the rows of the
-    segment since the last stop to each lane as one piece of its
-    trajectory."""
+    """The engine behind `run_lanes`, `run` and `run_methods`. x0 is B
+    lanes of shape (B, dim), or one lane without its lane axis, shape
+    (dim,), which keeps the objective calls and the arithmetic of a single
+    point. A lane that stops gets its RunResult then and leaves the batch,
+    so the loop steps only the lanes still running; a recorded run hands
+    the rows of the segment since the last stop to each lane as one piece
+    of its trajectory."""
     f_star = obj.f_min
     if stopping.kind == "known_min_f" and f_star is None:
         raise ValueError("known_min_f stopping needs an objective with known minimum")
@@ -631,10 +634,11 @@ def run_methods(obj: Objective, cells, x0, stopping: StoppingRule, max_iter: int
     """Run each cell (name, s, keywords), a method at stepsize s with its
     `coefficient_map` keywords, from the one start point x0 on `obj`, a
     batched objective. The cells whose methods share a kernel (`kernel_of`)
-    run as the lanes of one `run_lanes` batch, so on f1 and f2 each cell
-    has the bits of its own `run`. x0 must be a finite point of obj.dim,
-    and a cell whose keywords `coefficient_map` rejects raises before any
-    lane runs.
+    run as the lanes of one `run_lanes` batch, and a kernel's lone cell as
+    the one-lane run of its (dim,) point; so each cell has the bits of its
+    own `run` on f1 and f2, and a lone cell on every objective. x0 must be
+    a finite point of obj.dim, and a cell whose keywords `coefficient_map`
+    rejects raises before any lane runs.
 
     Returns (trajectories, results) as `run_lanes` does: one RunResult per
     cell, in order, and one Trajectory per cell when `record` is set, else
@@ -643,6 +647,9 @@ def run_methods(obj: Objective, cells, x0, stopping: StoppingRule, max_iter: int
     if x0.shape != (obj.dim,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite point of dimension {obj.dim} for "
                          f"objective {obj.name!r}, got {x0.tolist()}")
+    if not obj.batched:
+        raise ValueError(f"objective {obj.name!r} takes one point at a time; "
+                         f"run_methods needs a batched one")
     cells = list(cells)
     maps = [coefficient_map(name, s, **keywords) for name, s, keywords in cells]
     groups = {}
@@ -651,8 +658,10 @@ def run_methods(obj: Objective, cells, x0, stopping: StoppingRule, max_iter: int
     trajs, results = [None] * len(cells), [None] * len(cells)
     for kernel, lanes in groups.items():
         ss = [cells[i][1] for i in lanes]
-        got, res = run_lanes(Stepper(kernel, [maps[i] for i in lanes], ss), obj,
-                             np.tile(x0, (len(lanes), 1)), ss, stopping, max_iter, record)
+        # a lone cell steps its (dim,) point, as `run` does
+        start = x0 if len(lanes) == 1 else np.tile(x0, (len(lanes), 1))
+        got, res = _drive(Stepper(kernel, [maps[i] for i in lanes], ss), obj, start, ss,
+                          stopping, max_iter, record, False)
         for j, i in enumerate(lanes):
             results[i] = res[j]
             if record:

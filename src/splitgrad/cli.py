@@ -193,10 +193,10 @@ def cmd_run(args) -> int:
 
     beta = _finite("--beta", _cfg(args, config, "beta", 1.0))
     gamma = _finite("--gamma", _cfg(args, config, "gamma", 1.0))
-    stepper = algorithms.make_stepper(algorithm, s, alpha=alpha, schedule=sched, beta=beta,
-                                      gamma=gamma)
-    stopping = algorithms.StoppingRule(stop_kind, epsilon)
-    traj, res = algorithms.run(stepper, obj, x0, s, stopping, max_iter=max_iter)
+    keywords = {"alpha": alpha, "schedule": sched, "beta": beta, "gamma": gamma}
+    (traj,), (res,) = algorithms.run_methods(obj, [(algorithm, s, keywords)], x0,
+                                             algorithms.StoppingRule(stop_kind, epsilon),
+                                             max_iter, record=True)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     dim = obj.dim
@@ -208,8 +208,8 @@ def cmd_run(args) -> int:
     e_col = None
     if record_energy:
         x_star = obj.argmin_point if obj.argmin_kind == "unique" else None
-        # the energy takes lambda_n from the coefficients the stepper ran with
-        coeffs = algorithms.coefficient_map(algorithm, s, alpha, sched, beta, gamma)
+        # the energy takes lambda_n from the coefficients the run stepped by
+        coeffs = algorithms.coefficient_map(algorithm, s, **keywords)
         series = analysis.energy_series(traj, s, alpha, coeffs, x_star=x_star)
         e_col = np.full(traj.n_final + 1, np.nan)
         e_col[series.n_start:series.n_start + len(series.e_seq)] = series.e_seq
@@ -257,7 +257,8 @@ def _n2_at_stops(runs, lipschitz, alpha: float) -> np.ndarray:
     n = np.array([[res.n_final] for _, res in runs], dtype=float)
     _, lam, om, gam = schedules.coeffs_of([sched.coeffs_at for sched, _ in runs], n)[0]
     s = np.array([sched.s for sched, _ in runs])
-    g, h, i = schedules.gn_hn_in(s, lipschitz, gam, lam, om)
+    with np.errstate(over="ignore"):   # coefficients past the float range give G_n = -inf
+        g, h, i = schedules.gn_hn_in(s, lipschitz, gam, lam, om)
     out = np.full(len(runs), np.nan)
     ok = g > 0.0
     if ok.any():

@@ -19,6 +19,7 @@ lambda_1 = 0 for e24/e26 and lambda_1 = beta*sqrt(s) + mu/b for e25.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from operator import itemgetter
 from typing import Callable, Dict, Sequence
 
@@ -216,6 +217,20 @@ class Schedule:
             raise ValueError(f"alpha = {alpha} disagrees with the schedule's {self.alpha}")
 
 
+def _inf_on_overflow(closed_form: Callable) -> Callable:
+    """`closed_form`, giving +inf where one of its Python-float squares
+    passes the float range (mu/s beyond about 1.3e154), as a threshold that
+    no scan reaches. The Python-float `**` is kept, as it gives every finite
+    threshold its recorded bits."""
+    @wraps(closed_form)
+    def guarded(*args, **kwargs) -> float:
+        try:
+            return closed_form(*args, **kwargs)
+        except OverflowError:
+            return float("inf")
+    return guarded
+
+
 def _n_prime_e24(params: dict, s: float, alpha: float, lipschitz: float,
                  curvature: float) -> float:
     """The e24 threshold of `n_prime` with (s L)^2 + 1 replaced by `curvature`;
@@ -228,6 +243,7 @@ def _n_prime_e24(params: dict, s: float, alpha: float, lipschitz: float,
     return float(max(base, (1.0 - 2.0 * b + np.sqrt(4.0 * (a - b) + 1.0)) / 2.0))
 
 
+@_inf_on_overflow
 def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) -> float:
     """Closed-form threshold N' beyond which the strict coupling inequality
     (assumption (i) of the energy-decrease conditions) is guaranteed for
@@ -238,6 +254,8 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
     e25: quadratic-root formula in beta, b, mu.
     e26: sqrt(3 + (mu/s)^2) - min(a, b)  (the L-free variant; see
          n_prime_reference_variant for the alternative).
+
+    A closed form that overflows the float range gives +inf.
     """
     label = label.lower()
     if label not in _FAMILIES:
@@ -259,6 +277,7 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
     return float(np.sqrt(3.0 + (mu / s) ** 2) - min(params["a"], b))
 
 
+@_inf_on_overflow
 def n_prime_reference_variant(label: str, params: dict, s: float, alpha: float,
                               lipschitz: float) -> float:
     """Alternate closed forms that reproduce the recorded reference tables
@@ -405,20 +424,22 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
     n = np.arange(1, n_max + 2, dtype=float)
     s = schedule.s
     alpha = schedule.alpha
-    _, lam, om, gam = (np.broadcast_to(c, n.shape) for c in schedule.coeffs_at(n))
-    lam_next = lam[1:]
-    n, lam, om, gam = n[:-1], lam[:-1], om[:-1], gam[:-1]
-    ratio = (n + 1.0) / n
+    # coefficients, or their squares, past the float range become inf, unwarned
+    with np.errstate(over="ignore"):
+        _, lam, om, gam = (np.broadcast_to(c, n.shape) for c in schedule.coeffs_at(n))
+        lam_next = lam[1:]
+        n, lam, om, gam = n[:-1], lam[:-1], om[:-1], gam[:-1]
+        ratio = (n + 1.0) / n
 
-    residual = gam - (lam + om) + ratio * lam_next
-    scale = np.maximum(np.abs(gam), np.maximum(np.abs(lam + om), ratio * np.abs(lam_next)))
-    ii_exact = bool(np.all(np.abs(residual) <= 16.0 * _EPS * scale))
+        residual = gam - (lam + om) + ratio * lam_next
+        scale = np.maximum(np.abs(gam), np.maximum(np.abs(lam + om), ratio * np.abs(lam_next)))
+        ii_exact = bool(np.all(np.abs(residual) <= 16.0 * _EPS * scale))
 
-    lhs = (s * (1.0 - gam * lipschitz) - ratio * lam_next) ** 2
-    rhs = s * s - gam * gam
-    holds_i = lhs < rhs
-    g, h, i = gn_hn_in(s, lipschitz, gam, lam, om)
-    g_pos = g > 0.0
+        lhs = (s * (1.0 - gam * lipschitz) - ratio * lam_next) ** 2
+        rhs = s * s - gam * gam
+        holds_i = lhs < rhs
+        g, h, i = gn_hn_in(s, lipschitz, gam, lam, om)
+        g_pos = g > 0.0
     i_from = _holds_from(holds_i)
 
     n1 = alpha - 1.0

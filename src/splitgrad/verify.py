@@ -13,10 +13,11 @@ rows, its Lie-Trotter split and its velocity form. Each later
 per-method fact (its continuous limit, its expected order) becomes one
 more field of a row, not one more list kept in step with the others.
 
-Every direct run goes through `algorithms.run_methods`, the runner the
-command line uses too: the suites, and the recorded rows through
+Every direct run goes through `algorithms.run_methods`, the runner of
+every command too: the suites, and the recorded rows through
 `run_case_cells`, hand it cells (method, s, keywords) from X0, and it
-batches the cells whose methods share a kernel.
+batches the cells whose methods share a kernel. A kernel's lone cell (agm2
+in nesterov-split, pim in constructions) takes `run`'s one-lane path.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitgrad
 from splitgrad import constructions as con
 from splitgrad.algorithms import StoppingRule, make_stepper, run, run_lanes
 from splitgrad.objectives import f1, f2, quadratic
@@ -453,3 +454,10 @@ def test_time_grid_validation():
     with pytest.raises(ValueError):
         con.integrate_first_order_vd(obj, [1.0, 0.0], [0.0, 0.0], 0.5, 0.1,
                                      1.0, 2.0, 0.01)   # alpha <= 1
+
+
+def test_package_exports_every_public_construction():
+    # README names nesterov_velocity_form as public; every exported name resolves
+    assert splitgrad.nesterov_velocity_form is con.nesterov_velocity_form
+    assert "nesterov_velocity_form" in splitgrad.__all__
+    assert [n for n in splitgrad.__all__ if not hasattr(splitgrad, n)] == []

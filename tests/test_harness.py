@@ -598,3 +598,109 @@ def test_run_config_record_energy_is_the_flag(tmp_path):
     assert cli.main(["run", "--record-energy", "--out", str(flag)]) == 0
     assert cli.main(["run", "--config", '{"record_energy": true}', "--out", str(config)]) == 0
     assert (flag / "trajectory.csv").read_bytes() == (config / "trajectory.csv").read_bytes()
+
+
+
+def _past_the_floats(label):
+    return {"b": 1.0, "mu": 1e300, **({"beta": 0.1} if label == "e25" else {})}
+
+
+def _table_row(label):
+    row = dict(dataclasses.asdict(all_cases()[0]), schedule=label, mu=1e300, b=1.0)
+    return ["table", "--cases", json.dumps([row])]
+
+
+def _table_nprime(out):
+    header, (row,) = _read_csv(out / "tables.csv")
+    return float(row[header.index("nprime")])
+
+
+@pytest.mark.parametrize("argv,read", [
+    *[(["run", "--algorithm", "lt_s_igahd", "--schedule", label, "--s", "0.1",
+        "--schedule-params", json.dumps(_past_the_floats(label))],
+       lambda out: _report(out)["n_prime"]) for label in ("e24", "e25", "e26")],
+    (["sweep", "--schedule", "e24", "--grid", '{"mu": [1e300], "b": [1.0]}'],
+     lambda out: float(_sweep_row(out)["n_prime"])),
+    *[(_table_row(label), _table_nprime) for label in ("e24", "e26")],
+], ids=["run-e24", "run-e25", "run-e26", "sweep-e24", "table-e24", "table-e26"])
+def test_threshold_past_the_float_range_exits_0(tmp_path, capsys, argv, read):
+    # (mu/s)^2 overflows a Python float: N' is +inf, with no traceback or warning
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read(out) == np.inf
+
+# `run --record-energy` on each method on f1 and f2 (lt_s_igahd with the
+# README's e25 schedule) and on a definite and a singular quadratic
+_E25 = ["--schedule", "e25", "--schedule-params", '{"beta": 0.1, "b": 2.0, "mu": 0.1}']
+RUN_GOLDEN_ARGV = {
+    **{f"{name}-{objective}": ["--objective", objective, "--algorithm", name, "--s", "0.1"]
+       + (_E25 if name == "lt_s_igahd" else [])
+       for name in algorithms.ALGORITHM_NAMES for objective in ("f1", "f2")},
+    "quadratic-definite": ["--s", "0.1", "--config",
+                           '{"objective": "quadratic", "objective_params": '
+                           '{"a_matrix": [[2, 0], [0, 4]], "b_vector": [1, -1]}}'],
+    "quadratic-singular": ["--s", "0.1", "--config",
+                           '{"objective": "quadratic", "objective_params": '
+                           '{"a_matrix": [[1, 1], [1, 1]], "b_vector": [1, 1]}}'],
+}
+# SHA-256 of (trajectory.csv, report.json) for each case, recorded from the
+# runner that stepped `run`'s one trajectory by `make_stepper` and `run`
+RUN_GOLDEN = {
+    "agm2-f1": ("e3bb4d5d106fd7c1d4ff7dd5261442cb8b90fe8b48f0765eb3ae8931b68d7b63",
+                "77f06e6dded4266e94aa20bcdc60d104392a58e4dd9f2acdfd079d3961cd1a62"),
+    "agm2-f2": ("4771c80ada1bea1bd17cc4d7b2d71ce044a2ba63a351c0c791f47dd038b7be29",
+                "b3d62d116284e93020a5322df0a8b2212403d995a01e70146ebe5b7b0d9b2a67"),
+    "ardm-f1": ("cc96750c1c99bf5cf1eb22b496df0117e5227a70a730a90b727960f909427497",
+                "cc2a5740b3ee7464b79e3a21dc7446dbdeff70b289b70edee7755e2bc66fddd4"),
+    "ardm-f2": ("67ad146d0a529f9e247c0449ed6299aea818782c69316e2ebe854970c44b6c7f",
+                "6879e6275410c3d74e494ade82c79e8d9b4ab325756d651856b285266e58f1f5"),
+    "igahd-f1": ("c3d9f3328ead002a009170d11efb5ec44d557f4dc40b66baa0d2a12f3abf35d8",
+                 "00f082dd9727fc6acda2f610f38f2f26167d37edb0b4a4c991e1bcc542ac73ca"),
+    "igahd-f2": ("1c610e5cdcda7688d5992a5b9d3e959a25a6c4014158d0b318e17b2f940fb28f",
+                 "ca2405575e16b64f409e729a24252a0ddaaa075a55e446e970464a836df15b39"),
+    "lt_s_igahd-f1": ("4745ce4cb02bb54c0489e9fda1ab1469683907611e9a5019452a6ccd43e09a2a",
+                      "4490d52a2a2cafdb5f2baf2df3e5b037103c4ac9d4d9b9f183657d63db5e6268"),
+    "lt_s_igahd-f2": ("c8c68d436c523df3035c0fa46dcc6967a9a3b4cd6845bfb66e04fa74c04aa125",
+                      "1e642284dc06002d1c22dac107d99d7958861b9c51a65140bcbf135650aebbce"),
+    "lt_se1-f1": ("ce43bca8bc285e4f06c432bcc222c04db06f35b9e112d6eedda2caa22d36c506",
+                  "4b9826fa097f70917e05a366caaf34ccb30f45b1429809e4d473d83095567592"),
+    "lt_se1-f2": ("1ffa3cf3424843ad3e42986c417dd1ef0a4c8d91ce8ba3ccdb7e7b54d6cf3532",
+                  "60c4a54bbabdece7ed732a0760951177c72b4ef11fcce9d45e6f9b132465107f"),
+    "lt_se3-f1": ("3fb52f4e3efe8001c05562264794df3c09e381de5c15cc34a75a24c0efbda2fc",
+                  "5d2ad31329b8cf3b0d4f1310157429cc3b64340d9d4737b20d81350366bd58d7"),
+    "lt_se3-f2": ("fcac16509aca32c0e0eaf055fcac167b21a21ac7075ebc5c5f50899d195cb64a",
+                  "b4ab673a31156695c254e76bd8d0147f17f4b4744891a85023a543ffa1915a94"),
+    "lt_sv2-f1": ("351194b3347a94ac7c99c00b43326faf80696d912bd14af6c20188da03234b0f",
+                  "ea51b95e6ce46298be87ed0778bcbd68f31f2c266d05f4fe3e8b832718a89eb5"),
+    "lt_sv2-f2": ("98d80682e5ef62ba4d40d2efe333b58be868e46283314be533446722fd2b9bb7",
+                  "291a81022f4dcc544b0060a785432f88577314d3101a45c743b3561ebe23fe9c"),
+    "nag-f1": ("e3bb4d5d106fd7c1d4ff7dd5261442cb8b90fe8b48f0765eb3ae8931b68d7b63",
+               "d482c6a2308250c6d24566d53c01a7eef17db8df8779c22db8d6e5811b6a11b5"),
+    "nag-f2": ("4771c80ada1bea1bd17cc4d7b2d71ce044a2ba63a351c0c791f47dd038b7be29",
+               "094977bdd2ad5db93a0c8b0e36530f75f2b81cab5906b05c82d9dbc9777628a3"),
+    "pim-f1": ("882b9f3277a7271402986c3dd8ffc1a6e0b0f9f269a56e24cb35ddee6678e57d",
+               "cff73e32eb7e9a58abec1e4573b2adb08b4e726402b57eec8b8fe1a35a830bd8"),
+    "pim-f2": ("5af35bbd3e5d73d0e9740f15629d0f6a2d3ae39830feb1be757b9444719d3dc0",
+               "1293afb6e138e326286009a1798c00992e30f3ea6043cd07f32d81eda5d68c3f"),
+    "polyak_igahd-f1": ("522c0ec950a1e4d8056fd1627aa8d9f92a5cd49e791c149e6803abdbc127cc30",
+                        "821141aa4fe58bb280140ee07a36d7285687c678ff43c116d4665ea255144fdc"),
+    "polyak_igahd-f2": ("0af05c5753d906ce6579252c78bf4f62e23ea0bff1bc2a4029084bd3901634f1",
+                        "8eba15fe2ef04744535bbbe8c88132d52727f63351af470721abbe16c14b150d"),
+    "quadratic-definite": ("021ab975044227887f1aad887cfbfef115b3f518a27bc0c6ea17bee85147ae11",
+                           "79d38ab0263390314c06360996a5efcd821bdf6adcdb0d90f3e284464afb1345"),
+    "quadratic-singular": ("1d2c817d05abd2ca2c4db0d91872c7f07ffbb21c59b08d4925d224cc387f41a7",
+                           "f4b4b5fdb4af57e76da2a5b0f014d806a3fbda3ec9e9a418a9b0bc8499b157cb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_GOLDEN_ARGV))
+def test_run_golden(tmp_path, capsys, case):
+    out = tmp_path / case
+    assert cli.main(["run", "--record-energy", "--out", str(out)] + RUN_GOLDEN_ARGV[case]) == 0
+    assert capsys.readouterr().err == ""
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("trajectory.csv", "report.json"))
+    assert got == RUN_GOLDEN[case]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from splitgrad.algorithms import (StoppingRule, check_stepsize, coefficient_map, default_stop,
                                   make_stepper, run, run_methods)
-from splitgrad.objectives import make_objective
+from splitgrad.objectives import Objective, make_objective, quadratic
 from splitgrad.schedules import make_schedule
 
 X0 = (1.0, -2.0)
@@ -77,16 +77,40 @@ def test_batch_cells_are_one_cell_calls(data, objective):
             assert _summary(batched) == _summary(alone)
 
 
-@pytest.mark.parametrize("objective", ["f1", "f2"])
+def _quad50():
+    """A seeded dim-50 quadratic and its start, on which a (1, dim) stack's
+    matrix product may round otherwise than the (dim,) point's."""
+    rng = np.random.default_rng(50)
+    m = rng.standard_normal((50, 50))
+    return quadratic(m @ m.T / 50.0 + 0.1 * np.eye(50), rng.standard_normal(50)), \
+        rng.standard_normal(50)
+
+
+@pytest.mark.parametrize("objective", ["f1", "f2", "quad50"])
 def test_one_cell_call_is_the_scalar_run(objective):
-    s, params = 0.1, {"a": 4.0, "b": 10.0, "mu": 1e-2}
-    obj = make_objective(objective)
+    # a lone cell steps its (dim,) point, as `run` does, so its bits are
+    # run's on every objective
+    if objective == "quad50":
+        obj, x0 = _quad50()
+        s = 0.5 / obj.lipschitz_constant()
+    else:
+        obj, x0, s = make_objective(objective), X0, 0.1
+    params = {"a": 4.0, "b": 10.0, "mu": 1e-2}
     rule = StoppingRule(default_stop(obj), 1e-10)
     for name, kw in (("lt_s_igahd", {"schedule": make_schedule("e24", s=s, **params)}),
-                     ("agm2", {}), ("pim", {})):
-        (cell_traj,), (cell_res,) = run_methods(obj, [(name, s, kw)], X0, rule, 30000,
+                     ("agm2", {}), ("lt_se1", {}), ("pim", {})):
+        (cell_traj,), (cell_res,) = run_methods(obj, [(name, s, kw)], x0, rule, 30000,
                                                 record=True)
-        traj, res = run(make_stepper(name, s, **kw), obj, X0, s, rule, max_iter=30000)
+        traj, res = run(make_stepper(name, s, **kw), obj, x0, s, rule, max_iter=30000)
         assert cell_res == res, name
         for field in ("xs", "fs", "grads"):
             assert getattr(cell_traj, field).tobytes() == getattr(traj, field).tobytes(), name
+
+
+@pytest.mark.parametrize("cells", [1, 2])
+def test_run_methods_rejects_an_unbatched_objective(cells):
+    one_point = Objective(name="plain", dim=2, value=lambda x: float(x @ x),
+                          gradient=lambda x: 2.0 * x, lipschitz=2.0)
+    with pytest.raises(ValueError, match="objective 'plain' takes one point at a time"):
+        run_methods(one_point, [("agm2", 0.1, {}), ("pim", 0.1, {})][:cells], X0,
+                    StoppingRule(), 100)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,22 @@ def test_n_prime_fills_missing_parameters_from_the_family(label, partial):
     assert full.keys() > partial.keys()
     for threshold in (n_prime, n_prime_reference_variant):
         assert threshold(label, partial, 0.04, 3.0, 4.0) == threshold(label, full, 0.04, 3.0, 4.0)
+
+
+_PAST_THE_FLOATS = [("e24", {"b": 1.0, "mu": 1e300}),
+                    ("e25", {"beta": 0.1, "b": 1.0, "mu": 1e300}),
+                    ("e26", {"b": 1.0, "mu": 1e300})]
+
+
+@pytest.mark.parametrize("label,params", _PAST_THE_FLOATS, ids=["e24", "e25", "e26"])
+def test_n_prime_past_the_float_range_is_inf(label, params):
+    # (mu/s)^2 overflows a Python float; the threshold is +inf, not an OverflowError
+    for threshold in (n_prime, n_prime_reference_variant):
+        assert threshold(label, params, 0.1, 3.0, 4.0) == np.inf, threshold.__name__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_assumptions(make_schedule(label, s=0.1, **params), 4.0, n_max=1000)
+    assert rep.n_prime == np.inf and rep.assumption_i_holds_from == 1001
 
 
 def test_n_prime_names_a_missing_beta():
