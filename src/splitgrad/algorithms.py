@@ -56,7 +56,7 @@ one-stepper API: a method bound by hand, driven from one point.
 
 Recording: a recorded run writes each field (x_n, f_n and, with
 `record_y`, y_n) into one float64 buffer. A run whose only stop is max_iter
-takes the rows it will write at once: max(max_iter, 1) + 1 from x_0, and
+takes the rows it will write at once: max_iter + 1 from x_0, and
 the rows still to come for the lanes left after one diverges; a max_iter
 that no buffer can hold raises ValueError before the first step. Under a
 tolerance stop the buffer starts at `_CHUNK` rows and doubles when full,
@@ -93,6 +93,7 @@ costs, counting `eval_grad` as one product A x:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence, Union
@@ -405,6 +406,7 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
     so the loop steps only the lanes still running; a recorded run hands
     the rows of the segment since the last stop to each lane as one piece
     of its trajectory."""
+    check_max_iter(max_iter)
     f_star = obj.f_min
     if stopping.kind == "known_min_f" and f_star is None:
         raise ValueError("known_min_f stopping needs an objective with known minimum")
@@ -430,7 +432,7 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
     # field at a time so that each old buffer goes before the next field
     # grows. The rows never written are never touched, so they hold no memory.
     tolerance = stopping.kind != "max_iter"
-    most = max(max_iter, 1) + 1
+    most = max_iter + 1
     bufs, filled, room = [], 0, 0
 
     def push(st: IterState) -> None:
@@ -550,31 +552,32 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
     equal to the numbers n by n. lt_s_igahd takes its coefficients from
     `schedule`, whose s must equal `s` to 8 eps relative and whose alpha
     must equal `alpha`. alpha must exceed 1 for every method but pim
-    (`check_alpha`)."""
+    (`check_alpha`), and s must be positive."""
     return _map(name.lower(), s, alpha, schedule, beta, gamma)
 
 
 def _map(name: str, s: float, alpha: float, schedule: Optional[Schedule], beta: float,
          gamma: float) -> Callable:
     """The map a method steps by: its Schedule's for lt_s_igahd, else the
-    `CoefficientMap` of its row of `_METHODS`. alpha must exceed 1 for every
-    method but pim, and beta and gamma must be finite and nonnegative,
-    whichever method is named."""
+    `CoefficientMap` of its row of `_METHODS`. The constructions' rules hold:
+    alpha > 1 for every method but pim, beta and gamma finite and
+    nonnegative whichever method is named, and s > 0."""
     check_alpha(name, alpha)
-    if not 0.0 <= beta < np.inf:
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    if not 0.0 <= gamma < np.inf:
-        raise ValueError(f"friction gamma must be nonnegative and finite, got {gamma}")
+    schedules.check_beta(beta)
+    schedules.check_gamma(gamma)
     if name == "lt_s_igahd":
         if schedule is None:
             raise ValueError("lt_s_igahd needs a schedule")
-        schedule.check_matches(s, alpha)
-        return schedule.coeffs_at
-    if name not in _METHODS:
+        schedule.check_matches(s, alpha)   # first, to name a stepsize it was not made with
+        coeffs = schedule.coeffs_at
+    elif name in _METHODS:
+        body, keywords = _METHODS[name]
+        given = {"beta": beta, "gamma": gamma}
+        coeffs = schedules.CoefficientMap(body, (s, alpha, *[given[k] for k in keywords]))
+    else:
         raise ValueError(f"unknown algorithm {name!r}")
-    body, keywords = _METHODS[name]
-    given = {"beta": beta, "gamma": gamma}
-    return schedules.CoefficientMap(body, (s, alpha, *[given[k] for k in keywords]))
+    schedules.check_step(s)
+    return coeffs
 
 
 def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0,
@@ -611,6 +614,14 @@ def check_alpha(name: str, alpha: float, label: str = "alpha") -> None:
     but pim), as the constructions do; `label` names alpha in the message."""
     if name != "pim" and not alpha > 1.0:
         raise ValueError(f"{label} must exceed 1 for {name}, got {alpha}")
+
+
+def check_max_iter(max_iter) -> int:
+    """max_iter when it is an integer of at least 1, not a bool; ValueError
+    naming max_iter otherwise. Every run and every command takes this rule."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    return max_iter
 
 
 def check_stepsize(s: float, obj: Objective) -> None:

@@ -105,14 +105,6 @@ def _finite(option: str, value) -> float:
     return float(value)
 
 
-def _max_iter(value) -> int:
-    """`value` when it is an integer of at least 1, not a bool; ValueError
-    naming max_iter otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"max_iter must be a positive integer, got {value!r}")
-    return value
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -168,7 +160,7 @@ def cmd_run(args) -> int:
     algorithms.check_alpha(algorithm, alpha, "--alpha")
     x0 = _parse_vec("--x0", _cfg(args, config, "x0", "1,-2"), obj.dim)
     epsilon = _finite("--epsilon", _cfg(args, config, "epsilon", 1e-10))
-    max_iter = _max_iter(_cfg(args, config, "max_iter", 50000))
+    max_iter = algorithms.check_max_iter(_cfg(args, config, "max_iter", 50000))
     stop_kind = _cfg(args, config, "stop", algorithms.default_stop(obj))
     out = _cfg(args, config, "out", "out")
     if not isinstance(out, str):
@@ -328,7 +320,7 @@ def cmd_table(args) -> int:
     if not cases:
         raise ValueError("no table rows to run")
     s, alpha = _finite("--s", args.s), _finite("--alpha", args.alpha)
-    max_iter = _max_iter(args.max_iter)
+    max_iter = algorithms.check_max_iter(args.max_iter)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -394,7 +386,7 @@ def cmd_sweep(args) -> int:
     obj = make_objective(args.objective)
     x0 = _parse_vec("--x0", args.x0, obj.dim)
     s, alpha = _finite("--s", args.s), _finite("--alpha", args.alpha)
-    max_iter = _max_iter(args.max_iter)
+    max_iter = algorithms.check_max_iter(args.max_iter)
     stopping = algorithms.StoppingRule(algorithms.default_stop(obj), args.epsilon)
     # each cell's schedule, or the exception that rejected its stepsize or
     # schedule, which becomes an error row; the schedules run as one batch

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .objectives import Objective
-from .schedules import Schedule
+from .schedules import Schedule, check_beta, check_gamma, check_step
 from .splitting import (Field, HamiltonianSystem, Phase, euler_advance,
                         lie_trotter_compose, rk4_step, symplectic_euler,
                         stormer_verlet)
@@ -45,25 +45,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"inertia exponent must exceed 1, got {alpha}")
 
 
-def check_beta(beta: float) -> None:
-    """ValueError unless beta is finite and nonnegative: a negative beta
-    anti-damps the Hessian-damped flow and its discretizations."""
-    if not 0.0 <= beta < np.inf:
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-
-
-def _check_step(h: float) -> None:
-    if not h > 0.0:
-        raise ValueError(f"stepsize must be positive, got {h}")
-
-
 def _iterate(obj: Objective, x0, h: float, n_steps: int,
              start_v: Callable[[Array, Array], Array],
              step: Callable[[int, Array, Array], Phase]) -> Array:
     """The driver of the module docstring: step(n, x_n, v_n) is composite
     step n, start_v(x0, x1) the start velocity. Returns x_0, ...,
     x_{n_steps} stacked."""
-    _check_step(h)
+    check_step(h)
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     x0 = np.asarray(x0, dtype=float)
@@ -78,20 +66,12 @@ def _iterate(obj: Objective, x0, h: float, n_steps: int,
     return np.asarray(xs)
 
 
-def _unit_mass_system(obj: Objective, potential_scale: float = 1.0) -> HamiltonianSystem:
-    """T(v) = ||v||^2/2 with U = scale * f; the kinetic gradient is the
-    identity, so the symplectic maps reduce to drift/kick form."""
-    if potential_scale == 1.0:
-        pot, gpot = obj.eval, obj.grad
-    else:
-        def pot(x, c=potential_scale):
-            return c * obj.eval(x)
-
-        def gpot(x, c=potential_scale):
-            return c * obj.grad(x)
-    return HamiltonianSystem(kinetic=lambda v: 0.5 * float(np.dot(v, v)),
-                             potential=pot, grad_kinetic=lambda v: v,
-                             grad_potential=gpot)
+def _unit_mass_system(obj: Objective, c: float = 1.0) -> HamiltonianSystem:
+    """The unit-mass system of the potential U = c f, whose symplectic maps
+    step in drift/kick form."""
+    if c == 1.0:
+        return HamiltonianSystem(obj.eval, obj.grad)
+    return HamiltonianSystem(lambda x: c * obj.eval(x), lambda x: c * obj.grad(x))
 
 
 def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
@@ -169,7 +149,7 @@ def lt_s_igahd_construction(obj: Objective, x0, alpha: float,
     sampled from the schedule at t_n, and the potential leg is the same
     kick-then-drift map. Output equals the four-coefficient stepper."""
     _check_alpha(alpha)
-    _check_step(h)
+    check_step(h)
     schedule.check_matches(h * h, alpha)
     return _hessian_damped(obj, x0, h, n_steps, schedule.coeffs_at)
 
@@ -214,8 +194,7 @@ def pim_construction(obj: Objective, x0, gamma: float, h: float, n_steps: int) -
     Hamiltonian flow: Euler on the friction field (0, -gamma v), then
     kick-then-drift symplectic Euler on the conservative field. gamma = 0
     leaves the bare symplectic map; gamma must be finite."""
-    if not 0.0 <= gamma < np.inf:
-        raise ValueError(f"friction gamma must be nonnegative and finite, got {gamma}")
+    check_gamma(gamma)
     hs = _unit_mass_system(obj)
     split = (euler_advance(lambda t, x, vv: (np.zeros_like(x), -gamma * vv)),
              lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2"))

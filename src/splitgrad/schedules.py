@@ -105,13 +105,33 @@ def _family_params(label: str, params: dict) -> dict:
     return {**defaults, **params}
 
 
+# The parameter rules of the direct steppers (`algorithms`), the constructions
+# and the splittings, each raised here alone. A NaN fails each of them.
+
+def check_step(s) -> None:
+    """ValueError unless the stepsize s (or h) is positive."""
+    if not s > 0.0:
+        raise ValueError(f"stepsize must be positive, got {s}")
+
+
+def check_beta(beta) -> None:
+    """ValueError unless beta is finite and nonnegative: a negative one anti-damps."""
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+
+
+def check_gamma(gamma) -> None:
+    """ValueError unless the friction gamma is finite and nonnegative."""
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"friction gamma must be nonnegative and finite, got {gamma}")
+
+
 def _check_family(label: str, s, alpha, params: dict) -> None:
     """ValueError unless (s, alpha, params) is a schedule of the family
     `label`. A NaN fails every test (x != x holds for NaN alone); the
     comparisons come first, so a parameter that is not a number raises the
     TypeError of its comparison."""
-    if s <= 0.0 or s != s:
-        raise ValueError(f"stepsize must be positive, got s={s}")
+    check_step(s)
     if alpha < 3.0 or alpha != alpha:
         raise ValueError(f"damping parameter must satisfy alpha >= 3, got {alpha}")
     b, mu = params["b"], params["mu"]

@@ -7,7 +7,8 @@ over a step h from time t: its exact flow when that has a closed form, or
 any one-step integrator, such as `euler_advance(field)`. A split is a
 non-empty sequence of advance maps, in application order. A Lie-Trotter
 step evaluates every map at t_n; a Strang step advances each map from the
-start of its stretch of [t_n, t_n + h].
+start of its stretch of [t_n, t_n + h]. A `HamiltonianSystem` is
+separable with unit mass, so it names only its potential.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
+
+from .schedules import check_step
 
 Array = np.ndarray
 Phase = Tuple[Array, Array]
@@ -36,8 +39,7 @@ def euler_advance(field: Field) -> Advance:
 def _check_split(split: Sequence[Advance], h: float) -> None:
     if not split:
         raise ValueError("a split needs at least one advance map")
-    if h <= 0.0:
-        raise ValueError(f"stepsize must be positive, got {h}")
+    check_step(h)
 
 
 def lie_trotter_compose(split: Sequence[Advance], state: Phase, t_n: float,
@@ -70,51 +72,50 @@ def strang_compose(split: Sequence[Advance], state: Phase, t_n: float, h: float)
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Separable H(x, v) = T(v) + U(x): the evolution is x' = grad T(v),
-    v' = -grad U(x)."""
+    """Separable unit-mass H(x, v) = |v|^2/2 + U(x): the evolution is
+    x' = v, v' = -grad U(x)."""
 
-    kinetic: Callable[[Array], float]
     potential: Callable[[Array], float]
-    grad_kinetic: Callable[[Array], Array]
     grad_potential: Callable[[Array], Array]
 
     def energy(self, x: Array, v: Array):
         """H(x, v) for one state, a float, or for B states stacked as
-        (B, dim) arrays, an array of B values. Stacks need `kinetic` and
-        `potential` that evaluate over the last axis."""
+        (B, dim) arrays, an array of B values. Stacks need a `potential`
+        that evaluates over the last axis."""
         x, v = np.asarray(x), np.asarray(v)
+        kinetic = 0.5 * np.sum(v * v, axis=-1)
         if x.ndim < 2:
-            return float(self.kinetic(v) + self.potential(x))
+            return float(kinetic + self.potential(x))
         if v.shape != x.shape:
             raise ValueError(f"x has shape {x.shape} but v has shape {v.shape}")
-        e = np.asarray(self.kinetic(v) + self.potential(x), dtype=float)
+        e = np.asarray(kinetic + self.potential(x), dtype=float)
         if e.shape != x.shape[:1]:
-            raise ValueError(f"energy of a {x.shape} stack has shape {e.shape}; kinetic and "
+            raise ValueError(f"energy of a {x.shape} stack has shape {e.shape}; the "
                              "potential must evaluate over the last axis")
         return e
 
     def field(self, t: float, x: Array, v: Array) -> Phase:
         """The Hamiltonian vector field; t is unused (autonomous)."""
-        return self.grad_kinetic(v), -self.grad_potential(x)
+        return v, -self.grad_potential(x)
 
 
 def symplectic_euler(hs: HamiltonianSystem, state: Phase, h: float,
                      variant: str = "se1") -> Phase:
     """The two explicit symplectic Euler maps of a separable system:
 
-    se1: x+ = x + h grad T(v);   v+ = v - h grad U(x+)
-    se2: v+ = v - h grad U(x);   x+ = x + h grad T(v+)
+    se1: x+ = x + h v;   v+ = v - h grad U(x+)
+    se2: v+ = v - h grad U(x);   x+ = x + h v+
 
     Damped systems are handled by splitting the friction into its own
     sub-flow.
     """
     x, v = state
     if variant == "se1":
-        x_new = x + h * hs.grad_kinetic(v)
+        x_new = x + h * v
         v_new = v - h * hs.grad_potential(x_new)
     elif variant == "se2":
         v_new = v - h * hs.grad_potential(x)
-        x_new = x + h * hs.grad_kinetic(v_new)
+        x_new = x + h * v_new
     else:
         raise ValueError(f"unknown symplectic Euler variant {variant!r}")
     return x_new, v_new
@@ -129,12 +130,12 @@ def stormer_verlet(hs: HamiltonianSystem, state: Phase, h: float,
     """
     x, v = state
     if variant == "sv1":
-        x_half = x + 0.5 * h * hs.grad_kinetic(v)
+        x_half = x + 0.5 * h * v
         v_new = v - h * hs.grad_potential(x_half)
-        x_new = x_half + 0.5 * h * hs.grad_kinetic(v_new)
+        x_new = x_half + 0.5 * h * v_new
     elif variant == "sv2":
         v_half = v - 0.5 * h * hs.grad_potential(x)
-        x_new = x + h * hs.grad_kinetic(v_half)
+        x_new = x + h * v_half
         v_new = v_half - 0.5 * h * hs.grad_potential(x_new)
     else:
         raise ValueError(f"unknown Stormer-Verlet variant {variant!r}")

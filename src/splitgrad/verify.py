@@ -44,10 +44,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _both_objectives():
-    return (("f1", f1()), ("f2", f2()))
-
-
 X0 = (1.0, -2.0)   # start point of every fixed-length run and every recorded row
 
 
@@ -97,7 +93,7 @@ def _route_gaps(routes, s: float, n_steps: int):
     methods = [run for i, run in enumerate(runs) if run not in runs[:i]]
     stop = algorithms.StoppingRule("max_iter")
     out = []
-    for tag, obj in _both_objectives():
+    for tag, obj in (("f1", f1()), ("f2", f2())):
         direct, _ = algorithms.run_methods(obj, [(name, s, kw) for name, kw in methods], X0,
                                            stop, n_steps, record=True)
         for (route, kw), run in zip(rows, runs):
@@ -136,7 +132,7 @@ def ode_route_gaps(obj: Objective, x0, v0, alpha: float, beta: float, t0: float,
     Hessian-damped system at dt, dt/2 and dt/4, the two observed orders
     log2(gap_k / gap_{k+1}), and the first-order trajectory at dt/4. beta
     must be finite and nonnegative: a negative one anti-damps both flows."""
-    constructions.check_beta(beta)
+    schedules.check_beta(beta)
     constructions.check_interval(t0, t1, dt)   # before xdot_from_v divides by t0
     xdot0 = constructions.xdot_from_v(obj, x0, v0, t0, alpha, beta)
     gaps = []
@@ -447,24 +443,25 @@ _BAND_BLOCK = 1000   # symplectic states stored between energy evaluations
 
 def symplectic_drift(hs: HamiltonianSystem, state, h: float, n_steps: int) -> float:
     """max |H(x_n, v_n) - H(x_0, v_0)| over n = 1..n_steps of the se2
-    symplectic Euler map. The states are kept in blocks and each block's
-    energies taken in one stacked `hs.energy` call, so `hs` must evaluate
-    stacks. A state is 1-D or 0-d (a number); a 0-d state is stored as a
-    one-element row, so that a block is still a stack of states."""
+    symplectic Euler map. Each block's states are stacked once and their
+    energies taken in one `hs.energy` call, so `hs` must evaluate stacks. A
+    state is 1-D or 0-d (a number); a 0-d state is stacked as a one-element
+    row, so that a block is still a stack of states."""
     x, v = state
     if np.ndim(x) > 1 or np.ndim(v) > 1:
         raise ValueError("symplectic_drift needs 0-d or 1-D x and v, got shapes "
                          f"{np.shape(x)} and {np.shape(v)}")
     e0 = hs.energy(x, v)
-    xs = np.empty((min(n_steps, _BAND_BLOCK),) + (np.shape(x) or (1,)))
-    vs = np.empty((len(xs),) + (np.shape(v) or (1,)))
     drift = 0.0
     for start in range(0, n_steps, _BAND_BLOCK):
         k = min(_BAND_BLOCK, n_steps - start)
-        for i in range(k):
+        xs, vs = [], []
+        for _ in range(k):
             x, v = symplectic_euler(hs, (x, v), h, "se2")
-            xs[i], vs[i] = x, v
-        drift = max(drift, float(np.max(np.abs(hs.energy(xs[:k], vs[:k]) - e0))))
+            xs.append(x)
+            vs.append(v)
+        energies = hs.energy(np.reshape(xs, (k, -1)), np.reshape(vs, (k, -1)))
+        drift = max(drift, float(np.max(np.abs(energies - e0))))
     return drift
 
 
@@ -473,9 +470,7 @@ def suite_symplectic(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     unbounded growth for explicit Euler. The oscillator is one-dimensional,
     so both maps step a state of two floats; a float operation rounds as
     the same operation on a one-element array does."""
-    hs = HamiltonianSystem(kinetic=lambda v: 0.5 * np.sum(v * v, axis=-1),
-                           potential=lambda x: 0.5 * np.sum(x * x, axis=-1),
-                           grad_kinetic=lambda v: v, grad_potential=lambda x: x)
+    hs = HamiltonianSystem(lambda x: 0.5 * np.sum(x * x, axis=-1), lambda x: x)
     h, n_steps = 0.01, 100_000
     x, v = 1.0, 0.0
     e0 = hs.energy(x, v)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from splitgrad.algorithms import (
     init_state,
     make_stepper,
     run,
+    run_lanes,
     run_methods,
 )
 from splitgrad.objectives import Objective, f1, f2, quadratic
 from splitgrad.schedules import make_schedule
+from splitgrad.splitting import euler_advance, lie_trotter_compose, strang_compose
 
 S = 0.01
 X0 = [1.0, 0.0]
@@ -196,6 +199,21 @@ def test_max_iter_termination_and_error():
     assert res.error_final == float(traj.fs[-1] - 2.0)
 
 
+@pytest.mark.parametrize("max_iter", [0, -5, 2.0, True])
+def test_every_run_refuses_max_iter_below_one(max_iter):
+    # the command line's rule and message hold for every run, not a stop at n = 1
+    message = f"^{re.escape(f'max_iter must be a positive integer, got {max_iter!r}')}$"
+    for stop in (StoppingRule("max_iter"), StoppingRule("known_min_f", 1e-8)):
+        with pytest.raises(ValueError, match=message):
+            run(make_stepper("agm2", S), f2(), X0, S, stop, max_iter)
+        with pytest.raises(ValueError, match=message):
+            run_lanes(make_stepper("agm2", S), f2(), [X0, X0], S, stop, max_iter)
+        with pytest.raises(ValueError, match=message):
+            run_methods(f2(), [("agm2", S, {}), ("pim", S, {})], X0, stop, max_iter)
+    _, res = run(make_stepper("agm2", S), f2(), X0, S, StoppingRule("max_iter"), np.int64(1))
+    assert (res.termination, res.n_final) == ("max_iter", 1)
+
+
 def test_divergence_keeps_finite_trajectory():
     with np.errstate(over="ignore"):
         traj, res = run(make_stepper("agm2", 10.0), f1(), X0, 10.0,
@@ -286,6 +304,33 @@ def test_every_entry_point_refuses_alpha_at_most_one(name, alpha):
         else:
             with pytest.raises(ValueError, match=f"^alpha must exceed 1 for {name}, got {alpha}$"):
                 call()
+
+
+@pytest.mark.parametrize("s", [-0.1, 0.0, float("nan")])
+def test_both_routes_refuse_a_stepsize_that_is_not_positive(s):
+    # one rule with one message in both routes, so that no method runs gradient
+    # ascent or stands still. lt_s_igahd steps at its schedule's s, which
+    # make_schedule holds to the same rule.
+    message = f"^{re.escape(f'stepsize must be positive, got {s}')}$"
+    direct = [n for n in ALGORITHM_NAMES if n != "lt_s_igahd"]
+    calls = [call for name in direct for call in (
+        lambda name=name: coefficient_map(name, s),
+        lambda name=name: make_stepper(name, s),
+        lambda name=name: run_methods(f1(), [(name, s, {})], X0, StoppingRule("max_iter"), 5))]
+    calls += [lambda: make_schedule("e24", s=s)]
+    calls += [lambda c=c: c(f1(), X0, 3.0, s, 5) for c in (
+        con.nesterov_lie_trotter, con.nesterov_velocity_form, con.ardm_construction,
+        con.lt_se1_construction, con.lt_sv2_construction, con.lt_se3_construction)]
+    calls += [lambda: con.igahd_construction(f1(), X0, 3.0, 1.0, s, 5),
+              lambda: con.pim_construction(f1(), X0, 1.0, s, 5),
+              lambda: con.lt_s_igahd_construction(f1(), X0, 3.0,
+                                                  make_schedule("e25", s=S, beta=0.1), s, 5)]
+    drift = euler_advance(lambda t, x, v: (v, -x))
+    calls += [lambda c=c: c([drift], (np.ones(2), np.zeros(2)), 1.0, s)
+              for c in (lie_trotter_compose, strang_compose)]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_make_stepper_stepsize_tolerance():

@@ -124,9 +124,8 @@ def test_array_inputs_are_checked():
 
 def _stack_oscillator(dim):
     w = np.arange(1.0, dim + 1.0)
-    return HamiltonianSystem(kinetic=lambda v: 0.5 * np.sum(v * v, axis=-1),
-                             potential=lambda x: 0.5 * np.sum(w * x * x, axis=-1),
-                             grad_kinetic=lambda v: v, grad_potential=lambda x: w * x)
+    return HamiltonianSystem(potential=lambda x: 0.5 * np.sum(w * x * x, axis=-1),
+                             grad_potential=lambda x: w * x)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -141,9 +140,8 @@ def test_energy_of_a_stack_is_the_per_row_energies(seed, dim, rows):
 
 
 def test_energy_stack_contracts():
-    one_point = HamiltonianSystem(kinetic=lambda v: 0.5 * float(np.dot(v, v)),
-                                  potential=lambda x: 0.5 * float(np.dot(x, x)),
-                                  grad_kinetic=lambda v: v, grad_potential=lambda x: x)
+    one_point = HamiltonianSystem(potential=lambda x: 0.5 * float(np.dot(x, x)),
+                                  grad_potential=lambda x: x)
     with pytest.raises(ValueError):     # written for one point, not for a stack
         one_point.energy(np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
@@ -166,9 +164,8 @@ def test_symplectic_drift_is_the_per_step_band(n_steps):
 @pytest.mark.parametrize("n_steps", [1, 7, 1000, 2345])
 def test_symplectic_drift_of_a_scalar_state_is_that_of_one_element(n_steps):
     # a 0-d state is stored as a one-element row, so a block is still a stack
-    hs = HamiltonianSystem(kinetic=lambda v: 0.5 * np.sum(v * v, axis=-1),
-                           potential=lambda x: 1.5 * np.sum(x * x, axis=-1),
-                           grad_kinetic=lambda v: v, grad_potential=lambda x: 3.0 * x)
+    hs = HamiltonianSystem(potential=lambda x: 1.5 * np.sum(x * x, axis=-1),
+                           grad_potential=lambda x: 3.0 * x)
     want = verify.symplectic_drift(hs, (np.array([1.0]), np.array([-0.5])), 0.05, n_steps)
     assert verify.symplectic_drift(hs, (1.0, -0.5), 0.05, n_steps) == want
     assert verify.symplectic_drift(hs, (np.array(1.0), np.array(-0.5)), 0.05,
@@ -185,9 +182,8 @@ def test_symplectic_suite_lines_are_unchanged():
          "max |H - H0| = 2.513e-03 (0.50% of H0) over 100000 steps"),
         ("symplectic/euler-grows", True, "explicit Euler energy grew 22015x"),
     ]
-    hs = HamiltonianSystem(kinetic=lambda v: 0.5 * np.sum(v * v, axis=-1),
-                           potential=lambda x: 0.5 * np.sum(x * x, axis=-1),
-                           grad_kinetic=lambda v: v, grad_potential=lambda x: x)
+    hs = HamiltonianSystem(potential=lambda x: 0.5 * np.sum(x * x, axis=-1),
+                           grad_potential=lambda x: x)
     drift = verify.symplectic_drift(hs, (np.array([1.0]), np.array([0.0])), 0.01, 100_000)
     assert repr(drift) == "0.0025125628140267864"
 

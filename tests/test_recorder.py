@@ -50,16 +50,17 @@ def _assert_views_from_row_0(got, rows):
 
 
 def test_one_lane_run_is_the_hand_loop_at_every_length():
-    # 0 to 300 steps, each a max_iter run that takes its rows at once; the
-    # tolerance-stopped runs below cross the buffer's doublings
+    # 1 to 300 steps, each a max_iter run that takes its rows at once (a
+    # max_iter below 1 is refused); the tolerance-stopped runs below cross
+    # the buffer's doublings
     s = 0.1
     sched = make_schedule("e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1)
     want = _loop(make_stepper("lt_s_igahd", s, schedule=sched), f2(), [1.0, -2.0], s, 300)
     assert 300 > 2 * _CHUNK
-    for max_iter in range(301):
+    for max_iter in range(1, 301):
         traj, res = run(make_stepper("lt_s_igahd", s, schedule=sched), f2(), [1.0, -2.0], s,
                         StoppingRule("max_iter"), max_iter=max_iter, record_y=True)
-        rows = max(max_iter, 1) + 1
+        rows = max_iter + 1
         assert res.n_final == rows - 1
         for field in FIELDS:
             got, ref = getattr(traj, field), want[field][:rows]

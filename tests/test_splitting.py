@@ -14,9 +14,7 @@ from splitgrad.splitting import (
 
 
 def _oscillator():
-    return HamiltonianSystem(kinetic=lambda v: 0.5 * float(np.dot(v, v)),
-                             potential=lambda x: 0.5 * float(np.dot(x, x)),
-                             grad_kinetic=lambda v: v,
+    return HamiltonianSystem(potential=lambda x: 0.5 * float(np.dot(x, x)),
                              grad_potential=lambda x: x)
 
 
@@ -212,9 +210,7 @@ def test_forward_euler_steps_the_field_and_grows_energy():
 
 
 def test_free_flight_conserves_velocity_and_energy():
-    free = HamiltonianSystem(kinetic=lambda v: 0.5 * float(np.dot(v, v)),
-                             potential=lambda x: 0.0,
-                             grad_kinetic=lambda v: v,
+    free = HamiltonianSystem(potential=lambda x: 0.0,
                              grad_potential=lambda x: np.zeros_like(x))
     x, v = np.array([0.0, 1.0]), np.array([0.5, -0.25])
     e0 = free.energy(x, v)
