@@ -50,20 +50,27 @@ def _iterate(obj: Objective, x0, h: float, n_steps: int,
              step: Callable[[int, Array, Array], Phase]) -> Array:
     """The driver of the module docstring: step(n, x_n, v_n) is composite
     step n, start_v(x0, x1) the start velocity. Returns x_0, ...,
-    x_{n_steps} stacked."""
+    x_{n_steps} stacked, written row by row into one array; a record that
+    cannot be allocated raises ValueError."""
     check_step(h)
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     x0 = np.asarray(x0, dtype=float)
-    x = x0 - (h * h) * obj.grad(x0)
+    try:
+        xs = np.empty((n_steps + 1,) + x0.shape)
+    except (MemoryError, ValueError):   # numpy: too many bytes to address
+        raise ValueError(f"n_steps = {n_steps} asks for a record of {n_steps + 1} iterates, "
+                         f"which cannot be allocated") from None
+    xs[0] = x0
     if n_steps == 0:
-        return np.asarray([x0])
+        return xs
+    x = x0 - (h * h) * obj.grad(x0)
+    xs[1] = x
     v = start_v(x0, x)
-    xs = [x0, x]
     for n in range(1, n_steps):
         x, v = step(n, x, v)
-        xs.append(x)
-    return np.asarray(xs)
+        xs[n + 1] = x
+    return xs
 
 
 def _unit_mass_system(obj: Objective, c: float = 1.0) -> HamiltonianSystem:
@@ -270,8 +277,9 @@ def check_interval(t0: float, t1: float, dt: float) -> None:
 def _rk4_trajectory(field: Field, x0, v0, t0: float, t1: float,
                     dt: float) -> ContinuousTrajectory:
     """rk4_step on field from (x0, v0) at t0 to t1, at dt rounded so that
-    the grid hits t1 exactly. A step count that is not finite, or a grid
-    that cannot be allocated, raises ValueError."""
+    the grid hits t1 exactly, each step written into arrays of the whole
+    grid. A step count that is not finite, or a grid that cannot be
+    allocated, raises ValueError."""
     check_interval(t0, t1, dt)
     steps = (t1 - t0) / dt
     if not np.isfinite(steps):
@@ -282,15 +290,16 @@ def _rk4_trajectory(field: Field, x0, v0, t0: float, t1: float,
     v = np.asarray(v0, dtype=float)
     try:
         ts = t0 + dt_eff * np.arange(n + 1)
+        xs = np.empty((n + 1,) + x.shape)
+        vs = np.empty((n + 1,) + v.shape)
     except (MemoryError, ValueError):   # numpy: too many bytes to address
         raise ValueError(f"dt = {dt} on [{t0}, {t1}] asks for a grid of {n + 1} points, "
                          f"which cannot be allocated") from None
-    xs, vs = [x], [v]
+    xs[0], vs[0] = x, v
     for k in range(n):
         x, v = rk4_step(field, float(ts[k]), x, v, dt_eff)
-        xs.append(x)
-        vs.append(v)
-    return ContinuousTrajectory(ts=ts, xs=np.asarray(xs), vs=np.asarray(vs))
+        xs[k + 1], vs[k + 1] = x, v
+    return ContinuousTrajectory(ts=ts, xs=xs, vs=vs)
 
 
 def integrate_first_order_vd(obj: Objective, x0, v0, alpha: float, beta: float,

@@ -126,6 +126,13 @@ def check_gamma(gamma) -> None:
         raise ValueError(f"friction gamma must be nonnegative and finite, got {gamma}")
 
 
+def _check_e25_beta(beta, s) -> None:
+    """ValueError unless 0 < beta < 2*sqrt(s), the e25 family's range."""
+    root_s = float(np.sqrt(s))
+    if not 0.0 < beta < 2.0 * root_s:
+        raise ValueError(f"beta must lie in (0, 2*sqrt(s)) = (0, {2.0 * root_s}), got {beta}")
+
+
 def _check_family(label: str, s, alpha, params: dict) -> None:
     """ValueError unless (s, alpha, params) is a schedule of the family
     `label`. A NaN fails every test (x != x holds for NaN alone); the
@@ -138,11 +145,7 @@ def _check_family(label: str, s, alpha, params: dict) -> None:
     if mu < 0.0 or mu != mu:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if label == "e25":
-        root_s = float(np.sqrt(s))
-        beta = params["beta"]
-        if not 0.0 < beta < 2.0 * root_s:
-            raise ValueError(f"beta must lie in (0, 2*sqrt(s)) = (0, {2.0 * root_s}), "
-                             f"got {beta}")
+        _check_e25_beta(params["beta"], s)
         if b <= 0.0 or b != b:
             raise ValueError(f"b must be positive, got {b}")
         return
@@ -287,9 +290,8 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
     b, mu = params["b"], params["mu"]
     if label == "e25":
         beta = params["beta"]
+        _check_e25_beta(beta, s)
         root_s = float(np.sqrt(s))
-        if not 0.0 < beta < 2.0 * root_s:
-            raise ValueError(f"beta must lie in (0, 2*sqrt(s)), got {beta}")
         disc = ((2.0 * b * root_s - beta * (b + 1.0) - mu / root_s) ** 2
                 + 4.0 * (2.0 * root_s - beta) * (beta * b + mu / root_s))
         num = beta * (b + 1.0) + mu / root_s - 2.0 * root_s * b + np.sqrt(disc)
@@ -328,6 +330,7 @@ def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
             raise ValueError("custom schedule requires a `coeffs` callable")
         if params:
             raise ValueError(f"unexpected parameters for schedule 'custom': {sorted(params)}")
+        check_step(s)
         return Schedule(label, alpha, s, coeffs)
     if label not in _FAMILIES:
         raise ValueError(f"unknown schedule label {label!r}")
@@ -403,16 +406,12 @@ class AdmissibilityReport:
     assumption_ii_exact: bool
 
 
-def _holds_from(mask: Array) -> int:
-    """Smallest 1-based index from which `mask` is True onward; len+1 if
-    the final entry is False."""
-    suffix = np.minimum.accumulate(mask[::-1].astype(bool))[::-1]
-    idx = np.nonzero(suffix)[0]
-    return int(idx[0] + 1) if idx.size else int(mask.size + 1)
+# Indices n per block of the admissibility scan: a block's arrays, some
+# twenty of them, take about 16 kB each, whatever n_max is.
+_SCAN_CHUNK = 2048
 
-
-# Largest alpha whose admissibility scan `scan_end` sets up: the scan holds
-# some twenty float arrays of n_max entries.
+# Largest alpha whose admissibility scan `scan_end` sets up: the scan's time,
+# not its memory, grows with n_max.
 SCAN_ALPHA_MAX = 100_000
 
 
@@ -437,40 +436,60 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
     settles), and N2 as the supremum of the per-n formula over scanned
     n > max(N1, ceil(N')) with G_n > 0. Violations are reported, never
     raised.
+
+    The scan runs in blocks of `_SCAN_CHUNK` indices and carries from one
+    block to the next only the conjunction of (ii), the last n where (i)
+    fails and the running max of N2, so its memory does not grow with
+    n_max. Every per-n value has the bits of a one-array scan, and so does
+    the report. Without a closed form, the N2 range starts past the last
+    failure of (i) seen so far: a later failure restarts the max.
     """
     if n_max < schedule.alpha:
         raise ValueError(f"n_max must be at least alpha = {schedule.alpha}, got {n_max}")
-    # one call over n = 1..n_max+1 gives lambda_{n+1} as well
-    n = np.arange(1, n_max + 2, dtype=float)
     s = schedule.s
     alpha = schedule.alpha
-    # coefficients, or their squares, past the float range become inf, unwarned
-    with np.errstate(over="ignore"):
-        _, lam, om, gam = (np.broadcast_to(c, n.shape) for c in schedule.coeffs_at(n))
-        lam_next = lam[1:]
-        n, lam, om, gam = n[:-1], lam[:-1], om[:-1], gam[:-1]
-        ratio = (n + 1.0) / n
-
-        residual = gam - (lam + om) + ratio * lam_next
-        scale = np.maximum(np.abs(gam), np.maximum(np.abs(lam + om), ratio * np.abs(lam_next)))
-        ii_exact = bool(np.all(np.abs(residual) <= 16.0 * _EPS * scale))
-
-        lhs = (s * (1.0 - gam * lipschitz) - ratio * lam_next) ** 2
-        rhs = s * s - gam * gam
-        holds_i = lhs < rhs
-        g, h, i = gn_hn_in(s, lipschitz, gam, lam, om)
-        g_pos = g > 0.0
-    i_from = _holds_from(holds_i)
-
     n1 = alpha - 1.0
     try:
         npr = n_prime(schedule.label, schedule.params, s, alpha, lipschitz)
+        lo = max(n1, np.ceil(npr)) if np.isfinite(npr) else float("inf")
     except ValueError:
-        npr = float(i_from - 1) if i_from <= n_max else float("inf")
+        npr, lo = None, n1   # N' is taken from the scan: the last failure of (i)
 
-    lo = max(n1, np.ceil(npr)) if np.isfinite(npr) else float("inf")
-    sel = (n > lo) & g_pos
-    n2_val = float(np.max(n2(alpha, g[sel], h[sel], i[sel]))) if np.any(sel) else float("nan")
+    ii_exact = True
+    last_fail = 0        # the last scanned n where (i) fails, 0 while none has
+    n2_max = None        # max of N2 over the scanned n > lo with G_n > 0
+    for start in range(1, n_max + 1, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, n_max + 1)
+        # one call over n = start..stop gives lambda_{n+1} at the block's edge as well
+        n = np.arange(start, stop + 1, dtype=float)
+        # coefficients, or their squares, past the float range become inf, unwarned
+        with np.errstate(over="ignore"):
+            _, lam, om, gam = (np.broadcast_to(c, n.shape) for c in schedule.coeffs_at(n))
+            lam_next = lam[1:]
+            n, lam, om, gam = n[:-1], lam[:-1], om[:-1], gam[:-1]
+            ratio = (n + 1.0) / n
+
+            residual = gam - (lam + om) + ratio * lam_next
+            scale = np.maximum(np.abs(gam),
+                               np.maximum(np.abs(lam + om), ratio * np.abs(lam_next)))
+            ii_exact = ii_exact and bool(np.all(np.abs(residual) <= 16.0 * _EPS * scale))
+
+            lhs = (s * (1.0 - gam * lipschitz) - ratio * lam_next) ** 2
+            fails = np.flatnonzero(~(lhs < s * s - gam * gam))
+            g, h, i = gn_hn_in(s, lipschitz, gam, lam, om)
+        if fails.size:
+            last_fail = start + int(fails[-1])
+            if npr is None:
+                lo, n2_max = max(n1, last_fail), None
+        sel = (n > lo) & (g > 0.0)
+        if np.any(sel):
+            top = np.max(n2(alpha, g[sel], h[sel], i[sel]))
+            n2_max = top if n2_max is None else np.maximum(n2_max, top)   # keeps a NaN, as np.max
+    i_from = last_fail + 1
+
+    if npr is None:
+        npr = float(last_fail) if i_from <= n_max else float("inf")
+    n2_val = float("nan") if n2_max is None else float(n2_max)
 
     n_threshold = float(np.max([n1, n2_val, npr]))
     return AdmissibilityReport(

@@ -22,7 +22,10 @@ in nesterov-split, pim in constructions) takes `run`'s one-lane path.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -233,6 +236,46 @@ def suite_rate(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     return out
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless seed is a nonnegative integer."""
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+class _Draws:
+    """Seeded samples from the standard library's `random.Random(seed)`.
+    A draw of `size` samples takes one call of the generator and gives an
+    array of that shape; a draw without `size` gives a float."""
+
+    def __init__(self, seed: int):
+        _check_seed(seed)
+        self._rng = random.Random(seed)
+
+    def _unit(self, count: int):
+        """count uniforms on [0, 1), 53 random bits each."""
+        bits = np.frombuffer(self._rng.randbytes(8 * count), dtype="<u8") >> np.uint64(11)
+        return bits * 2.0 ** -53
+
+    def uniform(self, lo, hi, size=None):
+        """Uniforms on [lo, hi); lo and hi broadcast against `size`."""
+        if size is None:
+            return lo + (hi - lo) * self._rng.random()
+        return lo + (hi - lo) * self._unit(math.prod(np.atleast_1d(size))).reshape(size)
+
+    def normal(self, scale: float, size):
+        """Normals of mean 0, by Box-Muller: each pair of uniforms gives two."""
+        count = math.prod(np.atleast_1d(size))
+        u = self._unit(2 * ((count + 1) // 2)).reshape(2, -1)
+        r = np.sqrt(-2.0 * np.log1p(-u[0]))   # 1 - u is in (0, 1]
+        angle = (2.0 * np.pi) * u[1]
+        z = np.concatenate((r * np.cos(angle), r * np.sin(angle)))
+        return scale * z[:count].reshape(size)
+
+    def integer(self, lo: int, hi: int) -> int:
+        """An integer in [lo, hi)."""
+        return self._rng.randrange(lo, hi)
+
+
 def _random_family_draws(rng, n_draws: int):
     """Admissible (label, params, s, lipschitz) tuples for the three
     coefficient families."""
@@ -253,7 +296,7 @@ def _random_family_draws(rng, n_draws: int):
 def suite_assumption_exact(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """The coefficient-coupling identity must hold to a few ulps for
     every family at every n."""
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     counts: Dict[str, int] = {"e24": 0, "e25": 0, "e26": 0}
     fails: Dict[str, int] = {"e24": 0, "e25": 0, "e26": 0}
     for label, params, s, lip in _random_family_draws(rng, 20):
@@ -271,7 +314,7 @@ def suite_assumption_exact(seed: int = DEFAULT_SEED) -> List[CheckResult]:
 def suite_threshold_scan(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Closed-form readiness thresholds vs brute-force scans of the strict
     coupling inequality."""
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     counts: Dict[str, int] = {"e24": 0, "e25": 0, "e26": 0}
     fails: Dict[str, list] = {"e24": [], "e25": [], "e26": []}
     for label, params, s, lip in _random_family_draws(rng, 20):
@@ -296,14 +339,14 @@ def _sign_samples(rng, variant: str, n: int):
     `variant`: a nonpositive discriminant for l17; for l18 a positive one,
     with x on or beyond a root."""
     a = rng.uniform(0.1, 5.0, n)
-    b = rng.normal(scale=2.0, size=n)
+    b = rng.normal(2.0, n)
     if variant == "l17":
         c = b * b / (4.0 * a) + rng.uniform(0.0, 5.0, n)
-        return a, b, c, rng.normal(scale=3.0, size=n)
+        return a, b, c, rng.normal(3.0, n)
     c = b * b / (4.0 * a) - rng.uniform(1e-12, 5.0, n)
     root = np.sqrt(b * b - 4.0 * a * c)
     off = rng.uniform(0.0, 3.0, n)
-    x = np.where(rng.random(n) < 0.5, (-b + root) / (2.0 * a) + off,
+    x = np.where(rng.uniform(0.0, 1.0, n) < 0.5, (-b + root) / (2.0 * a) + off,
                  (-b - root) / (2.0 * a) - off)
     return a, b, c, x
 
@@ -312,19 +355,18 @@ def suite_lemmas(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Randomized nonnegativity sweeps for the smoothness inequalities and
     the quadratic sign lemmas. Each quadratic's point triples go to the
     descent lemmas as one stack, and the sign samples in chunks."""
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     n_desc = 0
     desc_viol = 0
     worst = np.inf
     for _ in range(50):
-        dim = int(rng.integers(2, 6))
-        m = rng.normal(size=(dim, dim))
-        obj = quadratic(m.T @ m + np.diag(rng.uniform(0.0, 1.0, dim)),
-                        rng.normal(size=dim))
+        dim = rng.integer(2, 6)
+        m = rng.normal(1.0, (dim, dim))
+        obj = quadratic(m.T @ m + np.diag(rng.uniform(0.0, 1.0, dim)), rng.normal(1.0, dim))
         lip = obj.lipschitz_constant()
-        x, y, z = rng.normal(scale=2.0, size=(3, 70, dim))
+        x, y, z = rng.normal(2.0, (3, 70, dim))
         s = rng.uniform(0.05, 1.0, 70) / lip
-        gam = rng.uniform(0.0, s)
+        gam = rng.uniform(0.0, s, 70)
         scale = np.maximum.reduce([np.ones(70), np.abs(obj.eval(x)), np.abs(obj.eval(y)),
                                    np.abs(obj.eval(z)),
                                    lip * np.sum(x * x + y * y + z * z, axis=1)])
@@ -503,6 +545,9 @@ SUITES: Dict[str, Callable[[int], List[CheckResult]]] = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
+    """The checks of the suite `name`, or of every suite for "all". A seed
+    that is not a nonnegative integer raises ValueError before any suite runs."""
+    _check_seed(seed)
     if name == "all":
         results = []
         for key in SUITES:

@@ -51,9 +51,10 @@ def test_descent_lemma_stack_rows_match_one_point_calls(seed, dim, rows, variant
 
 
 def _sign_samples(seed, rows, variant):
-    """Samples drawn as `verify.suite_lemmas` draws them, with boundary
-    cases mixed in: for l17 the double root (x - r)^2 with x next to r, for
-    l18 x on a root."""
+    """Samples from the distributions `verify.suite_lemmas` draws from,
+    here from numpy's generator rather than the suite's seeded standard
+    library one, with boundary cases mixed in: for l17 the double root
+    (x - r)^2 with x next to r, for l18 x on a root."""
     rng = np.random.default_rng([seed, rows])
     a = rng.uniform(0.1, 5.0, rows)
     b = rng.normal(scale=2.0, size=rows)

@@ -254,6 +254,17 @@ def test_short_runs_keep_shape_and_bootstrap_row(name, n_steps):
         assert np.array_equal(xs[1], np.asarray(X0) - S * obj.grad(np.asarray(X0)))
 
 
+@pytest.mark.parametrize("name", sorted(_routes(H)))
+def test_a_record_no_memory_can_hold_raises_before_any_step(name):
+    # the x-iterates go into one preallocated array, so a run too long for
+    # it fails at once instead of stepping until memory runs out
+    construct, _ = _routes(H)[name]
+    n = 10**18
+    with pytest.raises(ValueError, match=f"^n_steps = {n} asks for a record of {n + 1} "
+                                         "iterates, which cannot be allocated$"):
+        construct(f1(), X0, n)
+
+
 # SHA-256 of each construction's x-iterates over 1000 steps from X0, keyed
 # by (route, objective, h); lt_s_igahd's schedule has beta = h, which e25
 # admits at both stepsizes

@@ -4,12 +4,17 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splitgrad import algorithms, cli
+import splitgrad
+from splitgrad import algorithms, cli, verify
 from splitgrad.algorithms import StoppingRule, make_stepper, run
 from splitgrad.analysis import energy_series
 from splitgrad.cases import all_cases
@@ -130,6 +135,62 @@ def test_verify_suite_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite", ["all", "lemmas"])
+def test_verify_negative_seed_exits_2_before_any_suite(capsys, monkeypatch, suite):
+    ran = []
+    monkeypatch.setattr(verify, "SUITES", {name: lambda seed, name=name: ran.append(name) or []
+                                           for name in verify.SUITES})
+    _exit_2_one_line(capsys, ["verify", suite, "--seed", "-1"],
+                     "seed must be a non-negative integer, got -1")
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+        verify.run_suite(suite, seed=-3)
+    assert ran == []
+
+
+_NO_NUMPY_RANDOM = """
+import contextlib, io, sys
+import splitgrad.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = splitgrad.cli.main(["verify", "all"])
+print(rc, "numpy.random" in sys.modules)
+"""
+
+
+def test_verify_all_loads_no_numpy_random():
+    # the suites draw from the standard library's generator, which the
+    # command line has loaded already; numpy.random costs some 5 MB resident
+    src = str(Path(splitgrad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("size,shape", [(None, ()), (1, (1,)), (7, (7,)), ((3, 4), (3, 4)),
+                                        ((2, 3, 5), (2, 3, 5))])
+def test_seeded_draws_repeat_and_have_the_asked_shape(size, shape):
+    def draw(seed):
+        rng = verify._Draws(seed)
+        return [rng.uniform(-2.0, 3.0, size), rng.normal(2.0, size or 1), rng.integer(2, 6)]
+
+    first = draw(11)
+    for a, b in zip(first, draw(11)):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(first[0], draw(12)[0])
+    assert np.shape(first[0]) == shape and np.shape(first[1]) == (shape or (1,))
+    assert 2 <= first[2] < 6
+
+
+def test_seeded_uniforms_lie_in_the_half_open_interval():
+    rng = verify._Draws(0)
+    u = rng.uniform(0.0, 1.0, 100_000)
+    assert u.min() >= 0.0 and u.max() < 1.0 and u.dtype == np.float64
+    hi = np.linspace(0.5, 4.0, 1000)
+    v = rng.uniform(0.25, hi, 1000)   # a bound per sample, as suite_lemmas draws gamma
+    assert np.all(v >= 0.25) and np.all(v < hi)
+    assert 0.49 < u.mean() < 0.51 and abs(rng.normal(1.0, 100_000).std() - 1.0) < 0.01
 
 
 def test_table_subset_and_rerun(tmp_path):

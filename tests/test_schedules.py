@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -324,3 +325,131 @@ def test_check_assumptions_takes_a_custom_map_of_numbers():
     sch = make_schedule("custom", s=0.1, coeffs=lambda n: (0.5, 0.0, 0.0, 0.0))
     rep = check_assumptions(sch, 1.0, n_max=50)
     assert rep.assumption_ii_exact and rep.n1 == 2.0
+
+
+def test_custom_schedule_needs_a_positive_stepsize():
+    # neither route could run a custom schedule at such an s
+    for s in (-0.1, 0.0, float("nan")):
+        with pytest.raises(ValueError, match=rf"^stepsize must be positive, got {s}$"):
+            make_schedule("custom", s=s, coeffs=lambda n: (0.5, 0.0, 0.0, 0.0))
+
+
+def test_e25_beta_range_has_one_message():
+    message = r"^beta must lie in \(0, 2\*sqrt\(s\)\) = \(0, 0\.4\), got 0\.8$"
+    with pytest.raises(ValueError, match=message):
+        make_schedule("e25", s=0.04, beta=0.8)
+    for threshold in (n_prime, n_prime_reference_variant):
+        with pytest.raises(ValueError, match=message):
+            threshold("e25", {"beta": 0.8}, 0.04, 3.0, 4.0)
+
+
+def _holds_from(mask):
+    suffix = np.minimum.accumulate(mask[::-1].astype(bool))[::-1]
+    idx = np.nonzero(suffix)[0]
+    return int(idx[0] + 1) if idx.size else int(mask.size + 1)
+
+
+def _one_array_scan(schedule, lipschitz, n_max):
+    """The admissibility scan over one array of n = 1..n_max, the reference
+    that the block scan of `check_assumptions` must match bit for bit."""
+    n = np.arange(1, n_max + 2, dtype=float)
+    s, alpha = schedule.s, schedule.alpha
+    with np.errstate(over="ignore"):
+        _, lam, om, gam = (np.broadcast_to(c, n.shape) for c in schedule.coeffs_at(n))
+        lam_next = lam[1:]
+        n, lam, om, gam = n[:-1], lam[:-1], om[:-1], gam[:-1]
+        ratio = (n + 1.0) / n
+        residual = gam - (lam + om) + ratio * lam_next
+        scale = np.maximum(np.abs(gam), np.maximum(np.abs(lam + om), ratio * np.abs(lam_next)))
+        ii_exact = bool(np.all(np.abs(residual) <= 16.0 * EPS * scale))
+        lhs = (s * (1.0 - gam * lipschitz) - ratio * lam_next) ** 2
+        holds_i = lhs < s * s - gam * gam
+        g, h, i = gn_hn_in(s, lipschitz, gam, lam, om)
+        g_pos = g > 0.0
+    i_from = _holds_from(holds_i)
+    n1 = alpha - 1.0
+    try:
+        npr = n_prime(schedule.label, schedule.params, s, alpha, lipschitz)
+    except ValueError:
+        npr = float(i_from - 1) if i_from <= n_max else float("inf")
+    lo = max(n1, np.ceil(npr)) if np.isfinite(npr) else float("inf")
+    sel = (n > lo) & g_pos
+    n2_val = float(np.max(n2(alpha, g[sel], h[sel], i[sel]))) if np.any(sel) else float("nan")
+    return schedules.AdmissibilityReport(n1=float(n1), n2=n2_val, n_prime=float(npr),
+                                         n_threshold=float(np.max([n1, n2_val, npr])),
+                                         assumption_i_holds_from=i_from,
+                                         assumption_ii_exact=ii_exact)
+
+
+def _bits(value):
+    """A float's bits, with every NaN as one value."""
+    return "nan" if value != value else np.float64(value).tobytes()
+
+
+_CHUNK = schedules._SCAN_CHUNK
+_N_MAX = ("ceil-alpha", _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7)
+
+
+@st.composite
+def _scanned_schedules(draw):
+    """A schedule of e24, e25, e26 or a custom map, its Lipschitz constant
+    and an n_max of `_N_MAX`. The custom map meets the coupling identity
+    but at the one index where its lambda is inf or NaN; its N2 rises and
+    falls with sin(n), so that its max over n > N' depends on where N'
+    falls, and its gamma breaks the strict inequality at every multiple of
+    a period, which may fall on n_max itself."""
+    s = draw(st.floats(1e-3, 1.0))
+    lip = draw(st.floats(0.1, 10.0))
+    alpha = draw(st.floats(3.0, 40.0))
+    mu = draw(st.sampled_from([0.0, 1e-3, 0.5, 30.0, 1e300]))
+    label = draw(st.sampled_from(["e24", "e25", "e26", "custom", "custom"]))
+    n_max = draw(st.sampled_from(_N_MAX))
+    n_max = int(np.ceil(alpha)) if n_max == "ceil-alpha" else n_max
+    if label == "e25":
+        sch = make_schedule("e25", s=s, alpha=alpha, mu=mu, b=draw(st.floats(0.1, 10.0)),
+                            beta=draw(st.floats(0.01, 0.99)) * 2.0 * float(np.sqrt(s)))
+    elif label != "custom":
+        sch = make_schedule(label, s=s, alpha=alpha, mu=mu, a=draw(st.floats(0.0, 20.0)),
+                            b=draw(st.floats(1e-3, 20.0)))
+    else:
+        lam0 = draw(st.floats(0.0, 0.5)) * s
+        gam0 = draw(st.floats(0.0, 2.0)) * s
+        period = draw(st.sampled_from([1, 7, _CHUNK, 3000, n_max, 10**9]))
+        k_bad = draw(st.integers(1, n_max + 1))
+        bad = draw(st.sampled_from([np.inf, -np.inf, np.nan, 1e300]))
+
+        def lam_at(n):
+            return np.where(n == k_bad, bad, lam0 * (1.0 + 0.9 * np.sin(n)))
+
+        def coeffs(n):
+            lam, gam = lam_at(n), np.where(n % period == 0, gam0, 0.0)
+            return (n - alpha) / n, lam, gam - lam + ((n + 1.0) / n) * lam_at(n + 1.0), gam
+
+        sch = make_schedule("custom", s=s, alpha=alpha, coeffs=coeffs)
+    return sch, lip, n_max
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_scanned_schedules())
+def test_block_scan_equals_the_one_array_scan(case):
+    sch, lip, n_max = case
+    with np.errstate(invalid="ignore"):
+        got = check_assumptions(sch, lip, n_max)
+        want = _one_array_scan(sch, lip, n_max)
+    for field in ("n1", "n2", "n_prime", "n_threshold"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+    assert got.assumption_i_holds_from == want.assumption_i_holds_from
+    assert got.assumption_ii_exact is want.assumption_ii_exact
+
+
+def test_family_scan_memory_does_not_grow_with_n_max():
+    sch = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=1e-2)
+    check_assumptions(sch, 4.0, n_max=1000)   # warm up imports and caches
+    tracemalloc.start()
+    try:
+        rep = check_assumptions(sch, 4.0, n_max=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.assumption_ii_exact
+    assert peak < 0.5 * 2**20, f"traced peak {peak} bytes"
