@@ -1,21 +1,23 @@
 """Discrete inertial gradient algorithms as one lane-batched engine.
 
 Every method is the four-coefficient step `coefficient_step` driven by a
-per-name coefficient map n -> (alpha_n, lambda_n, omega_n, gamma_n), with
-a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1). Each method but
-lt_s_igahd is a row of the table `_METHODS`, a coefficient body of n, s,
-alpha and the method's parameter; its map binds the body to their values
-as a `schedules.CoefficientMap`, as a schedule family's does:
+coefficient map n -> (alpha_n, lambda_n, omega_n, gamma_n), with
+a_n = (n - alpha)/n, h = sqrt(s) and theta_n = 1/max(n, 1). `_METHODS` has
+one row per method: the body that gives its coefficients, the parameters
+it takes and the point of its gradient step, x_n or the inertial point y_n.
+Its map binds the body to the parameters' values as a
+`schedules.CoefficientMap`, as a schedule family's does:
 
-    agm2, nag     (a_n, 0, 0, 0)
-    lt_se1        (a_n, 0, s a_n, s)
-    lt_sv2        (a_n, 0, s a_n / 2, s / 2)
-    ardm          (a_n, 0, s (1 + a_n), 0)
-    lt_se3        (a_n, 0, s a_n theta_{n-1}, s theta_n)
-    igahd         (a_n, beta h, beta h / n, 0)
-    polyak_igahd  (a_n, beta h, beta h / n, 0), gradient step at x_n
-    pim           (1 - h gamma, 0, 0, 0), gradient step at x_n
-    lt_s_igahd    the coefficients of a Schedule
+    method        coefficients                            takes            step
+    agm2, nag     (a_n, 0, 0, 0)                          alpha            y_n
+    lt_se1        (a_n, 0, s a_n, s)                      alpha            y_n
+    lt_sv2        (a_n, 0, s a_n / 2, s / 2)              alpha            y_n
+    ardm          (a_n, 0, s (1 + a_n), 0)                alpha            y_n
+    lt_se3        (a_n, 0, s a_n theta_{n-1}, s theta_n)  alpha            y_n
+    igahd         (a_n, beta h, beta h / n, 0)            alpha, beta      y_n
+    polyak_igahd  (a_n, beta h, beta h / n, 0)            alpha, beta      x_n
+    pim           (1 - h gamma, 0, 0, 0)                  gamma            x_n
+    lt_s_igahd    those of its Schedule                   alpha, schedule  y_n
 
 `nag` is agm2 under its classical name and steps agm2's bits. Its velocity
 form, a third route to the same recursion, is the construction
@@ -80,20 +82,17 @@ one value and one gradient for each `eval_grad`.
 
 An objective that declares `affine_gradient` (the quadratic) also gives
 grad(y_n) as a combination of the cached grad(x_n) and grad(x_{n-1})
-whenever lambda_n = omega_n = 0, with no new evaluation. On it each step
-costs, counting `eval_grad` as one product A x:
-
-    agm2, nag                one product
-    pim, polyak_igahd        one product (the step is at x_n)
-    lt_se1, lt_sv2, lt_se3   two, but one at n = alpha (a_n = 0 there)
-    ardm, igahd              two (omega_n or lambda_n is not 0)
-    lt_s_igahd               two, but one at any n where the schedule's
-                             lambda_n and omega_n are both 0
+whenever lambda_n = omega_n = 0, with no new evaluation. On it a step costs
+one product A x, counting `eval_grad` as one, and a second for grad(y_n) at
+each n where the step is at y_n and lambda_n or omega_n is not 0: never for
+agm2, nag, pim and polyak_igahd, and for lt_se1, lt_sv2 and lt_se3 at every
+n but n = alpha, where a_n = 0.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence, Union
@@ -216,27 +215,45 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
                      state.f_curr, f_next, y_last=y, lanes=state.lanes)
 
 
-# The four-coefficient step with its gradient step at x_n: pim's and polyak_igahd's.
+# The four-coefficient step with its gradient step at x_n.
 _COEFFICIENT_STEP_AT_X = partial(coefficient_step, grad_at_x=True)
 
 
-# name -> (coefficient body, the `make_stepper` keywords it takes after n, s
-# and alpha). A body gives the coefficients of the module docstring at n from
-# numbers or (lanes, 1) columns, and a method's map is the
-# `schedules.CoefficientMap` of its row; lt_s_igahd steps by its Schedule's.
+# The method table of the module docstring, one row per name in the order of
+# `ALGORITHM_NAMES`: (body, the `coefficient_map` keywords the method takes,
+# gradient step at x_n). A body gives the coefficients at n from s and the
+# values of those keywords, as numbers or (lanes, 1) columns. nag's and
+# polyak_igahd's rows hold agm2's and igahd's body objects, so
+# `schedules.coeffs_of` evaluates each pair in one call.
+_Method = namedtuple("_Method", "body takes at_x", defaults=(False,))
+_AGM2 = _Method(lambda n, s, alpha: ((n - alpha) / n, 0.0, 0.0, 0.0), ("alpha",))
+_IGAHD = _Method(lambda n, s, alpha, beta: ((n - alpha) / n, beta * np.sqrt(s),
+                                            beta * np.sqrt(s) / n, 0.0), ("alpha", "beta"))
 _METHODS = {
-    "agm2": (lambda n, s, alpha: ((n - alpha) / n, 0.0, 0.0, 0.0), ()),
-    "lt_se1": (lambda n, s, alpha: (a := (n - alpha) / n, 0.0, s * a, s), ()),
-    "lt_sv2": (lambda n, s, alpha: (a := (n - alpha) / n, 0.0, 0.5 * s * a, 0.5 * s), ()),
-    "ardm": (lambda n, s, alpha: (a := (n - alpha) / n, 0.0, s * (1.0 + a), 0.0), ()),
-    "lt_se3": (lambda n, s, alpha: (a := (n - alpha) / n, 0.0, s * a * default_theta(n - 1),
-                                    s * default_theta(n)), ()),
-    "igahd": (lambda n, s, alpha, beta: ((n - alpha) / n, beta * np.sqrt(s),
-                                         beta * np.sqrt(s) / n, 0.0), ("beta",)),
-    "pim": (lambda n, s, alpha, gamma: (1.0 - np.sqrt(s) * gamma, 0.0, 0.0, 0.0), ("gamma",)),
+    "agm2": _AGM2,
+    "lt_s_igahd": _Method(None, ("alpha", "schedule")),
+    "lt_se1": _Method(lambda n, s, alpha: (a := (n - alpha) / n, 0.0, s * a, s), ("alpha",)),
+    "lt_sv2": _Method(lambda n, s, alpha: (a := (n - alpha) / n, 0.0, 0.5 * s * a, 0.5 * s),
+                      ("alpha",)),
+    "ardm": _Method(lambda n, s, alpha: (a := (n - alpha) / n, 0.0, s * (1.0 + a), 0.0),
+                    ("alpha",)),
+    "lt_se3": _Method(lambda n, s, alpha: (a := (n - alpha) / n, 0.0,
+                                           s * a * default_theta(n - 1), s * default_theta(n)),
+                      ("alpha",)),
+    "pim": _Method(lambda n, s, gamma: (1.0 - np.sqrt(s) * gamma, 0.0, 0.0, 0.0), ("gamma",),
+                   at_x=True),
+    "polyak_igahd": _IGAHD._replace(at_x=True),
+    "igahd": _IGAHD,
+    "nag": _AGM2,
 }
-_METHODS["polyak_igahd"] = _METHODS["igahd"]
-_METHODS["nag"] = _METHODS["agm2"]
+ALGORITHM_NAMES = tuple(_METHODS)
+
+
+def _method(name: str):
+    """The row of `_METHODS` of a method name, in any case."""
+    if name.lower() not in _METHODS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    return _METHODS[name.lower()]
 
 
 class Stepper:
@@ -423,14 +440,10 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
     results = [None] * lanes
     # each lane's recorded pieces, one list per field; an unrecorded run keeps none
     pieces = [[[] for _ in range(lanes)] for _ in range(3 if record_y else 2)] if record else []
-    # the rows recorded since the last stop, starting with x0's, fill one
-    # buffer per field. A segment that starts at index n has room for the
-    # `most - n` rows the loop can still record, and a max_iter run, which
-    # stops only there or by diverging, takes them all at once. Under a
-    # tolerance the length is unknown: the buffer starts at `_CHUNK` rows and
-    # doubles when full, never past that room, copying its filled rows one
-    # field at a time so that each old buffer goes before the next field
-    # grows. The rows never written are never touched, so they hold no memory.
+    # the rows recorded since the last stop, starting with x0's, fill one buffer
+    # per field, sized as the module docstring's Recording says: a segment from
+    # index n has room for the `most - n` rows still to come. Buffers grow one
+    # field at a time, so that each old buffer goes before the next one grows.
     tolerance = stopping.kind != "max_iter"
     most = max_iter + 1
     bufs, filled, room = [], 0, 0
@@ -547,35 +560,26 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
 def coefficient_map(name: str, s: float, alpha: float = 3.0,
                     schedule: Optional[Schedule] = None, beta: float = 1.0,
                     gamma: float = 1.0) -> Callable:
-    """The map n -> (alpha_n, lambda_n, omega_n, gamma_n) of a named
-    method. A number n gives floats, an array of n gives arrays, bitwise
-    equal to the numbers n by n. lt_s_igahd takes its coefficients from
-    `schedule`, whose s must equal `s` to 8 eps relative and whose alpha
-    must equal `alpha`. alpha must exceed 1 for every method but pim
-    (`check_alpha`), and s must be positive."""
-    return _map(name.lower(), s, alpha, schedule, beta, gamma)
-
-
-def _map(name: str, s: float, alpha: float, schedule: Optional[Schedule], beta: float,
-         gamma: float) -> Callable:
-    """The map a method steps by: its Schedule's for lt_s_igahd, else the
-    `CoefficientMap` of its row of `_METHODS`. The constructions' rules hold:
-    alpha > 1 for every method but pim, beta and gamma finite and
+    """The map n -> (alpha_n, lambda_n, omega_n, gamma_n) of a named method:
+    the `CoefficientMap` of its row of `_METHODS`, or lt_s_igahd's
+    `schedule`'s, whose s must equal `s` to 8 eps relative and alpha equal
+    `alpha`. A number n gives floats, an array of n arrays, bitwise equal to
+    the numbers n by n. The constructions' rules hold: alpha > 1 for every
+    method that takes alpha (`check_alpha`), beta and gamma finite and
     nonnegative whichever method is named, and s > 0."""
+    name = name.lower()
+    row = _method(name)
     check_alpha(name, alpha)
     schedules.check_beta(beta)
     schedules.check_gamma(gamma)
-    if name == "lt_s_igahd":
+    if row.body is None:
         if schedule is None:
-            raise ValueError("lt_s_igahd needs a schedule")
+            raise ValueError(f"{name} needs a schedule")
         schedule.check_matches(s, alpha)   # first, to name a stepsize it was not made with
         coeffs = schedule.coeffs_at
-    elif name in _METHODS:
-        body, keywords = _METHODS[name]
-        given = {"beta": beta, "gamma": gamma}
-        coeffs = schedules.CoefficientMap(body, (s, alpha, *[given[k] for k in keywords]))
     else:
-        raise ValueError(f"unknown algorithm {name!r}")
+        given = {"alpha": alpha, "beta": beta, "gamma": gamma}
+        coeffs = schedules.CoefficientMap(row.body, (s, *[given[k] for k in row.takes]))
     schedules.check_step(s)
     return coeffs
 
@@ -588,7 +592,6 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
     one stepsize or one per lane, and `schedule` (lt_s_igahd's) one Schedule
     or one per lane. Each name steps by its `coefficient_map`, which takes
     the same parameters."""
-    name = name.lower()
     s_lanes = np.atleast_1d(np.asarray(s, dtype=float))
     if s_lanes.ndim != 1 or s_lanes.size == 0:
         raise ValueError(f"s must be a stepsize or a sequence of them, got shape {np.shape(s)}")
@@ -596,23 +599,22 @@ def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0
               else [schedule] * s_lanes.size)
     if len(scheds) != s_lanes.size:
         raise ValueError(f"{len(scheds)} schedules for {s_lanes.size} stepsizes")
-    maps = [_map(name, s_k, alpha, sch, beta, gamma)
+    maps = [coefficient_map(name, s_k, alpha, sch, beta, gamma)
             for s_k, sch in zip(s_lanes.tolist(), scheds)]
     return Stepper(kernel_of(name), maps, s_lanes)
 
 
 def kernel_of(name: str) -> Callable:
-    """The step a named method advances by: the four-coefficient step with
-    its gradient step at x_n for pim and polyak_igahd, and
-    `coefficient_step` for every other method. Methods with the same kernel
-    can run as the lanes of one `Stepper`."""
-    return _COEFFICIENT_STEP_AT_X if name.lower() in ("pim", "polyak_igahd") else coefficient_step
+    """The step a named method advances by: `coefficient_step`, with its
+    gradient step at x_n where the method's row says so. Methods with the
+    same kernel can run as the lanes of one `Stepper`."""
+    return _COEFFICIENT_STEP_AT_X if _method(name).at_x else coefficient_step
 
 
 def check_alpha(name: str, alpha: float, label: str = "alpha") -> None:
-    """Reject alpha <= 1 for every method whose coefficients use alpha (all
-    but pim), as the constructions do; `label` names alpha in the message."""
-    if name != "pim" and not alpha > 1.0:
+    """Reject alpha <= 1 for every method that takes alpha (all but pim),
+    as the constructions do; `label` names alpha in the message."""
+    if "alpha" in _method(name).takes and not alpha > 1.0:
         raise ValueError(f"{label} must exceed 1 for {name}, got {alpha}")
 
 
@@ -679,6 +681,3 @@ def run_methods(obj: Objective, cells, x0, stopping: StoppingRule, max_iter: int
                 trajs[i] = got[j]
     return (trajs if record else None), results
 
-
-ALGORITHM_NAMES = ("agm2", "lt_s_igahd", "lt_se1", "lt_sv2", "ardm", "lt_se3",
-                   "pim", "polyak_igahd", "igahd", "nag")

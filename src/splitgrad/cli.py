@@ -83,9 +83,7 @@ def _parse_json(text, what: str = "a JSON object"):
         raise ValueError(f"{text}: not valid JSON ({e})") from None
 
 
-def _parse_params(text):
-    if text is None:
-        return {}
+def _parse_params(text) -> dict:
     return _as_params(_parse_json(text), "parameter payload")
 
 
@@ -133,11 +131,6 @@ def _cfg(args, config: dict, key: str, default):
 # ---------------------------------------------------------------- run
 
 
-# The options of `run` that only some methods take, with those methods.
-_METHOD_OPTIONS = {"beta": ("igahd", "polyak_igahd"), "gamma": ("pim",),
-                   "schedule": ("lt_s_igahd",), "schedule_params": ("lt_s_igahd",)}
-
-
 def cmd_run(args) -> int:
     config = _parse_params(args.config) if args.config else {}
     # a config holds run options, and objective_params, which only it can give
@@ -151,8 +144,12 @@ def cmd_run(args) -> int:
     if algorithm not in algorithms.ALGORITHM_NAMES:
         raise ValueError(f"--algorithm must be one of {algorithms.ALGORITHM_NAMES}, "
                          f"got {algorithm!r}")
-    for key, methods in _METHOD_OPTIONS.items():
-        if _cfg(args, config, key, None) is not None and algorithm not in methods:
+    # an option of a method parameter applies only to the methods whose row takes it
+    takes = algorithms._METHODS[algorithm].takes
+    for key in ("beta", "gamma", "schedule", "schedule_params"):
+        param = key.removesuffix("_params")
+        if _cfg(args, config, key, None) is not None and param not in takes:
+            methods = sorted(m for m, row in algorithms._METHODS.items() if param in row.takes)
             raise ValueError(f"--{key.replace('_', '-')} applies only to "
                              f"{' and '.join(methods)}, not to {algorithm}")
     s = _finite("--s", _cfg(args, config, "s", 0.1))

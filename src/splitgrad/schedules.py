@@ -160,9 +160,9 @@ def _check_family(label: str, s, alpha, params: dict) -> None:
 class CoefficientMap:
     """A built-in coefficient map, n -> body(n, *args): `body` is a row of a
     coefficient table (a schedule family of `_FAMILIES`, or a method of
-    `algorithms._METHODS`) and `args` its stepsize s, alpha and the row's
-    parameters, in the row's order. `coeffs_of` calls each body once for
-    all the maps of that body in a batch."""
+    `algorithms._METHODS`) and `args` its stepsize s and the further values
+    the body takes, in its order. `coeffs_of` calls each body once for all
+    the maps of that body in a batch."""
 
     body: Callable
     args: tuple
@@ -254,13 +254,23 @@ def _inf_on_overflow(closed_form: Callable) -> Callable:
     return guarded
 
 
+def _as_floats(label: str, params: dict, s, *numbers) -> tuple:
+    """The family's parameters over its defaults, s and `numbers`, as Python
+    floats, whose `**` raises the OverflowError that `_inf_on_overflow`
+    catches where a numpy float's warns; e25's beta is checked as given."""
+    full = _family_params(label, params)
+    if label == "e25":
+        _check_e25_beta(full["beta"], s)
+    return ({k: float(full[k]) for k in _FAMILIES[label][1]}, float(s), *map(float, numbers))
+
+
 def _n_prime_e24(params: dict, s: float, alpha: float, lipschitz: float,
                  curvature: float) -> float:
     """The e24 threshold of `n_prime` with (s L)^2 + 1 replaced by `curvature`;
     `params` holds every parameter of the family."""
     a, b, mu = params["a"], params["b"], params["mu"]
     base = ((alpha - 1.0) * curvature
-            + 2.0 * mu * lipschitz * np.sqrt(alpha - 1.0) + (mu / s) ** 2 - a)
+            + 2.0 * mu * lipschitz * float(np.sqrt(alpha - 1.0)) + (mu / s) ** 2 - a)
     if b - a > 0.25:
         return float(base)
     return float(max(base, (1.0 - 2.0 * b + np.sqrt(4.0 * (a - b) + 1.0)) / 2.0))
@@ -274,28 +284,32 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
 
     e24: (alpha-1)(s^2 L^2 + 1) + 2 mu L sqrt(alpha-1) + (mu/s)^2 - a,
          maxed with (1 - 2b + sqrt(4(a-b)+1))/2 when b - a <= 1/4.
-    e25: quadratic-root formula in beta, b, mu.
+    e25: (-P + sqrt(P^2 + 4 d r)) / (2 d), with d = 2 sqrt(s) - beta,
+         r = beta b + mu/sqrt(s) and P = 2 b sqrt(s) - beta (b + 1) - mu/sqrt(s).
+         Where P > 0 and P^2 > 2^20 4 d r this has lost more than 20 bits
+         to cancellation, and is taken as 2 (r/P) / (1 + sqrt(1 + 4 d r/P^2)).
     e26: sqrt(3 + (mu/s)^2) - min(a, b)  (the L-free variant; see
          n_prime_reference_variant for the alternative).
 
-    A closed form that overflows the float range gives +inf.
+    The parameters are taken as Python floats. A closed form that overflows
+    the float range gives +inf.
     """
     label = label.lower()
     if label not in _FAMILIES:
         raise ValueError(f"no closed-form threshold for schedule label {label!r}")
-    params = _family_params(label, params)
+    params, s, alpha, lipschitz = _as_floats(label, params, s, alpha, lipschitz)
     if label == "e24":
         return _n_prime_e24(params, s, alpha, lipschitz,
                             s * s * lipschitz * lipschitz + 1.0)
     b, mu = params["b"], params["mu"]
     if label == "e25":
-        beta = params["beta"]
-        _check_e25_beta(beta, s)
-        root_s = float(np.sqrt(s))
-        disc = ((2.0 * b * root_s - beta * (b + 1.0) - mu / root_s) ** 2
-                + 4.0 * (2.0 * root_s - beta) * (beta * b + mu / root_s))
-        num = beta * (b + 1.0) + mu / root_s - 2.0 * root_s * b + np.sqrt(disc)
-        return float(num / (2.0 * (2.0 * root_s - beta)))
+        beta, root_s = params["beta"], float(np.sqrt(s))
+        d, r = 2.0 * root_s - beta, beta * b + mu / root_s
+        p = 2.0 * b * root_s - beta * (b + 1.0) - mu / root_s
+        if p > 0.0 and (q := 4.0 * d * (r / p) / p) < 2.0 ** -20:   # P^2 is never formed
+            return float(2.0 * (r / p) / (1.0 + np.sqrt(1.0 + q)))
+        num = beta * (b + 1.0) + mu / root_s - 2.0 * root_s * b + np.sqrt(p ** 2 + 4.0 * d * r)
+        return float(num / (2.0 * d))
     return float(np.sqrt(3.0 + (mu / s) ** 2) - min(params["a"], b))
 
 
@@ -306,16 +320,15 @@ def n_prime_reference_variant(label: str, params: dict, s: float, alpha: float,
     at s = 0.1 (the recording omitted s, so the match is diagnostic):
     e24 without the additive (alpha-1) offset, e26 in its curvature-aware
     form sqrt((sL)^2 + 1 + (mu/s)^2) - min(a, b). Emitted next to the
-    primary threshold by the table command."""
+    primary threshold by the table command. The parameters are taken as
+    Python floats, as `n_prime` takes them."""
     label = label.lower()
+    if label not in ("e24", "e26"):
+        return n_prime(label, params, s, alpha, lipschitz)
+    p, s, alpha, lipschitz = _as_floats(label, params, s, alpha, lipschitz)
     if label == "e24":
-        return _n_prime_e24(_family_params(label, params), s, alpha, lipschitz,
-                            (s * lipschitz) ** 2)
-    if label == "e26":
-        p = _family_params(label, params)
-        return float(np.sqrt((s * lipschitz) ** 2 + 1.0 + (p["mu"] / s) ** 2)
-                     - min(p["a"], p["b"]))
-    return n_prime(label, params, s, alpha, lipschitz)
+        return _n_prime_e24(p, s, alpha, lipschitz, (s * lipschitz) ** 2)
+    return float(np.sqrt((s * lipschitz) ** 2 + 1.0 + (p["mu"] / s) ** 2) - min(p["a"], p["b"]))
 
 
 def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,

@@ -276,9 +276,12 @@ class _Draws:
         return self._rng.randrange(lo, hi)
 
 
+_FAMILY_DRAWS = 20   # draws of each family in assumption-exact and threshold-scan
+
+
 def _random_family_draws(rng, n_draws: int):
     """Admissible (label, params, s, lipschitz) tuples for the three
-    coefficient families."""
+    coefficient families, n_draws of each."""
     draws = []
     for _ in range(n_draws):
         lip = rng.uniform(0.8, 4.0)
@@ -296,39 +299,29 @@ def _random_family_draws(rng, n_draws: int):
 def suite_assumption_exact(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """The coefficient-coupling identity must hold to a few ulps for
     every family at every n."""
-    rng = _Draws(seed)
-    counts: Dict[str, int] = {"e24": 0, "e25": 0, "e26": 0}
-    fails: Dict[str, int] = {"e24": 0, "e25": 0, "e26": 0}
-    for label, params, s, lip in _random_family_draws(rng, 20):
+    fails = {"e24": 0, "e25": 0, "e26": 0}
+    for label, params, s, lip in _random_family_draws(_Draws(seed), _FAMILY_DRAWS):
         sch = schedules.make_schedule(label, s=s, alpha=3.0, **params)
-        rep = schedules.check_assumptions(sch, lip, n_max=10_000)
-        counts[label] += 1
-        if not rep.assumption_ii_exact:
-            fails[label] += 1
-    return [CheckResult(f"assumption-exact/{label}", fails[label] == 0,
-                        f"{counts[label] - fails[label]}/{counts[label]} draws exact "
-                        f"over n = 1..10000")
-            for label in ("e24", "e25", "e26")]
+        fails[label] += not schedules.check_assumptions(sch, lip, n_max=10_000).assumption_ii_exact
+    return [CheckResult(f"assumption-exact/{label}", not bad,
+                        f"{_FAMILY_DRAWS - bad}/{_FAMILY_DRAWS} draws exact over n = 1..10000")
+            for label, bad in fails.items()]
 
 
 def suite_threshold_scan(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Closed-form readiness thresholds vs brute-force scans of the strict
     coupling inequality."""
-    rng = _Draws(seed)
-    counts: Dict[str, int] = {"e24": 0, "e25": 0, "e26": 0}
-    fails: Dict[str, list] = {"e24": [], "e25": [], "e26": []}
-    for label, params, s, lip in _random_family_draws(rng, 20):
+    fails = {"e24": 0, "e25": 0, "e26": 0}
+    for label, params, s, lip in _random_family_draws(_Draws(seed), _FAMILY_DRAWS):
         sch = schedules.make_schedule(label, s=s, alpha=3.0, **params)
         npr = schedules.n_prime(label, params, s, 3.0, lip)
         scan_to = min(int(10 * np.ceil(max(npr, 0.0)) + 100), 100_000)
         rep = schedules.check_assumptions(sch, lip, n_max=scan_to)
-        counts[label] += 1
-        if rep.assumption_i_holds_from > max(1, int(np.floor(npr)) + 1):
-            fails[label].append((params, npr, rep.assumption_i_holds_from))
-    return [CheckResult(f"threshold-scan/{label}", not fails[label],
-                        f"{counts[label] - len(fails[label])}/{counts[label]} draws: "
+        fails[label] += rep.assumption_i_holds_from > max(1, int(np.floor(npr)) + 1)
+    return [CheckResult(f"threshold-scan/{label}", not bad,
+                        f"{_FAMILY_DRAWS - bad}/{_FAMILY_DRAWS} draws: "
                         f"no violation beyond the closed form")
-            for label in ("e24", "e25", "e26")]
+            for label, bad in fails.items()]
 
 
 _SIGN_CHUNK = 5000   # quadratic-lemma samples drawn and checked per call
@@ -549,10 +542,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     that is not a nonnegative integer raises ValueError before any suite runs."""
     _check_seed(seed)
     if name == "all":
-        results = []
-        for key in SUITES:
-            results.extend(SUITES[key](seed))
-        return results
+        return [result for suite in SUITES.values() for result in suite(seed)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(list(SUITES) + ['all'])}")

@@ -9,9 +9,12 @@ from splitgrad import constructions as con
 from splitgrad.algorithms import (
     ALGORITHM_NAMES,
     StoppingRule,
+    check_alpha,
     coefficient_map,
+    coefficient_step,
     default_theta,
     init_state,
+    kernel_of,
     make_stepper,
     run,
     run_lanes,
@@ -349,6 +352,39 @@ def test_algorithm_name_registry():
     sch = make_schedule("e25", s=S, beta=0.1, b=2.0)
     for name in ALGORITHM_NAMES:
         assert callable(make_stepper(name, S, schedule=sch))
+
+
+def test_algorithm_names_keep_their_order():
+    # perfbench/inputs.py mirrors this tuple, and --algorithm lists it in order
+    assert ALGORITHM_NAMES == ("agm2", "lt_s_igahd", "lt_se1", "lt_sv2", "ardm", "lt_se3",
+                               "pim", "polyak_igahd", "igahd", "nag")
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_kernel_of_steps_at_x_for_pim_and_polyak_igahd_alone(name):
+    kernel = kernel_of(name)
+    if name in ("pim", "polyak_igahd"):
+        assert kernel.func is coefficient_step and kernel.keywords == {"grad_at_x": True}
+        assert kernel_of(name.upper()) is kernel
+    else:
+        assert kernel is coefficient_step
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_check_alpha_refuses_one_for_every_method_but_pim(name):
+    if name == "pim":
+        check_alpha(name, 1.0)
+    else:
+        with pytest.raises(ValueError, match=f"^--alpha must exceed 1 for {name}, got 1.0$"):
+            check_alpha(name, 1.0, "--alpha")
+    check_alpha(name, 1.5)
+
+
+def test_an_unknown_method_has_no_row():
+    for call in (lambda: kernel_of("nesterov"), lambda: check_alpha("nesterov", 3.0),
+                 lambda: coefficient_map("nesterov", S, alpha=0.5)):
+        with pytest.raises(ValueError, match="^unknown algorithm 'nesterov'$"):
+            call()
 
 
 # SHA-256 of xs, fs, grads and ys over 1000 steps at s = 0.01 and s = 0.1,

@@ -564,6 +564,33 @@ def test_run_rejects_an_option_its_method_does_not_take(tmp_path, capsys, argv, 
     assert not (tmp_path / "o").exists()
 
 
+# The options of `run` that only some methods take: the option, its
+# arguments, and the methods that take it as they are named in its message.
+_METHOD_OPTIONS = {
+    "beta": (["--beta", "0.5"], "igahd and polyak_igahd"),
+    "gamma": (["--gamma", "0.5"], "pim"),
+    "schedule": (["--schedule", "e25", "--schedule-params", '{"beta": 0.1, "b": 2.0}'],
+                 "lt_s_igahd"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(_METHOD_OPTIONS))
+@pytest.mark.parametrize("name", algorithms.ALGORITHM_NAMES)
+def test_run_takes_an_option_exactly_when_its_method_does(tmp_path, capsys, name, option):
+    given, takers = _METHOD_OPTIONS[option]
+    argv = ["run", "--algorithm", name, "--max-iter", "5", "--out", str(tmp_path / "o")] + given
+    if name == "lt_s_igahd" and option != "schedule":   # it runs only with a schedule
+        argv += _METHOD_OPTIONS["schedule"][0]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    if name in takers.split(" and "):
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 2
+        assert err == f"error: --{option} applies only to {takers}, not to {name}\n"
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["run", "--epsilon", "nan"], "--epsilon"),
     (["run", "--alpha", "nan"], "--alpha"),

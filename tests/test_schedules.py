@@ -1,5 +1,7 @@
+import decimal
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -226,6 +228,71 @@ def test_n_prime_past_the_float_range_is_inf(label, params):
         warnings.simplefilter("error")
         rep = check_assumptions(make_schedule(label, s=0.1, **params), 4.0, n_max=1000)
     assert rep.n_prime == np.inf and rep.assumption_i_holds_from == 1001
+
+
+@pytest.mark.parametrize("label,params", _PAST_THE_FLOATS, ids=["e24", "e25", "e26"])
+def test_n_prime_past_the_float_range_is_inf_on_numpy_floats(label, params):
+    # numpy's `**` warns where the Python float's raises; the thresholds take Python floats
+    params = {k: np.float64(v) for k, v in params.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for threshold in (n_prime, n_prime_reference_variant):
+            got = threshold(label, params, np.float64(0.1), np.float64(3.0), np.float64(4.0))
+            assert got == np.inf, threshold.__name__
+
+
+def test_e24_threshold_past_the_float_range_is_inf_without_a_warning():
+    # 2 mu L sqrt(alpha - 1) passes the float range before (mu/s)^2 does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for threshold in (n_prime, n_prime_reference_variant):
+            assert threshold("e24", {"b": 1.0, "mu": 1e306}, 0.01, 101.0, 50.0) == np.inf
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(label=st.sampled_from(["e24", "e25", "e26"]), s=st.floats(1e-4, 1.0),
+       alpha=st.floats(1.01, 50.0), lip=st.floats(0.0, 100.0), a=st.floats(0.0, 20.0),
+       b=st.floats(1e-3, 1e12), mu=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       frac=st.floats(0.01, 0.99))
+def test_n_prime_has_the_bits_of_python_floats_on_numpy_floats(label, s, alpha, lip, a, b,
+                                                                 mu, frac):
+    params = {"b": b, "mu": mu}
+    params.update({"beta": frac * 2.0 * float(np.sqrt(s))} if label == "e25" else {"a": a})
+    wide = {k: np.float64(v) for k, v in params.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for threshold in (n_prime, n_prime_reference_variant):
+            want = threshold(label, params, s, alpha, lip)
+            got = threshold(label, wide, np.float64(s), np.float64(alpha), np.float64(lip))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), threshold.__name__
+
+
+_E25_BS = [1.0, 1e8, 1e14, 1e16, 1e100, 1e300]
+
+
+@pytest.mark.parametrize("b", _E25_BS)
+def test_e25_threshold_at_mu_zero_is_beta_over_its_margin(b):
+    # at mu = 0, P^2 + Q = (P + 2 beta)^2, so the root is beta / (2 sqrt(s) - beta)
+    # for every b; the textbook form read 0.19074 at b = 1e14, 0 at 1e16 and inf at 1e300
+    beta, s = 0.1, 0.1
+    got = n_prime("e25", {"beta": beta, "b": b, "mu": 0.0}, s, 3.0, 4.0)
+    assert got == pytest.approx(beta / (2.0 * np.sqrt(s) - beta), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("b", _E25_BS)
+def test_e25_threshold_is_its_cancellation_free_root(b):
+    beta, s, mu = 0.1, 0.1, 0.1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d_beta, d_b, d_mu, root_s = Decimal(beta), Decimal(b), Decimal(mu), Decimal(s).sqrt()
+        p = 2 * d_b * root_s - d_beta * (d_b + 1) - d_mu / root_s
+        r = d_beta * d_b + d_mu / root_s
+        q = 4 * (2 * root_s - d_beta) * r
+        assert p > 0
+        want = float(2 * r / (p + (p * p + q).sqrt()))
+    got = n_prime("e25", {"beta": beta, "b": b, "mu": mu}, s, 3.0, 4.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_n_prime_names_a_missing_beta():
