@@ -166,6 +166,8 @@ def cmd_run(args) -> int:
     record_energy = _cfg(args, config, "record_energy", False)
     if not isinstance(record_energy, bool):
         raise ValueError(f"--record-energy must be true or false, got {record_energy!r}")
+    if record_energy:
+        analysis.check_energy_alpha(alpha, "--alpha")
 
     algorithms.check_stepsize(s, obj)
     sched_label = _cfg(args, config, "schedule", None)

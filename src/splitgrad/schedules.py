@@ -336,7 +336,7 @@ def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
     """Build a Schedule by label: a family of `_FAMILIES`, "e24"/"e26"
     (params a, b, mu) or "e25" (beta, b, mu), or "custom" (pass `coeffs`,
     a map from n to the coefficient 4-tuple that accepts an array of n as
-    `Schedule` states)."""
+    `Schedule` states); `coeffs` given with a family label raises."""
     label = label.lower()
     if label == "custom":
         if coeffs is None:
@@ -347,6 +347,8 @@ def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
         return Schedule(label, alpha, s, coeffs)
     if label not in _FAMILIES:
         raise ValueError(f"unknown schedule label {label!r}")
+    if coeffs is not None:
+        raise ValueError(f"schedule {label!r} takes no `coeffs`; only 'custom' does")
     full = _family_params(label, params)
     extra = sorted(params.keys() - _FAMILIES[label][1].keys())
     if extra:

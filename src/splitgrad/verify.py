@@ -16,8 +16,9 @@ more field of a row, not one more list kept in step with the others.
 Every direct run goes through `algorithms.run_methods`, the runner of
 every command too: the suites, and the recorded rows through
 `run_case_cells`, hand it cells (method, s, keywords) from X0, and it
-batches the cells whose methods share a kernel. A kernel's lone cell (agm2
-in nesterov-split, pim in constructions) takes `run`'s one-lane path.
+batches the cells whose methods take their gradient step at the same point,
+x_n or y_n. A group's lone cell (agm2 in nesterov-split, pim in
+constructions) takes `run`'s one-lane path.
 """
 
 from __future__ import annotations

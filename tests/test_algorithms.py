@@ -14,7 +14,6 @@ from splitgrad.algorithms import (
     coefficient_step,
     default_theta,
     init_state,
-    kernel_of,
     make_stepper,
     run,
     run_lanes,
@@ -362,12 +361,21 @@ def test_algorithm_names_keep_their_order():
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_kernel_of_steps_at_x_for_pim_and_polyak_igahd_alone(name):
-    kernel = kernel_of(name)
-    if name in ("pim", "polyak_igahd"):
-        assert kernel.func is coefficient_step and kernel.keywords == {"grad_at_x": True}
-        assert kernel_of(name.upper()) is kernel
-    else:
-        assert kernel is coefficient_step
+    # a method's kernel, the step its stepper advances by, is coefficient_step
+    # at its row's gradient point, bit for bit; the other point's step differs
+    kw = {"schedule": make_schedule("e25", s=S, beta=0.1)} if name == "lt_s_igahd" else {}
+    obj = f2()
+    state = init_state(obj, [1.0, -2.0], S)
+    at_x = name in ("pim", "polyak_igahd")
+    coeffs = coefficient_map(name, S, **kw)(state.n)
+    want = coefficient_step(state, obj, S, coeffs, grad_at_x=at_x)
+    for spelled in (name, name.upper()):
+        got = make_stepper(spelled, S, **kw)(state, obj)
+        assert got.n == want.n == 2 and got.f_curr == want.f_curr
+        for field in ("x_prev", "x_curr", "grad_prev", "grad_curr", "y_last"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    other = coefficient_step(state, obj, S, coeffs, grad_at_x=not at_x)
+    assert other.x_curr.tobytes() != want.x_curr.tobytes()
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
@@ -381,7 +389,7 @@ def test_check_alpha_refuses_one_for_every_method_but_pim(name):
 
 
 def test_an_unknown_method_has_no_row():
-    for call in (lambda: kernel_of("nesterov"), lambda: check_alpha("nesterov", 3.0),
+    for call in (lambda: make_stepper("nesterov", S), lambda: check_alpha("nesterov", 3.0),
                  lambda: coefficient_map("nesterov", S, alpha=0.5)):
         with pytest.raises(ValueError, match="^unknown algorithm 'nesterov'$"):
             call()

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitgrad.algorithms import StoppingRule, make_stepper, run
+from splitgrad.algorithms import StoppingRule, make_stepper, run, run_methods
 from splitgrad.analysis import (
     EnergySeries,
     check_descent_lemma,
@@ -15,8 +17,9 @@ from splitgrad.analysis import (
     rate_bound_first_violation,
     spurious_root_residual,
 )
-from splitgrad.objectives import f1, f2
-from splitgrad.schedules import make_schedule
+from splitgrad.objectives import f1, f2, quadratic
+from splitgrad.schedules import check_assumptions, make_schedule
+from splitgrad.verify import _energy_configs
 
 X_STAR = np.zeros(2)
 
@@ -83,6 +86,18 @@ def test_energy_series_window_validation():
         energy_series(traj, 0.025, 3.0, None, n_lo=0)
     with pytest.raises(ValueError):
         energy_series(traj, 0.025, 3.0, None, n_hi=11)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_energy_needs_alpha_above_one(alpha):
+    # the clock t_n = (n - 1)/(alpha - 1) divides by zero at 1 and runs
+    # backward below it
+    traj = _agm2_run(n=10)
+    for call in (lambda: energy(traj, 5, 0.025, alpha, None, X_STAR),
+                 lambda: energy_series(traj, 0.025, alpha, None, x_star=X_STAR)):
+        with pytest.raises(ValueError, match=f"^alpha must exceed 1 for the energy, "
+                                             f"got {alpha}$"):
+            call()
 
 
 def test_energy_terminal_surrogate():
@@ -165,6 +180,36 @@ def test_rate_bound_detection():
     assert rate_bound_first_violation(fg, e_ref, 3.0, 2) == 50
     with pytest.raises(ValueError):
         rate_bound_first_violation(fg, e_ref, 3.0, 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 10), u=st.floats(0.05, 0.95))
+def test_tail_bound_holds_on_random_definite_quadratics(seed, dim, u):
+    # fgap(n) <= E(n_from) (alpha - 1)^2/(n - 1)^2 for every n >= n_from, with
+    # n_from as the rate suite takes it, for agm2 and a schedule of each
+    # family with the energy suite's parameters. At n = n_from the bound
+    # reads t_n^2 fgap(n) <= E_n, which holds with the margin |z_n|^2/(2s).
+    rng = np.random.default_rng([seed, dim])
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    a = (q * rng.uniform(1e-3, 1.0, dim)) @ q.T
+    obj = quadratic(0.5 * (a + a.T), rng.standard_normal(dim))
+    lip = obj.lipschitz_constant()
+    s, alpha, steps = u / lip, 3.0, 400
+    runs = [("agm2", None)] + [("lt_s_igahd", make_schedule(label, s=s, alpha=alpha, **params))
+                               for label, params in _energy_configs(s)]
+    trajs, results = run_methods(obj, [(name, s, {"alpha": alpha, "schedule": sch})
+                                       for name, sch in runs],
+                                 rng.standard_normal(dim), StoppingRule("max_iter"), steps,
+                                 record=True)
+    for (name, sch), traj, res in zip(runs, trajs, results):
+        assert res.termination == "max_iter"
+        if sch is None:
+            n_from = int(np.floor(alpha - 1.0)) + 1
+        else:
+            n_from = int(np.floor(check_assumptions(sch, lip, n_max=steps).n_threshold)) + 1
+        e_ref = energy(traj, n_from, s, alpha, sch and sch.coeffs_at, obj.argmin_point)
+        viol = rate_bound_first_violation(traj.fgaps(), e_ref, alpha, n_from)
+        assert viol is None, (name, sch and sch.label, n_from, viol)
 
 
 def test_descent_lemma_hand_values():

@@ -322,6 +322,20 @@ def test_sweep_cell_errors_keep_their_messages(tmp_path):
                                              "(0, 0.707107) for objective 'f2', got 5.0")
 
 
+def test_sweep_coeffs_key_of_a_family_is_an_error_row(tmp_path):
+    # a family schedule has no coefficient map to replace: each cell is an
+    # error row with the message, not an ok row that ignored the key
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--schedule", "e25", "--grid",
+                     '{"beta": [0.1], "coeffs": [1, 2]}', "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "sweep.csv")
+    assert len(rows) == 2
+    for row in rows:
+        assert row[header.index("status")] == "error"
+        assert row[header.index("message")] == \
+            "ValueError: schedule 'e25' takes no `coeffs`; only 'custom' does"
+
+
 def test_sweep_nan_parameter_is_an_error_row(tmp_path):
     # a NaN shift fails the schedule's checks; it does not run as a number
     out = tmp_path / "o"
@@ -426,6 +440,16 @@ def test_run_nag_alpha_one_exits_2(tmp_path, capsys):
     for name in ("nag", "agm2", "lt_se1"):
         _exit_2_one_line(capsys, ["run", "--algorithm", name, "--alpha", "1",
                                   "--out", str(tmp_path / "o")], "--alpha")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("alpha", ["1", "0.5"])
+def test_run_energy_with_alpha_at_most_one_exits_2(tmp_path, capsys, alpha):
+    # pim's steps take any alpha, but the energy's clock needs alpha > 1:
+    # the command fails before the run and writes nothing
+    _exit_2_one_line(capsys, ["run", "--algorithm", "pim", "--alpha", alpha,
+                              "--record-energy", "--out", str(tmp_path / "o")],
+                     "--alpha must exceed 1 for the energy")
     assert not (tmp_path / "o").exists()
 
 

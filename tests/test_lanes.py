@@ -17,7 +17,6 @@ from splitgrad.algorithms import (
     Stepper,
     StoppingRule,
     coefficient_map,
-    coefficient_step,
     make_stepper,
     run,
     run_lanes,
@@ -265,8 +264,8 @@ def test_mixed_method_lane_batch_is_each_methods_run(objective, max_iter):
     e25 = make_schedule("e25", s=s, beta=0.1, b=2.0, mu=0.1)
     step_at_y = [("igahd", {"beta": 1.0}), ("lt_s_igahd", {"schedule": e25}), ("ardm", {}),
                  ("lt_se1", {}), ("lt_sv2", {}), ("lt_se3", {})]
-    # one kernel's batch; the construction suite's steppers, where pim is
-    # alone in its kernel; and agm2 with pim, each alone in its kernel
+    # one batch at y_n; the construction suite's steppers, where pim is
+    # alone at x_n; and agm2 with pim, each alone at its gradient point
     for methods in (step_at_y, step_at_y + [("pim", {"gamma": 1.0})],
                     [("agm2", {}), ("pim", {"gamma": 1.0})]):
         batched, results = run_methods(obj, [(name, s, kw) for name, kw in methods], X0,
@@ -288,8 +287,9 @@ def _worst_case_quadratic(d: int = 101):
 
 @pytest.mark.parametrize("objective", ["worst-case", "f1", "f2"])
 def test_run_methods_mixes_kernels_at_a_stepsize_per_cell(objective):
-    # both kernels in one call, each cell at its own s: within 1e-12 of its
-    # own run on the worst-case quadratic from 0, and its bits on f1 and f2
+    # both gradient points in one call, each cell at its own s: within 1e-12
+    # of its own run on the worst-case quadratic from 0, and its bits on f1
+    # and f2
     if objective == "worst-case":
         obj = _worst_case_quadratic()
         x0 = np.zeros(obj.dim)
@@ -463,8 +463,7 @@ def test_stopped_lanes_cost_nothing(record):
             super()._tabulate(n, lanes)
             tables.append((n, self._rows.shape[2]))
 
-    stepper = Watched(coefficient_step,
-                      [counted(i, coefficient_map("agm2", s)) for i, s in enumerate(ss)], ss)
+    stepper = Watched([counted(i, coefficient_map("agm2", s)) for i, s in enumerate(ss)], ss)
     _, results = run_lanes(stepper, obj, np.tile([1.0, -2.0], (len(ss), 1)), ss, _TIGHT,
                            record=record)
     assert rows[0] == sum(r.n_final + 1 for r in results)
@@ -509,7 +508,7 @@ def test_stopped_family_lanes_cost_one_call_per_family_and_chunk(monkeypatch):
             super()._tabulate(n, lanes)
             tables.append((n, self._rows.shape[2]))
 
-    _, results = run_lanes(Watched(coefficient_step, maps, ss), f2(),
+    _, results = run_lanes(Watched(maps, ss), f2(),
                            np.tile([1.0, -2.0], (len(ss), 1)), ss, _TIGHT)
     chunk_starts = _chunk_starts(max(r.n_final for r in results))[:-1]
     labels = [sch.label for sch in scheds]

@@ -401,6 +401,18 @@ def test_custom_schedule_needs_a_positive_stepsize():
             make_schedule("custom", s=s, coeffs=lambda n: (0.5, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("label,params", [("e24", {}), ("e25", {"beta": 0.1}), ("e26", {}),
+                                          ("E25", {"beta": 0.1})])
+def test_a_family_label_refuses_coeffs(label, params):
+    # a family's coefficients are its body's; only 'custom' reads `coeffs`
+    def f(n):
+        return (0.5, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=rf"^schedule '{label.lower()}' takes no `coeffs`; "
+                                         r"only 'custom' does$"):
+        make_schedule(label, s=0.1, coeffs=f, **params)
+    assert make_schedule(label, s=0.1, **params).coeffs_at(5) != f(5)
+
+
 def test_e25_beta_range_has_one_message():
     message = r"^beta must lie in \(0, 2\*sqrt\(s\)\) = \(0, 0\.4\), got 0\.8$"
     with pytest.raises(ValueError, match=message):
