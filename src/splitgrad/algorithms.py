@@ -39,15 +39,16 @@ Lanes: `run_lanes` steps B trajectories together over (B, dim) arrays, one
 Python loop for all of them. Each lane has its own stepsize, start point and
 coefficient map (for lt_s_igahd, its own Schedule). The `Stepper` that
 `make_stepper` returns does not call the maps at every step: it tabulates
-every lane's coefficients over chunks of indices from the maps' vector form,
-with one call of each coefficient body (a method's or a schedule family's)
-for all the lanes of that body.
+the running lanes' coefficients over chunks of indices from the maps'
+vector form, with one call of each coefficient body (a method's or a
+schedule family's) for all the lanes of that body.
 Each lane stops on its own, and a lane that stops leaves the batch: the
 engine records its result at once and drops it from the (B, dim) state, so
-the loop steps, evaluates and tabulates only the lanes still running (the
-state's `lanes` tells the Stepper which). `run` is the one-lane case: the
-engine steps its start point of shape (dim,) with the lane axis dropped,
-and a one-lane Stepper hands `coefficient_step` its coefficients as floats,
+the loop steps, evaluates and tabulates only the lanes still running. The
+engine alone decides which lanes run, and tells a `Stepper` so at the start
+of a run and at each departure. `run` is the one-lane case: the engine
+steps its start point of shape (dim,) with the lane axis dropped, and a
+one-lane Stepper hands `coefficient_step` its coefficients as floats,
 so one trajectory keeps the arithmetic of a loop written for one point. The
 objectives evaluate over the last axis, so each lane's iterates are bitwise
 those of its own `run` on f1 and f2; on a quadratic, B > 1 lanes share one
@@ -63,16 +64,17 @@ of `run`, so a lone cell has its `run`'s bits on every objective. `make_stepper`
 one-stepper API: a method bound by hand, driven from one point.
 
 Recording: a recorded run writes each field (x_n, f_n and, with
-`record_y`, y_n) into one float64 buffer. A run whose only stop is max_iter
-takes the rows it will write at once: max_iter + 1 from x_0, and
-the rows still to come for the lanes left after one diverges; a max_iter
-that no buffer can hold raises ValueError before the first step. Under a
-tolerance stop the buffer starts at `_CHUNK` rows and doubles when full,
-never past the rows still to come; growing copies only the filled rows. A
-one-lane trajectory's arrays are views of the filled rows, and the buffer's
-extra rows are never written and hold no memory; the lanes of a batch get
-copies of their own. No gradient is recorded: `Trajectory.grads` derives
-them from x_n when first read.
+`record_y`, y_n) into one float64 buffer, whose row n holds index n of
+every lane still running; a lane that leaves writes no further row, and
+its trajectory is its column up to its last index. A run whose only stop is
+max_iter takes its max_iter + 1 rows at once; a max_iter that no buffer can
+hold raises ValueError before the first step. Under a tolerance stop the
+buffer starts at `_CHUNK` rows and doubles when full, never past
+max_iter + 1; growing copies only the filled rows. A one-lane trajectory's
+arrays are views of the filled rows, and the buffer's extra rows are never
+written and hold no memory; the lanes of a batch get copies of their own
+columns. No gradient is recorded: `Trajectory.grads` derives them from x_n
+when first read.
 
 Gradient economy: the cache makes grad(x_n) and grad(x_{n-1}) free inside a
 step. Every step takes f(x_{n+1}) and grad(x_{n+1}) together from one
@@ -133,11 +135,8 @@ class IterState:
     """Rolling two-point state of a run: x_{n-1}, x_n with their gradients
     and values, plus the latest inertial point. The points are one point of
     shape (dim,) or B lanes of shape (B, dim), and the values a float or B
-    values; `run` and `run_lanes` step lanes. `lanes` names the lanes of
-    the run that the state holds, as indices into the lanes it started
-    with, once some have left the batch; it is None while the state holds
-    them all. A stepper must fill f_curr and pass `lanes` on: the engine
-    records f_curr as the value of the new iterate."""
+    values; `run` and `run_lanes` step lanes. A stepper must fill f_curr:
+    the engine records it as the value of the new iterate."""
 
     n: int
     x_prev: Array
@@ -147,7 +146,6 @@ class IterState:
     f_prev: Optional[float] = None
     f_curr: Optional[float] = None
     y_last: Optional[Array] = None
-    lanes: Optional[Array] = None
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
         x_next = y - s * (state.grad_curr if grad_at_x else obj.grad(y)) + gam * state.grad_curr
     f_next, g_next = obj.eval_grad(x_next)
     return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
-                     state.f_curr, f_next, y_last=y, lanes=state.lanes)
+                     state.f_curr, f_next, y_last=y)
 
 
 # The method table of the module docstring, one row per name in the order of
@@ -268,60 +266,66 @@ class Stepper:
     the maps at every step.
     The step gets them as (B, 1) columns, or for one lane as floats, which
     serve a (dim,) state as well as a (1, dim) one. A one-map stepper serves
-    any number of lanes alike. Once lanes have left the batch, the stepper
-    steps only the lanes that state.lanes names: it reads their columns of
-    the current table, and the next table holds columns for them alone."""
+    any number of lanes alike.
+    The engine tells the stepper which lanes run: `start` at the start of a
+    run, when every lane runs, and `keep` at each departure. Until the next
+    table the stepper reads the columns of the running lanes, and the next
+    table holds columns for them alone. A function that wraps a Stepper is
+    told of neither, so, like any stepper that is not a Stepper, it must
+    step any number of lanes alike, as a wrapped one-map Stepper does; a
+    Stepper of several maps raises ValueError on a state whose number of
+    lanes differs from the number it was told of."""
 
     def __init__(self, maps: Sequence[Callable], s, at_x: bool = False):
         self._at_x = at_x
         self._maps = tuple(maps)
         s = np.asarray(s, dtype=float)
-        self._s = s.item() if s.size == 1 else s[:, None]
-        self._lo = 0
-        self._rows = []  # row j holds the coefficients at n = lo + j
-        self._cols = None  # the lanes the table holds a column for; None: every lane
-        # (state.lanes, their stepsizes, their columns in the table or None
-        # when the table holds exactly them)
-        self._kept = (None, self._s, None)
+        self._s_all = s.item() if s.size == 1 else s[:, None]
+        self.start(s)
 
-    def _tabulate(self, n: int, lanes) -> None:
-        """Fill the table from index n with a column for each of `lanes`, or
-        for every lane when None."""
-        self._rows = []  # let the old table go before the new one is built
-        ns = np.arange(n, n + min(_CHUNK, _FIRST_CHUNK + max(n - 1, 0)), dtype=float)
-        maps = self._maps if lanes is None else [self._maps[i] for i in lanes.tolist()]
-        table = schedules.coeffs_of(maps, ns)  # (chunk, k, columns)
-        self._rows = table[..., 0].tolist() if len(self._maps) == 1 else table[..., None]
-        self._lo = n
-        self._cols = lanes
-        self._kept = (None, self._s, None)
-
-    def check_s(self, s: Array) -> None:
-        """Raise unless `s`, one stepsize per lane, is what the lanes step
-        with: a one-lane stepper serves any number of lanes alike."""
-        own = np.ravel(self._s)
+    def start(self, s) -> None:
+        """Start a run of every lane, whose stepsizes, one per lane, are `s`;
+        raise unless they are the stepper's own (a one-lane stepper serves
+        any number of lanes alike)."""
+        own, s = np.ravel(self._s_all), np.ravel(s)
         if own.size not in (1, s.size) or np.any(own != s):
             raise ValueError(f"stepsizes {s.tolist()} disagree with the {own.tolist()} "
                              f"the stepper was made with")
+        self._s = self._s_all   # the running lanes' stepsizes
+        self._lanes = None      # the running lanes, as indices of the run's; None: all
+        self._at = None         # their columns in the table; None: every column
+        self._lo, self._rows = 0, []  # row j holds the coefficients at n = lo + j
+
+    def keep(self, positions: Array) -> None:
+        """Step only the running lanes at `positions` from now on."""
+        if np.ndim(self._s):
+            self._s = self._s[positions]
+        if len(self._maps) > 1:
+            self._lanes = positions if self._lanes is None else self._lanes[positions]
+            self._at = positions if self._at is None else self._at[positions]
+
+    def _tabulate(self, n: int) -> None:
+        """Fill the table from index n with a column for each running lane."""
+        self._rows = []  # let the old table go before the new one is built
+        ns = np.arange(n, n + min(_CHUNK, _FIRST_CHUNK + max(n - 1, 0)), dtype=float)
+        maps = self._maps if self._lanes is None else [self._maps[i] for i in self._lanes.tolist()]
+        table = schedules.coeffs_of(maps, ns)  # (chunk, k, columns)
+        self._rows = table[..., 0].tolist() if len(self._maps) == 1 else table[..., None]
+        self._lo, self._at = n, None
 
     def __call__(self, state: IterState, obj: Objective) -> IterState:
-        lanes = state.lanes if len(self._maps) > 1 else None
         row = state.n - self._lo
-        # a table of some lanes serves the lanes of the same run, which only
-        # shrink; a state holding every lane (a new run) needs a full one
-        if not (0 <= row < len(self._rows) and (self._cols is None or lanes is not None)):
-            self._tabulate(state.n, lanes)
+        if not 0 <= row < len(self._rows):
+            self._tabulate(state.n)
             row = 0
-        if lanes is None:
-            return coefficient_step(state, obj, self._s, self._rows[row], self._at_x)
-        if self._kept[0] is not lanes:
-            at = (None if lanes is self._cols
-                  else lanes if self._cols is None else np.searchsorted(self._cols, lanes))
-            self._kept = (lanes, self._s if np.ndim(self._s) == 0 else self._s[lanes], at)
         coeffs = self._rows[row]
-        if self._kept[2] is not None:
-            coeffs = coeffs.take(self._kept[2], axis=1)
-        return coefficient_step(state, obj, self._kept[1], coeffs, self._at_x)
+        if self._at is not None:
+            coeffs = coeffs.take(self._at, axis=1)
+        # one column would broadcast over any number of lanes, silently
+        if len(self._maps) > 1 and coeffs.shape[1:2] != np.shape(state.f_curr):
+            raise ValueError(f"the stepper was told of {coeffs.shape[1]} lanes, the state holds "
+                             f"{np.size(state.f_curr)}: a wrapped Stepper is told of none")
+        return coefficient_step(state, obj, self._s, coeffs, self._at_x)
 
 
 @dataclass
@@ -401,20 +405,12 @@ def _all(mask) -> bool:
     return np.count_nonzero(mask) == mask.size if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _take(state: IterState, keep: Array, lanes: Array) -> IterState:
-    """The lanes `keep` of a (B, dim) state, which are the run's lanes
-    `lanes`."""
+def _take(state: IterState, keep: Array) -> IterState:
+    """The lanes `keep` of a (B, dim) state."""
     y = state.y_last
     return IterState(state.n, state.x_prev[keep], state.x_curr[keep], state.grad_prev[keep],
                      state.grad_curr[keep], state.f_prev[keep], state.f_curr[keep],
-                     None if y is None else y[keep], lanes)
-
-
-def _join(parts) -> Array:
-    """One contiguous array of a lane's recorded pieces. A single piece is
-    copied only when it is a strided view, so a one-lane run keeps the
-    views of its row buffers."""
-    return np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
+                     None if y is None else y[keep])
 
 
 def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_iter: int,
@@ -422,10 +418,11 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
     """The engine behind `run_lanes`, `run` and `run_methods`. x0 is B
     lanes of shape (B, dim), or one lane without its lane axis, shape
     (dim,), which keeps the objective calls and the arithmetic of a single
-    point. A lane that stops gets its RunResult then and leaves the batch,
-    so the loop steps only the lanes still running; a recorded run hands
-    the rows of the segment since the last stop to each lane as one piece
-    of its trajectory."""
+    point. The engine alone decides which lanes run: a lane that stops gets
+    its RunResult then and leaves the batch, so the loop steps only the
+    lanes still running, and a `Stepper` is told which at each departure.
+    A recorded run writes row n of every running lane at index n, and each
+    lane's trajectory is its column of the rows up to its last index."""
     check_max_iter(max_iter)
     f_star = obj.f_min
     if stopping.kind == "known_min_f" and f_star is None:
@@ -433,61 +430,55 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
     one = x0.ndim == 1
     lanes = 1 if one else x0.shape[0]
     s = np.broadcast_to(np.asarray(s, dtype=float), (lanes,))
-    if isinstance(stepper, Stepper):
-        stepper.check_s(s)
+    told = isinstance(stepper, Stepper)
+    if told:
+        stepper.start(s)
     state = init_state(obj, x0, s.item() if one else s[:, None])
     # what a lane whose x1 is not finite keeps: x0, with no value before it
     prev = IterState(0, state.x_prev, state.x_prev, state.grad_prev, state.grad_prev,
                      np.full(np.shape(state.f_prev), np.nan), state.f_prev, state.x_prev)
     idx = np.arange(lanes)  # the run's index of each lane still in the batch
+    cols = slice(None)      # their columns in the record: every one until a lane leaves
     results = [None] * lanes
-    # each lane's recorded pieces, one list per field; an unrecorded run keeps none
-    pieces = [[[] for _ in range(lanes)] for _ in range(3 if record_y else 2)] if record else []
-    # the rows recorded since the last stop, starting with x0's, fill one buffer
-    # per field, sized as the module docstring's Recording says: a segment from
-    # index n has room for the `most - n` rows still to come. Buffers grow one
-    # field at a time, so that each old buffer goes before the next one grows.
+    # the (rows, lanes) + shape buffer of each recorded field (x_n, f_n and
+    # y_n), sized as the module docstring's Recording says; they grow one
+    # field at a time, so that each old buffer goes before the next one grows
+    dim = x0.shape[-1]
+    shapes = [(dim,), ()] + [(dim,)] * record_y if record else []
     tolerance = stopping.kind != "max_iter"
     most = max_iter + 1
-    bufs, filled, room = [], 0, 0
+    bufs = []
 
     def push(st: IterState) -> None:
-        nonlocal filled, room
-        rows = (st.x_curr, st.f_curr, st.y_last)[:len(pieces)]
+        n = st.n
         if not bufs:
-            room = most - st.n
-            first = min(_CHUNK, room) if tolerance else room
+            first = min(_CHUNK, most) if tolerance else most
             try:
-                bufs.extend(np.empty((first,) + np.shape(r)) for r in rows)
+                bufs.extend(np.empty((first, lanes) + shape) for shape in shapes)
             except (MemoryError, ValueError):   # numpy: too many bytes to address
                 raise ValueError(f"max_iter = {max_iter} asks for a record of {first} rows, "
                                  f"which cannot be allocated") from None
-        elif filled == len(bufs[0]):
+        elif n == len(bufs[0]):
             for k, old in enumerate(bufs):
-                bufs[k] = np.empty((min(2 * filled, room),) + old.shape[1:])
-                bufs[k][:filled] = old[:filled]
-        for buf, r in zip(bufs, rows):
-            buf[filled] = r
-        filled += 1
+                bufs[k] = np.empty((min(2 * n, most),) + old.shape[1:])
+                bufs[k][:n] = old
+        for buf, r in zip(bufs, (st.x_curr, st.f_curr, st.y_last)):
+            buf[n, cols] = r
 
     def leave(mask, reason: str, kept: IterState) -> int:
         """Stop the lanes in `mask` with the state `kept`, which holds the
         same lanes as the batch, and drop them from the batch; returns how
         many lanes still run."""
-        nonlocal state, idx, filled
+        nonlocal state, idx, cols
         errors = np.reshape(_stop_error(stopping, kept, f_star), idx.size)
         for j in np.flatnonzero(mask):
             results[idx[j]] = RunResult(reason, kept.n, float(errors[j]))
-        for buf, lane_pieces in zip(bufs, pieces):
-            stack = buf[:filled, None] if one else buf[:filled]
-            for j, i in enumerate(idx.tolist()):
-                lane_pieces[i].append(stack[:, j])
-        bufs.clear()
-        filled = 0
         keep = np.flatnonzero(np.logical_not(mask))
         if keep.size:
-            idx = idx[keep]
-            state = _take(state, keep, idx)
+            idx = cols = idx[keep]
+            state = _take(state, keep)
+            if told:
+                stepper.keep(keep)
         return keep.size
 
     if record:
@@ -512,7 +503,9 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
 
     if not record:
         return None, results
-    trajs = [Trajectory(obj, *(_join(p[i]) for p in pieces)) for i in range(lanes)]
+    # a lane's column is contiguous, and so a view, when the batch has one lane
+    trajs = [Trajectory(obj, *(np.ascontiguousarray(buf[:res.n_final + 1, i]) for buf in bufs))
+             for i, res in enumerate(results)]
     return trajs, results
 
 
@@ -526,8 +519,10 @@ def run_lanes(stepper: Callable[[IterState, Objective], IterState], obj: Objecti
     stops when the stopping rule fires for it, at max_iter, or when its
     iterate goes non-finite (divergence: the lane keeps its last finite
     state, x0 when x1 is not finite); a stopped lane leaves the batch, and
-    the others run on without it. A stepper that is not a `Stepper` must
-    step any number of lanes alike.
+    the others run on without it. The engine tells a `Stepper` which lanes
+    still run; any other stepper, a function that wraps a Stepper included,
+    is told nothing, and must fill f_curr for the lanes of the state it is
+    given, however many they are.
 
     Returns (trajectories, results): one RunResult per lane, and one
     Trajectory per lane when `record` is set, else None.

@@ -379,6 +379,9 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs a non-empty --grid JSON object")
     keys = sorted(grid)
     for k in keys:
+        option = {"s": "--s", "alpha": "--alpha", "label": "--schedule"}.get(k)
+        if option:
+            raise ValueError(f"grid key {k!r} cannot be swept: {option} sets it for every cell")
         if not isinstance(grid[k], (list, tuple)) or not grid[k]:
             raise ValueError(f"grid entry {k!r} must be a non-empty list")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]

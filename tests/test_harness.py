@@ -336,6 +336,19 @@ def test_sweep_coeffs_key_of_a_family_is_an_error_row(tmp_path):
             "ValueError: schedule 'e25' takes no `coeffs`; only 'custom' does"
 
 
+@pytest.mark.parametrize("key,option", [("s", "--s"), ("alpha", "--alpha"),
+                                        ("label", "--schedule")])
+def test_sweep_grid_key_of_a_command_option_exits_2(tmp_path, capsys, key, option):
+    # s, alpha and the label are whole-command input that make_schedule also
+    # takes by keyword: refused before any cell runs, not an error row per cell
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--schedule", "e24", "--grid", f'{{"{key}": [0.1, 0.2]}}',
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: grid key '{key}' cannot be swept: {option} sets it for every cell\n"
+    assert not out.exists()
+
+
 def test_sweep_nan_parameter_is_an_error_row(tmp_path):
     # a NaN shift fails the schedule's checks; it does not run as a number
     out = tmp_path / "o"

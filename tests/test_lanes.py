@@ -389,6 +389,41 @@ def test_one_map_stepper_serves_lanes_that_leave_at_different_steps(objective):
     assert len({r.n_final for r in results}) >= 3
 
 
+@pytest.mark.parametrize("objective", [f1, f2])
+def test_a_stepper_run_again_after_departures_repeats_its_run(objective):
+    # lanes leave the first run one by one, so it ends on a table built for
+    # its last lanes alone; the second run starts with every lane again
+    obj = objective()
+    ss = _scan_stepsizes(obj.name, 30)
+    stepper = make_stepper("lt_s_igahd", ss, schedule=[
+        make_schedule("e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1) for s in ss])
+    x0s = np.tile([1.0, -2.0], (len(ss), 1))
+    (trajs, results), (again, results_again) = [
+        run_lanes(stepper, obj, x0s, ss, _TIGHT, record=True) for _ in range(2)]
+    stops = [r.n_final for r in results]
+    assert len(set(stops)) > len(ss) // 2 and max(stops) > _CHUNK
+    assert results_again == results
+    for traj, traj_again in zip(trajs, again):
+        assert traj_again.xs.shape == traj.xs.shape
+        assert traj_again.xs.tobytes() == traj.xs.tobytes()
+
+
+@pytest.mark.parametrize("after", ["departures", "a run"])
+def test_a_wrapped_stepper_of_many_maps_refuses_lanes_it_was_not_told_of(after):
+    # a function that wraps a Stepper is told of no start and no departure:
+    # lane 1 leaves while the table still holds two columns, or a second run
+    # of two lanes meets the one column the first run ended with, which
+    # would step both lanes with lane 0's coefficients
+    ss = [0.05, 0.1]
+    stepper = make_stepper("agm2", ss)
+    x0s = np.tile([1.0, -2.0], (2, 1))
+    if after == "a run":
+        _, results = run_lanes(stepper, f2(), x0s, ss, _TIGHT)
+        assert results[0].n_final > results[1].n_final
+    with pytest.raises(ValueError, match="the stepper was told of [12] lanes, the state holds [12]: "):
+        run_lanes(lambda state, obj: stepper(state, obj), f2(), x0s, ss, _TIGHT)
+
+
 def _box_bowl():
     """x @ x on the square |x_i| <= 1 and +inf outside it, batched."""
     def value(x):
@@ -459,8 +494,8 @@ def test_stopped_lanes_cost_nothing(record):
     tables = []   # (first index, columns) of each table the stepper builds
 
     class Watched(Stepper):
-        def _tabulate(self, n, lanes):
-            super()._tabulate(n, lanes)
+        def _tabulate(self, n):
+            super()._tabulate(n)
             tables.append((n, self._rows.shape[2]))
 
     stepper = Watched([counted(i, coefficient_map("agm2", s)) for i, s in enumerate(ss)], ss)
@@ -504,8 +539,8 @@ def test_stopped_family_lanes_cost_one_call_per_family_and_chunk(monkeypatch):
     tables = []   # (first index, columns) of each table the stepper builds
 
     class Watched(Stepper):
-        def _tabulate(self, n, lanes):
-            super()._tabulate(n, lanes)
+        def _tabulate(self, n):
+            super()._tabulate(n)
             tables.append((n, self._rows.shape[2]))
 
     _, results = run_lanes(Watched(maps, ss), f2(),

@@ -1,9 +1,10 @@
 """The recorder of `algorithms._drive`: a recorded run writes its rows into
 one buffer per recorded field (xs, fs and ys), of its exact length when
-max_iter is its only stop and growing under a tolerance stop, and what it
-hands back, with the gradients derived from xs, is bitwise what a plain loop
-over the same stepper computes, at every length, for one lane and for lanes
-that leave a batch at different steps."""
+max_iter is its only stop and growing under a tolerance stop. Row n holds
+index n of every lane still running, and each lane's trajectory is its
+column: what a run hands back, with the gradients derived from xs, is
+bitwise what a plain loop over the same stepper computes, at every length,
+for one lane and for lanes that leave a batch at different steps."""
 
 import os
 import subprocess
@@ -107,7 +108,7 @@ def test_diverging_max_iter_run_took_its_rows_at_the_start():
 @pytest.mark.parametrize("objective", [f1, f2])
 def test_max_iter_lanes_with_one_diverging_mid_run_are_their_runs(objective):
     # pim at s = 16 overflows mid-run (n = 84 on f1, 321 on f2); the other
-    # lanes then record into a segment sized for the rows still to come
+    # lanes then go on writing their columns of the rows the run took at once
     obj = objective()
     ss = [0.01, 0.1, 16.0, 0.2, 0.05]
     x0s = np.array([[1.0, -2.0], [0.5, 3.0], [1.0, -2.0], [-1.0, 1.0], [2.0, 2.0]])
@@ -150,26 +151,26 @@ def test_lanes_leaving_at_staggered_indices_are_their_runs(objective):
 
 
 def test_lane_diverging_right_after_another_stops_keeps_its_rows():
-    # lane 0 stands still and meets the tolerance at n = 2; lane 1 is
-    # scaled by 1e100 per step, finite at n = 2 and overflowing at n = 3,
-    # so it leaves with no row recorded since lane 0 left
+    # lane 0 stands still and meets the tolerance at n = 2; lane 1, told
+    # apart by its larger start point, is scaled by 1e100 per step, finite
+    # at n = 2 and overflowing at n = 3, so it leaves with no row recorded
+    # since lane 0 left
     obj = quadratic(np.eye(2))
-    scale = np.array([1.0, 1e100])
 
     def stepper(state, obj):
-        x = state.x_curr * scale[[0, 1] if state.lanes is None else state.lanes][:, None]
+        scale = np.where(np.abs(state.x_curr[:, :1]) > 5.0, 1e100, 1.0)
+        x = state.x_curr * scale
         f, g = obj.eval_grad(x)
-        return IterState(state.n + 1, state.x_curr, x, state.grad_curr, g, state.f_curr, f,
-                         lanes=state.lanes)
+        return IterState(state.n + 1, state.x_curr, x, state.grad_curr, g, state.f_curr, f)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        trajs, results = run_lanes(stepper, obj, [[1.0, 2.0], [1.0, 2.0]], 0.1,
+        trajs, results = run_lanes(stepper, obj, [[1.0, 2.0], [10.0, 20.0]], 0.1,
                                    StoppingRule("consecutive_f", 1e-10), 10, record=True)
     assert [(r.termination, r.n_final) for r in results] == [("tolerance_met", 2),
                                                              ("diverged", 2)]
-    x1 = np.array([0.9, 1.8])   # x0 - 0.1 x0
+    x1, y1 = np.array([0.9, 1.8]), np.array([9.0, 18.0])   # x0 - 0.1 x0
     assert np.array_equal(trajs[0].xs, [[1.0, 2.0], x1, x1])
-    assert np.array_equal(trajs[1].xs, [[1.0, 2.0], x1, 1e100 * x1])
+    assert np.array_equal(trajs[1].xs, [[10.0, 20.0], y1, 1e100 * y1])
 
 
 _RSS_PROBE = """
