@@ -242,9 +242,10 @@ class Schedule:
 
 def _inf_on_overflow(closed_form: Callable) -> Callable:
     """`closed_form`, giving +inf where one of its Python-float squares
-    passes the float range (mu/s beyond about 1.3e154), as a threshold that
-    no scan reaches. The Python-float `**` is kept, as it gives every finite
-    threshold its recorded bits."""
+    passes the float range (e24's and e25's past mu/s of about 1.3e154), as
+    a threshold that no scan reaches. The Python-float `**` is kept, as it
+    gives every finite threshold its recorded bits; e26's root is a float
+    there, and `_root_of_sum` takes it."""
     @wraps(closed_form)
     def guarded(*args, **kwargs) -> float:
         try:
@@ -252,6 +253,17 @@ def _inf_on_overflow(closed_form: Callable) -> Callable:
         except OverflowError:
             return float("inf")
     return guarded
+
+
+def _root_of_sum(c: float, m: float):
+    """sqrt(c + m^2) for c >= 0, as np.sqrt(c + m ** 2) wherever the Python-float
+    m ** 2 is finite, so that every such root keeps its recorded bits. Where
+    m ** 2 overflows (|m| beyond about 1.3e154) the root is still a float,
+    and is taken scaled, as |m| sqrt(1 + c/m^2)."""
+    try:
+        return np.sqrt(c + m ** 2)
+    except OverflowError:
+        return abs(m) * np.sqrt(1.0 + c / m / m)
 
 
 def _as_floats(label: str, params: dict, s, *numbers) -> tuple:
@@ -310,7 +322,7 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
             return float(2.0 * (r / p) / (1.0 + np.sqrt(1.0 + q)))
         num = beta * (b + 1.0) + mu / root_s - 2.0 * root_s * b + np.sqrt(p ** 2 + 4.0 * d * r)
         return float(num / (2.0 * d))
-    return float(np.sqrt(3.0 + (mu / s) ** 2) - min(params["a"], b))
+    return float(_root_of_sum(3.0, mu / s) - min(params["a"], b))
 
 
 @_inf_on_overflow
@@ -328,7 +340,7 @@ def n_prime_reference_variant(label: str, params: dict, s: float, alpha: float,
     p, s, alpha, lipschitz = _as_floats(label, params, s, alpha, lipschitz)
     if label == "e24":
         return _n_prime_e24(p, s, alpha, lipschitz, (s * lipschitz) ** 2)
-    return float(np.sqrt((s * lipschitz) ** 2 + 1.0 + (p["mu"] / s) ** 2) - min(p["a"], p["b"]))
+    return float(_root_of_sum((s * lipschitz) ** 2 + 1.0, p["mu"] / s) - min(p["a"], p["b"]))
 
 
 def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,

@@ -19,11 +19,26 @@ every command too: the suites, and the recorded rows through
 batches the cells whose methods take their gradient step at the same point,
 x_n or y_n. A group's lone cell (agm2 in nesterov-split, pim in
 constructions) takes `run`'s one-lane path.
+
+The suites are pure functions of the seed and share no state, so
+`run_suite("all")` runs them in a pool of worker processes forked from
+this one: one worker per CPU this process may run on, never more than
+there are suites. A task is a suite's name, which the worker looks up in
+`SUITES` when it runs, so a patched table (a test's, or a tracer's
+wrappers) is what runs; only the CheckResult rows come back, and they are
+joined in `SUITES` order, so the report keeps its bytes. With one usable
+CPU, or without the "fork" start method, the suites run in this process.
+Two things follow from the pool. This process's own peak resident set
+(`RUSAGE_SELF`) no longer holds the suites' working sets, which are the
+workers' (`RUSAGE_CHILDREN`). And a tracer or profiler in this process sees
+none of the suites' calls: pin the process to one CPU (`taskset -c 0`)
+to keep them in it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from numbers import Integral
@@ -538,16 +553,42 @@ SUITES: Dict[str, Callable[[int], List[CheckResult]]] = {
 }
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """The checks of the suite `name`, or of every suite for "all". A seed
-    that is not a nonnegative integer raises ValueError before any suite runs."""
-    _check_seed(seed)
-    if name == "all":
-        return [result for suite in SUITES.values() for result in suite(seed)]
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{', '.join(list(SUITES) + ['all'])}")
+def _suite_results(name: str, seed: int) -> List[CheckResult]:
+    """The checks of the suite that `SUITES` names `name` when this runs: a
+    pool's task is a name, so a forked worker runs the parent's `SUITES`,
+    patched or not, and sends back only CheckResult rows."""
     return SUITES[name](seed)
+
+
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
+    """The checks of the suite `name`, or of every suite for "all", in
+    `SUITES` order. A seed that is not a nonnegative integer raises
+    ValueError before any suite runs.
+
+    "all" runs the suites in a process pool on the "fork" start method, one
+    worker per CPU this process may run on and never more than there are
+    suites; a single CPU, or a platform without fork, runs them in this
+    process. Forked, a worker imports nothing again and holds this
+    process's `SUITES` as it stands. A suite's exception is raised here, as in this process, and the
+    pool's workers are joined before this returns or raises."""
+    _check_seed(seed)
+    if name != "all":
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from "
+                             f"{', '.join(list(SUITES) + ['all'])}")
+        return SUITES[name](seed)
+    names, seeds = list(SUITES), [seed] * len(SUITES)
+    runs = map(_suite_results, names, seeds)   # in this process, unless a pool takes them
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, len(names))
+    if workers > 1:
+        import multiprocessing   # imported here: the command line's start-up never pays for it
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                runs = list(pool.map(_suite_results, names, seeds))
+    return [result for results in runs for result in results]
 
 
 def format_report(results: List[CheckResult], elapsed: float = float("nan")) -> str:

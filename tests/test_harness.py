@@ -158,14 +158,71 @@ print(rc, "numpy.random" in sys.modules)
 """
 
 
+def _fresh_python(code):
+    """The standard output of `code` run in a fresh interpreter that imports this splitgrad."""
+    src = str(Path(splitgrad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_verify_all_loads_no_numpy_random():
     # the suites draw from the standard library's generator, which the
     # command line has loaded already; numpy.random costs some 5 MB resident
-    src = str(Path(splitgrad.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["0", "False"]
+    assert _fresh_python(_NO_NUMPY_RANDOM).split() == ["0", "False"]
+
+
+def _cpus(monkeypatch, count):
+    """Make `verify` see `count` CPUs that this process may run on."""
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: count)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 11])
+def test_verify_all_in_a_pool_gives_the_in_process_checks(monkeypatch, seed):
+    _cpus(monkeypatch, 1)
+    alone = verify.run_suite("all", seed)
+    _cpus(monkeypatch, 2)
+    pooled = verify.run_suite("all", seed)
+    assert pooled == alone
+
+
+def test_verify_all_pool_runs_the_patched_suites_and_leaves_no_child(monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    suites = {name: lambda seed, name=name: [verify.CheckResult(name, True, str(os.getpid()))]
+              for name in verify.SUITES}
+    suites["lemmas"] = lambda seed: [verify.CheckResult("sentinel", False, str(seed))]
+    monkeypatch.setattr(verify, "SUITES", suites)
+    results = verify.run_suite("all", 5)
+    _no_child_left()
+    assert [r.name for r in results] == [n if n != "lemmas" else "sentinel" for n in suites]
+    assert results[list(suites).index("lemmas")] == verify.CheckResult("sentinel", False, "5")
+    assert {r.detail for r in results if r.name != "sentinel"} - {str(os.getpid())}
+
+    def bad_draw(seed):
+        raise ValueError(f"bad draw at seed {seed}")
+
+    suites["threshold-scan"] = bad_draw
+    _exit_2_one_line(capsys, ["verify", "all", "--seed", "3"], "error: bad draw at seed 3")
+    _no_child_left()
+
+
+_NO_POOL_MODULES = """
+import sys
+import splitgrad.cli
+print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+
+
+def test_the_command_line_loads_no_pool_modules():
+    # verify all imports them when it starts its pool; every other command never pays
+    assert _fresh_python(_NO_POOL_MODULES).split() == ["[]"]
 
 
 @pytest.mark.parametrize("size,shape", [(None, ()), (1, (1,)), (7, (7,)), ((3, 4), (3, 4)),
@@ -740,22 +797,27 @@ def _table_nprime(out):
     return float(row[header.index("nprime")])
 
 
-@pytest.mark.parametrize("argv,read", [
+# N' where (mu/s)^2 = 1e602 overflows: e24's and e25's closed forms pass the
+# float range, e26's root sqrt(3 + (mu/s)^2) - min(a, b) is mu/s = 1e301
+_PAST_THE_FLOATS_NPRIME = {"e24": np.inf, "e25": np.inf, "e26": 1e300 / 0.1}
+
+
+@pytest.mark.parametrize("argv,read,label", [
     *[(["run", "--algorithm", "lt_s_igahd", "--schedule", label, "--s", "0.1",
         "--schedule-params", json.dumps(_past_the_floats(label))],
-       lambda out: _report(out)["n_prime"]) for label in ("e24", "e25", "e26")],
+       lambda out: _report(out)["n_prime"], label) for label in ("e24", "e25", "e26")],
     (["sweep", "--schedule", "e24", "--grid", '{"mu": [1e300], "b": [1.0]}'],
-     lambda out: float(_sweep_row(out)["n_prime"])),
-    *[(_table_row(label), _table_nprime) for label in ("e24", "e26")],
+     lambda out: float(_sweep_row(out)["n_prime"]), "e24"),
+    *[(_table_row(label), _table_nprime, label) for label in ("e24", "e26")],
 ], ids=["run-e24", "run-e25", "run-e26", "sweep-e24", "table-e24", "table-e26"])
-def test_threshold_past_the_float_range_exits_0(tmp_path, capsys, argv, read):
-    # (mu/s)^2 overflows a Python float: N' is +inf, with no traceback or warning
+def test_threshold_past_the_float_range_exits_0(tmp_path, capsys, argv, read, label):
+    # (mu/s)^2 overflows a Python float: N' is as above, with no traceback or warning
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    assert read(out) == np.inf
+    assert read(out) == _PAST_THE_FLOATS_NPRIME[label]
 
 # `run --record-energy` on each method on f1 and f2 (lt_s_igahd with the
 # README's e25 schedule) and on a definite and a singular quadratic

@@ -215,11 +215,10 @@ def test_n_prime_fills_missing_parameters_from_the_family(label, partial):
 
 
 _PAST_THE_FLOATS = [("e24", {"b": 1.0, "mu": 1e300}),
-                    ("e25", {"beta": 0.1, "b": 1.0, "mu": 1e300}),
-                    ("e26", {"b": 1.0, "mu": 1e300})]
+                    ("e25", {"beta": 0.1, "b": 1.0, "mu": 1e300})]
 
 
-@pytest.mark.parametrize("label,params", _PAST_THE_FLOATS, ids=["e24", "e25", "e26"])
+@pytest.mark.parametrize("label,params", _PAST_THE_FLOATS, ids=["e24", "e25"])
 def test_n_prime_past_the_float_range_is_inf(label, params):
     # (mu/s)^2 overflows a Python float; the threshold is +inf, not an OverflowError
     for threshold in (n_prime, n_prime_reference_variant):
@@ -230,7 +229,7 @@ def test_n_prime_past_the_float_range_is_inf(label, params):
     assert rep.n_prime == np.inf and rep.assumption_i_holds_from == 1001
 
 
-@pytest.mark.parametrize("label,params", _PAST_THE_FLOATS, ids=["e24", "e25", "e26"])
+@pytest.mark.parametrize("label,params", _PAST_THE_FLOATS, ids=["e24", "e25"])
 def test_n_prime_past_the_float_range_is_inf_on_numpy_floats(label, params):
     # numpy's `**` warns where the Python float's raises; the thresholds take Python floats
     params = {k: np.float64(v) for k, v in params.items()}
@@ -239,6 +238,52 @@ def test_n_prime_past_the_float_range_is_inf_on_numpy_floats(label, params):
         for threshold in (n_prime, n_prime_reference_variant):
             got = threshold(label, params, np.float64(0.1), np.float64(3.0), np.float64(4.0))
             assert got == np.inf, threshold.__name__
+
+
+@pytest.mark.parametrize("number", [float, np.float64], ids=["python-floats", "numpy-floats"])
+def test_e26_threshold_where_its_square_overflows_is_its_root(number):
+    # (mu/s)^2 passes the float range, but sqrt(3 + (mu/s)^2) = 1e301 does not
+    params = {"b": number(1.0), "mu": number(1e300)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for threshold in (n_prime, n_prime_reference_variant):
+            got = threshold("e26", params, number(0.1), number(3.0), number(4.0))
+            assert type(got) is float and got == 1e300 / 0.1, threshold.__name__
+        rep = check_assumptions(make_schedule("e26", s=0.1, **params), 4.0, n_max=1000)
+    assert rep.n_prime == 1e300 / 0.1 and rep.assumption_i_holds_from == 1001
+
+
+_E26_RATIOS = [10.0 ** k for k in range(-3, 301, 7)] + [1.3e154, 1.35e154, 1e155, 1e300]
+
+
+@pytest.mark.parametrize("ratio", _E26_RATIOS)
+def test_e26_threshold_is_its_root_to_8_ulps(ratio):
+    # against 60 digits, across the point where (mu/s)^2 overflows a float
+    a, b, s, lip = 0.5, 2.0, 0.25, 1.5
+    mu = ratio * s
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        m = Decimal(mu) / Decimal(s)
+        sl = Decimal(s) * Decimal(lip)
+        want = {n_prime: float((3 + m * m).sqrt() - Decimal(a)),
+                n_prime_reference_variant: float((sl * sl + 1 + m * m).sqrt() - Decimal(a))}
+    for threshold, value in want.items():
+        got = threshold("e26", {"a": a, "b": b, "mu": mu}, s, 3.0, lip)
+        assert abs(got - value) <= 8 * np.spacing(value), threshold.__name__
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(s=st.floats(1e-4, 1.0), lip=st.floats(0.0, 100.0), a=st.floats(0.0, 20.0),
+       b=st.floats(1e-3, 1e12), exponent=st.floats(-3.0, 154.127))
+def test_e26_threshold_below_the_overflow_keeps_its_bits(s, lip, a, b, exponent):
+    # mu/s up to 1.34e154, whose square is still a float
+    mu = 10.0 ** exponent * s
+    params = {"a": a, "b": b, "mu": mu}
+    old = float(np.sqrt(3.0 + (mu / s) ** 2) - min(a, b))
+    old_variant = float(np.sqrt((s * lip) ** 2 + 1.0 + (mu / s) ** 2) - min(a, b))
+    assert np.float64(n_prime("e26", params, s, 3.0, lip)).tobytes() == np.float64(old).tobytes()
+    assert np.float64(n_prime_reference_variant("e26", params, s, 3.0, lip)).tobytes() \
+        == np.float64(old_variant).tobytes()
 
 
 def test_e24_threshold_past_the_float_range_is_inf_without_a_warning():
