@@ -24,15 +24,17 @@ The suites are pure functions of the seed and share no state, so
 `run_suite("all")` runs them in a pool of worker processes forked from
 this one: one worker per CPU this process may run on, never more than
 there are suites. A task is a suite's name, which the worker looks up in
-`SUITES` when it runs, so a patched table (a test's, or a tracer's
-wrappers) is what runs; only the CheckResult rows come back, and they are
-joined in `SUITES` order, so the report keeps its bytes. With one usable
-CPU, or without the "fork" start method, the suites run in this process.
-Two things follow from the pool. This process's own peak resident set
-(`RUSAGE_SELF`) no longer holds the suites' working sets, which are the
-workers' (`RUSAGE_CHILDREN`). And a tracer or profiler in this process sees
-none of the suites' calls: pin the process to one CPU (`taskset -c 0`)
-to keep them in it.
+`SUITES` when it runs; only the CheckResult rows come back, and they are
+joined in `SUITES` order, so the report keeps its bytes. The suites run
+in this process instead with one usable CPU, without the "fork" start
+method, or when `SUITES` is not this module's own table: a test's stand-in
+or a tracer's wrapper may record into this process's memory, which a
+worker's copy of it would not. Two things follow from the pool. This
+process's own peak resident set (`RUSAGE_SELF`) no longer holds the
+suites' working sets, which are the workers' (`RUSAGE_CHILDREN`). And a
+profiler, or a tracer that leaves `SUITES` as it is, sees none of the
+suites' calls: pin the process to one CPU (`taskset -c 0`) to keep them
+in it.
 """
 
 from __future__ import annotations
@@ -553,10 +555,14 @@ SUITES: Dict[str, Callable[[int], List[CheckResult]]] = {
 }
 
 
+# the table as this module defines it; a run_suite("all") that finds
+# another in SUITES runs it in this process
+_OWN_SUITES = dict(SUITES)
+
+
 def _suite_results(name: str, seed: int) -> List[CheckResult]:
     """The checks of the suite that `SUITES` names `name` when this runs: a
-    pool's task is a name, so a forked worker runs the parent's `SUITES`,
-    patched or not, and sends back only CheckResult rows."""
+    pool's task is a name, and only CheckResult rows come back."""
     return SUITES[name](seed)
 
 
@@ -567,10 +573,11 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
 
     "all" runs the suites in a process pool on the "fork" start method, one
     worker per CPU this process may run on and never more than there are
-    suites; a single CPU, or a platform without fork, runs them in this
-    process. Forked, a worker imports nothing again and holds this
-    process's `SUITES` as it stands. A suite's exception is raised here, as in this process, and the
-    pool's workers are joined before this returns or raises."""
+    suites. One usable CPU, a platform without fork, or a `SUITES` that is
+    not this module's own table (a suite replaced, as a test or a tracer
+    does) runs them in this process, so what a replacement records stays
+    here. A suite's exception is raised here either way, and the pool's
+    workers are joined before this returns or raises."""
     _check_seed(seed)
     if name != "all":
         if name not in SUITES:
@@ -582,7 +589,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(cpus, len(names))
-    if workers > 1:
+    if workers > 1 and SUITES == _OWN_SUITES:
         import multiprocessing   # imported here: the command line's start-up never pays for it
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor

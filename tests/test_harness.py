@@ -190,26 +190,37 @@ def test_verify_all_in_a_pool_gives_the_in_process_checks(monkeypatch, seed):
     alone = verify.run_suite("all", seed)
     _cpus(monkeypatch, 2)
     pooled = verify.run_suite("all", seed)
+    _no_child_left()
     assert pooled == alone
 
 
-def test_verify_all_pool_runs_the_patched_suites_and_leaves_no_child(monkeypatch, capsys):
+def test_verify_all_runs_replaced_suites_in_this_process(monkeypatch):
+    # a replacement may record into this process (a tracer's spans), so it runs here
     _cpus(monkeypatch, 2)
     suites = {name: lambda seed, name=name: [verify.CheckResult(name, True, str(os.getpid()))]
               for name in verify.SUITES}
     suites["lemmas"] = lambda seed: [verify.CheckResult("sentinel", False, str(seed))]
     monkeypatch.setattr(verify, "SUITES", suites)
     results = verify.run_suite("all", 5)
-    _no_child_left()
     assert [r.name for r in results] == [n if n != "lemmas" else "sentinel" for n in suites]
     assert results[list(suites).index("lemmas")] == verify.CheckResult("sentinel", False, "5")
-    assert {r.detail for r in results if r.name != "sentinel"} - {str(os.getpid())}
+    assert {r.detail for r in results if r.name != "sentinel"} == {str(os.getpid())}
+    _no_child_left()
 
-    def bad_draw(seed):
-        raise ValueError(f"bad draw at seed {seed}")
 
-    suites["threshold-scan"] = bad_draw
-    _exit_2_one_line(capsys, ["verify", "all", "--seed", "3"], "error: bad draw at seed 3")
+def test_verify_all_pool_raises_a_workers_error_and_leaves_no_child(monkeypatch, capsys):
+    # the suites stay this module's own, so they run in the pool; the symplectic
+    # suite's step raises in whichever worker runs it
+    _cpus(monkeypatch, 2)
+
+    def bad_step(*args):
+        raise ValueError(f"bad step in pid {os.getpid()}")
+
+    monkeypatch.setattr(verify, "symplectic_euler", bad_step)
+    assert cli.main(["verify", "all", "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad step in pid ") and err.count("\n") == 1
+    assert int(err.split()[-1]) != os.getpid()
     _no_child_left()
 
 
