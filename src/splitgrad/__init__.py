@@ -13,7 +13,7 @@ from .schedules import (AdmissibilityReport, Schedule, check_assumptions,
                         make_schedule, n_prime)
 from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, StoppingRule,
                          Trajectory, coefficient_map, init_state, make_stepper, run,
-                         run_lanes, run_methods)
+                         run_methods)
 from .splitting import (HamiltonianSystem, euler_advance, forward_euler_hamiltonian,
                         lie_trotter_compose, rk4_step, stormer_verlet,
                         strang_compose, symplectic_euler)
@@ -36,7 +36,7 @@ __all__ = [
     "AdmissibilityReport", "Schedule", "check_assumptions", "make_schedule",
     "n_prime",
     "ALGORITHM_NAMES", "IterState", "RunResult", "StoppingRule", "Trajectory",
-    "coefficient_map", "init_state", "make_stepper", "run", "run_lanes", "run_methods",
+    "coefficient_map", "init_state", "make_stepper", "run", "run_methods",
     "HamiltonianSystem", "euler_advance", "forward_euler_hamiltonian",
     "lie_trotter_compose", "rk4_step", "stormer_verlet", "strang_compose",
     "symplectic_euler",

@@ -35,33 +35,30 @@ x1 = x0 - s*grad(x0), y0 = x0, and the main recursion runs from n = 1.
 Iterations are counted from n = 0, so a trajectory that stops at index M
 holds M + 1 points.
 
-Lanes: `run_lanes` steps B trajectories together over (B, dim) arrays, one
-Python loop for all of them. Each lane has its own stepsize, start point and
-coefficient map (for lt_s_igahd, its own Schedule). The `Stepper` that
-`make_stepper` returns does not call the maps at every step: it tabulates
-the running lanes' coefficients over chunks of indices from the maps'
-vector form, with one call of each coefficient body (a method's or a
-schedule family's) for all the lanes of that body.
+Lanes: `run_methods`, the one runner of every command (`run`, `table`,
+`sweep`) and of `verify`, runs cells (method, s, keywords) from one start
+point, and hands each cell its own result back in order. The cells whose
+methods take their gradient step at the same point (x_n or y_n) run as the
+lanes of one batch, stepped together over (B, dim) arrays in one Python
+loop, each with its own stepsize and coefficient map (for lt_s_igahd, its
+own Schedule). The batch's `Stepper` does not call the maps at every step:
+it tabulates the running lanes' coefficients over chunks of indices from
+the maps' vector form, with one call of each coefficient body (a method's
+or a schedule family's) for all the lanes of that body.
 Each lane stops on its own, and a lane that stops leaves the batch: the
 engine records its result at once and drops it from the (B, dim) state, so
 the loop steps, evaluates and tabulates only the lanes still running. The
 engine alone decides which lanes run, and tells a `Stepper` so at the start
-of a run and at each departure. `run` is the one-lane case: the engine
-steps its start point of shape (dim,) with the lane axis dropped, and a
-one-lane Stepper hands `coefficient_step` its coefficients as floats,
-so one trajectory keeps the arithmetic of a loop written for one point. The
+of a run and at each departure. A group's lone cell steps its start point
+of shape (dim,) with the lane axis dropped, as `run` does, and a one-lane
+Stepper hands `coefficient_step` its coefficients as floats, so one
+trajectory keeps the arithmetic of a loop written for one point. The
 objectives evaluate over the last axis, so each lane's iterates are bitwise
-those of its own `run` on f1 and f2; on a quadratic, B > 1 lanes share one
-matrix product, whose summation order may differ from the one-lane product
-in the last bits.
-
-`run_methods` is the one runner of every command (`run`, `table`,
-`sweep`) and of `verify`: it runs cells (method, s, keywords) from one
-start point, the cells whose methods take their gradient step at the same
-point (x_n or y_n) as one batch, and hands each cell its own result back in
-order. A group's lone cell steps its (dim,) start point, the one-lane path
-of `run`, so a lone cell has its `run`'s bits on every objective. `make_stepper` and `run` are the
-one-stepper API: a method bound by hand, driven from one point.
+those of its own `run` on f1 and f2, and a lone cell's on every objective;
+on a quadratic, B > 1 lanes share one matrix product, whose summation order
+may differ from the one-lane product in the last bits. `make_stepper` and
+`run` are the one-stepper API: a method bound by hand at one stepsize,
+driven from one point.
 
 Recording: a recorded run writes each field (x_n, f_n and, with
 `record_y`, y_n) into one float64 buffer, whose row n holds index n of
@@ -103,7 +100,7 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -135,8 +132,8 @@ class IterState:
     """Rolling two-point state of a run: x_{n-1}, x_n with their gradients
     and values, plus the latest inertial point. The points are one point of
     shape (dim,) or B lanes of shape (B, dim), and the values a float or B
-    values; `run` and `run_lanes` step lanes. A stepper must fill f_curr:
-    the engine records it as the value of the new iterate."""
+    values; `run` steps one point, and `run_methods` lanes. A stepper must
+    fill f_curr: the engine records it as the value of the new iterate."""
 
     n: int
     x_prev: Array
@@ -209,7 +206,7 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
     a_n, lam, om, gam = coeffs
     y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
          - lam * (state.grad_curr - state.grad_prev) - om * state.grad_curr)
-    if obj.affine_gradient and not grad_at_x and not np.any(lam) and not np.any(om):
+    if obj.affine_gradient and not grad_at_x and not _any(lam) and not _any(om):
         g = state.grad_curr
         x_next = y - s * (g + a_n * (g - state.grad_prev)) + gam * g
     else:
@@ -265,16 +262,13 @@ class Stepper:
     indices by `schedules.coeffs_of` (see `_CHUNK`) rather than taken from
     the maps at every step.
     The step gets them as (B, 1) columns, or for one lane as floats, which
-    serve a (dim,) state as well as a (1, dim) one. A one-map stepper serves
-    any number of lanes alike.
+    serve a (dim,) state as well as a (1, dim) one.
     The engine tells the stepper which lanes run: `start` at the start of a
     run, when every lane runs, and `keep` at each departure. Until the next
     table the stepper reads the columns of the running lanes, and the next
     table holds columns for them alone. A function that wraps a Stepper is
-    told of neither, so, like any stepper that is not a Stepper, it must
-    step any number of lanes alike, as a wrapped one-map Stepper does; a
-    Stepper of several maps raises ValueError on a state whose number of
-    lanes differs from the number it was told of."""
+    told of neither, which only a one-lane run, such as `run`'s, may do
+    without."""
 
     def __init__(self, maps: Sequence[Callable], s, at_x: bool = False):
         self._at_x = at_x
@@ -285,10 +279,9 @@ class Stepper:
 
     def start(self, s) -> None:
         """Start a run of every lane, whose stepsizes, one per lane, are `s`;
-        raise unless they are the stepper's own (a one-lane stepper serves
-        any number of lanes alike)."""
+        raise unless they are the stepper's own."""
         own, s = np.ravel(self._s_all), np.ravel(s)
-        if own.size not in (1, s.size) or np.any(own != s):
+        if own.size != s.size or np.any(own != s):
             raise ValueError(f"stepsizes {s.tolist()} disagree with the {own.tolist()} "
                              f"the stepper was made with")
         self._s = self._s_all   # the running lanes' stepsizes
@@ -298,11 +291,9 @@ class Stepper:
 
     def keep(self, positions: Array) -> None:
         """Step only the running lanes at `positions` from now on."""
-        if np.ndim(self._s):
-            self._s = self._s[positions]
-        if len(self._maps) > 1:
-            self._lanes = positions if self._lanes is None else self._lanes[positions]
-            self._at = positions if self._at is None else self._at[positions]
+        self._s = self._s[positions]
+        self._lanes = positions if self._lanes is None else self._lanes[positions]
+        self._at = positions if self._at is None else self._at[positions]
 
     def _tabulate(self, n: int) -> None:
         """Fill the table from index n with a column for each running lane."""
@@ -321,10 +312,6 @@ class Stepper:
         coeffs = self._rows[row]
         if self._at is not None:
             coeffs = coeffs.take(self._at, axis=1)
-        # one column would broadcast over any number of lanes, silently
-        if len(self._maps) > 1 and coeffs.shape[1:2] != np.shape(state.f_curr):
-            raise ValueError(f"the stepper was told of {coeffs.shape[1]} lanes, the state holds "
-                             f"{np.size(state.f_curr)}: a wrapped Stepper is told of none")
         return coefficient_step(state, obj, self._s, coeffs, self._at_x)
 
 
@@ -395,8 +382,9 @@ def _stop_error(rule: StoppingRule, state: IterState, f_star: Optional[float]):
     return state.f_curr - f_star
 
 
-# A lane mask is an array over lanes, or for one lane without its lane axis
-# a bool; these two skip the slower array reductions in the second case.
+# A lane mask or coefficient is an array over lanes, or for one lane without
+# its lane axis a bool or a float; these two skip the slower array
+# reductions in the second case.
 def _any(mask) -> bool:
     return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else bool(mask)
 
@@ -415,7 +403,7 @@ def _take(state: IterState, keep: Array) -> IterState:
 
 def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_iter: int,
            record: bool, record_y: bool):
-    """The engine behind `run_lanes`, `run` and `run_methods`. x0 is B
+    """The engine behind `run` and `run_methods`. x0 is B
     lanes of shape (B, dim), or one lane without its lane axis, shape
     (dim,), which keeps the objective calls and the arithmetic of a single
     point. The engine alone decides which lanes run: a lane that stops gets
@@ -509,33 +497,6 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
     return trajs, results
 
 
-def run_lanes(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0,
-              s, stopping: StoppingRule, max_iter: int = 50000, record: bool = False):
-    """Drive B lanes from the common bootstrap in one loop over (B, dim)
-    arrays: x0 stacks the B >= 1 start points and s holds each lane's
-    stepsize, or one number for every lane, as with a one-lane stepper from
-    `make_stepper`; they must be the stepsizes the stepper was made with.
-    The objective must be batched (evaluate over the last axis). A lane
-    stops when the stopping rule fires for it, at max_iter, or when its
-    iterate goes non-finite (divergence: the lane keeps its last finite
-    state, x0 when x1 is not finite); a stopped lane leaves the batch, and
-    the others run on without it. The engine tells a `Stepper` which lanes
-    still run; any other stepper, a function that wraps a Stepper included,
-    is told nothing, and must fill f_curr for the lanes of the state it is
-    given, however many they are.
-
-    Returns (trajectories, results): one RunResult per lane, and one
-    Trajectory per lane when `record` is set, else None.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2 or x0.shape[0] == 0:
-        raise ValueError(f"x0 must stack one start point per lane, got shape {x0.shape}")
-    if not obj.batched:
-        raise ValueError(f"objective {obj.name!r} takes one point at a time; "
-                         f"run_lanes needs a batched one")
-    return _drive(stepper, obj, x0, s, stopping, max_iter, record, False)
-
-
 def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0,
         s: float, stopping: StoppingRule, max_iter: int = 50000,
         record_y: bool = False):
@@ -543,14 +504,14 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
     fires, max_iter is reached, or an iterate goes non-finite (divergence:
     the trajectory keeps the last finite state). s must be the stepsize the
     stepper was made with, and f and its gradient must be finite at x0.
-    This is the one-lane case of the `run_lanes` engine, on a start point of
+    This is the one-lane path of `run_methods`' engine, on a start point of
     shape (dim,).
 
     Returns (Trajectory, RunResult).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1:
-        raise ValueError(f"x0 must be one point, got shape {x0.shape}; run_lanes takes a stack")
+        raise ValueError(f"x0 must be one point, got shape {x0.shape}")
     trajs, results = _drive(stepper, obj, x0, s, stopping, max_iter, True, record_y)
     return trajs[0], results[0]
 
@@ -582,24 +543,19 @@ def coefficient_map(name: str, s: float, alpha: float = 3.0,
     return coeffs
 
 
-def make_stepper(name: str, s: Union[float, Sequence[float]], alpha: float = 3.0,
-                 schedule: Union[Schedule, Sequence[Schedule], None] = None,
+def make_stepper(name: str, s: float, alpha: float = 3.0, schedule: Optional[Schedule] = None,
                  beta: float = 1.0, gamma: float = 1.0) -> Stepper:
-    """Bind a named algorithm to its parameters; the result has the
-    (state, obj) -> state shape that `run` and `run_lanes` expect. `s` is
-    one stepsize or one per lane, and `schedule` (lt_s_igahd's) one Schedule
-    or one per lane. Each name steps by its `coefficient_map`, which takes
-    the same parameters."""
-    s_lanes = np.atleast_1d(np.asarray(s, dtype=float))
-    if s_lanes.ndim != 1 or s_lanes.size == 0:
-        raise ValueError(f"s must be a stepsize or a sequence of them, got shape {np.shape(s)}")
-    scheds = (list(schedule) if isinstance(schedule, (list, tuple))
-              else [schedule] * s_lanes.size)
-    if len(scheds) != s_lanes.size:
-        raise ValueError(f"{len(scheds)} schedules for {s_lanes.size} stepsizes")
-    maps = [coefficient_map(name, s_k, alpha, sch, beta, gamma)
-            for s_k, sch in zip(s_lanes.tolist(), scheds)]
-    return Stepper(maps, s_lanes, _method(name).at_x)
+    """Bind a named algorithm to its parameters at one stepsize s, with
+    lt_s_igahd's one `schedule`; the result has the (state, obj) -> state
+    shape that `run` expects. Each name steps by its `coefficient_map`,
+    which takes the same parameters. A sequence of stepsizes or schedules
+    raises ValueError: `run_methods` runs one cell per lane."""
+    if np.ndim(s) or isinstance(schedule, (list, tuple)):
+        raise ValueError("make_stepper takes one stepsize and one schedule; "
+                         "run_methods runs one cell per lane")
+    s = float(s)
+    return Stepper([coefficient_map(name, s, alpha, schedule, beta, gamma)], [s],
+                   _method(name).at_x)
 
 
 def check_alpha(name: str, alpha: float, label: str = "alpha") -> None:
@@ -638,15 +594,17 @@ def run_methods(obj: Objective, cells, x0, stopping: StoppingRule, max_iter: int
     """Run each cell (name, s, keywords), a method at stepsize s with its
     `coefficient_map` keywords, from the one start point x0 on `obj`, a
     batched objective. The cells whose methods take their gradient step at
-    the same point (their rows' `at_x`) run as the lanes of one `run_lanes`
-    batch, and a group's lone cell as the one-lane run of its (dim,) point;
-    so each cell has the bits of its own `run` on f1 and f2, and a lone cell
-    on every objective. x0 must be a finite point of obj.dim, and a cell
-    whose keywords `coefficient_map` rejects raises before any lane runs.
+    the same point (their rows' `at_x`) run as the lanes of one batch, and
+    a group's lone cell as the one-lane run of its (dim,) point; so each
+    cell has the bits of its own `run` on f1 and f2, and a lone cell on
+    every objective. A lane stops when the stopping rule fires for it, at
+    max_iter, or when its iterate goes non-finite (divergence: it keeps its
+    last finite state, x0 when x1 is not finite), and the others run on
+    without it. x0 must be a finite point of obj.dim, and a cell whose
+    keywords `coefficient_map` rejects raises before any lane runs.
 
-    Returns (trajectories, results) as `run_lanes` does: one RunResult per
-    cell, in order, and one Trajectory per cell when `record` is set, else
-    None."""
+    Returns (trajectories, results): one RunResult per cell, in order, and
+    one Trajectory per cell when `record` is set, else None."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dim,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite point of dimension {obj.dim} for "

@@ -12,7 +12,7 @@ shape (B, dim) gives B values and a (B, dim) stack of gradients. On f1 and
 f2 each row is bitwise the same point evaluated on its own; the quadratic
 takes one matrix product for the whole stack, whose sums may round
 otherwise than the one-point product. That is what lets
-`algorithms.run_lanes` step many trajectories in one loop.
+`algorithms.run_methods` step many trajectories in one loop.
 """
 
 from __future__ import annotations

@@ -489,8 +489,9 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
         stop = min(start + _SCAN_CHUNK, n_max + 1)
         # one call over n = start..stop gives lambda_{n+1} at the block's edge as well
         n = np.arange(start, stop + 1, dtype=float)
-        # coefficients, or their squares, past the float range become inf, unwarned
-        with np.errstate(over="ignore"):
+        # coefficients, or their squares, past the float range become inf, and
+        # sums of such infs nan, unwarned: a nan fails (ii) and (i) as it should
+        with np.errstate(over="ignore", invalid="ignore"):
             _, lam, om, gam = (np.broadcast_to(c, n.shape) for c in schedule.coeffs_at(n))
             lam_next = lam[1:]
             n, lam, om, gam = n[:-1], lam[:-1], om[:-1], gam[:-1]

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+import splitgrad
+from splitgrad import algorithms
 from splitgrad import constructions as con
 from splitgrad.algorithms import (
     ALGORITHM_NAMES,
@@ -16,7 +18,6 @@ from splitgrad.algorithms import (
     init_state,
     make_stepper,
     run,
-    run_lanes,
     run_methods,
 )
 from splitgrad.objectives import Objective, f1, f2, quadratic
@@ -209,8 +210,6 @@ def test_every_run_refuses_max_iter_below_one(max_iter):
         with pytest.raises(ValueError, match=message):
             run(make_stepper("agm2", S), f2(), X0, S, stop, max_iter)
         with pytest.raises(ValueError, match=message):
-            run_lanes(make_stepper("agm2", S), f2(), [X0, X0], S, stop, max_iter)
-        with pytest.raises(ValueError, match=message):
             run_methods(f2(), [("agm2", S, {}), ("pim", S, {})], X0, stop, max_iter)
     _, res = run(make_stepper("agm2", S), f2(), X0, S, StoppingRule("max_iter"), np.int64(1))
     assert (res.termination, res.n_final) == ("max_iter", 1)
@@ -260,6 +259,24 @@ def test_make_stepper_errors():
     sch = make_schedule("e25", s=0.04, beta=0.1, b=2.0)
     with pytest.raises(ValueError):
         make_stepper("lt_s_igahd", S, schedule=sch)  # s mismatch
+
+
+def test_make_stepper_takes_one_stepsize_and_one_schedule():
+    # many stepsizes or schedules are the cells of run_methods, one per lane
+    sch = make_schedule("e25", s=S, beta=0.1, b=2.0)
+    message = ("^make_stepper takes one stepsize and one schedule; "
+               "run_methods runs one cell per lane$")
+    for call in (lambda: make_stepper("agm2", [S, 2.0 * S]), lambda: make_stepper("agm2", [S]),
+                 lambda: make_stepper("pim", np.array([S])),
+                 lambda: make_stepper("lt_s_igahd", S, schedule=[sch]),
+                 lambda: make_stepper("lt_s_igahd", [S, S], schedule=(sch, sch))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_run_methods_is_the_one_lane_runner():
+    assert "run_lanes" not in splitgrad.__all__
+    assert not hasattr(splitgrad, "run_lanes") and not hasattr(algorithms, "run_lanes")
 
 
 def test_make_stepper_rejects_alpha_mismatch():

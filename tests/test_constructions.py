@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import splitgrad
 from splitgrad import constructions as con
-from splitgrad.algorithms import StoppingRule, make_stepper, run, run_lanes
+from splitgrad.algorithms import StoppingRule, make_stepper, run, run_methods
 from splitgrad.objectives import f1, f2, quadratic
 from splitgrad.schedules import make_schedule
 
@@ -410,10 +410,9 @@ def test_affine_gradient_lanes_match_the_direct_recursion(seed, dim, n_lanes):
     # the undeclared copy of the quadratic takes grad(y_n) by a new product
     rng = np.random.default_rng([seed, dim])
     obj = _psd_quadratic(rng, dim)
-    ss = list(rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz_constant())
-    x0s = rng.standard_normal((n_lanes, dim)) * 3.0
-    trajs = [run_lanes(make_stepper("agm2", ss), o, x0s, ss, StoppingRule("max_iter"),
-                       max_iter=150, record=True)[0]
+    cells = [("agm2", s, {}) for s in rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz_constant()]
+    x0 = rng.standard_normal(dim) * 3.0
+    trajs = [run_methods(o, cells, x0, StoppingRule("max_iter"), max_iter=150, record=True)[0]
              for o in (obj, dataclasses.replace(obj, affine_gradient=False))]
     for got, ref in zip(*trajs):
         assert _rel_gap(got.xs, ref.xs) <= 1e-12

@@ -1,6 +1,6 @@
 """The lane engine: coefficient maps give the same bits over an array of
-indices as one index at a time, and every lane of `run_lanes` reproduces
-the scalar `run` of its own stepsize, schedule and start point."""
+indices as one index at a time, and every lane of `run_methods` reproduces
+the scalar `run` of its own method, stepsize and schedule."""
 
 import dataclasses
 
@@ -19,7 +19,6 @@ from splitgrad.algorithms import (
     coefficient_map,
     make_stepper,
     run,
-    run_lanes,
     run_methods,
 )
 from splitgrad.cases import all_cases
@@ -85,29 +84,39 @@ def _lane_schedule(name, label, s, beta, mu):
     return make_schedule(label, s=s, **params)
 
 
-def _assert_lanes_are_runs(name, obj, x0s, ss, scheds, rule, max_iter, rel=None):
-    kw = {"beta": 0.8, "gamma": 1.1}
+def _assert_cells_are_runs(obj, cells, x0, rule, max_iter=5000, rel=None):
+    """Run the cells through `run_methods`, recorded and not, and each cell
+    on its own `run`: each cell's RunResult, and with recording its xs, fs
+    and grads, must be those of its own run byte for byte, or within `rel`
+    where the lanes share a matrix product. Returns the cells' RunResults."""
     with np.errstate(over="ignore", invalid="ignore"):
-        trajs, results = run_lanes(make_stepper(name, ss, schedule=scheds, **kw), obj,
-                                   x0s, ss, rule, max_iter=max_iter, record=True)
-        singles = [run(make_stepper(name, s, schedule=sch, **kw), obj, x0, s, rule,
-                       max_iter=max_iter)
-                   for x0, s, sch in zip(x0s, ss, scheds)]
-    assert len(trajs) == len(results) == len(ss)
-    for traj, res, (want_traj, want) in zip(trajs, results, singles):
-        assert (res.termination, res.n_final) == (want.termination, want.n_final)
-        for attr in ("xs", "fs", "grads"):
-            got, ref = getattr(traj, attr), getattr(want_traj, attr)
-            assert got.shape == ref.shape
+        trajs, recorded = run_methods(obj, cells, x0, rule, max_iter, record=True)
+        _, plain = run_methods(obj, cells, x0, rule, max_iter)
+        singles = [run(make_stepper(name, s, **kw), obj, x0, s, rule, max_iter)
+                   for name, s, kw in cells]
+    assert len(trajs) == len(recorded) == len(plain) == len(cells)
+    for traj, rec, res, (want_traj, want) in zip(trajs, recorded, plain, singles):
+        for got in (rec, res):
+            assert (got.termination, got.n_final) == (want.termination, want.n_final)
             if rel is None:
-                assert got.tobytes() == ref.tobytes(), attr
+                assert (np.float64(got.error_final).tobytes()
+                        == np.float64(want.error_final).tobytes())
             else:
-                assert np.all(np.abs(got - ref) <= rel * np.maximum(1.0, np.abs(ref))), attr
-        if rel is None:
-            assert np.float64(res.error_final).tobytes() == np.float64(want.error_final).tobytes()
-        else:
-            assert res.error_final == pytest.approx(want.error_final, rel=1e-9, abs=1e-12,
-                                                    nan_ok=True)
+                assert got.error_final == pytest.approx(want.error_final, rel=1e-9, abs=1e-12,
+                                                        nan_ok=True)
+        for field in ("xs", "fs", "grads"):
+            got, ref = getattr(traj, field), getattr(want_traj, field)
+            assert got.shape == ref.shape, field
+            if rel is None:
+                assert got.tobytes() == ref.tobytes(), field
+            else:
+                assert np.all(np.abs(got - ref) <= rel * np.maximum(1.0, np.abs(ref))), field
+    return plain
+
+
+def _lane_cells(name, ss, scheds):
+    """One cell of `name` per stepsize, with its schedule."""
+    return [(name, s, {"schedule": sch, "beta": 0.8, "gamma": 1.1}) for s, sch in zip(ss, scheds)]
 
 
 _RULES = st.sampled_from([StoppingRule("consecutive_f", 1e-10),
@@ -115,7 +124,6 @@ _RULES = st.sampled_from([StoppingRule("consecutive_f", 1e-10),
                           StoppingRule("consecutive_f", 1e-12, n_threshold=20),
                           StoppingRule("max_iter")])
 _LANE = st.tuples(st.floats(0.02, 0.98),                               # s L
-                  st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),  # x0
                   st.sampled_from(["e24", "e25", "e26"]),
                   st.floats(0.1, 1.9),                                 # beta / sqrt(s)
                   st.sampled_from([0.0, 0.05, 1.0]))                   # mu
@@ -124,23 +132,21 @@ _LANE = st.tuples(st.floats(0.02, 0.98),                               # s L
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(objective=st.sampled_from(["f1", "f2"]), name=st.sampled_from(ALGORITHM_NAMES),
        lanes=st.lists(_LANE, min_size=1, max_size=5), rule=_RULES,
+       x0=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
        extra=st.sampled_from([(), ("diverge",), ("stop_at_1",), ("diverge", "stop_at_1")]))
-def test_lanes_are_scalar_runs_on_f1_f2(objective, name, lanes, rule, extra):
+def test_lanes_are_scalar_runs_on_f1_f2(objective, name, lanes, rule, x0, extra):
     obj = make_objective(objective)
     lip = obj.lipschitz_constant()
     ss = [sl / lip for sl, *_ in lanes]
-    x0s = [x0 for _, x0, *_ in lanes]
     scheds = [_lane_schedule(name, label, s, beta, mu)
-              for s, (_, _, label, beta, mu) in zip(ss, lanes)]
+              for s, (_, label, beta, mu) in zip(ss, lanes)]
     if "diverge" in extra and objective == "f1":   # s = 10 runs off to infinity
         ss.append(10.0)
-        x0s.append([1.0, -2.0])
         scheds.append(_lane_schedule(name, "e24", 10.0, 1.0, 0.0))
-    if "stop_at_1" in extra and objective == "f1":   # on the minimizing line
-        ss.insert(0, 0.1)
-        x0s.insert(0, [1.5, -1.5])
-        scheds.insert(0, _lane_schedule(name, "e25", 0.1, 1.0, 0.1))
-    _assert_lanes_are_runs(name, obj, np.array(x0s), ss, scheds, rule, max_iter=150)
+    if "stop_at_1" in extra and objective == "f1":   # a step too small to change f
+        ss.insert(0, 1e-13)
+        scheds.insert(0, _lane_schedule(name, "e25", 1e-13, 1.0, 0.1))
+    _assert_cells_are_runs(obj, _lane_cells(name, ss, scheds), x0, rule, max_iter=150)
 
 
 def _pd_quadratic(seed, dim):
@@ -156,71 +162,50 @@ def _pd_quadratic(seed, dim):
 def test_lanes_match_scalar_runs_on_quadratics(seed, dim, name, n_lanes, rule):
     obj, rng = _pd_quadratic(seed, dim)
     ss = list(rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz_constant())
-    x0s = rng.standard_normal((n_lanes, dim)) * 3.0
+    x0 = rng.standard_normal(dim) * 3.0
     scheds = [_lane_schedule(name, "e25", s, 0.5, 0.1) for s in ss]
-    _assert_lanes_are_runs(name, obj, x0s, ss, scheds, rule, max_iter=150, rel=1e-12)
+    _assert_cells_are_runs(obj, _lane_cells(name, ss, scheds), x0, rule, max_iter=150,
+                           rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_stopped_and_diverged_lanes_freeze_beside_running_ones(name):
-    # lane 0 stops at n = 1, lane 2 diverges, lanes 1 and 3 run to the end
-    x0s = np.array([[1.5, -1.5], [1.0, -2.0], [1.0, -2.0], [0.5, 0.25]])
-    ss = [0.1, 0.1, 10.0, 0.05]
+    # lane 0's step is too small to change f past the tolerance, so it stops
+    # at n = 1; lane 2 diverges, lanes 1 and 3 run to the end
+    ss = [1e-13, 0.1, 10.0, 0.05]
     scheds = [_lane_schedule(name, "e25", s, 1.0, 0.1) for s in ss]
-    rule = StoppingRule("consecutive_f", 1e-10)
-    _assert_lanes_are_runs(name, f1(), x0s, ss, scheds, rule, max_iter=400)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, results = run_lanes(make_stepper(name, ss, schedule=scheds), f1(), x0s, ss, rule,
-                               max_iter=400)
+    results = _assert_cells_are_runs(f1(), _lane_cells(name, ss, scheds), [1.0, -2.0],
+                                     StoppingRule("consecutive_f", 1e-10), max_iter=400)
     assert results[0].termination == "tolerance_met" and results[0].n_final == 1
     if name == "agm2":
         assert results[2].termination == "diverged"
 
 
 def test_unrecorded_lanes_give_the_same_results():
-    ss = [0.05, 0.1, 0.2]
-    x0s = np.array([[1.0, -2.0], [0.3, 0.7], [-2.0, 1.0]])
+    cells = [("agm2", s, {}) for s in (0.05, 0.1, 0.2)]
     rule = StoppingRule("known_min_f", 1e-9)
-    trajs, rec = run_lanes(make_stepper("agm2", ss), f2(), x0s, ss, rule, record=True)
-    none, plain = run_lanes(make_stepper("agm2", ss), f2(), x0s, ss, rule)
+    trajs, rec = run_methods(f2(), cells, [1.0, -2.0], rule, record=True)
+    none, plain = run_methods(f2(), cells, [1.0, -2.0], rule)
     assert none is None and plain == rec
     assert [t.n_final for t in trajs] == [r.n_final for r in rec]
 
 
 def test_lane_inputs_are_checked():
     sch = make_schedule("e25", s=0.1, beta=0.1, b=2.0)
+    cells = [("agm2", 0.1, {}), ("lt_s_igahd", 0.1, {"schedule": sch})]
+    with pytest.raises(ValueError):   # lane 1 disagrees with its schedule's s
+        run_methods(f1(), [("agm2", 0.1, {}), ("lt_s_igahd", 0.2, {"schedule": sch})],
+                    [1.0, -2.0], StoppingRule())
+    with pytest.raises(ValueError):   # one start point for every cell, not a stack
+        run_methods(f1(), cells, [[1.0, -2.0], [0.5, 0.5]], StoppingRule())
     with pytest.raises(ValueError):
-        make_stepper("lt_s_igahd", [0.1, 0.2], schedule=[sch])   # one schedule, two lanes
-    with pytest.raises(ValueError):
-        make_stepper("lt_s_igahd", [0.1, 0.2], schedule=sch)     # lane 1 disagrees with s
-    with pytest.raises(ValueError):
-        run_lanes(make_stepper("agm2", 0.1), f1(), [1.0, -2.0], 0.1, StoppingRule())
-    with pytest.raises(ValueError):
-        run_lanes(make_stepper("agm2", [0.1, 0.1]), f1(), [[1.0, -2.0], [np.inf, 0.0]],
-                  0.1, StoppingRule())
-    with pytest.raises(ValueError):   # no lanes
-        run_lanes(make_stepper("agm2", 0.1), f1(), np.empty((0, 2)), 0.1, StoppingRule())
-    two = np.array([[1.0, -2.0], [0.5, 0.5]])
-    with pytest.raises(ValueError):   # lane 1 bootstraps with 0.1 but steps with 0.2
-        run_lanes(make_stepper("agm2", [0.1, 0.2]), f1(), two, 0.1, StoppingRule())
-    with pytest.raises(ValueError):   # three stepsizes for two lanes
-        run_lanes(make_stepper("agm2", [0.1, 0.2, 0.3]), f1(), two, [0.1, 0.2, 0.3],
-                  StoppingRule())
+        run_methods(f1(), cells, [np.inf, 0.0], StoppingRule())
     with pytest.raises(ValueError):
         run(make_stepper("agm2", 0.2), f1(), [1.0, -2.0], 0.1, StoppingRule())
     one_point = Objective(name="plain", dim=2, value=lambda x: float(x @ x),
                           gradient=lambda x: 2.0 * x, lipschitz=2.0)
     with pytest.raises(ValueError):   # written for one point, not for a stack
-        run_lanes(make_stepper("agm2", 0.1), one_point, two, 0.1, StoppingRule())
-
-
-def test_one_lane_stepper_serves_a_start_point_ensemble():
-    x0s = np.array([[1.0, -2.0], [0.5, 0.5], [-1.0, 3.0]])
-    rule = StoppingRule("known_min_f", 1e-9)
-    trajs, _ = run_lanes(make_stepper("igahd", 0.1), f2(), x0s, 0.1, rule, record=True)
-    for x0, traj in zip(x0s, trajs):
-        want, _ = run(make_stepper("igahd", 0.1), f2(), x0, 0.1, rule)
-        assert traj.xs.tobytes() == want.xs.tobytes()
+        run_methods(one_point, cells, [1.0, -2.0], StoppingRule())
 
 
 def test_run_takes_one_point():
@@ -317,28 +302,6 @@ def test_run_methods_mixes_kernels_at_a_stepsize_per_cell(objective):
                 assert got.tobytes() == ref.tobytes(), (name, field)
 
 
-def _assert_batch_is_runs(stepper_for, obj, x0s, ss, rule, max_iter=5000):
-    """Run the lanes as one batch, recorded and not, and each lane on its
-    own, with the stepper that stepper_for(ss) or stepper_for(s) makes: each
-    lane's RunResult, and with recording its xs, fs and grads, must be those
-    of its own `run` byte for byte. Returns the lanes' RunResults."""
-    x0s = np.asarray(x0s, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        trajs, recorded = run_lanes(stepper_for(ss), obj, x0s, ss, rule, max_iter, record=True)
-        _, plain = run_lanes(stepper_for(ss), obj, x0s, ss, rule, max_iter)
-        singles = [run(stepper_for(s), obj, x0, s, rule, max_iter) for x0, s in zip(x0s, ss)]
-    assert len(trajs) == len(recorded) == len(plain) == len(ss)
-    for traj, rec, res, (want_traj, want) in zip(trajs, recorded, plain, singles):
-        for got in (rec, res):
-            assert (got.termination, got.n_final) == (want.termination, want.n_final)
-            assert (np.float64(got.error_final).tobytes()
-                    == np.float64(want.error_final).tobytes())
-        for field in ("xs", "fs", "grads"):
-            got, ref = getattr(traj, field), getattr(want_traj, field)
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field
-    return plain
-
-
 _TIGHT = StoppingRule("consecutive_f", 1e-12)
 
 
@@ -346,18 +309,13 @@ _TIGHT = StoppingRule("consecutive_f", 1e-12)
 @pytest.mark.parametrize("name", ["agm2", "nag", "lt_se3", "lt_s_igahd"])
 def test_lanes_that_leave_at_many_indices_are_their_runs(objective, name):
     obj = objective()
-    ss = _scan_stepsizes(obj.name, 30)
-
-    def stepper_for(s):
-        scheds = [make_schedule("e25", s=sk, beta=0.5 * np.sqrt(sk), b=2.0, mu=0.1)
-                  for sk in np.atleast_1d(s)] if name == "lt_s_igahd" else None
-        return make_stepper(name, s, schedule=scheds)
-
-    results = _assert_batch_is_runs(stepper_for, obj, np.tile([1.0, -2.0], (len(ss), 1)), ss,
-                                    _TIGHT)
+    cells = [(name, s, {"schedule": make_schedule("e25", s=s, beta=0.5 * np.sqrt(s), b=2.0,
+                                                  mu=0.1) if name == "lt_s_igahd" else None})
+             for s in _scan_stepsizes(obj.name, 30)]
+    results = _assert_cells_are_runs(obj, cells, [1.0, -2.0], _TIGHT)
     stops = [r.n_final for r in results]
     # lanes leave one by one, some of them in a later chunk of the tables
-    assert len(set(stops)) > len(ss) // 2 and max(stops) > _CHUNK
+    assert len(set(stops)) > len(cells) // 2 and max(stops) > _CHUNK
 
 
 @pytest.mark.parametrize("objective", [f1, f2])
@@ -365,8 +323,8 @@ def test_lanes_that_leave_at_many_indices_are_their_runs(objective, name):
                                      (_TIGHT, [0.1] * 4)], ids=["max_iter", "tolerance"])
 def test_lanes_that_all_stop_at_one_step_are_their_runs(objective, rule, ss):
     # four lanes meet max_iter together, or four like lanes meet the tolerance
-    results = _assert_batch_is_runs(lambda s: make_stepper("agm2", s), objective(),
-                                    np.tile([1.0, -2.0], (4, 1)), ss, rule, max_iter=150)
+    results = _assert_cells_are_runs(objective(), [("agm2", s, {}) for s in ss], [1.0, -2.0],
+                                     rule, max_iter=150)
     assert len({(r.termination, r.n_final) for r in results}) == 1
 
 
@@ -374,19 +332,10 @@ def test_lanes_that_all_stop_at_one_step_are_their_runs(objective, rule, ss):
 def test_last_running_lane_diverging_is_its_run(objective, s_off):
     # pim's momentum 1 - sqrt(s) is below -1 at s_off, so that lane grows
     # until it overflows, after the other two have met the tolerance
-    ss = [0.1, s_off, 0.2]
-    results = _assert_batch_is_runs(lambda s: make_stepper("pim", s), objective(),
-                                    np.tile([1.0, -2.0], (3, 1)), ss, _TIGHT)
+    results = _assert_cells_are_runs(objective(), [("pim", s, {}) for s in (0.1, s_off, 0.2)],
+                                     [1.0, -2.0], _TIGHT)
     assert [r.termination for r in results] == ["tolerance_met", "diverged", "tolerance_met"]
     assert results[1].n_final > max(results[0].n_final, results[2].n_final)
-
-
-@pytest.mark.parametrize("objective", [f1, f2])
-def test_one_map_stepper_serves_lanes_that_leave_at_different_steps(objective):
-    x0s = [[1.0, -2.0], [0.5, 0.25], [-3.0, 1.0], [2.0, 2.0], [0.1, -0.1]]
-    results = _assert_batch_is_runs(lambda s: make_stepper("igahd", 0.1), objective(), x0s,
-                                    [0.1] * len(x0s), _TIGHT)
-    assert len({r.n_final for r in results}) >= 3
 
 
 @pytest.mark.parametrize("objective", [f1, f2])
@@ -395,33 +344,17 @@ def test_a_stepper_run_again_after_departures_repeats_its_run(objective):
     # its last lanes alone; the second run starts with every lane again
     obj = objective()
     ss = _scan_stepsizes(obj.name, 30)
-    stepper = make_stepper("lt_s_igahd", ss, schedule=[
-        make_schedule("e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1) for s in ss])
+    stepper = Stepper([coefficient_map("lt_s_igahd", s, schedule=make_schedule(
+        "e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1)) for s in ss], ss)
     x0s = np.tile([1.0, -2.0], (len(ss), 1))
     (trajs, results), (again, results_again) = [
-        run_lanes(stepper, obj, x0s, ss, _TIGHT, record=True) for _ in range(2)]
+        algorithms._drive(stepper, obj, x0s, ss, _TIGHT, 50000, True, False) for _ in range(2)]
     stops = [r.n_final for r in results]
     assert len(set(stops)) > len(ss) // 2 and max(stops) > _CHUNK
     assert results_again == results
     for traj, traj_again in zip(trajs, again):
         assert traj_again.xs.shape == traj.xs.shape
         assert traj_again.xs.tobytes() == traj.xs.tobytes()
-
-
-@pytest.mark.parametrize("after", ["departures", "a run"])
-def test_a_wrapped_stepper_of_many_maps_refuses_lanes_it_was_not_told_of(after):
-    # a function that wraps a Stepper is told of no start and no departure:
-    # lane 1 leaves while the table still holds two columns, or a second run
-    # of two lanes meets the one column the first run ended with, which
-    # would step both lanes with lane 0's coefficients
-    ss = [0.05, 0.1]
-    stepper = make_stepper("agm2", ss)
-    x0s = np.tile([1.0, -2.0], (2, 1))
-    if after == "a run":
-        _, results = run_lanes(stepper, f2(), x0s, ss, _TIGHT)
-        assert results[0].n_final > results[1].n_final
-    with pytest.raises(ValueError, match="the stepper was told of [12] lanes, the state holds [12]: "):
-        run_lanes(lambda state, obj: stepper(state, obj), f2(), x0s, ss, _TIGHT)
 
 
 def _box_bowl():
@@ -436,13 +369,12 @@ def _box_bowl():
 @pytest.mark.parametrize("kind", ["known_min_f", "consecutive_f"])
 def test_lane_whose_x1_is_not_finite_leaves_at_n_0(kind):
     # lane 0 steps out of the box at once: f(x1) = inf
-    obj, rule = _box_bowl(), StoppingRule(kind, 1e-12)
-    x0s, ss = [[0.9, 0.9], [0.5, -0.25]], [1.5, 0.1]
-    results = _assert_batch_is_runs(lambda s: make_stepper("agm2", s), obj, x0s, ss, rule)
+    obj, rule, x0 = _box_bowl(), StoppingRule(kind, 1e-12), [0.9, 0.9]
+    results = _assert_cells_are_runs(obj, [("agm2", 1.5, {}), ("agm2", 0.1, {})], x0, rule)
     assert results[0].termination == "diverged" and results[0].n_final == 0
     assert results[1].termination == "tolerance_met"
-    traj, res = run(make_stepper("agm2", 1.5), obj, x0s[0], 1.5, rule)
-    assert traj.xs.tolist() == [x0s[0]] and traj.fs.tolist() == [1.62]
+    traj, res = run(make_stepper("agm2", 1.5), obj, x0, 1.5, rule)
+    assert traj.xs.tolist() == [x0] and traj.fs.tolist() == [1.62]
     if kind == "known_min_f":
         assert res.error_final == 1.62
     else:   # no value before x0, so no difference to take
@@ -453,8 +385,8 @@ def test_f_not_finite_at_x0_is_rejected():
     with pytest.raises(ValueError, match=r"x0 = \[1e\+200, -2.0\]"):
         run(make_stepper("agm2", 0.1), f1(), [1e200, -2.0], 0.1, StoppingRule())
     with pytest.raises(ValueError, match=r"x0 = \[2.0, 2.0\]"):   # outside the box
-        run_lanes(make_stepper("agm2", 0.1), _box_bowl(), [[0.5, 0.5], [2.0, 2.0]], 0.1,
-                  StoppingRule())
+        run_methods(_box_bowl(), [("agm2", 0.1, {}), ("agm2", 0.2, {})], [2.0, 2.0],
+                    StoppingRule())
 
 
 def _counting(obj):
@@ -479,8 +411,20 @@ def _chunk_starts(last: int) -> list:
     return starts
 
 
+def _watch_tables(monkeypatch) -> list:
+    """The (first index, columns) of each table a Stepper builds from now on."""
+    tables, coeffs_of = [], schedules.coeffs_of
+
+    def watched(maps, ns):
+        tables.append((int(ns[0]), len(maps)))
+        return coeffs_of(maps, ns)
+
+    monkeypatch.setattr(schedules, "coeffs_of", watched)
+    return tables
+
+
 @pytest.mark.parametrize("record", [False, True])
-def test_stopped_lanes_cost_nothing(record):
+def test_stopped_lanes_cost_nothing(record, monkeypatch):
     obj, rows = _counting(f2())
     ss = _scan_stepsizes("f2", 30)
     starts = [[] for _ in ss]   # the first index of each chunk a lane's map tabulates
@@ -491,16 +435,11 @@ def test_stopped_lanes_cost_nothing(record):
             return coeffs_at(n)
         return at
 
-    tables = []   # (first index, columns) of each table the stepper builds
-
-    class Watched(Stepper):
-        def _tabulate(self, n):
-            super()._tabulate(n)
-            tables.append((n, self._rows.shape[2]))
-
-    stepper = Watched([counted(i, coefficient_map("agm2", s)) for i, s in enumerate(ss)], ss)
-    _, results = run_lanes(stepper, obj, np.tile([1.0, -2.0], (len(ss), 1)), ss, _TIGHT,
-                           record=record)
+    # agm2's maps, as the lt_s_igahd schedules of no family
+    cells = [("lt_s_igahd", s, {"schedule": make_schedule(
+        "custom", s=s, coeffs=counted(i, coefficient_map("agm2", s)))}) for i, s in enumerate(ss)]
+    tables = _watch_tables(monkeypatch)
+    _, results = run_methods(obj, cells, [1.0, -2.0], _TIGHT, record=record)
     assert rows[0] == sum(r.n_final + 1 for r in results)
     chunk_starts = _chunk_starts(max(r.n_final for r in results))
     # a lane steps from n = 1 to its last index; so do the chunks it is tabulated for
@@ -534,17 +473,11 @@ def test_stopped_family_lanes_cost_one_call_per_family_and_chunk(monkeypatch):
         custom_starts.append(int(n[0]))
         return coefficient_map("igahd", scheds[0].s, beta=0.5)(n)
 
-    maps = [sch.coeffs_at for sch in scheds] + [custom]
-    ss = [sch.s for sch in scheds] + [scheds[0].s]
-    tables = []   # (first index, columns) of each table the stepper builds
-
-    class Watched(Stepper):
-        def _tabulate(self, n):
-            super()._tabulate(n)
-            tables.append((n, self._rows.shape[2]))
-
-    _, results = run_lanes(Watched(maps, ss), f2(),
-                           np.tile([1.0, -2.0], (len(ss), 1)), ss, _TIGHT)
+    cells = [("lt_s_igahd", sch.s, {"schedule": sch}) for sch in scheds]
+    cells.append(("lt_s_igahd", scheds[0].s,
+                  {"schedule": make_schedule("custom", s=scheds[0].s, coeffs=custom)}))
+    tables = _watch_tables(monkeypatch)
+    _, results = run_methods(f2(), cells, [1.0, -2.0], _TIGHT)
     chunk_starts = _chunk_starts(max(r.n_final for r in results))[:-1]
     labels = [sch.label for sch in scheds]
     # each chunk calls each family once, over the running lanes of that family
@@ -658,9 +591,10 @@ def test_schedule_with_a_replaced_map_steps_by_it(wrap):
     other = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=0.5)
     new = dataclasses.replace(sched, coeffs_at=(lambda n: other.coeffs_at(n)) if wrap
                               else other.coeffs_at)
-    x0 = np.tile([1.0, -2.0], (2, 1))
-    trajs, _ = run_lanes(make_stepper("lt_s_igahd", [0.1, 0.1], schedule=[new, sched]), f2(),
-                         x0, [0.1, 0.1], _TIGHT, record=True)
-    want, _ = run(make_stepper("lt_s_igahd", 0.1, schedule=other), f2(), x0[0], 0.1, _TIGHT)
+    trajs, _ = run_methods(f2(), [("lt_s_igahd", 0.1, {"schedule": new}),
+                                  ("lt_s_igahd", 0.1, {"schedule": sched})],
+                           [1.0, -2.0], _TIGHT, record=True)
+    want, _ = run(make_stepper("lt_s_igahd", 0.1, schedule=other), f2(), [1.0, -2.0], 0.1,
+                  _TIGHT)
     assert trajs[0].xs.tobytes() == want.xs.tobytes()
     assert trajs[1].xs.shape != want.xs.shape or trajs[1].xs.tobytes() != want.xs.tobytes()

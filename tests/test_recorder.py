@@ -19,10 +19,11 @@ from splitgrad.algorithms import (
     _CHUNK,
     IterState,
     StoppingRule,
+    _drive,
     init_state,
     make_stepper,
     run,
-    run_lanes,
+    run_methods,
 )
 from splitgrad.objectives import f1, f2, quadratic
 from splitgrad.schedules import make_schedule
@@ -111,13 +112,11 @@ def test_max_iter_lanes_with_one_diverging_mid_run_are_their_runs(objective):
     # lanes then go on writing their columns of the rows the run took at once
     obj = objective()
     ss = [0.01, 0.1, 16.0, 0.2, 0.05]
-    x0s = np.array([[1.0, -2.0], [0.5, 3.0], [1.0, -2.0], [-1.0, 1.0], [2.0, 2.0]])
     rule = StoppingRule("max_iter")
     with np.errstate(over="ignore", invalid="ignore"):
-        trajs, results = run_lanes(make_stepper("pim", ss), obj, x0s, ss, rule, 600,
-                                   record=True)
-        singles = [run(make_stepper("pim", s), obj, x0, s, rule, 600)
-                   for x0, s in zip(x0s, ss)]
+        trajs, results = run_methods(obj, [("pim", s, {}) for s in ss], [1.0, -2.0], rule, 600,
+                                     record=True)
+        singles = [run(make_stepper("pim", s), obj, [1.0, -2.0], s, rule, 600) for s in ss]
     assert [r.termination for r in results] == ["max_iter"] * 2 + ["diverged"] + ["max_iter"] * 2
     assert 1 < results[2].n_final < 600
     for traj, res, (want_traj, want) in zip(trajs, results, singles):
@@ -133,13 +132,11 @@ def test_lanes_leaving_at_staggered_indices_are_their_runs(objective):
     # buffer's first doublings; pim at s = 16 grows until it overflows
     obj = objective()
     ss = [0.002, 0.01, 0.02, 0.05, 0.1, 0.2, 16.0 if objective is f2 else 6.25]
-    x0s = np.tile([1.0, -2.0], (len(ss), 1))
     rule = StoppingRule("known_min_f", 1e-12)
     with np.errstate(over="ignore", invalid="ignore"):
-        trajs, results = run_lanes(make_stepper("pim", ss), obj, x0s, ss, rule, 3000,
-                                   record=True)
-        singles = [run(make_stepper("pim", s), obj, x0, s, rule, 3000)
-                   for x0, s in zip(x0s, ss)]
+        trajs, results = run_methods(obj, [("pim", s, {}) for s in ss], [1.0, -2.0], rule, 3000,
+                                     record=True)
+        singles = [run(make_stepper("pim", s), obj, [1.0, -2.0], s, rule, 3000) for s in ss]
     stops = [r.n_final for r in results]
     assert len(set(stops)) == len(ss) and max(stops) > 2 * _CHUNK
     assert results[-1].termination == "diverged"
@@ -164,8 +161,8 @@ def test_lane_diverging_right_after_another_stops_keeps_its_rows():
         return IterState(state.n + 1, state.x_curr, x, state.grad_curr, g, state.f_curr, f)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        trajs, results = run_lanes(stepper, obj, [[1.0, 2.0], [10.0, 20.0]], 0.1,
-                                   StoppingRule("consecutive_f", 1e-10), 10, record=True)
+        trajs, results = _drive(stepper, obj, np.array([[1.0, 2.0], [10.0, 20.0]]), 0.1,
+                                StoppingRule("consecutive_f", 1e-10), 10, True, False)
     assert [(r.termination, r.n_final) for r in results] == [("tolerance_met", 2),
                                                              ("diverged", 2)]
     x1, y1 = np.array([0.9, 1.8]), np.array([9.0, 18.0])   # x0 - 0.1 x0

@@ -253,6 +253,19 @@ def test_e26_threshold_where_its_square_overflows_is_its_root(number):
     assert rep.n_prime == 1e300 / 0.1 and rep.assumption_i_holds_from == 1001
 
 
+@pytest.mark.parametrize("label,mu,n_prime_value", [
+    ("e24", 1.7e307, np.inf), ("e24", 2e307, np.inf),
+    ("e26", 1.7e307, 1.6999999999999997e308), ("e26", 2e307, np.inf)])
+def test_scan_where_the_coefficients_overflow_reports_without_a_warning(label, mu, n_prime_value):
+    # mu (n - 1) overflows within the scan, at mu/s = 1.7e308 already, and
+    # inf - inf in the coupling residual is nan: (ii) and (i) both fail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_assumptions(make_schedule(label, s=0.1, b=1.0, mu=mu), 4.0, n_max=1000)
+    assert rep.assumption_ii_exact is False and rep.assumption_i_holds_from == 1001
+    assert rep.n_prime == n_prime_value
+
+
 _E26_RATIOS = [10.0 ** k for k in range(-3, 301, 7)] + [1.3e154, 1.35e154, 1e155, 1e300]
 
 
