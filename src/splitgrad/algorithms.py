@@ -31,7 +31,7 @@ flow over t in [1, 8] falls at observed order 1.00 as h halves from 0.1 to
 Every stepper is a function (state, objective) -> state over a shared
 IterState carrying the two most recent iterates with their cached
 gradients and values. All methods share the same bootstrap:
-x1 = x0 - s*grad(x0), y0 = x0, and the main recursion runs from n = 1.
+x1 = x0 - s*grad(x0), and the main recursion runs from n = 1.
 Iterations are counted from n = 0, so a trajectory that stops at index M
 holds M + 1 points.
 
@@ -48,11 +48,12 @@ or a schedule family's) for all the lanes of that body.
 Each lane stops on its own, and a lane that stops leaves the batch: the
 engine records its result at once and drops it from the (B, dim) state, so
 the loop steps, evaluates and tabulates only the lanes still running. The
-engine alone decides which lanes run, and tells a `Stepper` so at the start
-of a run and at each departure. A group's lone cell steps its start point
-of shape (dim,) with the lane axis dropped, as `run` does, and a one-lane
-Stepper hands `coefficient_step` its coefficients as floats, so one
-trajectory keeps the arithmetic of a loop written for one point. The
+engine alone decides which lanes run, and tells a `Stepper` so at each
+departure. It tiles the one start point over a batch's lanes, while a
+group's lone cell steps the point of shape (dim,) with the lane axis
+dropped, as `run` does, and a one-lane Stepper hands `coefficient_step`
+its coefficients as floats, so one trajectory keeps the arithmetic of a
+loop written for one point. The
 objectives evaluate over the last axis, so each lane's iterates are bitwise
 those of its own `run` on f1 and f2, and a lone cell's on every objective;
 on a quadratic, B > 1 lanes share one matrix product, whose summation order
@@ -60,10 +61,10 @@ may differ from the one-lane product in the last bits. `make_stepper` and
 `run` are the one-stepper API: a method bound by hand at one stepsize,
 driven from one point.
 
-Recording: a recorded run writes each field (x_n, f_n and, with
-`record_y`, y_n) into one float64 buffer, whose row n holds index n of
-every lane still running; a lane that leaves writes no further row, and
-its trajectory is its column up to its last index. A run whose only stop is
+Recording: a recorded run writes each field (x_n and f_n) into one
+float64 buffer, whose row n holds index n of every lane still running; a
+lane that leaves writes no further row, and its trajectory is its column up
+to its last index. A run whose only stop is
 max_iter takes its max_iter + 1 rows at once; a max_iter that no buffer can
 hold raises ValueError before the first step. Under a tolerance stop the
 buffer starts at `_CHUNK` rows and doubles when full, never past
@@ -130,10 +131,10 @@ _FIRST_CHUNK = 16
 @dataclass(frozen=True)
 class IterState:
     """Rolling two-point state of a run: x_{n-1}, x_n with their gradients
-    and values, plus the latest inertial point. The points are one point of
-    shape (dim,) or B lanes of shape (B, dim), and the values a float or B
-    values; `run` steps one point, and `run_methods` lanes. A stepper must
-    fill f_curr: the engine records it as the value of the new iterate."""
+    and values. The points are one point of shape (dim,) or B lanes of
+    shape (B, dim), and the values a float or B values; `run` steps one
+    point, and `run_methods` lanes. A stepper must fill f_curr: the engine
+    records it as the value of the new iterate."""
 
     n: int
     x_prev: Array
@@ -142,7 +143,6 @@ class IterState:
     grad_curr: Array
     f_prev: Optional[float] = None
     f_curr: Optional[float] = None
-    y_last: Optional[Array] = None
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def init_state(obj: Objective, x0, s) -> IterState:
             raise ValueError(f"f or its gradient is not finite at x0 = {at.tolist()}")
         x1 = x0 - s * g0
         f1, g1 = obj.eval_grad(x1)
-    return IterState(1, x0, x1, g0, g1, f0, f1, y_last=x0.copy())
+    return IterState(1, x0, x1, g0, g1, f0, f1)
 
 
 def default_theta(n):
@@ -213,7 +213,7 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
         x_next = y - s * (state.grad_curr if grad_at_x else obj.grad(y)) + gam * state.grad_curr
     f_next, g_next = obj.eval_grad(x_next)
     return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
-                     state.f_curr, f_next, y_last=y)
+                     state.f_curr, f_next)
 
 
 # The method table of the module docstring, one row per name in the order of
@@ -262,36 +262,26 @@ class Stepper:
     indices by `schedules.coeffs_of` (see `_CHUNK`) rather than taken from
     the maps at every step.
     The step gets them as (B, 1) columns, or for one lane as floats, which
-    serve a (dim,) state as well as a (1, dim) one.
-    The engine tells the stepper which lanes run: `start` at the start of a
-    run, when every lane runs, and `keep` at each departure. Until the next
-    table the stepper reads the columns of the running lanes, and the next
-    table holds columns for them alone. A function that wraps a Stepper is
-    told of neither, which only a one-lane run, such as `run`'s, may do
-    without."""
+    serve a (dim,) state as well as a (1, dim) one; so does `s`, the
+    running lanes' stepsizes.
+    A Stepper serves one run of all its lanes, and the engine tells it of
+    each departure by `keep`: until the next table the stepper reads the
+    columns of the running lanes, and the next table holds columns for
+    them alone. A one-lane Stepper, which no departure leaves running, is
+    never told, so it may serve many runs and be wrapped by a function."""
 
     def __init__(self, maps: Sequence[Callable], s, at_x: bool = False):
         self._at_x = at_x
         self._maps = tuple(maps)
         s = np.asarray(s, dtype=float)
-        self._s_all = s.item() if s.size == 1 else s[:, None]
-        self.start(s)
-
-    def start(self, s) -> None:
-        """Start a run of every lane, whose stepsizes, one per lane, are `s`;
-        raise unless they are the stepper's own."""
-        own, s = np.ravel(self._s_all), np.ravel(s)
-        if own.size != s.size or np.any(own != s):
-            raise ValueError(f"stepsizes {s.tolist()} disagree with the {own.tolist()} "
-                             f"the stepper was made with")
-        self._s = self._s_all   # the running lanes' stepsizes
+        self.s = s.item() if s.size == 1 else s[:, None]
         self._lanes = None      # the running lanes, as indices of the run's; None: all
         self._at = None         # their columns in the table; None: every column
         self._lo, self._rows = 0, []  # row j holds the coefficients at n = lo + j
 
     def keep(self, positions: Array) -> None:
         """Step only the running lanes at `positions` from now on."""
-        self._s = self._s[positions]
+        self.s = self.s[positions]
         self._lanes = positions if self._lanes is None else self._lanes[positions]
         self._at = positions if self._at is None else self._at[positions]
 
@@ -312,21 +302,21 @@ class Stepper:
         coeffs = self._rows[row]
         if self._at is not None:
             coeffs = coeffs.take(self._at, axis=1)
-        return coefficient_step(state, obj, self._s, coeffs, self._at_x)
+        return coefficient_step(state, obj, self.s, coeffs, self._at_x)
 
 
 @dataclass
 class Trajectory:
-    """Recorded run: iterates x_0..x_M with their values and optional
-    inertial points. Gradients and velocities are derived on demand. The
-    arrays of a one-lane run are views of the engine's row buffers: a run
-    that reaches max_iter views a buffer of exactly its length, and any
-    other may view a longer one, whose extra rows are never written."""
+    """Recorded run: iterates x_0..x_M with their values. Gradients and
+    velocities are derived on demand. The arrays of a one-lane run are views
+    of the engine's row buffers: a run that reaches max_iter views a buffer
+    of exactly its length, and any other may view a longer one, whose extra
+    rows are never written."""
 
     obj: Objective
     xs: Array            # (M+1, dim)
     fs: Array            # (M+1,)
-    ys: Optional[Array] = None
+    ys = None   # read by perfbench's tracer alone; ROADMAP item 1 removes the read and it
 
     @cached_property
     def grads(self) -> Array:
@@ -395,44 +385,39 @@ def _all(mask) -> bool:
 
 def _take(state: IterState, keep: Array) -> IterState:
     """The lanes `keep` of a (B, dim) state."""
-    y = state.y_last
     return IterState(state.n, state.x_prev[keep], state.x_curr[keep], state.grad_prev[keep],
-                     state.grad_curr[keep], state.f_prev[keep], state.f_curr[keep],
-                     None if y is None else y[keep])
+                     state.grad_curr[keep], state.f_prev[keep], state.f_curr[keep])
 
 
 def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_iter: int,
-           record: bool, record_y: bool):
-    """The engine behind `run` and `run_methods`. x0 is B
-    lanes of shape (B, dim), or one lane without its lane axis, shape
-    (dim,), which keeps the objective calls and the arithmetic of a single
-    point. The engine alone decides which lanes run: a lane that stops gets
-    its RunResult then and leaves the batch, so the loop steps only the
-    lanes still running, and a `Stepper` is told which at each departure.
-    A recorded run writes row n of every running lane at index n, and each
-    lane's trajectory is its column of the rows up to its last index."""
+           record: bool):
+    """The engine behind `run` and `run_methods`: it steps one lane per
+    stepsize in `s` from the one start point x0, of shape (dim,), tiled to
+    (B, dim) for B > 1 lanes; one lane steps x0 itself, which keeps the
+    objective calls and the arithmetic of a single point. A lane that stops
+    gets its RunResult then and leaves the batch, so the loop steps only the
+    lanes still running, and the stepper is told which by `keep`. A recorded
+    run writes row n of every running lane at index n, and each lane's
+    trajectory is its column of the rows up to its last index."""
     check_max_iter(max_iter)
     f_star = obj.f_min
     if stopping.kind == "known_min_f" and f_star is None:
         raise ValueError("known_min_f stopping needs an objective with known minimum")
-    one = x0.ndim == 1
-    lanes = 1 if one else x0.shape[0]
-    s = np.broadcast_to(np.asarray(s, dtype=float), (lanes,))
-    told = isinstance(stepper, Stepper)
-    if told:
-        stepper.start(s)
-    state = init_state(obj, x0, s.item() if one else s[:, None])
+    s = np.asarray(s, dtype=float)
+    lanes = s.size
+    one = lanes == 1
+    state = init_state(obj, x0 if one else np.tile(x0, (lanes, 1)),
+                       s.item() if one else s[:, None])
     # what a lane whose x1 is not finite keeps: x0, with no value before it
     prev = IterState(0, state.x_prev, state.x_prev, state.grad_prev, state.grad_prev,
-                     np.full(np.shape(state.f_prev), np.nan), state.f_prev, state.x_prev)
+                     np.full(np.shape(state.f_prev), np.nan), state.f_prev)
     idx = np.arange(lanes)  # the run's index of each lane still in the batch
     cols = slice(None)      # their columns in the record: every one until a lane leaves
     results = [None] * lanes
-    # the (rows, lanes) + shape buffer of each recorded field (x_n, f_n and
-    # y_n), sized as the module docstring's Recording says; they grow one
-    # field at a time, so that each old buffer goes before the next one grows
-    dim = x0.shape[-1]
-    shapes = [(dim,), ()] + [(dim,)] * record_y if record else []
+    # the (rows, lanes) + shape buffer of each recorded field (x_n and f_n),
+    # sized as the module docstring's Recording says; they grow one field at
+    # a time, so that each old buffer goes before the next one grows
+    shapes = [(x0.shape[-1],), ()] if record else []
     tolerance = stopping.kind != "max_iter"
     most = max_iter + 1
     bufs = []
@@ -450,7 +435,7 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
             for k, old in enumerate(bufs):
                 bufs[k] = np.empty((min(2 * n, most),) + old.shape[1:])
                 bufs[k][:n] = old
-        for buf, r in zip(bufs, (st.x_curr, st.f_curr, st.y_last)):
+        for buf, r in zip(bufs, (st.x_curr, st.f_curr)):
             buf[n, cols] = r
 
     def leave(mask, reason: str, kept: IterState) -> int:
@@ -465,8 +450,7 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
         if keep.size:
             idx = cols = idx[keep]
             state = _take(state, keep)
-            if told:
-                stepper.keep(keep)
+            stepper.keep(keep)
         return keep.size
 
     if record:
@@ -498,21 +482,24 @@ def _drive(stepper, obj: Objective, x0: Array, s, stopping: StoppingRule, max_it
 
 
 def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0,
-        s: float, stopping: StoppingRule, max_iter: int = 50000,
-        record_y: bool = False):
+        s: float, stopping: StoppingRule, max_iter: int = 50000):
     """Drive a stepper from the common bootstrap until the stopping rule
     fires, max_iter is reached, or an iterate goes non-finite (divergence:
-    the trajectory keeps the last finite state). s must be the stepsize the
-    stepper was made with, and f and its gradient must be finite at x0.
+    the trajectory keeps the last finite state). s must be the stepsize a
+    `Stepper` was made with, and f and its gradient must be finite at x0.
     This is the one-lane path of `run_methods`' engine, on a start point of
-    shape (dim,).
+    shape (dim,); one lane has no departure to tell, so any function
+    (state, obj) -> state may step it.
 
     Returns (Trajectory, RunResult).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1:
         raise ValueError(f"x0 must be one point, got shape {x0.shape}")
-    trajs, results = _drive(stepper, obj, x0, s, stopping, max_iter, True, record_y)
+    if isinstance(stepper, Stepper) and (own := np.ravel(stepper.s).tolist()) != [s]:
+        raise ValueError(f"stepsizes {[float(s)]} disagree with the {own} "
+                         f"the stepper was made with")
+    trajs, results = _drive(stepper, obj, x0, [s], stopping, max_iter, True)
     return trajs[0], results[0]
 
 
@@ -559,10 +546,10 @@ def make_stepper(name: str, s: float, alpha: float = 3.0, schedule: Optional[Sch
 
 
 def check_alpha(name: str, alpha: float, label: str = "alpha") -> None:
-    """Reject alpha <= 1 for every method that takes alpha (all but pim),
-    as the constructions do; `label` names alpha in the message."""
-    if "alpha" in _method(name).takes and not alpha > 1.0:
-        raise ValueError(f"{label} must exceed 1 for {name}, got {alpha}")
+    """`schedules.check_alpha` for every method that takes alpha (all but
+    pim); `label` names alpha in the message."""
+    if "alpha" in _method(name).takes:
+        schedules.check_alpha(alpha, label, name)
 
 
 def check_max_iter(max_iter) -> int:
@@ -595,7 +582,7 @@ def run_methods(obj: Objective, cells, x0, stopping: StoppingRule, max_iter: int
     `coefficient_map` keywords, from the one start point x0 on `obj`, a
     batched objective. The cells whose methods take their gradient step at
     the same point (their rows' `at_x`) run as the lanes of one batch, and
-    a group's lone cell as the one-lane run of its (dim,) point; so each
+    a group's lone cell as the one-lane run of the (dim,) point; so each
     cell has the bits of its own `run` on f1 and f2, and a lone cell on
     every objective. A lane stops when the stopping rule fires for it, at
     max_iter, or when its iterate goes non-finite (divergence: it keeps its
@@ -620,10 +607,8 @@ def run_methods(obj: Objective, cells, x0, stopping: StoppingRule, max_iter: int
     trajs, results = [None] * len(cells), [None] * len(cells)
     for at_x, lanes in groups.items():
         ss = [cells[i][1] for i in lanes]
-        # a lone cell steps its (dim,) point, as `run` does
-        start = x0 if len(lanes) == 1 else np.tile(x0, (len(lanes), 1))
-        got, res = _drive(Stepper([maps[i] for i in lanes], ss, at_x), obj, start, ss,
-                          stopping, max_iter, record, False)
+        got, res = _drive(Stepper([maps[i] for i in lanes], ss, at_x), obj, x0, ss,
+                          stopping, max_iter, record)
         for j, i in enumerate(lanes):
             results[i] = res[j]
             if record:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algorithms import Trajectory
 from .objectives import Objective, _row_dot
-from .schedules import a_coefficients
+from .schedules import a_coefficients, check_alpha
 
 Array = np.ndarray
 
@@ -43,13 +43,6 @@ class EnergySeries:
     n_start: int = 1
 
 
-def check_energy_alpha(alpha: float, label: str = "alpha") -> None:
-    """Reject alpha <= 1: the energy's clock t_n = (n - 1)/(alpha - 1) runs
-    forward only for alpha > 1. `label` names alpha in the message."""
-    if not alpha > 1.0:
-        raise ValueError(f"{label} must exceed 1 for the energy, got {alpha}")
-
-
 def energy(trajectory: Trajectory, n: int, s: float, alpha: float,
            coeffs: Optional[Callable], x_star) -> float:
     """E_n for a single index: `energy_series` over the window [n, n]."""
@@ -62,9 +55,9 @@ def energy_series(trajectory: Trajectory, s: float, alpha: float,
     """Vectorized E_n over n = n_lo..n_hi. lambda_n comes from `coeffs`, the
     map n -> (alpha_n, lambda_n, omega_n, gamma_n) the run stepped by, taken
     over an array of n; None stands for lambda_n = 0. x_star=None selects
-    the terminal-iterate surrogate. alpha must exceed 1
-    (`check_energy_alpha`)."""
-    check_energy_alpha(alpha)
+    the terminal-iterate surrogate. alpha must exceed 1, or the clock
+    t_n = (n - 1)/(alpha - 1) would not run forward."""
+    check_alpha(alpha, use="the energy")
     if n_hi is None:
         n_hi = trajectory.n_final
     if not (1 <= n_lo <= n_hi <= trajectory.n_final):

@@ -39,18 +39,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
+def _dumps(v, **kw) -> str:
+    """Sorted-key JSON of v, whose numpy scalars and arrays go as their values."""
+    return json.dumps(v, sort_keys=True, default=lambda x: x.tolist(), **kw)
 
 
 def _parse_vec(option: str, value, dim: int) -> np.ndarray:
@@ -116,8 +107,7 @@ def _emit_report(out_dir: Path, payload: dict) -> None:
     is also echoed to stdout."""
     txt = "".join(f"{k}: {_fmt(v)}\n" for k, v in payload.items())
     (out_dir / "report.txt").write_text(txt)
-    (out_dir / "report.json").write_text(
-        json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    (out_dir / "report.json").write_text(_dumps(payload, indent=2) + "\n")
     sys.stdout.write(txt)
 
 
@@ -167,7 +157,7 @@ def cmd_run(args) -> int:
     if not isinstance(record_energy, bool):
         raise ValueError(f"--record-energy must be true or false, got {record_energy!r}")
     if record_energy:
-        analysis.check_energy_alpha(alpha, "--alpha")
+        schedules.check_alpha(alpha, "--alpha", "the energy")
 
     algorithms.check_stepsize(s, obj)
     sched_label = _cfg(args, config, "schedule", None)
@@ -217,7 +207,7 @@ def cmd_run(args) -> int:
     payload = {
         "command": "run", "objective": obj.name, "algorithm": algorithm,
         "schedule": sched_label if sched_label is not None else "",
-        "schedule_params": json.dumps(_jsonable(sched_params), sort_keys=True),
+        "schedule_params": _dumps(sched_params),
         "s": s, "alpha": alpha, "x0": x0, "stop": stop_kind, "epsilon": epsilon,
         "max_iter": max_iter,
         "termination": res.termination, "n_final": res.n_final,

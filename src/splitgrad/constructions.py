@@ -32,17 +32,12 @@ from typing import Callable
 import numpy as np
 
 from .objectives import Objective
-from .schedules import Schedule, check_beta, check_gamma, check_step
+from .schedules import Schedule, check_alpha, check_beta, check_gamma, check_step
 from .splitting import (Field, HamiltonianSystem, Phase, euler_advance,
                         lie_trotter_compose, rk4_step, symplectic_euler,
                         stormer_verlet)
 
 Array = np.ndarray
-
-
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 1.0:
-        raise ValueError(f"inertia exponent must exceed 1, got {alpha}")
 
 
 def _iterate(obj: Objective, x0, h: float, n_steps: int,
@@ -92,7 +87,7 @@ def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: in
     x-iterates coincide with the accelerated-gradient stepper at stepsize
     s = h^2.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha, "inertia exponent")
 
     def drift(t, x, vv):
         return ((alpha - 1.0) / t) * (vv - x), np.zeros_like(vv)
@@ -123,7 +118,7 @@ def nesterov_velocity_form(obj: Objective, x0, alpha: float, h: float,
     accelerated-gradient stepper's at s = h^2, reached by a route that
     shares no step with it or with nesterov_lie_trotter.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha, "inertia exponent")
 
     def step(n, x, v):
         t_n = n * h
@@ -143,7 +138,7 @@ def igahd_construction(obj: Objective, x0, alpha: float, beta: float,
     fixed coefficients (lambda_n, omega_n, gamma_n) = (beta h, beta h / n, 0),
     which match the stepper variant whose vanishing correction uses
     grad f(x_n). beta must be finite and nonnegative."""
-    _check_alpha(alpha)
+    check_alpha(alpha, "inertia exponent")
     check_beta(beta)
     return _hessian_damped(obj, x0, h, n_steps,
                            lambda n: ((n - alpha) / n, beta * h, beta * h / n, 0.0))
@@ -155,7 +150,7 @@ def lt_s_igahd_construction(obj: Objective, x0, alpha: float,
     Euler leg carries the per-step coefficients (lambda_n, omega_n, gamma_n)
     sampled from the schedule at t_n, and the potential leg is the same
     kick-then-drift map. Output equals the four-coefficient stepper."""
-    _check_alpha(alpha)
+    check_alpha(alpha, "inertia exponent")
     check_step(h)
     schedule.check_matches(h * h, alpha)
     return _hessian_damped(obj, x0, h, n_steps, schedule.coeffs_at)
@@ -169,7 +164,7 @@ def ardm_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) 
     the clock t = n h the method tracks x'' + (alpha/t) x' + 3 grad f(x) = 0:
     with a_n -> 1 each step takes three gradient steps of size h^2 (observed
     order 1.00 on f2, alpha = 3, t in [1, 8], h from 0.1 to 0.0125)."""
-    _check_alpha(alpha)
+    check_alpha(alpha, "inertia exponent")
 
     def coeffs(n):
         a_n = (n - alpha) / n
@@ -243,7 +238,7 @@ def _rescaled_se1(obj: Objective, x0, alpha: float, h: float, n_steps: int,
     """The body of the three constructions above: the symplectic leg
     leg(..., variant) at step n runs on the potential theta_n * f, and
     the start velocity is v_1 = (x_1 - x_0)/h - c h grad f(x_1)."""
-    _check_alpha(alpha)
+    check_alpha(alpha, "inertia exponent")
 
     def step(n, x, v):
         g = obj.grad(x)
@@ -314,7 +309,7 @@ def integrate_first_order_vd(obj: Objective, x0, v0, alpha: float, beta: float,
 
     with the classical 4-stage one-step method at fixed dt (dt is rounded
     so the grid hits t1 exactly). beta must be finite and nonnegative."""
-    _check_alpha(alpha)
+    check_alpha(alpha, "inertia exponent")
     check_beta(beta)
 
     def field(t, xx, vv):
@@ -334,7 +329,7 @@ def integrate_second_order_hessian_vd(obj: Objective, x0, xdot0, alpha: float,
     as a first-order system in (x, x'). Needs an objective with an exact
     Hessian-vector product. The returned vs field holds x'. beta must be
     finite and nonnegative."""
-    _check_alpha(alpha)
+    check_alpha(alpha, "inertia exponent")
     check_beta(beta)
 
     def field(t, xx, ww):

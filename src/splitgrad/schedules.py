@@ -114,6 +114,14 @@ def check_step(s) -> None:
         raise ValueError(f"stepsize must be positive, got {s}")
 
 
+def check_alpha(alpha, label: str = "alpha", use: str = "") -> None:
+    """ValueError unless alpha > 1, the rule of the constructions, of every
+    method that takes alpha and of the energy; `label` names alpha in the
+    message, and `use`, when given, what needs the rule."""
+    if not alpha > 1.0:
+        raise ValueError(f"{label} must exceed 1{use and ' for ' + use}, got {alpha}")
+
+
 def check_beta(beta) -> None:
     """ValueError unless beta is finite and nonnegative: a negative one anti-damps."""
     if not 0.0 <= beta < np.inf:
@@ -135,15 +143,18 @@ def _check_e25_beta(beta, s) -> None:
 
 def _check_family(label: str, s, alpha, params: dict) -> None:
     """ValueError unless (s, alpha, params) is a schedule of the family
-    `label`. A NaN fails every test (x != x holds for NaN alone); the
-    comparisons come first, so a parameter that is not a number raises the
-    TypeError of its comparison."""
+    `label`. A NaN fails every test (x != x holds for NaN alone), and a, b
+    and mu must be finite; the comparisons come first, so a parameter that
+    is not a number raises the TypeError of its comparison."""
     check_step(s)
     if alpha < 3.0 or alpha != alpha:
         raise ValueError(f"damping parameter must satisfy alpha >= 3, got {alpha}")
     b, mu = params["b"], params["mu"]
     if mu < 0.0 or mu != mu:
         raise ValueError(f"mu must be nonnegative, got {mu}")
+    for key in ("a", "b", "mu"):
+        if params.get(key) == np.inf:
+            raise ValueError(f"{key} must be finite, got {params[key]}")
     if label == "e25":
         _check_e25_beta(params["beta"], s)
         if b <= 0.0 or b != b:

@@ -47,7 +47,6 @@ def test_bootstrap():
     assert np.array_equal(st.x_prev, [1.0, 0.0])
     assert np.array_equal(st.x_curr, [0.98, -0.02])
     assert np.array_equal(st.grad_prev, [2.0, 2.0])
-    assert np.array_equal(st.y_last, [1.0, 0.0])
 
 
 def test_agm2_iterates():
@@ -231,15 +230,19 @@ def test_run_rejects_nonfinite_start():
 
 def test_trajectory_helpers():
     traj, _ = run(make_stepper("agm2", S), f2(), [1.0, -2.0], S,
-                  StoppingRule("max_iter"), max_iter=10, record_y=True)
+                  StoppingRule("max_iter"), max_iter=10)
     v = traj.velocities(S)
     assert np.array_equal(v[0], [0.0, 0.0])
     assert np.allclose(v[1], (traj.xs[1] - traj.xs[0]) / 0.1)
     assert np.allclose(traj.grad_norms(), np.linalg.norm(traj.grads, axis=1))
     assert np.all(traj.fgaps() >= 0.0)
     assert np.array_equal(traj.fgaps(0.0), traj.fs)
-    assert traj.ys.shape == traj.xs.shape
-    assert np.array_equal(traj.ys[0], [1.0, -2.0])
+
+
+def test_run_refuses_a_stepsize_its_stepper_was_not_made_with():
+    with pytest.raises(ValueError, match=r"^stepsizes \[0\.2\] disagree with the \[0\.1\] "
+                                         r"the stepper was made with$"):
+        run(make_stepper("agm2", 0.1), f2(), [1.0, -2.0], 0.2, StoppingRule("max_iter"))
 
 
 def test_fgaps_needs_reference():
@@ -389,7 +392,7 @@ def test_kernel_of_steps_at_x_for_pim_and_polyak_igahd_alone(name):
     for spelled in (name, name.upper()):
         got = make_stepper(spelled, S, **kw)(state, obj)
         assert got.n == want.n == 2 and got.f_curr == want.f_curr
-        for field in ("x_prev", "x_curr", "grad_prev", "grad_curr", "y_last"):
+        for field in ("x_prev", "x_curr", "grad_prev", "grad_curr"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
     other = coefficient_step(state, obj, S, coeffs, grad_at_x=not at_x)
     assert other.x_curr.tobytes() != want.x_curr.tobytes()
@@ -412,28 +415,29 @@ def test_an_unknown_method_has_no_row():
             call()
 
 
-# SHA-256 of xs, fs, grads and ys over 1000 steps at s = 0.01 and s = 0.1,
-# recorded from the hand-written steppers the coefficient table replaced;
-# nag steps agm2's bits (test_nag_steps_agm2_bitwise)
+# SHA-256 of xs, fs and grads over 1000 steps at s = 0.01 and s = 0.1,
+# recorded from the engine that still recorded ys, whose xs were those of
+# the hand-written steppers the coefficient table replaced; nag steps
+# agm2's bits (test_nag_steps_agm2_bitwise)
 GOLDEN = {
-    ("f1", "agm2"): "b30e2fdb7ed00a54eb61b76d88743e59d80b58c9c4c2585f8e120bd303c96402",
-    ("f1", "lt_s_igahd"): "644f04dcfcf33279e72da42ec36632093332d1da432307e8fc060c60d1cec7df",
-    ("f1", "lt_se1"): "cbeefe0df312bedfaabf5718ed3cfbb1df97a677daf224bc7b666ef69623fbdc",
-    ("f1", "lt_sv2"): "dd6f652b4647ece3e3fa15cd7320fcbc5e99801a2a3a24a29e7bf436d26b31f2",
-    ("f1", "ardm"): "8c507e8792b6d3dd18f222f4f288838275151b60996d817fa1f81ef5b17c7ed9",
-    ("f1", "lt_se3"): "b9f44292020201d2de8e217abfa610841643c469994cfca431b7a643a64f3bef",
-    ("f1", "pim"): "fefce7bf59fa6be2f910f995776c37adcf82b6ffc4bffb904ca7507a0e1d6b7e",
-    ("f1", "polyak_igahd"): "426954632a30f684ae7717e0ff6a7e3c6516812e2d52d9a1453b58e0a32dbe5d",
-    ("f1", "igahd"): "561d7541444f01d21079a37fde04b95229be75181d89ec1fcca45cf3b6aafc65",
-    ("f2", "agm2"): "2b7a89f98638adf201636a46d1f5c8e058312970ada9a9c0286a1445c47cdb63",
-    ("f2", "lt_s_igahd"): "8196ef228605899f1aae3a6012aebd4e9f276e7634a2e7479f5557fee16c80c9",
-    ("f2", "lt_se1"): "2f222b58b747e54133ff13dcde2a7121ed5f6d6ed5cde35c9f9f527da4ca464f",
-    ("f2", "lt_sv2"): "f60498b866996a8f5c883beb2545d3714cdfb4a5ee1643480b0ab6bc93d3d1ac",
-    ("f2", "ardm"): "0c513b84b342c2cb3c1d4a201532b59aba9ecc12a32f5cd730ed27ff6ac884e3",
-    ("f2", "lt_se3"): "7e72e5d0dc44602951ee445a19ea1f230fca3dfa0b2f9542e60d33f74fbdf88a",
-    ("f2", "pim"): "f1daef60f3e296d129c2d4473a9d40e8d0a12373b68e2fd81c11df34fce226c8",
-    ("f2", "polyak_igahd"): "d8151fcb61f5c09770df6d2ad75caaf065cb716aca7a25ec11cbf969e45e59bf",
-    ("f2", "igahd"): "a71edfbd8f0116161ba224cfde9436563bfb78d6b2f96d94ca1e6890090c64b4",
+    ("f1", "agm2"): "bd819a170eb232b7a6ee365c7cc8d1939668ac4b45fd6d402abeec774f75b5a1",
+    ("f1", "lt_s_igahd"): "7317caa4674cf3b3c382857f752dd5f9754161a493f903f426220a0b6279ecec",
+    ("f1", "lt_se1"): "8e9d7ce26c58f3a2c8b86c3c5b7835783ce9ae86467388325286e9b2a51a4dfc",
+    ("f1", "lt_sv2"): "d8a46d1485e99649d7d8d435134a9eeb06c347fe7102211201d87f1b8ab279d5",
+    ("f1", "ardm"): "27fa913ffb44fe82f60d199cd49f20129ff7ec785ae8f07fded47ceb9db1f167",
+    ("f1", "lt_se3"): "9b5d4a4656fb6a7864052ed9c5be963d7e29792aa6bbd98cf9eef1f72369b74f",
+    ("f1", "pim"): "60bc0063c782cbda3196e1fbf0759c6b4aab5eea4d1f2a3d7e5f0a5626f7afef",
+    ("f1", "polyak_igahd"): "aa80e24179c6c2166aa30bc8eb7b0615cea77a18895ad044228afbe16d9f49a2",
+    ("f1", "igahd"): "32a885b7a1b1e4287fb3311a27550697df7b4479989d5a746a42368e51203f2c",
+    ("f2", "agm2"): "e1ce5e8324ce9756b6d932826cc68efa56fbb63bb5fd172e14f52084abafb608",
+    ("f2", "lt_s_igahd"): "a991978e075f7dbcc61aceb17458acad6475d515f530fce0bbef609f708edc85",
+    ("f2", "lt_se1"): "f4b25943cc0756b76355a2ce2392971325c683eba4da63d14418523c7edeccb7",
+    ("f2", "lt_sv2"): "6bd7294307990fa5d711e956c468b47ad940d07b4db12536198800ab4cbcf4a4",
+    ("f2", "ardm"): "b124733bf25f6b9dfd55c8cb8f5b76fb82c50e9e5595209d184debd06df54dbc",
+    ("f2", "lt_se3"): "650fafa1899954edbd419266c50228ae6b7db124723e72433d4066060e087e24",
+    ("f2", "pim"): "b4f32d377706ed3a5e7738e4bd105d53dd71cd4ee57e9eb1277339f6cf40eee5",
+    ("f2", "polyak_igahd"): "6f6db5c9922ac6d7911bafcd5edd7b6ca88952c24faf65493723ffbcf18abbd7",
+    ("f2", "igahd"): "321780b407206ab3e8adb07d1f0de4f2850aee15de4e4a1b643b5fecea11f3f0",
 }
 
 
@@ -444,8 +448,8 @@ def test_golden_iterates(objective, name):
     for s in (0.01, 0.1):
         sch = make_schedule("e25", s=s, beta=0.2 * float(np.sqrt(s)), b=2.0, mu=0.1)
         traj, _ = run(make_stepper(name, s, schedule=sch), obj, [1.0, -2.0], s,
-                      StoppingRule("max_iter"), max_iter=1000, record_y=True)
-        for arr in (traj.xs, traj.fs, traj.grads, traj.ys):
+                      StoppingRule("max_iter"), max_iter=1000)
+        for arr in (traj.xs, traj.fs, traj.grads):
             digest.update(arr.tobytes())
     assert digest.hexdigest() == GOLDEN[(objective, name)]
 
@@ -627,8 +631,8 @@ def _agm2_and_nag_runs(objective):
         arrays = []
         for s in (0.01, 0.1):
             traj, _ = run(make_stepper(name, s), obj, [1.0, -2.0], s,
-                          StoppingRule("max_iter"), max_iter=1000, record_y=True)
-            arrays += [traj.xs, traj.fs, traj.grads, traj.ys]
+                          StoppingRule("max_iter"), max_iter=1000)
+            arrays += [traj.xs, traj.fs, traj.grads]
         out.append(arrays)
     return out
 

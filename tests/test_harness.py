@@ -430,6 +430,17 @@ def test_sweep_nan_parameter_is_an_error_row(tmp_path):
     assert _report(out)["errors"] == 1
 
 
+def test_sweep_infinite_parameter_is_an_error_row(tmp_path):
+    # JSON's 1e400 reads as inf, which no family takes for a, b or mu
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--schedule", "e25", "--grid", '{"beta": [0.1], "b": [1e400]}',
+                     "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "sweep.csv")
+    assert [(r[header.index("status")], r[header.index("message")]) for r in rows] == [
+        ("error", "ValueError: b must be finite, got inf")]
+    assert _report(out)["errors"] == 1
+
+
 @pytest.mark.parametrize("extra,needle", [
     (["--objective", "bogus"], "unknown objective 'bogus'"),
     (["--x0", "1,2,3"], "dimension 2"),

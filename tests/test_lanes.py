@@ -14,7 +14,6 @@ from splitgrad.algorithms import (
     _CHUNK,
     _FIRST_CHUNK,
     ALGORITHM_NAMES,
-    Stepper,
     StoppingRule,
     coefficient_map,
     make_stepper,
@@ -336,25 +335,6 @@ def test_last_running_lane_diverging_is_its_run(objective, s_off):
                                      [1.0, -2.0], _TIGHT)
     assert [r.termination for r in results] == ["tolerance_met", "diverged", "tolerance_met"]
     assert results[1].n_final > max(results[0].n_final, results[2].n_final)
-
-
-@pytest.mark.parametrize("objective", [f1, f2])
-def test_a_stepper_run_again_after_departures_repeats_its_run(objective):
-    # lanes leave the first run one by one, so it ends on a table built for
-    # its last lanes alone; the second run starts with every lane again
-    obj = objective()
-    ss = _scan_stepsizes(obj.name, 30)
-    stepper = Stepper([coefficient_map("lt_s_igahd", s, schedule=make_schedule(
-        "e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1)) for s in ss], ss)
-    x0s = np.tile([1.0, -2.0], (len(ss), 1))
-    (trajs, results), (again, results_again) = [
-        algorithms._drive(stepper, obj, x0s, ss, _TIGHT, 50000, True, False) for _ in range(2)]
-    stops = [r.n_final for r in results]
-    assert len(set(stops)) > len(ss) // 2 and max(stops) > _CHUNK
-    assert results_again == results
-    for traj, traj_again in zip(trajs, again):
-        assert traj_again.xs.shape == traj.xs.shape
-        assert traj_again.xs.tobytes() == traj.xs.tobytes()
 
 
 def _box_bowl():

@@ -1,5 +1,5 @@
 """The recorder of `algorithms._drive`: a recorded run writes its rows into
-one buffer per recorded field (xs, fs and ys), of its exact length when
+one buffer per recorded field (xs and fs), of its exact length when
 max_iter is its only stop and growing under a tolerance stop. Row n holds
 index n of every lane still running, and each lane's trajectory is its
 column: what a run hands back, with the gradients derived from xs, is
@@ -28,17 +28,17 @@ from splitgrad.algorithms import (
 from splitgrad.objectives import f1, f2, quadratic
 from splitgrad.schedules import make_schedule
 
-FIELDS = ("xs", "fs", "grads", "ys")
-RECORDED = ("xs", "fs", "ys")   # the fields with row buffers; grads are derived
+FIELDS = ("xs", "fs", "grads")
+RECORDED = ("xs", "fs")   # the fields with row buffers; grads are derived
 
 
 def _loop(stepper, obj, x0, s, max_iter):
-    """x_n, f_n, grad_n and y_n for n = 0..max(max_iter, 1), stepped by
-    hand from the bootstrap; y_0 is x0, as the engine records it."""
+    """x_n, f_n and grad_n for n = 0..max(max_iter, 1), stepped by hand
+    from the bootstrap."""
     state = init_state(obj, x0, s)
-    rows = [(state.x_prev, state.f_prev, state.grad_prev, state.x_prev)]
+    rows = [(state.x_prev, state.f_prev, state.grad_prev)]
     while True:
-        rows.append((state.x_curr, state.f_curr, state.grad_curr, state.y_last))
+        rows.append((state.x_curr, state.f_curr, state.grad_curr))
         if state.n >= max_iter:
             break
         state = stepper(state, obj)
@@ -61,7 +61,7 @@ def test_one_lane_run_is_the_hand_loop_at_every_length():
     assert 300 > 2 * _CHUNK
     for max_iter in range(1, 301):
         traj, res = run(make_stepper("lt_s_igahd", s, schedule=sched), f2(), [1.0, -2.0], s,
-                        StoppingRule("max_iter"), max_iter=max_iter, record_y=True)
+                        StoppingRule("max_iter"), max_iter=max_iter)
         rows = max_iter + 1
         assert res.n_final == rows - 1
         for field in FIELDS:
@@ -78,7 +78,7 @@ def test_tolerance_stopped_run_is_the_hand_loop_across_the_doublings():
     s = 0.01
     sched = make_schedule("e25", s=s, beta=0.5 * np.sqrt(s), b=2.0, mu=0.1)
     stepper = make_stepper("lt_s_igahd", s, schedule=sched)
-    got = [run(stepper, f2(), [1.0, -2.0], s, StoppingRule("known_min_f", eps), record_y=True)
+    got = [run(stepper, f2(), [1.0, -2.0], s, StoppingRule("known_min_f", eps))
            for eps in np.geomspace(1e-1, 1e-12, 24)]
     stops = [res.n_final for _, res in got]
     assert all(res.termination == "tolerance_met" for _, res in got)
@@ -99,7 +99,7 @@ def test_diverging_max_iter_run_took_its_rows_at_the_start():
     # the 10^5 + 1 row buffer the run took before its first step
     with np.errstate(over="ignore", invalid="ignore"):
         traj, res = run(make_stepper("pim", 16.0), f1(), [1.0, -2.0], 16.0,
-                        StoppingRule("max_iter"), max_iter=10**5, record_y=True)
+                        StoppingRule("max_iter"), max_iter=10**5)
     assert res.termination == "diverged" and res.n_final < _CHUNK
     assert traj.xs.shape == (res.n_final + 1, 2)
     for field in RECORDED:
@@ -148,26 +148,31 @@ def test_lanes_leaving_at_staggered_indices_are_their_runs(objective):
 
 
 def test_lane_diverging_right_after_another_stops_keeps_its_rows():
-    # lane 0 stands still and meets the tolerance at n = 2; lane 1, told
-    # apart by its larger start point, is scaled by 1e100 per step, finite
-    # at n = 2 and overflowing at n = 3, so it leaves with no row recorded
+    # both lanes start at (1, 2); lane 0 stands still and meets the
+    # tolerance at n = 2, and lane 1 is scaled by 1e100 per step, finite at
+    # n = 2 and overflowing at n = 3, so it leaves with no row recorded
     # since lane 0 left
     obj = quadratic(np.eye(2))
 
-    def stepper(state, obj):
-        scale = np.where(np.abs(state.x_curr[:, :1]) > 5.0, 1e100, 1.0)
-        x = state.x_curr * scale
-        f, g = obj.eval_grad(x)
-        return IterState(state.n + 1, state.x_curr, x, state.grad_curr, g, state.f_curr, f)
+    class Scaled:
+        scale = np.array([[1.0], [1e100]])   # one row per running lane
+
+        def keep(self, positions):
+            self.scale = self.scale[positions]
+
+        def __call__(self, state, obj):
+            x = state.x_curr * self.scale
+            f, g = obj.eval_grad(x)
+            return IterState(state.n + 1, state.x_curr, x, state.grad_curr, g, state.f_curr, f)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        trajs, results = _drive(stepper, obj, np.array([[1.0, 2.0], [10.0, 20.0]]), 0.1,
-                                StoppingRule("consecutive_f", 1e-10), 10, True, False)
+        trajs, results = _drive(Scaled(), obj, np.array([1.0, 2.0]), [0.1, 0.1],
+                                StoppingRule("consecutive_f", 1e-10), 10, True)
     assert [(r.termination, r.n_final) for r in results] == [("tolerance_met", 2),
                                                              ("diverged", 2)]
-    x1, y1 = np.array([0.9, 1.8]), np.array([9.0, 18.0])   # x0 - 0.1 x0
+    x1 = np.array([0.9, 1.8])   # x0 - 0.1 x0
     assert np.array_equal(trajs[0].xs, [[1.0, 2.0], x1, x1])
-    assert np.array_equal(trajs[1].xs, [[10.0, 20.0], y1, 1e100 * y1])
+    assert np.array_equal(trajs[1].xs, [[1.0, 2.0], x1, 1e100 * x1])
 
 
 _RSS_PROBE = """

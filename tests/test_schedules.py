@@ -436,6 +436,15 @@ def test_make_schedule_rejects_nan_parameters(label, key, message):
         make_schedule(label, **{**args, key: float("nan")})
 
 
+@pytest.mark.parametrize("label,key", [("e24", "a"), ("e24", "b"), ("e24", "mu"), ("e25", "b"),
+                                       ("e25", "mu"), ("e26", "a"), ("e26", "b"), ("e26", "mu")])
+def test_make_schedule_rejects_an_infinite_parameter(label, key):
+    # an infinite shift or mu would build, and check_assumptions read n_threshold: nan
+    args = {"s": 0.04, "beta": 0.1} if label == "e25" else {"s": 0.04}
+    with pytest.raises(ValueError, match=rf"^{key} must be finite, got inf$"):
+        make_schedule(label, **{**args, key: float("inf")})
+
+
 def test_check_matches_rejects_a_nan_stepsize():
     sch = make_schedule("e25", s=0.04, beta=0.1)
     with pytest.raises(ValueError, match="stepsize nan disagrees"):
