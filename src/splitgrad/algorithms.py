@@ -562,7 +562,7 @@ def check_max_iter(max_iter) -> int:
 
 def check_stepsize(s: float, obj: Objective) -> None:
     """Reject a stepsize outside the open interval (0, 1/L)."""
-    lip = obj.lipschitz_constant()
+    lip = obj.lipschitz
     hi = np.inf if lip == 0.0 else 1.0 / lip
     if not 0.0 < s < hi:
         raise ValueError(f"stepsize s must lie strictly inside (0, {hi:g}) "

@@ -187,7 +187,7 @@ def check_descent_lemma(obj: Objective, x, y, variant: str, s=None, gamma=0.0, z
     y = np.asarray(y, dtype=float)
     if y.shape != x.shape:
         raise ValueError(f"x has shape {x.shape} but y has shape {y.shape}")
-    lip = obj.lipschitz_constant()
+    lip = obj.lipschitz
     if variant == "dl":
         gx = obj.grad(x)
         rhs = obj.eval(x) + _row_dot(gx, y - x) + 0.5 * lip * _row_dot(y - x, y - x)

@@ -216,7 +216,7 @@ def cmd_run(args) -> int:
         "x_final": traj.xs[-1],
     }
     if sched is not None:
-        rep = schedules.check_assumptions(sched, obj.lipschitz_constant(),
+        rep = schedules.check_assumptions(sched, obj.lipschitz,
                                           n_max=schedules.scan_end(res.n_final, alpha))
         payload.update({"n1": rep.n1, "n2": rep.n2, "n_prime": rep.n_prime,
                         "n_threshold": rep.n_threshold,
@@ -254,7 +254,7 @@ def _match2(value: float, ref: float) -> bool:
 def _scan_cells(case: TableCase, n_grid: int = 60):
     """The cells of a row's stepsize scan: n_grid stepsizes evenly inside
     (0, 1/L) under the row's schedule."""
-    hi = 1.0 / make_objective(case.objective).lipschitz_constant()
+    hi = 1.0 / make_objective(case.objective).lipschitz
     params = case.schedule_params()
     return [(case.schedule, params, hi * k / (n_grid + 1)) for k in range(1, n_grid + 1)]
 
@@ -269,7 +269,7 @@ def _infer_s(cases, alpha: float, max_iter: int):
         runs = [(sched, res) for sched, res in runs if res.termination != "diverged"]
         if not runs:
             return np.nan, np.nan
-        vals = _n2_at_stops(runs, obj.lipschitz_constant(), alpha)
+        vals = _n2_at_stops(runs, obj.lipschitz, alpha)
         gaps = np.abs(vals - case.ref_n2)
         k = int(np.argmin(np.where(np.isnan(gaps), np.inf, gaps)))
         return (runs[k][0].s, float(vals[k])) if gaps[k] < np.inf else (np.nan, np.nan)
@@ -326,14 +326,12 @@ def cmd_table(args) -> int:
     runs = verify.run_cases(cases, s, alpha, max_iter)
     scans = _infer_s(cases, alpha, max_iter) if args.infer_s else [()] * len(cases)
     n2_stops = _n2_at_stops([run for _, run in runs],
-                            np.array([obj.lipschitz_constant() for obj, _ in runs]), alpha)
+                            np.array([obj.lipschitz for obj, _ in runs]), alpha)
     for case, (obj, (sched, res)), scan, n2_stop in zip(cases, runs, scans, n2_stops.tolist()):
-        lip = obj.lipschitz_constant()
+        lip = obj.lipschitz
         rep = schedules.check_assumptions(sched, lip,
                                           n_max=schedules.scan_end(res.n_final, alpha))
-        npr_alt = schedules.n_prime_reference_variant(case.schedule,
-                                                      case.schedule_params(), s,
-                                                      alpha, lip)
+        npr_alt = schedules.n_prime_reference_variant(sched, lip)
         n_rec = max(v for v in (rep.n1, n2_stop, npr_alt) if not np.isnan(v))
         below = res.error_final < 1e-15
         m_err = (f"{res.error_final:.1e}" == f"{case.ref_error:.1e}"
@@ -400,7 +398,7 @@ def cmd_sweep(args) -> int:
             tail = ["error", "", -1] + [np.nan] * 5 + [f"{type(sched).__name__}: {sched}"]
         else:
             res = next(results)
-            rep = schedules.check_assumptions(sched, obj.lipschitz_constant(),
+            rep = schedules.check_assumptions(sched, obj.lipschitz,
                                               n_max=schedules.scan_end(res.n_final, alpha))
             tail = ["ok", res.termination, res.n_final, res.error_final, rep.n1, rep.n2,
                     rep.n_prime, rep.n_threshold, ""]

@@ -105,9 +105,6 @@ class Objective:
             dtype=float,
         )
 
-    def lipschitz_constant(self) -> float:
-        return self.lipschitz
-
 
 def _square(u):
     """u ** 2 as a lone float takes it, through the C library's pow. On an

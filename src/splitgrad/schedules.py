@@ -95,16 +95,6 @@ _FAMILIES = {
 FAMILY_LABELS = tuple(_FAMILIES)
 
 
-def _family_params(label: str, params: dict) -> dict:
-    """`params` over the defaults of the family `label`; ValueError naming
-    a parameter the family needs that `params` lacks."""
-    defaults = _FAMILIES[label][1]
-    for key, default in defaults.items():
-        if default is None and key not in params:
-            raise ValueError(f"schedule {label!r} needs the parameter {key!r}")
-    return {**defaults, **params}
-
-
 # The parameter rules of the direct steppers (`algorithms`), the constructions
 # and the splittings, each raised here alone. A NaN fails each of them.
 
@@ -134,13 +124,6 @@ def check_gamma(gamma) -> None:
         raise ValueError(f"friction gamma must be nonnegative and finite, got {gamma}")
 
 
-def _check_e25_beta(beta, s) -> None:
-    """ValueError unless 0 < beta < 2*sqrt(s), the e25 family's range."""
-    root_s = float(np.sqrt(s))
-    if not 0.0 < beta < 2.0 * root_s:
-        raise ValueError(f"beta must lie in (0, 2*sqrt(s)) = (0, {2.0 * root_s}), got {beta}")
-
-
 def _check_family(label: str, s, alpha, params: dict) -> None:
     """ValueError unless (s, alpha, params) is a schedule of the family
     `label`. A NaN fails every test (x != x holds for NaN alone), and a, b
@@ -156,7 +139,9 @@ def _check_family(label: str, s, alpha, params: dict) -> None:
         if params.get(key) == np.inf:
             raise ValueError(f"{key} must be finite, got {params[key]}")
     if label == "e25":
-        _check_e25_beta(params["beta"], s)
+        beta, root_s = params["beta"], float(np.sqrt(s))
+        if not 0.0 < beta < 2.0 * root_s:
+            raise ValueError(f"beta must lie in (0, 2*sqrt(s)) = (0, {2.0 * root_s}), got {beta}")
         if b <= 0.0 or b != b:
             raise ValueError(f"b must be positive, got {b}")
         return
@@ -277,14 +262,12 @@ def _root_of_sum(c: float, m: float):
         return abs(m) * np.sqrt(1.0 + c / m / m)
 
 
-def _as_floats(label: str, params: dict, s, *numbers) -> tuple:
-    """The family's parameters over its defaults, s and `numbers`, as Python
+def _as_floats(schedule: Schedule, lipschitz) -> tuple:
+    """The family schedule's parameters, s, alpha and `lipschitz` as Python
     floats, whose `**` raises the OverflowError that `_inf_on_overflow`
-    catches where a numpy float's warns; e25's beta is checked as given."""
-    full = _family_params(label, params)
-    if label == "e25":
-        _check_e25_beta(full["beta"], s)
-    return ({k: float(full[k]) for k in _FAMILIES[label][1]}, float(s), *map(float, numbers))
+    catches where a numpy float's warns."""
+    return ({k: float(v) for k, v in schedule.params.items()}, float(schedule.s),
+            float(schedule.alpha), float(lipschitz))
 
 
 def _n_prime_e24(params: dict, s: float, alpha: float, lipschitz: float,
@@ -300,27 +283,30 @@ def _n_prime_e24(params: dict, s: float, alpha: float, lipschitz: float,
 
 
 @_inf_on_overflow
-def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) -> float:
+def n_prime(schedule: Schedule, lipschitz: float) -> float:
     """Closed-form threshold N' beyond which the strict coupling inequality
     (assumption (i) of the energy-decrease conditions) is guaranteed for
-    the labeled family.
+    the family schedule `schedule` on an objective of gradient-Lipschitz
+    constant `lipschitz`; ValueError naming the label of a schedule of no
+    family ("custom").
 
     e24: (alpha-1)(s^2 L^2 + 1) + 2 mu L sqrt(alpha-1) + (mu/s)^2 - a,
          maxed with (1 - 2b + sqrt(4(a-b)+1))/2 when b - a <= 1/4.
-    e25: (-P + sqrt(P^2 + 4 d r)) / (2 d), with d = 2 sqrt(s) - beta,
-         r = beta b + mu/sqrt(s) and P = 2 b sqrt(s) - beta (b + 1) - mu/sqrt(s).
-         Where P > 0 and P^2 > 2^20 4 d r this has lost more than 20 bits
-         to cancellation, and is taken as 2 (r/P) / (1 + sqrt(1 + 4 d r/P^2)).
+    e25: the positive root (-P + sqrt(P^2 + 4 d r)) / (2 d) of
+         d x^2 + P x - r, with d = 2 sqrt(s) - beta, r = beta b + mu/sqrt(s)
+         and P = 2 b sqrt(s) - beta (b + 1) - mu/sqrt(s). Where P > 0 and
+         q = 4 d r/P^2 < 2^-20 this has lost more than 20 bits to
+         cancellation, and the root is taken as 2 (r/P) / (1 + sqrt(1 + q)).
     e26: sqrt(3 + (mu/s)^2) - min(a, b)  (the L-free variant; see
          n_prime_reference_variant for the alternative).
 
     The parameters are taken as Python floats. A closed form that overflows
     the float range gives +inf.
     """
-    label = label.lower()
+    label = schedule.label
     if label not in _FAMILIES:
         raise ValueError(f"no closed-form threshold for schedule label {label!r}")
-    params, s, alpha, lipschitz = _as_floats(label, params, s, alpha, lipschitz)
+    params, s, alpha, lipschitz = _as_floats(schedule, lipschitz)
     if label == "e24":
         return _n_prime_e24(params, s, alpha, lipschitz,
                             s * s * lipschitz * lipschitz + 1.0)
@@ -337,19 +323,17 @@ def n_prime(label: str, params: dict, s: float, alpha: float, lipschitz: float) 
 
 
 @_inf_on_overflow
-def n_prime_reference_variant(label: str, params: dict, s: float, alpha: float,
-                              lipschitz: float) -> float:
+def n_prime_reference_variant(schedule: Schedule, lipschitz: float) -> float:
     """Alternate closed forms that reproduce the recorded reference tables
     at s = 0.1 (the recording omitted s, so the match is diagnostic):
     e24 without the additive (alpha-1) offset, e26 in its curvature-aware
-    form sqrt((sL)^2 + 1 + (mu/s)^2) - min(a, b). Emitted next to the
-    primary threshold by the table command. The parameters are taken as
-    Python floats, as `n_prime` takes them."""
-    label = label.lower()
-    if label not in ("e24", "e26"):
-        return n_prime(label, params, s, alpha, lipschitz)
-    p, s, alpha, lipschitz = _as_floats(label, params, s, alpha, lipschitz)
-    if label == "e24":
+    form sqrt((sL)^2 + 1 + (mu/s)^2) - min(a, b); `n_prime` for any other
+    label. Emitted next to the primary threshold by the table command. The
+    parameters are taken as Python floats, as `n_prime` takes them."""
+    if schedule.label not in ("e24", "e26"):
+        return n_prime(schedule, lipschitz)
+    p, s, alpha, lipschitz = _as_floats(schedule, lipschitz)
+    if schedule.label == "e24":
         return _n_prime_e24(p, s, alpha, lipschitz, (s * lipschitz) ** 2)
     return float(_root_of_sum((s * lipschitz) ** 2 + 1.0, p["mu"] / s) - min(p["a"], p["b"]))
 
@@ -372,12 +356,15 @@ def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
         raise ValueError(f"unknown schedule label {label!r}")
     if coeffs is not None:
         raise ValueError(f"schedule {label!r} takes no `coeffs`; only 'custom' does")
-    full = _family_params(label, params)
-    extra = sorted(params.keys() - _FAMILIES[label][1].keys())
+    body, defaults = _FAMILIES[label]
+    for key, default in defaults.items():
+        if default is None and key not in params:
+            raise ValueError(f"schedule {label!r} needs the parameter {key!r}")
+    extra = sorted(params.keys() - defaults.keys())
     if extra:
         raise ValueError(f"unexpected parameters for schedule {label!r}: {extra}")
+    full = {**defaults, **params}
     _check_family(label, s, alpha, full)
-    body, defaults = _FAMILIES[label]
     return Schedule(label, alpha, s,
                     CoefficientMap(body, (s, alpha, *itemgetter(*defaults)(full))), full)
 
@@ -487,10 +474,10 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
     s = schedule.s
     alpha = schedule.alpha
     n1 = alpha - 1.0
-    try:
-        npr = n_prime(schedule.label, schedule.params, s, alpha, lipschitz)
+    if schedule.label in FAMILY_LABELS:
+        npr = n_prime(schedule, lipschitz)
         lo = max(n1, np.ceil(npr)) if np.isfinite(npr) else float("inf")
-    except ValueError:
+    else:
         npr, lo = None, n1   # N' is taken from the scan: the last failure of (i)
 
     ii_exact = True

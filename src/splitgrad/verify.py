@@ -190,7 +190,7 @@ def suite_energy(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Lyapunov energy non-increase beyond the admissibility threshold for
     one admissible parameter set per coefficient family."""
     obj = f2()
-    lip = obj.lipschitz_constant()
+    lip = obj.lipschitz
     s = 0.5 / lip
     x_star = np.zeros(2)
     out = []
@@ -224,7 +224,7 @@ def suite_rate(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     from n = 802), and 560 for lt_s_igahd, all in [50, 636] (1459 zeros,
     from n = 684)."""
     obj = f2()
-    lip = obj.lipschitz_constant()
+    lip = obj.lipschitz
     s = 0.025
     alpha = 3.0
     x_star = np.zeros(2)
@@ -332,7 +332,7 @@ def suite_threshold_scan(seed: int = DEFAULT_SEED) -> List[CheckResult]:
     fails = {"e24": 0, "e25": 0, "e26": 0}
     for label, params, s, lip in _random_family_draws(_Draws(seed), _FAMILY_DRAWS):
         sch = schedules.make_schedule(label, s=s, alpha=3.0, **params)
-        npr = schedules.n_prime(label, params, s, 3.0, lip)
+        npr = schedules.n_prime(sch, lip)
         scan_to = min(int(10 * np.ceil(max(npr, 0.0)) + 100), 100_000)
         rep = schedules.check_assumptions(sch, lip, n_max=scan_to)
         fails[label] += rep.assumption_i_holds_from > max(1, int(np.floor(npr)) + 1)
@@ -374,7 +374,7 @@ def suite_lemmas(seed: int = DEFAULT_SEED) -> List[CheckResult]:
         dim = rng.integer(2, 6)
         m = rng.normal(1.0, (dim, dim))
         obj = quadratic(m.T @ m + np.diag(rng.uniform(0.0, 1.0, dim)), rng.normal(1.0, dim))
-        lip = obj.lipschitz_constant()
+        lip = obj.lipschitz
         x, y, z = rng.normal(2.0, (3, 70, dim))
         s = rng.uniform(0.05, 1.0, 70) / lip
         gam = rng.uniform(0.0, s, 70)
@@ -479,8 +479,7 @@ def suite_tables(seed: int = DEFAULT_SEED) -> List[CheckResult]:
         out.append(CheckResult(f"table/{case.label}", ok,
                                f"{res.termination} at n={res.n_final}, "
                                f"error {res.error_final:.3e}"))
-        npr_by_group.setdefault(case.group[0], []).append(
-            schedules.n_prime(sch.label, sch.params, s, 3.0, obj.lipschitz_constant()))
+        npr_by_group.setdefault(case.group[0], []).append(schedules.n_prime(sch, obj.lipschitz))
     slow = npr_by_group["B"]
     fast = [v for g, vals in npr_by_group.items() if g != "B" for v in vals]
     pattern_ok = min(slow) > 3.0 > max(fast) and min(slow) > max(fast)

@@ -556,7 +556,7 @@ def test_recorded_run_derives_its_gradients_once_when_read(name):
 @pytest.mark.parametrize("name", ["agm2", "nag"])
 def test_affine_gradient_shortcut_matches_the_direct_recursion(name):
     obj, x0 = _quad50()
-    s = 0.5 / obj.lipschitz_constant()
+    s = 0.5 / obj.lipschitz
     got, want = [run(make_stepper(name, s), o, x0, s, StoppingRule("max_iter"),
                      max_iter=2000)[0].xs
                  for o in (obj, dataclasses.replace(obj, affine_gradient=False))]
@@ -610,7 +610,7 @@ def test_golden_iterates_quadratic(name):
     obj = dataclasses.replace(_quad50()[0], affine_gradient=False)
     if _blas_digest(obj) != QUAD_BLAS:
         pytest.skip("this BLAS sums in another order than the recorded digests")
-    assert abs(obj.lipschitz_constant() - QUAD50_L) <= 4 * np.finfo(float).eps * QUAD50_L
+    assert abs(obj.lipschitz - QUAD50_L) <= 4 * np.finfo(float).eps * QUAD50_L
     traj = _quad50_run(name, obj)
     digest = hashlib.sha256()
     for arr in (traj.xs, traj.fs, traj.grads):

@@ -193,7 +193,7 @@ def test_tail_bound_holds_on_random_definite_quadratics(seed, dim, u):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     a = (q * rng.uniform(1e-3, 1.0, dim)) @ q.T
     obj = quadratic(0.5 * (a + a.T), rng.standard_normal(dim))
-    lip = obj.lipschitz_constant()
+    lip = obj.lipschitz
     s, alpha, steps = u / lip, 3.0, 400
     runs = [("agm2", None)] + [("lt_s_igahd", make_schedule(label, s=s, alpha=alpha, **params))
                                for label, params in _energy_configs(s)]
@@ -226,7 +226,7 @@ def test_descent_lemma_gamma_zero_reduces_to_edl():
     rng = np.random.RandomState(4242)
     for _ in range(50):
         x, y, z = rng.randn(3, 2) * 2.0
-        s = rng.uniform(0.05, 1.0) / obj.lipschitz_constant()
+        s = rng.uniform(0.05, 1.0) / obj.lipschitz
         r_eedl = check_descent_lemma(obj, x, y, "eedl", s=s, gamma=0.0, z=z)
         r_edl = check_descent_lemma(obj, x, y, "edl", s=s)
         assert abs(r_eedl - r_edl) <= 1e-12 * max(1.0, abs(r_edl))
@@ -235,7 +235,7 @@ def test_descent_lemma_gamma_zero_reduces_to_edl():
 def test_descent_lemma_nonnegative_on_samples():
     rng = np.random.RandomState(515)
     obj = f2()
-    lip = obj.lipschitz_constant()
+    lip = obj.lipschitz
     for _ in range(200):
         x, y, z = rng.randn(3, 2) * 3.0
         s = rng.uniform(0.05, 1.0) / lip

@@ -22,7 +22,7 @@ def _pd_quadratic(rng, dim):
 def _triples(seed, dim, rows):
     rng = np.random.default_rng([seed, dim, rows])
     obj = _pd_quadratic(rng, dim)
-    lip = obj.lipschitz_constant()
+    lip = obj.lipschitz
     x, y, z = rng.normal(scale=2.0, size=(3, rows, dim))
     s = rng.uniform(0.05, 1.0, rows) / lip
     return obj, x, y, z, s, rng.uniform(0.0, s)
@@ -40,7 +40,7 @@ def test_descent_lemma_stack_rows_match_one_point_calls(seed, dim, rows, variant
         kw = dict(kw, s=float(s[0]), gamma=float(gam[0]))
     r = check_descent_lemma(obj, x, y, variant, **kw)
     assert isinstance(r, np.ndarray) and r.shape == (rows,)
-    lip = obj.lipschitz_constant()
+    lip = obj.lipschitz
     for i in range(rows):
         one = check_descent_lemma(obj, x[i], y[i], variant, s=float(s[i]),
                                   gamma=float(gam[i]), z=z[i])
@@ -90,7 +90,7 @@ def test_quadratic_lemma_array_matches_scalar_calls(seed, rows, variant):
 def test_one_bad_row_is_named(bad_row):
     obj, x, y, z, s, gam = _triples(7, 3, 7)
     s_bad = s.copy()
-    s_bad[bad_row] = 1.5 / obj.lipschitz_constant()
+    s_bad[bad_row] = 1.5 / obj.lipschitz
     for variant in ("edl", "eedl"):
         with pytest.raises(ValueError, match=f"at index {bad_row}$"):
             check_descent_lemma(obj, x, y, variant, s=s_bad, gamma=gam, z=z)

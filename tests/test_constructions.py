@@ -395,7 +395,7 @@ def _psd_quadratic(rng, dim):
 def test_every_construction_equals_its_stepper_on_random_quadratics(seed, dim, u):
     rng = np.random.default_rng([seed, dim])
     obj = _psd_quadratic(rng, dim)
-    h = float(np.sqrt(u / obj.lipschitz_constant()))
+    h = float(np.sqrt(u / obj.lipschitz))
     x0 = rng.normal(scale=2.0, size=dim)
     for name, (construct, kw) in _routes(h).items():
         method = name.removesuffix("_velocity")
@@ -410,7 +410,7 @@ def test_affine_gradient_lanes_match_the_direct_recursion(seed, dim, n_lanes):
     # the undeclared copy of the quadratic takes grad(y_n) by a new product
     rng = np.random.default_rng([seed, dim])
     obj = _psd_quadratic(rng, dim)
-    cells = [("agm2", s, {}) for s in rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz_constant()]
+    cells = [("agm2", s, {}) for s in rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz]
     x0 = rng.standard_normal(dim) * 3.0
     trajs = [run_methods(o, cells, x0, StoppingRule("max_iter"), max_iter=150, record=True)[0]
              for o in (obj, dataclasses.replace(obj, affine_gradient=False))]

@@ -33,7 +33,7 @@ N_SAMPLE = np.unique(np.concatenate([np.arange(1, 61),
 
 def _scan_stepsizes(objective, n_grid=60):
     """The stepsizes `table --infer-s` scans for a row on `objective`."""
-    hi = 1.0 / make_objective(objective).lipschitz_constant()
+    hi = 1.0 / make_objective(objective).lipschitz
     return [hi * k / (n_grid + 1) for k in range(1, n_grid + 1)]
 
 
@@ -135,7 +135,7 @@ _LANE = st.tuples(st.floats(0.02, 0.98),                               # s L
        extra=st.sampled_from([(), ("diverge",), ("stop_at_1",), ("diverge", "stop_at_1")]))
 def test_lanes_are_scalar_runs_on_f1_f2(objective, name, lanes, rule, x0, extra):
     obj = make_objective(objective)
-    lip = obj.lipschitz_constant()
+    lip = obj.lipschitz
     ss = [sl / lip for sl, *_ in lanes]
     scheds = [_lane_schedule(name, label, s, beta, mu)
               for s, (_, label, beta, mu) in zip(ss, lanes)]
@@ -160,7 +160,7 @@ def _pd_quadratic(seed, dim):
        name=st.sampled_from(ALGORITHM_NAMES), n_lanes=st.integers(1, 5), rule=_RULES)
 def test_lanes_match_scalar_runs_on_quadratics(seed, dim, name, n_lanes, rule):
     obj, rng = _pd_quadratic(seed, dim)
-    ss = list(rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz_constant())
+    ss = list(rng.uniform(0.02, 0.98, n_lanes) / obj.lipschitz)
     x0 = rng.standard_normal(dim) * 3.0
     scheds = [_lane_schedule(name, "e25", s, 0.5, 0.1) for s in ss]
     _assert_cells_are_runs(obj, _lane_cells(name, ss, scheds), x0, rule, max_iter=150,
@@ -279,7 +279,7 @@ def test_run_methods_mixes_kernels_at_a_stepsize_per_cell(objective):
         x0 = np.zeros(obj.dim)
     else:
         obj, x0 = make_objective(objective), np.array(X0)
-    hi = 1.0 / obj.lipschitz_constant()
+    hi = 1.0 / obj.lipschitz
     ss = [hi * k for k in (0.5, 0.45, 0.4, 0.35, 0.3)]
     e25 = dict(beta=0.1 * 2.0 * float(np.sqrt(ss[3])), b=1.0, mu=0.1)
     cells = [("agm2", ss[0], {}), ("pim", ss[1], {"gamma": 1.0})]

@@ -25,7 +25,7 @@ def test_f1_values_and_gradient():
     # any point on the line x1 + x2 = 0 is a minimizer
     assert obj.eval([1.5, -1.5]) == 0.0
     assert np.array_equal(obj.grad([1.5, -1.5]), [0.0, 0.0])
-    assert obj.lipschitz_constant() == 4.0
+    assert obj.lipschitz == 4.0
     assert obj.argmin_kind == "affine"
     assert obj.f_min == 0.0
 
@@ -46,7 +46,7 @@ def test_f2_values_and_gradient():
     g = obj.grad([1.0, -2.0])
     assert g[0] == 0.7071067811865475
     assert g[1] == -0.8944271909999159
-    assert obj.lipschitz_constant() == np.sqrt(2.0)
+    assert obj.lipschitz == np.sqrt(2.0)
     assert obj.argmin_kind == "unique"
 
 
@@ -67,7 +67,7 @@ def test_gradients_match_finite_differences():
 
 def test_quadratic_basics():
     obj = quadratic([[2.0, 0.0], [0.0, 4.0]], [1.0, -1.0])
-    assert obj.lipschitz_constant() == 4.0
+    assert obj.lipschitz == 4.0
     assert np.allclose(obj.argmin_point, [-0.5, 0.25])
     assert obj.f_min == pytest.approx(-0.375, abs=1e-15)
     assert obj.argmin_kind == "unique"
@@ -149,7 +149,7 @@ def test_quadratic_matches_the_eigendecomposition():
         # dimension: 8.9 eps on the dim-200 matrix, whose eigvalsh value is
         # the farther of the two from its Rayleigh quotient in long double
         rel = max(8, len(b)) * np.finfo(float).eps
-        assert abs(obj.lipschitz_constant() - lip) <= rel * lip
+        assert abs(obj.lipschitz - lip) <= rel * lip
         assert obj.argmin_kind == kind
         assert np.linalg.norm(obj.argmin_point - x_star) <= 1e-9 * (1.0 + np.linalg.norm(x_star))
         kinds.add(kind)
@@ -167,7 +167,7 @@ def test_quadratic_builds_an_ill_conditioned_definite_matrix():
     obj = quadratic(a, b)
     x_star = obj.argmin_point
     assert obj.argmin_kind == "unique"
-    scale = 1.0 + np.linalg.norm(b) + obj.lipschitz_constant() * np.linalg.norm(x_star)
+    scale = 1.0 + np.linalg.norm(b) + obj.lipschitz * np.linalg.norm(x_star)
     assert np.linalg.norm(a @ x_star + b) <= 1e-9 * scale
     assert np.linalg.norm(x_star - _eigh_reference(a, b)[2]) <= 1e-4 * np.linalg.norm(x_star)
 

@@ -23,7 +23,7 @@ def _cell(draw, obj):
     command line would report as an error row: s beyond 1/L, mu < 0, beta
     outside (0, 2 sqrt(s)), a string b. Some other cells are rejected by
     `coefficient_map`: alpha <= 1, a negative gamma or beta."""
-    hi = 1.0 / obj.lipschitz_constant()
+    hi = 1.0 / obj.lipschitz
     s = hi * draw(st.sampled_from([0.05, 0.3, 0.7, 0.95, 1.5]))
     name = draw(st.sampled_from(["lt_s_igahd", "lt_s_igahd", "agm2", "pim", "igahd"]))
     if name == "agm2":
@@ -92,7 +92,7 @@ def test_one_cell_call_is_the_scalar_run(objective):
     # run's on every objective
     if objective == "quad50":
         obj, x0 = _quad50()
-        s = 0.5 / obj.lipschitz_constant()
+        s = 0.5 / obj.lipschitz
     else:
         obj, x0, s = make_objective(objective), X0, 0.1
     params = {"a": 4.0, "b": 10.0, "mu": 1e-2}

@@ -180,27 +180,25 @@ def test_n2_requires_positive_g():
         n2(3.0, -0.5, 1.0, 1.0)
 
 
+_E24_FROZEN = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=1e-2)
+_E25_FROZEN = make_schedule("e25", s=0.04, beta=0.1, b=1.0, mu=0.0)
+_E26_FROZEN = make_schedule("e26", s=0.1, a=1.25, b=5.5, mu=1e-3)
+
+
 def test_n_prime_frozen_values():
-    assert n_prime("e24", dict(a=4.0, b=10.0, mu=1e-2), 0.1, 3.0, 4.0) \
-        == -1.5568629150101523
-    assert n_prime("e25", dict(beta=0.1, b=1.0, mu=0.0), 0.04, 3.0, 0.0) \
-        == 0.3333333333333333
-    assert n_prime("e26", dict(a=1.25, b=5.5, mu=1e-3), 0.1, 3.0, 4.0) \
-        == 0.48207967484177816
+    assert n_prime(_E24_FROZEN, 4.0) == -1.5568629150101523
+    assert n_prime(_E25_FROZEN, 0.0) == 0.3333333333333333
+    assert n_prime(_E26_FROZEN, 4.0) == 0.48207967484177816
 
 
 def test_n_prime_reference_variant_frozen_values():
     # the alternate closed forms reproduce the recorded thresholds
-    assert n_prime_reference_variant("e24", dict(a=4.0, b=10.0, mu=1e-2),
-                                     0.1, 3.0, 4.0) == -3.5568629150101523
-    v = n_prime_reference_variant("e24", dict(a=4.0, b=10.0, mu=1e-2),
-                                  0.1, 3.0, np.sqrt(2.0))
+    assert n_prime_reference_variant(_E24_FROZEN, 4.0) == -3.5568629150101523
+    v = n_prime_reference_variant(_E24_FROZEN, np.sqrt(2.0))
     assert f"{v:.2f}" == "-3.91"
-    assert n_prime_reference_variant("e26", dict(a=1.25, b=5.5, mu=1e-3),
-                                     0.1, 3.0, 4.0) == -0.1729206157390255
+    assert n_prime_reference_variant(_E26_FROZEN, 4.0) == -0.1729206157390255
     # families without an alternate form fall through to the primary one
-    assert n_prime_reference_variant("e25", dict(beta=0.1, b=1.0, mu=0.0),
-                                     0.04, 3.0, 0.0) == 0.3333333333333333
+    assert n_prime_reference_variant(_E25_FROZEN, 0.0) == 0.3333333333333333
 
 
 @pytest.mark.parametrize("label,partial", [
@@ -208,10 +206,11 @@ def test_n_prime_reference_variant_frozen_values():
     ("e25", {"beta": 0.1, "mu": 0.2}), ("e26", {}), ("e26", {"b": 5.5}),
 ], ids=["e24-none", "e24-b-mu", "e25-beta", "e25-beta-mu", "e26-none", "e26-b"])
 def test_n_prime_fills_missing_parameters_from_the_family(label, partial):
-    full = make_schedule(label, s=0.04, **partial).params
-    assert full.keys() > partial.keys()
+    # make_schedule fills them, and the thresholds read the schedule's own
+    sch = make_schedule(label, s=0.04, **partial)
+    assert sch.params.keys() > partial.keys()
     for threshold in (n_prime, n_prime_reference_variant):
-        assert threshold(label, partial, 0.04, 3.0, 4.0) == threshold(label, full, 0.04, 3.0, 4.0)
+        assert threshold(sch, 4.0) == threshold(make_schedule(label, s=0.04, **sch.params), 4.0)
 
 
 _PAST_THE_FLOATS = [("e24", {"b": 1.0, "mu": 1e300}),
@@ -221,11 +220,12 @@ _PAST_THE_FLOATS = [("e24", {"b": 1.0, "mu": 1e300}),
 @pytest.mark.parametrize("label,params", _PAST_THE_FLOATS, ids=["e24", "e25"])
 def test_n_prime_past_the_float_range_is_inf(label, params):
     # (mu/s)^2 overflows a Python float; the threshold is +inf, not an OverflowError
+    sch = make_schedule(label, s=0.1, **params)
     for threshold in (n_prime, n_prime_reference_variant):
-        assert threshold(label, params, 0.1, 3.0, 4.0) == np.inf, threshold.__name__
+        assert threshold(sch, 4.0) == np.inf, threshold.__name__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = check_assumptions(make_schedule(label, s=0.1, **params), 4.0, n_max=1000)
+        rep = check_assumptions(sch, 4.0, n_max=1000)
     assert rep.n_prime == np.inf and rep.assumption_i_holds_from == 1001
 
 
@@ -235,21 +235,21 @@ def test_n_prime_past_the_float_range_is_inf_on_numpy_floats(label, params):
     params = {k: np.float64(v) for k, v in params.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        sch = make_schedule(label, s=np.float64(0.1), alpha=np.float64(3.0), **params)
         for threshold in (n_prime, n_prime_reference_variant):
-            got = threshold(label, params, np.float64(0.1), np.float64(3.0), np.float64(4.0))
-            assert got == np.inf, threshold.__name__
+            assert threshold(sch, np.float64(4.0)) == np.inf, threshold.__name__
 
 
 @pytest.mark.parametrize("number", [float, np.float64], ids=["python-floats", "numpy-floats"])
 def test_e26_threshold_where_its_square_overflows_is_its_root(number):
     # (mu/s)^2 passes the float range, but sqrt(3 + (mu/s)^2) = 1e301 does not
-    params = {"b": number(1.0), "mu": number(1e300)}
+    sch = make_schedule("e26", s=number(0.1), alpha=number(3.0), b=number(1.0), mu=number(1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for threshold in (n_prime, n_prime_reference_variant):
-            got = threshold("e26", params, number(0.1), number(3.0), number(4.0))
+            got = threshold(sch, number(4.0))
             assert type(got) is float and got == 1e300 / 0.1, threshold.__name__
-        rep = check_assumptions(make_schedule("e26", s=0.1, **params), 4.0, n_max=1000)
+        rep = check_assumptions(sch, 4.0, n_max=1000)
     assert rep.n_prime == 1e300 / 0.1 and rep.assumption_i_holds_from == 1001
 
 
@@ -280,8 +280,9 @@ def test_e26_threshold_is_its_root_to_8_ulps(ratio):
         sl = Decimal(s) * Decimal(lip)
         want = {n_prime: float((3 + m * m).sqrt() - Decimal(a)),
                 n_prime_reference_variant: float((sl * sl + 1 + m * m).sqrt() - Decimal(a))}
+    sch = make_schedule("e26", s=s, a=a, b=b, mu=mu)
     for threshold, value in want.items():
-        got = threshold("e26", {"a": a, "b": b, "mu": mu}, s, 3.0, lip)
+        got = threshold(sch, lip)
         assert abs(got - value) <= 8 * np.spacing(value), threshold.__name__
 
 
@@ -291,25 +292,26 @@ def test_e26_threshold_is_its_root_to_8_ulps(ratio):
 def test_e26_threshold_below_the_overflow_keeps_its_bits(s, lip, a, b, exponent):
     # mu/s up to 1.34e154, whose square is still a float
     mu = 10.0 ** exponent * s
-    params = {"a": a, "b": b, "mu": mu}
+    sch = make_schedule("e26", s=s, a=a, b=b, mu=mu)
     old = float(np.sqrt(3.0 + (mu / s) ** 2) - min(a, b))
     old_variant = float(np.sqrt((s * lip) ** 2 + 1.0 + (mu / s) ** 2) - min(a, b))
-    assert np.float64(n_prime("e26", params, s, 3.0, lip)).tobytes() == np.float64(old).tobytes()
-    assert np.float64(n_prime_reference_variant("e26", params, s, 3.0, lip)).tobytes() \
+    assert np.float64(n_prime(sch, lip)).tobytes() == np.float64(old).tobytes()
+    assert np.float64(n_prime_reference_variant(sch, lip)).tobytes() \
         == np.float64(old_variant).tobytes()
 
 
 def test_e24_threshold_past_the_float_range_is_inf_without_a_warning():
     # 2 mu L sqrt(alpha - 1) passes the float range before (mu/s)^2 does
+    sch = make_schedule("e24", s=0.01, alpha=101.0, b=1.0, mu=1e306)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for threshold in (n_prime, n_prime_reference_variant):
-            assert threshold("e24", {"b": 1.0, "mu": 1e306}, 0.01, 101.0, 50.0) == np.inf
+            assert threshold(sch, 50.0) == np.inf
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(label=st.sampled_from(["e24", "e25", "e26"]), s=st.floats(1e-4, 1.0),
-       alpha=st.floats(1.01, 50.0), lip=st.floats(0.0, 100.0), a=st.floats(0.0, 20.0),
+       alpha=st.floats(3.0, 50.0), lip=st.floats(0.0, 100.0), a=st.floats(0.0, 20.0),
        b=st.floats(1e-3, 1e12), mu=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
        frac=st.floats(0.01, 0.99))
 def test_n_prime_has_the_bits_of_python_floats_on_numpy_floats(label, s, alpha, lip, a, b,
@@ -319,9 +321,11 @@ def test_n_prime_has_the_bits_of_python_floats_on_numpy_floats(label, s, alpha, 
     wide = {k: np.float64(v) for k, v in params.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        narrow_sch = make_schedule(label, s=s, alpha=alpha, **params)
+        wide_sch = make_schedule(label, s=np.float64(s), alpha=np.float64(alpha), **wide)
         for threshold in (n_prime, n_prime_reference_variant):
-            want = threshold(label, params, s, alpha, lip)
-            got = threshold(label, wide, np.float64(s), np.float64(alpha), np.float64(lip))
+            want = threshold(narrow_sch, lip)
+            got = threshold(wide_sch, np.float64(lip))
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), threshold.__name__
 
@@ -334,7 +338,7 @@ def test_e25_threshold_at_mu_zero_is_beta_over_its_margin(b):
     # at mu = 0, P^2 + Q = (P + 2 beta)^2, so the root is beta / (2 sqrt(s) - beta)
     # for every b; the textbook form read 0.19074 at b = 1e14, 0 at 1e16 and inf at 1e300
     beta, s = 0.1, 0.1
-    got = n_prime("e25", {"beta": beta, "b": b, "mu": 0.0}, s, 3.0, 4.0)
+    got = n_prime(make_schedule("e25", s=s, beta=beta, b=b, mu=0.0), 4.0)
     assert got == pytest.approx(beta / (2.0 * np.sqrt(s) - beta), rel=1e-12, abs=0.0)
 
 
@@ -349,20 +353,14 @@ def test_e25_threshold_is_its_cancellation_free_root(b):
         q = 4 * (2 * root_s - d_beta) * r
         assert p > 0
         want = float(2 * r / (p + (p * p + q).sqrt()))
-    got = n_prime("e25", {"beta": beta, "b": b, "mu": mu}, s, 3.0, 4.0)
+    got = n_prime(make_schedule("e25", s=s, beta=beta, b=b, mu=mu), 4.0)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
-
-def test_n_prime_names_a_missing_beta():
-    for threshold in (n_prime, n_prime_reference_variant):
-        with pytest.raises(ValueError, match="schedule 'e25' needs the parameter 'beta'"):
-            threshold("e25", {"b": 2.0}, 0.04, 3.0, 4.0)
 
 
 def test_make_schedule_labels_and_errors():
     sch = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=1e-2)
     assert sch.label == "e24"
-    assert n_prime(sch.label, sch.params, 0.1, 3.0, 4.0) == -1.5568629150101523
+    assert n_prime(sch, 4.0) == -1.5568629150101523
     assert make_schedule("e25", s=0.04, beta=0.1).coeffs_at(3)[3] == 0.0
     with pytest.raises(ValueError):
         make_schedule("custom", s=0.1)
@@ -419,8 +417,20 @@ def test_schedule_stepsize_guard():
 
 
 def test_n_prime_unknown_label():
-    with pytest.raises(ValueError):
-        n_prime("agm2", {}, 0.1, 3.0, 1.0)
+    # a custom schedule has no closed form: n_prime names its label, and
+    # check_assumptions takes N' from its scan, the last n where (i) fails
+    def coeffs(n):
+        n = np.asarray(n, dtype=float)
+        lam, gam = np.full_like(n, 0.005), np.where(n <= 7.0, 0.02, 0.0)   # gamma > s fails (i)
+        return (n - 3.0) / n, lam, gam - lam + (n + 1.0) / n * lam, gam
+
+    sch = make_schedule("custom", s=0.01, coeffs=coeffs)
+    for threshold in (n_prime, n_prime_reference_variant):
+        with pytest.raises(ValueError, match="^no closed-form threshold for schedule label "
+                                             "'custom'$"):
+            threshold(sch, 1.0)
+    rep = check_assumptions(sch, 1.0, n_max=50)
+    assert rep.n_prime == 7.0 and rep.assumption_i_holds_from == 8 and rep.assumption_ii_exact
 
 
 @pytest.mark.parametrize("label,key,message", [
@@ -484,9 +494,6 @@ def test_e25_beta_range_has_one_message():
     message = r"^beta must lie in \(0, 2\*sqrt\(s\)\) = \(0, 0\.4\), got 0\.8$"
     with pytest.raises(ValueError, match=message):
         make_schedule("e25", s=0.04, beta=0.8)
-    for threshold in (n_prime, n_prime_reference_variant):
-        with pytest.raises(ValueError, match=message):
-            threshold("e25", {"beta": 0.8}, 0.04, 3.0, 4.0)
 
 
 def _holds_from(mask):
@@ -515,7 +522,7 @@ def _one_array_scan(schedule, lipschitz, n_max):
     i_from = _holds_from(holds_i)
     n1 = alpha - 1.0
     try:
-        npr = n_prime(schedule.label, schedule.params, s, alpha, lipschitz)
+        npr = n_prime(schedule, lipschitz)
     except ValueError:
         npr = float(i_from - 1) if i_from <= n_max else float("inf")
     lo = max(n1, np.ceil(npr)) if np.isfinite(npr) else float("inf")
