@@ -294,9 +294,10 @@ def n_prime(schedule: Schedule, lipschitz: float) -> float:
          maxed with (1 - 2b + sqrt(4(a-b)+1))/2 when b - a <= 1/4.
     e25: the positive root (-P + sqrt(P^2 + 4 d r)) / (2 d) of
          d x^2 + P x - r, with d = 2 sqrt(s) - beta, r = beta b + mu/sqrt(s)
-         and P = 2 b sqrt(s) - beta (b + 1) - mu/sqrt(s). Where P > 0 and
-         q = 4 d r/P^2 < 2^-20 this has lost more than 20 bits to
-         cancellation, and the root is taken as 2 (r/P) / (1 + sqrt(1 + q)).
+         and P = 2 b sqrt(s) - beta (b + 1) - mu/sqrt(s), each formed once.
+         Where P > 0 and q = 4 d r/P^2 < 1 the textbook form cancels, and
+         the root is taken as 2 (r/P) / (1 + sqrt(1 + q)); either form is
+         within a few ulps of the root of the computed (P, d, r).
     e26: sqrt(3 + (mu/s)^2) - min(a, b)  (the L-free variant; see
          n_prime_reference_variant for the alternative).
 
@@ -315,10 +316,10 @@ def n_prime(schedule: Schedule, lipschitz: float) -> float:
         beta, root_s = params["beta"], float(np.sqrt(s))
         d, r = 2.0 * root_s - beta, beta * b + mu / root_s
         p = 2.0 * b * root_s - beta * (b + 1.0) - mu / root_s
-        if p > 0.0 and (q := 4.0 * d * (r / p) / p) < 2.0 ** -20:   # P^2 is never formed
+        # q is taken without P^2; where a tiny P overflows it, q = inf takes the textbook root
+        if p > 0.0 and (q := 4.0 * d * (r / p) / p) < 1.0:
             return float(2.0 * (r / p) / (1.0 + np.sqrt(1.0 + q)))
-        num = beta * (b + 1.0) + mu / root_s - 2.0 * root_s * b + np.sqrt(p ** 2 + 4.0 * d * r)
-        return float(num / (2.0 * d))
+        return float((np.sqrt(p ** 2 + 4.0 * d * r) - p) / (2.0 * d))
     return float(_root_of_sum(3.0, mu / s) - min(params["a"], b))
 
 

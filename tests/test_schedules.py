@@ -357,6 +357,47 @@ def test_e25_threshold_is_its_cancellation_free_root(b):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _e25_root(s, beta, b, mu):
+    """(P, root): e25's P as n_prime forms it in floats, and the positive
+    root of d x^2 + P x - r to 60 digits for the (P, d, r) so formed."""
+    root_s = float(np.sqrt(s))
+    d, r = 2.0 * root_s - beta, beta * b + mu / root_s
+    p = 2.0 * b * root_s - beta * (b + 1.0) - mu / root_s
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        big_p, d, r = Decimal(p), Decimal(d), Decimal(r)
+        return p, float(2 * r / (big_p + (big_p * big_p + 4 * d * r).sqrt()))
+
+
+def _e25_log_grid(n, seed):
+    """n draws of (s, beta, b, mu), each log-uniform: s in [1e-4, 1], beta
+    in [1e-3, 0.999] times 2 sqrt(s), b in [1e-2, 1e8] and mu in [1e-6, 10]."""
+    rng = np.random.default_rng(seed)
+    s, frac, b, mu = (10.0 ** rng.uniform(lo, hi, n) for lo, hi in
+                      ((-4.0, 0.0), (-3.0, np.log10(0.999)), (-2.0, 8.0), (-6.0, 1.0)))
+    return list(zip(s.tolist(), (frac * 2.0 * np.sqrt(s)).tolist(), b.tolist(), mu.tolist()))
+
+
+# b log-spaced over [1e2, 1e8] at mu = 0 and beta = s = 0.1, where the root
+# was taken by the textbook form up to q = 2^-20 and lost up to 1.5e6 ulps
+_E25_B_SCAN = [(0.1, 0.1, b, 0.0) for b in np.logspace(2.0, 8.0, 601).tolist()]
+# at s = 1 a P of 2^-1049 leaves 4 d r / P^2 past the float range
+_E25_TINY_P = (1.0, 1e-300, 1e-300, float(np.nextafter(1e-300, 0.0)))
+
+
+def test_e25_threshold_is_the_root_of_its_quadratic_to_8_ulps():
+    draws = _E25_B_SCAN + _e25_log_grid(4000, 35) + [_E25_TINY_P]
+    checked = 0
+    for s, beta, b, mu in draws:
+        p, want = _e25_root(s, beta, b, mu)
+        if not p > 0.0:
+            continue
+        got = n_prime(make_schedule("e25", s=s, beta=beta, b=b, mu=mu), 4.0)
+        assert abs(got - want) <= 8 * np.spacing(want), (s, beta, b, mu)
+        checked += 1
+    assert checked > 2500
+
+
 def test_make_schedule_labels_and_errors():
     sch = make_schedule("e24", s=0.1, a=4.0, b=10.0, mu=1e-2)
     assert sch.label == "e24"
