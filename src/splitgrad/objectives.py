@@ -29,7 +29,7 @@ Array = np.ndarray
 @dataclass(frozen=True)
 class Objective:
     """A smooth convex function with analytic gradient and a stored
-    gradient-Lipschitz constant.
+    gradient-Lipschitz constant, the field `lipschitz`.
 
     `hessian_vec` maps (x, v) to the Hessian-vector product and may be
     absent. `value_and_gradient` maps x to (value, gradient) in one call

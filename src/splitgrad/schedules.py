@@ -14,6 +14,11 @@ scheme). A "custom" schedule takes any coefficient map.
 Index convention: the families are stated through a lambda_{n+1} recurrence
 for n >= 1; lambda_n is the same closed form shifted by one, which pins
 lambda_1 = 0 for e24/e26 and lambda_1 = beta*sqrt(s) + mu/b for e25.
+
+The thresholds (`n_prime`, `n_prime_reference_variant`, `check_assumptions`)
+take a Schedule and a Lipschitz constant, and read the label, parameters, s
+and alpha from the schedule: `make_schedule` alone fills a family's
+defaults and checks its parameters.
 """
 
 from __future__ import annotations
