@@ -378,8 +378,8 @@ def _e25_log_grid(n, seed):
     return list(zip(s.tolist(), (frac * 2.0 * np.sqrt(s)).tolist(), b.tolist(), mu.tolist()))
 
 
-# b log-spaced over [1e2, 1e8] at mu = 0 and beta = s = 0.1, where the root
-# was taken by the textbook form up to q = 2^-20 and lost up to 1.5e6 ulps
+# b log-spaced over [1e2, 1e8] at mu = 0 and beta = s = 0.1, where the textbook
+# root cancels: it is up to 1.5e6 ulps off there
 _E25_B_SCAN = [(0.1, 0.1, b, 0.0) for b in np.logspace(2.0, 8.0, 601).tolist()]
 # at s = 1 a P of 2^-1049 leaves 4 d r / P^2 past the float range
 _E25_TINY_P = (1.0, 1e-300, 1e-300, float(np.nextafter(1e-300, 0.0)))
