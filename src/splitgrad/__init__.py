@@ -14,9 +14,9 @@ from .schedules import (AdmissibilityReport, Schedule, check_assumptions,
 from .algorithms import (ALGORITHM_NAMES, IterState, RunResult, StoppingRule,
                          Trajectory, coefficient_map, init_state, make_stepper, run,
                          run_methods)
-from .splitting import (HamiltonianSystem, euler_advance, forward_euler_hamiltonian,
-                        lie_trotter_compose, rk4_step, stormer_verlet,
-                        strang_compose, symplectic_euler)
+from .splitting import (HamiltonianSystem, compose, euler_advance,
+                        forward_euler_hamiltonian, lie_trotter, rk4_step,
+                        stormer_verlet, strang, symplectic_euler)
 from .constructions import (ContinuousTrajectory, ardm_construction,
                             igahd_construction, integrate_first_order_vd,
                             integrate_second_order_hessian_vd,
@@ -37,9 +37,8 @@ __all__ = [
     "n_prime",
     "ALGORITHM_NAMES", "IterState", "RunResult", "StoppingRule", "Trajectory",
     "coefficient_map", "init_state", "make_stepper", "run", "run_methods",
-    "HamiltonianSystem", "euler_advance", "forward_euler_hamiltonian",
-    "lie_trotter_compose", "rk4_step", "stormer_verlet", "strang_compose",
-    "symplectic_euler",
+    "HamiltonianSystem", "compose", "euler_advance", "forward_euler_hamiltonian",
+    "lie_trotter", "rk4_step", "stormer_verlet", "strang", "symplectic_euler",
     "ContinuousTrajectory", "ardm_construction", "igahd_construction",
     "integrate_first_order_vd", "integrate_second_order_hessian_vd",
     "lt_s_igahd_construction", "lt_se1_construction", "lt_se3_construction",

@@ -33,9 +33,8 @@ import numpy as np
 
 from .objectives import Objective
 from .schedules import Schedule, check_alpha, check_beta, check_gamma, check_step
-from .splitting import (Field, HamiltonianSystem, Phase, euler_advance,
-                        lie_trotter_compose, rk4_step, symplectic_euler,
-                        stormer_verlet)
+from .splitting import (Field, HamiltonianSystem, Phase, compose, euler_advance,
+                        lie_trotter, rk4_step, symplectic_euler, stormer_verlet)
 
 Array = np.ndarray
 
@@ -88,19 +87,12 @@ def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: in
     s = h^2.
     """
     check_alpha(alpha, "inertia exponent")
-
-    def drift(t, x, vv):
-        return ((alpha - 1.0) / t) * (vv - x), np.zeros_like(vv)
-
-    def kick(t, x, vv):
-        return np.zeros_like(x), -(t / (alpha - 1.0)) * obj.grad(x)
-
-    def grad_flow(t, x, vv):
-        return -h * obj.grad(x), np.zeros_like(vv)
-
-    split = (euler_advance(drift), euler_advance(kick), euler_advance(grad_flow))
+    split = (lambda t, x, vv: (((alpha - 1.0) / t) * (vv - x), np.zeros_like(vv)),   # x-drift
+             lambda t, x, vv: (np.zeros_like(x), -(t / (alpha - 1.0)) * obj.grad(x)),   # v-kick
+             lambda t, x, vv: (-h * obj.grad(x), np.zeros_like(vv)))   # gradient flow
+    stages = lie_trotter([euler_advance(field) for field in split])
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: x0.copy(),
-                    lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
+                    lambda n, x, v: compose(stages, (x, v), n * h, h))
 
 
 def nesterov_velocity_form(obj: Objective, x0, alpha: float, h: float,
@@ -201,10 +193,10 @@ def pim_construction(obj: Objective, x0, gamma: float, h: float, n_steps: int) -
     leaves the bare symplectic map; gamma must be finite."""
     check_gamma(gamma)
     hs = _unit_mass_system(obj)
-    split = (euler_advance(lambda t, x, vv: (np.zeros_like(x), -gamma * vv)),
-             lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2"))
+    stages = lie_trotter((euler_advance(lambda t, x, vv: (np.zeros_like(x), -gamma * vv)),
+                          lambda t, x, vv, hh: symplectic_euler(hs, (x, vv), hh, "se2")))
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h,
-                    lambda n, x, v: lie_trotter_compose(split, (x, v), n * h, h))
+                    lambda n, x, v: compose(stages, (x, v), n * h, h))
 
 
 def lt_se1_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:

@@ -17,15 +17,14 @@ lambda_1 = 0 for e24/e26 and lambda_1 = beta*sqrt(s) + mu/b for e25.
 
 The thresholds (`n_prime`, `n_prime_reference_variant`, `check_assumptions`)
 take a Schedule and a Lipschitz constant, and read the label, parameters, s
-and alpha from the schedule: `make_schedule` alone fills a family's
-defaults and checks its parameters.
+and alpha from the schedule: `make_schedule` fills a family's defaults,
+and `Schedule` checks a family's parameters however it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
-from operator import itemgetter
 from typing import Callable, Dict, Sequence
 
 import numpy as np
@@ -131,9 +130,16 @@ def check_gamma(gamma) -> None:
 
 def _check_family(label: str, s, alpha, params: dict) -> None:
     """ValueError unless (s, alpha, params) is a schedule of the family
-    `label`. A NaN fails every test (x != x holds for NaN alone), and a, b
-    and mu must be finite; the comparisons come first, so a parameter that
-    is not a number raises the TypeError of its comparison."""
+    `label`, params holding exactly its keys. A NaN fails every test (x != x
+    holds for NaN alone), and a, b and mu must be finite; the comparisons
+    come first, so a parameter that is not a number raises their TypeError."""
+    keys = _FAMILIES[label][1].keys()
+    for key in keys:
+        if key not in params:
+            raise ValueError(f"schedule {label!r} needs the parameter {key!r}")
+    extra = sorted(params.keys() - keys)
+    if extra:
+        raise ValueError(f"unexpected parameters for schedule {label!r}: {extra}")
     check_step(s)
     if alpha < 3.0 or alpha != alpha:
         raise ValueError(f"damping parameter must satisfy alpha >= 3, got {alpha}")
@@ -224,6 +230,7 @@ class Schedule:
     family's body with s, alpha and `params`, which `coeffs_of` evaluates
     together with the other maps of its family; a schedule whose
     `coeffs_at` is replaced (`dataclasses.replace`) steps by the new map.
+    Building one checks a family label's `params`: its exact keys, then its rules.
     """
 
     label: str
@@ -231,6 +238,10 @@ class Schedule:
     s: float
     coeffs_at: Callable
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.label in _FAMILIES:
+            _check_family(self.label, self.s, self.alpha, self.params)
 
     def check_matches(self, s: float, alpha: float) -> None:
         """Raise ValueError unless s is this schedule's stepsize, to 8 eps
@@ -363,16 +374,10 @@ def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
     if coeffs is not None:
         raise ValueError(f"schedule {label!r} takes no `coeffs`; only 'custom' does")
     body, defaults = _FAMILIES[label]
-    for key, default in defaults.items():
-        if default is None and key not in params:
-            raise ValueError(f"schedule {label!r} needs the parameter {key!r}")
-    extra = sorted(params.keys() - defaults.keys())
-    if extra:
-        raise ValueError(f"unexpected parameters for schedule {label!r}: {extra}")
-    full = {**defaults, **params}
-    _check_family(label, s, alpha, full)
+    # a needed parameter (default None) not given stays out, for Schedule to name
+    full = {k: v for k, v in {**defaults, **params}.items() if v is not None or k in params}
     return Schedule(label, alpha, s,
-                    CoefficientMap(body, (s, alpha, *itemgetter(*defaults)(full))), full)
+                    CoefficientMap(body, (s, alpha, *map(full.get, defaults))), full)
 
 
 def a_coefficients(s: float, lipschitz: float, gamma):

@@ -5,9 +5,10 @@ signature field(t, x, v) -> (dx, dv); autonomous fields simply ignore t.
 An advance map (t, x, v, h) -> (x, v) moves one summand of a split field
 over a step h from time t: its exact flow when that has a closed form, or
 any one-step integrator, such as `euler_advance(field)`. A split is a
-non-empty sequence of advance maps, in application order. A Lie-Trotter
-step evaluates every map at t_n; a Strang step advances each map from the
-start of its stretch of [t_n, t_n + h]. A `HamiltonianSystem` is
+sequence of advance maps, in application order; `lie_trotter(split)` and
+`strang(split)` turn it into a table of stages (map, fraction of h, start
+offset in units of h) that `compose` steps through (McLachlan and Quispel,
+"Splitting methods", Acta Numerica 2002). A `HamiltonianSystem` is
 separable with unit mass, so it names only its potential.
 """
 
@@ -24,6 +25,7 @@ Array = np.ndarray
 Phase = Tuple[Array, Array]
 Field = Callable[[float, Array, Array], Phase]
 Advance = Callable[[float, Array, Array, float], Phase]
+Stage = Tuple[Advance, float, float]
 
 
 def euler_advance(field: Field) -> Advance:
@@ -36,38 +38,30 @@ def euler_advance(field: Field) -> Advance:
     return advance
 
 
-def _check_split(split: Sequence[Advance], h: float) -> None:
-    if not split:
+def compose(stages: Sequence[Stage], state: Phase, t_n: float, h: float) -> Phase:
+    """One composite step: each stage (advance, fraction, offset) in turn
+    advances by fraction * h from t_n + offset * h (t_n itself at offset 0)."""
+    if not stages:
         raise ValueError("a split needs at least one advance map")
     check_step(h)
-
-
-def lie_trotter_compose(split: Sequence[Advance], state: Phase, t_n: float,
-                        h: float) -> Phase:
-    """Sequential (Lie-Trotter) composite step: apply each advance map for
-    a full step h, in sequence order, all evaluated at t_n. Reversing the
-    sequence gives the adjoint composition."""
-    _check_split(split, h)
     x, v = state
-    for advance in split:
-        x, v = advance(t_n, x, v, h)
+    for advance, fraction, offset in stages:
+        x, v = advance(t_n + offset * h if offset else t_n, x, v, fraction * h)
     return x, v
 
 
-def strang_compose(split: Sequence[Advance], state: Phase, t_n: float, h: float) -> Phase:
-    """Palindromic (Strang) composite step: half-steps of the leading
-    advance maps from t_n around a full step of the last one from t_n, then
-    the half-steps replayed in reverse from t_n + h/2. Swapping the two
-    maps of a pair yields the symmetric variant."""
-    _check_split(split, h)
-    *leading, last = split
-    x, v = state
-    for advance in leading:
-        x, v = advance(t_n, x, v, 0.5 * h)
-    x, v = last(t_n, x, v, h)
-    for advance in reversed(leading):
-        x, v = advance(t_n + 0.5 * h, x, v, 0.5 * h)
-    return x, v
+def lie_trotter(split: Sequence[Advance]) -> Tuple[Stage, ...]:
+    """Each map for a full step from t_n; the reversed split is the adjoint."""
+    return tuple((advance, 1.0, 0.0) for advance in split)
+
+
+def strang(split: Sequence[Advance]) -> Tuple[Stage, ...]:
+    """Half-steps of the leading maps from t_n around a full step of the
+    last from t_n, then the half-steps in reverse from t_n + h/2."""
+    leading = split[:-1]
+    return (tuple((advance, 0.5, 0.0) for advance in leading)
+            + tuple((advance, 1.0, 0.0) for advance in split[-1:])
+            + tuple((advance, 0.5, 0.5) for advance in reversed(leading)))
 
 
 @dataclass(frozen=True)

@@ -152,18 +152,27 @@ def ode_route_gaps(obj: Objective, x0, v0, alpha: float, beta: float, t0: float,
     """Sup gaps between the first-order averaged system and the second-order
     Hessian-damped system at dt, dt/2 and dt/4, the two observed orders
     log2(gap_k / gap_{k+1}), and the first-order trajectory at dt/4. beta
-    must be finite and nonnegative: a negative one anti-damps both flows."""
+    must be finite and nonnegative: a negative one anti-damps both flows. A
+    run that leaves the floats, or a zero gap, raises ValueError."""
     schedules.check_beta(beta)
     constructions.check_interval(t0, t1, dt)   # before xdot_from_v divides by t0
     xdot0 = constructions.xdot_from_v(obj, x0, v0, t0, alpha, beta)
     gaps = []
     for h in (dt, dt / 2.0, dt / 4.0):
-        tr1 = constructions.integrate_first_order_vd(obj, x0, v0, alpha, beta, t0, t1, h)
-        tr2 = constructions.integrate_second_order_hessian_vd(obj, x0, xdot0, alpha, beta,
-                                                              t0, t1, h)
+        with np.errstate(over="ignore", invalid="ignore"):   # a blow-up is named below
+            tr1 = constructions.integrate_first_order_vd(obj, x0, v0, alpha, beta, t0, t1, h)
+            tr2 = constructions.integrate_second_order_hessian_vd(obj, x0, xdot0, alpha, beta,
+                                                                  t0, t1, h)
+        for system, tr in (("first-order averaged", tr1), ("second-order Hessian-damped", tr2)):
+            ok = np.isfinite(tr.xs).all(axis=-1) & np.isfinite(tr.vs).all(axis=-1)
+            if not ok.all():
+                raise ValueError(f"the {system} system went non-finite at dt = {h}, "
+                                 f"first at t = {tr.ts[np.argmin(ok)]}")
         v_rec = constructions.v_from_x(obj, tr2.xs, tr2.vs, tr2.ts[:, None], alpha, beta)
         gaps.append(max(float(np.max(np.abs(tr1.xs - tr2.xs))),
                         float(np.max(np.abs(tr1.vs - v_rec)))))
+        if gaps[-1] == 0.0:   # a start at rest: both systems stay there
+            raise ValueError(f"the two systems agree exactly at dt = {h}: no order to observe")
     orders = [float(np.log2(gaps[i] / gaps[i + 1])) for i in range(2)]
     return gaps, orders, tr1
 

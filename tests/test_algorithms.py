@@ -22,7 +22,7 @@ from splitgrad.algorithms import (
 )
 from splitgrad.objectives import Objective, f1, f2, quadratic
 from splitgrad.schedules import make_schedule
-from splitgrad.splitting import euler_advance, lie_trotter_compose, strang_compose
+from splitgrad.splitting import compose, euler_advance, lie_trotter, strang
 
 S = 0.01
 X0 = [1.0, 0.0]
@@ -348,8 +348,8 @@ def test_both_routes_refuse_a_stepsize_that_is_not_positive(s):
               lambda: con.lt_s_igahd_construction(f1(), X0, 3.0,
                                                   make_schedule("e25", s=S, beta=0.1), s, 5)]
     drift = euler_advance(lambda t, x, v: (v, -x))
-    calls += [lambda c=c: c([drift], (np.ones(2), np.zeros(2)), 1.0, s)
-              for c in (lie_trotter_compose, strang_compose)]
+    calls += [lambda table=table: compose(table([drift]), (np.ones(2), np.zeros(2)), 1.0, s)
+              for table in (lie_trotter, strang)]
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()

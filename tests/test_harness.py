@@ -769,6 +769,12 @@ def test_run_takes_an_option_exactly_when_its_method_does(tmp_path, capsys, name
     # fail at once, before any step
     (["ode-compare", "--dt", "1e-320"], "no finite step count"),
     (["ode-compare", "--t1", "1e18", "--dt", "1"], "cannot be allocated"),
+    # a dt past RK4's stability bound left NaN gaps and orders, and a start at
+    # f1's rest point, where the two systems agree exactly, divided by a zero gap
+    (["ode-compare", "--beta", "100"],
+     "the first-order averaged system went non-finite at dt = 0.01, first at t = 5.35"),
+    (["ode-compare", "--x0", "0,0"],
+     "the two systems agree exactly at dt = 0.01: no order to observe"),
 ], ids=["run-epsilon", "run-alpha", "run-s", "run-gamma", "run-beta", "run-config-string",
         "run-config-huge-int", "run-x0", "run-config-algorithm", "run-config-x0-string",
         "run-config-x0-null", "run-config-x0-number", "run-schedule-string",
@@ -782,7 +788,7 @@ def test_run_takes_an_option_exactly_when_its_method_does(tmp_path, capsys, name
         "run-config-quadratic-nan", "run-config-quadratic-inf",
         "run-config-quadratic-linear-nan", "run-gamma-negative", "run-config-gamma-negative",
         "run-beta-negative", "ode-beta-negative", "ode-dt-no-finite-count",
-        "ode-grid-unallocatable"])
+        "ode-grid-unallocatable", "ode-beta-past-stability", "ode-start-at-rest"])
 def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from splitgrad import schedules
 from splitgrad.algorithms import make_stepper
 from splitgrad.schedules import (
+    Schedule,
     a_coefficients,
     check_assumptions,
     gn_hn_in,
@@ -423,6 +425,33 @@ def test_make_schedule_parameters(label, required, defaults):
     for key in required:   # a missing parameter is named before an unknown one
         with pytest.raises(ValueError, match=f"schedule '{label}' needs the parameter '{key}'"):
             make_schedule(label, s=0.04, nu=2.0)
+
+
+@pytest.mark.parametrize("label", ["e24", "e25", "e26"])
+def test_a_family_schedule_built_by_hand_checks_its_parameters(label):
+    # the thresholds read a family's params by key: a hand-built schedule
+    # without one raised KeyError in check_assumptions, so Schedule itself
+    # holds a family label to exactly its family's keys and to its checks
+    sch = make_schedule(label, s=0.1, **({"beta": 0.1} if label == "e25" else {}))
+
+    def build(params):
+        return Schedule(label, 3.0, 0.1, sch.coeffs_at, params)
+
+    assert check_assumptions(build(dict(sch.params)), 1.0, 100) == check_assumptions(sch, 1.0, 100)
+    for key in sch.params:
+        missing = {k: v for k, v in sch.params.items() if k != key}
+        with pytest.raises(ValueError, match=f"^schedule '{label}' needs the parameter '{key}'$"):
+            build(missing)
+    with pytest.raises(ValueError, match=rf"^unexpected parameters for schedule '{label}': "
+                                         r"\['nu'\]$"):
+        build({**sch.params, "nu": 1.0})
+    with pytest.raises(ValueError, match="^mu must be nonnegative, got -1.0$"):
+        build({**sch.params, "mu": -1.0})
+    with pytest.raises(ValueError, match="needs the parameter"):
+        check_assumptions(Schedule(label, 3.0, 0.1, sch.coeffs_at, {}), 1.0, 100)
+    # replacing the map, as a tracer does, keeps the checked parameters
+    traced = dataclasses.replace(sch, coeffs_at=lambda n: sch.coeffs_at(n))
+    assert traced.params == sch.params and traced.coeffs_at(2) == sch.coeffs_at(2)
 
 
 def test_check_assumptions_report():

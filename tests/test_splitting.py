@@ -3,12 +3,13 @@ import pytest
 
 from splitgrad.splitting import (
     HamiltonianSystem,
+    compose,
     euler_advance,
     forward_euler_hamiltonian,
-    lie_trotter_compose,
+    lie_trotter,
     rk4_step,
     stormer_verlet,
-    strang_compose,
+    strang,
     symplectic_euler,
 )
 
@@ -86,23 +87,21 @@ def _drift_kick_split():
     return (drift, kick)
 
 
-def test_lie_trotter_equals_se1_on_drift_kick():
+@pytest.mark.parametrize("table, order, step, variant", [
+    (lie_trotter, slice(None), symplectic_euler, "se1"),
+    (lie_trotter, slice(None, None, -1), symplectic_euler, "se2"),
+    (strang, slice(None), stormer_verlet, "sv1"),
+    (strang, slice(None, None, -1), stormer_verlet, "sv2"),
+], ids=["se1", "se2", "sv1", "sv2"])
+def test_composition_of_drift_and_kick_is_the_symplectic_map(table, order, step, variant):
     # Euler is the exact flow of either frozen sub-field, so the sequential
-    # composition reproduces the symplectic Euler map bit for bit
-    split = _drift_kick_split()
+    # composition of (drift, kick) reproduces se1 bit for bit and that of
+    # (kick, drift) se2; the palindromic ones reproduce sv1 and sv2
+    split = _drift_kick_split()[order]
     hs = _oscillator()
     state = (np.array([0.4, -1.1]), np.array([0.6, 0.2]))
-    xa, va = lie_trotter_compose(split, state, 0.0, H)
-    xb, vb = symplectic_euler(hs, state, H, "se1")
-    assert np.array_equal(xa, xb) and np.array_equal(va, vb)
-
-
-def test_strang_equals_stormer_verlet_on_drift_kick():
-    split = _drift_kick_split()
-    hs = _oscillator()
-    state = (np.array([0.4, -1.1]), np.array([0.6, 0.2]))
-    xa, va = strang_compose(split, state, 0.0, H)
-    xb, vb = stormer_verlet(hs, state, H, "sv1")
+    xa, va = compose(table(split), state, 0.0, H)
+    xb, vb = step(hs, state, H, variant)
     assert np.array_equal(xa, xb) and np.array_equal(va, vb)
 
 
@@ -110,7 +109,7 @@ def test_strang_is_second_order_with_exact_subflows():
     # drift and kick do not commute, yet their Euler advances are the exact
     # sub-flows, so the palindromic composition gains an order
     split = _drift_kick_split()
-    step = lambda st, h: strang_compose(split, st, 0.0, h)
+    step = lambda st, h: compose(strang(split), st, 0.0, h)
     ratio = _oscillator_error(step, 0.01) / _oscillator_error(step, 0.005)
     assert 3.6 < ratio < 4.4
 
@@ -126,7 +125,7 @@ def test_strang_is_second_order_on_a_time_dependent_split():
         h = 1.0 / n
         x, v = np.array([0.0]), np.array([1.0])
         for k in range(n):
-            x, v = strang_compose(split, (x, v), 1.0 + k * h, h)
+            x, v = compose(strang(split), (x, v), 1.0 + k * h, h)
         # the exact solution from (0, 1) at t = 1: v = t^-3, x = (1 - t^-2)/2
         return abs(float(x[0]) - 0.375) + abs(float(v[0]) - 0.125)
 
@@ -137,7 +136,7 @@ def test_strang_is_second_order_on_a_time_dependent_split():
 
 def test_lie_trotter_is_first_order_on_noncommuting_pair():
     split = _drift_kick_split()
-    step = lambda st, h: lie_trotter_compose(split, st, 0.0, h)
+    step = lambda st, h: compose(lie_trotter(split), st, 0.0, h)
     ratio = _oscillator_error(step, 0.01) / _oscillator_error(step, 0.005)
     assert 1.8 < ratio < 2.2
 
@@ -151,7 +150,7 @@ def test_lie_trotter_on_commuting_fields_is_plain_euler():
     state = (np.array([1.0]), np.array([1.0]))
 
     def err(h):
-        x, v = _march(lambda st, hh: lie_trotter_compose(split, st, 0.0, hh),
+        x, v = _march(lambda st, hh: compose(lie_trotter(split), st, 0.0, hh),
                       state, h, 1.0)
         return abs(float(x[0]) - np.exp(-1.0)) + abs(float(v[0]) - np.exp(-2.0))
 
@@ -162,25 +161,25 @@ def test_lie_trotter_on_commuting_fields_is_plain_euler():
 def test_strang_single_flow_takes_one_full_step():
     flow = euler_advance(lambda t, x, v: (-x, np.zeros_like(v)))
     state = (np.array([2.0]), np.array([0.0]))
-    xs, vs = strang_compose((flow,), state, 0.0, H)
+    xs, vs = compose(strang((flow,)), state, 0.0, H)
     xe, ve = flow(0.0, state[0], state[1], H)
     assert np.array_equal(xs, xe) and np.array_equal(vs, ve)
 
 
 def test_compose_rejects_an_empty_split():
-    for compose in (lie_trotter_compose, strang_compose):
+    for table in (lie_trotter, strang):
         for split in ((), []):
             with pytest.raises(ValueError, match="at least one advance map"):
-                compose(split, START, 0.0, H)
+                compose(table(split), START, 0.0, H)
 
 
 def test_compose_rejects_nonpositive_step():
     split = _drift_kick_split()
     state = START
     with pytest.raises(ValueError):
-        lie_trotter_compose(split, state, 0.0, 0.0)
+        compose(lie_trotter(split), state, 0.0, 0.0)
     with pytest.raises(ValueError):
-        strang_compose(split, state, 0.0, -0.1)
+        compose(strang(split), state, 0.0, -0.1)
 
 
 def test_hamiltonian_system_contracts():
