@@ -74,22 +74,29 @@ written and hold no memory; the lanes of a batch get copies of their own
 columns. No gradient is recorded: `Trajectory.grads` derives them from x_n
 when first read.
 
+Checks: `run` and `run_methods` check the start point once
+(`Objective.start_point`), and `init_state` takes x_0 and x_1 from the
+checked `Objective.eval_grad`, which refuses a gradient that is not a
+float array of the point's shape. The steps then call the objective's own
+`value_and_gradient` (or `value` and `gradient`) and `gradient` on the
+points they make, with the bits the checked calls give.
+
 Gradient economy: the cache makes grad(x_n) and grad(x_{n-1}) free inside a
 step. Every step takes f(x_{n+1}) and grad(x_{n+1}) together from one
-`Objective.eval_grad` call (the value feeds the stopping rule, the gradient
-seeds the next step's cache), as the bootstrap does for x_0 and x_1; the
-methods that step from y_n spend one further gradient on y_n, and the
-methods whose gradient step is taken at x_n spend nothing more. So a run to
-index M makes M + 1 `eval_grad` calls, plus M - 1 gradients at the y_n; a
+evaluation (the value feeds the stopping rule, the gradient seeds the next
+step's cache), as the bootstrap does for x_0 and x_1; the methods that step
+from y_n spend one further gradient on y_n, and the methods whose gradient
+step is taken at x_n spend nothing more. So a run to index M makes M + 1
+value-and-gradient evaluations, plus M - 1 gradients at the y_n; a
 trajectory whose `grads` are read spends M + 1 gradients more, once. An
 objective with a fused `value_and_gradient` (the quadratic) shares the
 product A x between the value and the gradient at x_{n+1}; any other pays
-one value and one gradient for each `eval_grad`.
+one `value` and one `gradient` for each.
 
 An objective that declares `affine_gradient` (the quadratic) also gives
 grad(y_n) as a combination of the cached grad(x_n) and grad(x_{n-1})
 whenever lambda_n = omega_n = 0, with no new evaluation. On it a step costs
-one product A x, counting `eval_grad` as one, and a second for grad(y_n) at
+one product A x, counting the fused value and gradient as one, and a second for grad(y_n) at
 each n where the step is at y_n and lambda_n or omega_n is not 0: never for
 agm2, nag, pim and polyak_igahd, and for lt_se1, lt_sv2 and lt_se3 at every
 n but n = alpha, where a_n = 0.
@@ -202,6 +209,10 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
     (in every lane), y_n - x_n = alpha_n (x_n - x_{n-1}), so grad(y_n) is
     taken as grad(x_n) + alpha_n [grad(x_n) - grad(x_{n-1})] from the
     cached gradients, with no new evaluation.
+
+    The step calls the objective's own `gradient` and `value_and_gradient`
+    (or `value` and `gradient`) on the points it makes: `init_state`
+    checked the start.
     """
     a_n, lam, om, gam = coeffs
     y = (state.x_curr + a_n * (state.x_curr - state.x_prev)
@@ -210,8 +221,12 @@ def coefficient_step(state: IterState, obj: Objective, s, coeffs,
         g = state.grad_curr
         x_next = y - s * (g + a_n * (g - state.grad_prev)) + gam * g
     else:
-        x_next = y - s * (state.grad_curr if grad_at_x else obj.grad(y)) + gam * state.grad_curr
-    f_next, g_next = obj.eval_grad(x_next)
+        x_next = (y - s * (state.grad_curr if grad_at_x else obj.gradient(y))
+                  + gam * state.grad_curr)
+    if obj.value_and_gradient is None:
+        f_next, g_next = obj.value(x_next), obj.gradient(x_next)
+    else:
+        f_next, g_next = obj.value_and_gradient(x_next)
     return IterState(state.n + 1, state.x_curr, x_next, state.grad_curr, g_next,
                      state.f_curr, f_next)
 
@@ -488,14 +503,12 @@ def run(stepper: Callable[[IterState, Objective], IterState], obj: Objective, x0
     the trajectory keeps the last finite state). s must be the stepsize a
     `Stepper` was made with, and f and its gradient must be finite at x0.
     This is the one-lane path of `run_methods`' engine, on a start point of
-    shape (dim,); one lane has no departure to tell, so any function
-    (state, obj) -> state may step it.
+    shape (dim,), which `Objective.start_point` checks; one lane has no
+    departure to tell, so any function (state, obj) -> state may step it.
 
     Returns (Trajectory, RunResult).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1:
-        raise ValueError(f"x0 must be one point, got shape {x0.shape}")
+    x0 = obj.start_point(x0)
     if isinstance(stepper, Stepper) and (own := np.ravel(stepper.s).tolist()) != [s]:
         raise ValueError(f"stepsizes {[float(s)]} disagree with the {own} "
                          f"the stepper was made with")
@@ -587,15 +600,13 @@ def run_methods(obj: Objective, cells, x0, stopping: StoppingRule, max_iter: int
     every objective. A lane stops when the stopping rule fires for it, at
     max_iter, or when its iterate goes non-finite (divergence: it keeps its
     last finite state, x0 when x1 is not finite), and the others run on
-    without it. x0 must be a finite point of obj.dim, and a cell whose
-    keywords `coefficient_map` rejects raises before any lane runs.
+    without it. x0 must be a finite point of obj.dim
+    (`Objective.start_point`), and a cell whose keywords `coefficient_map`
+    rejects raises before any lane runs.
 
     Returns (trajectories, results): one RunResult per cell, in order, and
     one Trajectory per cell when `record` is set, else None."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (obj.dim,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be a finite point of dimension {obj.dim} for "
-                         f"objective {obj.name!r}, got {x0.tolist()}")
+    x0 = obj.start_point(x0)
     if not obj.batched:
         raise ValueError(f"objective {obj.name!r} takes one point at a time; "
                          f"run_methods needs a batched one")

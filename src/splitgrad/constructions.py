@@ -22,6 +22,15 @@ rescaled step `_rescaled_se1` (lt_se1, lt_sv2, lt_se3). A public
 construction adds only its parameter checks and the coefficients of its
 step, calls no other public one, and imports no formula from `algorithms`,
 not even theta_n.
+
+Checks: a construction's entry, the driver, refuses a start point that is
+not a finite point of the objective's dimension and makes the one checked
+`Objective.grad` call, at x0, so a gradient that is not a float array of
+x0's shape is refused there. An integrator's entry checks x0 and its
+velocity the same way and calls `grad` once at x0, and the second-order
+one `hess_vec` too, so an objective without a Hessian-vector product
+raises before the first step. The steps then call the objective's own
+`gradient` and `hessian_vec` on the points they make.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .objectives import Objective
-from .schedules import Schedule, check_alpha, check_beta, check_gamma, check_step
+from .schedules import Schedule, check_alpha, check_beta, check_gamma, check_step, coeffs_of
 from .splitting import (Field, HamiltonianSystem, Phase, compose, euler_advance,
                         lie_trotter, rk4_step, symplectic_euler, stormer_verlet)
 
@@ -45,11 +54,11 @@ def _iterate(obj: Objective, x0, h: float, n_steps: int,
     """The driver of the module docstring: step(n, x_n, v_n) is composite
     step n, start_v(x0, x1) the start velocity. Returns x_0, ...,
     x_{n_steps} stacked, written row by row into one array; a record that
-    cannot be allocated raises ValueError."""
+    cannot be allocated raises ValueError. x0 is checked here, once."""
     check_step(h)
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = obj.start_point(x0)
     try:
         xs = np.empty((n_steps + 1,) + x0.shape)
     except (MemoryError, ValueError):   # numpy: too many bytes to address
@@ -71,8 +80,8 @@ def _unit_mass_system(obj: Objective, c: float = 1.0) -> HamiltonianSystem:
     """The unit-mass system of the potential U = c f, whose symplectic maps
     step in drift/kick form."""
     if c == 1.0:
-        return HamiltonianSystem(obj.eval, obj.grad)
-    return HamiltonianSystem(lambda x: c * obj.eval(x), lambda x: c * obj.grad(x))
+        return HamiltonianSystem(obj.value, obj.gradient)
+    return HamiltonianSystem(lambda x: c * obj.value(x), lambda x: c * obj.gradient(x))
 
 
 def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: int) -> Array:
@@ -87,9 +96,10 @@ def nesterov_lie_trotter(obj: Objective, x0, alpha: float, h: float, n_steps: in
     s = h^2.
     """
     check_alpha(alpha, "inertia exponent")
+    gradient = obj.gradient
     split = (lambda t, x, vv: (((alpha - 1.0) / t) * (vv - x), np.zeros_like(vv)),   # x-drift
-             lambda t, x, vv: (np.zeros_like(x), -(t / (alpha - 1.0)) * obj.grad(x)),   # v-kick
-             lambda t, x, vv: (-h * obj.grad(x), np.zeros_like(vv)))   # gradient flow
+             lambda t, x, vv: (np.zeros_like(x), -(t / (alpha - 1.0)) * gradient(x)),   # v-kick
+             lambda t, x, vv: (-h * gradient(x), np.zeros_like(vv)))   # gradient flow
     stages = lie_trotter([euler_advance(field) for field in split])
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: x0.copy(),
                     lambda n, x, v: compose(stages, (x, v), n * h, h))
@@ -115,7 +125,7 @@ def nesterov_velocity_form(obj: Objective, x0, alpha: float, h: float,
     def step(n, x, v):
         t_n = n * h
         y = x + (h * (alpha - 1.0) / t_n) * (v - x)
-        g = obj.grad(y)
+        g = obj.gradient(y)
         return y - (h * h) * g, v - (h * t_n / (alpha - 1.0)) * g
 
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: x0.copy(), step)
@@ -165,22 +175,35 @@ def ardm_construction(obj: Objective, x0, alpha: float, h: float, n_steps: int) 
     return _hessian_damped(obj, x0, h, n_steps, coeffs)
 
 
+# Indices whose coefficients `_hessian_damped` tabulates per call of its map
+_CHUNK = 128
+
+
 def _hessian_damped(obj: Objective, x0, h: float, n_steps: int,
                     coeffs: Callable[[int], tuple]) -> Array:
     """The body of the three constructions above; coeffs(n) gives
-    (a_n, lambda_n, omega_n, gamma_n). The Hessian-velocity product is
-    replaced by the consecutive-gradient quotient
-    (grad f(x) - grad f(x - h v)) / h, which keeps the whole step first
-    order in gradient calls; a step with lambda_n = 0 skips it."""
+    (a_n, lambda_n, omega_n, gamma_n), and an array of n gives their
+    arrays (or numbers that hold for every n), bitwise equal to the values
+    n by n, as a `Schedule`'s `coeffs_at` does. The step reads them from a
+    table of up to `_CHUNK` indices, one call of the map each. The
+    Hessian-velocity product is replaced by the consecutive-gradient
+    quotient (grad f(x) - grad f(x - h v)) / h, which keeps the whole step
+    first order in gradient calls; a step with lambda_n = 0 skips it."""
     hs = _unit_mass_system(obj)
+    gradient = obj.gradient
+    lo, rows = 1, []   # rows[j] holds the coefficients at n = lo + j
 
     def step(n, x, v):
-        g = obj.grad(x)
-        a_n, lam, om, gam = coeffs(n)
-        hess_v = (g - obj.grad(x - h * v)) / h if lam else 0.0
+        nonlocal lo, rows
+        if n - lo >= len(rows):
+            lo, rows = n, coeffs_of([coeffs], np.arange(n, min(n + _CHUNK, n_steps),
+                                                        dtype=float))[..., 0].tolist()
+        a_n, lam, om, gam = rows[n - lo]
+        g = gradient(x)
+        hess_v = (g - gradient(x - h * v)) / h if lam else 0.0
         y = x + h * a_n * v - h * lam * hess_v - om * g
         v_half = (a_n * v - lam * hess_v - (om / h) * g + (gam / h) * g
-                  + h * g - h * obj.grad(y))
+                  + h * g - h * gradient(y))
         return symplectic_euler(hs, (x, v_half), h, "se2")
 
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
@@ -231,16 +254,17 @@ def _rescaled_se1(obj: Objective, x0, alpha: float, h: float, n_steps: int,
     leg(..., variant) at step n runs on the potential theta_n * f, and
     the start velocity is v_1 = (x_1 - x_0)/h - c h grad f(x_1)."""
     check_alpha(alpha, "inertia exponent")
+    gradient = obj.gradient
 
     def step(n, x, v):
-        g = obj.grad(x)
+        g = gradient(x)
         a_n = (n - alpha) / n
         th = theta(n)
-        v_half = a_n * v - h * obj.grad(x + h * a_n * v) + h * th * g
+        v_half = a_n * v - h * gradient(x + h * a_n * v) + h * th * g
         return leg(_unit_mass_system(obj, th), (x, v_half), h, variant)
 
     return _iterate(obj, x0, h, n_steps,
-                    lambda x0, x1: (x1 - x0) / h - c * h * obj.grad(x1), step)
+                    lambda x0, x1: (x1 - x0) / h - c * h * gradient(x1), step)
 
 
 @dataclass(frozen=True)
@@ -264,26 +288,34 @@ def check_interval(t0: float, t1: float, dt: float) -> None:
         raise ValueError(f"dt must be positive, got {dt}")
 
 
-def _rk4_trajectory(field: Field, x0, v0, t0: float, t1: float,
+def _start_phase(obj: Objective, x0, v0, label: str):
+    """The entry of the integrators: x0 and v0 (named `label`) as finite
+    points of obj's dimension, and the checked gradient at x0."""
+    x0, v0 = obj.start_point(x0), obj.start_point(v0, label)
+    obj.grad(x0)
+    return x0, v0
+
+
+def _rk4_trajectory(field: Field, x0: Array, v0: Array, t0: float, t1: float,
                     dt: float) -> ContinuousTrajectory:
-    """rk4_step on field from (x0, v0) at t0 to t1, at dt rounded so that
-    the grid hits t1 exactly, each step written into arrays of the whole
-    grid. A step count that is not finite, or a grid that cannot be
-    allocated, raises ValueError."""
+    """rk4_step on field from the checked start (x0, v0) at t0 to t1, at dt
+    rounded so that the grid hits t1 exactly, each step written into arrays
+    of the whole grid. A step count that is not finite, or a grid that
+    cannot be allocated, raises ValueError; the grid size is given to three
+    digits."""
     check_interval(t0, t1, dt)
     steps = (t1 - t0) / dt
     if not np.isfinite(steps):
         raise ValueError(f"dt = {dt} leaves no finite step count on [{t0}, {t1}]")
     n = max(1, int(round(steps)))
     dt_eff = (t1 - t0) / n
-    x = np.asarray(x0, dtype=float)
-    v = np.asarray(v0, dtype=float)
+    x, v = x0, v0
     try:
         ts = t0 + dt_eff * np.arange(n + 1)
         xs = np.empty((n + 1,) + x.shape)
         vs = np.empty((n + 1,) + v.shape)
     except (MemoryError, ValueError):   # numpy: too many bytes to address
-        raise ValueError(f"dt = {dt} on [{t0}, {t1}] asks for a grid of {n + 1} points, "
+        raise ValueError(f"dt = {dt} on [{t0}, {t1}] asks for a grid of {n + 1:.3g} points, "
                          f"which cannot be allocated") from None
     xs[0], vs[0] = x, v
     for k in range(n):
@@ -303,9 +335,11 @@ def integrate_first_order_vd(obj: Objective, x0, v0, alpha: float, beta: float,
     so the grid hits t1 exactly). beta must be finite and nonnegative."""
     check_alpha(alpha, "inertia exponent")
     check_beta(beta)
+    x0, v0 = _start_phase(obj, x0, v0, "v0")
+    gradient = obj.gradient
 
     def field(t, xx, vv):
-        g = obj.grad(xx)
+        g = gradient(xx)
         return ((alpha - 1.0) / t) * (vv - xx) - beta * g, -(t / (alpha - 1.0)) * g
 
     return _rk4_trajectory(field, x0, v0, t0, t1, dt)
@@ -323,10 +357,13 @@ def integrate_second_order_hessian_vd(obj: Objective, x0, xdot0, alpha: float,
     finite and nonnegative."""
     check_alpha(alpha, "inertia exponent")
     check_beta(beta)
+    x0, xdot0 = _start_phase(obj, x0, xdot0, "xdot0")
+    obj.hess_vec(x0, xdot0)
+    gradient, hessian_vec = obj.gradient, obj.hessian_vec
 
     def field(t, xx, ww):
-        return ww, (-(alpha / t) * ww - beta * obj.hess_vec(xx, ww)
-                    - (1.0 + beta / t) * obj.grad(xx))
+        return ww, (-(alpha / t) * ww - beta * hessian_vec(xx, ww)
+                    - (1.0 + beta / t) * gradient(xx))
 
     return _rk4_trajectory(field, x0, xdot0, t0, t1, dt)
 

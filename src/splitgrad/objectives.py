@@ -51,6 +51,16 @@ class Objective:
     `value`, `gradient` and `value_and_gradient` also take B points stacked
     as (B, dim) and evaluate over the last axis, and so do `eval` (B
     values), `grad` and `eval_grad`; `hess_vec` takes one point.
+
+    The methods `eval`, `grad`, `eval_grad` and `hess_vec` are the checked
+    calls: they refuse a point of the wrong shape, and `grad`, `eval_grad`
+    and `hess_vec` refuse a gradient or product that is not a float array
+    of the point's shape, naming the objective. A run makes them once, at
+    its entry, where `start_point` also refuses a start point that is not
+    finite. Its loop then calls the fields `gradient`,
+    `value_and_gradient` (or `value` and `gradient`) and `hessian_vec`
+    themselves on the points it makes, with the bits the checked calls
+    give.
     """
 
     name: str
@@ -78,13 +88,33 @@ class Objective:
             )
         return x
 
+    def _as_returned(self, out, x: Array, what: str) -> Array:
+        """out, what the objective's own `what` returned at x, when it is a
+        float array of x's shape; ValueError naming the objective otherwise."""
+        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == x.shape):
+            got = (f"a {out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray)
+                   else f"a {type(out).__name__}")
+            raise ValueError(f"the {what} of objective {self.name!r} returned {got}, "
+                             f"expected a float array of shape {x.shape}")
+        return out
+
+    def start_point(self, x, label: str = "x0") -> Array:
+        """x as one finite point of shape (dim,), else ValueError naming
+        `label`: a run's check of its start, made once at its entry."""
+        x = self._as_point(x, label, stack=False)
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{label} must be finite")
+        return x
+
     def eval(self, x):
         x = self._as_point(x)
         f = self.value(x)
         return float(f) if x.ndim == 1 else np.asarray(f, dtype=float)
 
     def grad(self, x) -> Array:
-        return np.asarray(self.gradient(self._as_point(x)), dtype=float)
+        x = self._as_point(x)
+        return self._as_returned(self.gradient(x), x, "gradient")
 
     def eval_grad(self, x):
         """(eval(x), grad(x)), from the fused `value_and_gradient` when the
@@ -93,17 +123,16 @@ class Objective:
             return self.eval(x), self.grad(x)
         x = self._as_point(x)
         f, g = self.value_and_gradient(x)
-        return float(f) if x.ndim == 1 else np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+        return (float(f) if x.ndim == 1 else np.asarray(f, dtype=float),
+                self._as_returned(g, x, "gradient"))
 
     def hess_vec(self, x, v) -> Array:
         if self.hessian_vec is None:
             raise NotImplementedError(
                 f"objective {self.name!r} does not provide a Hessian-vector product"
             )
-        return np.asarray(
-            self.hessian_vec(self._as_point(x, stack=False), self._as_point(v, "v", stack=False)),
-            dtype=float,
-        )
+        x, v = self._as_point(x, stack=False), self._as_point(v, "v", stack=False)
+        return self._as_returned(self.hessian_vec(x, v), v, "Hessian-vector product")
 
 
 def _square(u):

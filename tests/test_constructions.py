@@ -471,3 +471,88 @@ def test_package_exports_every_public_construction():
     assert splitgrad.nesterov_velocity_form is con.nesterov_velocity_form
     assert "nesterov_velocity_form" in splitgrad.__all__
     assert [n for n in splitgrad.__all__ if not hasattr(splitgrad, n)] == []
+
+
+# every entry that steps from a start point, as entry(obj, x0, v0): the two
+# routes' runners, each construction, and both integrators (v0 is the
+# second-order one's xdot0)
+_ENTRIES = dict(
+    {"run": lambda obj, x0, v0: run(make_stepper("agm2", S), obj, x0, S,
+                                    StoppingRule("max_iter"), 5),
+     "run_methods": lambda obj, x0, v0: run_methods(obj, [("agm2", S, {}), ("agm2", S / 2, {})],
+                                                    x0, StoppingRule("max_iter"), 5),
+     "first_order_vd": lambda obj, x0, v0: con.integrate_first_order_vd(
+         obj, x0, v0, 3.0, 0.1, 1.0, 2.0, H),
+     "second_order_hessian_vd": lambda obj, x0, v0: con.integrate_second_order_hessian_vd(
+         obj, x0, v0, 3.0, 0.1, 1.0, 2.0, H)},
+    **{name: (lambda construct: lambda obj, x0, v0: construct(obj, x0, 5))(construct)
+       for name, (construct, _) in _routes(H).items()})
+_INTEGRATORS = {"first_order_vd": "v0", "second_order_hessian_vd": "xdot0"}
+
+
+def _bad_inputs(entry):
+    """(case, objective, x0, v0, error, message) for each bad input the
+    entry reads."""
+    listy = dataclasses.replace(f1(), name="listy",
+                                gradient=lambda x: f1().gradient(x).tolist())
+    shape = r"\(2, 2\)" if entry == "run_methods" else r"\(2,\)"   # its lanes' stack
+    cases = [
+        ("wrong-shape", f1(), [1.0, -2.0, 0.5], [0.0, 0.0], ValueError,
+         r"x0 has shape \(3,\), expected \(2,\) for objective 'f1'"),
+        ("non-finite-x0", f1(), [np.nan, 0.0], [0.0, 0.0], ValueError, "x0 must be finite"),
+        ("list-gradient", listy, X0, [0.0, 0.0], ValueError,
+         f"the gradient of objective 'listy' returned a list, expected a float array "
+         f"of shape {shape}"),
+    ]
+    if entry in _INTEGRATORS:
+        label = _INTEGRATORS[entry]
+        cases.append(("wrong-v0-shape", f1(), X0, [0.0, 0.0, 0.0], ValueError,
+                      rf"{label} has shape \(3,\), expected \(2,\) for objective 'f1'"))
+    if entry == "second_order_hessian_vd":
+        cases.append(("no-hessian-vec", dataclasses.replace(f1(), hessian_vec=None), X0,
+                      [0.0, 0.0], NotImplementedError,
+                      "objective 'f1' does not provide a Hessian-vector product"))
+    return cases
+
+
+@pytest.mark.parametrize("entry,case", [(entry, case[0]) for entry in _ENTRIES
+                                        for case in _bad_inputs(entry)])
+def test_every_entry_refuses_a_bad_start_before_any_step(entry, case):
+    # the entry checks the start once: the loops then call the objective's
+    # own callables, so a bad input must raise before the first step
+    (_, obj, x0, v0, error, message), = [c for c in _bad_inputs(entry) if c[0] == case]
+    calls = [0]
+
+    def gradient(x, own=obj.gradient):
+        calls[0] += 1
+        return own(x)
+
+    counted = dataclasses.replace(obj, gradient=gradient)
+    with pytest.raises(error, match=f"^{message}$"):
+        _ENTRIES[entry](counted, x0, v0)
+    assert calls[0] <= 1   # at most the entry's one checked gradient
+
+
+def _one_point_objective():
+    """f(x) = sum sqrt(1 + x_i^2), written for one point, unfused."""
+    return splitgrad.Objective(
+        name="plain", dim=2, value=lambda x: float(np.sum(np.sqrt(1.0 + x * x))),
+        gradient=lambda x: x / np.sqrt(1.0 + x * x),
+        hessian_vec=lambda x, v: v / np.sqrt(1.0 + x * x) ** 3, lipschitz=1.0)
+
+
+def test_raw_callables_step_the_bits_of_the_checked_calls():
+    # the loops call `value`, `gradient` and `hessian_vec` themselves; routed
+    # through the checked eval, grad and hess_vec instead, as every step once
+    # was, they give the same bits
+    plain = _one_point_objective()
+    checked = dataclasses.replace(plain, value=plain.eval, gradient=plain.grad,
+                                  hessian_vec=plain.hess_vec)
+    got, want = ([run(make_stepper("lt_sv2", S), obj, X0, S, StoppingRule("max_iter"), 300)[0]
+                  for obj in (plain, checked)])
+    assert got.xs.tobytes() == want.xs.tobytes() and got.fs.tobytes() == want.fs.tobytes()
+    assert (con.lt_sv2_construction(plain, X0, 3.0, H, 300).tobytes()
+            == con.lt_sv2_construction(checked, X0, 3.0, H, 300).tobytes())
+    got, want = (con.integrate_second_order_hessian_vd(obj, X0, [0.5, 0.0], 3.0, 0.1, 1.0,
+                                                       4.0, 0.01) for obj in (plain, checked))
+    assert got.xs.tobytes() == want.xs.tobytes() and got.vs.tobytes() == want.vs.tobytes()
