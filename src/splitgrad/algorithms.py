@@ -96,10 +96,10 @@ one `value` and one `gradient` for each.
 An objective that declares `affine_gradient` (the quadratic) also gives
 grad(y_n) as a combination of the cached grad(x_n) and grad(x_{n-1})
 whenever lambda_n = omega_n = 0, with no new evaluation. On it a step costs
-one product A x, counting the fused value and gradient as one, and a second for grad(y_n) at
-each n where the step is at y_n and lambda_n or omega_n is not 0: never for
-agm2, nag, pim and polyak_igahd, and for lt_se1, lt_sv2 and lt_se3 at every
-n but n = alpha, where a_n = 0.
+one product A x, counting the fused value and gradient as one, and a
+second for grad(y_n) at each n where the step is at y_n and lambda_n or
+omega_n is not 0: never for agm2, nag, pim and polyak_igahd, and for
+lt_se1, lt_sv2 and lt_se3 at every n but n = alpha, where a_n = 0.
 """
 
 from __future__ import annotations

@@ -23,14 +23,11 @@ construction adds only its parameter checks and the coefficients of its
 step, calls no other public one, and imports no formula from `algorithms`,
 not even theta_n.
 
-Checks: a construction's entry, the driver, refuses a start point that is
-not a finite point of the objective's dimension and makes the one checked
-`Objective.grad` call, at x0, so a gradient that is not a float array of
-x0's shape is refused there. An integrator's entry checks x0 and its
-velocity the same way and calls `grad` once at x0, and the second-order
-one `hess_vec` too, so an objective without a Hessian-vector product
-raises before the first step. The steps then call the objective's own
-`gradient` and `hessian_vec` on the points they make.
+Checks happen once, at the entry: the driver and the integrators take the
+start through `Objective.start_point`, then make the one checked `grad`
+call at x0 (and the second-order integrator one `hess_vec`, so an
+objective without a Hessian-vector product raises before the first step).
+The steps call the objective's own `gradient` and `hessian_vec`.
 """
 
 from __future__ import annotations

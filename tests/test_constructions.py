@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import splitgrad
 from splitgrad import constructions as con
 from splitgrad.algorithms import StoppingRule, make_stepper, run, run_methods
-from splitgrad.objectives import f1, f2, quadratic
+from splitgrad.objectives import Objective, f1, f2, quadratic
 from splitgrad.schedules import make_schedule
 
 H = 0.1
@@ -485,7 +485,7 @@ _ENTRIES = dict(
          obj, x0, v0, 3.0, 0.1, 1.0, 2.0, H),
      "second_order_hessian_vd": lambda obj, x0, v0: con.integrate_second_order_hessian_vd(
          obj, x0, v0, 3.0, 0.1, 1.0, 2.0, H)},
-    **{name: (lambda construct: lambda obj, x0, v0: construct(obj, x0, 5))(construct)
+    **{name: lambda obj, x0, v0, construct=construct: construct(obj, x0, 5)
        for name, (construct, _) in _routes(H).items()})
 _INTEGRATORS = {"first_order_vd": "v0", "second_order_hessian_vd": "xdot0"}
 
@@ -535,7 +535,7 @@ def test_every_entry_refuses_a_bad_start_before_any_step(entry, case):
 
 def _one_point_objective():
     """f(x) = sum sqrt(1 + x_i^2), written for one point, unfused."""
-    return splitgrad.Objective(
+    return Objective(
         name="plain", dim=2, value=lambda x: float(np.sum(np.sqrt(1.0 + x * x))),
         gradient=lambda x: x / np.sqrt(1.0 + x * x),
         hessian_vec=lambda x, v: v / np.sqrt(1.0 + x * x) ** 3, lipschitz=1.0)
