@@ -769,6 +769,9 @@ def test_run_takes_an_option_exactly_when_its_method_does(tmp_path, capsys, name
     # fail at once, before any step
     (["ode-compare", "--dt", "1e-320"], "no finite step count"),
     (["ode-compare", "--t1", "1e18", "--dt", "1"], "cannot be allocated"),
+    # its size to three digits, not as a 301-digit integer
+    (["ode-compare", "--dt", "1e-300"],
+     "dt = 1e-300 on [1.0, 10.0] asks for a grid of 9e+300 points, which cannot be allocated"),
     # a dt past RK4's stability bound left NaN gaps and orders, and a start at
     # f1's rest point, where the two systems agree exactly, divided by a zero gap
     (["ode-compare", "--beta", "100"],
@@ -788,7 +791,8 @@ def test_run_takes_an_option_exactly_when_its_method_does(tmp_path, capsys, name
         "run-config-quadratic-nan", "run-config-quadratic-inf",
         "run-config-quadratic-linear-nan", "run-gamma-negative", "run-config-gamma-negative",
         "run-beta-negative", "ode-beta-negative", "ode-dt-no-finite-count",
-        "ode-grid-unallocatable", "ode-beta-past-stability", "ode-start-at-rest"])
+        "ode-grid-unallocatable", "ode-grid-size-in-digits", "ode-beta-past-stability",
+        "ode-start-at-rest"])
 def test_non_finite_or_non_numeric_options_exit_2(tmp_path, capsys, argv, needle):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
