@@ -102,9 +102,18 @@ def _write_csv(path: Path, header, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _emit_report(out_dir: Path, payload: dict) -> None:
-    """Text report in insertion order plus a sorted-key JSON twin; the text
-    is also echoed to stdout."""
+def _write_outputs(out, payload: dict, tables: dict) -> None:
+    """The one place a command writes, called as its last step, so that a
+    command that fails writes nothing. Makes the directory `out`, writes
+    each of `tables` (file name -> (header, rows)) as a CSV, and closes the
+    payload with `files`, the names written in order. The report goes out
+    as text in insertion order plus a sorted-key JSON twin; the text is
+    also echoed to stdout."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out_dir / name, header, rows)
+    payload = {**payload, "files": ",".join([*tables, "report.txt", "report.json"])}
     txt = "".join(f"{k}: {_fmt(v)}\n" for k, v in payload.items())
     (out_dir / "report.txt").write_text(txt)
     (out_dir / "report.json").write_text(_dumps(payload, indent=2) + "\n")
@@ -152,7 +161,6 @@ def cmd_run(args) -> int:
     out = _cfg(args, config, "out", "out")
     if not isinstance(out, str):
         raise ValueError(f"--out must be a path, got {out!r}")
-    out_dir = Path(out)
     record_energy = _cfg(args, config, "record_energy", False)
     if not isinstance(record_energy, bool):
         raise ValueError(f"--record-energy must be true or false, got {record_energy!r}")
@@ -179,7 +187,6 @@ def cmd_run(args) -> int:
                                              algorithms.StoppingRule(stop_kind, epsilon),
                                              max_iter, record=True)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     dim = obj.dim
     fgaps = traj.fgaps() if obj.f_min is not None else np.full(traj.n_final + 1, np.nan)
     vels = traj.velocities(s)
@@ -202,7 +209,6 @@ def cmd_run(args) -> int:
         if e_col is not None:
             row.append(float(e_col[n]))
         rows.append(row)
-    _write_csv(out_dir / "trajectory.csv", header, rows)
 
     payload = {
         "command": "run", "objective": obj.name, "algorithm": algorithm,
@@ -218,12 +224,8 @@ def cmd_run(args) -> int:
     if sched is not None:
         rep = schedules.check_assumptions(sched, obj.lipschitz,
                                           n_max=schedules.scan_end(res.n_final, alpha))
-        payload.update({"n1": rep.n1, "n2": rep.n2, "n_prime": rep.n_prime,
-                        "n_threshold": rep.n_threshold,
-                        "assumption_i_holds_from": rep.assumption_i_holds_from,
-                        "assumption_ii_exact": rep.assumption_ii_exact})
-    payload["files"] = "trajectory.csv,report.txt,report.json"
-    _emit_report(out_dir, payload)
+        payload.update(dataclasses.asdict(rep))
+    _write_outputs(out, payload, {"trajectory.csv": (header, rows)})
     return 0
 
 
@@ -295,7 +297,9 @@ def _load_cases(text) -> list:
             raise ValueError(f"table case {i}: {e}") from None
         for field in dataclasses.fields(TableCase):
             v = row[field.name]
-            if isinstance(v, bool) or not isinstance(v, _CASE_FIELD_TYPES[field.type]):
+            # a float field takes an int, but not one past the float range
+            if isinstance(v, bool) or not isinstance(v, _CASE_FIELD_TYPES[field.type]) or (
+                    field.type == "float" and isinstance(v, int) and abs(v) > sys.float_info.max):
                 raise ValueError(f"table case {i}: {field.name} must be a {field.type}, "
                                  f"got {v!r}")
         cases.append(case)
@@ -310,8 +314,6 @@ def cmd_table(args) -> int:
         raise ValueError("no table rows to run")
     s, alpha = _finite("--s", args.s), _finite("--alpha", args.alpha)
     max_iter = algorithms.check_max_iter(args.max_iter)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     header = ["case", "table", "group", "objective", "schedule", "mu", "a", "b",
               "epsilon", "s", "termination", "n_final", "error",
@@ -347,14 +349,12 @@ def cmd_table(args) -> int:
                npr_alt, rep.n_threshold, case.ref_error, case.ref_n2,
                case.ref_nprime, case.ref_n, m_err, m_n2, m_npr, m_n]
         rows.append(row + list(scan))
-    _write_csv(out_dir / "tables.csv", header, rows)
-    _emit_report(out_dir, {
+    _write_outputs(args.out, {
         "command": "table", "rows": len(rows), "s": s, "alpha": alpha,
         "max_iter": max_iter, "tolerance_met": n_met,
         "threshold_matches_at_2dp": n_matched_n,
         "infer_s": bool(args.infer_s),
-        "files": "tables.csv,report.txt,report.json",
-    })
+    }, {"tables.csv": (header, rows)})
     return 0
 
 
@@ -404,17 +404,13 @@ def cmd_sweep(args) -> int:
                     rep.n_prime, rep.n_threshold, ""]
         rows.append([params[k] for k in keys] + tail)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = keys + ["status", "termination", "n_final", "error", "n1", "n2",
                      "n_prime", "n_threshold", "message"]
-    _write_csv(out_dir / "sweep.csv", header, rows)
-    _emit_report(out_dir, {
+    _write_outputs(args.out, {
         "command": "sweep", "schedule": args.schedule,
         "objective": args.objective, "s": s, "alpha": alpha,
         "cells": len(built), "errors": len(built) - len(scheds),
-        "files": "sweep.csv,report.txt,report.json",
-    })
+    }, {"sweep.csv": (header, rows)})
     return 0
 
 
@@ -439,11 +435,6 @@ def cmd_ode_compare(args) -> int:
     v0 = _parse_vec("--v0", args.v0, obj.dim) if args.v0 is not None else np.zeros(obj.dim)
     gaps, orders, finest = verify.ode_route_gaps(obj, x0, v0, alpha, beta, t0, t1, dt0)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "ode_compare.csv", ["dt", "sup_gap", "order"],
-               [[dt0, gaps[0], np.nan], [dt0 / 2.0, gaps[1], orders[0]],
-                [dt0 / 4.0, gaps[2], orders[1]]])
     dim = obj.dim
     fmin = obj.f_min
     header = ["t"] + [f"x{i}" for i in range(dim)] + [f"v{i}" for i in range(dim)] \
@@ -451,14 +442,15 @@ def cmd_ode_compare(args) -> int:
     rows = [[float(finest.ts[k])] + list(finest.xs[k]) + list(finest.vs[k])
             + [obj.eval(finest.xs[k]) - fmin if fmin is not None else np.nan]
             for k in range(len(finest.ts))]
-    _write_csv(out_dir / "trajectory.csv", header, rows)
-    _emit_report(out_dir, {
+    _write_outputs(args.out, {
         "command": "ode-compare", "objective": obj.name, "alpha": alpha,
         "beta": beta, "t0": t0, "t1": t1, "dt": dt0,
         "sup_gap_dt": gaps[0], "sup_gap_dt2": gaps[1], "sup_gap_dt4": gaps[2],
         "order_1": orders[0], "order_2": orders[1],
-        "files": "ode_compare.csv,trajectory.csv,report.txt,report.json",
-    })
+    }, {"ode_compare.csv": (["dt", "sup_gap", "order"],
+                            [[dt0, gaps[0], np.nan], [dt0 / 2.0, gaps[1], orders[0]],
+                             [dt0 / 4.0, gaps[2], orders[1]]]),
+        "trajectory.csv": (header, rows)})
     return 0
 
 

@@ -185,9 +185,9 @@ def _hessian_damped(obj: Objective, x0, h: float, n_steps: int,
     table of up to `_CHUNK` indices, one call of the map each. The
     Hessian-velocity product is replaced by the consecutive-gradient
     quotient (grad f(x) - grad f(x - h v)) / h, which keeps the whole step
-    first order in gradient calls; a step with lambda_n = 0 skips it."""
-    hs = _unit_mass_system(obj)
-    gradient = obj.gradient
+    first order in gradient calls; a step with lambda_n = 0 skips it. The
+    se2 kick takes grad f(x_n) from the step's own g, not a new call."""
+    value, gradient = obj.value, obj.gradient
     lo, rows = 1, []   # rows[j] holds the coefficients at n = lo + j
 
     def step(n, x, v):
@@ -201,7 +201,7 @@ def _hessian_damped(obj: Objective, x0, h: float, n_steps: int,
         y = x + h * a_n * v - h * lam * hess_v - om * g
         v_half = (a_n * v - lam * hess_v - (om / h) * g + (gam / h) * g
                   + h * g - h * gradient(y))
-        return symplectic_euler(hs, (x, v_half), h, "se2")
+        return symplectic_euler(HamiltonianSystem(value, lambda _: g), (x, v_half), h, "se2")
 
     return _iterate(obj, x0, h, n_steps, lambda x0, x1: (x1 - x0) / h, step)
 

@@ -23,6 +23,7 @@ and `Schedule` checks a family's parameters however it is built.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable, Dict, Sequence
@@ -37,11 +38,12 @@ _EPS = float(np.finfo(float).eps)
 def _with_mu(mu, lam, omega, lam_term, omega_term):
     """(lam, omega) plus their mu terms lam_term() and omega_term() where
     mu > 0; mu is a number or a column of lanes, and np.where drops the
-    terms of the lanes at mu = 0, which may divide by zero."""
+    terms of the lanes at mu = 0, which may divide by zero. A term whose
+    denominator overflows (b near the float range) is 0, its limit."""
     on = np.greater(mu, 0.0)
     if not on.any():
         return lam, omega
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(on, lam + lam_term(), lam), np.where(on, omega + omega_term(), omega)
 
 
@@ -146,9 +148,10 @@ def _check_family(label: str, s, alpha, params: dict) -> None:
     b, mu = params["b"], params["mu"]
     if mu < 0.0 or mu != mu:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    for key in ("a", "b", "mu"):
-        if params.get(key) == np.inf:
-            raise ValueError(f"{key} must be finite, got {params[key]}")
+    for key in ("a", "b", "mu"):   # inf, or an int past the float range
+        v = params.get(key)
+        if v == np.inf or isinstance(v, int) and v > sys.float_info.max:
+            raise ValueError(f"{key} must be finite, got {v}")
     if label == "e25":
         beta, root_s = params["beta"], float(np.sqrt(s))
         if not 0.0 < beta < 2.0 * root_s:

@@ -145,6 +145,12 @@ def test_energy_stack_contracts():
                                   grad_potential=lambda x: x)
     with pytest.raises(ValueError):     # written for one point, not for a stack
         one_point.energy(np.ones((3, 2)), np.ones((3, 2)))
+    # one that evaluates on a stack, but not over its last axis: a (3, 3) array
+    outer = HamiltonianSystem(potential=lambda x: 0.5 * x @ x.T, grad_potential=lambda x: x)
+    assert outer.energy(np.ones(2), np.ones(2)) == 2.0
+    with pytest.raises(ValueError, match=r"^energy of a \(3, 2\) stack has shape \(3, 3\); "
+                                         "the potential must evaluate over the last axis$"):
+        outer.energy(np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
         _stack_oscillator(2).energy(np.ones((3, 2)), np.ones((2, 2)))
 

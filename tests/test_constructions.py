@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import splitgrad
 from splitgrad import constructions as con
-from splitgrad.algorithms import StoppingRule, make_stepper, run, run_methods
+from splitgrad.algorithms import StoppingRule, init_state, make_stepper, run, run_methods
 from splitgrad.objectives import Objective, f1, f2, quadratic
 from splitgrad.schedules import make_schedule
 
@@ -365,12 +365,12 @@ def _counting(obj):
 
 
 @pytest.mark.parametrize("construct,want", [
-    # the bootstrap, then grad f(x_n), grad f(y_n) and the kick's grad f(x_n)
-    (lambda obj: con.ardm_construction(obj, X0, 3.0, H, 100), 1 + 99 * 3),
+    # the bootstrap, then grad f(x_n) and grad f(y_n): the kick reuses grad f(x_n)
+    (lambda obj: con.ardm_construction(obj, X0, 3.0, H, 100), 1 + 99 * 2),
     # plus grad f(x_n - h v_n) for the Hessian drive, skipped where
     # lambda_n = 0: on e24 at n = 1 only
     (lambda obj: con.lt_s_igahd_construction(obj, X0, 3.0, make_schedule("e24", s=S), H, 100),
-     1 + 99 * 4 - 1),
+     1 + 99 * 3 - 1),
 ], ids=["ardm", "lt_s_igahd-e24"])
 def test_gradient_calls_over_100_steps(construct, want):
     obj, calls = _counting(f2())
@@ -474,11 +474,12 @@ def test_package_exports_every_public_construction():
 
 
 # every entry that steps from a start point, as entry(obj, x0, v0): the two
-# routes' runners, each construction, and both integrators (v0 is the
-# second-order one's xdot0)
+# routes' runners, the bootstrap they share, each construction, and both
+# integrators (v0 is the second-order one's xdot0)
 _ENTRIES = dict(
     {"run": lambda obj, x0, v0: run(make_stepper("agm2", S), obj, x0, S,
                                     StoppingRule("max_iter"), 5),
+     "init_state": lambda obj, x0, v0: init_state(obj, x0, S),
      "run_methods": lambda obj, x0, v0: run_methods(obj, [("agm2", S, {}), ("agm2", S / 2, {})],
                                                     x0, StoppingRule("max_iter"), 5),
      "first_order_vd": lambda obj, x0, v0: con.integrate_first_order_vd(
@@ -496,9 +497,12 @@ def _bad_inputs(entry):
     listy = dataclasses.replace(f1(), name="listy",
                                 gradient=lambda x: f1().gradient(x).tolist())
     shape = r"\(2, 2\)" if entry == "run_methods" else r"\(2,\)"   # its lanes' stack
+    # the bootstrap takes one point or a stack of lanes
+    where = r"x has shape \(3,\), expected \(2,\) or \(lanes, 2\)" if entry == "init_state" \
+        else r"x0 has shape \(3,\), expected \(2,\)"
     cases = [
         ("wrong-shape", f1(), [1.0, -2.0, 0.5], [0.0, 0.0], ValueError,
-         r"x0 has shape \(3,\), expected \(2,\) for objective 'f1'"),
+         rf"{where} for objective 'f1'"),
         ("non-finite-x0", f1(), [np.nan, 0.0], [0.0, 0.0], ValueError, "x0 must be finite"),
         ("list-gradient", listy, X0, [0.0, 0.0], ValueError,
          f"the gradient of objective 'listy' returned a list, expected a float array "

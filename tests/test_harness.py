@@ -1,17 +1,22 @@
 """End-to-end checks of the command line interface via cli.main()."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitgrad
 from splitgrad import algorithms, cli, verify
@@ -135,6 +140,9 @@ def test_verify_suite_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "bogus"])
     assert exc.value.code == 2
+    # the parser refuses the name first; run_suite refuses it too
+    with pytest.raises(ValueError, match="^unknown suite 'bogus'; choose from nesterov-split, "):
+        verify.run_suite("bogus")
 
 
 @pytest.mark.parametrize("suite", ["all", "lemmas"])
@@ -431,14 +439,18 @@ def test_sweep_nan_parameter_is_an_error_row(tmp_path):
 
 
 def test_sweep_infinite_parameter_is_an_error_row(tmp_path):
-    # JSON's 1e400 reads as inf, which no family takes for a, b or mu
+    # JSON's 1e400 reads as inf, which no family takes for a, b or mu; an
+    # integer past the float range is no more finite, and is refused before
+    # the batch converts it to a float, which would raise OverflowError
     out = tmp_path / "o"
-    assert cli.main(["sweep", "--schedule", "e25", "--grid", '{"beta": [0.1], "b": [1e400]}',
+    assert cli.main(["sweep", "--schedule", "e25", "--grid",
+                     '{"beta": [0.1], "b": [1e400, 1%s]}' % ("0" * 400),
                      "--out", str(out)]) == 0
     header, rows = _read_csv(out / "sweep.csv")
     assert [(r[header.index("status")], r[header.index("message")]) for r in rows] == [
-        ("error", "ValueError: b must be finite, got inf")]
-    assert _report(out)["errors"] == 1
+        ("error", "ValueError: b must be finite, got inf"),
+        ("error", f"ValueError: b must be finite, got {10**400}")]
+    assert _report(out)["errors"] == 2
 
 
 @pytest.mark.parametrize("extra,needle", [
@@ -510,6 +522,16 @@ def test_sweep_missing_grid_file(tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_grid_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    _exit_2_one_line(capsys, ["sweep", "--schedule", "e25", "--grid", str(path),
+                              "--out", str(tmp_path / "o")],
+                     f"{path}: not valid JSON (Expecting property name enclosed in double "
+                     f"quotes: line 1 column 2 (char 1))")
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_schedule_missing_beta(tmp_path, capsys):
@@ -595,6 +617,7 @@ def test_table_missing_cases_file(tmp_path, capsys):
     ({"bogus": 1.0}, "bogus"),                  # unknown key
     ({"ref_n": None}, "ref_n"),                 # missing key (removed below)
     ({"mu": "small"}, "mu"),                    # wrong type
+    ({"ref_n2": 10**400}, "ref_n2 must be a float, got 1000"),   # past the float range
 ])
 def test_table_cases_with_a_bad_row(tmp_path, capsys, change, needle):
     row = {"table": 1, "group": "A1", "objective": "f1", "schedule": "e24", "mu": 0.01,
@@ -618,6 +641,7 @@ def test_table_cases_with_a_nan_parameter_exit_2(tmp_path, capsys, key, needle):
     # json writes the NaN as the bare token NaN, which the loader reads back
     _exit_2_one_line(capsys, ["table", "--cases", json.dumps([row]),
                               "--out", str(tmp_path / "o")], needle)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--infer-s"]], ids=["table", "infer-s"])
@@ -634,8 +658,9 @@ def test_run_with_f_not_finite_at_x0_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra,n_rows", [(["--alpha", "2000", "--table", "1"], 8),
-                                          (["--max-iter", "1"], 28)],
-                         ids=["alpha-2000", "max-iter-1"])
+                                          (["--max-iter", "1"], 28),
+                                          (["--infer-s", "--alpha", "2000", "--table", "1"], 8)],
+                         ids=["alpha-2000", "max-iter-1", "infer-s-alpha-2000"])
 def test_table_writes_rows_whose_n2_is_undefined(tmp_path, extra, n_rows):
     out = tmp_path / "o"
     assert cli.main(["table", "--out", str(out)] + extra) == 0
@@ -643,6 +668,17 @@ def test_table_writes_rows_whose_n2_is_undefined(tmp_path, extra, n_rows):
     assert len(rows) == n_rows and _report(out)["rows"] == n_rows
     undefined = [r for r in rows if r[header.index("n2_at_stop")] == "nan"]
     assert undefined and all(r[header.index("match_n2")] == "false" for r in undefined)
+    if "--infer-s" in extra:   # every scanned stepsize diverges: no best one in any row
+        assert {r[header.index(col)] for r in rows
+                for col in ("s_best", "n2_at_stop_best")} == {"nan"}
+
+
+def test_a_shift_near_the_float_range_runs_without_a_warning(tmp_path):
+    # the mu term's denominator n (n + b - 1) overflows to inf: the term is 0
+    row = dict(dataclasses.asdict(all_cases()[0]), b=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["table", "--cases", json.dumps([row]), "--out", str(tmp_path)]) == 0
 
 
 def test_diverging_runs_print_no_warnings(tmp_path):
@@ -726,6 +762,10 @@ def test_run_takes_an_option_exactly_when_its_method_does(tmp_path, capsys, name
       '{"mu": NaN}'], "--schedule-params mu"),
     (["table", "--alpha", "nan"], "--alpha"),
     (["table", "--s", "inf"], "--s"),
+    # a stepsize past 1/L fails when the rows run, before anything is written
+    (["table", "--s", "5"], "stepsize s must lie strictly inside (0, 0.25) for objective 'f1'"),
+    (["table", "--cases", "{}"], "table cases must be a JSON list of objects"),
+    (["sweep", "--schedule", "e24", "--grid", "{}"], "sweep needs a non-empty --grid JSON object"),
     (["ode-compare", "--beta", "nan"], "--beta"),
     (["ode-compare", "--dt", "nan"], "--dt"),
     (["ode-compare", "--t1", "inf"], "--t1"),
@@ -757,6 +797,12 @@ def test_run_takes_an_option_exactly_when_its_method_does(tmp_path, capsys, name
     (["run", "--config", '{"objective": "quadratic", "objective_params": '
                          '{"a_matrix": [[1, 0], [0, 1]], "b_vector": [NaN, 0]}}'],
      "linear term entries must be finite"),
+    (["run", "--config", '{"objective": "quadratic", "objective_params": '
+                         '{"a_matrix": [[1, 0, 0], [0, 1, 0]]}}'],
+     "quadratic matrix must be square, got shape (2, 3)"),
+    (["run", "--config", '{"objective": "quadratic", "objective_params": '
+                         '{"a_matrix": [[1, 0], [0, 1]], "b_vector": [1, 2, 3]}}'],
+     "linear term has shape (3,), expected (2,)"),
     # pim_construction's rule for its friction: a negative one diverged
     (["run", "--algorithm", "pim", "--gamma", "-5"], "gamma must be nonnegative and finite"),
     (["run", "--config", '{"algorithm": "pim", "gamma": -1}'],
@@ -781,7 +827,8 @@ def test_run_takes_an_option_exactly_when_its_method_does(tmp_path, capsys, name
 ], ids=["run-epsilon", "run-alpha", "run-s", "run-gamma", "run-beta", "run-config-string",
         "run-config-huge-int", "run-x0", "run-config-algorithm", "run-config-x0-string",
         "run-config-x0-null", "run-config-x0-number", "run-schedule-string",
-        "run-schedule-nan", "table-alpha", "table-s",
+        "run-schedule-nan", "table-alpha", "table-s", "table-s-past-1-over-l",
+        "table-cases-object", "sweep-grid-empty",
         "ode-beta", "ode-dt", "ode-t1", "ode-v0", "ode-t0-zero", "run-config-max-iter-float",
         "run-config-max-iter-bool", "run-config-max-iter-string",
         "run-max-iter-unallocatable", "run-max-iter-beyond-addressing", "run-x0-length",
@@ -789,7 +836,8 @@ def test_run_takes_an_option_exactly_when_its_method_does(tmp_path, capsys, name
         "ode-x0-length", "ode-v0-length", "sweep-x0-length", "run-config-unknown-keys",
         "run-config-record-energy-string", "run-config-objective-list",
         "run-config-quadratic-nan", "run-config-quadratic-inf",
-        "run-config-quadratic-linear-nan", "run-gamma-negative", "run-config-gamma-negative",
+        "run-config-quadratic-linear-nan", "run-config-quadratic-not-square",
+        "run-config-quadratic-linear-length", "run-gamma-negative", "run-config-gamma-negative",
         "run-beta-negative", "ode-beta-negative", "ode-dt-no-finite-count",
         "ode-grid-unallocatable", "ode-grid-size-in-digits", "ode-beta-past-stability",
         "ode-start-at-rest"])
@@ -813,6 +861,77 @@ def test_run_config_record_energy_is_the_flag(tmp_path):
     assert cli.main(["run", "--config", '{"record_energy": true}', "--out", str(config)]) == 0
     assert (flag / "trajectory.csv").read_bytes() == (config / "trajectory.csv").read_bytes()
 
+
+# numbers at and past the float range, and JSON values of every kind, with
+# dictionaries under the keys a valid payload nests
+_NUMBER = st.floats() | st.integers(-3, 300) | st.sampled_from([1e-300, 1e308, -4.04e307, 10**400])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=3)
+    | st.sampled_from(["f1", "e25", "custom"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["a_matrix", "b_vector", "beta", "b", "mu", "a", "x"]), inner,
+        max_size=3),
+    max_leaves=6)
+# a valid value for each key, so that some payloads run
+_VALID = {
+    "objective": ["f1", "f2"], "algorithm": list(algorithms.ALGORITHM_NAMES),
+    "schedule": ["e24", "e25", "e26"], "stop": ["max_iter", "known_min_f", "consecutive_f"],
+    "schedule_params": [{"beta": 0.1}, {"beta": 0.1, "b": 2.0, "mu": 0.1}, {"mu": 0.01}],
+    "objective_params": [{}], "record_energy": [True, False], "x0": [[1, -2], [0.5, 0.5]],
+    "s": [0.01, 0.1], "alpha": [3.0, 4.5], "epsilon": [1e-8], "gamma": [0.5],
+    **dict.fromkeys(["a", "b", "mu", "beta"], [0.0, 0.1, 2.0]),
+    **{k: [v] for k, v in dataclasses.asdict(all_cases()[0]).items()},
+}
+
+
+def _entries(keys, max_size):
+    """A dictionary of up to max_size of keys, each valid, a fuzzed number,
+    or fuzzed JSON."""
+    entry = st.sampled_from(keys).flatmap(
+        lambda k: st.tuples(st.just(k), st.sampled_from(_VALID.get(k, [None])) | _NUMBER | _JSON))
+    return st.lists(entry, max_size=max_size).map(dict)
+
+
+def _payloads():
+    """(argv, payload) for `run --config`, `sweep --grid` and `table --cases`,
+    the option last, to be joined to its payload (which may start with -).
+    Every run stops within 200 iterations: the config's max_iter is drawn
+    from at most 200, or from values that are not positive integers."""
+    max_iter = st.integers(1, 200) | st.sampled_from([0, -1, 1.5, 1e308, "200", None, True])
+    config = st.builds(lambda d, m: {**d, "max_iter": m},
+                       _entries(["objective", "algorithm", "schedule", "schedule_params", "s",
+                                 "alpha", "x0", "epsilon", "stop", "beta", "gamma",
+                                 "record_energy", "objective_params", "bogus"], 3), max_iter)
+    grid = _entries(["a", "b", "mu", "beta", "coeffs", "s", "alpha", "label", "nu"], 3).map(
+        lambda d: {k: [v] if k in ("a", "b", "mu", "beta") else v for k, v in d.items()})
+    case = dataclasses.asdict(all_cases()[0])
+    row = _entries(list(case), 3).map(lambda over: {**case, **over})
+    return st.one_of(
+        st.tuples(st.just(["run", "--config="]), config),
+        st.tuples(st.sampled_from([["sweep", "--max-iter", "200", "--schedule", label, "--grid="]
+                                   for label in ("e24", "e25", "e26")]), grid),
+        st.tuples(st.just(["table", "--max-iter", "200", "--cases="]),
+                  st.lists(row, min_size=1, max_size=2) | _JSON))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_payloads())
+def test_a_payload_exits_0_or_2_and_an_exit_2_writes_nothing(case):
+    # ROADMAP item 11's contract over the three JSON payloads: never a
+    # traceback; exit 2 is one stderr line and no output directory; exit 0
+    # writes exactly the files its report's `files` line names
+    argv, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(argv[:-1] + [argv[-1] + json.dumps(payload), "--out", str(out)])
+        if rc == 2:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            assert not out.exists()
+        else:
+            assert rc == 0 and err.getvalue() == ""
+            assert sorted(os.listdir(out)) == sorted(_report(out)["files"].split(","))
 
 
 def _past_the_floats(label):

@@ -407,6 +407,10 @@ def test_make_schedule_labels_and_errors():
     assert make_schedule("e25", s=0.04, beta=0.1).coeffs_at(3)[3] == 0.0
     with pytest.raises(ValueError):
         make_schedule("custom", s=0.1)
+    # a custom schedule takes its coefficients from its map, not from family parameters
+    with pytest.raises(ValueError, match=r"^unexpected parameters for schedule 'custom': "
+                                         r"\['mu'\]$"):
+        make_schedule("custom", s=0.1, coeffs=lambda n: (0.5, 0.0, 0.0, 0.0), mu=1.0)
     # agm2 is a method, and igahd the e25 family at mu = 0, not schedules
     for label in ("e99", "agm2", "igahd"):
         with pytest.raises(ValueError, match="unknown schedule label"):
