@@ -354,12 +354,10 @@ class Trajectory:
     def grad_norms(self) -> Array:
         return np.linalg.norm(self.grads, axis=1)
 
-    def fgaps(self, f_star: Optional[float] = None) -> Array:
-        if f_star is None:
-            f_star = self.obj.f_min
-        if f_star is None:
+    def fgaps(self) -> Array:
+        if self.obj.f_min is None:
             raise ValueError("no reference minimum available for this objective")
-        return self.fs - f_star
+        return self.fs - self.obj.f_min
 
     def velocities(self, s: float) -> Array:
         """Discrete velocity v_n = (x_n - x_{n-1})/sqrt(s); the n = 0 row

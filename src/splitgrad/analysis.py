@@ -264,26 +264,17 @@ def check_quadratic_lemma(a, b, c, x, variant: str):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def spurious_root_residual(obj: Objective, x, omega: float, s: float,
-                           variant: str) -> float:
-    """Residual of the fixed-point equation a non-vanishing final
-    gradient coefficient would impose on limit points:
-
-    eq1: ||grad f(x) + (s/omega) grad f(x - omega grad f(x))||
-    eq2: omega pinned to 2s, so the weight is 1/2
-    eq3: omega pinned to s, weight 1
+def spurious_root_residual(obj: Objective, x, omega: float, s: float) -> float:
+    """Residual ||grad f(x) + (s/omega) grad f(x - omega grad f(x))|| of the
+    fixed-point equation a non-vanishing final gradient coefficient would
+    impose on limit points; omega = 2s weighs the second gradient by 1/2,
+    omega = s by 1.
 
     Zero at every minimizer; a strictly positive value at a non-minimizer
     shows the equation does not create a spurious rest point there.
     """
+    if omega == 0.0:
+        raise ValueError("the fixed-point residual needs a nonzero omega")
     x = np.asarray(x, dtype=float)
     g = obj.grad(x)
-    if variant == "eq2":
-        omega = 2.0 * s
-    elif variant == "eq3":
-        omega = s
-    elif variant != "eq1":
-        raise ValueError(f"unknown fixed-point variant {variant!r}")
-    if omega == 0.0:
-        raise ValueError("eq1 needs a nonzero omega")
     return float(np.linalg.norm(g + (s / omega) * obj.grad(x - omega * g)))

@@ -193,22 +193,15 @@ def cmd_run(args) -> int:
     gnorms = traj.grad_norms()
     header = (["n"] + [f"x{i}" for i in range(dim)] + ["f", "fgap", "gradnorm"]
               + [f"v{i}" for i in range(dim)])
-    e_col = None
+    cols = [np.arange(traj.n_final + 1), traj.xs, traj.fs, fgaps, gnorms, vels]
     if record_energy:
         x_star = obj.argmin_point if obj.argmin_kind == "unique" else None
         # the energy takes lambda_n from the coefficients the run stepped by
         coeffs = algorithms.coefficient_map(algorithm, s, **keywords)
         series = analysis.energy_series(traj, s, alpha, coeffs, x_star=x_star)
-        e_col = np.full(traj.n_final + 1, np.nan)
-        e_col[series.n_start:series.n_start + len(series.e_seq)] = series.e_seq
+        cols.append(np.r_[np.nan, series.e_seq])   # E_n from n = 1
         header.append("E")
-    rows = []
-    for n in range(traj.n_final + 1):
-        row = [n] + list(traj.xs[n]) + [float(traj.fs[n]), float(fgaps[n]),
-                                        float(gnorms[n])] + list(vels[n])
-        if e_col is not None:
-            row.append(float(e_col[n]))
-        rows.append(row)
+    rows = np.column_stack(cols).tolist()
 
     payload = {
         "command": "run", "objective": obj.name, "algorithm": algorithm,
@@ -222,9 +215,7 @@ def cmd_run(args) -> int:
         "x_final": traj.xs[-1],
     }
     if sched is not None:
-        rep = schedules.check_assumptions(sched, obj.lipschitz,
-                                          n_max=schedules.scan_end(res.n_final, alpha))
-        payload.update(dataclasses.asdict(rep))
+        payload.update(dataclasses.asdict(schedules.check_run(sched, obj.lipschitz, res.n_final)))
     _write_outputs(out, payload, {"trajectory.csv": (header, rows)})
     return 0
 
@@ -331,8 +322,7 @@ def cmd_table(args) -> int:
                             np.array([obj.lipschitz for obj, _ in runs]), alpha)
     for case, (obj, (sched, res)), scan, n2_stop in zip(cases, runs, scans, n2_stops.tolist()):
         lip = obj.lipschitz
-        rep = schedules.check_assumptions(sched, lip,
-                                          n_max=schedules.scan_end(res.n_final, alpha))
+        rep = schedules.check_run(sched, lip, res.n_final)
         npr_alt = schedules.n_prime_reference_variant(sched, lip)
         n_rec = max(v for v in (rep.n1, n2_stop, npr_alt) if not np.isnan(v))
         below = res.error_final < 1e-15
@@ -398,8 +388,7 @@ def cmd_sweep(args) -> int:
             tail = ["error", "", -1] + [np.nan] * 5 + [f"{type(sched).__name__}: {sched}"]
         else:
             res = next(results)
-            rep = schedules.check_assumptions(sched, obj.lipschitz,
-                                              n_max=schedules.scan_end(res.n_final, alpha))
+            rep = schedules.check_run(sched, obj.lipschitz, res.n_final)
             tail = ["ok", res.termination, res.n_final, res.error_final, rep.n1, rep.n2,
                     rep.n_prime, rep.n_threshold, ""]
         rows.append([params[k] for k in keys] + tail)
@@ -436,12 +425,11 @@ def cmd_ode_compare(args) -> int:
     gaps, orders, finest = verify.ode_route_gaps(obj, x0, v0, alpha, beta, t0, t1, dt0)
 
     dim = obj.dim
-    fmin = obj.f_min
     header = ["t"] + [f"x{i}" for i in range(dim)] + [f"v{i}" for i in range(dim)] \
         + ["fgap"]
-    rows = [[float(finest.ts[k])] + list(finest.xs[k]) + list(finest.vs[k])
-            + [obj.eval(finest.xs[k]) - fmin if fmin is not None else np.nan]
-            for k in range(len(finest.ts))]
+    # f1 and f2, the objectives ode-compare builds, know their f_min
+    fgaps = obj.eval(finest.xs) - obj.f_min
+    rows = np.column_stack([finest.ts, finest.xs, finest.vs, fgaps]).tolist()
     _write_outputs(args.out, {
         "command": "ode-compare", "objective": obj.name, "alpha": alpha,
         "beta": beta, "t0": t0, "t1": t1, "dt": dt0,
@@ -457,8 +445,16 @@ def cmd_ode_compare(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals raise ValueError, which `main`
+    prints as its one line, in place of the usage block and SystemExit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitgrad",
         description="Inertial gradient algorithms from operator splitting: "
                     "run, benchmark, sweep, and verify.")
@@ -529,12 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        # one line, though a message may quote a token that holds a newline
+        print("error: " + str(e).replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

@@ -9,7 +9,8 @@ coupling identity
     gamma_n = (lambda_n + omega_n) - ((n+1)/n) * lambda_{n+1}
 
 by construction (the e25 family at mu = 0 is the Hessian-correction
-scheme). A "custom" schedule takes any coefficient map.
+scheme). `Schedule(label, alpha, s, coeffs)` with any other label takes
+any coefficient map.
 
 Index convention: the families are stated through a lambda_{n+1} recurrence
 for n >= 1; lambda_n is the same closed form shifted by one, which pins
@@ -97,7 +98,7 @@ _FAMILIES = {
     "e25": (_e25, {"beta": None, "b": 1.0, "mu": 0.0}),
     "e26": (_e26, {"a": 0.0, "b": 0.0, "mu": 0.0}),
 }
-# The labels a command line can build; "custom" needs a coefficient map.
+# The labels a command line can build; any other label needs a coefficient map.
 FAMILY_LABELS = tuple(_FAMILIES)
 
 
@@ -233,7 +234,8 @@ class Schedule:
     family's body with s, alpha and `params`, which `coeffs_of` evaluates
     together with the other maps of its family; a schedule whose
     `coeffs_at` is replaced (`dataclasses.replace`) steps by the new map.
-    Building one checks a family label's `params`: its exact keys, then its rules.
+    Building one checks a family label's `params`, its exact keys and then
+    its rules, and any other label's stepsize.
     """
 
     label: str
@@ -245,6 +247,8 @@ class Schedule:
     def __post_init__(self):
         if self.label in _FAMILIES:
             _check_family(self.label, self.s, self.alpha, self.params)
+        else:
+            check_step(self.s)
 
     def check_matches(self, s: float, alpha: float) -> None:
         """Raise ValueError unless s is this schedule's stepsize, to 8 eps
@@ -307,7 +311,7 @@ def n_prime(schedule: Schedule, lipschitz: float) -> float:
     (assumption (i) of the energy-decrease conditions) is guaranteed for
     the family schedule `schedule` on an objective of gradient-Lipschitz
     constant `lipschitz`; ValueError naming the label of a schedule of no
-    family ("custom").
+    family.
 
     e24: (alpha-1)(s^2 L^2 + 1) + 2 mu L sqrt(alpha-1) + (mu/s)^2 - a,
          maxed with (1 - 2b + sqrt(4(a-b)+1))/2 when b - a <= 1/4.
@@ -358,24 +362,12 @@ def n_prime_reference_variant(schedule: Schedule, lipschitz: float) -> float:
     return float(_root_of_sum((s * lipschitz) ** 2 + 1.0, p["mu"] / s) - min(p["a"], p["b"]))
 
 
-def make_schedule(label: str, s: float, alpha: float = 3.0, coeffs=None,
-                  **params) -> Schedule:
-    """Build a Schedule by label: a family of `_FAMILIES`, "e24"/"e26"
-    (params a, b, mu) or "e25" (beta, b, mu), or "custom" (pass `coeffs`,
-    a map from n to the coefficient 4-tuple that accepts an array of n as
-    `Schedule` states); `coeffs` given with a family label raises."""
+def make_schedule(label: str, s: float, alpha: float = 3.0, **params) -> Schedule:
+    """Build a family Schedule by label, "e24"/"e26" (params a, b, mu) or
+    "e25" (beta, b, mu), with the family's defaults filled in."""
     label = label.lower()
-    if label == "custom":
-        if coeffs is None:
-            raise ValueError("custom schedule requires a `coeffs` callable")
-        if params:
-            raise ValueError(f"unexpected parameters for schedule 'custom': {sorted(params)}")
-        check_step(s)
-        return Schedule(label, alpha, s, coeffs)
     if label not in _FAMILIES:
         raise ValueError(f"unknown schedule label {label!r}")
-    if coeffs is not None:
-        raise ValueError(f"schedule {label!r} takes no `coeffs`; only 'custom' does")
     body, defaults = _FAMILIES[label]
     # a needed parameter (default None) not given stays out, for Schedule to name
     full = {k: v for k, v in {**defaults, **params}.items() if v is not None or k in params}
@@ -449,20 +441,9 @@ class AdmissibilityReport:
 # twenty of them, take about 16 kB each, whatever n_max is.
 _SCAN_CHUNK = 2048
 
-# Largest alpha whose admissibility scan `scan_end` sets up: the scan's time,
-# not its memory, grows with n_max.
+# Largest alpha whose admissibility scan `check_run` sets up: the scan's
+# time, not its memory, grows with n_max.
 SCAN_ALPHA_MAX = 100_000
-
-
-def scan_end(n_final: int, alpha: float) -> int:
-    """n_max for the admissibility scan reported beside a run that stopped
-    at n_final: two indices past the stop, and at least 1000 and alpha, as
-    `check_assumptions` needs. An alpha above SCAN_ALPHA_MAX raises
-    ValueError rather than set up a scan that long."""
-    if alpha > SCAN_ALPHA_MAX:
-        raise ValueError(f"alpha = {alpha} needs an admissibility scan past "
-                         f"n = {SCAN_ALPHA_MAX}; use alpha <= {SCAN_ALPHA_MAX}")
-    return max(n_final + 2, 1000, int(np.ceil(alpha)))
 
 
 def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> AdmissibilityReport:
@@ -540,3 +521,17 @@ def check_assumptions(schedule: Schedule, lipschitz: float, n_max: int) -> Admis
         assumption_i_holds_from=i_from,
         assumption_ii_exact=ii_exact,
     )
+
+
+def check_run(schedule: Schedule, lipschitz: float, n_final: int) -> AdmissibilityReport:
+    """The admissibility scan reported beside a run of `schedule` that
+    stopped at n_final: to two indices past the stop, and to at least 1000
+    and alpha, as `check_assumptions` needs. An alpha above SCAN_ALPHA_MAX
+    raises ValueError rather than set up a scan that long."""
+    alpha = schedule.alpha
+    if alpha > SCAN_ALPHA_MAX:
+        raise ValueError(f"alpha = {alpha} needs an admissibility scan past "
+                         f"n = {SCAN_ALPHA_MAX}; use alpha <= {SCAN_ALPHA_MAX}")
+    # by its module name, n_max by keyword: a tracer that replaces it reads both
+    return check_assumptions(schedule, lipschitz,
+                             n_max=max(n_final + 2, 1000, int(np.ceil(alpha))))

@@ -21,7 +21,7 @@ from splitgrad.algorithms import (
     run_methods,
 )
 from splitgrad.objectives import Objective, f1, f2, quadratic
-from splitgrad.schedules import make_schedule
+from splitgrad.schedules import Schedule, make_schedule
 from splitgrad.splitting import compose, euler_advance, lie_trotter, strang
 
 S = 0.01
@@ -236,7 +236,7 @@ def test_trajectory_helpers():
     assert np.allclose(v[1], (traj.xs[1] - traj.xs[0]) / 0.1)
     assert np.allclose(traj.grad_norms(), np.linalg.norm(traj.grads, axis=1))
     assert np.all(traj.fgaps() >= 0.0)
-    assert np.array_equal(traj.fgaps(0.0), traj.fs)
+    assert np.array_equal(traj.fgaps(), traj.fs - f2().f_min)
 
 
 def test_run_refuses_a_stepsize_its_stepper_was_not_made_with():
@@ -314,8 +314,7 @@ def test_every_entry_point_refuses_alpha_at_most_one(name, alpha):
     # run_methods; pim's coefficients do not read alpha, so it takes any
     kw = {}
     if name == "lt_s_igahd":
-        kw["schedule"] = make_schedule("custom", s=S, alpha=alpha,
-                                       coeffs=coefficient_map("agm2", S))
+        kw["schedule"] = Schedule("custom", alpha, S, coefficient_map("agm2", S))
     calls = (lambda: coefficient_map(name, S, alpha=alpha, **kw),
              lambda: make_stepper(name, S, alpha=alpha, **kw),
              lambda: run_methods(f1(), [(name, S, dict(kw, alpha=alpha))], X0,

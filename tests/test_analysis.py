@@ -281,26 +281,25 @@ def test_quadratic_lemma():
         check_quadratic_lemma(1.0, 0.0, 1.0, 0.0, "positivity")
 
 
+# the fixed-points suite's three omegas at s = 0.01: 0.05, and 2s and s,
+# which weigh the second gradient by 1/2 and by 1
+_OMEGAS = (0.05, 0.02, 0.01)
+
+
 def test_spurious_root_residual_zero_at_minimizers():
     s = 0.01
     for obj, xm in ((f2(), [0.0, 0.0]), (f1(), [0.0, 0.0]), (f1(), [1.5, -1.5])):
-        for variant in ("eq1", "eq2", "eq3"):
-            assert spurious_root_residual(obj, xm, 0.05, s, variant) == 0.0
+        for omega in _OMEGAS:
+            assert spurious_root_residual(obj, xm, omega, s) == 0.0
 
 
 def test_spurious_root_residual_frozen_off_minimizer():
     obj = f2()
     s = 0.01
-    assert spurious_root_residual(obj, [1.0, 0.0], 0.05, s, "eq1") \
-        == 0.8459606659446149
-    assert spurious_root_residual(obj, [1.0, 0.0], 0.05, s, "eq2") \
-        == 1.0581334672302674
-    assert spurious_root_residual(obj, [1.0, 0.0], 0.05, s, "eq3") \
-        == 1.411700257177338
+    got = [spurious_root_residual(obj, [1.0, 0.0], omega, s) for omega in _OMEGAS]
+    assert got == [0.8459606659446149, 1.0581334672302674, 1.411700257177338]
 
 
 def test_spurious_root_residual_contracts():
-    with pytest.raises(ValueError):
-        spurious_root_residual(f2(), [1.0, 0.0], 0.0, 0.01, "eq1")
-    with pytest.raises(ValueError):
-        spurious_root_residual(f2(), [1.0, 0.0], 0.05, 0.01, "eq4")
+    with pytest.raises(ValueError, match="^the fixed-point residual needs a nonzero omega$"):
+        spurious_root_residual(f2(), [1.0, 0.0], 0.0, 0.01)

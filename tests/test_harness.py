@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via cli.main()."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -137,9 +138,7 @@ def test_verify_suite_exit_codes(capsys):
     assert cli.main(["verify", "fixed-points"]) == 0
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "bogus"])
-    assert exc.value.code == 2
+    _exit_2_one_line(capsys, ["verify", "bogus"], "argument suite: invalid choice: 'bogus'")
     # the parser refuses the name first; run_suite refuses it too
     with pytest.raises(ValueError, match="^unknown suite 'bogus'; choose from nesterov-split, "):
         verify.run_suite("bogus")
@@ -400,7 +399,7 @@ def test_sweep_cell_errors_keep_their_messages(tmp_path):
 
 def test_sweep_coeffs_key_of_a_family_is_an_error_row(tmp_path):
     # a family schedule has no coefficient map to replace: each cell is an
-    # error row with the message, not an ok row that ignored the key
+    # error row naming the unknown parameter, not an ok row that ignored the key
     out = tmp_path / "o"
     assert cli.main(["sweep", "--schedule", "e25", "--grid",
                      '{"beta": [0.1], "coeffs": [1, 2]}', "--out", str(out)]) == 0
@@ -409,7 +408,7 @@ def test_sweep_coeffs_key_of_a_family_is_an_error_row(tmp_path):
     for row in rows:
         assert row[header.index("status")] == "error"
         assert row[header.index("message")] == \
-            "ValueError: schedule 'e25' takes no `coeffs`; only 'custom' does"
+            "ValueError: unexpected parameters for schedule 'e25': ['coeffs']"
 
 
 @pytest.mark.parametrize("key,option", [("s", "--s"), ("alpha", "--alpha"),
@@ -582,10 +581,8 @@ def _exit_2_one_line(capsys, argv, needle):
 ], ids=["run-custom", "run-unknown", "sweep-custom", "sweep-unknown"])
 def test_schedule_flag_outside_the_families_exits_2(tmp_path, capsys, argv):
     # a command line cannot pass the coefficient map a custom schedule needs
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(argv + ["--out", str(tmp_path / "o")])
-    assert exit_info.value.code == 2
-    assert "argument --schedule: invalid choice" in capsys.readouterr().err
+    _exit_2_one_line(capsys, argv + ["--out", str(tmp_path / "o")],
+                     "argument --schedule: invalid choice")
     assert not (tmp_path / "o").exists()
 
 
@@ -932,6 +929,62 @@ def test_a_payload_exits_0_or_2_and_an_exit_2_writes_nothing(case):
         else:
             assert rc == 0 and err.getvalue() == ""
             assert sorted(os.listdir(out)) == sorted(_report(out)["files"].split(","))
+
+
+# the values an option fuzz draws: malformed tokens, and valid ones that run
+# cheaply, none a small positive --dt or a --max-iter above 200
+_TOKENS = ["", "-", "nan", "inf", "1e400", "-1", "0", "1", "3", "0.1", "0.5", "200", "abc",
+           "a\nb", "1,-2", "0,0", "1,nan", ",", "{}", "[]", '{"beta": 0.1}', "f1", "f2",
+           "quadratic", "e25", "e99", "custom", "agm2", "lt_s_igahd", "max_iter",
+           "fixed-points", "--bogus"]
+# each command line starts with the command, an --out for the commands that
+# write, and the options that keep a run short, which drawn ones may override
+_CHEAP = {
+    "": [],
+    "run": ["run", "--out", "{out}", "--max-iter", "200"],
+    "table": ["table", "--out", "{out}", "--max-iter", "200"],
+    "sweep": ["sweep", "--out", "{out}", "--max-iter", "200", "--schedule", "e25",
+              "--grid", '{"beta": [0.1]}'],
+    "verify": ["verify", "fixed-points"],
+    "ode-compare": ["ode-compare", "--out", "{out}", "--dt", "0.5"],
+}
+_COMMANDS = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _command_lines():
+    """A command line of each command, its cheap start followed by up to
+    four items: an option of the command's own with or without a token, or
+    a stray token. Every option of every command but --out and --help may
+    be drawn; `verify all` cannot, as no token names it."""
+    def items(command):
+        options = sorted(o for a in _COMMANDS[command]._actions for o in a.option_strings
+                         if o not in ("-h", "--help", "--out")) if command else ["--bogus"]
+        token = st.sampled_from(_TOKENS)
+        option = st.sampled_from(options)
+        pair = st.tuples(option, token)   # drawn thrice as often as a lone option or token
+        item = st.one_of(pair, pair, pair, st.tuples(option), st.tuples(token))
+        return st.lists(item, max_size=4).map(
+            lambda drawn: _CHEAP[command] + [tok for it in drawn for tok in it])
+    return st.sampled_from(sorted(_CHEAP)).flatmap(items)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_command_lines())
+def test_an_option_exits_0_or_2_and_an_exit_2_writes_nothing(argv):
+    # ROADMAP item 11's contract over every command's options: never a
+    # traceback or argparse's usage block; exit 2 is one stderr line and no
+    # output directory
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([str(out) if tok == "{out}" else tok for tok in argv])
+        if rc == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not out.exists()
+        else:
+            assert rc == 0 and err.getvalue() == ""
 
 
 def _past_the_floats(label):

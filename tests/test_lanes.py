@@ -22,7 +22,7 @@ from splitgrad.algorithms import (
 )
 from splitgrad.cases import all_cases
 from splitgrad.objectives import Objective, f1, f2, make_objective, quadratic
-from splitgrad.schedules import FAMILY_LABELS, coeffs_of, make_schedule
+from splitgrad.schedules import FAMILY_LABELS, Schedule, coeffs_of, make_schedule
 from splitgrad.verify import X0
 
 N_ALL = np.arange(1, 10_001, dtype=float)
@@ -416,8 +416,8 @@ def test_stopped_lanes_cost_nothing(record, monkeypatch):
         return at
 
     # agm2's maps, as the lt_s_igahd schedules of no family
-    cells = [("lt_s_igahd", s, {"schedule": make_schedule(
-        "custom", s=s, coeffs=counted(i, coefficient_map("agm2", s)))}) for i, s in enumerate(ss)]
+    cells = [("lt_s_igahd", s, {"schedule": Schedule(
+        "custom", 3.0, s, counted(i, coefficient_map("agm2", s)))}) for i, s in enumerate(ss)]
     tables = _watch_tables(monkeypatch)
     _, results = run_methods(obj, cells, [1.0, -2.0], _TIGHT, record=record)
     assert rows[0] == sum(r.n_final + 1 for r in results)
@@ -455,7 +455,7 @@ def test_stopped_family_lanes_cost_one_call_per_family_and_chunk(monkeypatch):
 
     cells = [("lt_s_igahd", sch.s, {"schedule": sch}) for sch in scheds]
     cells.append(("lt_s_igahd", scheds[0].s,
-                  {"schedule": make_schedule("custom", s=scheds[0].s, coeffs=custom)}))
+                  {"schedule": Schedule("custom", 3.0, scheds[0].s, custom)}))
     tables = _watch_tables(monkeypatch)
     _, results = run_methods(f2(), cells, [1.0, -2.0], _TIGHT)
     chunk_starts = _chunk_starts(max(r.n_final for r in results))[:-1]
@@ -507,7 +507,7 @@ def _method_map(draw, names):
        data=st.data())
 def test_coeffs_of_is_each_schedules_own_coeffs_at(maps, custom_at, start, width, data):
     # a map that is not a CoefficientMap is called lane by lane
-    custom = make_schedule("custom", s=0.1, coeffs=lambda n: coefficient_map("lt_se3", 0.1)(n))
+    custom = Schedule("custom", 3.0, 0.1, lambda n: coefficient_map("lt_se3", 0.1)(n))
     maps.insert(min(custom_at, len(maps)), custom.coeffs_at)
     ns = np.arange(start, start + width, dtype=float)
     # a row of indices that every lane shares
@@ -528,7 +528,7 @@ def test_coeffs_of_is_each_schedules_own_coeffs_at(maps, custom_at, start, width
 def test_coeffs_of_rejects_a_map_of_three_coefficients(beside, three_first):
     # a custom map giving three coefficients, batched beside a built-in
     # (grouped) four-coefficient map or a wrapped (lane-by-lane) one
-    three = make_schedule("custom", s=0.1, coeffs=lambda n: (n * 0 + 0.5, 0.0, 0.0)).coeffs_at
+    three = Schedule("custom", 3.0, 0.1, lambda n: (n * 0 + 0.5, 0.0, 0.0)).coeffs_at
     four = coefficient_map("lt_se3", 0.1)
     if beside == "wrapped":
         four = (lambda n, m=four: m(n))

@@ -405,14 +405,9 @@ def test_make_schedule_labels_and_errors():
     assert sch.label == "e24"
     assert n_prime(sch, 4.0) == -1.5568629150101523
     assert make_schedule("e25", s=0.04, beta=0.1).coeffs_at(3)[3] == 0.0
-    with pytest.raises(ValueError):
-        make_schedule("custom", s=0.1)
-    # a custom schedule takes its coefficients from its map, not from family parameters
-    with pytest.raises(ValueError, match=r"^unexpected parameters for schedule 'custom': "
-                                         r"\['mu'\]$"):
-        make_schedule("custom", s=0.1, coeffs=lambda n: (0.5, 0.0, 0.0, 0.0), mu=1.0)
-    # agm2 is a method, and igahd the e25 family at mu = 0, not schedules
-    for label in ("e99", "agm2", "igahd"):
+    # agm2 is a method, and igahd the e25 family at mu = 0, not schedules; a
+    # schedule of no family is built as Schedule(label, alpha, s, coeffs)
+    for label in ("e99", "agm2", "igahd", "custom"):
         with pytest.raises(ValueError, match="unknown schedule label"):
             make_schedule(label, s=0.1)
 
@@ -472,11 +467,11 @@ def test_check_assumptions_report():
 
 def test_check_assumptions_flags_inadmissible():
     # gamma exceeding s breaks the strict inequality at small n
-    sch = make_schedule("custom", s=0.01,
-                        coeffs=lambda n: (np.asarray((np.asarray(n) - 3.0) / np.asarray(n)),
-                                          np.zeros_like(np.asarray(n, dtype=float)),
-                                          np.zeros_like(np.asarray(n, dtype=float)),
-                                          np.full_like(np.asarray(n, dtype=float), 0.02)))
+    sch = Schedule("custom", 3.0, 0.01,
+                   lambda n: (np.asarray((np.asarray(n) - 3.0) / np.asarray(n)),
+                              np.zeros_like(np.asarray(n, dtype=float)),
+                              np.zeros_like(np.asarray(n, dtype=float)),
+                              np.full_like(np.asarray(n, dtype=float), 0.02)))
     rep = check_assumptions(sch, 1.0, n_max=50)
     assert rep.assumption_i_holds_from == 51   # never settles on the scan
     with pytest.raises(ValueError):
@@ -498,7 +493,7 @@ def test_n_prime_unknown_label():
         lam, gam = np.full_like(n, 0.005), np.where(n <= 7.0, 0.02, 0.0)   # gamma > s fails (i)
         return (n - 3.0) / n, lam, gam - lam + (n + 1.0) / n * lam, gam
 
-    sch = make_schedule("custom", s=0.01, coeffs=coeffs)
+    sch = Schedule("custom", 3.0, 0.01, coeffs)
     for threshold in (n_prime, n_prime_reference_variant):
         with pytest.raises(ValueError, match="^no closed-form threshold for schedule label "
                                              "'custom'$"):
@@ -540,7 +535,7 @@ def test_check_matches_rejects_a_nan_stepsize():
 
 def test_check_assumptions_takes_a_custom_map_of_numbers():
     # a map may give numbers that hold for every n; the scan broadcasts them
-    sch = make_schedule("custom", s=0.1, coeffs=lambda n: (0.5, 0.0, 0.0, 0.0))
+    sch = Schedule("custom", 3.0, 0.1, lambda n: (0.5, 0.0, 0.0, 0.0))
     rep = check_assumptions(sch, 1.0, n_max=50)
     assert rep.assumption_ii_exact and rep.n1 == 2.0
 
@@ -549,17 +544,18 @@ def test_custom_schedule_needs_a_positive_stepsize():
     # neither route could run a custom schedule at such an s
     for s in (-0.1, 0.0, float("nan")):
         with pytest.raises(ValueError, match=rf"^stepsize must be positive, got {s}$"):
-            make_schedule("custom", s=s, coeffs=lambda n: (0.5, 0.0, 0.0, 0.0))
+            Schedule("custom", 3.0, s, lambda n: (0.5, 0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("label,params", [("e24", {}), ("e25", {"beta": 0.1}), ("e26", {}),
                                           ("E25", {"beta": 0.1})])
 def test_a_family_label_refuses_coeffs(label, params):
-    # a family's coefficients are its body's; only 'custom' reads `coeffs`
+    # a family's coefficients are its body's: a coefficient map passed by
+    # keyword is an unknown parameter, not a replacement of the body
     def f(n):
         return (0.5, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match=rf"^schedule '{label.lower()}' takes no `coeffs`; "
-                                         r"only 'custom' does$"):
+    with pytest.raises(ValueError, match=rf"^unexpected parameters for schedule "
+                                         rf"'{label.lower()}': \['coeffs'\]$"):
         make_schedule(label, s=0.1, coeffs=f, **params)
     assert make_schedule(label, s=0.1, **params).coeffs_at(5) != f(5)
 
@@ -652,7 +648,7 @@ def _scanned_schedules(draw):
             lam, gam = lam_at(n), np.where(n % period == 0, gam0, 0.0)
             return (n - alpha) / n, lam, gam - lam + ((n + 1.0) / n) * lam_at(n + 1.0), gam
 
-        sch = make_schedule("custom", s=s, alpha=alpha, coeffs=coeffs)
+        sch = Schedule("custom", alpha, s, coeffs)
     return sch, lip, n_max
 
 
